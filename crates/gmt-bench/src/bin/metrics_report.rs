@@ -104,8 +104,15 @@ fn print_occupancy(snap: &MetricsSnapshot) {
             None => print!(" >{}B:{c}", hist.bounds.last().unwrap()),
         }
     }
-    let timeouts = snap.counter("agg.timeout_flushes").unwrap_or(0);
-    println!(" (deadline-triggered: {timeouts})");
+    println!();
+    // Why each buffer shipped: every flush has exactly one trigger.
+    let timeout = snap.counter("agg.timeout_flushes").unwrap_or(0);
+    let idle = snap.counter("agg.idle_flushes").unwrap_or(0);
+    let full = hist.count().saturating_sub(timeout + idle);
+    let paced = snap.counter("agg.paced_deferrals").unwrap_or(0);
+    println!(
+        "  flush triggers: full {full}, timeout {timeout}, idle {idle} ({paced} deferred by pacing)"
+    );
 }
 
 /// Merge-at-source combining effectiveness: how many fire-and-forget

@@ -6,10 +6,11 @@
 //!    (pre-aggregation): commands are encoded into the block without any
 //!    synchronization.
 //! 2. A block is pushed into the node-wide, per-destination **aggregation
-//!    queue** when it is full (entries or bytes) or older than a timeout.
+//!    queue** when it is full (entries or bytes), older than a timeout, or
+//!    its owning thread runs out of work.
 //! 3. When an aggregation queue holds a buffer's worth of commands (or
-//!    times out), the noticing thread pops blocks and packs them into a
-//!    pooled **aggregation buffer**.
+//!    times out, or the noticing thread goes idle), that thread pops
+//!    blocks and packs them into a pooled **aggregation buffer**.
 //! 4. The filled buffer goes into the thread's **channel queue** (SPSC to
 //!    the communication server), which hands it to the fabric **without
 //!    copying**: the buffer travels as a pooled [`gmt_net::Payload`] whose
@@ -20,6 +21,25 @@
 //!
 //! Blocks and buffers come from fixed pools and are recycled "to save
 //! memory space and eliminate allocation overhead".
+//!
+//! A buffer therefore ships for one of three reasons ([`FlushCause`]):
+//! it is **full**, a **timeout** fired on a thread that is busy with
+//! other work ([`CommandSink::pump`]), or its thread went **idle**
+//! ([`CommandSink::flush_idle`]) — a sender with nothing more to send
+//! gains nothing by waiting for company, so it flushes at once instead of
+//! sitting out both timeouts at pump granularity.
+//!
+//! The timeout and idle triggers are **paced** where they would make a
+//! buffer out of next to nothing: a *sparse* command block (under a
+//! sixteenth of a buffer) that would travel alone stays with its thread
+//! until [`SPARSE_FLUSH_SPACING_NS`] after that thread's previous such
+//! block toward the same node. The first one after a quiet spell still
+//! leaves at once, and a block with a fair load, or one that finds
+//! company in the queue, is never held. What the pacing bounds is a chain
+//! of dependent single commands, which otherwise turns every command
+//! into a buffer of its own as fast as the host can move one; paced, such
+//! a chain runs at one hop per spacing whatever the speed of the CPU
+//! (DESIGN.md §5 has the numbers that made this necessary).
 //!
 //! Two further hot-path design points (measured in
 //! `gmt-bench/benches/aggregation.rs`):
@@ -74,6 +94,21 @@ const POOL_BACKOFF_MAX_NS: u64 = 1_000_000;
 /// bounds how long fire-and-forget adds can be delayed, preserving the
 /// `wait_commands` liveness contract even under persistent backpressure.
 const SHED_MAX_AGE_MULT: u64 = 8;
+
+/// A command block holding less than `buffer_size / SPARSE_DIV` bytes is
+/// *sparse*: shipped alone it makes a buffer that carries a handful of
+/// commands but costs what a full one costs (a pool buffer, a transport
+/// header, the send and receive syscalls, a helper pass on the far side —
+/// about 20 µs of CPU end to end on the benchmark host).
+const SPARSE_DIV: usize = 16;
+
+/// Minimum spacing between the sparse blocks one thread sends off alone
+/// toward one destination on the timeout or idle trigger (a token bucket
+/// of depth one per sink and destination). Slots lie on a grid: a block
+/// that leaves late does not push the next slot back, so a chain of
+/// dependent single commands runs at exactly one hop per spacing, not at
+/// whatever the host's CPU and scheduler make of it that second.
+const SPARSE_FLUSH_SPACING_NS: u64 = 72_000;
 
 /// Per-destination aggregation queue: command blocks from all threads of a
 /// node, bound for one remote node.
@@ -173,8 +208,16 @@ pub struct AggStats {
     pub commands: u64,
     pub blocks_pushed: u64,
     pub buffers_filled: u64,
-    /// Buffers dispatched due to timeout rather than being full.
+    /// Buffers dispatched because a timeout fired, not because they
+    /// were full.
     pub timeout_flushes: u64,
+    /// Buffers dispatched because the owning thread had nothing else to
+    /// do (the idle edge of its main loop, or its final drain).
+    pub idle_flushes: u64,
+    /// Sparse blocks an idle flush held back because the thread's previous
+    /// one left less than the sparse-flush spacing earlier (counted once
+    /// per block, however often the flush is retried).
+    pub paced_deferrals: u64,
     /// Command blocks dropped (freed) because the block pool was full.
     pub block_pool_drops: u64,
     /// Fire-and-forget adds absorbed into an existing combining-table
@@ -271,6 +314,8 @@ struct AggMetrics {
     blocks_pushed: Counter,
     buffers_filled: Counter,
     timeout_flushes: Counter,
+    idle_flushes: Counter,
+    paced_deferrals: Counter,
     block_pool_drops: Counter,
     /// `aggregate` found the channel's buffer pool empty and left the
     /// blocks queued for a later retry.
@@ -302,6 +347,8 @@ impl AggMetrics {
             blocks_pushed: registry.counter("agg.blocks_pushed"),
             buffers_filled: registry.counter("agg.buffers_filled"),
             timeout_flushes: registry.counter("agg.timeout_flushes"),
+            idle_flushes: registry.counter("agg.idle_flushes"),
+            paced_deferrals: registry.counter("agg.paced_deferrals"),
             block_pool_drops: registry.counter("agg.block_pool_drops"),
             pool_waits: registry.counter("agg.pool_waits"),
             pool_dry_waits: registry.counter("agg.pool_dry_waits"),
@@ -477,6 +524,8 @@ impl AggShared {
             blocks_pushed: self.metrics.blocks_pushed.sum(),
             buffers_filled: self.metrics.buffers_filled.sum(),
             timeout_flushes: self.metrics.timeout_flushes.sum(),
+            idle_flushes: self.metrics.idle_flushes.sum(),
+            paced_deferrals: self.metrics.paced_deferrals.sum(),
             block_pool_drops: self.metrics.block_pool_drops.sum(),
             combine_hits: self.metrics.combine_hits.sum(),
             combine_flushes: self.metrics.combine_flushes.sum(),
@@ -518,11 +567,26 @@ impl AggShared {
     }
 }
 
+/// Why an aggregation buffer left its queue. Every filled buffer has
+/// exactly one cause; `agg.buffers_filled` minus the timeout and idle
+/// counters is the full share.
+#[derive(Clone, Copy)]
+enum FlushCause {
+    /// A buffer's worth of commands was queued.
+    Full,
+    /// The queue aged past `aggregation_timeout_ns` under a busy thread.
+    Timeout,
+    /// The owning thread had nothing else to do.
+    Idle,
+}
+
 /// A thread-local command block being filled for one destination.
 struct ActiveBlock {
     buf: Vec<u8>,
     entries: usize,
     born_ns: u64,
+    /// An idle flush already found this block paced out (and counted it).
+    deferred: bool,
 }
 
 /// One cell of the combining table: the merged delta of every
@@ -564,6 +628,9 @@ pub struct CommandSink {
     pool_backoff_ns: Cell<u64>,
     /// Coarse-clock time before which `aggregate` skips the pool pop.
     pool_retry_at_ns: Cell<u64>,
+    /// Per destination: coarse-clock time of this thread's next slot for
+    /// a sparse block that travels alone ([`SPARSE_FLUSH_SPACING_NS`]).
+    sparse_slot_ns: Vec<u64>,
 }
 
 impl CommandSink {
@@ -576,6 +643,7 @@ impl CommandSink {
             combine: (0..dests).map(|_| CombineTable::default()).collect(),
             pool_backoff_ns: Cell::new(0),
             pool_retry_at_ns: Cell::new(0),
+            sparse_slot_ns: vec![0; dests],
         }
     }
 
@@ -712,12 +780,37 @@ impl CommandSink {
             buf: self.shared.take_block(),
             entries: 0,
             born_ns: self.shared.coarse_now_ns(),
+            deferred: false,
         });
         cmd.encode(&mut active.buf);
         active.entries += 1;
         if active.entries >= self.shared.cmd_block_entries || active.buf.len() >= cap {
             self.push_block(dst);
         }
+    }
+
+    /// The timeout or idle trigger wants the active block for `dst` gone.
+    /// Pushes it (step 3) and returns `true` — unless the block is sparse,
+    /// would travel alone (nothing is queued toward `dst` to keep it
+    /// company) and this thread's next slot for such a block has not come
+    /// yet: then it stays where it is and the caller tries again later.
+    /// A sparse block that does leave alone takes the slot; the next one
+    /// is a spacing after this one was *due*, or after now when this one
+    /// is more than a spacing late.
+    fn push_paced(&mut self, dst: NodeId, now: u64) -> bool {
+        let sparse = matches!(&self.active[dst],
+            Some(a) if a.buf.len() < self.shared.buffer_size / SPARSE_DIV);
+        if sparse && self.shared.queues[dst].bytes.load(Ordering::Acquire) == 0 {
+            let slot = self.sparse_slot_ns[dst];
+            if now < slot {
+                return false;
+            }
+            let next = slot + SPARSE_FLUSH_SPACING_NS;
+            self.sparse_slot_ns[dst] =
+                if now < next { next } else { now + SPARSE_FLUSH_SPACING_NS };
+        }
+        self.push_block(dst);
+        true
     }
 
     /// Moves the active block for `dst` into the aggregation queue
@@ -746,7 +839,7 @@ impl CommandSink {
         if q.bytes.load(Ordering::Acquire) >= shared.cmd_capacity() {
             // Best-effort: on pool starvation the blocks stay queued and
             // the next push or pump retries.
-            self.aggregate(dst, false);
+            self.aggregate(dst, FlushCause::Full);
         }
     }
 
@@ -755,7 +848,7 @@ impl CommandSink {
     ///
     /// Non-blocking: returns `false` if the channel pool had no free
     /// buffer, leaving the blocks queued for a later retry (the next
-    /// threshold push or timeout pump). Blocking here would be a
+    /// threshold push, timeout pump or idle flush). Blocking here would be a
     /// distributed deadlock: with zero-copy sends, buffers return only
     /// when the *receiving* helper drops the payload, and that helper may
     /// itself be aggregating replies from a starved pool.
@@ -765,7 +858,7 @@ impl CommandSink {
     /// touching the pool at all, so a starved emitter stops hammering the
     /// shared `ArrayQueue` head. `agg.pool_waits` counts genuine dry
     /// pops, `agg.pool_dry_waits` counts gated skips.
-    fn aggregate(&self, dst: NodeId, timeout_flush: bool) -> bool {
+    fn aggregate(&self, dst: NodeId, cause: FlushCause) -> bool {
         let shared = &self.shared;
         let chan = &shared.channels[self.chan];
         let q = &shared.queues[dst];
@@ -832,8 +925,10 @@ impl CommandSink {
         }
         self.metrics().buffers_filled.add(self.chan, 1);
         self.metrics().flush_fill.record(buf.len() as u64);
-        if timeout_flush {
-            self.metrics().timeout_flushes.add(self.chan, 1);
+        match cause {
+            FlushCause::Full => {}
+            FlushCause::Timeout => self.metrics().timeout_flushes.add(self.chan, 1),
+            FlushCause::Idle => self.metrics().idle_flushes.add(self.chan, 1),
         }
         // Hand to the communication server. The pool bounds in-flight
         // buffers, so this cannot overflow unless buffers leak.
@@ -850,48 +945,101 @@ impl CommandSink {
         true
     }
 
+    /// Whether flushing the combining table for `dst` should be deferred
+    /// (and counted as a shed): with `flow_shed` on, a table toward a
+    /// backpressured peer keeps merging, shedding fire-and-forget load
+    /// off the full window, until the peer recovers or the table ages
+    /// past `SHED_MAX_AGE_MULT` block timeouts — the liveness bound
+    /// `wait_commands` depends on holds, just stretched while the peer
+    /// is quarantined.
+    fn shed_combine(&self, dst: NodeId, now: u64) -> bool {
+        let shared = &self.shared;
+        let age = now.saturating_sub(self.combine[dst].born_ns);
+        let shed = shared.flow.shed()
+            && shared.flow.is_backpressured(dst)
+            && age < shared.cmd_block_timeout_ns.saturating_mul(SHED_MAX_AGE_MULT);
+        if shed {
+            self.metrics().sheds.add(self.chan, 1);
+        }
+        shed
+    }
+
     /// Periodic maintenance, called from the owning thread's main loop:
     /// ticks the coarse clock, pushes aged command blocks and drains aged
-    /// aggregation queues.
+    /// aggregation queues. This is the flush trigger of a *busy* thread;
+    /// a thread that runs out of work calls [`Self::flush_idle`] instead
+    /// of waiting for these timeouts. An aged block that is sparse and
+    /// would travel alone waits for its slot ([`Self::push_paced`]).
     pub fn pump(&mut self) {
         let now = self.shared.tick();
         for dst in 0..self.active.len() {
             // Combining tables age on the block timeout: workers pump
             // every scheduler loop, so a merged add is delayed at most
-            // one timeout past its emit — the liveness `wait_commands`
-            // depends on. Exception: toward a backpressured peer with
-            // `flow_shed` on, the age-flush is deferred (the table keeps
-            // merging, shedding fire-and-forget load off the full
-            // window) until the peer recovers or the table ages past
-            // `SHED_MAX_AGE_MULT` timeouts — the liveness bound holds,
-            // just stretched while the peer is quarantined.
+            // one timeout past its emit (see `shed_combine` for the one
+            // exception).
             let t = &self.combine[dst];
-            if t.live > 0 && now.saturating_sub(t.born_ns) >= self.shared.cmd_block_timeout_ns {
-                let shed = self.shared.flow.shed()
-                    && self.shared.flow.is_backpressured(dst)
-                    && now.saturating_sub(t.born_ns)
-                        < self.shared.cmd_block_timeout_ns.saturating_mul(SHED_MAX_AGE_MULT);
-                if shed {
-                    self.metrics().sheds.add(self.chan, 1);
-                } else {
-                    self.flush_combine(dst);
-                }
+            if t.live > 0
+                && now.saturating_sub(t.born_ns) >= self.shared.cmd_block_timeout_ns
+                && !self.shed_combine(dst, now)
+            {
+                self.flush_combine(dst);
             }
             let aged = matches!(&self.active[dst], Some(a) if a.entries > 0
                 && now.saturating_sub(a.born_ns) >= self.shared.cmd_block_timeout_ns);
             if aged {
-                self.push_block(dst);
+                self.push_paced(dst, now);
             }
             let q = &self.shared.queues[dst];
             let oldest = q.oldest_push_ns.load(Ordering::Acquire);
             if oldest != 0 && now.saturating_sub(oldest) >= self.shared.aggregation_timeout_ns {
-                self.aggregate(dst, true);
+                self.aggregate(dst, FlushCause::Timeout);
             }
         }
     }
 
+    /// The idle flush trigger: the owning thread has no runnable task and
+    /// no incoming buffer, so nothing it holds will get company soon —
+    /// push its combining tables and command blocks now and aggregate
+    /// whatever is queued, instead of waiting out `cmd_block_timeout_ns`
+    /// plus `aggregation_timeout_ns` at pump granularity. Called on the
+    /// busy→idle edge of the worker and helper loops
+    /// ([`crate::idle::IdleBackoff`]).
+    ///
+    /// Same rules as the aged flush: `aggregate` never blocks, a dry pool
+    /// (or its closed back-off gate) leaves the blocks queued for the
+    /// next pump, and a combining table toward a backpressured peer stays
+    /// deferred under `flow_shed`. With nothing held it touches no pool.
+    ///
+    /// Returns `false` while it holds a block back for its slot
+    /// ([`Self::push_paced`]): the caller has to call again — it keeps
+    /// polling until then ([`crate::idle::IdleBackoff::wait`] retries on
+    /// every idle pass), since the slot comes sooner than a sleep returns.
+    pub fn flush_idle(&mut self) -> bool {
+        let now = self.shared.coarse_now_ns();
+        let mut settled = true;
+        for dst in 0..self.active.len() {
+            if self.combine[dst].live > 0 && !self.shed_combine(dst, now) {
+                self.flush_combine(dst);
+            }
+            if matches!(&self.active[dst], Some(a) if a.entries > 0) && !self.push_paced(dst, now) {
+                settled = false;
+                if let Some(a) = &mut self.active[dst] {
+                    if !std::mem::replace(&mut a.deferred, true) {
+                        self.metrics().paced_deferrals.add(self.chan, 1);
+                    }
+                }
+            }
+            let q = &self.shared.queues[dst];
+            while q.oldest_push_ns.load(Ordering::Acquire) != 0
+                && self.aggregate(dst, FlushCause::Idle)
+            {}
+        }
+        settled
+    }
+
     /// Pushes every active block and drains every queue this thread can
-    /// see — used at shutdown and by tests.
+    /// see — used at shutdown and by tests. Booked as idle flushes: a
+    /// thread on its way out has nothing else to do.
     ///
     /// Waits (spin-yield) for pool buffers to come back when more than a
     /// pool's worth is queued, but gives up on a destination after a long
@@ -905,7 +1053,7 @@ impl CommandSink {
             self.push_block(dst);
             let mut stalls: u32 = 0;
             while self.shared.queues[dst].queued_bytes() > 0 {
-                if self.aggregate(dst, true) {
+                if self.aggregate(dst, FlushCause::Idle) {
                     stalls = 0;
                 } else {
                     stalls += 1;
@@ -1037,6 +1185,196 @@ mod tests {
         let drained = drain(&shared, 0);
         assert_eq!(drained, vec![(1, 1)]);
         assert_eq!(shared.stats().timeout_flushes, 1);
+    }
+
+    #[test]
+    fn flush_idle_ships_at_once_and_is_not_a_timeout_flush() {
+        // Timeouts that never fire: only the idle trigger can ship this.
+        let shared = test_shared(1024, 100);
+        let mut sink = CommandSink::new(Arc::clone(&shared), 0);
+        sink.emit(1, &ack(1));
+        sink.emit(2, &ack(2));
+        sink.pump();
+        assert!(drain(&shared, 0).is_empty(), "the timeouts must not have fired");
+        sink.flush_idle();
+        assert_eq!(drain(&shared, 0), vec![(1, 1), (2, 1)]);
+        let stats = shared.stats();
+        assert_eq!((stats.buffers_filled, stats.idle_flushes, stats.timeout_flushes), (2, 2, 0));
+    }
+
+    #[test]
+    fn flush_idle_with_nothing_held_takes_no_pool_buffer() {
+        let shared = test_shared(64, 2);
+        let mut sink = CommandSink::new(Arc::clone(&shared), 0);
+        // Run the pool dry, so that any pop attempt would be counted.
+        let mut held = Vec::new();
+        while shared.channel(0).free_buffers() > 0 {
+            sink.emit(1, &ack(0));
+            sink.flush_idle();
+            held.extend(shared.channel(0).pop_filled());
+        }
+        let filled = shared.stats().buffers_filled;
+        sink.flush_idle();
+        sink.flush_idle();
+        assert_eq!(shared.metrics.pool_waits.sum(), 0, "an empty sink must not touch the pool");
+        assert_eq!(shared.stats().buffers_filled, filled);
+        drop(held);
+        assert_eq!(shared.channel(0).free_buffers(), shared.channel(0).pool_capacity());
+    }
+
+    #[test]
+    fn flush_idle_on_a_dry_pool_leaves_the_blocks_for_the_pump() {
+        // Zero timeouts, so the pump ships whatever the idle flush left.
+        let shared = AggShared::new(2, 1, 4, 64, 100, 0, 0, 0, 0);
+        shared.tick();
+        let mut sink = CommandSink::new(Arc::clone(&shared), 0);
+        let mut held = Vec::new();
+        while shared.channel(0).free_buffers() > 0 {
+            sink.emit(1, &ack(0));
+            sink.flush_idle();
+            held.extend(shared.channel(0).pop_filled());
+        }
+        sink.emit(1, &ack(7));
+        sink.flush_idle(); // dry pool: must return, not wait
+        assert_eq!(shared.metrics.pool_waits.sum(), 1);
+        assert_eq!(shared.queue(1).queued_bytes(), 9, "the block stays queued");
+        sink.flush_idle(); // the back-off gate swallows the retry
+        assert_eq!(shared.metrics.pool_waits.sum(), 1);
+        assert!(shared.stats().pool_dry_waits >= 1);
+        // Buffers come back and the gate expires: the pump's aged flush
+        // picks the block up.
+        drop(held);
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        sink.pump();
+        assert_eq!(drain(&shared, 0), vec![(1, 1)]);
+        assert_eq!(shared.stats().timeout_flushes, 1);
+    }
+
+    /// Far enough ahead that the slot has certainly not come.
+    const NOT_YET: u64 = u64::MAX / 2;
+
+    #[test]
+    fn second_sparse_idle_flush_waits_for_its_slot() {
+        // 64 KiB buffers, so an ack is a sparse block; timeouts that never
+        // fire, so what ships here ships as an idle flush.
+        let shared = test_shared(65536, 100);
+        shared.tick();
+        let mut sink = CommandSink::new(Arc::clone(&shared), 0);
+        sink.emit(1, &ack(1));
+        assert!(sink.flush_idle(), "the first sparse block after a quiet spell leaves at once");
+        assert_eq!(drain(&shared, 0), vec![(1, 1)]);
+        assert!(sink.sparse_slot_ns[1] > 0, "and takes the slot");
+        sink.sparse_slot_ns[1] = NOT_YET;
+        sink.emit(1, &ack(2));
+        assert!(!sink.flush_idle(), "the second would follow too soon");
+        assert!(!sink.flush_idle());
+        sink.pump();
+        assert!(drain(&shared, 0).is_empty());
+        assert_eq!(shared.queue(1).queued_bytes(), 0, "held by its thread, not queued");
+        assert_eq!(shared.stats().paced_deferrals, 1, "one deferral, however often it is retried");
+        // Another destination has its own slot.
+        sink.emit(2, &ack(3));
+        assert!(!sink.flush_idle(), "dst 1 is still held");
+        assert_eq!(drain(&shared, 0), vec![(2, 1)]);
+        // The slot comes: the retry ships, as an idle flush and although
+        // no timeout has fired.
+        sink.sparse_slot_ns[1] = 0;
+        assert!(sink.flush_idle());
+        assert_eq!(drain(&shared, 0), vec![(1, 1)]);
+        let stats = shared.stats();
+        assert_eq!((stats.buffers_filled, stats.idle_flushes, stats.timeout_flushes), (3, 3, 0));
+    }
+
+    #[test]
+    fn an_aged_sparse_block_waits_for_its_slot_too() {
+        // Zero timeouts: every pump would ship.
+        let shared = AggShared::new(2, 1, 4, 65536, 100, 0, 0, 0, 0);
+        shared.tick();
+        let mut sink = CommandSink::new(Arc::clone(&shared), 0);
+        sink.emit(1, &ack(1));
+        sink.pump();
+        assert_eq!(drain(&shared, 0), vec![(1, 1)]);
+        sink.sparse_slot_ns[1] = NOT_YET;
+        sink.emit(1, &ack(2));
+        sink.pump();
+        sink.pump();
+        assert!(drain(&shared, 0).is_empty(), "aged, but before its slot");
+        sink.sparse_slot_ns[1] = 0;
+        sink.pump();
+        assert_eq!(drain(&shared, 0), vec![(1, 1)]);
+        assert_eq!(shared.stats().timeout_flushes, 2);
+        assert_eq!(shared.stats().paced_deferrals, 0, "only idle flushes count their deferrals");
+    }
+
+    #[test]
+    fn blocks_with_a_load_or_with_company_are_never_held() {
+        // 1 KiB buffers: 64 B of commands are no longer sparse.
+        let shared = test_shared(1024, 100);
+        shared.tick();
+        let mut sink = CommandSink::new(Arc::clone(&shared), 0);
+        sink.sparse_slot_ns[1] = NOT_YET;
+        for round in 0..3 {
+            for i in 0..8 {
+                sink.emit(1, &ack(round * 8 + i));
+            }
+            assert!(sink.flush_idle());
+        }
+        assert_eq!(drain(&shared, 0), vec![(1, 8), (1, 8), (1, 8)]);
+        // 64 KiB buffers: an 8 KiB put is not sparse either.
+        let shared = test_shared(65536, 100);
+        shared.tick();
+        let mut sink = CommandSink::new(Arc::clone(&shared), 0);
+        sink.sparse_slot_ns[1] = NOT_YET;
+        let data = vec![7u8; 8192];
+        sink.emit(1, &Command::Put { token: 0, array: 1, offset: 0, data: &data });
+        assert!(sink.flush_idle());
+        assert_eq!(drain(&shared, 0), vec![(1, 1)]);
+        // A sparse block that finds another thread's block queued rides
+        // along with it, and does not take the slot.
+        let mut other = CommandSink::new(Arc::clone(&shared), 1);
+        other.emit(1, &ack(1));
+        other.flush_block(1);
+        sink.emit(1, &ack(2));
+        assert!(sink.flush_idle());
+        assert_eq!(drain(&shared, 0), vec![(1, 2)]);
+        assert_eq!(sink.sparse_slot_ns[1], NOT_YET);
+        assert_eq!(shared.stats().paced_deferrals, 0);
+    }
+
+    #[test]
+    fn a_late_sparse_block_keeps_the_grid() {
+        let shared = test_shared(65536, 100);
+        let mut sink = CommandSink::new(Arc::clone(&shared), 0);
+        // Due half a spacing ago: the next slot is one spacing after the
+        // due time, not after the flush, so a chain runs at exactly one
+        // hop per spacing however late each retry notices its slot.
+        let now = 10 * SPARSE_FLUSH_SPACING_NS;
+        shared.clock_ns.store(now, Ordering::Relaxed);
+        let due = now - SPARSE_FLUSH_SPACING_NS / 2;
+        sink.sparse_slot_ns[1] = due;
+        sink.emit(1, &ack(1));
+        assert!(sink.flush_idle());
+        assert_eq!(sink.sparse_slot_ns[1], due + SPARSE_FLUSH_SPACING_NS);
+        // Due more than a spacing ago: the grid restarts from now.
+        let now = 20 * SPARSE_FLUSH_SPACING_NS;
+        shared.clock_ns.store(now, Ordering::Relaxed);
+        sink.emit(1, &ack(2));
+        assert!(sink.flush_idle());
+        assert_eq!(sink.sparse_slot_ns[1], now + SPARSE_FLUSH_SPACING_NS);
+        assert_eq!(drain(&shared, 0).len(), 2);
+    }
+
+    #[test]
+    fn flush_all_does_not_wait_for_a_slot() {
+        let shared = test_shared(65536, 100);
+        shared.tick();
+        let mut sink = CommandSink::new(Arc::clone(&shared), 0);
+        sink.sparse_slot_ns[1] = NOT_YET;
+        sink.emit(1, &ack(1));
+        assert!(!sink.flush_idle());
+        sink.flush_all();
+        assert_eq!(drain(&shared, 0), vec![(1, 1)]);
+        assert!(sink.flush_idle(), "nothing is held any more");
     }
 
     #[test]
@@ -1496,6 +1834,24 @@ mod tests {
         sink.pump();
         let got = drain_cmds(&shared, 0);
         assert_eq!(got, vec![(1, 8, 4, vec![9, 10])]);
+    }
+
+    #[test]
+    fn flush_idle_defers_a_combine_table_toward_a_backpressured_peer() {
+        let shared = combining_shared(1024);
+        shared.flow().set_shed(true);
+        shared.flow().set_backpressured(1, true);
+        let mut sink = CommandSink::new(Arc::clone(&shared), 0);
+        sink.emit(1, &add(9, 8, 2));
+        sink.emit(2, &add(3, 8, 1)); // peer 2 is not backpressured
+        sink.flush_idle();
+        assert_eq!(drain_cmds(&shared, 0), vec![(1, 8, 1, vec![3])], "only peer 2 ships");
+        assert_eq!(shared.stats().sheds, 1);
+        sink.emit(1, &add(10, 8, 2)); // still merging into the deferred table
+        assert_eq!(shared.stats().combine_hits, 1);
+        shared.flow().set_backpressured(1, false);
+        sink.flush_idle();
+        assert_eq!(drain_cmds(&shared, 0), vec![(1, 8, 4, vec![9, 10])]);
     }
 
     #[test]

@@ -31,12 +31,12 @@
 //! Channel polling is a fair round-robin: at most one buffer per channel
 //! per sweep, so one chatty worker cannot starve the others' queues.
 
+use crate::idle::IdleBackoff;
 use crate::metrics::ThreadTracer;
 use crate::reliable::{DeathReason, DetectorConfig, PollAction, Recv, ReliableLink};
 use crate::runtime::NodeShared;
 use gmt_net::{Payload, Tag, Transport};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Fabric tag used for aggregation buffers (data and standalone acks —
 /// the reliability header's kind byte tells them apart).
@@ -319,7 +319,7 @@ pub fn comm_main(node: Arc<NodeShared>, transport: Arc<dyn Transport>, tracer: T
         && node.config.heartbeat_idle_ns > 0;
     let kill_check_period_ns = node.config.heartbeat_idle_ns.max(1);
     let mut next_kill_check_ns = 0u64;
-    let mut idle: u32 = 0;
+    let mut backoff = IdleBackoff::default();
     // Coarse-clock stamp of the last sweep that moved traffic, for the
     // sweep-gap histogram.
     let mut last_progress_ns = node.agg.tick();
@@ -451,17 +451,13 @@ pub fn comm_main(node: Arc<NodeShared>, transport: Arc<dyn Transport>, tracer: T
                 node.metrics.sweep_buffers.record(sent_this_sweep);
                 tracer.instant("sweep_send", sent_this_sweep);
             }
-            idle = 0;
+            backoff.reset();
         } else {
             if node.stopping() {
                 break;
             }
-            idle = idle.saturating_add(1);
-            if idle < 64 {
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(Duration::from_micros(50));
-            }
+            // The communication server holds nothing of its own to flush.
+            backoff.wait(|| true);
         }
     }
     // Shutdown: release every flow-parked emitter (they observe

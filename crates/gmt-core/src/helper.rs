@@ -31,13 +31,13 @@
 use crate::aggregation::CommandSink;
 use crate::command::{BatchStage, Command, CommandIter};
 use crate::handle::{Distribution, Layout};
+use crate::idle::IdleBackoff;
 use crate::metrics::ThreadTracer;
 use crate::runtime::NodeShared;
 use crate::task::{complete_token, complete_token_n, Itb, ParForBody, ParentRef};
 use crate::tls;
 use crate::NodeId;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Per-helper-thread working memory, reused across buffers. Every vector
 /// is grow-only while one buffer is processed and shrunk back to a cap
@@ -641,7 +641,7 @@ unsafe fn reply_write(node: &Arc<NodeShared>, token: u64, write: impl FnOnce()) 
 pub fn helper_main(node: Arc<NodeShared>, chan: usize, tracer: ThreadTracer) {
     tls::install(CommandSink::new(Arc::clone(&node.agg), chan));
     let mut hs = HelperScratch::new();
-    let mut idle: u32 = 0;
+    let mut backoff = IdleBackoff::default();
     let batch = node.config.batch_apply;
     let buffer_size = node.config.buffer_size;
     // Commands start after the transport header the sender reserved (the
@@ -663,17 +663,14 @@ pub fn helper_main(node: Arc<NodeShared>, chan: usize, tracer: ThreadTracer) {
         }
         tls::with_sink(|s| s.pump());
         if progressed {
-            idle = 0;
+            backoff.reset();
         } else {
             if node.stopping() {
                 break;
             }
-            idle = idle.saturating_add(1);
-            if idle < 64 {
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(Duration::from_micros(50));
-            }
+            // `helper_in` is empty: no further request will add to the
+            // replies generated so far, so ship them now.
+            backoff.wait(|| tls::with_sink(|s| s.flush_idle()));
         }
     }
     if let Some(mut sink) = tls::uninstall() {

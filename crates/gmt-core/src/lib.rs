@@ -54,6 +54,7 @@ pub mod config;
 pub mod error;
 pub mod handle;
 pub mod helper;
+pub mod idle;
 pub mod memory;
 pub mod metrics;
 pub mod reliable;

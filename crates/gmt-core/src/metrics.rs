@@ -9,9 +9,9 @@
 //! |-------------|---------------------------------------------------------------------|
 //! | `worker.*`  | task-state transitions: context switches, spawns/finishes/panics,   |
 //! |             | parks, wakeups, iteration-block claims; live/parked task gauges     |
-//! | `agg.*`     | aggregation pipeline: commands, blocks, buffers, timeout flushes,   |
-//! |             | pool waits/drops, buffer fill-level histogram (registered by        |
-//! |             | [`AggShared::new_in_registry`])                                     |
+//! | `agg.*`     | aggregation pipeline: commands, blocks, buffers, timeout and idle   |
+//! |             | flushes, pool waits/drops, buffer fill-level histogram (registered  |
+//! |             | by [`AggShared::new_in_registry`])                                  |
 //! | `helper.*`  | commands executed, by opcode; batched-datapath efficiency           |
 //! |             | (`helper.batch.*`: buffers batched, same-segment run lengths,       |
 //! |             | segments resolved per buffer, same-offset RMWs merged)              |

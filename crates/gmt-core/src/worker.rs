@@ -4,11 +4,15 @@
 //! It prefers resuming re-readied tasks, then locally runnable ones, then
 //! peels chunks from iteration blocks / root tasks. Between scheduling
 //! steps it pumps its command sink so aged command blocks and aggregation
-//! queues drain (the paper's time-interval flush triggers).
+//! queues drain (the paper's time-interval flush triggers); the moment it
+//! has neither a runnable task nor work to acquire it flushes everything
+//! it holds, since every one of its tasks is now waiting on exactly those
+//! commands.
 
 use crate::aggregation::CommandSink;
 use crate::api::TaskCtx;
 use crate::command::Command;
+use crate::idle::IdleBackoff;
 use crate::metrics::ThreadTracer;
 use crate::runtime::NodeShared;
 use crate::task::{complete_token, Itb, ParentRef, RootTask, TaskControl};
@@ -18,7 +22,6 @@ use gmt_context::{Coroutine, Resume, Stack};
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// One live task: its coroutine plus the shared wake handle.
 struct Task {
@@ -267,7 +270,7 @@ pub(crate) fn notify_parent(node: &Arc<NodeShared>, parent: ParentRef) {
 pub fn worker_main(node: Arc<NodeShared>, chan: usize, tracer: ThreadTracer) {
     tls::install(CommandSink::new(Arc::clone(&node.agg), chan));
     let mut w = Worker::new(node, chan, tracer);
-    let mut idle: u32 = 0;
+    let mut backoff = IdleBackoff::default();
     loop {
         let mut progressed = false;
         // 1. Wakeups from helpers.
@@ -296,17 +299,14 @@ pub fn worker_main(node: Arc<NodeShared>, chan: usize, tracer: ThreadTracer) {
         // 3. Flush aged command blocks / aggregation queues.
         tls::with_sink(|s| s.pump());
         if progressed {
-            idle = 0;
+            backoff.reset();
         } else {
             if w.node.stopping() {
                 break;
             }
-            idle = idle.saturating_add(1);
-            if idle < 64 {
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(Duration::from_micros(50));
-            }
+            // 4. No runnable task, nothing to acquire: every live task is
+            // parked on a reply, so ship what they are waiting for now.
+            backoff.wait(|| tls::with_sink(|s| s.flush_idle()));
         }
     }
     // Flush whatever is left so in-flight protocols can drain elsewhere.

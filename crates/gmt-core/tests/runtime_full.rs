@@ -319,6 +319,41 @@ fn aggregation_actually_batches_commands() {
     cluster.shutdown();
 }
 
+/// A lone task's dependent remote reads must not wait for the flush
+/// timers: with both timeouts at 1 s, fifty round trips that each sat out
+/// even one of them would take most of a minute. The worker flushes when
+/// its only task parks, the remote helper when its inbox runs empty.
+#[test]
+fn dependent_gets_do_not_wait_for_flush_timeouts() {
+    let config = Config {
+        cmd_block_timeout_ns: 1_000_000_000,
+        aggregation_timeout_ns: 1_000_000_000,
+        ..Config::small()
+    };
+    let cluster = Cluster::start_sim(2, config).unwrap();
+    let start = std::time::Instant::now();
+    let end = cluster.node(0).run(|ctx| {
+        const N: u64 = 50;
+        let next = ctx.alloc(N * 8, Distribution::Remote);
+        for i in 0..N {
+            ctx.put_value_nb::<u64>(&next, i, (i + 1) % N);
+        }
+        ctx.wait_commands().unwrap();
+        let mut at = 0;
+        for _ in 0..N {
+            at = ctx.get_value::<u64>(&next, at).unwrap();
+        }
+        ctx.free(next);
+        at
+    });
+    let took = start.elapsed();
+    assert_eq!(end, 0, "fifty hops around a fifty-cycle end where they began");
+    assert!(took < std::time::Duration::from_secs(5), "the chase waited for timers: {took:?}");
+    let idle = cluster.node(0).agg_stats().idle_flushes;
+    assert!(idle >= 50, "every hop ships on the worker's idle edge, saw {idle} idle flushes");
+    cluster.shutdown();
+}
+
 #[test]
 fn link_failure_is_surfaced_as_net_error() {
     // Pinned to the sim backend: set_link is a fabric-only fault switch.

@@ -140,15 +140,27 @@ fn pools_whole_after_shutdown(
     start: impl FnOnce(usize, Config) -> Result<Cluster, String>,
     backend: &str,
 ) {
+    pools_whole_after_puts(start, backend, 1024, 8);
+}
+
+/// The body of [`pools_whole_after_shutdown`]: 16 tasks fire 64 puts of
+/// `put_bytes` each into `buffer_size`-byte aggregation buffers.
+fn pools_whole_after_puts(
+    start: impl FnOnce(usize, Config) -> Result<Cluster, String>,
+    backend: &str,
+    buffer_size: usize,
+    put_bytes: usize,
+) {
     let mut config = Config::small();
-    config.buffer_size = 1024;
+    config.buffer_size = buffer_size;
     let cluster = start(2, config).unwrap();
     let aggs: Vec<_> = (0..2).map(|n| Arc::clone(&cluster.node(n).shared().agg)).collect();
-    cluster.node(0).run(|ctx| {
-        let arr = ctx.alloc(1024 * 8, Distribution::Remote);
+    cluster.node(0).run(move |ctx| {
+        let arr = ctx.alloc((1024 * put_bytes) as u64, Distribution::Remote);
         ctx.parfor(SpawnPolicy::Local, 16, 1, move |ctx, t| {
+            let data = vec![t as u8; put_bytes];
             for k in 0..64u64 {
-                ctx.put_value_nb::<u64>(&arr, t * 64 + k, k);
+                ctx.put_nb(&arr, (t * 64 + k) * put_bytes as u64, &data);
             }
             ctx.wait_commands().unwrap();
         });
@@ -181,6 +193,15 @@ fn buffer_pools_whole_after_shutdown_tcp() {
 #[test]
 fn buffer_pools_whole_after_shutdown_shm() {
     pools_whole_after_shutdown(Cluster::start_shm, "shm");
+}
+
+/// The same contract with frames large enough for the TCP receive side
+/// to read them in place (64 KiB buffers of 4 KiB puts): a buffer being
+/// filled straight off the socket when shutdown severs the stream belongs
+/// to no pool yet, so every channel pool must still come out whole.
+#[test]
+fn buffer_pools_whole_after_shutdown_tcp_large_frames() {
+    pools_whole_after_puts(Cluster::start_tcp_loopback, "tcp-loopback", 64 * 1024, 4096);
 }
 
 /// Soak: repeated cluster lifecycles must not leak OS threads or wedge.

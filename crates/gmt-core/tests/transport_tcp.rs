@@ -15,6 +15,7 @@
 
 use gmt_core::{Cluster, Config, Distribution, NodeRuntime, SpawnPolicy, Transport};
 use gmt_net::{loopback_mesh, seed_from_env, shm_mesh, FaultPlan, ShmTransport, TcpTransport};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -167,6 +168,65 @@ fn connection_loss_confirms_death_in_detection_time() {
     assert_eq!(transports[0].stats().total().conn_lost, 2, "latency was {latency:?}");
     for rt in runtimes {
         rt.shutdown();
+    }
+}
+
+/// A peer that dies while large frames stream at it tears one mid-read:
+/// its reader sits in the in-place receive of a 64 KiB buffer when the
+/// stream is severed. The survivor must count the lost connection exactly
+/// once, fail the stream's operations instead of hanging them, and — like
+/// the dead node's side, whose half-filled receive buffer belongs to no
+/// pool — come out of shutdown with every buffer pool whole.
+#[test]
+fn crash_under_a_large_frame_stream_is_counted_once_and_keeps_pools_whole() {
+    let mut config = Config::small();
+    config.buffer_size = 64 * 1024;
+    config.suspect_after_ns = 2_000_000_000;
+    config.peer_death_timeout_ns = 10_000_000_000;
+    let (runtimes, transports) = boot_tcp_nodes(2, &config);
+    let aggs: Vec<_> = runtimes.iter().map(|rt| Arc::clone(&rt.node().shared().agg)).collect();
+    let streaming = Arc::new(AtomicBool::new(false));
+
+    let completed = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            while !streaming.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            Transport::shutdown(&*transports[1]); // node 1 "crashes" mid-stream
+        });
+        let streaming = Arc::clone(&streaming);
+        runtimes[0].node().run(move |ctx| {
+            let arr = ctx.alloc(64 * 16 * 1024, Distribution::Remote);
+            let data = vec![0xABu8; 16 * 1024];
+            let mut completed = 0u32;
+            // Until the death surfaces (bounded, should it never).
+            for round in 0..100_000u64 {
+                for k in 0..8 {
+                    ctx.put_nb(&arr, ((round * 8 + k) % 64) * data.len() as u64, &data);
+                }
+                if ctx.wait_commands().is_err() {
+                    break;
+                }
+                completed += 1;
+                streaming.store(true, Ordering::Release);
+            }
+            completed
+        })
+    });
+    assert!(completed > 0, "the stream never got going before the crash");
+    assert_eq!(runtimes[0].node().dead_peers(), vec![1], "the stream ended without a death");
+    // The mesh shares one stats table: the survivor's loss, once; the
+    // victim's own teardown is not a loss.
+    assert_eq!(transports[0].stats().total().conn_lost, 1);
+    for rt in runtimes {
+        rt.shutdown();
+    }
+    for (n, agg) in aggs.iter().enumerate() {
+        for c in 0..agg.channels() {
+            let q = agg.channel(c);
+            assert_eq!(q.backlog(), 0, "node {n} channel {c} still has filled buffers");
+            assert_eq!(q.free_buffers(), q.pool_capacity(), "node {n} channel {c} pool not whole");
+        }
     }
 }
 

@@ -3,10 +3,10 @@
 //! Where [`fabric`](crate::fabric) simulates the interconnect inside one
 //! process, this module is the real thing: one runtime node per OS
 //! process (or per mesh slot in-process for CI), length-prefixed frames
-//! over one `TcpStream` per directed peer pair, and a nonblocking reader
-//! thread that reassembles frames across partial reads and feeds the
-//! same inbox path the sim uses. The reliability, membership and
-//! flow-control layers above run unchanged.
+//! over one `TcpStream` per directed peer pair, and one blocking reader
+//! thread per inbound link that reassembles frames across partial reads
+//! and feeds the same inbox path the sim uses. The reliability,
+//! membership and flow-control layers above run unchanged.
 //!
 //! # Wire format
 //!
@@ -14,6 +14,33 @@
 //! `len` payload bytes. Connections open with a 12-byte hello —
 //! `[magic][src node][cluster size]`, all `u32 LE` — so the acceptor can
 //! attribute inbound frames to a [`NodeId`] without trusting addresses.
+//!
+//! # Send and receive path
+//!
+//! No timer sits between a frame's write and its delivery to the inbox,
+//! and a frame costs one syscall and one copy on each side:
+//!
+//! * **Send** — header and body leave in one vectored write
+//!   (`write_frame`); a small frame is one TCP segment, not two.
+//! * **Wake on arrival** — each inbound link has its own reader thread
+//!   (`gmt-tcp-rx-<node>-<src>`) parked in a blocking `read`, so the
+//!   kernel wakes it when bytes land. The reader used to sweep every link
+//!   nonblocking and sleep 100 µs between empty sweeps, which put that
+//!   sleep (plus timer slack) into every round trip: a 64 B ping-pong took
+//!   366 µs against 21 µs now (`net.ceil.tcp_rtt_us`, bench/e2e). One
+//!   thread per link needs no readiness syscall and scales to N peers by
+//!   construction; an idle reader costs nothing. Shutdown and injected
+//!   kills unblock a reader by severing the `inbound_ctl` clone of its
+//!   stream, so joins stay bounded.
+//! * **Small frames batch** — reads land in a 16 KiB staging buffer and
+//!   every whole frame in it is parsed out, so a burst of small frames
+//!   still costs one `read`; each body is copied once, into its pooled
+//!   receive buffer.
+//! * **Large frames land in place** — a body of `IN_PLACE_MIN` bytes or
+//!   more cannot fit the staging buffer whole: the part that arrived with
+//!   the header is copied over and the rest is read straight into the
+//!   pooled buffer, instead of `chunk` → `staging` → buffer in 16 KiB
+//!   pieces (64 KiB frames: 39 µs → 17 µs, `net.ceil.tcp_frame_us`).
 //!
 //! # Construction
 //!
@@ -43,7 +70,7 @@
 //!
 //! # Connection-loss evidence
 //!
-//! The reader thread and the send path turn EOF, ECONNRESET and write
+//! The reader threads and the send path turn EOF, ECONNRESET and write
 //! failures into sticky per-peer link-down evidence: counted once per
 //! peer in `conn_lost`, surfaced through [`Transport::link_down`] and
 //! [`Transport::observed_kill`], and logged (when the runtime enables
@@ -60,7 +87,7 @@ use crate::NodeId;
 use crossbeam::channel::{self, Receiver, Sender};
 use crossbeam::queue::SegQueue;
 use parking_lot::{Mutex, RwLock};
-use std::io::{self, ErrorKind, Read, Write};
+use std::io::{self, ErrorKind, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -75,6 +102,17 @@ const FRAME_HEADER: usize = 8;
 /// must not allocate gigabytes). The aggregation layer's buffers are a
 /// few KiB; 64 MiB leaves room for any future bulk path.
 pub const MAX_FRAME: usize = 64 << 20;
+
+/// Bodies of at least this many bytes are received in place: read
+/// straight into their pooled buffer instead of through the staging
+/// buffer. Below it a frame fits the staging buffer whole, and letting
+/// the next `read` fetch its tail also fetches whatever small frames
+/// follow it.
+const IN_PLACE_MIN: usize = 16 * 1024;
+
+/// Per-link staging buffer: holds any frame smaller than [`IN_PLACE_MIN`]
+/// whole, header included.
+const STAGING_BYTES: usize = IN_PLACE_MIN + FRAME_HEADER;
 
 /// Connection hello magic ("GMT1").
 const HELLO_MAGIC: u32 = 0x474D_5431;
@@ -131,11 +169,11 @@ fn dial_with_retry(addr: SocketAddr, deadline: Instant) -> io::Result<TcpStream>
     }
 }
 
-/// Pool of receive buffers. Incoming frames are copied out of the reader
-/// thread's staging area into a pooled `Vec` and delivered as a pooled
-/// [`Payload`], so the receive side recycles buffers exactly like the
-/// sim's channel pools do. Shared with the shm backend, whose receive
-/// side pools identically.
+/// Pool of receive buffers. Incoming frames are copied out of a reader
+/// thread's staging area (or read directly) into a pooled `Vec` and
+/// delivered as a pooled [`Payload`], so the receive side recycles
+/// buffers exactly like the sim's channel pools do. Shared with the shm
+/// backend, whose receive side pools identically.
 pub(crate) struct RecvPool {
     bufs: SegQueue<Vec<u8>>,
 }
@@ -145,15 +183,28 @@ impl RecvPool {
         Arc::new(RecvPool { bufs: SegQueue::new() })
     }
 
+    /// An empty buffer to append a frame body to.
     pub(crate) fn get(&self) -> Vec<u8> {
-        self.bufs.pop().unwrap_or_default()
+        let mut buf = self.bufs.pop().unwrap_or_default();
+        buf.clear();
+        buf
+    }
+
+    /// A buffer of exactly `len` bytes for a body that is about to be
+    /// read over it. Spent buffers keep their length in the pool, so a
+    /// stream of equal-sized frames pays no zero-fill; the stale contents
+    /// never escape, because a buffer is only delivered once `read_exact`
+    /// has overwritten all of it.
+    fn get_sized(&self, len: usize) -> Vec<u8> {
+        let mut buf = self.bufs.pop().unwrap_or_default();
+        buf.resize(len, 0);
+        buf
     }
 }
 
 impl BufRelease for RecvPool {
-    fn release(&self, mut buf: Vec<u8>) {
+    fn release(&self, buf: Vec<u8>) {
         if self.bufs.len() < RECV_POOL_CAP {
-            buf.clear();
             self.bufs.push(buf);
         }
     }
@@ -178,9 +229,10 @@ struct TcpShared {
     /// Outbound stream per peer (`None` for self and for torn-down
     /// links). Each slot's mutex also serializes frame writes.
     outbound: Vec<Mutex<Option<TcpStream>>>,
-    /// Clones of the inbound streams (the reader thread owns the
+    /// Clones of the inbound streams (the reader threads own the
     /// originals), kept so an injected kill or a shutdown can sever the
-    /// receive side without the reader's cooperation.
+    /// receive side: that is what wakes a reader out of its blocking
+    /// `read`.
     inbound_ctl: Vec<Mutex<Option<TcpStream>>>,
     /// Sticky per-peer connection-loss evidence (see
     /// [`TcpShared::note_conn_lost`]).
@@ -220,13 +272,14 @@ impl TcpShared {
 pub struct TcpTransport {
     shared: Arc<TcpShared>,
     inbox_rx: Receiver<Packet>,
-    reader: Mutex<Option<JoinHandle<()>>>,
+    /// One reader thread per inbound link; taken (and joined) by shutdown.
+    readers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl TcpTransport {
     /// Assembles a transport from already-handshaked streams and spawns
-    /// the reader thread. `inbound[i] = (src, stream)`; `outbound[dst]`
-    /// is `None` for `dst == node`.
+    /// one reader thread per inbound link. `inbound[i] = (src, stream)`;
+    /// `outbound[dst]` is `None` for `dst == node`.
     fn assemble(
         node: NodeId,
         nodes: usize,
@@ -253,13 +306,17 @@ impl TcpTransport {
             shim: RwLock::new(None),
             pool: RecvPool::new(),
         });
-        let reader = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name(format!("gmt-tcp-rx-{node}"))
-                .spawn(move || reader_loop(shared, inbound))?
-        };
-        Ok(TcpTransport { shared, inbox_rx, reader: Mutex::new(Some(reader)) })
+        let transport = TcpTransport { shared, inbox_rx, readers: Mutex::new(Vec::new()) };
+        for (src, stream) in inbound {
+            let shared = Arc::clone(&transport.shared);
+            // On a spawn failure `transport` drops, and its shutdown
+            // joins the readers already running.
+            let reader = std::thread::Builder::new()
+                .name(format!("gmt-tcp-rx-{node}-{src}"))
+                .spawn(move || reader_loop(shared, src, stream))?;
+            transport.readers.lock().push(reader);
+        }
+        Ok(transport)
     }
 
     /// Installs a seeded [`FaultPlan`] as a userspace shim on this
@@ -420,20 +477,32 @@ impl Transport for TcpTransport {
         if self.shared.stop.swap(true, Ordering::AcqRel) {
             return; // idempotent
         }
-        // Close outbound links; peers observe EOF on their reader side.
-        // Inbound clones go too, so a peer blocked writing to us fails
-        // fast instead of filling a dead socket buffer.
-        for slot in self.shared.outbound.iter().chain(&self.shared.inbound_ctl) {
+        // Wake the readers: shutting the read side fails their blocking
+        // reads, so these joins are bounded. Only the read side — a FIN
+        // sent now would carry the receive window as it stands, possibly
+        // zero, and nothing after it could reopen it. Frames already
+        // parsed stay in the inbox; a partial frame dies with its reader
+        // (its staging buffer and half-filled receive buffer are plain
+        // Vecs — nothing pooled sits below the inbox on this backend).
+        for slot in &self.shared.inbound_ctl {
+            if let Some(s) = slot.lock().take() {
+                s.shutdown(Shutdown::Read).ok();
+            }
+        }
+        for h in std::mem::take(&mut *self.readers.lock()) {
+            h.join().ok();
+        }
+        // Close the outbound links; peers observe EOF on their reader
+        // side. With the readers gone every socket now closes for good,
+        // and a peer blocked writing to us fails fast instead of filling
+        // a dead socket buffer: bytes we left unread reset the
+        // connection, and otherwise the closing FIN advertises the
+        // drained buffer, so the peer's next segment meets a closed
+        // socket and is reset.
+        for slot in &self.shared.outbound {
             if let Some(s) = slot.lock().take() {
                 s.shutdown(Shutdown::Both).ok();
             }
-        }
-        // The reader polls `stop` between nonblocking sweeps, so this
-        // join is bounded. Frames it already parsed stay in the inbox;
-        // partial frames in its staging buffers are dropped (plain Vecs,
-        // nothing pooled below the inbox on this backend).
-        if let Some(h) = self.reader.lock().take() {
-            h.join().ok();
         }
     }
 }
@@ -444,9 +513,11 @@ impl Drop for TcpTransport {
     }
 }
 
-/// Writes one frame. `fragment` splits the header and body across
-/// separate flushed writes (fault-shim mode) so the receiver's partial
-/// read reassembly is exercised deterministically.
+/// Writes one frame. Header and body leave in one vectored write — one
+/// syscall and, for a small frame, one TCP segment. `fragment` instead
+/// splits the header and body across separate flushed writes (fault-shim
+/// mode) so the receiver's partial read reassembly is exercised
+/// deterministically.
 fn write_frame(stream: &mut TcpStream, tag: Tag, bytes: &[u8], fragment: bool) -> io::Result<()> {
     let mut hdr = [0u8; FRAME_HEADER];
     hdr[..4].copy_from_slice(&(bytes.len() as u32).to_le_bytes());
@@ -461,112 +532,89 @@ fn write_frame(stream: &mut TcpStream, tag: Tag, bytes: &[u8], fragment: bool) -
             stream.flush()?;
             stream.write_all(&bytes[mid..])?;
         }
-    } else {
-        stream.write_all(&hdr)?;
-        stream.write_all(bytes)?;
+        return stream.flush();
     }
-    stream.flush()
-}
-
-/// One inbound connection being reassembled by the reader thread.
-struct InboundConn {
-    src: NodeId,
-    stream: TcpStream,
-    /// Bytes received but not yet parsed into whole frames.
-    staging: Vec<u8>,
-    open: bool,
-}
-
-/// The reader thread: sweeps all inbound connections nonblocking,
-/// reassembles frames across partial reads, and delivers them to the
-/// inbox as pooled payloads. Exits when `stop` is set or every
-/// connection has closed.
-fn reader_loop(shared: Arc<TcpShared>, inbound: Vec<(NodeId, TcpStream)>) {
-    let mut conns: Vec<InboundConn> = inbound
-        .into_iter()
-        .map(|(src, stream)| {
-            stream.set_nonblocking(true).ok();
-            InboundConn { src, stream, staging: Vec::new(), open: true }
-        })
-        .collect();
-    let mut chunk = [0u8; 16 * 1024];
-    loop {
-        if shared.stop.load(Ordering::Acquire) {
-            return;
+    // `write_all_vectored` by hand: a full socket buffer can cut the
+    // write short anywhere, header included.
+    let mut sent = 0;
+    while sent < FRAME_HEADER {
+        match stream.write_vectored(&[IoSlice::new(&hdr[sent..]), IoSlice::new(bytes)]) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => sent += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
         }
-        let mut progressed = false;
-        let mut any_open = false;
-        for c in conns.iter_mut().filter(|c| c.open) {
-            match c.stream.read(&mut chunk) {
-                Ok(0) => {
-                    // EOF: the peer closed. A partial frame left in
-                    // staging is a torn tail; discard it — retransmission
-                    // is the reliability layer's problem. The loss itself
-                    // is peer-down evidence for the failure detector.
-                    c.open = false;
-                    shared.note_conn_lost(c.src, "closed by peer (EOF)");
-                }
-                Ok(n) => {
-                    c.staging.extend_from_slice(&chunk[..n]);
-                    if drain_frames(&shared, c.src, &mut c.staging).is_err() {
-                        // Corrupt length prefix: this stream can never
-                        // re-synchronize, close it.
-                        c.stream.shutdown(Shutdown::Both).ok();
-                        c.open = false;
-                        shared.note_conn_lost(c.src, "corrupt frame length prefix");
-                    }
-                    progressed = true;
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {}
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => {
-                    c.open = false;
-                    shared.note_conn_lost(c.src, &format!("read failed: {e}"));
-                }
+    }
+    stream.write_all(&bytes[sent - FRAME_HEADER..])
+}
+
+/// Hands one received frame body to the inbox as a pooled payload.
+fn deliver(shared: &TcpShared, src: NodeId, tag: Tag, body: Vec<u8>) {
+    shared.stats.record_recv(shared.node, body.len());
+    let payload = Payload::pooled(body, Arc::clone(&shared.pool) as Arc<dyn BufRelease>);
+    // A full inbox channel cannot happen (unbounded); a closed one means
+    // the transport is gone and the packet is moot.
+    let _ = shared.inbox_tx.send(Packet { src, dst: shared.node, tag, payload });
+}
+
+/// The reader thread of one inbound link: blocks in `read` until bytes
+/// arrive, reassembles frames across partial reads and delivers them to
+/// the inbox as pooled payloads (see "Send and receive path" in the
+/// module docs). Runs until the stream ends — peer EOF, an I/O error, a
+/// corrupt length prefix, or this transport's own shutdown / injected
+/// kill severing the stream — and records that as link-down evidence. A
+/// partial frame at that point is a torn tail: it is discarded, and
+/// retransmission is the reliability layer's problem.
+fn reader_loop(shared: Arc<TcpShared>, src: NodeId, mut stream: TcpStream) {
+    let mut staging = vec![0u8; STAGING_BYTES];
+    // Unparsed bytes are `staging[start..end]`.
+    let (mut start, mut end) = (0, 0);
+    let cause = 'link: loop {
+        while end - start >= FRAME_HEADER {
+            let word = |at: usize| -> [u8; 4] {
+                staging[start + at..start + at + 4].try_into().expect("4-byte slice")
+            };
+            let len = u32::from_le_bytes(word(0)) as usize;
+            let tag = Tag::from_le_bytes(word(4));
+            if len > MAX_FRAME {
+                // This stream can never re-synchronize: close it.
+                stream.shutdown(Shutdown::Both).ok();
+                break 'link "corrupt frame length prefix".to_string();
             }
-            any_open |= c.open;
+            let body = start + FRAME_HEADER;
+            if end - body >= len {
+                let mut buf = shared.pool.get();
+                buf.extend_from_slice(&staging[body..body + len]);
+                deliver(&shared, src, tag, buf);
+                start = body + len;
+            } else if len >= IN_PLACE_MIN {
+                // Staging holds nothing beyond this frame's head, so the
+                // stream's next bytes are the rest of its body.
+                let mut buf = shared.pool.get_sized(len);
+                let have = end - body;
+                buf[..have].copy_from_slice(&staging[body..end]);
+                (start, end) = (0, 0);
+                match stream.read_exact(&mut buf[have..]) {
+                    Ok(()) => deliver(&shared, src, tag, buf),
+                    Err(e) => break 'link format!("read failed mid-frame: {e}"),
+                }
+            } else {
+                break; // the rest of a small body comes with the next read
+            }
         }
-        if !any_open && !conns.is_empty() {
-            return; // every peer hung up; nothing left to read
+        if start > 0 {
+            // Make room: a small frame's tail must fit behind its head.
+            staging.copy_within(start..end, 0);
+            (start, end) = (0, end - start);
         }
-        if conns.is_empty() {
-            // Single-node cluster: nothing inbound, just wait for stop.
-            std::thread::sleep(Duration::from_millis(1));
-        } else if !progressed {
-            std::thread::sleep(Duration::from_micros(100));
+        match stream.read(&mut staging[end..]) {
+            Ok(0) => break "closed by peer (EOF)".to_string(),
+            Ok(n) => end += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => break format!("read failed: {e}"),
         }
-    }
-}
-
-/// Parses every complete frame out of `staging`, delivering each to the
-/// inbox; leftover bytes (a partial frame) stay for the next read.
-/// `Err` means an invalid length prefix.
-fn drain_frames(shared: &TcpShared, src: NodeId, staging: &mut Vec<u8>) -> Result<(), ()> {
-    let mut consumed = 0;
-    while staging.len() - consumed >= FRAME_HEADER {
-        let at = consumed;
-        let len =
-            u32::from_le_bytes(staging[at..at + 4].try_into().expect("4-byte slice")) as usize;
-        if len > MAX_FRAME {
-            staging.clear();
-            return Err(());
-        }
-        if staging.len() - at - FRAME_HEADER < len {
-            break; // incomplete body; wait for more bytes
-        }
-        let tag = Tag::from_le_bytes(staging[at + 4..at + 8].try_into().expect("4-byte slice"));
-        let body = &staging[at + FRAME_HEADER..at + FRAME_HEADER + len];
-        let mut buf = shared.pool.get();
-        buf.extend_from_slice(body);
-        let payload = Payload::pooled(buf, Arc::clone(&shared.pool) as Arc<dyn BufRelease>);
-        shared.stats.record_recv(shared.node, len);
-        // A full inbox channel cannot happen (unbounded); a closed one
-        // means the transport is gone and the packet is moot.
-        let _ = shared.inbox_tx.send(Packet { src, dst: shared.node, tag, payload });
-        consumed = at + FRAME_HEADER + len;
-    }
-    staging.drain(..consumed);
-    Ok(())
+    };
+    shared.note_conn_lost(src, &cause);
 }
 
 fn write_hello(stream: &mut TcpStream, src: NodeId, nodes: usize) -> io::Result<()> {
@@ -1063,6 +1111,149 @@ mod tests {
         }
         assert_eq!(a.stats().node(0).sent_msgs, 5);
         assert_eq!(b.stats().node(1).recv_msgs, 5);
+    }
+
+    /// A deterministic body for frame `i`.
+    fn pattern(i: usize, len: usize) -> Vec<u8> {
+        (0..len).map(|k| ((k * 31 + i * 7) % 251) as u8).collect()
+    }
+
+    /// Sends frames on both sides of the in-place threshold, small and
+    /// large interleaved, and checks each arrives intact and in order.
+    fn assert_boundary_sizes_roundtrip(mesh: &[TcpTransport]) {
+        const BIG: usize = 1 << 20;
+        let sizes =
+            [0, BIG, 1, IN_PLACE_MIN, IN_PLACE_MIN - 1, 64 << 10, 0, 7, BIG, IN_PLACE_MIN - 1];
+        // Two rounds, so the second reads over recycled (stale) buffers.
+        for round in 0..2 {
+            for (i, &len) in sizes.iter().enumerate() {
+                mesh[0].send(1, i as Tag, Payload::from(pattern(i + round, len))).expect("send");
+            }
+            for (i, &len) in sizes.iter().enumerate() {
+                let got = mesh[1].recv_timeout(Duration::from_secs(10)).expect("frame arrives");
+                assert_eq!(got.tag, i as Tag, "frames arrived out of order");
+                assert!(got.payload.as_slice() == pattern(i + round, len), "frame {i} corrupted");
+                assert!(got.payload.is_pooled(), "receive side must pool buffers");
+            }
+        }
+        assert!(mesh[1].try_recv().is_none(), "a frame was delivered twice");
+    }
+
+    #[test]
+    fn frames_around_the_in_place_threshold_arrive_intact_and_fifo() {
+        let mesh = loopback_mesh(2).expect("mesh");
+        assert_boundary_sizes_roundtrip(&mesh);
+        // Again with every header and body split across writes: a large
+        // frame's head now reaches the reader in pieces, too.
+        mesh[0].install_faults(FaultPlan::new(1));
+        assert_boundary_sizes_roundtrip(&mesh);
+    }
+
+    /// Writes the header of a `len`-byte frame plus the first `body` bytes
+    /// of its pattern straight onto `src`'s stream to `dst`, leaving the
+    /// frame incomplete.
+    fn write_frame_head(src: &TcpTransport, dst: NodeId, tag: Tag, len: usize, body: usize) {
+        let mut head = (len as u32).to_le_bytes().to_vec();
+        head.extend_from_slice(&tag.to_le_bytes());
+        head.extend_from_slice(&pattern(tag as usize, len)[..body]);
+        let mut slot = src.shared.outbound[dst].lock();
+        slot.as_mut().expect("link is up").write_all(&head).expect("write frame head");
+    }
+
+    #[test]
+    fn eof_mid_large_frame_is_counted_once_and_delivers_nothing() {
+        let mesh = loopback_mesh(2).expect("mesh");
+        mesh[0].send(1, 1, Payload::from(vec![1u8; 8])).expect("send");
+        write_frame_head(&mesh[0], 1, 2, 4 * IN_PLACE_MIN, 1000);
+        // The sender dies with most of the frame unsent.
+        mesh[0].shared.outbound[1].lock().as_ref().unwrap().shutdown(Shutdown::Write).unwrap();
+        poll_until("the torn frame to become link-down evidence", || mesh[1].link_down(0));
+        let whole = mesh[1].recv_timeout(Duration::from_secs(10)).expect("the whole frame");
+        assert_eq!(whole.tag, 1);
+        assert!(mesh[1].try_recv().is_none(), "a torn frame must never be delivered");
+        assert_eq!(mesh[1].stats().node(1).conn_lost, 1);
+        // The reader of that link is gone; shutdown still joins cleanly
+        // and does not count the loss again.
+        Transport::shutdown(&mesh[1]);
+        assert_eq!(mesh[1].stats().node(1).conn_lost, 1);
+    }
+
+    #[test]
+    fn every_inbound_link_of_a_mesh_is_served_independently() {
+        let mesh = loopback_mesh(3).expect("mesh");
+        // Park the reader of link 0 -> 2 in the middle of a large frame.
+        const LEN: usize = 2 * IN_PLACE_MIN;
+        write_frame_head(&mesh[0], 2, 5, LEN, 100);
+        // Every other directed link delivers meanwhile — also 1 -> 2,
+        // into the node whose other reader is stuck.
+        let links = [(0, 1), (1, 0), (1, 2), (2, 0), (2, 1)];
+        for (src, dst) in links {
+            mesh[src].send(dst, src as Tag, Payload::from(vec![src as u8; 32])).expect("send");
+        }
+        for (dst, node) in mesh.iter().enumerate() {
+            let expected: Vec<NodeId> = links.iter().filter(|l| l.1 == dst).map(|l| l.0).collect();
+            let mut from: Vec<NodeId> = expected
+                .iter()
+                .map(|_| {
+                    let got = node.recv_timeout(Duration::from_secs(10)).expect("frame");
+                    assert_eq!(got.payload.as_slice(), &[got.src as u8; 32][..]);
+                    got.src
+                })
+                .collect();
+            from.sort_unstable();
+            assert_eq!(from, expected, "links into node {dst}");
+        }
+        assert!(mesh.iter().all(|node| node.try_recv().is_none()));
+        // The stalled frame completes and arrives whole.
+        let rest = pattern(5, LEN).split_off(100);
+        mesh[0].shared.outbound[2].lock().as_mut().unwrap().write_all(&rest).expect("write rest");
+        let got = mesh[2].recv_timeout(Duration::from_secs(10)).expect("the large frame");
+        assert_eq!((got.src, got.tag), (0, 5));
+        assert!(got.payload.as_slice() == pattern(5, LEN));
+    }
+
+    #[test]
+    fn small_frame_round_trip_waits_for_no_timer() {
+        // The polling reader slept 100 us between empty sweeps, which
+        // put a floor of ~200 us under a round trip. A blocking reader is
+        // woken by the arrival itself.
+        let mesh = loopback_mesh(2).expect("mesh");
+        let done = AtomicBool::new(false);
+        let recv_spin = |t: &TcpTransport| loop {
+            if let Some(p) = t.try_recv() {
+                return Some(p);
+            }
+            if done.load(Ordering::Acquire) {
+                return None;
+            }
+            std::thread::yield_now();
+        };
+        let best = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while let Some(p) = recv_spin(&mesh[1]) {
+                    mesh[1].send(0, p.tag, p.payload).expect("echo");
+                }
+            });
+            // Best of five batches: other tests share the CPUs.
+            let best = (0..5)
+                .map(|_| {
+                    let mut rtts: Vec<Duration> = (0..200)
+                        .map(|_| {
+                            let t0 = Instant::now();
+                            mesh[0].send(1, 0, Payload::from(vec![1u8; 64])).expect("ping");
+                            recv_spin(&mesh[0]).expect("pong");
+                            t0.elapsed()
+                        })
+                        .collect();
+                    rtts.sort_unstable();
+                    rtts[rtts.len() / 2]
+                })
+                .min()
+                .expect("five batches");
+            done.store(true, Ordering::Release);
+            best
+        });
+        assert!(best < Duration::from_micros(100), "median 64 B round trip took {best:?}");
     }
 
     #[test]
