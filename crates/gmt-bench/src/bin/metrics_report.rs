@@ -201,18 +201,16 @@ fn print_comm(snap: &MetricsSnapshot) {
 /// node actually ran on the shm transport — every counter is zero (or
 /// absent) otherwise.
 fn print_shm(snap: &MetricsSnapshot) {
-    let wakes = snap.counter("net.shm.doorbell_wakes").unwrap_or(0);
-    let suppressed = snap.counter("net.shm.doorbell_suppressed").unwrap_or(0);
     let full_waits = snap.counter("net.shm.full_waits").unwrap_or(0);
     let watermark = snap.counter("net.shm.ring_occ_watermark_bytes").unwrap_or(0);
     let occ: Vec<u64> =
         (0..8).map(|b| snap.counter(&format!("net.shm.ring_occ_bucket{b}")).unwrap_or(0)).collect();
-    if wakes + suppressed + full_waits + watermark + occ.iter().sum::<u64>() == 0 {
+    if full_waits + watermark + occ.iter().sum::<u64>() == 0 {
         return;
     }
     print!(
-        "  shm: doorbell wakes {wakes} / suppressed {suppressed}, full-ring waits {full_waits}, \
-         ring occupancy watermark {watermark} B, occupancy octiles ["
+        "  shm: full-ring waits {full_waits}, ring occupancy watermark {watermark} B, \
+         occupancy octiles ["
     );
     for (i, v) in occ.iter().enumerate() {
         print!("{}{v}", if i == 0 { "" } else { " " });

@@ -35,7 +35,7 @@ use crate::idle::IdleBackoff;
 use crate::metrics::ThreadTracer;
 use crate::reliable::{DeathReason, DetectorConfig, PollAction, Recv, ReliableLink};
 use crate::runtime::NodeShared;
-use gmt_net::{Payload, Tag, Transport};
+use gmt_net::{LinkState, Payload, Tag, Transport};
 use std::sync::Arc;
 
 /// Fabric tag used for aggregation buffers (data and standalone acks —
@@ -311,9 +311,9 @@ pub fn comm_main(node: Arc<NodeShared>, transport: Arc<dyn Transport>, tracer: T
             watchdog_period_ns.min((node.config.op_deadline_ns / 4).max(1_000_000));
     }
     let mut next_watchdog_ns = watchdog_period_ns;
-    // Fabric-kill observation shares the heartbeat cadence: checking the
-    // installed fault plan takes a lock, so it stays off the per-sweep
-    // path. Disabled with the detector (or by config).
+    // Link-state observation shares the heartbeat cadence: asking the
+    // transport takes a lock, so it stays off the per-sweep path.
+    // Disabled with the detector (or by config).
     let observe_kills = node.config.reliable
         && node.config.observe_fabric_kills
         && node.config.heartbeat_idle_ns > 0;
@@ -413,18 +413,16 @@ pub fn comm_main(node: Arc<NodeShared>, transport: Arc<dyn Transport>, tracer: T
             if observe_kills && now >= next_kill_check_ns {
                 next_kill_check_ns = now + kill_check_period_ns;
                 for peer in 0..node.nodes {
-                    if peer != node.node_id && !l.is_dead(peer) && transport.observed_kill(peer) {
+                    if peer == node.node_id || l.is_dead(peer) {
+                        continue;
+                    }
+                    // First-hand connection loss and an injected fabric
+                    // kill arrive through the same observation; the
+                    // cause says which evidence fired, and the log line
+                    // below is the only place it is printed.
+                    if let LinkState::Down(cause) = transport.link_state(peer) {
                         if let Some(unacked) = l.confirm_death(peer) {
-                            // First-hand connection loss (TCP) and an
-                            // injected fabric kill arrive through the
-                            // same observation; attribute the death so
-                            // logs say which evidence fired.
-                            let cause = if transport.link_down(peer) {
-                                "connection loss observed"
-                            } else {
-                                "fabric kill observed"
-                            };
-                            apply_death(&node, peer, unacked, cause);
+                            apply_death(&node, peer, unacked, &cause.to_string());
                             progressed = true;
                         }
                     }

@@ -50,7 +50,11 @@ pub struct Config {
     /// `false` restores the scalar one-command-at-a-time loop — the
     /// ablation baseline, observably equivalent by construction.
     pub batch_apply: bool,
-    /// Stack size for user-level tasks, bytes.
+    /// Stack size for user-level tasks, bytes. Task stacks have no guard
+    /// page, and a task that panics on a stack under 32 KiB corrupts the
+    /// heap (the first unwind of a process needs more than 16 KiB; see
+    /// `gmt_context::MIN_STACK_SIZE`), so keep the 64 KiB default unless
+    /// task bodies cannot panic.
     pub task_stack_size: usize,
     /// Network cost model enforced by the fabric, or `None` for instant
     /// delivery (functional testing).

@@ -7,7 +7,7 @@
 //! (default; deterministic, fault-injectable) or a TCP loopback mesh
 //! (`GMT_TRANSPORT=tcp-loopback`). A [`NodeRuntime`] is the
 //! multi-process shape: one node per OS process over a transport built
-//! by [`gmt_net::tcp::rendezvous`], booted by `gmt-launch`. Either way,
+//! by [`gmt_net::connect`], booted by `gmt-launch`. Either way,
 //! every node runs its configured worker threads, helper threads and
 //! the single communication server, exactly as in Figure 1.
 
@@ -22,7 +22,8 @@ use crate::{memory::NodeMemory, NodeId};
 use crossbeam::queue::SegQueue;
 use gmt_metrics::MetricsSnapshot;
 use gmt_net::{
-    shm, tcp, DeliveryMode, Fabric, FaultPlan, Payload, TrafficStats, Transport, TransportSelect,
+    loopback_mesh, shm_mesh, DeliveryMode, Fabric, FaultPlan, Payload, TrafficStats, Transport,
+    TransportSelect,
 };
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -544,19 +545,13 @@ impl std::fmt::Debug for NodeHandle {
 /// process, over the sim fabric or a TCP loopback mesh).
 pub struct Cluster {
     nodes: Vec<NodeHandle>,
-    /// `Some` on the sim backend only; its `Drop` is the sim's bounded
-    /// drain. TCP-backed clusters drain per-transport instead.
+    /// `Some` on the sim backend only: the owner of the endpoints below,
+    /// whose `Drop` is the sim's bounded drain. Real-wire clusters drain
+    /// per-transport instead.
     fabric: Option<Fabric>,
     /// One transport per node; explicitly shut down (drained) after the
     /// comm threads join.
     transports: Vec<Arc<dyn Transport>>,
-    /// Concrete handles to the same transports on the TCP backend (empty
-    /// on sim), kept so [`Cluster::install_faults`] can reach the
-    /// per-sender fault shims.
-    tcp: Vec<Arc<tcp::TcpTransport>>,
-    /// Concrete handles on the shared-memory backend (empty otherwise),
-    /// for the same fault-shim access.
-    shm: Vec<Arc<shm::ShmTransport>>,
     /// Cluster-wide traffic counters (all transports of one in-process
     /// cluster share a single table on either backend).
     net: Arc<TrafficStats>,
@@ -646,7 +641,14 @@ fn boot_node(
     make_tracer: &dyn Fn(usize, usize) -> ThreadTracer,
 ) -> Result<NodeBoot, String> {
     let threads_per_node = config.num_workers + config.num_helpers;
-    transport.set_log_warnings(config.log_net_warnings);
+    if config.buffer_size > transport.max_frame() {
+        return Err(format!(
+            "buffer_size {} does not fit this transport's largest frame ({} B); shrink the \
+             buffers or grow the wire (shm: GMT_SHM_RING_BYTES)",
+            config.buffer_size,
+            transport.max_frame()
+        ));
+    }
     let metrics = NodeMetrics::new(config.num_workers, config.num_helpers);
     let agg = AggShared::new_in_registry(
         nodes,
@@ -673,7 +675,7 @@ fn boot_node(
         stop: AtomicBool::new(false),
         cluster: Arc::clone(cluster_shared),
         metrics,
-        net: transport.stats_arc(),
+        net: Arc::clone(transport.stats()),
         transport: Arc::clone(&transport),
         membership: Membership::new(nodes),
         watch: Mutex::new(Vec::new()),
@@ -750,9 +752,9 @@ impl Cluster {
     }
 
     /// Starts a cluster pinned to the shared-memory ring mesh: real
-    /// frames through lock-free SPSC rings with a futex doorbell, one
-    /// process. The comm stack runs unchanged; seeded [`FaultPlan`]s
-    /// work via the frame shim, cost models do not.
+    /// frames through lock-free SPSC rings, one process. The comm stack
+    /// runs unchanged; seeded [`FaultPlan`]s work via the frame shim,
+    /// cost models do not.
     pub fn start_shm(nodes: usize, config: Config) -> Result<Cluster, String> {
         Self::start_with(nodes, config, TransportSelect::Shm)
     }
@@ -771,46 +773,27 @@ impl Cluster {
                  use Cluster::start_sim"
                 .into());
         }
-        // Sim keeps the owning Fabric alive; TCP and shm keep concrete
-        // handles for fault installation alongside the erased transports.
-        type Backend = (
-            Option<Fabric>,
-            Vec<Arc<dyn Transport>>,
-            Vec<Arc<tcp::TcpTransport>>,
-            Vec<Arc<shm::ShmTransport>>,
-        );
-        let (fabric, transports, tcp_handles, shm_handles): Backend = match select {
+        fn erase<T: Transport + 'static>(mesh: Vec<T>) -> Vec<Arc<dyn Transport>> {
+            mesh.into_iter().map(|t| Arc::new(t) as Arc<dyn Transport>).collect()
+        }
+        let mut fabric = None;
+        let transports = match select {
             TransportSelect::Sim => {
                 let mode = match config.network {
                     Some(model) => DeliveryMode::Throttled(model),
                     None => DeliveryMode::Instant,
                 };
-                let fabric = Fabric::new(nodes, mode);
-                let transports = (0..nodes)
-                    .map(|n| Arc::new(fabric.endpoint(n)) as Arc<dyn Transport>)
-                    .collect();
-                (Some(fabric), transports, Vec::new(), Vec::new())
+                erase(fabric.insert(Fabric::new(nodes, mode)).endpoints())
             }
-            TransportSelect::TcpLoopback => {
-                let mesh: Vec<Arc<tcp::TcpTransport>> = tcp::loopback_mesh(nodes)
-                    .map_err(|e| format!("building the TCP loopback mesh: {e}"))?
-                    .into_iter()
-                    .map(Arc::new)
-                    .collect();
-                let transports = mesh.iter().map(|t| Arc::clone(t) as Arc<dyn Transport>).collect();
-                (None, transports, mesh, Vec::new())
-            }
-            TransportSelect::Shm => {
-                let mesh: Vec<Arc<shm::ShmTransport>> = shm::shm_mesh(nodes)
-                    .map_err(|e| format!("building the shared-memory ring mesh: {e}"))?
-                    .into_iter()
-                    .map(Arc::new)
-                    .collect();
-                let transports = mesh.iter().map(|t| Arc::clone(t) as Arc<dyn Transport>).collect();
-                (None, transports, Vec::new(), mesh)
-            }
+            TransportSelect::TcpLoopback => erase(
+                loopback_mesh(nodes).map_err(|e| format!("building the TCP loopback mesh: {e}"))?,
+            ),
+            TransportSelect::Shm => erase(
+                shm_mesh(nodes)
+                    .map_err(|e| format!("building the shared-memory ring mesh: {e}"))?,
+            ),
         };
-        let net = transports[0].stats_arc();
+        let net = Arc::clone(transports[0].stats());
         let cluster_shared = Arc::new(ClusterShared {
             next_alloc_id: AtomicU64::new(1),
             alloc_stride: 1,
@@ -852,8 +835,6 @@ impl Cluster {
             nodes: handles,
             fabric,
             transports,
-            tcp: tcp_handles,
-            shm: shm_handles,
             net,
             threads,
             stopped: false,
@@ -892,40 +873,23 @@ impl Cluster {
         )
     }
 
-    /// Installs a seeded [`FaultPlan`] on whichever backend this cluster
-    /// runs: the sim fabric's wire thread, or every TCP/shm transport's
-    /// userspace frame shim. Drop/dup/flap/kill replay identically from
-    /// a seed on all three; time-shaping faults (jitter, throttle,
-    /// stall) need the cost model and only act on the sim. Over TCP a
-    /// kill also severs the victim's streams, and over shm its rings
-    /// (real crash semantics), which [`Cluster::clear_faults`] cannot
-    /// undo.
+    /// Installs a seeded [`FaultPlan`] on every node's send path,
+    /// whichever backend this cluster runs. Drop/dup/flap/kill replay
+    /// identically from a seed on all three; time-shaping faults (jitter,
+    /// throttle, stall) need the cost model and only act on the sim. Over
+    /// TCP a kill also severs the victim's streams, and over shm its
+    /// rings (real crash semantics), which [`Cluster::clear_faults`]
+    /// cannot undo.
     pub fn install_faults(&self, plan: FaultPlan) {
-        match &self.fabric {
-            Some(f) => f.install_faults(plan),
-            None => {
-                for t in &self.tcp {
-                    t.install_faults(plan.clone());
-                }
-                for t in &self.shm {
-                    t.install_faults(plan.clone());
-                }
-            }
+        for t in &self.transports {
+            t.install_faults(plan.clone());
         }
     }
 
     /// Removes any installed fault plan from every node's send path.
     pub fn clear_faults(&self) {
-        match &self.fabric {
-            Some(f) => f.clear_faults(),
-            None => {
-                for t in &self.tcp {
-                    t.clear_faults();
-                }
-                for t in &self.shm {
-                    t.clear_faults();
-                }
-            }
+        for t in &self.transports {
+            t.clear_faults();
         }
     }
 
@@ -952,12 +916,6 @@ impl Cluster {
         // Transport contract: bounded, idempotent, pools stay whole).
         // On the sim this is a no-op per endpoint — the fabric's own
         // `Drop` performs the wire-thread drain when `self.fabric` goes.
-        // Transports close sequentially, so a loopback sibling's reader
-        // sees EOF from already-closed peers: silence the link-down
-        // warnings first — nobody is left to act on them.
-        for t in &self.transports {
-            t.set_log_warnings(false);
-        }
         for t in &self.transports {
             t.shutdown();
         }
@@ -1002,7 +960,7 @@ impl std::fmt::Debug for Cluster {
 /// Where [`Cluster`] owns every node, a `NodeRuntime` owns exactly one:
 /// the same worker/helper/comm thread complement, attached to an
 /// externally-built [`Transport`] (normally from
-/// [`gmt_net::tcp::rendezvous`]) whose `node()`/`nodes()` determine this
+/// [`gmt_net::connect`]) whose `node()`/`nodes()` determine this
 /// node's identity. The reliability, membership and flow-control layers
 /// run unchanged; every peer is simply in another process.
 ///

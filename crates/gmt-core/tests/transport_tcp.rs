@@ -14,84 +14,49 @@
 //!    frames through shared-memory rings.
 
 use gmt_core::{Cluster, Config, Distribution, NodeRuntime, SpawnPolicy, Transport};
-use gmt_net::{loopback_mesh, seed_from_env, shm_mesh, FaultPlan, ShmTransport, TcpTransport};
+use gmt_net::{loopback_mesh, seed_from_env, shm_mesh, shm_mesh_with, FaultPlan};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Boots `n` [`NodeRuntime`]s in this process over a TCP loopback mesh,
-/// returning them plus the concrete transports (kept so tests can
-/// install/clear faults after boot).
-fn boot_tcp_nodes(n: usize, config: &Config) -> (Vec<NodeRuntime>, Vec<Arc<TcpTransport>>) {
-    let transports: Vec<Arc<TcpTransport>> =
-        loopback_mesh(n).expect("loopback mesh").into_iter().map(Arc::new).collect();
-    let runtimes = transports
-        .iter()
-        .map(|t| {
-            let dyn_t: Arc<dyn Transport> = Arc::clone(t) as Arc<dyn Transport>;
-            NodeRuntime::start(dyn_t, config.clone()).expect("node boots")
-        })
-        .collect();
-    (runtimes, transports)
+fn erase<T: Transport + 'static>(mesh: Vec<T>) -> Vec<Arc<dyn Transport>> {
+    mesh.into_iter().map(|t| Arc::new(t) as Arc<dyn Transport>).collect()
 }
 
-/// [`boot_tcp_nodes`], but the mesh is shared-memory rings.
-fn boot_shm_nodes(n: usize, config: &Config) -> (Vec<NodeRuntime>, Vec<Arc<ShmTransport>>) {
-    let transports: Vec<Arc<ShmTransport>> =
-        shm_mesh(n).expect("shm mesh").into_iter().map(Arc::new).collect();
+fn tcp_mesh(n: usize) -> Vec<Arc<dyn Transport>> {
+    erase(loopback_mesh(n).expect("loopback mesh"))
+}
+
+fn shm_rings(n: usize) -> Vec<Arc<dyn Transport>> {
+    erase(shm_mesh(n).expect("shm mesh"))
+}
+
+/// Boots one [`NodeRuntime`] per transport of an in-process mesh,
+/// returning them plus the transports (kept so tests can install and
+/// clear faults, or tear one down, after boot).
+fn boot_nodes(
+    transports: Vec<Arc<dyn Transport>>,
+    config: &Config,
+) -> (Vec<NodeRuntime>, Vec<Arc<dyn Transport>>) {
     let runtimes = transports
         .iter()
-        .map(|t| {
-            let dyn_t: Arc<dyn Transport> = Arc::clone(t) as Arc<dyn Transport>;
-            NodeRuntime::start(dyn_t, config.clone()).expect("node boots")
-        })
+        .map(|t| NodeRuntime::start(Arc::clone(t), config.clone()).expect("node boots"))
         .collect();
     (runtimes, transports)
 }
 
 /// Remote puts, gets and atomic adds complete correctly while the fault
 /// shim drops ~10% and duplicates ~10% of data frames on every link —
-/// and fragments every frame mid-header to force partial-read
+/// and, over TCP, fragments every frame mid-header to force partial-read
 /// reassembly. If the reliable header did not survive real framing, the
 /// workload would hang (lost, never retransmitted) or corrupt (duplicate
-/// applied twice).
-#[test]
-fn reliability_survives_lossy_tcp() {
-    let (runtimes, transports) = boot_tcp_nodes(3, &Config::small());
-    lossy_reliability_body(
-        runtimes,
-        seed_from_env(0xC0FF_EE01),
-        |p| transports.iter().for_each(|t| t.install_faults(p.clone())),
-        || transports.iter().for_each(|t| t.clear_faults()),
-        || transports[0].stats().total(),
-    );
-}
-
-/// The same lossy-link workload over the shared-memory rings: the frame
-/// shim sits above the ring write, so seeded drops and duplicates replay
-/// there exactly as they do on TCP — this is what lets the PR 2/4/9
-/// fault suites run unmodified on shm.
-#[test]
-fn reliability_survives_lossy_shm() {
-    let (runtimes, transports) = boot_shm_nodes(3, &Config::small());
-    lossy_reliability_body(
-        runtimes,
-        seed_from_env(0xC0FF_EE02),
-        |p| transports.iter().for_each(|t| t.install_faults(p.clone())),
-        || transports.iter().for_each(|t| t.clear_faults()),
-        || transports[0].stats().total(),
-    );
-}
-
-fn lossy_reliability_body(
-    runtimes: Vec<NodeRuntime>,
-    seed: u64,
-    install: impl Fn(&FaultPlan),
-    clear: impl Fn(),
-    total: impl Fn() -> gmt_net::stats::NodeTraffic,
-) {
+/// applied twice). The shim sits in the transport core above both
+/// leaves, so one seed replays the same pattern on either wire — this is
+/// what lets the PR 2/4/9 fault suites run unmodified on both.
+fn reliability_survives_lossy(transports: Vec<Arc<dyn Transport>>, seed: u64) {
+    let (runtimes, transports) = boot_nodes(transports, &Config::small());
     let plan = FaultPlan::new(seed).drop_all(0.10).dup_all(0.10);
-    install(&plan);
+    transports.iter().for_each(|t| t.install_faults(plan.clone()));
 
     let sum = runtimes[0].node().run(|ctx| {
         let arr = ctx.alloc(512 * 8, Distribution::Remote);
@@ -117,7 +82,7 @@ fn lossy_reliability_body(
     assert_eq!(sum, (1..=512u64).sum::<u64>() + 256, "seed {seed}");
 
     // The mesh shares one TrafficStats, so node 0's view covers every link.
-    let total = total();
+    let total = transports[0].stats().total();
     assert!(total.dropped_msgs > 0, "shim never dropped a frame (seed {seed})");
     assert!(total.duplicated_msgs > 0, "shim never duplicated a frame (seed {seed})");
     assert!(total.retransmits > 0, "drops happened but nothing was retransmitted (seed {seed})");
@@ -125,36 +90,49 @@ fn lossy_reliability_body(
     // Lift the faults before teardown so the shutdown drain itself is
     // exercised on a clean link (lossy-drain liveness is the failure
     // detector's job, covered by fault_tolerance.rs on the sim).
-    clear();
+    transports.iter().for_each(|t| t.clear_faults());
     for rt in runtimes {
         rt.shutdown();
     }
 }
 
-/// A peer whose process dies mid-run — its transport torn down under it,
-/// streams severed, the in-process stand-in for SIGKILL — is confirmed
-/// dead by every survivor through connection-loss evidence in detection
-/// time. The config pushes the suspicion window out to 2 s so neither
-/// retry-budget exhaustion nor heartbeat silence can fire first: only
-/// the link-down path can explain a sub-second confirmation.
 #[test]
-fn connection_loss_confirms_death_in_detection_time() {
+fn reliability_survives_lossy_tcp() {
+    reliability_survives_lossy(tcp_mesh(3), seed_from_env(0xC0FF_EE01));
+}
+
+#[test]
+fn reliability_survives_lossy_shm() {
+    reliability_survives_lossy(shm_rings(3), seed_from_env(0xC0FF_EE02));
+}
+
+/// A peer whose process dies mid-run — its transport torn down under it,
+/// the in-process stand-in for SIGKILL — is confirmed dead by every
+/// survivor through first-hand loss evidence in detection time: reader
+/// EOF on the severed streams over TCP, the `GONE` word the survivors'
+/// monitors read over shm. (A true SIGKILL on shm, where even `GONE` is
+/// never written and only the pid check can tell, is exercised
+/// cross-process by the gmt-launch --kill CI job.) The config pushes the
+/// suspicion window out to 2 s so neither retry-budget exhaustion nor
+/// heartbeat silence can fire first: only the evidence path can explain
+/// a sub-second confirmation.
+fn loss_evidence_confirms_death_in_detection_time(transports: Vec<Arc<dyn Transport>>) {
     let mut config = Config::small();
     config.suspect_after_ns = 2_000_000_000;
     config.peer_death_timeout_ns = 10_000_000_000;
-    let (runtimes, transports) = boot_tcp_nodes(3, &config);
+    let (runtimes, transports) = boot_nodes(transports, &config);
     // Let the mesh settle into heartbeat traffic.
     std::thread::sleep(Duration::from_millis(50));
 
     let t0 = Instant::now();
-    Transport::shutdown(&*transports[2]); // node 2 "crashes"
+    transports[2].shutdown(); // node 2 "crashes"
     let deadline = t0 + Duration::from_millis(1500);
     for survivor in [0, 1] {
         while runtimes[survivor].node().dead_peers() != vec![2] {
             assert!(
                 Instant::now() < deadline,
                 "survivor {survivor} did not confirm the crash within 1.5 s — the \
-                 connection-loss evidence path never fired (dead: {:?})",
+                 loss-evidence path never fired (dead: {:?})",
                 runtimes[survivor].node().dead_peers()
             );
             std::thread::sleep(Duration::from_millis(2));
@@ -171,6 +149,16 @@ fn connection_loss_confirms_death_in_detection_time() {
     }
 }
 
+#[test]
+fn connection_loss_confirms_death_in_detection_time() {
+    loss_evidence_confirms_death_in_detection_time(tcp_mesh(3));
+}
+
+#[test]
+fn peer_loss_evidence_confirms_death_on_shm() {
+    loss_evidence_confirms_death_in_detection_time(shm_rings(3));
+}
+
 /// A peer that dies while large frames stream at it tears one mid-read:
 /// its reader sits in the in-place receive of a 64 KiB buffer when the
 /// stream is severed. The survivor must count the lost connection exactly
@@ -183,7 +171,7 @@ fn crash_under_a_large_frame_stream_is_counted_once_and_keeps_pools_whole() {
     config.buffer_size = 64 * 1024;
     config.suspect_after_ns = 2_000_000_000;
     config.peer_death_timeout_ns = 10_000_000_000;
-    let (runtimes, transports) = boot_tcp_nodes(2, &config);
+    let (runtimes, transports) = boot_nodes(tcp_mesh(2), &config);
     let aggs: Vec<_> = runtimes.iter().map(|rt| Arc::clone(&rt.node().shared().agg)).collect();
     let streaming = Arc::new(AtomicBool::new(false));
 
@@ -192,7 +180,7 @@ fn crash_under_a_large_frame_stream_is_counted_once_and_keeps_pools_whole() {
             while !streaming.load(Ordering::Acquire) {
                 std::thread::yield_now();
             }
-            Transport::shutdown(&*transports[1]); // node 1 "crashes" mid-stream
+            transports[1].shutdown(); // node 1 "crashes" mid-stream
         });
         let streaming = Arc::clone(&streaming);
         runtimes[0].node().run(move |ctx| {
@@ -230,44 +218,6 @@ fn crash_under_a_large_frame_stream_is_counted_once_and_keeps_pools_whole() {
     }
 }
 
-/// The shm analogue of the test above: a peer whose transport is torn
-/// down under it publishes `GONE` in its segment slot, which each
-/// survivor's monitor turns into first-hand peer-loss evidence — the
-/// same sub-second confirmation TCP gets from reader EOF. (A true
-/// SIGKILL, where even `GONE` is never written and only the pid check
-/// can tell, is exercised cross-process by the gmt-launch --kill CI
-/// job.)
-#[test]
-fn peer_loss_evidence_confirms_death_on_shm() {
-    let mut config = Config::small();
-    config.suspect_after_ns = 2_000_000_000;
-    config.peer_death_timeout_ns = 10_000_000_000;
-    let (runtimes, transports) = boot_shm_nodes(3, &config);
-    std::thread::sleep(Duration::from_millis(50));
-
-    let t0 = Instant::now();
-    Transport::shutdown(&*transports[2]); // node 2 "crashes"
-    let deadline = t0 + Duration::from_millis(1500);
-    for survivor in [0, 1] {
-        while runtimes[survivor].node().dead_peers() != vec![2] {
-            assert!(
-                Instant::now() < deadline,
-                "survivor {survivor} did not confirm the crash within 1.5 s — the \
-                 peer-loss evidence path never fired (dead: {:?})",
-                runtimes[survivor].node().dead_peers()
-            );
-            std::thread::sleep(Duration::from_millis(2));
-        }
-    }
-    let latency = t0.elapsed();
-    assert_eq!(runtimes[0].node().membership_epoch(), 1);
-    assert_eq!(runtimes[1].node().membership_epoch(), 1);
-    assert_eq!(transports[0].stats().total().conn_lost, 2, "latency was {latency:?}");
-    for rt in runtimes {
-        rt.shutdown();
-    }
-}
-
 /// Measures crash-detection latency with and without connection-loss
 /// evidence under `Config::small` — the source of the EXPERIMENTS.md
 /// numbers. Run with `--ignored --nocapture`.
@@ -277,10 +227,10 @@ fn crash_detection_latency_report() {
     for observe in [true, false] {
         let mut config = Config::small();
         config.observe_fabric_kills = observe;
-        let (runtimes, transports) = boot_tcp_nodes(2, &config);
+        let (runtimes, transports) = boot_nodes(tcp_mesh(2), &config);
         std::thread::sleep(Duration::from_millis(50));
         let t0 = Instant::now();
-        Transport::shutdown(&*transports[1]);
+        transports[1].shutdown();
         while runtimes[0].node().dead_peers() != vec![1] {
             assert!(t0.elapsed() < Duration::from_secs(30), "no detection at all");
             std::thread::sleep(Duration::from_micros(500));
@@ -294,6 +244,28 @@ fn crash_detection_latency_report() {
             rt.shutdown();
         }
     }
+}
+
+/// An aggregation buffer the wire cannot carry in one frame is a boot
+/// error naming both sizes — the smallest shm ring (64 KiB) cannot hold
+/// a 64 KiB buffer plus its frame header — and a transport handed such a
+/// payload anyway refuses it instead of panicking the thread that sends.
+#[test]
+fn buffers_larger_than_the_wire_frame_fail_the_boot() {
+    let mesh = erase(shm_mesh_with(1, 64 * 1024).expect("shm mesh"));
+    let max_frame = mesh[0].max_frame();
+    assert!(max_frame < 64 * 1024);
+    let mut config = Config::small();
+    config.buffer_size = 64 * 1024;
+    let err = NodeRuntime::start(Arc::clone(&mesh[0]), config.clone())
+        .expect_err("a buffer that cannot cross the ring must not boot");
+    assert!(err.contains("65536") && err.contains(&max_frame.to_string()), "{err}");
+    assert_eq!(
+        mesh[0].send(0, 0, vec![0u8; 64 * 1024].into()),
+        Err(gmt_net::NetError::FrameTooLarge { len: 64 * 1024, max: max_frame })
+    );
+    config.buffer_size = max_frame;
+    NodeRuntime::start(Arc::clone(&mesh[0]), config).expect("a fitting buffer boots").shutdown();
 }
 
 /// A deterministic workload: every element's final value is fixed by the

@@ -45,15 +45,14 @@
 //! metrics snapshot there (`<bin>-<transport>-node<i>.json`) before
 //! exiting.
 
-use gmt_core::{Cluster, Config, NodeRuntime, Transport};
+use gmt_core::{Cluster, Config, NodeRuntime};
 use gmt_graph::{uniform_random, DistGraph, GraphSpec};
 use gmt_kernels::bfs::gmt_bfs;
 use gmt_kernels::chma::{fnv1a, gmt_chma_access, gmt_chma_populate, ChmaConfig, GmtHashMap};
 use gmt_net::transport::TransportSelect;
-use gmt_net::{rendezvous, Bootstrap, Control, ShmControl};
+use gmt_net::Bootstrap;
 use std::path::PathBuf;
 use std::process::{Child, Command, ExitCode, ExitStatus};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Everything the CLI controls. One instance is parsed in the parent and
@@ -458,30 +457,6 @@ fn describe_exit(c: &Supervised) -> (String, bool) {
     }
 }
 
-/// The child side of whichever control channel the bootstrap form chose:
-/// TCP rendezvous streams or the shm segment's done words. Same
-/// done-barrier semantics either way.
-enum AnyControl {
-    Tcp(Control),
-    Shm(ShmControl),
-}
-
-impl AnyControl {
-    fn signal_done(&mut self) {
-        match self {
-            AnyControl::Tcp(c) => c.signal_done(),
-            AnyControl::Shm(c) => c.signal_done(),
-        }
-    }
-
-    fn wait_done_timeout(&mut self, timeout: Duration) -> Result<(), Vec<usize>> {
-        match self {
-            AnyControl::Tcp(c) => c.wait_done_timeout(timeout),
-            AnyControl::Shm(c) => c.wait_done_timeout(timeout),
-        }
-    }
-}
-
 /// Child: join the mesh, boot this process's node, then either drive the
 /// workload (node 0) or serve until node 0 signals done, ack, and leave.
 fn child(opts: &Opts, id: &str) -> Result<(), String> {
@@ -496,17 +471,9 @@ fn child(opts: &Opts, id: &str) -> Result<(), String> {
     let t0 = Instant::now();
     // The bootstrap form picks the wire: shm:<path> attaches the
     // shared-memory segment, anything else runs the TCP rendezvous.
-    let (transport, mut control, wire): (Arc<dyn Transport>, AnyControl, &str) = match &bootstrap {
-        Bootstrap::Shm(path) => {
-            let (t, c) =
-                gmt_net::shm::attach(node, nodes, path).map_err(|e| format!("shm attach: {e}"))?;
-            (Arc::new(t), AnyControl::Shm(c), "shm")
-        }
-        other => {
-            let (t, c) = rendezvous(node, nodes, other).map_err(|e| format!("rendezvous: {e}"))?;
-            (Arc::new(t), AnyControl::Tcp(c), "tcp")
-        }
-    };
+    let wire = if matches!(bootstrap, Bootstrap::Shm(_)) { "shm" } else { "tcp" };
+    let (transport, mut control) = gmt_net::connect(node, nodes, &bootstrap)
+        .map_err(|e| format!("joining the {wire} mesh: {e}"))?;
     eprintln!(
         "[gmt-launch] node {node}/{nodes} meshed over {wire} in {:.0?} (pid {})",
         t0.elapsed(),

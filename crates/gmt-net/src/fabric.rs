@@ -2,7 +2,7 @@
 //!
 //! A [`Fabric`] connects `n` nodes; each node holds an [`Endpoint`] with
 //! MPI-like semantics: non-blocking `send`, polled `try_recv`, blocking
-//! `recv`/`recv_timeout`. Messages between a given (source, destination)
+//! `recv`. Messages between a given (source, destination)
 //! pair are delivered in send order, like MPI point-to-point messages on
 //! one communicator.
 //!
@@ -19,16 +19,17 @@
 //!   one process.
 
 use crate::fault::{FaultDecision, FaultPlan};
+use crate::framed::{InstalledShim, MAX_FRAME};
 use crate::model::NetworkModel;
 use crate::payload::Payload;
 use crate::stats::TrafficStats;
+use crate::transport::{DownCause, LinkState, Transport};
 use crate::NodeId;
 use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -58,6 +59,8 @@ pub enum NetError {
     LinkDown { src: NodeId, dst: NodeId },
     /// The fabric has been shut down.
     Closed,
+    /// The payload exceeds what one frame can carry on this transport.
+    FrameTooLarge { len: usize, max: usize },
 }
 
 impl fmt::Display for NetError {
@@ -68,6 +71,9 @@ impl fmt::Display for NetError {
             }
             NetError::LinkDown { src, dst } => write!(f, "link {src} -> {dst} is down"),
             NetError::Closed => write!(f, "fabric closed"),
+            NetError::FrameTooLarge { len, max } => {
+                write!(f, "{len} B payload exceeds the transport's {max} B frame limit")
+            }
         }
     }
 }
@@ -89,17 +95,6 @@ struct Port {
     busy_until: Instant,
 }
 
-/// A [`FaultPlan`] installed on a fabric, with the runtime state that
-/// makes its decisions deterministic.
-struct InstalledPlan {
-    plan: FaultPlan,
-    installed_at: Instant,
-    /// Per-directed-link send counters (`src * nodes + dst`): the n-th
-    /// packet on a link always gets the n-th decision, regardless of how
-    /// sends on other links interleave.
-    counters: Vec<AtomicU64>,
-}
-
 struct Shared {
     nodes: usize,
     mode: DeliveryMode,
@@ -117,7 +112,17 @@ struct Shared {
     /// ([`Fabric::set_link`]); sends on them *fail with an error*.
     faults: RwLock<HashSet<(NodeId, NodeId)>>,
     /// Probabilistic / scheduled fault plan; faults here are *silent*.
-    plan: RwLock<Option<InstalledPlan>>,
+    plan: RwLock<Option<InstalledShim>>,
+}
+
+impl Shared {
+    fn install_faults(&self, plan: FaultPlan) {
+        *self.plan.write() = Some(InstalledShim::new(plan, self.nodes));
+    }
+
+    fn clear_faults(&self) {
+        *self.plan.write() = None;
+    }
 }
 
 /// An in-process cluster interconnect between `n` nodes.
@@ -172,14 +177,9 @@ impl Fabric {
         }
     }
 
-    /// Traffic counters.
-    pub fn stats(&self) -> &TrafficStats {
+    /// Traffic counters (the `Arc` outlives the fabric).
+    pub fn stats(&self) -> &Arc<TrafficStats> {
         &self.shared.stats
-    }
-
-    /// Shared handle to the traffic counters (outlives the fabric).
-    pub fn stats_arc(&self) -> Arc<TrafficStats> {
-        Arc::clone(&self.shared.stats)
     }
 
     /// Creates the endpoint for `node`. May be called repeatedly; all
@@ -211,15 +211,12 @@ impl Fabric {
     /// fabric — which is what a reliability layer has to survive. Flap
     /// schedules and decision sequences restart at installation time.
     pub fn install_faults(&self, plan: FaultPlan) {
-        let counters =
-            (0..self.shared.nodes * self.shared.nodes).map(|_| AtomicU64::new(0)).collect();
-        *self.shared.plan.write() =
-            Some(InstalledPlan { plan, installed_at: Instant::now(), counters });
+        self.shared.install_faults(plan);
     }
 
     /// Removes any installed [`FaultPlan`]; the fabric is lossless again.
     pub fn clear_faults(&self) {
-        *self.shared.plan.write() = None;
+        self.shared.clear_faults();
     }
 }
 
@@ -352,17 +349,9 @@ impl Endpoint {
         // decision is made here, but in throttled mode a dropped packet
         // still consumes the port's serialization time below: the NIC
         // serialized the frame, the wire ate it.
-        let decision = {
-            let plan = shared.plan.read();
-            match plan.as_ref() {
-                Some(p) if !p.plan.is_noop() => {
-                    let n =
-                        p.counters[self.node * shared.nodes + dst].fetch_add(1, Ordering::Relaxed);
-                    let t_ns = p.installed_at.elapsed().as_nanos() as u64;
-                    p.plan.decide(self.node, dst, n, t_ns)
-                }
-                _ => FaultDecision::CLEAN,
-            }
+        let decision = match shared.plan.read().as_ref() {
+            Some(shim) => shim.decide(self.node, dst),
+            None => FaultDecision::CLEAN,
         };
         let bytes = payload.len();
         shared.stats.record_send(self.node, bytes);
@@ -419,14 +408,6 @@ impl Endpoint {
         }
     }
 
-    /// Whether the installed [`FaultPlan`] kills `node` — the in-process
-    /// stand-in for a fabric's link-down/port-down notification, which
-    /// any survivor can observe. `false` when no plan is installed.
-    pub fn observed_kill(&self, node: NodeId) -> bool {
-        let plan = self.shared.plan.read();
-        plan.as_ref().is_some_and(|p| p.plan.is_killed(node))
-    }
-
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Option<Packet> {
         self.rx.try_recv().ok()
@@ -437,25 +418,55 @@ impl Endpoint {
         self.rx.recv().map_err(|_| NetError::Closed)
     }
 
-    /// Blocking receive with timeout.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<Packet> {
-        self.rx.recv_timeout(timeout).ok()
-    }
-
-    /// Number of packets currently queued for this node.
-    pub fn pending(&self) -> usize {
-        self.rx.len()
-    }
-
     /// The fabric's traffic counters (shared by all endpoints). The
     /// transport layer above uses this to record retransmissions.
-    pub fn stats(&self) -> &TrafficStats {
+    pub fn stats(&self) -> &Arc<TrafficStats> {
         &self.shared.stats
     }
+}
 
-    /// Shared handle to the traffic counters (outlives the fabric).
-    pub fn stats_arc(&self) -> Arc<TrafficStats> {
-        Arc::clone(&self.shared.stats)
+impl Transport for Endpoint {
+    fn node(&self) -> NodeId {
+        self.node
+    }
+
+    fn nodes(&self) -> usize {
+        self.shared.nodes
+    }
+
+    fn max_frame(&self) -> usize {
+        MAX_FRAME
+    }
+
+    fn send(&self, dst: NodeId, tag: Tag, payload: Payload) -> Result<(), NetError> {
+        Endpoint::send(self, dst, tag, payload)
+    }
+
+    fn try_recv(&self) -> Option<Packet> {
+        Endpoint::try_recv(self)
+    }
+
+    /// A kill in the installed plan is the in-process stand-in for a
+    /// fabric's port-down notification, which any survivor can observe.
+    /// The sim has no connections to lose.
+    fn link_state(&self, peer: NodeId) -> LinkState {
+        if self.shared.plan.read().as_ref().is_some_and(|shim| shim.is_killed(peer)) {
+            LinkState::Down(DownCause::Killed)
+        } else {
+            LinkState::Up
+        }
+    }
+
+    fn install_faults(&self, plan: FaultPlan) {
+        self.shared.install_faults(plan);
+    }
+
+    fn clear_faults(&self) {
+        self.shared.clear_faults();
+    }
+
+    fn stats(&self) -> &Arc<TrafficStats> {
+        &self.shared.stats
     }
 }
 
@@ -480,26 +491,6 @@ mod tests {
         assert_eq!(pkt.tag, 7);
         assert_eq!(pkt.payload, vec![1, 2, 3]);
         assert!(eps[0].try_recv().is_none());
-    }
-
-    #[test]
-    fn self_send_loops_back() {
-        let fabric = Fabric::new(1, DeliveryMode::Instant);
-        let ep = fabric.endpoint(0);
-        ep.send(0, 0, vec![9]).unwrap();
-        assert_eq!(ep.recv().unwrap().payload, vec![9]);
-    }
-
-    #[test]
-    fn per_pair_ordering_is_fifo() {
-        let fabric = Fabric::new(2, DeliveryMode::Instant);
-        let eps = fabric.endpoints();
-        for i in 0..100u8 {
-            eps[0].send(1, 0, vec![i]).unwrap();
-        }
-        for i in 0..100u8 {
-            assert_eq!(eps[1].recv().unwrap().payload, vec![i]);
-        }
     }
 
     #[test]
@@ -658,14 +649,14 @@ mod tests {
     #[test]
     fn kills_are_observable_by_any_endpoint() {
         let fabric = Fabric::new(3, DeliveryMode::Instant);
-        assert!(!fabric.endpoint(0).observed_kill(2), "no plan installed");
+        assert_eq!(fabric.endpoint(0).link_state(2), LinkState::Up, "no plan installed");
         fabric.install_faults(FaultPlan::new(0).kill(2));
         for ep in fabric.endpoints() {
-            assert!(ep.observed_kill(2));
-            assert!(!ep.observed_kill(1));
+            assert_eq!(ep.link_state(2), LinkState::Down(DownCause::Killed));
+            assert_eq!(ep.link_state(1), LinkState::Up);
         }
         fabric.clear_faults();
-        assert!(!fabric.endpoint(0).observed_kill(2));
+        assert_eq!(fabric.endpoint(0).link_state(2), LinkState::Up);
     }
 
     #[test]

@@ -16,14 +16,19 @@
 //! * [`stats`] — per-node traffic counters used by the benchmark harness to
 //!   compute effective bandwidth in *modeled* time, independent of host
 //!   scheduling noise.
-//! * [`transport`] — the object-safe [`Transport`] trait both backends
-//!   implement; everything above the wire is written against it.
-//! * [`tcp`] — the real multi-process backend: length-prefixed frames over
-//!   per-peer `TcpStream`s, an in-process loopback mesh for CI, and the
-//!   rendezvous protocol `gmt-launch` boots clusters with.
-//! * [`shm`] — the same-host multi-process backend: lock-free SPSC byte
-//!   rings in one shared-memory segment with a futex doorbell — zero
-//!   syscalls on the hot path, where TCP loopback pays two per frame.
+//! * [`transport`] — the object-safe [`Transport`] trait every backend
+//!   implements, sized to the calls the runtime makes; everything above
+//!   the wire is written against it. Also the one way into a
+//!   multi-process mesh, [`connect`].
+//! * [`framed`] — the real-wire transport core, written once: inbox,
+//!   frame format, fault shim, loss evidence, receive-buffer pool and
+//!   shutdown gate, generic over a leaf that only moves frames.
+//! * [`tcp`] — the multi-process leaf: per-peer `TcpStream`s with one
+//!   blocking reader per link, an in-process loopback mesh for CI, and
+//!   the rendezvous protocol `gmt-launch` boots clusters with.
+//! * [`shm`] — the same-host leaf: lock-free SPSC byte rings in one
+//!   shared-memory segment — zero syscalls per frame, where TCP loopback
+//!   pays two.
 //!
 //! # Calibration note
 //!
@@ -36,6 +41,7 @@
 
 pub mod fabric;
 pub mod fault;
+pub mod framed;
 pub mod model;
 pub mod payload;
 pub mod shm;
@@ -47,10 +53,12 @@ pub use fabric::{DeliveryMode, Endpoint, Fabric, NetError, Packet, Tag};
 pub use fault::{seed_from_env, FaultPlan, FlapWindow};
 pub use model::NetworkModel;
 pub use payload::{BufRelease, Payload};
-pub use shm::{shm_mesh, shm_mesh_with, ShmControl, ShmTransport};
+pub use shm::{shm_mesh, shm_mesh_with, ShmTransport};
 pub use stats::TrafficStats;
-pub use tcp::{loopback_mesh, rendezvous, Bootstrap, Control, TcpTransport};
-pub use transport::{Transport, TransportSelect};
+pub use tcp::{loopback_mesh, TcpTransport};
+pub use transport::{
+    connect, Bootstrap, DoneBarrier, DownCause, LinkState, Transport, TransportSelect,
+};
 
 /// Identifies a node (an MPI rank in the paper's terms).
 pub type NodeId = usize;

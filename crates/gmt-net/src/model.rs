@@ -14,7 +14,7 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetworkModel {
     /// Fixed cost a message occupies the injection port, regardless of size
-    /// (MPI stack traversal, doorbell, DMA setup...).
+    /// (MPI stack traversal, NIC notification, DMA setup...).
     pub per_msg_overhead_ns: u64,
     /// Link/serialization bandwidth in bytes per second.
     pub bandwidth_bytes_per_sec: u64,

@@ -1,12 +1,13 @@
-//! Same-host shared-memory ring transport.
+//! The shared-memory leaf of the framed transport.
 //!
 //! The TCP loopback backend pays two syscalls, two copies and a
 //! reader-thread wakeup per frame — a 7.5× tax on latency-bound storms
 //! (EXPERIMENTS.md). On one host none of that is necessary: this module
 //! moves frames through lock-free SPSC byte rings in a single shared
-//! segment, so the hot path is two `memcpy`s and a release store. The
-//! only kernel involvement is a futex doorbell, rung exclusively on
-//! empty→non-empty transitions when the receiver is actually parked.
+//! segment, so a frame costs two `memcpy`s and a release store, and the
+//! kernel is not involved at all. The [`framed`](crate::framed) core
+//! owns everything around the rings (inbox, fault shim, loss evidence,
+//! shutdown gate).
 //!
 //! # Segment layout
 //!
@@ -16,51 +17,45 @@
 //!
 //! ```text
 //! [SegHeader 128 B]                      magic, nodes, ring_cap, creator pid
-//! [NodeSlot  128 B] × nodes              pid, liveness state, doorbell,
-//!                                        sleeping flag, done word
+//! [NodeSlot  128 B] × nodes              pid, liveness state, done word
 //! [Ring hdr 384 B + ring_cap B] × nodes² ring (src,dst) at src*nodes+dst
 //! ```
 //!
 //! Each directed pair owns one ring: `head`/`tail` are monotonically
 //! increasing byte cursors on separate cache lines (position = cursor
 //! mod `ring_cap`, a power of two), so the single producer and single
-//! consumer never contend on a line. Frames are `[len u32 LE][tag u32
-//! LE][payload]`, written with wraparound split copies and published by
-//! a release store of `tail`; the consumer copies the payload into a
-//! pooled [`RecvPool`] buffer and retires it with a release store of
-//! `head`. Self-rings exist but stay empty — self-sends loop through
-//! the inbox like every other backend.
+//! consumer never contend on a line. Frames are the core's (`[len][tag]`
+//! then the payload), written with wraparound split copies and published
+//! by a release store of `tail`; the consumer copies the payload into a
+//! pooled buffer and retires it with a release store of `head`.
+//! Self-rings exist but stay empty — self-sends loop through the inbox
+//! like every other backend.
 //!
-//! # Doorbell protocol
+//! # Nothing parks, nothing wakes
 //!
-//! A receiver that finds all rings empty spins briefly, then arms the
-//! Dekker handshake: publish `sleeping = 1`, fence, re-check every ring
-//! plus the inbox, and only then `FUTEX_WAIT` on its doorbell word with
-//! the value read *before* arming. A sender, after publishing `tail`,
-//! fences and reads `sleeping`; if set it bumps the doorbell and wakes
-//! the futex (counted in `net.shm.doorbell_wakes`), otherwise — when
-//! the ring was empty before the frame — the wake was provably
-//! unnecessary and is counted as `net.shm.doorbell_suppressed`. A
-//! sender that lands between the receiver's value read and its wait
-//! changes the doorbell value, so the wait returns immediately: no lost
-//! wakeups, no spurious-wake hazard.
+//! The runtime's one receive site is the communication server's polling
+//! `try_recv`, so the consumer side is a poll of the inbound rings and
+//! no receiver ever waits in the kernel for a frame. The wake-up word
+//! this backend used to carry for a blocking receive woke nobody — 0
+//! wakes per thousand operations on both shm workloads of the
+//! end-to-end benchmark — and is gone with that receive.
 //!
 //! A full ring blocks the sender (counted once per blocked send in
 //! `net.shm.full_waits`) — but while waiting it drains its *own*
-//! inbound rings into the inbox spill, so two nodes mid-storm sending
-//! into each other's full rings make progress instead of deadlocking
-//! (TCP gets the same property from its reader thread).
+//! inbound rings into the inbox, so two nodes mid-storm sending into
+//! each other's full rings make progress instead of deadlocking (TCP
+//! gets the same property from its reader thread).
 //!
 //! # Crash evidence and cleanup
 //!
 //! Every node advertises its pid and a liveness state word in its slot.
 //! A per-transport monitor thread turns three observations into the
-//! same sticky link-down evidence the TCP reader derives from EOF: a
-//! peer that stored `GONE` (clean shutdown), a severed ring (injected
-//! kill — [`ShmTransport::install_faults`] severs both directions, so
-//! the victim sees first-hand evidence exactly like a reset stream),
-//! and a pid whose process no longer exists (a real SIGKILL leaves the
-//! state word `ALIVE`; `/proc/<pid>` vanishing is the ground truth).
+//! same loss evidence the TCP reader derives from EOF: a peer that
+//! stored `GONE` (clean shutdown), a severed ring (injected kill — both
+//! directions are severed, so the victim sees first-hand evidence
+//! exactly like a reset stream), and a pid whose process no longer
+//! exists (a real SIGKILL leaves the state word `ALIVE`; `/proc/<pid>`
+//! vanishing is the ground truth).
 //!
 //! The segment file itself is created `O_EXCL` by node 0 (stale files
 //! from a crashed previous run are removed first unless their creator
@@ -71,27 +66,24 @@
 //! create and attach.
 
 use crate::fabric::{NetError, Packet, Tag};
-use crate::fault::FaultPlan;
-use crate::payload::{BufRelease, Payload};
+use crate::framed::{
+    decode_header, encode_header, Core, FramedTransport, Link, FRAME_HEADER, MAX_FRAME,
+};
 use crate::stats::TrafficStats;
-use crate::tcp::{handshake_timeout, InstalledShim, RecvPool, MAX_FRAME};
-use crate::transport::Transport;
+use crate::transport::{handshake_timeout, DoneBarrier, Transport};
 use crate::NodeId;
-use crossbeam::channel::{self, Receiver, Sender};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::io::{self, ErrorKind};
 use std::path::Path;
-use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Frame header in the ring: payload length + tag, both `u32` LE.
-const FRAME_HEADER: usize = 8;
-
-/// Segment magic ("GMTS"), stored *last* by the creator so a reader that
-/// sees it knows every other header field is initialized.
-const SEG_MAGIC: u32 = 0x474D_5453;
+/// Segment magic ("GMS2": the second slot and ring-header layout),
+/// stored *last* by the creator so a reader that sees it knows every
+/// other header field is initialized.
+const SEG_MAGIC: u32 = 0x474D_5332;
 
 /// Liveness states in a node's slot.
 const STATE_EMPTY: u32 = 0;
@@ -110,11 +102,9 @@ const DEFAULT_RING_BYTES: usize = 1 << 20;
 const MIN_RING_BYTES: usize = 1 << 16;
 const MAX_RING_BYTES: usize = 1 << 28;
 
-/// How many spin iterations a receiver burns before arming the doorbell,
-/// and how long a sender sleeps between full-ring retries. Both are
-/// deliberately small: CI hosts may have a single core, where the
-/// blocked side must yield for the other side to make progress.
-const SPIN_ROUNDS: usize = 64;
+/// How long a sender sleeps between full-ring retries. Deliberately
+/// small: CI hosts may have a single core, where the blocked side must
+/// yield for the other side to make progress.
 const FULL_RETRY: Duration = Duration::from_micros(50);
 
 /// Monitor poll period — the crash-evidence latency floor. 2 ms keeps
@@ -152,28 +142,16 @@ fn pid_alive(pid: u64) -> bool {
     }
 }
 
-/// Raw-syscall shims: the workspace vendors no libc binding, so mmap and
-/// futex go through the stable kernel ABI directly on x86-64 Linux. The
-/// fallback keeps the heap mesh functional anywhere (futex waits degrade
-/// to bounded sleeps); cross-process attach needs the real thing.
+/// Raw-syscall shims: the workspace vendors no libc binding, so mmap
+/// goes through the stable kernel ABI directly on x86-64 Linux. The
+/// fallback keeps the heap mesh functional anywhere; cross-process
+/// attach needs the real thing.
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 mod sys {
-    use std::sync::atomic::AtomicU32;
-    use std::time::Duration;
-
     const SYS_MMAP: i64 = 9;
     const SYS_MUNMAP: i64 = 11;
-    const SYS_FUTEX: i64 = 202;
-    const FUTEX_WAIT: i64 = 0;
-    const FUTEX_WAKE: i64 = 1;
     const PROT_READ_WRITE: i64 = 0x3;
     const MAP_SHARED: i64 = 0x1;
-
-    #[repr(C)]
-    struct Timespec {
-        tv_sec: i64,
-        tv_nsec: i64,
-    }
 
     /// One raw syscall. rcx/r11 are clobbered by the `syscall`
     /// instruction itself; errors come back as `-errno`.
@@ -223,39 +201,10 @@ mod sys {
     pub(super) unsafe fn unmap(ptr: *mut u8, len: usize) {
         unsafe { syscall6(SYS_MUNMAP, ptr as i64, len as i64, 0, 0, 0, 0) };
     }
-
-    /// `FUTEX_WAIT`: sleeps while `*word == expected`, at most `timeout`.
-    /// EAGAIN (value changed), EINTR and ETIMEDOUT are all fine — every
-    /// caller re-checks its condition in a loop.
-    pub(super) fn futex_wait(word: &AtomicU32, expected: u32, timeout: Duration) {
-        let ts = Timespec {
-            tv_sec: timeout.as_secs() as i64,
-            tv_nsec: i64::from(timeout.subsec_nanos()),
-        };
-        unsafe {
-            syscall6(
-                SYS_FUTEX,
-                word.as_ptr() as i64,
-                FUTEX_WAIT,
-                i64::from(expected),
-                std::ptr::from_ref(&ts) as i64,
-                0,
-                0,
-            );
-        }
-    }
-
-    /// `FUTEX_WAKE`: wakes up to `n` waiters on `word`.
-    pub(super) fn futex_wake(word: &AtomicU32, n: i32) {
-        unsafe { syscall6(SYS_FUTEX, word.as_ptr() as i64, FUTEX_WAKE, i64::from(n), 0, 0, 0) };
-    }
 }
 
 #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
 mod sys {
-    use std::sync::atomic::AtomicU32;
-    use std::time::Duration;
-
     pub(super) const FILE_MMAP_SUPPORTED: bool = false;
 
     pub(super) fn map_file(_file: &std::fs::File, _len: usize) -> std::io::Result<*mut u8> {
@@ -266,15 +215,6 @@ mod sys {
     }
 
     pub(super) unsafe fn unmap(_ptr: *mut u8, _len: usize) {}
-
-    /// Degraded doorbell: a bounded sleep instead of a futex wait. The
-    /// heap mesh stays correct (the receiver re-polls on wake), just
-    /// with millisecond idle latency instead of a targeted wake.
-    pub(super) fn futex_wait(_word: &AtomicU32, _expected: u32, timeout: Duration) {
-        std::thread::sleep(timeout.min(Duration::from_millis(1)));
-    }
-
-    pub(super) fn futex_wake(_word: &AtomicU32, _n: i32) {}
 }
 
 /// Segment header (one per segment). `magic` is stored last with release
@@ -289,7 +229,7 @@ struct SegHeader {
     _pad1: [u8; 104],
 }
 
-/// One node's liveness-and-doorbell slot.
+/// One node's liveness slot.
 #[repr(C, align(128))]
 struct NodeSlot {
     /// OS pid of the attached process (`/proc` liveness ground truth).
@@ -297,14 +237,9 @@ struct NodeSlot {
     /// `STATE_EMPTY` → `STATE_ALIVE` on attach → `STATE_GONE` on clean
     /// shutdown. A SIGKILL leaves `ALIVE`; the pid check catches it.
     state: AtomicU32,
-    /// Futex word; bumped by senders to wake a parked receiver.
-    doorbell: AtomicU32,
-    /// Dekker flag: set while the receiver is arming/inside a futex
-    /// wait, so senders know a wake is needed at all.
-    sleeping: AtomicU32,
-    /// End-of-job barrier word for [`ShmControl`].
+    /// End-of-job barrier word ([`ShmDone`]).
     done: AtomicU32,
-    _pad: [u8; 104],
+    _pad: [u8; 112],
 }
 
 /// SPSC ring header. `head` (consumer) and `tail` (producer) are total
@@ -318,10 +253,7 @@ struct RingHdr {
     /// Sticky kill switch: set once, the ring is never read or written
     /// again (an injected kill loses in-flight frames like a crash).
     sever: AtomicU32,
-    _pad2: u32,
-    /// Whole frames currently in the ring (for [`Transport::pending`]).
-    frames: AtomicU64,
-    _pad3: [u8; 112],
+    _pad2: [u8; 124],
 }
 
 /// Where the segment bytes live.
@@ -446,11 +378,6 @@ impl RingRef<'_> {
 /// [`Transport::backend_counters`].
 #[derive(Default)]
 struct ShmCounters {
-    /// Futex wakes actually issued (receiver was parked).
-    doorbell_wakes: AtomicU64,
-    /// Empty→non-empty transitions where the receiver was running and no
-    /// wake was needed — the syscalls the doorbell protocol saved.
-    doorbell_suppressed: AtomicU64,
     /// Sends that found their ring full and had to wait (counted once
     /// per blocked send, not per retry).
     full_waits: AtomicU64,
@@ -460,29 +387,10 @@ struct ShmCounters {
     occ_hist: [AtomicU64; 8],
 }
 
-/// Why a ring write could not proceed.
-enum PushErr {
-    Severed,
-    PeerGone,
-    Closed,
-}
-
-struct ShmShared {
-    node: NodeId,
-    nodes: usize,
+/// The rings of one node's slice of a shared-memory mesh.
+pub struct ShmLink {
+    core: Arc<Core>,
     seg: Arc<Segment>,
-    stats: Arc<TrafficStats>,
-    /// Sticky per-peer connection-loss evidence (same contract as the
-    /// TCP backend's flag; see [`ShmShared::note_conn_lost`]).
-    link_down: Vec<AtomicBool>,
-    log_warnings: AtomicBool,
-    stop: AtomicBool,
-    shim: RwLock<Option<InstalledShim>>,
-    pool: Arc<RecvPool>,
-    /// Spill inbox: self-sends, and frames drained from inbound rings by
-    /// a sender stuck on a full outbound ring. Read before the rings so
-    /// per-link FIFO survives the detour.
-    inbox_tx: Sender<Packet>,
     counters: ShmCounters,
     /// Per-destination producer locks: the SPSC tail allows one writer,
     /// but any runtime thread may call `send`.
@@ -490,75 +398,144 @@ struct ShmShared {
     /// Round-robin scan start for the consumer side, and the lock that
     /// makes ring consumption single-threaded.
     rx: Mutex<usize>,
+    /// The crash-evidence monitor; taken (and joined) by `close`.
+    monitor: Mutex<Option<JoinHandle<()>>>,
 }
 
-impl ShmShared {
-    /// Records first-hand evidence that the link to `peer` broke: sticky
-    /// link-down flag, one `conn_lost` count per peer, a warning line
-    /// when enabled. Suppressed once our own shutdown began — storing
-    /// `GONE` makes peers see *us* as lost, not the reverse.
-    fn note_conn_lost(&self, peer: NodeId, cause: &str) {
-        if self.stop.load(Ordering::Acquire) {
-            return;
+/// One node's attachment to a shared-memory mesh.
+pub type ShmTransport = FramedTransport<ShmLink>;
+
+/// Attaches to an initialized segment (own slot already `ALIVE`) and
+/// spawns the crash-evidence monitor.
+fn from_segment(node: NodeId, seg: Arc<Segment>, stats: Arc<TrafficStats>) -> ShmTransport {
+    let nodes = seg.nodes;
+    let (core, inbox_rx) = Core::new(node, nodes, stats);
+    let monitor = {
+        let (core, seg) = (Arc::clone(&core), Arc::clone(&seg));
+        std::thread::Builder::new()
+            .name(format!("gmt-shm-mon-{node}"))
+            .spawn(move || monitor_loop(&core, &seg))
+            .expect("spawn shm monitor")
+    };
+    let link = ShmLink {
+        core: Arc::clone(&core),
+        seg,
+        counters: ShmCounters::default(),
+        tx: (0..nodes).map(|_| Mutex::new(())).collect(),
+        rx: Mutex::new(0),
+        monitor: Mutex::new(Some(monitor)),
+    };
+    FramedTransport::new(core, inbox_rx, link)
+}
+
+impl ShmLink {
+    /// Scans inbound rings round-robin and pops at most one frame.
+    fn poll_rings(&self) -> Option<Packet> {
+        let (node, nodes) = (self.core.node, self.core.nodes);
+        if nodes == 1 {
+            return None;
         }
-        if self.link_down[peer].swap(true, Ordering::AcqRel) {
-            return; // first evidence for this peer already recorded
+        let mut next = self.rx.lock();
+        for i in 0..nodes {
+            let peer = (*next + i) % nodes;
+            if peer == node {
+                continue;
+            }
+            let ring = self.seg.ring(peer, node);
+            if ring.hdr.sever.load(Ordering::Acquire) != 0 {
+                continue;
+            }
+            let head = ring.hdr.head.load(Ordering::Relaxed);
+            let tail = ring.hdr.tail.load(Ordering::Acquire);
+            if tail == head {
+                continue;
+            }
+            match self.pop_frame(ring, peer, head, tail) {
+                Some(pkt) => {
+                    *next = (peer + 1) % nodes;
+                    return Some(pkt);
+                }
+                None => {
+                    // A corrupt length can never re-synchronize; sever
+                    // the ring like the TCP reader closes the stream.
+                    ring.hdr.sever.store(1, Ordering::Release);
+                    self.core.note_conn_lost(peer, "corrupt frame length prefix");
+                }
+            }
         }
-        self.stats.record_conn_lost(self.node);
-        if self.log_warnings.load(Ordering::Relaxed) {
-            eprintln!("[gmt-net] node {}: connection to node {peer} lost: {cause}", self.node);
-        }
+        None
     }
 
-    /// Bumps `peer`'s doorbell and wakes its futex unconditionally —
-    /// shutdown/kill paths use this so a parked peer re-checks state.
-    fn ring_doorbell(&self, peer: NodeId) {
-        let slot = self.seg.slot(peer);
-        slot.doorbell.fetch_add(1, Ordering::SeqCst);
-        sys::futex_wake(&slot.doorbell, i32::MAX);
+    /// Decodes the frame at `head` into a pooled payload and retires it;
+    /// `None` if the ring holds no well-formed frame there. The caller
+    /// holds `rx` and has observed `tail != head`.
+    fn pop_frame(&self, ring: RingRef<'_>, src: NodeId, head: u64, tail: u64) -> Option<Packet> {
+        let avail = (tail - head) as usize;
+        if avail < FRAME_HEADER {
+            return None; // torn header: producer protocol violated
+        }
+        let mut hdr = [0u8; FRAME_HEADER];
+        unsafe { ring.read_at(head, hdr.as_mut_ptr(), FRAME_HEADER) };
+        let (len, tag) = decode_header(&hdr);
+        if len > MAX_FRAME || FRAME_HEADER + len > ring.cap || FRAME_HEADER + len > avail {
+            return None;
+        }
+        let mut buf = self.core.pool().get();
+        buf.reserve(len);
+        unsafe {
+            ring.read_at(head + FRAME_HEADER as u64, buf.as_mut_ptr(), len);
+            buf.set_len(len);
+        }
+        ring.hdr.head.store(head + (FRAME_HEADER + len) as u64, Ordering::Release);
+        Some(self.core.received(src, tag, buf))
     }
 
-    /// Whether any inbound ring has a published frame.
-    fn any_ring_pending(&self) -> bool {
-        (0..self.nodes).filter(|&p| p != self.node).any(|p| {
-            let ring = self.seg.ring(p, self.node);
-            ring.hdr.sever.load(Ordering::Acquire) == 0
-                && ring.hdr.tail.load(Ordering::Acquire) != ring.hdr.head.load(Ordering::Relaxed)
-        })
+    /// Moves every currently-available inbound frame into the inbox
+    /// (used by senders blocked on a full ring). Returns whether
+    /// anything moved.
+    fn drain_rings_to_inbox(&self) -> bool {
+        let mut moved = false;
+        while let Some(pkt) = self.poll_rings() {
+            self.core.enqueue(pkt);
+            moved = true;
+        }
+        moved
+    }
+}
+
+impl Link for ShmLink {
+    fn max_frame(&self) -> usize {
+        MAX_FRAME.min(self.seg.ring_cap - FRAME_HEADER)
     }
 
     /// Writes one frame into the ring toward `dst`, blocking while the
-    /// ring is full. Returns whether the ring was empty before the
-    /// frame (the doorbell's empty→non-empty edge). The caller holds
-    /// `tx[dst]`.
-    fn push_frame(
-        &self,
-        ring: RingRef<'_>,
-        dst: NodeId,
-        tag: Tag,
-        bytes: &[u8],
-    ) -> Result<bool, PushErr> {
+    /// ring is full.
+    fn push(&self, dst: NodeId, tag: Tag, bytes: &[u8], _fragment: bool) -> Result<(), NetError> {
+        let core = &*self.core;
+        let ring = self.seg.ring(core.node, dst);
+        let lost = |cause: &str| {
+            core.note_conn_lost(dst, cause);
+            NetError::LinkDown { src: core.node, dst }
+        };
+        let _producer = self.tx[dst].lock();
         let need = (FRAME_HEADER + bytes.len()) as u64;
         let tail = ring.hdr.tail.load(Ordering::Relaxed);
         let mut waited = false;
-        let head = loop {
+        loop {
             if ring.hdr.sever.load(Ordering::Acquire) != 0 {
-                return Err(PushErr::Severed);
+                return Err(lost("link severed"));
             }
-            if self.seg.slot(dst).state.load(Ordering::Acquire) == STATE_GONE {
-                return Err(PushErr::PeerGone);
+            // `is_lost`: the monitor saw the peer's process die; a full
+            // ring toward a corpse would otherwise spin forever.
+            if self.seg.slot(dst).state.load(Ordering::Acquire) == STATE_GONE || core.is_lost(dst) {
+                return Err(lost("peer gone"));
             }
-            if self.link_down[dst].load(Ordering::Acquire) {
-                // The monitor saw the peer's process die; a full ring
-                // toward a corpse would otherwise spin forever.
-                return Err(PushErr::PeerGone);
-            }
-            if self.stop.load(Ordering::Acquire) {
-                return Err(PushErr::Closed);
+            if core.stopping() {
+                return Err(NetError::Closed);
             }
             let head = ring.hdr.head.load(Ordering::Acquire);
             if ring.cap as u64 - (tail - head) >= need {
-                break head;
+                break;
             }
             if !waited {
                 waited = true;
@@ -569,395 +546,53 @@ impl ShmShared {
             if !self.drain_rings_to_inbox() {
                 std::thread::sleep(FULL_RETRY);
             }
-        };
-        let mut hdr = [0u8; FRAME_HEADER];
-        hdr[..4].copy_from_slice(&(bytes.len() as u32).to_le_bytes());
-        hdr[4..].copy_from_slice(&tag.to_le_bytes());
+        }
         unsafe {
-            ring.write_at(tail, &hdr);
+            ring.write_at(tail, &encode_header(bytes.len(), tag));
             ring.write_at(tail + FRAME_HEADER as u64, bytes);
         }
         ring.hdr.tail.store(tail + need, Ordering::Release);
-        ring.hdr.frames.fetch_add(1, Ordering::Release);
-        Ok(head == tail)
-    }
 
-    /// Scans inbound rings round-robin and pops at most one frame.
-    fn poll_rings(&self) -> Option<Packet> {
-        if self.nodes == 1 {
-            return None;
-        }
-        let mut next = self.rx.lock();
-        for i in 0..self.nodes {
-            let peer = (*next + i) % self.nodes;
-            if peer == self.node {
-                continue;
-            }
-            let ring = self.seg.ring(peer, self.node);
-            if ring.hdr.sever.load(Ordering::Acquire) != 0 {
-                continue;
-            }
-            let head = ring.hdr.head.load(Ordering::Relaxed);
-            let tail = ring.hdr.tail.load(Ordering::Acquire);
-            if tail == head {
-                continue;
-            }
-            match self.pop_frame(ring, peer, head, tail) {
-                Ok(pkt) => {
-                    *next = (peer + 1) % self.nodes;
-                    return Some(pkt);
-                }
-                Err(()) => {
-                    // A corrupt length can never re-synchronize; sever
-                    // the ring like the TCP reader closes the stream.
-                    ring.hdr.sever.store(1, Ordering::Release);
-                    self.note_conn_lost(peer, "corrupt frame length prefix");
-                    continue;
-                }
-            }
-        }
-        None
-    }
-
-    /// Decodes the frame at `head` into a pooled payload and retires it.
-    /// The caller holds `rx` and has observed `tail != head`.
-    fn pop_frame(
-        &self,
-        ring: RingRef<'_>,
-        src: NodeId,
-        head: u64,
-        tail: u64,
-    ) -> Result<Packet, ()> {
-        let avail = (tail - head) as usize;
-        let mut hdr = [0u8; FRAME_HEADER];
-        if avail < FRAME_HEADER {
-            return Err(()); // torn header: producer protocol violated
-        }
-        unsafe { ring.read_at(head, hdr.as_mut_ptr(), FRAME_HEADER) };
-        let len = u32::from_le_bytes(hdr[..4].try_into().expect("4-byte slice")) as usize;
-        let tag = Tag::from_le_bytes(hdr[4..].try_into().expect("4-byte slice"));
-        if len > MAX_FRAME || FRAME_HEADER + len > ring.cap || FRAME_HEADER + len > avail {
-            return Err(());
-        }
-        let mut buf = self.pool.get();
-        buf.clear();
-        buf.reserve(len);
-        unsafe {
-            ring.read_at(head + FRAME_HEADER as u64, buf.as_mut_ptr(), len);
-            buf.set_len(len);
-        }
-        ring.hdr.head.store(head + (FRAME_HEADER + len) as u64, Ordering::Release);
-        ring.hdr.frames.fetch_sub(1, Ordering::Release);
-        self.stats.record_recv(self.node, len);
-        let payload = Payload::pooled(buf, Arc::clone(&self.pool) as Arc<dyn BufRelease>);
-        Ok(Packet { src, dst: self.node, tag, payload })
-    }
-
-    /// Moves every currently-available inbound frame into the inbox
-    /// spill (used by senders blocked on a full ring). Returns whether
-    /// anything moved.
-    fn drain_rings_to_inbox(&self) -> bool {
-        let mut moved = false;
-        while let Some(pkt) = self.poll_rings() {
-            let _ = self.inbox_tx.send(pkt);
-            moved = true;
-        }
-        moved
-    }
-
-    /// Post-publish doorbell decision plus occupancy accounting.
-    fn after_publish(&self, dst: NodeId, ring: RingRef<'_>, was_empty: bool) {
-        // Pairs with the receiver's fence between `sleeping = 1` and its
-        // final ring re-check: either it sees our tail, or we see its
-        // sleeping flag.
-        fence(Ordering::SeqCst);
-        let slot = self.seg.slot(dst);
-        if slot.sleeping.load(Ordering::SeqCst) != 0 {
-            slot.doorbell.fetch_add(1, Ordering::SeqCst);
-            sys::futex_wake(&slot.doorbell, i32::MAX);
-            self.counters.doorbell_wakes.fetch_add(1, Ordering::Relaxed);
-        } else if was_empty {
-            self.counters.doorbell_suppressed.fetch_add(1, Ordering::Relaxed);
-        }
-        let occ = ring
-            .hdr
-            .tail
-            .load(Ordering::Relaxed)
-            .saturating_sub(ring.hdr.head.load(Ordering::Relaxed));
+        let occ = (tail + need).saturating_sub(ring.hdr.head.load(Ordering::Relaxed));
         self.counters.occ_watermark.fetch_max(occ, Ordering::Relaxed);
         let bucket = ((occ * 8) / ring.cap as u64).min(7) as usize;
         self.counters.occ_hist[bucket].fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// One node's attachment to a shared-memory mesh. See the module docs;
-/// the [`Transport`] contract (FIFO per link, no delivery guarantee,
-/// pooled receive payloads, bounded shutdown) is documented on the
-/// trait.
-pub struct ShmTransport {
-    shared: Arc<ShmShared>,
-    inbox_rx: Receiver<Packet>,
-    monitor: Mutex<Option<JoinHandle<()>>>,
-}
-
-impl ShmTransport {
-    /// Attaches to an initialized segment (own slot already `ALIVE`) and
-    /// spawns the crash-evidence monitor.
-    fn from_segment(node: NodeId, seg: Arc<Segment>, stats: Arc<TrafficStats>) -> ShmTransport {
-        let nodes = seg.nodes;
-        let (inbox_tx, inbox_rx) = channel::unbounded();
-        let shared = Arc::new(ShmShared {
-            node,
-            nodes,
-            seg,
-            stats,
-            link_down: (0..nodes).map(|_| AtomicBool::new(false)).collect(),
-            log_warnings: AtomicBool::new(false),
-            stop: AtomicBool::new(false),
-            shim: RwLock::new(None),
-            pool: RecvPool::new(),
-            inbox_tx,
-            counters: ShmCounters::default(),
-            tx: (0..nodes).map(|_| Mutex::new(())).collect(),
-            rx: Mutex::new(0),
-        });
-        let monitor = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name(format!("gmt-shm-mon-{node}"))
-                .spawn(move || monitor_loop(&shared))
-                .expect("spawn shm monitor")
-        };
-        ShmTransport { shared, inbox_rx, monitor: Mutex::new(Some(monitor)) }
-    }
-
-    /// Installs a seeded [`FaultPlan`] as a userspace shim on this
-    /// sender's frame layer (drop, duplicate, flap windows and kill;
-    /// time-shaping faults are ignored — no cost model over shared
-    /// memory). Kill faults get real crash semantics: both ring
-    /// directions touching a killed peer are severed, so in-flight
-    /// frames are lost and the peer's monitor sees first-hand evidence,
-    /// exactly like a process death. Severing is irreversible —
-    /// [`ShmTransport::clear_faults`] cannot resurrect a killed link.
-    /// Replaces any previous plan; decisions restart from packet 0 like
-    /// the fabric's `install_faults`.
-    pub fn install_faults(&self, plan: FaultPlan) {
-        let shared = &*self.shared;
-        let self_killed = plan.is_killed(shared.node);
-        for peer in 0..shared.nodes {
-            if peer == shared.node || !(self_killed || plan.is_killed(peer)) {
-                continue;
-            }
-            shared.seg.ring(shared.node, peer).hdr.sever.store(1, Ordering::Release);
-            shared.seg.ring(peer, shared.node).hdr.sever.store(1, Ordering::Release);
-            shared.ring_doorbell(peer);
-        }
-        if self_killed || (0..shared.nodes).any(|p| plan.is_killed(p)) {
-            shared.ring_doorbell(shared.node);
-        }
-        let counters = (0..shared.nodes).map(|_| AtomicU64::new(0)).collect();
-        *shared.shim.write() = Some(InstalledShim { plan, installed_at: Instant::now(), counters });
-    }
-
-    /// Removes the fault shim; the send path writes every frame again.
-    pub fn clear_faults(&self) {
-        *self.shared.shim.write() = None;
-    }
-}
-
-impl Transport for ShmTransport {
-    fn node(&self) -> NodeId {
-        self.shared.node
-    }
-
-    fn nodes(&self) -> usize {
-        self.shared.nodes
-    }
-
-    fn send(&self, dst: NodeId, tag: Tag, payload: Payload) -> Result<(), NetError> {
-        let shared = &*self.shared;
-        if dst >= shared.nodes {
-            return Err(NetError::NoSuchNode { dst, nodes: shared.nodes });
-        }
-        if shared.stop.load(Ordering::Acquire) {
-            return Err(NetError::Closed);
-        }
-        let bytes = payload.as_slice();
-        assert!(bytes.len() <= MAX_FRAME, "frame larger than MAX_FRAME");
-        assert!(
-            bytes.len() + FRAME_HEADER <= shared.seg.ring_cap,
-            "frame ({} bytes) larger than the shm ring ({} bytes); raise GMT_SHM_RING_BYTES",
-            bytes.len(),
-            shared.seg.ring_cap,
-        );
-        shared.stats.record_send(shared.node, bytes.len());
-
-        // Fault shim: same decision function and per-link counters as
-        // the fabric, applied before the bytes reach the ring.
-        let mut duplicate = false;
-        if let Some(shim) = shared.shim.read().as_ref() {
-            let n = shim.counters[dst].fetch_add(1, Ordering::Relaxed);
-            let t_ns = shim.installed_at.elapsed().as_nanos() as u64;
-            let d = shim.plan.decide(shared.node, dst, n, t_ns);
-            if d.drop {
-                // Silent loss, exactly like the fabric: dropping the
-                // payload here releases any pooled buffer.
-                shared.stats.record_drop(shared.node);
-                return Ok(());
-            }
-            duplicate = d.duplicate;
-        }
-        if duplicate {
-            shared.stats.record_dup(shared.node);
-        }
-
-        if dst == shared.node {
-            // Self-send: loop straight into the inbox, zero-copy.
-            if duplicate {
-                let copy = payload.clone();
-                let _ = shared.inbox_tx.send(Packet { src: shared.node, dst, tag, payload: copy });
-                shared.stats.record_recv(shared.node, bytes.len());
-            }
-            shared.stats.record_recv(shared.node, bytes.len());
-            let _ = shared.inbox_tx.send(Packet { src: shared.node, dst, tag, payload });
-            return Ok(());
-        }
-
-        let ring = shared.seg.ring(shared.node, dst);
-        let writes = if duplicate { 2 } else { 1 };
-        let mut was_empty = false;
-        {
-            let _guard = shared.tx[dst].lock();
-            for _ in 0..writes {
-                match shared.push_frame(ring, dst, tag, bytes) {
-                    Ok(empty_edge) => was_empty |= empty_edge,
-                    Err(PushErr::Closed) => return Err(NetError::Closed),
-                    Err(PushErr::Severed) => {
-                        shared.note_conn_lost(dst, "link severed");
-                        return Err(NetError::LinkDown { src: shared.node, dst });
-                    }
-                    Err(PushErr::PeerGone) => {
-                        shared.note_conn_lost(dst, "peer gone");
-                        return Err(NetError::LinkDown { src: shared.node, dst });
-                    }
-                }
-            }
-        }
-        shared.after_publish(dst, ring, was_empty);
         Ok(())
     }
 
-    fn try_recv(&self) -> Option<Packet> {
-        // Inbox first: self-sends and full-wait spills are older than
-        // anything still in the rings, so FIFO per link holds.
-        if let Ok(pkt) = self.inbox_rx.try_recv() {
-            return Some(pkt);
-        }
-        if self.shared.stop.load(Ordering::Acquire) {
+    fn poll(&self) -> Option<Packet> {
+        if self.core.stopping() {
             // After shutdown only the inbox remains receivable; frames
             // still in the rings are dropped (nothing below the inbox is
             // pooled until decode, so nothing leaks).
             return None;
         }
-        self.shared.poll_rings()
+        self.poll_rings()
     }
 
-    fn recv_timeout(&self, timeout: Duration) -> Option<Packet> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(pkt) = self.try_recv() {
-                return Some(pkt);
-            }
-            if self.shared.stop.load(Ordering::Acquire) {
-                let left = deadline.saturating_duration_since(Instant::now());
-                return self.inbox_rx.recv_timeout(left).ok();
-            }
-            // Short spin: under load the next frame lands within
-            // microseconds and parking would cost two syscalls.
-            let mut ready = false;
-            for _ in 0..SPIN_ROUNDS {
-                if self.shared.any_ring_pending() || !self.inbox_rx.is_empty() {
-                    ready = true;
-                    break;
-                }
-                std::hint::spin_loop();
-            }
-            if ready {
-                continue;
-            }
-            // Park on the doorbell. Order matters: read the ticket,
-            // publish `sleeping`, fence, re-check everything — a sender
-            // publishing concurrently either sees `sleeping` (and rings)
-            // or its frame is visible to the re-check (see the module
-            // docs' doorbell protocol).
-            let slot = self.shared.seg.slot(self.shared.node);
-            let ticket = slot.doorbell.load(Ordering::Acquire);
-            slot.sleeping.store(1, Ordering::SeqCst);
-            fence(Ordering::SeqCst);
-            if self.shared.any_ring_pending()
-                || !self.inbox_rx.is_empty()
-                || self.shared.stop.load(Ordering::SeqCst)
-            {
-                slot.sleeping.store(0, Ordering::SeqCst);
-                continue;
-            }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                slot.sleeping.store(0, Ordering::SeqCst);
-                return None;
-            }
-            sys::futex_wait(&slot.doorbell, ticket, left);
-            slot.sleeping.store(0, Ordering::SeqCst);
-            if Instant::now() >= deadline {
-                return self.try_recv();
-            }
+    fn sever(&self, peer: NodeId) {
+        let node = self.core.node;
+        self.seg.ring(node, peer).hdr.sever.store(1, Ordering::Release);
+        self.seg.ring(peer, node).hdr.sever.store(1, Ordering::Release);
+    }
+
+    fn close(&self) {
+        // Advertise the clean exit; peers' monitors turn it into loss
+        // evidence exactly like a TCP EOF, and producers blocked on a
+        // full ring toward us see it on their next retry.
+        self.seg.slot(self.core.node).state.store(STATE_GONE, Ordering::Release);
+        // The monitor polls the stop flag every tick, so this join is
+        // bounded. Frames already spilled stay in the inbox; frames still
+        // in the rings are dropped (plain ring bytes, nothing pooled
+        // below the inbox on this backend).
+        if let Some(h) = self.monitor.lock().take() {
+            h.join().ok();
         }
     }
 
-    fn pending(&self) -> usize {
-        let ring_frames: u64 = (0..self.shared.nodes)
-            .filter(|&p| p != self.shared.node)
-            .map(|p| {
-                let ring = self.shared.seg.ring(p, self.shared.node);
-                if ring.hdr.sever.load(Ordering::Acquire) != 0 {
-                    0
-                } else {
-                    ring.hdr.frames.load(Ordering::Relaxed)
-                }
-            })
-            .sum();
-        self.inbox_rx.len() + ring_frames as usize
-    }
-
-    fn observed_kill(&self, node: NodeId) -> bool {
-        self.link_down(node)
-            || self.shared.shim.read().as_ref().is_some_and(|s| s.plan.is_killed(node))
-    }
-
-    fn link_down(&self, node: NodeId) -> bool {
-        self.shared.link_down[node].load(Ordering::Acquire)
-    }
-
-    fn set_log_warnings(&self, on: bool) {
-        self.shared.log_warnings.store(on, Ordering::Relaxed);
-    }
-
-    fn stats(&self) -> &TrafficStats {
-        &self.shared.stats
-    }
-
-    fn stats_arc(&self) -> Arc<TrafficStats> {
-        Arc::clone(&self.shared.stats)
-    }
-
-    fn backend_counters(&self) -> Vec<(String, u64)> {
-        let c = &self.shared.counters;
+    fn counters(&self) -> Vec<(String, u64)> {
+        let c = &self.counters;
         let mut out = vec![
-            ("net.shm.doorbell_wakes".to_string(), c.doorbell_wakes.load(Ordering::Relaxed)),
-            (
-                "net.shm.doorbell_suppressed".to_string(),
-                c.doorbell_suppressed.load(Ordering::Relaxed),
-            ),
             ("net.shm.full_waits".to_string(), c.full_waits.load(Ordering::Relaxed)),
             (
                 "net.shm.ring_occ_watermark_bytes".to_string(),
@@ -969,64 +604,36 @@ impl Transport for ShmTransport {
         }
         out
     }
-
-    fn shutdown(&self) {
-        if self.shared.stop.swap(true, Ordering::AcqRel) {
-            return; // idempotent
-        }
-        // Advertise the clean exit; peers' monitors turn it into
-        // link-down evidence exactly like a TCP EOF. Then ring every
-        // doorbell (our own included) so parked receivers and blocked
-        // producers re-check state instead of sleeping out their
-        // timeouts.
-        self.shared.seg.slot(self.shared.node).state.store(STATE_GONE, Ordering::Release);
-        for peer in 0..self.shared.nodes {
-            self.shared.ring_doorbell(peer);
-        }
-        // The monitor polls `stop` every tick, so this join is bounded.
-        // Frames already spilled stay in the inbox; frames still in the
-        // rings are dropped (plain ring bytes, nothing pooled below the
-        // inbox on this backend).
-        if let Some(h) = self.monitor.lock().take() {
-            h.join().ok();
-        }
-    }
-}
-
-impl Drop for ShmTransport {
-    fn drop(&mut self) {
-        Transport::shutdown(self);
-    }
 }
 
 /// The crash-evidence monitor: turns peer state words, severed rings
-/// and vanished pids into the sticky link-down evidence the failure
-/// detector consumes — without requiring anyone to call `recv`.
-fn monitor_loop(shared: &ShmShared) {
+/// and vanished pids into the loss evidence the failure detector
+/// consumes — without requiring anyone to call `try_recv`.
+fn monitor_loop(core: &Core, seg: &Segment) {
     loop {
-        if shared.stop.load(Ordering::Acquire) {
+        if core.stopping() {
             return;
         }
-        for peer in 0..shared.nodes {
-            if peer == shared.node || shared.link_down[peer].load(Ordering::Acquire) {
+        for peer in 0..core.nodes {
+            if peer == core.node || core.is_lost(peer) {
                 continue;
             }
-            let slot = shared.seg.slot(peer);
+            let slot = seg.slot(peer);
             let state = slot.state.load(Ordering::Acquire);
             if state == STATE_GONE {
-                shared.note_conn_lost(peer, "closed by peer (shutdown)");
+                core.note_conn_lost(peer, "closed by peer (shutdown)");
                 continue;
             }
-            if shared.seg.ring(peer, shared.node).hdr.sever.load(Ordering::Acquire) != 0
-                || shared.seg.ring(shared.node, peer).hdr.sever.load(Ordering::Acquire) != 0
+            if seg.ring(peer, core.node).hdr.sever.load(Ordering::Acquire) != 0
+                || seg.ring(core.node, peer).hdr.sever.load(Ordering::Acquire) != 0
             {
-                shared.note_conn_lost(peer, "link severed");
+                core.note_conn_lost(peer, "link severed");
                 continue;
             }
             if state == STATE_ALIVE {
                 let pid = slot.pid.load(Ordering::Acquire);
                 if pid != 0 && !pid_alive(pid) {
-                    shared.note_conn_lost(peer, "process exit");
+                    core.note_conn_lost(peer, "process exit");
                 }
             }
         }
@@ -1060,66 +667,35 @@ pub fn shm_mesh_with(nodes: usize, ring_bytes: usize) -> io::Result<Vec<ShmTrans
     }
     hdr.magic.store(SEG_MAGIC, Ordering::Release);
     let stats = Arc::new(TrafficStats::new(nodes));
-    Ok((0..nodes)
-        .map(|node| ShmTransport::from_segment(node, Arc::clone(&seg), Arc::clone(&stats)))
-        .collect())
+    Ok((0..nodes).map(|node| from_segment(node, Arc::clone(&seg), Arc::clone(&stats))).collect())
 }
 
-/// The end-of-job side channel for the multi-process shm path — the shm
-/// counterpart of the TCP [`Control`](crate::tcp::Control), implemented
-/// over per-node `done` words in the segment instead of sockets. Node 0
-/// waits on every peer; peers wait on node 0. A peer that stored `GONE`
-/// or whose process vanished counts as done (it cannot be waited on),
-/// mirroring the TCP rule that EOF is an acknowledgement.
-pub struct ShmControl {
+/// The job's [`DoneBarrier`] over per-node `done` words in the segment.
+/// A peer that stored `GONE` or whose process vanished counts as done
+/// (it cannot be waited on), mirroring the TCP rule that EOF is an
+/// acknowledgement.
+struct ShmDone {
     seg: Arc<Segment>,
     node: NodeId,
-    nodes: usize,
 }
 
-impl ShmControl {
-    /// Marks this node done. Idempotent; errors cannot happen (the word
-    /// is ours alone).
-    pub fn signal_done(&mut self) {
+impl DoneBarrier for ShmDone {
+    fn signal_done(&mut self) {
         self.seg.slot(self.node).done.store(1, Ordering::Release);
     }
 
-    /// Waits (at most `timeout`) for the counterpart side(s) to signal
-    /// done or disappear, returning the ids of nodes that did neither —
-    /// the barrier reports *who* went missing instead of hanging the
-    /// launcher.
-    pub fn wait_done_timeout(&mut self, timeout: Duration) -> Result<(), Vec<NodeId>> {
-        let counterparts: Vec<NodeId> =
-            if self.node == 0 { (1..self.nodes).collect() } else { vec![0] };
-        let deadline = Instant::now() + timeout;
-        loop {
-            let missing: Vec<NodeId> = counterparts
-                .iter()
-                .copied()
-                .filter(|&peer| {
-                    let slot = self.seg.slot(peer);
-                    if slot.done.load(Ordering::Acquire) != 0 {
-                        return false;
-                    }
-                    let state = slot.state.load(Ordering::Acquire);
-                    if state == STATE_GONE {
-                        return false; // clean exit counts as done
-                    }
-                    let pid = slot.pid.load(Ordering::Acquire);
-                    if state == STATE_ALIVE && pid != 0 && !pid_alive(pid) {
-                        return false; // the process is gone, counts as done
-                    }
-                    true
-                })
-                .collect();
-            if missing.is_empty() {
-                return Ok(());
-            }
-            if Instant::now() >= deadline {
-                return Err(missing);
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
+    fn missing(&mut self) -> Vec<NodeId> {
+        let counterparts = if self.node == 0 { 1..self.seg.nodes } else { 0..1 };
+        counterparts
+            .filter(|&peer| {
+                let slot = self.seg.slot(peer);
+                let state = slot.state.load(Ordering::Acquire);
+                let pid = slot.pid.load(Ordering::Acquire);
+                let gone =
+                    state == STATE_GONE || (state == STATE_ALIVE && pid != 0 && !pid_alive(pid));
+                slot.done.load(Ordering::Acquire) == 0 && !gone
+            })
+            .collect()
     }
 }
 
@@ -1179,16 +755,20 @@ fn wait_all_alive(seg: &Segment, deadline: Instant) -> io::Result<()> {
 }
 
 /// Attaches one process to the cluster segment at `path` — the
-/// multi-process path behind the `shm:<path>` bootstrap. Node 0 creates
-/// the file `O_EXCL` (removing a stale one first, unless its recorded
-/// creator is still alive), sizes it, maps it, initializes the header
-/// and publishes the magic last; peers poll for the magic, map, and
-/// mark themselves `ALIVE`. Everyone returns only once all slots are
-/// `ALIVE`, at which point node 0 unlinks the file — the mappings keep
-/// the memory alive, so no crash can leak the segment. The deadline is
-/// [`handshake_timeout`]'s (`GMT_RDV_TIMEOUT_MS`).
-pub fn attach(node: NodeId, nodes: usize, path: &Path) -> io::Result<(ShmTransport, ShmControl)> {
-    assert!(nodes > 0 && node < nodes, "node {node} of {nodes}");
+/// multi-process path behind [`connect`](crate::connect)'s `shm:<path>`
+/// bootstrap. Node 0 creates the file `O_EXCL` (removing a stale one
+/// first, unless its recorded creator is still alive), sizes it, maps
+/// it, initializes the header and publishes the magic last; peers poll
+/// for the magic, map, and mark themselves `ALIVE`. Everyone returns
+/// only once all slots are `ALIVE`, at which point node 0 unlinks the
+/// file — the mappings keep the memory alive, so no crash can leak the
+/// segment. The deadline is [`handshake_timeout`]'s
+/// (`GMT_RDV_TIMEOUT_MS`).
+pub(crate) fn attach(
+    node: NodeId,
+    nodes: usize,
+    path: &Path,
+) -> io::Result<(Arc<dyn Transport>, Box<dyn DoneBarrier>)> {
     if !sys::FILE_MMAP_SUPPORTED {
         return Err(io::Error::new(
             ErrorKind::Unsupported,
@@ -1263,64 +843,15 @@ pub fn attach(node: NodeId, nodes: usize, path: &Path) -> io::Result<(ShmTranspo
     }
     let seg = Arc::new(seg);
     let stats = Arc::new(TrafficStats::new(nodes));
-    let transport = ShmTransport::from_segment(node, Arc::clone(&seg), stats);
-    let control = ShmControl { seg, node, nodes };
-    Ok((transport, control))
+    let transport = from_segment(node, Arc::clone(&seg), stats);
+    Ok((Arc::new(transport), Box::new(ShmDone { seg, node })))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultPlan;
-
-    fn payload(bytes: Vec<u8>) -> Payload {
-        Payload::from(bytes)
-    }
-
-    fn counter(t: &ShmTransport, name: &str) -> u64 {
-        t.backend_counters()
-            .into_iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v)
-            .unwrap_or_else(|| panic!("no counter {name}"))
-    }
-
-    #[test]
-    fn frames_roundtrip_over_the_ring() {
-        let mesh = shm_mesh(2).unwrap();
-        for size in [0usize, 1, 7, 4096, 100_000] {
-            let data: Vec<u8> = (0..size).map(|i| (i * 31 % 251) as u8).collect();
-            mesh[0].send(1, 7, payload(data.clone())).unwrap();
-            let pkt = mesh[1].recv_timeout(Duration::from_secs(5)).expect("frame arrives");
-            assert_eq!(pkt.src, 0);
-            assert_eq!(pkt.dst, 1);
-            assert_eq!(pkt.tag, 7);
-            assert_eq!(pkt.payload.as_slice(), &data[..]);
-            assert!(pkt.payload.is_pooled(), "ring receive must deliver pooled payloads");
-        }
-    }
-
-    #[test]
-    fn self_send_loops_back() {
-        let mesh = shm_mesh(2).unwrap();
-        mesh[0].send(0, 3, payload(vec![9, 9, 9])).unwrap();
-        let pkt = mesh[0].recv_timeout(Duration::from_secs(5)).expect("self-send arrives");
-        assert_eq!((pkt.src, pkt.dst, pkt.tag), (0, 0, 3));
-        assert_eq!(pkt.payload.as_slice(), &[9, 9, 9]);
-    }
-
-    #[test]
-    fn per_link_fifo_is_preserved() {
-        let mesh = shm_mesh(2).unwrap();
-        for i in 0..500u32 {
-            mesh[0].send(1, i, payload(i.to_le_bytes().to_vec())).unwrap();
-        }
-        for i in 0..500u32 {
-            let pkt = mesh[1].recv_timeout(Duration::from_secs(5)).expect("frame arrives");
-            assert_eq!(pkt.tag, i, "frames must arrive in send order");
-            assert_eq!(pkt.payload.as_slice(), &i.to_le_bytes());
-        }
-    }
+    use crate::transport::{connect, Bootstrap};
+    use crate::Payload;
 
     #[test]
     fn full_ring_blocks_then_delivers_everything() {
@@ -1343,196 +874,30 @@ mod tests {
             }
         });
         for i in 0..frames {
-            mesh[0].send(1, i as Tag, payload(vec![0xAB; 16 * 1024])).unwrap();
+            mesh[0].send(1, i as Tag, Payload::from(vec![0xAB; 16 * 1024])).unwrap();
         }
         assert_eq!(rx.join().unwrap(), 64);
-        assert!(counter(&mesh[0], "net.shm.full_waits") > 0, "small ring must have filled");
+        let full_waits = mesh[0]
+            .backend_counters()
+            .into_iter()
+            .find(|(name, _)| name == "net.shm.full_waits")
+            .expect("the counter is reported")
+            .1;
+        assert!(full_waits > 0, "small ring must have filled");
     }
 
     #[test]
-    fn doorbell_wakes_a_parked_receiver() {
-        let mesh = Arc::new(shm_mesh(2).unwrap());
-        let rx = std::thread::spawn({
-            let mesh = Arc::clone(&mesh);
-            move || mesh[1].recv_timeout(Duration::from_secs(10))
-        });
-        // Long past the spin window: the receiver is parked in the futex.
-        std::thread::sleep(Duration::from_millis(150));
-        mesh[0].send(1, 1, payload(vec![1])).unwrap();
-        let pkt = rx.join().unwrap().expect("doorbell must wake the receiver");
-        assert_eq!(pkt.tag, 1);
-        assert!(counter(&mesh[0], "net.shm.doorbell_wakes") >= 1, "the wake must be counted");
-    }
-
-    #[test]
-    fn idle_sends_suppress_the_doorbell() {
-        let mesh = shm_mesh(2).unwrap();
-        // Receiver is not parked: empty-edge sends count as suppressed.
-        mesh[0].send(1, 0, payload(vec![1])).unwrap();
-        mesh[1].recv_timeout(Duration::from_secs(5)).unwrap();
-        mesh[0].send(1, 1, payload(vec![2])).unwrap();
-        mesh[1].recv_timeout(Duration::from_secs(5)).unwrap();
-        let wakes = counter(&mesh[0], "net.shm.doorbell_wakes");
-        let suppressed = counter(&mesh[0], "net.shm.doorbell_suppressed");
-        assert!(
-            wakes + suppressed >= 2,
-            "every empty-edge send decides wake ({wakes}) or suppress ({suppressed})"
+    fn a_frame_the_ring_cannot_hold_is_refused_not_asserted() {
+        let mesh = shm_mesh_with(2, MIN_RING_BYTES).unwrap();
+        let max = MIN_RING_BYTES - FRAME_HEADER;
+        assert_eq!(mesh[0].max_frame(), max);
+        assert_eq!(
+            mesh[0].send(1, 0, Payload::from(vec![0u8; MIN_RING_BYTES])),
+            Err(NetError::FrameTooLarge { len: MIN_RING_BYTES, max })
         );
-    }
-
-    #[test]
-    fn shim_drop_blackholes_and_counts() {
-        let mesh = shm_mesh(2).unwrap();
-        mesh[0].install_faults(FaultPlan::new(0xD0D0).drop(0, 1, 1.0));
-        for i in 0..10u32 {
-            mesh[0].send(1, i, payload(vec![1, 2, 3])).unwrap();
-        }
-        assert!(mesh[1].recv_timeout(Duration::from_millis(200)).is_none());
-        assert_eq!(mesh[0].stats().node(0).dropped_msgs, 10);
-        mesh[0].clear_faults();
-        mesh[0].send(1, 99, payload(vec![4])).unwrap();
-        let pkt = mesh[1].recv_timeout(Duration::from_secs(5)).expect("clear_faults restores");
-        assert_eq!(pkt.tag, 99);
-    }
-
-    #[test]
-    fn shim_dup_delivers_twice() {
-        let mesh = shm_mesh(2).unwrap();
-        mesh[0].install_faults(FaultPlan::new(0xD1D1).dup(0, 1, 1.0));
-        mesh[0].send(1, 5, payload(vec![7])).unwrap();
-        let a = mesh[1].recv_timeout(Duration::from_secs(5)).expect("first copy");
-        let b = mesh[1].recv_timeout(Duration::from_secs(5)).expect("second copy");
-        assert_eq!(a.tag, 5);
-        assert_eq!(b.tag, 5);
-        assert_eq!(mesh[0].stats().node(0).duplicated_msgs, 1);
-    }
-
-    #[test]
-    fn killed_peer_is_observed_and_blackholed() {
-        let mesh = shm_mesh(3).unwrap();
-        mesh[0].install_faults(FaultPlan::new(0xC0DE).kill(1));
-        assert!(mesh[0].observed_kill(1));
-        assert!(!mesh[0].observed_kill(2));
-        // Blackholed sends still succeed (the shim drops them silently,
-        // like the fabric), and nothing arrives.
-        mesh[0].send(1, 0, payload(vec![1])).expect("blackholed send succeeds");
-        assert!(mesh[1].recv_timeout(Duration::from_millis(200)).is_none());
-        // The unrelated link still works.
-        mesh[0].send(2, 1, payload(vec![2])).unwrap();
-        assert!(mesh[2].recv_timeout(Duration::from_secs(5)).is_some());
-    }
-
-    #[test]
-    fn kill_fault_severs_rings_and_surviving_side_observes_it() {
-        let mesh = shm_mesh(2).unwrap();
-        // Node 0 injects the kill; node 1 has NO plan installed and must
-        // still see first-hand evidence through its monitor.
-        mesh[0].install_faults(FaultPlan::new(0xDEAD).kill(1));
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while !mesh[1].link_down(0) {
-            assert!(Instant::now() < deadline, "victim never saw the severed ring");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert!(mesh[1].observed_kill(0));
-        assert!(mesh[1].stats().node(1).conn_lost >= 1);
-    }
-
-    #[test]
-    fn flap_window_drops_frames_then_recovers() {
-        let mesh = shm_mesh(2).unwrap();
-        // Link down for the first 200 ms after install, then up again.
-        mesh[0].install_faults(FaultPlan::new(0xF1A9).flap(0, 1, 0, 200_000_000));
-        mesh[0].send(1, 0, payload(vec![1])).unwrap();
-        assert!(mesh[1].recv_timeout(Duration::from_millis(100)).is_none(), "flap window drops");
-        std::thread::sleep(Duration::from_millis(150));
-        mesh[0].send(1, 1, payload(vec![2])).unwrap();
-        let pkt = mesh[1].recv_timeout(Duration::from_secs(5)).expect("flap window passed");
-        assert_eq!(pkt.tag, 1);
-        // A flap is not a kill: no sticky evidence, no severed ring.
-        assert!(!mesh[0].observed_kill(1));
-        assert!(!mesh[1].link_down(0));
-    }
-
-    #[test]
-    fn clean_shutdown_is_peer_loss_evidence_counted_once() {
-        let mesh = shm_mesh(2).unwrap();
-        mesh[0].send(1, 0, payload(vec![1])).unwrap();
-        mesh[1].recv_timeout(Duration::from_secs(5)).unwrap();
-        Transport::shutdown(&mesh[1]);
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while !mesh[0].link_down(1) {
-            assert!(Instant::now() < deadline, "peer shutdown never observed");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        // Counted exactly once, on the observer's row; the node that
-        // shut down records nothing (its own stop suppresses evidence).
-        assert_eq!(mesh[0].stats().node(0).conn_lost, 1);
-        assert_eq!(mesh[0].stats().node(1).conn_lost, 0);
-    }
-
-    #[test]
-    fn shutdown_mid_traffic_neither_hangs_nor_errors_the_receiver() {
-        let mesh = Arc::new(shm_mesh(2).unwrap());
-        let hammer = std::thread::spawn({
-            let mesh = Arc::clone(&mesh);
-            move || loop {
-                match mesh[0].send(1, 0, payload(vec![0u8; 512])) {
-                    Ok(()) => {}
-                    Err(NetError::Closed) | Err(NetError::LinkDown { .. }) => return,
-                    Err(e) => panic!("unexpected send error: {e:?}"),
-                }
-            }
-        });
-        std::thread::sleep(Duration::from_millis(50));
-        Transport::shutdown(&mesh[1]);
-        Transport::shutdown(&mesh[0]);
-        hammer.join().unwrap();
-        // Post-shutdown: sends fail Closed, the inbox stays drainable,
-        // and a second shutdown is a no-op.
-        assert!(matches!(mesh[0].send(1, 0, payload(vec![1])), Err(NetError::Closed)));
-        while mesh[1].try_recv().is_some() {}
-        Transport::shutdown(&mesh[1]);
-    }
-
-    #[test]
-    fn pending_counts_ring_frames_and_inbox() {
-        let mesh = shm_mesh(2).unwrap();
-        for i in 0..5u32 {
-            mesh[0].send(1, i, payload(vec![1])).unwrap();
-        }
-        mesh[1].send(1, 99, payload(vec![2])).unwrap(); // self-send → inbox
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while mesh[1].pending() < 6 {
-            assert!(Instant::now() < deadline, "pending never reached 6");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        for _ in 0..6 {
-            assert!(mesh[1].recv_timeout(Duration::from_secs(5)).is_some());
-        }
-        assert_eq!(mesh[1].pending(), 0);
-    }
-
-    #[test]
-    fn done_barrier_times_out_naming_the_missing_node() {
-        let dir = std::env::temp_dir().join(format!("gmt-shm-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("barrier.seg");
-        let handles: Vec<_> = (0..3)
-            .map(|node| {
-                let path = path.clone();
-                std::thread::spawn(move || attach(node, 3, &path).unwrap())
-            })
-            .collect();
-        let mut ends: Vec<(ShmTransport, ShmControl)> =
-            handles.into_iter().map(|h| h.join().unwrap()).collect();
-        // Node 1 signals done, node 2 stays silent: the coordinator's
-        // barrier must name exactly node 2.
-        ends[1].1.signal_done();
-        let missing = ends[0].1.wait_done_timeout(Duration::from_millis(300)).unwrap_err();
-        assert_eq!(missing, vec![2]);
-        ends[2].1.signal_done();
-        ends[0].1.wait_done_timeout(Duration::from_secs(5)).unwrap();
-        std::fs::remove_dir_all(&dir).ok();
+        mesh[0].send(1, 1, Payload::from(vec![7u8; max])).expect("the largest frame fits");
+        let pkt = mesh[1].recv_timeout(Duration::from_secs(5)).expect("frame arrives");
+        assert_eq!((pkt.tag, pkt.payload.len()), (1, max));
     }
 
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
@@ -1543,16 +908,15 @@ mod tests {
         let path = dir.join("mesh.seg");
         let handles: Vec<_> = (0..3)
             .map(|node| {
-                let path = path.clone();
-                std::thread::spawn(move || attach(node, 3, &path).unwrap())
+                let boot = Bootstrap::Shm(path.clone());
+                std::thread::spawn(move || connect(node, 3, &boot).unwrap())
             })
             .collect();
-        let ends: Vec<(ShmTransport, ShmControl)> =
-            handles.into_iter().map(|h| h.join().unwrap()).collect();
+        let ends: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         // The creator unlinked the file once everyone attached.
         assert!(!path.exists(), "segment file must be unlinked after attach");
         // Frames flow over the mapped segment between the attachments.
-        ends[1].0.send(2, 42, payload(b"over the mmap".to_vec())).unwrap();
+        ends[1].0.send(2, 42, Payload::from(b"over the mmap".to_vec())).unwrap();
         let pkt = ends[2].0.recv_timeout(Duration::from_secs(5)).expect("frame arrives");
         assert_eq!((pkt.src, pkt.tag), (1, 42));
         assert_eq!(pkt.payload.as_slice(), b"over the mmap");

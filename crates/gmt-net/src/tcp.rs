@@ -1,19 +1,19 @@
-//! Multi-process TCP transport.
+//! The TCP leaf of the framed transport.
 //!
 //! Where [`fabric`](crate::fabric) simulates the interconnect inside one
-//! process, this module is the real thing: one runtime node per OS
-//! process (or per mesh slot in-process for CI), length-prefixed frames
-//! over one `TcpStream` per directed peer pair, and one blocking reader
-//! thread per inbound link that reassembles frames across partial reads
-//! and feeds the same inbox path the sim uses. The reliability,
-//! membership and flow-control layers above run unchanged.
+//! process, this is the wire that leaves it: one runtime node per OS
+//! process (or per mesh slot in-process for CI), one `TcpStream` per
+//! directed peer pair, and one blocking reader thread per inbound link
+//! that reassembles frames across partial reads and hands them to the
+//! [`framed`](crate::framed) core, which owns everything else (inbox,
+//! fault shim, loss evidence, shutdown gate).
 //!
 //! # Wire format
 //!
-//! Every message is one frame: `[len: u32 LE][tag: u32 LE]` followed by
-//! `len` payload bytes. Connections open with a 12-byte hello —
-//! `[magic][src node][cluster size]`, all `u32 LE` — so the acceptor can
-//! attribute inbound frames to a [`NodeId`] without trusting addresses.
+//! Frames are the core's (`[len][tag]` + payload). Connections open with
+//! a 12-byte hello — `[magic][src node][cluster size]`, all `u32 LE` —
+//! so the acceptor can attribute inbound frames to a [`NodeId`] without
+//! trusting addresses.
 //!
 //! # Send and receive path
 //!
@@ -32,6 +32,9 @@
 //!   construction; an idle reader costs nothing. Shutdown and injected
 //!   kills unblock a reader by severing the `inbound_ctl` clone of its
 //!   stream, so joins stay bounded.
+//! * **Fragmented on request** — under a fault shim the core asks for
+//!   fragments: header and body are split across separate flushed writes,
+//!   so reassembly over partial reads is exercised deterministically.
 //! * **Small frames batch** — reads land in a 16 KiB staging buffer and
 //!   every whole frame in it is parsed out, so a burst of small frames
 //!   still costs one `read`; each body is copied once, into its pooled
@@ -47,61 +50,35 @@
 //! * [`loopback_mesh`] wires N transports inside one process over
 //!   127.0.0.1 — the CI `tcp-loopback` backend. They share one
 //!   [`TrafficStats`] table so cluster-wide counters keep working.
-//! * [`rendezvous`] is the multi-process path used by `gmt-launch`:
-//!   node 0 listens at a bootstrap address (given directly or published
-//!   through a file), peers dial in and register their data-listener
-//!   addresses, node 0 broadcasts the full `NodeId` ↔ address map, and
-//!   every pair then connects directly. The registration connections are
-//!   kept as a [`Control`] side channel for end-of-job signalling.
-//!
-//! # Fault shim
-//!
-//! [`TcpTransport::install_faults`] applies a [`FaultPlan`] *in
-//! userspace at the frame layer*: drop skips the write, duplicate writes
-//! the frame twice, flap windows drop every frame inside the window, and
-//! any installed shim fragments headers across separate writes so
-//! reassembly over partial reads is exercised deterministically. Kill
-//! faults get real crash semantics: both directions of every stream
-//! touching a killed peer are severed, so in-flight frames are lost
-//! exactly like a process death loses them. Decisions reuse
-//! `FaultPlan::decide` with the same per-link counters as the fabric, so
-//! a seed replays the same loss pattern over real sockets.
-//! Jitter/throttle/stall shapes need the cost model and stay sim-only.
+//! * `rendezvous` is the multi-process path behind
+//!   [`connect`](crate::connect): node 0 listens at a bootstrap address
+//!   (given directly or published through a file), peers dial in and
+//!   register their data-listener addresses, node 0 broadcasts the full
+//!   `NodeId` ↔ address map, and every pair then connects directly. The
+//!   registration connections stay open as the job's
+//!   [`DoneBarrier`].
 //!
 //! # Connection-loss evidence
 //!
-//! The reader threads and the send path turn EOF, ECONNRESET and write
-//! failures into sticky per-peer link-down evidence: counted once per
-//! peer in `conn_lost`, surfaced through [`Transport::link_down`] and
-//! [`Transport::observed_kill`], and logged (when the runtime enables
-//! warnings) with the peer id and the I/O error. The failure detector
-//! treats the evidence like a fabric-observed kill, so a crashed peer
-//! process is declared dead in detection time, not retry-budget time.
+//! EOF, ECONNRESET, a corrupt length prefix on the read side and a write
+//! failure on the send side are each reported to the core as loss of
+//! that peer, so a crashed peer process is declared dead in detection
+//! time, not retry-budget time.
 
-use crate::fabric::{NetError, Packet, Tag};
-use crate::fault::FaultPlan;
-use crate::payload::{BufRelease, Payload};
+use crate::fabric::{NetError, Tag};
+use crate::framed::{
+    decode_header, encode_header, Core, FramedTransport, Link, FRAME_HEADER, MAX_FRAME,
+};
 use crate::stats::TrafficStats;
-use crate::transport::Transport;
+use crate::transport::{handshake_timeout, Bootstrap, DoneBarrier, Transport};
 use crate::NodeId;
-use crossbeam::channel::{self, Receiver, Sender};
-use crossbeam::queue::SegQueue;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::io::{self, ErrorKind, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::path::Path;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Frame header: payload length + tag, both `u32` little-endian.
-const FRAME_HEADER: usize = 8;
-
-/// Refuse frames larger than this (a corrupt or hostile length prefix
-/// must not allocate gigabytes). The aggregation layer's buffers are a
-/// few KiB; 64 MiB leaves room for any future bulk path.
-pub const MAX_FRAME: usize = 64 << 20;
 
 /// Bodies of at least this many bytes are received in place: read
 /// straight into their pooled buffer instead of through the staging
@@ -117,28 +94,8 @@ const STAGING_BYTES: usize = IN_PLACE_MIN + FRAME_HEADER;
 /// Connection hello magic ("GMT1").
 const HELLO_MAGIC: u32 = 0x474D_5431;
 
-/// Done byte on the [`Control`] channel.
+/// Done byte on the rendezvous control streams.
 const CONTROL_DONE: u8 = 0xD0;
-
-/// Receive buffers cached per transport; beyond this, spent buffers are
-/// freed instead of re-pooled.
-const RECV_POOL_CAP: usize = 256;
-
-/// How long construction-time handshakes (rendezvous registration, mesh
-/// accepts, hello reads) may take before giving up with an error — a
-/// crashed peer must fail the launch, not hang it.
-const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(60);
-
-/// The handshake deadline, overridable via `GMT_RDV_TIMEOUT_MS` so tests
-/// and chaos harnesses can fail a doomed launch in milliseconds instead
-/// of the default 60 s.
-pub(crate) fn handshake_timeout() -> Duration {
-    std::env::var("GMT_RDV_TIMEOUT_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .map(Duration::from_millis)
-        .unwrap_or(HANDSHAKE_TIMEOUT)
-}
 
 /// Labels an I/O error with the rendezvous stage it happened in, so a
 /// failed launch says *where* it died (e.g. "waiting for registrations
@@ -169,63 +126,9 @@ fn dial_with_retry(addr: SocketAddr, deadline: Instant) -> io::Result<TcpStream>
     }
 }
 
-/// Pool of receive buffers. Incoming frames are copied out of a reader
-/// thread's staging area (or read directly) into a pooled `Vec` and
-/// delivered as a pooled [`Payload`], so the receive side recycles
-/// buffers exactly like the sim's channel pools do. Shared with the shm
-/// backend, whose receive side pools identically.
-pub(crate) struct RecvPool {
-    bufs: SegQueue<Vec<u8>>,
-}
-
-impl RecvPool {
-    pub(crate) fn new() -> Arc<Self> {
-        Arc::new(RecvPool { bufs: SegQueue::new() })
-    }
-
-    /// An empty buffer to append a frame body to.
-    pub(crate) fn get(&self) -> Vec<u8> {
-        let mut buf = self.bufs.pop().unwrap_or_default();
-        buf.clear();
-        buf
-    }
-
-    /// A buffer of exactly `len` bytes for a body that is about to be
-    /// read over it. Spent buffers keep their length in the pool, so a
-    /// stream of equal-sized frames pays no zero-fill; the stale contents
-    /// never escape, because a buffer is only delivered once `read_exact`
-    /// has overwritten all of it.
-    fn get_sized(&self, len: usize) -> Vec<u8> {
-        let mut buf = self.bufs.pop().unwrap_or_default();
-        buf.resize(len, 0);
-        buf
-    }
-}
-
-impl BufRelease for RecvPool {
-    fn release(&self, buf: Vec<u8>) {
-        if self.bufs.len() < RECV_POOL_CAP {
-            self.bufs.push(buf);
-        }
-    }
-}
-
-/// A [`FaultPlan`] installed on the send side, with the fabric's
-/// per-directed-link counters so the n-th packet on a link always gets
-/// the n-th decision. Shared with the shm backend — one shim, every
-/// real transport.
-pub(crate) struct InstalledShim {
-    pub(crate) plan: FaultPlan,
-    pub(crate) installed_at: Instant,
-    /// Indexed by destination; this transport only ever sends from its
-    /// own node.
-    pub(crate) counters: Vec<AtomicU64>,
-}
-
-struct TcpShared {
-    node: NodeId,
-    nodes: usize,
-    stats: Arc<TrafficStats>,
+/// The streams of one node's slice of a TCP mesh.
+pub struct TcpLink {
+    core: Arc<Core>,
     /// Outbound stream per peer (`None` for self and for torn-down
     /// links). Each slot's mutex also serializes frame writes.
     outbound: Vec<Mutex<Option<TcpStream>>>,
@@ -234,249 +137,82 @@ struct TcpShared {
     /// receive side: that is what wakes a reader out of its blocking
     /// `read`.
     inbound_ctl: Vec<Mutex<Option<TcpStream>>>,
-    /// Sticky per-peer connection-loss evidence (see
-    /// [`TcpShared::note_conn_lost`]).
-    link_down: Vec<AtomicBool>,
-    /// Whether connection-loss events print a warning line; the runtime
-    /// wires its `log_net_warnings` config here at boot.
-    log_warnings: AtomicBool,
-    inbox_tx: Sender<Packet>,
-    stop: AtomicBool,
-    shim: RwLock<Option<InstalledShim>>,
-    pool: Arc<RecvPool>,
-}
-
-impl TcpShared {
-    /// Records first-hand evidence that the connection to `peer` broke:
-    /// a sticky link-down flag (feeds [`Transport::observed_kill`]), one
-    /// `conn_lost` count per peer, and a warning line when enabled.
-    /// Suppressed once this transport's own shutdown began — tearing
-    /// down our streams makes peers see EOF, not us.
-    fn note_conn_lost(&self, peer: NodeId, cause: &str) {
-        if self.stop.load(Ordering::Acquire) {
-            return;
-        }
-        if self.link_down[peer].swap(true, Ordering::AcqRel) {
-            return; // first evidence for this peer already recorded
-        }
-        self.stats.record_conn_lost(self.node);
-        if self.log_warnings.load(Ordering::Relaxed) {
-            eprintln!("[gmt-net] node {}: connection to node {peer} lost: {cause}", self.node);
-        }
-    }
-}
-
-/// One node's attachment to a TCP mesh. See the module docs; the
-/// [`Transport`] contract (FIFO per link, no delivery guarantee, pooled
-/// receive payloads, bounded shutdown) is documented on the trait.
-pub struct TcpTransport {
-    shared: Arc<TcpShared>,
-    inbox_rx: Receiver<Packet>,
-    /// One reader thread per inbound link; taken (and joined) by shutdown.
+    /// One reader thread per inbound link; taken (and joined) by `close`.
     readers: Mutex<Vec<JoinHandle<()>>>,
 }
 
-impl TcpTransport {
-    /// Assembles a transport from already-handshaked streams and spawns
-    /// one reader thread per inbound link. `inbound[i] = (src, stream)`;
-    /// `outbound[dst]` is `None` for `dst == node`.
-    fn assemble(
-        node: NodeId,
-        nodes: usize,
-        inbound: Vec<(NodeId, TcpStream)>,
-        outbound: Vec<Option<TcpStream>>,
-        stats: Arc<TrafficStats>,
-    ) -> io::Result<TcpTransport> {
-        debug_assert_eq!(outbound.len(), nodes);
-        let (inbox_tx, inbox_rx) = channel::unbounded();
-        let mut inbound_ctl: Vec<Option<TcpStream>> = (0..nodes).map(|_| None).collect();
-        for (src, stream) in &inbound {
-            inbound_ctl[*src] = Some(stream.try_clone()?);
-        }
-        let shared = Arc::new(TcpShared {
-            node,
-            nodes,
-            stats,
-            outbound: outbound.into_iter().map(Mutex::new).collect(),
-            inbound_ctl: inbound_ctl.into_iter().map(Mutex::new).collect(),
-            link_down: (0..nodes).map(|_| AtomicBool::new(false)).collect(),
-            log_warnings: AtomicBool::new(false),
-            inbox_tx,
-            stop: AtomicBool::new(false),
-            shim: RwLock::new(None),
-            pool: RecvPool::new(),
-        });
-        let transport = TcpTransport { shared, inbox_rx, readers: Mutex::new(Vec::new()) };
-        for (src, stream) in inbound {
-            let shared = Arc::clone(&transport.shared);
-            // On a spawn failure `transport` drops, and its shutdown
-            // joins the readers already running.
-            let reader = std::thread::Builder::new()
-                .name(format!("gmt-tcp-rx-{node}-{src}"))
-                .spawn(move || reader_loop(shared, src, stream))?;
-            transport.readers.lock().push(reader);
-        }
-        Ok(transport)
-    }
+/// One node's attachment to a TCP mesh.
+pub type TcpTransport = FramedTransport<TcpLink>;
 
-    /// Installs a seeded [`FaultPlan`] as a userspace shim on this
-    /// sender's frame layer (drop, duplicate, flap windows and kill;
-    /// time-shaping faults are ignored — no cost model over real
-    /// sockets). Kill faults additionally sever both directions of every
-    /// stream touching a killed peer, giving them real crash semantics:
-    /// in-flight frames are lost and the peer's reader sees the
-    /// connection die, exactly like a process death. That severing is
-    /// irreversible — [`TcpTransport::clear_faults`] cannot resurrect a
-    /// killed link, just as a real crash cannot be un-crashed. Replaces
-    /// any previous plan; decisions restart from packet 0 like the
-    /// fabric's `install_faults`.
-    pub fn install_faults(&self, plan: FaultPlan) {
-        let shared = &*self.shared;
-        let self_killed = plan.is_killed(shared.node);
-        for peer in 0..shared.nodes {
-            if peer == shared.node || !(self_killed || plan.is_killed(peer)) {
-                continue;
-            }
-            if let Some(s) = shared.outbound[peer].lock().take() {
-                s.shutdown(Shutdown::Both).ok();
-            }
-            if let Some(s) = shared.inbound_ctl[peer].lock().take() {
-                s.shutdown(Shutdown::Both).ok();
-            }
-        }
-        let counters = (0..shared.nodes).map(|_| AtomicU64::new(0)).collect();
-        *shared.shim.write() = Some(InstalledShim { plan, installed_at: Instant::now(), counters });
+/// Assembles a transport from already-handshaked streams and spawns one
+/// reader thread per inbound link. `inbound[i] = (src, stream)`;
+/// `outbound[dst]` is `None` for `dst == node`.
+fn assemble(
+    node: NodeId,
+    nodes: usize,
+    inbound: Vec<(NodeId, TcpStream)>,
+    outbound: Vec<Option<TcpStream>>,
+    stats: Arc<TrafficStats>,
+) -> io::Result<TcpTransport> {
+    debug_assert_eq!(outbound.len(), nodes);
+    let mut inbound_ctl: Vec<Option<TcpStream>> = (0..nodes).map(|_| None).collect();
+    for (src, stream) in &inbound {
+        inbound_ctl[*src] = Some(stream.try_clone()?);
     }
-
-    /// Removes the fault shim; the send path writes every frame again.
-    pub fn clear_faults(&self) {
-        *self.shared.shim.write() = None;
+    let (core, inbox_rx) = Core::new(node, nodes, stats);
+    let link = TcpLink {
+        core: Arc::clone(&core),
+        outbound: outbound.into_iter().map(Mutex::new).collect(),
+        inbound_ctl: inbound_ctl.into_iter().map(Mutex::new).collect(),
+        readers: Mutex::new(Vec::new()),
+    };
+    let transport = FramedTransport::new(core, inbox_rx, link);
+    for (src, stream) in inbound {
+        let core = Arc::clone(&transport.core);
+        // On a spawn failure `transport` drops, and its shutdown joins
+        // the readers already running.
+        let reader = std::thread::Builder::new()
+            .name(format!("gmt-tcp-rx-{node}-{src}"))
+            .spawn(move || reader_loop(core, src, stream))?;
+        transport.link.readers.lock().push(reader);
     }
+    Ok(transport)
 }
 
-impl Transport for TcpTransport {
-    fn node(&self) -> NodeId {
-        self.shared.node
+impl Link for TcpLink {
+    fn max_frame(&self) -> usize {
+        MAX_FRAME
     }
 
-    fn nodes(&self) -> usize {
-        self.shared.nodes
-    }
-
-    fn send(&self, dst: NodeId, tag: Tag, payload: Payload) -> Result<(), NetError> {
-        let shared = &*self.shared;
-        if dst >= shared.nodes {
-            return Err(NetError::NoSuchNode { dst, nodes: shared.nodes });
-        }
-        if shared.stop.load(Ordering::Acquire) {
-            return Err(NetError::Closed);
-        }
-        let bytes = payload.as_slice();
-        assert!(bytes.len() <= MAX_FRAME, "frame larger than MAX_FRAME");
-        shared.stats.record_send(shared.node, bytes.len());
-
-        // Fault shim: same decision function and per-link counters as the
-        // fabric, applied before the bytes reach the socket.
-        let mut duplicate = false;
-        let mut fragment = false;
-        if let Some(shim) = shared.shim.read().as_ref() {
-            let n = shim.counters[dst].fetch_add(1, Ordering::Relaxed);
-            let t_ns = shim.installed_at.elapsed().as_nanos() as u64;
-            let d = shim.plan.decide(shared.node, dst, n, t_ns);
-            if d.drop {
-                // Silent loss: the sender's NIC does not know the switch
-                // ate the frame. Dropping the payload here releases any
-                // pooled buffer.
-                shared.stats.record_drop(shared.node);
-                return Ok(());
-            }
-            duplicate = d.duplicate;
-            // Under a shim, fragment every frame's header and body across
-            // separate writes so reassembly over partial reads is
-            // exercised, not just loss.
-            fragment = true;
-        }
-        if duplicate {
-            shared.stats.record_dup(shared.node);
-        }
-
-        if dst == shared.node {
-            // Self-send: loop straight into the inbox, zero-copy.
-            if duplicate {
-                let copy = payload.clone();
-                let _ = shared.inbox_tx.send(Packet { src: shared.node, dst, tag, payload: copy });
-                shared.stats.record_recv(shared.node, bytes.len());
-            }
-            shared.stats.record_recv(shared.node, bytes.len());
-            let _ = shared.inbox_tx.send(Packet { src: shared.node, dst, tag, payload });
-            return Ok(());
-        }
-
-        let mut slot = shared.outbound[dst].lock();
-        let stream = match slot.as_mut() {
-            Some(s) => s,
-            None => {
-                return Err(if shared.stop.load(Ordering::Acquire) {
-                    NetError::Closed
-                } else {
-                    NetError::LinkDown { src: shared.node, dst }
-                });
-            }
+    fn push(&self, dst: NodeId, tag: Tag, bytes: &[u8], fragment: bool) -> Result<(), NetError> {
+        let down = NetError::LinkDown { src: self.core.node, dst };
+        let mut slot = self.outbound[dst].lock();
+        let Some(stream) = slot.as_mut() else {
+            return Err(if self.core.stopping() { NetError::Closed } else { down });
         };
-        let writes = if duplicate { 2 } else { 1 };
-        for _ in 0..writes {
-            if let Err(e) = write_frame(stream, tag, bytes, fragment) {
-                // The connection is gone; drop it so later sends fail
-                // fast, and record the loss as link-down evidence for
-                // the failure detector. Recovering the peer is the
-                // reliability layer's job, not the socket's.
-                stream.shutdown(Shutdown::Both).ok();
-                *slot = None;
-                drop(slot);
-                shared.note_conn_lost(dst, &format!("write failed: {e}"));
-                return Err(NetError::LinkDown { src: shared.node, dst });
-            }
+        if let Err(e) = write_frame(stream, tag, bytes, fragment) {
+            // The connection is gone; drop it so later sends fail fast,
+            // and record the loss as evidence for the failure detector.
+            // Recovering the peer is the reliability layer's job, not
+            // the socket's.
+            stream.shutdown(Shutdown::Both).ok();
+            *slot = None;
+            drop(slot);
+            self.core.note_conn_lost(dst, &format!("write failed: {e}"));
+            return Err(down);
         }
         Ok(())
     }
 
-    fn try_recv(&self) -> Option<Packet> {
-        self.inbox_rx.try_recv().ok()
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Option<Packet> {
-        self.inbox_rx.recv_timeout(timeout).ok()
-    }
-
-    fn pending(&self) -> usize {
-        self.inbox_rx.len()
-    }
-
-    fn observed_kill(&self, node: NodeId) -> bool {
-        self.link_down(node)
-            || self.shared.shim.read().as_ref().is_some_and(|s| s.plan.is_killed(node))
-    }
-
-    fn link_down(&self, node: NodeId) -> bool {
-        self.shared.link_down[node].load(Ordering::Acquire)
-    }
-
-    fn set_log_warnings(&self, on: bool) {
-        self.shared.log_warnings.store(on, Ordering::Relaxed);
-    }
-
-    fn stats(&self) -> &TrafficStats {
-        &self.shared.stats
-    }
-
-    fn stats_arc(&self) -> Arc<TrafficStats> {
-        Arc::clone(&self.shared.stats)
-    }
-
-    fn shutdown(&self) {
-        if self.shared.stop.swap(true, Ordering::AcqRel) {
-            return; // idempotent
+    fn sever(&self, peer: NodeId) {
+        for slot in [&self.outbound[peer], &self.inbound_ctl[peer]] {
+            if let Some(s) = slot.lock().take() {
+                s.shutdown(Shutdown::Both).ok();
+            }
         }
+    }
+
+    fn close(&self) {
         // Wake the readers: shutting the read side fails their blocking
         // reads, so these joins are bounded. Only the read side — a FIN
         // sent now would carry the receive window as it stands, possibly
@@ -484,7 +220,7 @@ impl Transport for TcpTransport {
         // parsed stay in the inbox; a partial frame dies with its reader
         // (its staging buffer and half-filled receive buffer are plain
         // Vecs — nothing pooled sits below the inbox on this backend).
-        for slot in &self.shared.inbound_ctl {
+        for slot in &self.inbound_ctl {
             if let Some(s) = slot.lock().take() {
                 s.shutdown(Shutdown::Read).ok();
             }
@@ -499,17 +235,11 @@ impl Transport for TcpTransport {
         // connection, and otherwise the closing FIN advertises the
         // drained buffer, so the peer's next segment meets a closed
         // socket and is reset.
-        for slot in &self.shared.outbound {
+        for slot in &self.outbound {
             if let Some(s) = slot.lock().take() {
                 s.shutdown(Shutdown::Both).ok();
             }
         }
-    }
-}
-
-impl Drop for TcpTransport {
-    fn drop(&mut self) {
-        Transport::shutdown(self);
     }
 }
 
@@ -519,9 +249,7 @@ impl Drop for TcpTransport {
 /// mode) so the receiver's partial read reassembly is exercised
 /// deterministically.
 fn write_frame(stream: &mut TcpStream, tag: Tag, bytes: &[u8], fragment: bool) -> io::Result<()> {
-    let mut hdr = [0u8; FRAME_HEADER];
-    hdr[..4].copy_from_slice(&(bytes.len() as u32).to_le_bytes());
-    hdr[4..].copy_from_slice(&tag.to_le_bytes());
+    let hdr = encode_header(bytes.len(), tag);
     if fragment {
         stream.write_all(&hdr[..5])?;
         stream.flush()?;
@@ -548,34 +276,21 @@ fn write_frame(stream: &mut TcpStream, tag: Tag, bytes: &[u8], fragment: bool) -
     stream.write_all(&bytes[sent - FRAME_HEADER..])
 }
 
-/// Hands one received frame body to the inbox as a pooled payload.
-fn deliver(shared: &TcpShared, src: NodeId, tag: Tag, body: Vec<u8>) {
-    shared.stats.record_recv(shared.node, body.len());
-    let payload = Payload::pooled(body, Arc::clone(&shared.pool) as Arc<dyn BufRelease>);
-    // A full inbox channel cannot happen (unbounded); a closed one means
-    // the transport is gone and the packet is moot.
-    let _ = shared.inbox_tx.send(Packet { src, dst: shared.node, tag, payload });
-}
-
 /// The reader thread of one inbound link: blocks in `read` until bytes
 /// arrive, reassembles frames across partial reads and delivers them to
 /// the inbox as pooled payloads (see "Send and receive path" in the
 /// module docs). Runs until the stream ends — peer EOF, an I/O error, a
 /// corrupt length prefix, or this transport's own shutdown / injected
-/// kill severing the stream — and records that as link-down evidence. A
+/// kill severing the stream — and reports that as loss of the peer. A
 /// partial frame at that point is a torn tail: it is discarded, and
 /// retransmission is the reliability layer's problem.
-fn reader_loop(shared: Arc<TcpShared>, src: NodeId, mut stream: TcpStream) {
+fn reader_loop(core: Arc<Core>, src: NodeId, mut stream: TcpStream) {
     let mut staging = vec![0u8; STAGING_BYTES];
     // Unparsed bytes are `staging[start..end]`.
     let (mut start, mut end) = (0, 0);
     let cause = 'link: loop {
         while end - start >= FRAME_HEADER {
-            let word = |at: usize| -> [u8; 4] {
-                staging[start + at..start + at + 4].try_into().expect("4-byte slice")
-            };
-            let len = u32::from_le_bytes(word(0)) as usize;
-            let tag = Tag::from_le_bytes(word(4));
+            let (len, tag) = decode_header(&staging[start..start + FRAME_HEADER]);
             if len > MAX_FRAME {
                 // This stream can never re-synchronize: close it.
                 stream.shutdown(Shutdown::Both).ok();
@@ -583,19 +298,19 @@ fn reader_loop(shared: Arc<TcpShared>, src: NodeId, mut stream: TcpStream) {
             }
             let body = start + FRAME_HEADER;
             if end - body >= len {
-                let mut buf = shared.pool.get();
+                let mut buf = core.pool().get();
                 buf.extend_from_slice(&staging[body..body + len]);
-                deliver(&shared, src, tag, buf);
+                core.enqueue(core.received(src, tag, buf));
                 start = body + len;
             } else if len >= IN_PLACE_MIN {
                 // Staging holds nothing beyond this frame's head, so the
                 // stream's next bytes are the rest of its body.
-                let mut buf = shared.pool.get_sized(len);
+                let mut buf = core.pool().get_sized(len);
                 let have = end - body;
                 buf[..have].copy_from_slice(&staging[body..end]);
                 (start, end) = (0, 0);
                 match stream.read_exact(&mut buf[have..]) {
-                    Ok(()) => deliver(&shared, src, tag, buf),
+                    Ok(()) => core.enqueue(core.received(src, tag, buf)),
                     Err(e) => break 'link format!("read failed mid-frame: {e}"),
                 }
             } else {
@@ -614,7 +329,7 @@ fn reader_loop(shared: Arc<TcpShared>, src: NodeId, mut stream: TcpStream) {
             Err(e) => break format!("read failed: {e}"),
         }
     };
-    shared.note_conn_lost(src, &cause);
+    core.note_conn_lost(src, &cause);
 }
 
 fn write_hello(stream: &mut TcpStream, src: NodeId, nodes: usize) -> io::Result<()> {
@@ -717,7 +432,7 @@ pub fn loopback_mesh(nodes: usize) -> io::Result<Vec<TcpTransport>> {
         for _ in 0..nodes - 1 {
             inbound.push(accept_peer(&listener, nodes, deadline)?);
         }
-        transports.push(TcpTransport::assemble(
+        transports.push(assemble(
             node,
             nodes,
             inbound,
@@ -728,112 +443,41 @@ pub fn loopback_mesh(nodes: usize) -> io::Result<Vec<TcpTransport>> {
     Ok(transports)
 }
 
-/// How a peer process finds node 0's rendezvous listener.
-#[derive(Debug, Clone)]
-pub enum Bootstrap {
-    /// The address is known up front (env-style bootstrap). Node 0 binds
-    /// it; peers dial it.
-    Addr(SocketAddr),
-    /// Node 0 binds an ephemeral port and publishes `ip:port` to this
-    /// file (written to a temp name, then renamed, so readers never see
-    /// a partial write); peers poll the file until it appears.
-    File(PathBuf),
-    /// A shared-memory segment file for the same-host `shm` transport
-    /// (see [`crate::shm::attach`]): node 0 creates it `O_EXCL`, peers
-    /// map it. Not a TCP rendezvous at all — [`rendezvous`] rejects it.
-    Shm(PathBuf),
+/// The registration connections of a rendezvous, labeled by counterpart.
+type ControlStreams = Vec<(NodeId, TcpStream)>;
+
+/// The rendezvous side channel as the job's [`DoneBarrier`]: node 0
+/// keeps one stream per peer, each peer keeps its stream to node 0, all
+/// non-blocking. A done byte, EOF or a connection error on a stream
+/// means that side is done (process exit counts — EOF is an
+/// acknowledgement).
+struct TcpDone {
+    /// `(counterpart, stream, done)`.
+    streams: Vec<(NodeId, TcpStream, bool)>,
 }
 
-impl Bootstrap {
-    /// Parses the `GMT_BOOTSTRAP` syntax: `file:<path>`, `shm:<path>` or
-    /// a literal `ip:port`.
-    pub fn parse(s: &str) -> Result<Bootstrap, String> {
-        if let Some(path) = s.strip_prefix("file:") {
-            if path.is_empty() {
-                return Err("empty bootstrap file path".into());
-            }
-            Ok(Bootstrap::File(PathBuf::from(path)))
-        } else if let Some(path) = s.strip_prefix("shm:") {
-            if path.is_empty() {
-                return Err("empty shm segment path".into());
-            }
-            Ok(Bootstrap::Shm(PathBuf::from(path)))
-        } else {
-            s.parse::<SocketAddr>()
-                .map(Bootstrap::Addr)
-                .map_err(|e| format!("bad bootstrap address {s:?}: {e}"))
-        }
-    }
-}
-
-/// The rendezvous side channel left over after [`rendezvous`]: node 0
-/// keeps one stream per peer, each peer keeps its stream to node 0. The
-/// launcher uses it to signal end-of-job so peers know when to shut
-/// down (a runtime has no application-level "job finished" broadcast).
-pub enum Control {
-    /// Node 0's end: one stream per peer, labeled with the peer's id so
-    /// barrier timeouts can name who went missing.
-    Coordinator(Vec<(NodeId, TcpStream)>),
-    /// A peer's end: the stream to node 0.
-    Peer(TcpStream),
-}
-
-impl Control {
-    fn counterparts(&mut self) -> Vec<(NodeId, &mut TcpStream)> {
-        match self {
-            Control::Coordinator(v) => v.iter_mut().map(|(id, s)| (*id, s)).collect(),
-            Control::Peer(s) => vec![(0, s)],
-        }
-    }
-
-    /// Sends the done byte to the other side(s). Errors are swallowed —
-    /// a peer that already exited has effectively acknowledged.
-    pub fn signal_done(&mut self) {
-        for (_, s) in self.counterparts() {
+impl DoneBarrier for TcpDone {
+    fn signal_done(&mut self) {
+        for (_, s, _) in &mut self.streams {
             s.write_all(&[CONTROL_DONE]).ok();
             s.flush().ok();
         }
     }
 
-    /// Blocks until the other side(s) send the done byte or hang up
-    /// (process exit counts as done — EOF is an acknowledgement).
-    pub fn wait_done(&mut self) {
-        for (_, s) in self.counterparts() {
-            s.set_read_timeout(None).ok();
-            let mut byte = [0u8; 1];
-            let _ = s.read(&mut byte);
-        }
-    }
-
-    /// Like [`Control::wait_done`] but bounded: waits at most `timeout`
-    /// in total, and returns the ids of nodes that neither signalled
-    /// done nor hung up — the barrier reports *who* went missing instead
-    /// of hanging the launcher. EOF and connection errors count as done
-    /// (the peer is gone; it cannot be waited on).
-    pub fn wait_done_timeout(&mut self, timeout: Duration) -> Result<(), Vec<NodeId>> {
-        let deadline = Instant::now() + timeout;
+    fn missing(&mut self) -> Vec<NodeId> {
         let mut missing = Vec::new();
-        for (id, s) in self.counterparts() {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                missing.push(id);
-                continue;
+        for (id, s, done) in &mut self.streams {
+            if !*done {
+                let waiting = |e: &io::Error| {
+                    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted)
+                };
+                *done = !matches!(s.read(&mut [0u8; 1]), Err(e) if waiting(&e));
             }
-            s.set_read_timeout(Some(left)).ok();
-            let mut byte = [0u8; 1];
-            match s.read(&mut byte) {
-                Ok(_) => {}
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                    missing.push(id);
-                }
-                Err(_) => {} // connection died: the peer is gone, counts as done
+            if !*done {
+                missing.push(*id);
             }
         }
-        if missing.is_empty() {
-            Ok(())
-        } else {
-            Err(missing)
-        }
+        missing
     }
 }
 
@@ -894,7 +538,7 @@ fn poll_addr(path: &Path, deadline: Instant) -> io::Result<SocketAddr> {
 }
 
 /// Multi-process rendezvous: brings up this node's slice of an N-node
-/// TCP mesh and returns the transport plus the [`Control`] side channel.
+/// TCP mesh and returns the transport plus the end-of-job barrier.
 ///
 /// The protocol (node 0 listens, peers dial — per the launcher design):
 ///
@@ -905,8 +549,8 @@ fn poll_addr(path: &Path, deadline: Instant) -> io::Result<SocketAddr> {
 /// 3. each peer dials the rendezvous listener and registers
 ///    `(node id, data address)`;
 /// 4. node 0 broadcasts the complete `NodeId` ↔ address map over the
-///    registration connections — which then stay open as the control
-///    channel;
+///    registration connections — which then stay open as the done
+///    barrier;
 /// 5. everyone dials every higher-numbered peer's data listener (hello
 ///    identifies the dialer) and accepts from every lower-numbered one,
 ///    completing the full mesh.
@@ -917,29 +561,18 @@ fn poll_addr(path: &Path, deadline: Instant) -> io::Result<SocketAddr> {
 /// stage-attributed error instead of wedging it. Node 0 deletes a
 /// [`Bootstrap::File`] once every peer has registered (the launcher also
 /// cleans it up on its own exit paths).
-pub fn rendezvous(
+pub(crate) fn rendezvous(
     node: NodeId,
     nodes: usize,
     bootstrap: &Bootstrap,
-) -> io::Result<(TcpTransport, Control)> {
-    assert!(nodes > 0 && node < nodes, "node {node} out of range for {nodes} nodes");
-    if let Bootstrap::Shm(path) = bootstrap {
-        return Err(io::Error::new(
-            ErrorKind::InvalidInput,
-            format!(
-                "bootstrap shm:{} is a shared-memory segment, not a TCP rendezvous; \
-                 attach with GMT_TRANSPORT=shm (gmt_net::shm::attach)",
-                path.display()
-            ),
-        ));
-    }
+) -> io::Result<(Arc<dyn Transport>, Box<dyn DoneBarrier>)> {
     let deadline = Instant::now() + handshake_timeout();
     let data_listener =
         TcpListener::bind("127.0.0.1:0").map_err(|e| stage_err("binding data listener", e))?;
     let data_addr = data_listener.local_addr()?;
 
     // Phase 1: learn the full address map through node 0.
-    let (addrs, control) = if node == 0 {
+    let (addrs, control_streams) = if node == 0 {
         let rdv = match bootstrap {
             Bootstrap::Addr(a) => TcpListener::bind(a)
                 .map_err(|e| stage_err(format_args!("binding rendezvous listener at {a}"), e))?,
@@ -951,7 +584,7 @@ pub fn rendezvous(
                 })?;
                 l
             }
-            Bootstrap::Shm(_) => unreachable!("rejected at entry"),
+            Bootstrap::Shm(_) => unreachable!("connect() attaches shm bootstraps"),
         };
         let result = coordinate_registration(&rdv, nodes, data_addr, deadline);
         if let Bootstrap::File(path) = bootstrap {
@@ -966,7 +599,7 @@ pub fn rendezvous(
             Bootstrap::File(path) => poll_addr(path, deadline).map_err(|e| {
                 stage_err(format_args!("polling bootstrap file {}", path.display()), e)
             })?,
-            Bootstrap::Shm(_) => unreachable!("rejected at entry"),
+            Bootstrap::Shm(_) => unreachable!("connect() attaches shm bootstraps"),
         };
         // Node 0 may not be listening yet; retry with backoff until the
         // deadline.
@@ -981,7 +614,7 @@ pub fn rendezvous(
             .collect::<io::Result<_>>()
             .map_err(|e| stage_err("reading the address map from node 0", e))?;
         s.set_read_timeout(None)?;
-        (addrs, Control::Peer(s))
+        (addrs, vec![(0, s)])
     };
 
     // Phase 2: full mesh. Dial higher-numbered peers, accept
@@ -1008,9 +641,14 @@ pub fn rendezvous(
         inbound.push((src, stream));
     }
 
+    let mut done = TcpDone { streams: Vec::with_capacity(control_streams.len()) };
+    for (peer, s) in control_streams {
+        s.set_nonblocking(true)?;
+        done.streams.push((peer, s, false));
+    }
     let stats = Arc::new(TrafficStats::new(nodes));
-    let transport = TcpTransport::assemble(node, nodes, inbound, outbound, stats)?;
-    Ok((transport, control))
+    let transport = assemble(node, nodes, inbound, outbound, stats)?;
+    Ok((Arc::new(transport), Box::new(done)))
 }
 
 /// Node 0's half of rendezvous phase 1: accept every peer's
@@ -1021,10 +659,10 @@ fn coordinate_registration(
     nodes: usize,
     data_addr: SocketAddr,
     deadline: Instant,
-) -> io::Result<(Vec<SocketAddr>, Control)> {
+) -> io::Result<(Vec<SocketAddr>, ControlStreams)> {
     let mut addrs: Vec<Option<SocketAddr>> = vec![None; nodes];
     addrs[0] = Some(data_addr);
-    let mut regs: Vec<(NodeId, TcpStream)> = Vec::with_capacity(nodes - 1);
+    let mut regs: ControlStreams = Vec::with_capacity(nodes - 1);
     for have in 0..nodes - 1 {
         let missing = || {
             let waiting: Vec<NodeId> =
@@ -1050,8 +688,11 @@ fn coordinate_registration(
         regs.push((peer, s));
     }
     let addrs: Vec<SocketAddr> = addrs.into_iter().map(|a| a.expect("all slots filled")).collect();
+    // Node order, not arrival order: the barrier names stragglers the
+    // same way on every run.
+    regs.sort_unstable_by_key(|&(peer, _)| peer);
     // Broadcast the map over the registration connections — which then
-    // stay open as the control channel, labeled by peer id.
+    // stay open as the done barrier, labeled by peer id.
     for (peer, s) in regs.iter_mut() {
         let broadcast = |e| stage_err(format_args!("broadcasting address map to node {peer}"), e);
         for a in &addrs {
@@ -1061,57 +702,15 @@ fn coordinate_registration(
         }
         s.flush().map_err(broadcast)?;
     }
-    Ok((addrs, Control::Coordinator(regs)))
+    Ok((addrs, regs))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bootstrap_parses_both_forms() {
-        match Bootstrap::parse("file:/tmp/x") {
-            Ok(Bootstrap::File(p)) => assert_eq!(p, PathBuf::from("/tmp/x")),
-            other => panic!("unexpected: {other:?}"),
-        }
-        match Bootstrap::parse("127.0.0.1:9000") {
-            Ok(Bootstrap::Addr(a)) => assert_eq!(a.port(), 9000),
-            other => panic!("unexpected: {other:?}"),
-        }
-        match Bootstrap::parse("shm:/dev/shm/x.seg") {
-            Ok(Bootstrap::Shm(p)) => assert_eq!(p, PathBuf::from("/dev/shm/x.seg")),
-            other => panic!("unexpected: {other:?}"),
-        }
-        assert!(Bootstrap::parse("file:").is_err());
-        assert!(Bootstrap::parse("shm:").is_err());
-        assert!(Bootstrap::parse("not-an-addr").is_err());
-    }
-
-    #[test]
-    fn rendezvous_rejects_an_shm_bootstrap() {
-        match rendezvous(0, 2, &Bootstrap::Shm(PathBuf::from("/tmp/x.seg"))) {
-            Err(e) => assert_eq!(e.kind(), ErrorKind::InvalidInput),
-            Ok(_) => panic!("shm bootstrap must not rendezvous over TCP"),
-        }
-    }
-
-    #[test]
-    fn frames_roundtrip_over_a_loopback_pair() {
-        let mesh = loopback_mesh(2).expect("mesh");
-        let (a, b) = (&mesh[0], &mesh[1]);
-        for len in [0usize, 1, 7, 4096, 100_000] {
-            let bytes: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
-            a.send(1, 42, Payload::from(bytes.clone())).expect("send");
-            let got = b.recv_timeout(Duration::from_secs(10)).expect("frame arrives");
-            assert_eq!(got.src, 0);
-            assert_eq!(got.dst, 1);
-            assert_eq!(got.tag, 42);
-            assert_eq!(got.payload.as_slice(), &bytes[..]);
-            assert!(got.payload.is_pooled(), "receive side must pool buffers");
-        }
-        assert_eq!(a.stats().node(0).sent_msgs, 5);
-        assert_eq!(b.stats().node(1).recv_msgs, 5);
-    }
+    use crate::transport::{connect, DownCause, LinkState};
+    use crate::{FaultPlan, Payload};
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     /// A deterministic body for frame `i`.
     fn pattern(i: usize, len: usize) -> Vec<u8> {
@@ -1156,7 +755,7 @@ mod tests {
         let mut head = (len as u32).to_le_bytes().to_vec();
         head.extend_from_slice(&tag.to_le_bytes());
         head.extend_from_slice(&pattern(tag as usize, len)[..body]);
-        let mut slot = src.shared.outbound[dst].lock();
+        let mut slot = src.link.outbound[dst].lock();
         slot.as_mut().expect("link is up").write_all(&head).expect("write frame head");
     }
 
@@ -1166,15 +765,17 @@ mod tests {
         mesh[0].send(1, 1, Payload::from(vec![1u8; 8])).expect("send");
         write_frame_head(&mesh[0], 1, 2, 4 * IN_PLACE_MIN, 1000);
         // The sender dies with most of the frame unsent.
-        mesh[0].shared.outbound[1].lock().as_ref().unwrap().shutdown(Shutdown::Write).unwrap();
-        poll_until("the torn frame to become link-down evidence", || mesh[1].link_down(0));
+        mesh[0].link.outbound[1].lock().as_ref().unwrap().shutdown(Shutdown::Write).unwrap();
+        poll_until("the torn frame to become loss evidence", || {
+            matches!(mesh[1].link_state(0), LinkState::Down(DownCause::Lost(_)))
+        });
         let whole = mesh[1].recv_timeout(Duration::from_secs(10)).expect("the whole frame");
         assert_eq!(whole.tag, 1);
         assert!(mesh[1].try_recv().is_none(), "a torn frame must never be delivered");
         assert_eq!(mesh[1].stats().node(1).conn_lost, 1);
         // The reader of that link is gone; shutdown still joins cleanly
         // and does not count the loss again.
-        Transport::shutdown(&mesh[1]);
+        mesh[1].shutdown();
         assert_eq!(mesh[1].stats().node(1).conn_lost, 1);
     }
 
@@ -1206,7 +807,7 @@ mod tests {
         assert!(mesh.iter().all(|node| node.try_recv().is_none()));
         // The stalled frame completes and arrives whole.
         let rest = pattern(5, LEN).split_off(100);
-        mesh[0].shared.outbound[2].lock().as_mut().unwrap().write_all(&rest).expect("write rest");
+        mesh[0].link.outbound[2].lock().as_mut().unwrap().write_all(&rest).expect("write rest");
         let got = mesh[2].recv_timeout(Duration::from_secs(10)).expect("the large frame");
         assert_eq!((got.src, got.tag), (0, 5));
         assert!(got.payload.as_slice() == pattern(5, LEN));
@@ -1256,93 +857,6 @@ mod tests {
         assert!(best < Duration::from_micros(100), "median 64 B round trip took {best:?}");
     }
 
-    #[test]
-    fn self_send_loops_back() {
-        let mesh = loopback_mesh(1).expect("mesh");
-        mesh[0].send(0, 7, Payload::from(vec![1, 2, 3])).expect("send");
-        let got = mesh[0].recv_timeout(Duration::from_secs(5)).expect("self packet");
-        assert_eq!((got.src, got.dst, got.tag), (0, 0, 7));
-        assert_eq!(got.payload.as_slice(), &[1, 2, 3]);
-    }
-
-    #[test]
-    fn per_link_fifo_is_preserved() {
-        let mesh = loopback_mesh(2).expect("mesh");
-        for i in 0..500u32 {
-            mesh[0].send(1, i, Payload::from(i.to_le_bytes().to_vec())).expect("send");
-        }
-        for i in 0..500u32 {
-            let got = mesh[1].recv_timeout(Duration::from_secs(10)).expect("packet");
-            assert_eq!(got.tag, i, "frames arrived out of order");
-        }
-    }
-
-    #[test]
-    fn shim_drop_blackholes_and_counts() {
-        let mesh = loopback_mesh(2).expect("mesh");
-        mesh[0].install_faults(FaultPlan::new(1).drop(0, 1, 1.0));
-        mesh[0].send(1, 9, Payload::from(vec![0u8; 64])).expect("drop is a successful send");
-        assert_eq!(mesh[0].stats().node(0).dropped_msgs, 1);
-        assert!(mesh[1].recv_timeout(Duration::from_millis(200)).is_none());
-        mesh[0].clear_faults();
-        mesh[0].send(1, 10, Payload::from(vec![1])).expect("send");
-        assert!(mesh[1].recv_timeout(Duration::from_secs(10)).is_some());
-    }
-
-    #[test]
-    fn shim_dup_delivers_twice_over_real_framing() {
-        let mesh = loopback_mesh(2).expect("mesh");
-        mesh[0].install_faults(FaultPlan::new(1).dup(0, 1, 1.0));
-        mesh[0].send(1, 3, Payload::from(vec![9u8; 33])).expect("send");
-        let first = mesh[1].recv_timeout(Duration::from_secs(10)).expect("first copy");
-        let second = mesh[1].recv_timeout(Duration::from_secs(10)).expect("second copy");
-        assert_eq!(first.payload, second.payload);
-        assert_eq!(mesh[0].stats().node(0).duplicated_msgs, 1);
-    }
-
-    #[test]
-    fn killed_peer_is_observed_and_blackholed() {
-        let mesh = loopback_mesh(2).expect("mesh");
-        mesh[0].install_faults(FaultPlan::new(1).kill(1));
-        assert!(mesh[0].observed_kill(1));
-        assert!(!mesh[0].observed_kill(0));
-        mesh[0].send(1, 1, Payload::from(vec![1])).expect("blackholed send succeeds");
-        assert!(mesh[1].recv_timeout(Duration::from_millis(200)).is_none());
-    }
-
-    #[test]
-    fn shutdown_mid_traffic_neither_hangs_nor_errors_the_receiver() {
-        let mesh = loopback_mesh(2).expect("mesh");
-        let mut it = mesh.into_iter();
-        let a = it.next().unwrap();
-        let b = it.next().unwrap();
-        let sender = std::thread::spawn(move || {
-            // Hammer until the transport reports closed/down.
-            loop {
-                match a.send(1, 0, Payload::from(vec![5u8; 512])) {
-                    Ok(()) => {}
-                    Err(NetError::Closed) | Err(NetError::LinkDown { .. }) => break,
-                    Err(e) => panic!("unexpected send error: {e:?}"),
-                }
-            }
-            Transport::shutdown(&a);
-            drop(a);
-        });
-        // Receive some traffic, then shut down while the peer still sends.
-        for _ in 0..50 {
-            if b.recv_timeout(Duration::from_secs(10)).is_none() {
-                break;
-            }
-        }
-        Transport::shutdown(&b);
-        Transport::shutdown(&b); // idempotent
-        assert!(matches!(b.send(0, 0, Payload::from(vec![1])), Err(NetError::Closed)));
-        // Already-queued packets stay receivable after shutdown.
-        while b.try_recv().is_some() {}
-        drop(b); // peer sees EOF (if it had not already hit LinkDown)
-        sender.join().expect("sender thread");
-    }
-
     /// Polls until `cond` holds, failing the test at the deadline.
     fn poll_until(what: &str, mut cond: impl FnMut() -> bool) {
         let deadline = Instant::now() + Duration::from_secs(10);
@@ -1350,84 +864,6 @@ mod tests {
             assert!(Instant::now() < deadline, "timed out waiting for {what}");
             std::thread::sleep(Duration::from_millis(2));
         }
-    }
-
-    #[test]
-    fn lost_peer_becomes_link_down_evidence_and_is_counted_once() {
-        let mesh = loopback_mesh(2).expect("mesh");
-        let mut it = mesh.into_iter();
-        let a = it.next().unwrap();
-        let b = it.next().unwrap();
-        assert!(!a.link_down(1) && !a.observed_kill(1), "no evidence before the loss");
-
-        // b dies (shutdown closes its streams like a process exit would).
-        Transport::shutdown(&b);
-        poll_until("reader EOF to become link-down evidence", || a.link_down(1));
-        assert!(a.observed_kill(1), "observed_kill must reflect link-down evidence");
-        assert!(!a.link_down(0), "a node never loses the connection to itself");
-
-        // The send path hits the dead stream too; the loss stays counted
-        // once per peer no matter how many paths observe it.
-        loop {
-            match a.send(1, 0, Payload::from(vec![7u8; 64])) {
-                Ok(()) => std::thread::sleep(Duration::from_millis(1)),
-                Err(NetError::LinkDown { src: 0, dst: 1 }) => break,
-                Err(e) => panic!("unexpected send error: {e:?}"),
-            }
-        }
-        assert_eq!(a.stats().node(0).conn_lost, 1);
-        Transport::shutdown(&a);
-        // a's own shutdown must not count as losing its peers.
-        assert_eq!(a.stats().node(0).conn_lost, 1);
-    }
-
-    #[test]
-    fn kill_fault_severs_streams_and_surviving_side_observes_it() {
-        let mesh = loopback_mesh(2).expect("mesh");
-        mesh[0].install_faults(FaultPlan::new(1).kill(1));
-        // The killer's view: blackholed sends still succeed, the kill is
-        // observed through the plan.
-        assert!(mesh[0].observed_kill(1));
-        mesh[0].send(1, 1, Payload::from(vec![1])).expect("blackholed send succeeds");
-        assert!(mesh[1].recv_timeout(Duration::from_millis(200)).is_none());
-        // The victim's view: both streams died under it — exactly what a
-        // real crash of node 0 would look like — and that loss is
-        // first-hand evidence, with no fault plan installed on its side.
-        poll_until("victim to observe the severed streams", || mesh[1].link_down(0));
-        assert!(mesh[1].observed_kill(0));
-        assert!(mesh[1].stats().node(1).conn_lost >= 1);
-    }
-
-    #[test]
-    fn flap_window_drops_frames_then_recovers() {
-        let mesh = loopback_mesh(2).expect("mesh");
-        // Link 0->1 is down for the first 200 ms after install.
-        mesh[0].install_faults(FaultPlan::new(3).flap(0, 1, 0, 200_000_000));
-        mesh[0].send(1, 5, Payload::from(vec![2u8; 16])).expect("flapped send succeeds");
-        assert_eq!(mesh[0].stats().node(0).dropped_msgs, 1, "in-window frame must drop");
-        assert!(mesh[1].recv_timeout(Duration::from_millis(100)).is_none());
-        std::thread::sleep(Duration::from_millis(150));
-        mesh[0].send(1, 6, Payload::from(vec![3u8; 16])).expect("send");
-        let got = mesh[1].recv_timeout(Duration::from_secs(10)).expect("post-window frame");
-        assert_eq!(got.tag, 6, "the dropped frame must not reappear");
-        assert!(!mesh[0].observed_kill(1), "a flap is not a kill");
-    }
-
-    #[test]
-    fn done_barrier_timeout_names_the_missing_node() {
-        // A coordinator whose peer registered but never signals done:
-        // the bounded wait must name node 2 instead of hanging.
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().unwrap();
-        let silent = TcpStream::connect(addr).expect("dial");
-        let (accepted, _) = listener.accept().expect("accept");
-        let mut control = Control::Coordinator(vec![(2, accepted)]);
-        let t0 = Instant::now();
-        assert_eq!(control.wait_done_timeout(Duration::from_millis(100)), Err(vec![2]));
-        assert!(t0.elapsed() < Duration::from_secs(5));
-        // Once the peer hangs up, EOF counts as done.
-        drop(silent);
-        assert_eq!(control.wait_done_timeout(Duration::from_secs(5)), Ok(()));
     }
 
     #[test]
@@ -1442,7 +878,7 @@ mod tests {
             .map(|node| {
                 let boot = boot.clone();
                 std::thread::spawn(move || {
-                    let (t, mut control) = rendezvous(node, nodes, &boot).expect("rendezvous");
+                    let (t, mut done) = connect(node, nodes, &boot).expect("rendezvous");
                     // Everyone sends to everyone (including itself).
                     for dst in 0..nodes {
                         t.send(dst, node as Tag, Payload::from(vec![node as u8; 8])).expect("send");
@@ -1455,13 +891,17 @@ mod tests {
                         assert!(!seen[p.src], "duplicate from {}", p.src);
                         seen[p.src] = true;
                     }
+                    // Node 0 signals first and waits for every ack; peers
+                    // wait for node 0, then ack.
+                    let wait = Duration::from_secs(30);
                     if node == 0 {
-                        control.signal_done();
-                        control.wait_done();
+                        done.signal_done();
+                        done.wait_done_timeout(wait).expect("every peer acks");
                     } else {
-                        control.wait_done();
+                        done.wait_done_timeout(wait).expect("node 0 signals");
+                        done.signal_done();
                     }
-                    Transport::shutdown(&t);
+                    t.shutdown();
                 })
             })
             .collect();

@@ -2,20 +2,18 @@
 //!
 //! Everything above the wire — the reliability layer, the failure
 //! detector, flow control, the aggregation datapath — talks to the
-//! network through the object-safe [`Transport`] trait. Three backends
-//! implement it:
+//! network through the object-safe [`Transport`] trait, which holds
+//! exactly the calls the runtime makes. Two implementations exist:
 //!
-//! * the in-process simulated fabric ([`Endpoint`]) — deterministic,
+//! * the in-process simulated fabric ([`Endpoint`](crate::Endpoint)) — deterministic,
 //!   fault-injectable, optionally enforcing the network cost model in
 //!   wall time. This is the test and experimentation backend.
-//! * [`TcpTransport`](crate::tcp::TcpTransport) — length-prefixed frames
-//!   over per-peer TCP streams, one runtime node per OS process (or a
-//!   loopback mesh inside one process for CI). This is the backend that
-//!   escapes the single process.
-//! * [`ShmTransport`](crate::shm::ShmTransport) — same-host frames
-//!   through lock-free SPSC rings in one shared-memory segment with a
-//!   futex doorbell: zero syscalls on the hot path, for deployments
-//!   where the TCP loopback syscall tax dominates.
+//! * [`FramedTransport`](crate::framed::FramedTransport) — length-prefixed
+//!   frames over a real medium, written once over two leaves: per-peer
+//!   TCP streams ([`crate::tcp`]: one runtime node per OS process, or a
+//!   loopback mesh inside one process for CI) and lock-free SPSC rings in
+//!   one shared-memory segment ([`crate::shm`]: same-host, zero syscalls
+//!   on the hot path).
 //!
 //! # Contract
 //!
@@ -28,12 +26,16 @@
 //!   layer's cumulative acks assume this.
 //! * **No delivery guarantee**: `send` returning `Ok` means the packet
 //!   was accepted, not that it will arrive. Loss, duplication and delay
-//!   are legal (the sim injects them deliberately; TCP loses whole tails
-//!   on connection death). `Err` is advisory — a failed send may still
-//!   be retried by the caller's retransmit machinery.
+//!   are legal (an installed fault plan injects them deliberately; TCP
+//!   loses whole tails on connection death). `Err` is advisory — a failed
+//!   send may still be retried by the caller's retransmit machinery.
 //! * **Payload ownership**: `send` consumes the [`Payload`]; its drop —
 //!   wherever it happens (receiver, failed send, shutdown drain) —
 //!   returns any pooled buffer to its pool exactly once.
+//! * **Polled receive**: the only receive is the non-blocking
+//!   [`Transport::try_recv`], which is how the communication server
+//!   consumes it. Nothing below the runtime parks a receiver, so nothing
+//!   below it has to wake one.
 //!
 //! # Shutdown/drain semantics
 //!
@@ -42,33 +44,71 @@
 //! after which `send` returns [`NetError::Closed`]. Packets already
 //! queued in the inbox remain receivable via `try_recv` so a caller can
 //! drain them; packets still buffered *below* the inbox (a wire thread's
-//! heap, a socket buffer) are either delivered to the inbox or dropped —
-//! and a drop must release any pooled buffer. Dropping a transport
-//! mid-traffic must therefore neither hang nor leak pooled buffers;
-//! `buffer_pools_whole_after_shutdown` (gmt-core) checks exactly this
-//! over both backends.
+//! heap, a socket buffer, a ring) are either delivered to the inbox or
+//! dropped — and a drop must release any pooled buffer. Dropping a
+//! transport mid-traffic must therefore neither hang nor leak pooled
+//! buffers; `buffer_pools_whole_after_shutdown` (gmt-core) checks
+//! exactly this over every backend.
 //!
-//! What the sim guarantees **beyond** the contract (and TCP does not):
-//! deterministic seeded fault injection, instant or cost-modeled
-//! delivery, observable node kills ([`Transport::observed_kill`]), and
-//! loss only when a fault plan asks for it. Code must not rely on any of
+//! What the sim guarantees **beyond** the contract (and real wires do
+//! not): instant or cost-modeled delivery, time-shaping faults, and loss
+//! only when a fault plan asks for it. Code must not rely on any of
 //! these outside sim-pinned tests.
 
-use crate::fabric::{Endpoint, NetError, Packet, Tag};
+use crate::fabric::{NetError, Packet, Tag};
+use crate::fault::FaultPlan;
 use crate::stats::TrafficStats;
 use crate::NodeId;
+use std::fmt;
+use std::io::{self, ErrorKind};
+use std::net::SocketAddr;
+use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// What a transport knows about the link to one peer.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum LinkState {
+    /// Nothing observed against the peer.
+    Up,
+    /// The peer is unreachable for good; sticky.
+    Down(DownCause),
+}
+
+/// Why a link is [`LinkState::Down`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DownCause {
+    /// The installed [`FaultPlan`] kills the peer — the stand-in for a
+    /// fabric's port-down notification.
+    Killed,
+    /// First-hand evidence that the connection broke mid-run, with what
+    /// was observed: EOF, a reset, a write failure, a severed ring, the
+    /// peer's process gone.
+    Lost(String),
+}
+
+impl fmt::Display for DownCause {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            DownCause::Killed => write!(f, "fabric kill observed"),
+            DownCause::Lost(what) => write!(f, "connection loss observed: {what}"),
+        }
+    }
+}
 
 /// One node's attachment to an interconnect backend. Object-safe so the
 /// runtime can hold `Arc<dyn Transport>` and run unchanged over the
-/// simulated fabric or real sockets.
+/// simulated fabric or a real wire.
 pub trait Transport: Send + Sync {
     /// This node's id (MPI rank).
     fn node(&self) -> NodeId;
 
     /// Number of nodes in the cluster.
     fn nodes(&self) -> usize;
+
+    /// The largest payload [`Transport::send`] accepts. The runtime
+    /// checks its aggregation buffers against it at boot.
+    fn max_frame(&self) -> usize;
 
     /// Non-blocking send; consumes the payload (pooled buffers return to
     /// their pool when the last handle drops). Per-link FIFO for
@@ -78,51 +118,46 @@ pub trait Transport: Send + Sync {
     /// Non-blocking receive from this node's inbox.
     fn try_recv(&self) -> Option<Packet>;
 
-    /// Blocking receive with timeout.
-    fn recv_timeout(&self, timeout: Duration) -> Option<Packet>;
-
-    /// Packets currently queued in the inbox.
-    fn pending(&self) -> usize;
-
-    /// Whether the backend can observe that `node` is gone: an explicitly
-    /// killed node (the sim's stand-in for a fabric link-down
-    /// notification) or, on TCP, first-hand connection-loss evidence
-    /// ([`Transport::link_down`]). Backends without such a signal return
-    /// `false`; the failure detector then relies on retry exhaustion and
-    /// heartbeat silence alone.
-    fn observed_kill(&self, _node: NodeId) -> bool {
-        false
+    /// Polls [`Transport::try_recv`] until a packet arrives or `timeout`
+    /// passes. For tests; the runtime never blocks in a receive.
+    fn recv_timeout(&self, timeout: Duration) -> Option<Packet> {
+        let deadline = Instant::now() + timeout;
+        loop {
+            if let Some(pkt) = self.try_recv() {
+                return Some(pkt);
+            }
+            if Instant::now() >= deadline {
+                return None;
+            }
+            std::thread::sleep(Duration::from_micros(100));
+        }
     }
 
-    /// Whether this transport has first-hand evidence that the link to
-    /// `node` broke mid-run — on TCP: EOF, ECONNRESET or a write failure
-    /// on the peer's stream. Distinct from [`Transport::observed_kill`]
-    /// (which it implies on backends that report it) so the failure
-    /// detector can attribute a death to connection loss rather than an
-    /// injected kill. Sticky: once set it stays set. Default `false` for
-    /// backends with no connections to lose.
-    fn link_down(&self, _node: NodeId) -> bool {
-        false
-    }
+    /// What this transport knows about the link to `peer`. The failure
+    /// detector polls it and confirms a `Down` peer dead at once, instead
+    /// of waiting out retry exhaustion or heartbeat silence.
+    fn link_state(&self, peer: NodeId) -> LinkState;
 
-    /// Enables or disables the transport's own warning log lines (e.g.
-    /// TCP connection-loss reports naming the peer and the I/O error).
-    /// The runtime forwards its `log_net_warnings` config here at boot;
-    /// backends with nothing to log ignore it. Default no-op.
-    fn set_log_warnings(&self, _on: bool) {}
+    /// Installs a seeded [`FaultPlan`] on this node's send path,
+    /// replacing any previous plan; decisions restart from packet 0.
+    /// Drop, duplicate, flap and kill replay identically from a seed on
+    /// every backend; time-shaping faults only act on the sim. The sim's
+    /// endpoints share one plan, so installing through any of them
+    /// installs it for all.
+    fn install_faults(&self, plan: FaultPlan);
+
+    /// Removes the installed fault plan. Links a kill severed stay down.
+    fn clear_faults(&self);
 
     /// Traffic counters. For the sim every endpoint shares the fabric's
-    /// table; a TCP transport only maintains its own node's row (plus
-    /// loopback-mesh siblings sharing one table in-process).
-    fn stats(&self) -> &TrafficStats;
-
-    /// Shared handle to the traffic counters (outlives the transport).
-    fn stats_arc(&self) -> Arc<TrafficStats>;
+    /// table; a real-wire transport only maintains its own node's row
+    /// (in-process mesh siblings share one table).
+    fn stats(&self) -> &Arc<TrafficStats>;
 
     /// Backend-specific counters beyond the shared [`TrafficStats`]
     /// schema, as `(metric name, value)` pairs — e.g. the shm backend's
-    /// `net.shm.*` doorbell and ring-occupancy counters. The runtime
-    /// folds them into metrics snapshots verbatim. Default: none.
+    /// `net.shm.*` ring-occupancy counters. The runtime folds them into
+    /// metrics snapshots verbatim. Default: none.
     fn backend_counters(&self) -> Vec<(String, u64)> {
         Vec::new()
     }
@@ -136,44 +171,6 @@ pub trait Transport: Send + Sync {
     fn shutdown(&self) {}
 }
 
-impl Transport for Endpoint {
-    fn node(&self) -> NodeId {
-        Endpoint::node(self)
-    }
-
-    fn nodes(&self) -> usize {
-        Endpoint::nodes(self)
-    }
-
-    fn send(&self, dst: NodeId, tag: Tag, payload: crate::Payload) -> Result<(), NetError> {
-        Endpoint::send(self, dst, tag, payload)
-    }
-
-    fn try_recv(&self) -> Option<Packet> {
-        Endpoint::try_recv(self)
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Option<Packet> {
-        Endpoint::recv_timeout(self, timeout)
-    }
-
-    fn pending(&self) -> usize {
-        Endpoint::pending(self)
-    }
-
-    fn observed_kill(&self, node: NodeId) -> bool {
-        Endpoint::observed_kill(self, node)
-    }
-
-    fn stats(&self) -> &TrafficStats {
-        Endpoint::stats(self)
-    }
-
-    fn stats_arc(&self) -> Arc<TrafficStats> {
-        Endpoint::stats_arc(self)
-    }
-}
-
 /// Which backend a runtime should attach to, resolved from the
 /// `GMT_TRANSPORT` environment variable (the CI transport matrix knob).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -182,7 +179,7 @@ pub enum TransportSelect {
     Sim,
     /// A TCP mesh over 127.0.0.1, one stream per directed peer pair.
     TcpLoopback,
-    /// Same-host shared-memory rings with a futex doorbell.
+    /// Same-host shared-memory rings.
     Shm,
 }
 
@@ -207,6 +204,151 @@ impl TransportSelect {
                      tcp-loopback or shm)"
                 )),
             },
+        }
+    }
+}
+
+/// How the processes of one cluster find each other; its form also picks
+/// the wire ([`connect`]).
+#[derive(Debug, Clone)]
+pub enum Bootstrap {
+    /// TCP, rendezvous address known up front (env-style bootstrap).
+    /// Node 0 binds it; peers dial it.
+    Addr(SocketAddr),
+    /// TCP: node 0 binds an ephemeral port and publishes `ip:port` to
+    /// this file (written to a temp name, then renamed, so readers never
+    /// see a partial write); peers poll the file until it appears.
+    File(PathBuf),
+    /// Shared memory: a segment file node 0 creates `O_EXCL` and peers
+    /// map.
+    Shm(PathBuf),
+}
+
+impl Bootstrap {
+    /// Parses the `GMT_BOOTSTRAP` syntax: `file:<path>`, `shm:<path>` or
+    /// a literal `ip:port`.
+    pub fn parse(s: &str) -> Result<Bootstrap, String> {
+        if let Some(path) = s.strip_prefix("file:") {
+            if path.is_empty() {
+                return Err("empty bootstrap file path".into());
+            }
+            Ok(Bootstrap::File(PathBuf::from(path)))
+        } else if let Some(path) = s.strip_prefix("shm:") {
+            if path.is_empty() {
+                return Err("empty shm segment path".into());
+            }
+            Ok(Bootstrap::Shm(PathBuf::from(path)))
+        } else {
+            s.parse::<SocketAddr>()
+                .map(Bootstrap::Addr)
+                .map_err(|e| format!("bad bootstrap address {s:?}: {e}"))
+        }
+    }
+}
+
+/// How long construction-time handshakes (rendezvous registration, mesh
+/// accepts, hello reads, segment attach) may take before giving up with
+/// an error — a crashed peer must fail the launch, not hang it. 60 s,
+/// overridable via `GMT_RDV_TIMEOUT_MS` so tests and chaos harnesses can
+/// fail a doomed launch in milliseconds.
+pub(crate) fn handshake_timeout() -> Duration {
+    std::env::var("GMT_RDV_TIMEOUT_MS")
+        .ok()
+        .and_then(|v| v.parse::<u64>().ok())
+        .map(Duration::from_millis)
+        .unwrap_or(Duration::from_secs(60))
+}
+
+/// The end-of-job side channel a multi-process mesh is left with after
+/// [`connect`]: node 0 and each peer tell each other when they are done,
+/// so peers know when to shut down (a runtime has no application-level
+/// "job finished" broadcast) and node 0 keeps its links up until they
+/// have. A backend supplies the two primitives; the wait is written once.
+pub trait DoneBarrier: Send {
+    /// Tells the counterpart side this node is done. Cannot fail — a
+    /// counterpart that already exited has effectively acknowledged.
+    fn signal_done(&mut self);
+
+    /// The counterparts (node 0: every peer; a peer: node 0) that have
+    /// neither signalled done nor disappeared. Non-blocking. A peer that
+    /// hung up, shut down or whose process is gone counts as done — it
+    /// cannot be waited on.
+    fn missing(&mut self) -> Vec<NodeId>;
+
+    /// Waits at most `timeout` for every counterpart, returning the ids
+    /// still [`missing`](DoneBarrier::missing) at the deadline — the
+    /// barrier reports *who* went missing instead of hanging the
+    /// launcher.
+    fn wait_done_timeout(&mut self, timeout: Duration) -> Result<(), Vec<NodeId>> {
+        let deadline = Instant::now() + timeout;
+        loop {
+            let missing = self.missing();
+            if missing.is_empty() {
+                return Ok(());
+            }
+            if Instant::now() >= deadline {
+                return Err(missing);
+            }
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+}
+
+/// Joins this process to an N-process mesh as node `node`, over the wire
+/// the bootstrap form names: [`Bootstrap::Shm`] attaches the shared
+/// segment (see [`crate::shm`]), the other two run the TCP rendezvous
+/// (see [`crate::tcp`]). Returns once every node has joined. Every
+/// blocking step carries a bounded deadline (60 s, `GMT_RDV_TIMEOUT_MS`
+/// to override), so one crashed process fails the whole launch with an
+/// error naming the stage instead of wedging it.
+pub fn connect(
+    node: NodeId,
+    nodes: usize,
+    bootstrap: &Bootstrap,
+) -> io::Result<(Arc<dyn Transport>, Box<dyn DoneBarrier>)> {
+    if nodes == 0 || node >= nodes {
+        return Err(io::Error::new(
+            ErrorKind::InvalidInput,
+            format!("node {node} out of range for {nodes} nodes"),
+        ));
+    }
+    match bootstrap {
+        Bootstrap::Shm(path) => crate::shm::attach(node, nodes, path),
+        rendezvous => crate::tcp::rendezvous(node, nodes, rendezvous),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bootstrap_parses_all_forms() {
+        match Bootstrap::parse("file:/tmp/x") {
+            Ok(Bootstrap::File(p)) => assert_eq!(p, PathBuf::from("/tmp/x")),
+            other => panic!("unexpected: {other:?}"),
+        }
+        match Bootstrap::parse("127.0.0.1:9000") {
+            Ok(Bootstrap::Addr(a)) => assert_eq!(a.port(), 9000),
+            other => panic!("unexpected: {other:?}"),
+        }
+        match Bootstrap::parse("shm:/dev/shm/x.seg") {
+            Ok(Bootstrap::Shm(p)) => assert_eq!(p, PathBuf::from("/dev/shm/x.seg")),
+            other => panic!("unexpected: {other:?}"),
+        }
+        assert!(Bootstrap::parse("file:").is_err());
+        assert!(Bootstrap::parse("shm:").is_err());
+        assert!(Bootstrap::parse("not-an-addr").is_err());
+    }
+
+    #[test]
+    fn connect_rejects_a_node_outside_the_cluster() {
+        let boot = Bootstrap::File(PathBuf::from("/nonexistent/never-read"));
+        for (node, nodes) in [(2, 2), (0, 0)] {
+            match connect(node, nodes, &boot) {
+                Err(e) => assert_eq!(e.kind(), ErrorKind::InvalidInput),
+                Ok(_) => panic!("node {node} of {nodes} must be refused"),
+            }
         }
     }
 }

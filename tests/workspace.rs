@@ -31,6 +31,35 @@ fn three_bfs_implementations_agree() {
     assert_eq!(mpi_levels, reference);
 }
 
+/// The same BFS over every transport — the sim fabric, real TCP sockets,
+/// shared-memory rings — yields bit-identical levels (and the sequential
+/// reference's). Pinned constructors, so this covers all three backends
+/// whatever `GMT_TRANSPORT` says.
+#[test]
+fn bfs_is_bit_identical_over_every_transport() {
+    let csr = uniform_random(GraphSpec { vertices: 200, avg_degree: 4, seed: 21 });
+    let reference: Vec<i64> =
+        csr.bfs_levels(3).iter().map(|&l| if l == u64::MAX { -1 } else { l as i64 }).collect();
+    type Start = fn(usize, Config) -> Result<Cluster, String>;
+    let backends: [(&str, Start); 3] = [
+        ("sim", Cluster::start_sim),
+        ("tcp-loopback", Cluster::start_tcp_loopback),
+        ("shm", Cluster::start_shm),
+    ];
+    for (name, start) in backends {
+        let cluster = start(3, Config::small()).unwrap();
+        let csr = csr.clone();
+        let levels = cluster.node(0).run(move |ctx| {
+            let g = DistGraph::from_csr(ctx, &csr);
+            let r = gmt_bfs(ctx, &g, 3);
+            g.free(ctx);
+            r.levels
+        });
+        cluster.shutdown();
+        assert_eq!(levels, reference, "BFS levels over {name}");
+    }
+}
+
 /// The GMT random walk matches its sequential reference bit-for-bit on a
 /// power-law (RMAT) graph — the workload class the paper motivates.
 #[test]
