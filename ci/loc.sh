@@ -7,6 +7,12 @@
 # file of the transport crate and of the two files that drive it, plus a
 # total for `crates/gmt-net/src`.
 #
+# Then the workspace's `unsafe` count (ROADMAP item 5's number): the lines
+# of `crates`, `src`, `tests` and `examples` that name the keyword outside
+# a `//` comment. The three graph kernels must not contribute to it — they
+# are written against the safe wave helpers — and the script fails if one
+# does.
+#
 # Usage: ci/loc.sh [file.rs ...]   (default: the set described above)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -40,3 +46,15 @@ for f in "${files[@]}"; do
     esac
 done
 printf '%-40s %6d %6d\n' "crates/gmt-net/src (total)" "$net_code" "$net_tests"
+
+unsafe_lines() {
+    grep -rwh unsafe --include='*.rs' "$@" | grep -vc '^[[:space:]]*//' || true
+}
+
+printf '%-40s %6d\n' "unsafe lines (workspace)" "$(unsafe_lines crates src tests examples)"
+for f in crates/gmt-kernels/src/bfs.rs crates/gmt-kernels/src/grw.rs crates/gmt-kernels/src/cc.rs; do
+    if [ "$(unsafe_lines "$f")" -ne 0 ]; then
+        echo "$f: kernels stay unsafe-free (use the wave helpers of gmt-core)" >&2
+        exit 1
+    fi
+done

@@ -2,7 +2,9 @@
 //! a 4-node in-process cluster and prints a Table III-style observability
 //! report per kernel from the runtime's metrics registry: per-thread
 //! context-switch counts, the aggregation-buffer occupancy histogram at
-//! flush time, and command execution rates by opcode.
+//! flush time, and command execution rates by opcode — and, per kernel,
+//! the two ratios that tell a latency-tolerant shape from a serial one:
+//! task parks per unit of work and commands per buffer.
 //!
 //! Built with `--features trace` and run with
 //! `GMT_TRACE=chrome:/tmp/run.json`, it additionally leaves a Chrome
@@ -27,7 +29,7 @@ fn main() {
             g.free(ctx);
             (r.visited, r.traversed_edges)
         });
-        format!("visited {visited} vertices, traversed {edges} edges")
+        (format!("visited {visited} vertices, traversed {edges} edges"), edges, "traversed edge")
     });
     run_kernel("GRW", |cluster| {
         let csr = uniform_random(GraphSpec { vertices: 2048, avg_degree: 8, seed: 7 });
@@ -37,7 +39,14 @@ fn main() {
             g.free(ctx);
             r
         });
-        format!("{} walkers x {} steps, {} edges", r.walkers, r.steps_per_walker, r.traversed_edges)
+        (
+            format!(
+                "{} walkers x {} steps, {} edges",
+                r.walkers, r.steps_per_walker, r.traversed_edges
+            ),
+            r.traversed_edges,
+            "step",
+        )
     });
     run_kernel("CHMA", |cluster| {
         let cfg = ChmaConfig { entries: 2048, pool: 512, tasks: 128, steps: 16, seed: 5 };
@@ -48,23 +57,48 @@ fn main() {
             map.free(ctx);
             r
         });
-        format!(
-            "{} accesses: {} hits, {} misses, {} inserts",
-            r.accesses, r.hits, r.misses, r.inserts
+        (
+            format!(
+                "{} accesses: {} hits, {} misses, {} inserts",
+                r.accesses, r.hits, r.misses, r.inserts
+            ),
+            r.accesses,
+            "access",
         )
     });
 }
 
-/// Starts a fresh cluster, runs one kernel, then prints its report.
-fn run_kernel(name: &str, body: impl FnOnce(&Cluster) -> String) {
+/// Starts a fresh cluster, runs one kernel — `body` returns its outcome
+/// line, its units of work and what one unit is called — then prints its
+/// report.
+fn run_kernel(name: &str, body: impl FnOnce(&Cluster) -> (String, u64, &'static str)) {
     let config = Config::small();
     let cluster = Cluster::start(NODES, config.clone()).expect("cluster start");
     let t0 = Instant::now();
-    let outcome = body(&cluster);
+    let (outcome, work, unit) = body(&cluster);
     let elapsed = t0.elapsed().as_secs_f64();
     println!("\n--- {name}: {outcome} ({:.1} ms) ---", elapsed * 1e3);
+    print_shape(&cluster, work, unit);
     report(&cluster, &config, elapsed);
     cluster.shutdown();
+}
+
+/// The kernel's shape, cluster-wide and including its set-up: how often a
+/// task had to park for a reply per unit of work (a chain of blocking
+/// operations parks once or more per unit, a kernel that issues waves a
+/// few times per chunk), and how many commands shared a buffer.
+fn print_shape(cluster: &Cluster, work: u64, unit: &str) {
+    let snaps: Vec<MetricsSnapshot> =
+        (0..NODES).map(|n| cluster.node(n).metrics_snapshot()).collect();
+    let sum = |name: &str| -> u64 { snaps.iter().map(|s| s.counter(name).unwrap_or(0)).sum() };
+    let (parks, commands, buffers) =
+        (sum("worker.task_parks"), sum("agg.commands"), sum("agg.buffers_filled"));
+    println!(
+        "shape: {parks} task parks = {:.3} per {unit}; {commands} commands in {buffers} buffers \
+         = {:.1} per buffer",
+        parks as f64 / work.max(1) as f64,
+        commands as f64 / buffers.max(1) as f64
+    );
 }
 
 /// The Table III-style report: one section per node.

@@ -14,8 +14,16 @@
 //! | `gmt_putNB` / `gmt_getNB` | [`TaskCtx::put_nb`] / [`TaskCtx::get_nb`] |
 //! | `gmt_putValue(NB)` / `gmt_getValue` | [`TaskCtx::put_value`]`(_nb)` / [`TaskCtx::get_value`] |
 //! | `gmt_atomicAdd` / `gmt_atomicCAS` | [`TaskCtx::atomic_add`] / [`TaskCtx::atomic_cas`] |
+//! | `gmt_atomicAddNB` / `gmt_atomicCASNB` | [`TaskCtx::atomic_fetch_add_nb`] (result dropped: [`TaskCtx::atomic_add_nb`]) / [`TaskCtx::atomic_cas_nb`] |
 //! | `gmt_waitCommands` | [`TaskCtx::wait_commands`] |
-//! | `gmt_parFor` | [`TaskCtx::parfor`] / [`TaskCtx::parfor_args`] |
+//! | `gmt_parFor(func(start_it, num_it, args))` | [`TaskCtx::parfor_range`]; per iteration: [`TaskCtx::parfor`] / [`TaskCtx::parfor_args`] |
+//!
+//! Every blocking primitive is its non-blocking form followed by
+//! `wait_commands`. The forms whose reply writes through a caller
+//! pointer (`get_nb`, `atomic_fetch_add_nb`, `atomic_cas_nb`) are
+//! `unsafe`; [`TaskCtx::gather`], [`TaskCtx::gather_ranges`],
+//! [`TaskCtx::scatter`] and [`TaskCtx::atomic_cas_wave`] are their safe
+//! face: many operations in flight, one wait.
 //!
 //! On a degraded cluster (peers confirmed dead by the failure detector)
 //! blocking primitives return `Err(GmtError::RemoteDead)` instead of
@@ -29,7 +37,7 @@ use crate::command::Command;
 use crate::error::GmtError;
 use crate::handle::{Distribution, GmtArray, Layout};
 use crate::runtime::NodeShared;
-use crate::task::{token_from, Itb, ParForBody, ParentRef, TaskControl};
+use crate::task::{token_from, BodyFn, Itb, ParForBody, ParentRef, TaskControl};
 use crate::tls;
 use crate::value::Scalar;
 use crate::NodeId;
@@ -75,6 +83,20 @@ pub struct ParForReport {
     pub failed_nodes: Vec<NodeId>,
     /// Nodes already dead at spawn time and therefore skipped, ascending.
     pub skipped_nodes: Vec<NodeId>,
+}
+
+impl ParForReport {
+    /// The no-error-surface contract of the plain `parfor` forms: a peer
+    /// dying mid-loop loses iterations with no meaningful partial result.
+    fn assert_complete(&self) {
+        assert!(
+            self.failed == 0,
+            "gmt_parFor: node(s) {:?} died while executing iterations ({} of {} lost)",
+            self.failed_nodes,
+            self.failed,
+            self.iterations,
+        );
+    }
 }
 
 /// Execution context of a GMT task.
@@ -367,40 +389,72 @@ impl<'a> TaskCtx<'a> {
     /// returning the previous value (the paper's `gmt_atomicAdd`).
     /// `offset` must be 8-byte aligned.
     pub fn atomic_add(&self, arr: &GmtArray, offset: u64, delta: i64) -> Result<i64, GmtError> {
-        assert_eq!(offset % 8, 0, "atomic_add requires 8-byte alignment");
-        let layout = self.layout(arr);
-        let (owner, seg_off) = layout.locate(offset);
-        if owner == self.node.node_id {
-            return Ok(self.node.memory.with(arr.id, |s| s.atomic_add(seg_off as usize, delta)));
-        }
-        self.reclaim_reply_delivery(|| true)?;
-        let mut old: i64 = 0;
-        let dest = &mut old as *mut i64 as u64;
-        self.ctl.add_pending(1);
-        let token = token_from(self.ctl);
-        self.emit(owner, &Command::Add { token, array: arr.id, offset: seg_off, delta, dest });
+        self.reclaim_reply_delivery(|| self.spans_remote(arr, offset, 8))?;
+        let mut old = 0i64;
+        // Safety: `old` lives until the wait below has returned.
+        unsafe { self.atomic_fetch_add_nb(arr, offset, delta, &mut old) };
         self.wait_commands()?;
         Ok(old)
     }
 
-    /// Fire-and-forget atomic add: like [`TaskCtx::atomic_add`] but
-    /// non-blocking and without returning the old value — the natural
-    /// primitive for histogram-style concurrent accumulation. Completion
-    /// is awaited by [`TaskCtx::wait_commands`].
+    /// Fire-and-forget atomic add (the paper's `gmt_atomicAddNB` with the
+    /// result dropped): the natural primitive for histogram-style
+    /// concurrent accumulation, and the one form the aggregation layer
+    /// merges at the source. Completion is awaited by
+    /// [`TaskCtx::wait_commands`].
     pub fn atomic_add_nb(&self, arr: &GmtArray, offset: u64, delta: i64) {
-        assert_eq!(offset % 8, 0, "atomic_add_nb requires 8-byte alignment");
-        let layout = self.layout(arr);
-        let (owner, seg_off) = layout.locate(offset);
+        // Safety: a null slot is never written; the reply acknowledges
+        // completion and stores nothing.
+        unsafe { self.add_to(arr, offset, delta, std::ptr::null_mut()) };
+    }
+
+    /// Non-blocking fetching add (the paper's `gmt_atomicAddNB`): the
+    /// previous value of the word lands in `old` — at once when this node
+    /// owns the word, otherwise by the time a subsequent
+    /// [`TaskCtx::wait_commands`] returns `Ok`.
+    ///
+    /// # Safety
+    ///
+    /// As for [`TaskCtx::get_nb`]: `old` must stay valid and untouched
+    /// until a subsequent wait on this task returns; and after a wait
+    /// that returned [`GmtError::DeadlineExceeded`], wait again until one
+    /// returns `Ok` before issuing this — until then remote replies are
+    /// dropped and `old` would never be written.
+    pub unsafe fn atomic_fetch_add_nb(
+        &self,
+        arr: &GmtArray,
+        offset: u64,
+        delta: i64,
+        old: &mut i64,
+    ) {
+        // Safety: the caller's contract is `add_to`'s.
+        unsafe { self.add_to(arr, offset, delta, old) };
+    }
+
+    /// The one place an `Add` is applied or emitted.
+    ///
+    /// # Safety
+    ///
+    /// `old` is null (result dropped) or satisfies the contract of
+    /// [`TaskCtx::atomic_fetch_add_nb`].
+    // Inlined so the null slot folds away at `atomic_add_nb`'s call
+    // site: `scatter_add_sim` read 4 % slower without (EXPERIMENTS.md).
+    #[inline(always)]
+    unsafe fn add_to(&self, arr: &GmtArray, offset: u64, delta: i64, old: *mut i64) {
+        assert_eq!(offset % 8, 0, "atomic add requires 8-byte alignment");
+        let (owner, seg_off) = self.layout(arr).locate(offset);
         if owner == self.node.node_id {
-            self.node.memory.with(arr.id, |s| {
-                s.atomic_add(seg_off as usize, delta);
-            });
+            let prev = self.node.memory.with(arr.id, |s| s.atomic_add(seg_off as usize, delta));
+            if !old.is_null() {
+                // Safety: non-null `old` is the caller's live slot.
+                unsafe { old.write(prev) };
+            }
             return;
         }
         self.ctl.add_pending(1);
         let token = token_from(self.ctl);
-        // dest = 0: the reply acknowledges completion but stores nothing.
-        self.emit(owner, &Command::Add { token, array: arr.id, offset: seg_off, delta, dest: 0 });
+        let dest = old as u64;
+        self.emit(owner, &Command::Add { token, array: arr.id, offset: seg_off, delta, dest });
     }
 
     /// Atomic compare-and-swap on the 64-bit word at byte `offset`,
@@ -413,50 +467,103 @@ impl<'a> TaskCtx<'a> {
         expected: i64,
         new: i64,
     ) -> Result<i64, GmtError> {
-        assert_eq!(offset % 8, 0, "atomic_cas requires 8-byte alignment");
-        let layout = self.layout(arr);
-        let (owner, seg_off) = layout.locate(offset);
-        if owner == self.node.node_id {
-            return Ok(self
-                .node
-                .memory
-                .with(arr.id, |s| s.atomic_cas(seg_off as usize, expected, new)));
-        }
-        self.reclaim_reply_delivery(|| true)?;
-        let mut old: i64 = 0;
-        let dest = &mut old as *mut i64 as u64;
-        self.ctl.add_pending(1);
-        let token = token_from(self.ctl);
-        self.emit(
-            owner,
-            &Command::Cas { token, array: arr.id, offset: seg_off, expected, new, dest },
-        );
+        self.reclaim_reply_delivery(|| self.spans_remote(arr, offset, 8))?;
+        let mut old = 0i64;
+        // Safety: `old` lives until the wait below has returned.
+        unsafe { self.atomic_cas_nb(arr, offset, expected, new, &mut old) };
         self.wait_commands()?;
         Ok(old)
     }
 
-    /// Gathers the elements at `indices` with one non-blocking get per
-    /// element, overlapping all of them (this is the access pattern GMT's
-    /// aggregation was built for: a large batch of fine-grained reads at
-    /// unpredictable offsets becomes a few network buffers).
-    pub fn gather<T: Scalar>(&self, arr: &GmtArray, indices: &[u64]) -> Result<Vec<T>, GmtError> {
+    /// Non-blocking compare-and-swap (the paper's `gmt_atomicCASNB`): the
+    /// previous value of the word lands in `old` — at once when this node
+    /// owns the word, otherwise by the time a subsequent
+    /// [`TaskCtx::wait_commands`] returns `Ok`.
+    ///
+    /// # Safety
+    ///
+    /// As for [`TaskCtx::atomic_fetch_add_nb`].
+    pub unsafe fn atomic_cas_nb(
+        &self,
+        arr: &GmtArray,
+        offset: u64,
+        expected: i64,
+        new: i64,
+        old: &mut i64,
+    ) {
+        assert_eq!(offset % 8, 0, "atomic_cas requires 8-byte alignment");
+        let (owner, seg_off) = self.layout(arr).locate(offset);
+        if owner == self.node.node_id {
+            *old = self.node.memory.with(arr.id, |s| s.atomic_cas(seg_off as usize, expected, new));
+            return;
+        }
+        self.ctl.add_pending(1);
+        let token = token_from(self.ctl);
+        let dest = old as *mut i64 as u64;
+        self.emit(
+            owner,
+            &Command::Cas { token, array: arr.id, offset: seg_off, expected, new, dest },
+        );
+    }
+
+    // ------------------------------------------------------------------
+    // Waves: many fine-grained operations in flight, one wait
+    // ------------------------------------------------------------------
+    //
+    // The safe face of the non-blocking forms: each helper owns the slots
+    // its replies write into, re-arms reply delivery once, issues
+    // everything back to back, waits once and hands back the results.
+    // This is the access pattern aggregation was built for — a large
+    // batch of fine-grained operations at unpredictable offsets becomes a
+    // few network buffers.
+
+    /// Issues one non-blocking get per `(byte offset, byte length)` span
+    /// into one contiguous buffer and waits for all of them.
+    fn gather_spans(
+        &self,
+        arr: &GmtArray,
+        spans: impl Iterator<Item = (u64, u64)> + Clone,
+    ) -> Result<Vec<u8>, GmtError> {
         self.reclaim_reply_delivery(|| {
-            indices.iter().any(|&i| self.spans_remote(arr, i * T::SIZE as u64, T::SIZE as u64))
+            spans.clone().any(|(offset, len)| self.spans_remote(arr, offset, len))
         })?;
-        let mut raw = vec![0u8; indices.len() * T::SIZE];
-        for (slot, &i) in indices.iter().enumerate() {
+        let total: u64 = spans.clone().map(|(_, len)| len).sum();
+        let mut raw = vec![0u8; total as usize];
+        let mut rest = &mut raw[..];
+        for (offset, len) in spans {
+            let (slot, tail) = rest.split_at_mut(len as usize);
+            rest = tail;
             // Safety: `raw` outlives the wait below and is not read until
             // every reply has landed.
-            unsafe {
-                self.get_nb(
-                    arr,
-                    i * T::SIZE as u64,
-                    &mut raw[slot * T::SIZE..(slot + 1) * T::SIZE],
-                );
-            }
+            unsafe { self.get_nb(arr, offset, slot) };
         }
         self.wait_commands()?;
+        Ok(raw)
+    }
+
+    /// Gathers the elements at `indices`, all reads in flight at once.
+    pub fn gather<T: Scalar>(&self, arr: &GmtArray, indices: &[u64]) -> Result<Vec<T>, GmtError> {
+        let size = T::SIZE as u64;
+        let raw = self.gather_spans(arr, indices.iter().map(|&i| (i * size, size)))?;
         Ok(raw.chunks_exact(T::SIZE).map(T::read_le).collect())
+    }
+
+    /// Gathers the element ranges `(first, count)` back to back into
+    /// `out` (cleared first), all reads in flight at once: the ragged
+    /// form of [`TaskCtx::gather`], e.g. the adjacency lists of a set of
+    /// vertices. On `Err`, `out` is left empty.
+    pub fn gather_ranges<T: Scalar>(
+        &self,
+        arr: &GmtArray,
+        ranges: &[(u64, u64)],
+        out: &mut Vec<T>,
+    ) -> Result<(), GmtError> {
+        out.clear();
+        let size = T::SIZE as u64;
+        let spans = ranges.iter().map(|&(first, count)| (first * size, count * size));
+        let raw = self.gather_spans(arr, spans)?;
+        out.extend(raw.chunks_exact(T::SIZE).map(T::read_le));
+        Ok(())
     }
 
     /// Scatters `(index, value)` pairs with non-blocking puts, then waits
@@ -466,6 +573,28 @@ impl<'a> TaskCtx<'a> {
             self.put_value_nb(arr, i, v);
         }
         self.wait_commands()
+    }
+
+    /// Compare-and-swaps the 64-bit elements at `indices` from `expected`
+    /// to `new`, all in flight at once, and returns each element's
+    /// previous value in order. An index listed twice is swapped by
+    /// exactly one of its two operations.
+    pub fn atomic_cas_wave(
+        &self,
+        arr: &GmtArray,
+        indices: &[u64],
+        expected: i64,
+        new: i64,
+    ) -> Result<Vec<i64>, GmtError> {
+        self.reclaim_reply_delivery(|| indices.iter().any(|&i| self.spans_remote(arr, i * 8, 8)))?;
+        let mut old = vec![0i64; indices.len()];
+        for (slot, &i) in old.iter_mut().zip(indices) {
+            // Safety: `old` outlives the wait below and is not read until
+            // every reply has landed.
+            unsafe { self.atomic_cas_nb(arr, i * 8, expected, new, slot) };
+        }
+        self.wait_commands()?;
+        Ok(old)
     }
 
     /// Suspends the task until every previously issued operation of this
@@ -727,14 +856,7 @@ impl<'a> TaskCtx<'a> {
     where
         F: Fn(&TaskCtx<'_>, u64, &[u8]) + Send + Sync + 'static,
     {
-        let report = self.parfor_args_report(policy, iters, chunk, args, f);
-        assert!(
-            report.failed == 0,
-            "gmt_parFor: node(s) {:?} died while executing iterations ({} of {} lost)",
-            report.failed_nodes,
-            report.failed,
-            report.iterations,
-        );
+        self.parfor_args_report(policy, iters, chunk, args, f).assert_complete();
     }
 
     /// [`TaskCtx::parfor`] on a possibly degrading cluster: never panics
@@ -767,6 +889,44 @@ impl<'a> TaskCtx<'a> {
     where
         F: Fn(&TaskCtx<'_>, u64, &[u8]) + Send + Sync + 'static,
     {
+        self.spawn_blocks(
+            policy,
+            iters,
+            chunk,
+            args,
+            Box::new(move |ctx, range, args| {
+                for i in range {
+                    f(ctx, i, args);
+                }
+            }),
+        )
+    }
+
+    /// Parallel loop whose body receives the whole chunk its task claimed,
+    /// `f(ctx, start..end)` with `end - start <= chunk` — the paper's own
+    /// signature, `func(start_it, num_it, args)`. This is the form for a
+    /// body that wants to issue its chunk's operations as waves (one bulk
+    /// put, one [`TaskCtx::gather`] ...) instead of iteration by
+    /// iteration. Placement, nesting and dead-peer behaviour are those of
+    /// [`TaskCtx::parfor`].
+    pub fn parfor_range<F>(&self, policy: SpawnPolicy, iters: u64, chunk: u32, f: F)
+    where
+        F: Fn(&TaskCtx<'_>, std::ops::Range<u64>) + Send + Sync + 'static,
+    {
+        let body: Box<BodyFn> = Box::new(move |ctx, range, _| f(ctx, range));
+        self.spawn_blocks(policy, iters, chunk, &[], body).assert_complete();
+    }
+
+    /// Spawns the iteration blocks of one parallel loop and waits for
+    /// them: the single implementation behind every `parfor*` entry point.
+    fn spawn_blocks(
+        &self,
+        policy: SpawnPolicy,
+        iters: u64,
+        chunk: u32,
+        args: &[u8],
+        f: Box<BodyFn>,
+    ) -> ParForReport {
         let mut report =
             ParForReport { iterations: iters, completed: iters, ..ParForReport::default() };
         if iters == 0 {
@@ -777,7 +937,7 @@ impl<'a> TaskCtx<'a> {
         if policy != SpawnPolicy::Local {
             report.skipped_nodes = self.dead_nodes();
         }
-        let body = Arc::new(ParForBody { f: Box::new(f) });
+        let body = Arc::new(ParForBody { f });
         let args_arc: Arc<[u8]> = Arc::from(args);
         let is_dead = |n: NodeId| self.node.peer_is_dead(n);
         let splits = split_iterations(policy, iters, self.node.nodes, me, &is_dead);

@@ -393,16 +393,19 @@ pub unsafe fn complete_token_err(token: u64, node: NodeId) {
 
 /// Type-erased body of a parallel loop, shared by every node executing it.
 ///
+/// The body takes the chunk of iterations its task claimed as a range —
+/// the paper's `func(start_it, num_it, args)` — and is called once per
+/// task; the per-iteration entry points wrap their closure in a loop.
+///
 /// The real GMT ships a raw function pointer plus an argument buffer
 /// between ranks of one SPMD binary; in-process we ship a raw
 /// `Arc<ParForBody>` pointer, which is the same trust model.
 pub struct ParForBody {
-    #[allow(clippy::type_complexity)]
-    pub f: Box<dyn Fn(&crate::api::TaskCtx<'_>, u64, &[u8]) + Send + Sync>,
+    pub f: Box<BodyFn>,
 }
 
 /// The erased closure type behind [`ParForBody::f`].
-type BodyFn = dyn Fn(&crate::api::TaskCtx<'_>, u64, &[u8]) + Send + Sync;
+pub type BodyFn = dyn Fn(&crate::api::TaskCtx<'_>, std::ops::Range<u64>, &[u8]) + Send + Sync;
 
 /// The de-facto layout of a `*mut dyn Trait` fat pointer. Not guaranteed
 /// by the language, but load-bearing across the entire Rust ecosystem and
@@ -862,8 +865,8 @@ mod tests {
         let called = Arc::new(AtomicU64::new(0));
         let c2 = Arc::clone(&called);
         let body = Arc::new(ParForBody {
-            f: Box::new(move |_, i, _| {
-                c2.fetch_add(i, Ordering::Relaxed);
+            f: Box::new(move |_, range, _| {
+                c2.fetch_add(range.start, Ordering::Relaxed);
             }),
         });
         let wire = ParForBody::to_wire(&body);
@@ -883,13 +886,14 @@ mod tests {
         // Captures: 24 bytes of plain data, deliberately not zero-sized.
         let (a, b, c) = (0x1111_2222_3333_4444u64, 7u64, 13u64);
         let body = Arc::new(ParForBody {
-            f: Box::new(move |_, i, args| {
+            f: Box::new(move |_, range, args| {
                 assert_eq!((a, b, c), (0x1111_2222_3333_4444, 7, 13));
                 assert_eq!(args, b"user-args");
-                assert_eq!(i, 42);
+                assert_eq!(range, 42..58);
             }),
         });
         let (off, packed) = ParForBody::to_wire_bytes(&body, b"user-args");
+        assert_eq!(packed[0..4], 24u32.to_le_bytes(), "captures travel by value");
         let (back, args) = unsafe { ParForBody::from_wire_bytes(off, &packed) }.unwrap();
         assert_eq!(&args[..], b"user-args");
         // Calling the rebuilt closure needs a TaskCtx, which needs a full

@@ -90,7 +90,7 @@ impl Worker {
         self.node.metrics.live_tasks.inc();
     }
 
-    /// Spawns a task executing `count` iterations claimed from `itb`.
+    /// Spawns a task executing the iterations `range` claimed from `itb`.
     fn spawn_chunk(&mut self, itb: Arc<Itb>, range: std::ops::Range<u64>) {
         let slot = self.alloc_slot();
         let ctl = TaskControl::new(Arc::clone(&self.ready), slot);
@@ -102,9 +102,7 @@ impl Worker {
         let itb2 = Arc::clone(&itb);
         let coro = Coroutine::with_stack(stack, move |y| {
             let ctx = TaskCtx::new(&node, &ctl2, y);
-            for i in range {
-                (itb2.body.f)(&ctx, i, &itb2.args);
-            }
+            (itb2.body.f)(&ctx, range, &itb2.args);
             // Block completion is booked by the worker at retirement (see
             // `Task::chunk`), not here, so a panic cannot skip it.
         });

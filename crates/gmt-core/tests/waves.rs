@@ -1,0 +1,271 @@
+//! The non-blocking forms that return a value (`atomic_cas_nb`,
+//! `atomic_fetch_add_nb`), the safe wave helpers built on them, and the
+//! range-bodied parFor.
+
+use gmt_core::{Cluster, Config, Distribution, GmtError, SpawnPolicy};
+use gmt_net::FaultPlan;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+/// A value no operation of these tests ever produces.
+const UNTOUCHED: i64 = i64::MIN + 17;
+
+#[test]
+fn a_local_owner_fills_the_slot_before_return() {
+    let cluster = Cluster::start(2, Config::small()).unwrap();
+    cluster.node(0).run(|ctx| {
+        let arr = ctx.alloc(64, Distribution::Local);
+        ctx.put_value::<i64>(&arr, 1, 40).unwrap();
+        let (mut added, mut swapped, mut refused) = (UNTOUCHED, UNTOUCHED, UNTOUCHED);
+        unsafe {
+            ctx.atomic_fetch_add_nb(&arr, 8, 2, &mut added);
+            ctx.atomic_cas_nb(&arr, 8, 42, 7, &mut swapped);
+            ctx.atomic_cas_nb(&arr, 8, 42, 9, &mut refused);
+        }
+        // No wait: the owner is this node.
+        assert_eq!((added, swapped, refused), (40, 42, 7));
+        assert_eq!(ctx.get_value::<i64>(&arr, 1).unwrap(), 7);
+        ctx.free(arr);
+    });
+    cluster.shutdown();
+}
+
+#[test]
+fn a_remote_owner_fills_the_slot_only_after_the_wait() {
+    let cluster = Cluster::start(2, Config::small()).unwrap();
+    cluster.node(0).run(|ctx| {
+        let arr = ctx.alloc(64, Distribution::Remote);
+        ctx.put_value::<i64>(&arr, 1, 40).unwrap();
+        let (mut added, mut swapped) = (UNTOUCHED, UNTOUCHED);
+        unsafe {
+            ctx.atomic_fetch_add_nb(&arr, 8, 2, &mut added);
+            ctx.atomic_cas_nb(&arr, 16, 0, 5, &mut swapped);
+        }
+        // Two commands do not fill a command block and this task has not
+        // yielded, so neither has left the worker yet.
+        assert_eq!((added, swapped), (UNTOUCHED, UNTOUCHED));
+        ctx.wait_commands().unwrap();
+        assert_eq!((added, swapped), (40, 0));
+        assert_eq!(ctx.gather::<i64>(&arr, &[1, 2]).unwrap(), vec![42, 5]);
+        ctx.free(arr);
+    });
+    cluster.shutdown();
+}
+
+#[test]
+fn a_thousand_in_flight_from_one_task_land_in_their_own_slots() {
+    const N: usize = 1000;
+    let cluster = Cluster::start(3, Config::small()).unwrap();
+    cluster.node(0).run(|ctx| {
+        let arr = ctx.alloc(N as u64 * 8, Distribution::Partition);
+        let init: Vec<(u64, i64)> = (0..N as u64).map(|i| (i, i as i64 * 3)).collect();
+        ctx.scatter(&arr, &init).unwrap();
+        let mut old = vec![UNTOUCHED; N];
+        for (i, slot) in old.iter_mut().enumerate() {
+            // Safety: `old` outlives the wait and is not read before it.
+            unsafe {
+                if i % 2 == 0 {
+                    ctx.atomic_fetch_add_nb(&arr, i as u64 * 8, 1, slot);
+                } else {
+                    ctx.atomic_cas_nb(&arr, i as u64 * 8, i as i64 * 3, -1, slot);
+                }
+            }
+        }
+        ctx.wait_commands().unwrap();
+        let expected_old: Vec<i64> = (0..N as i64).map(|i| i * 3).collect();
+        assert_eq!(old, expected_old);
+        let all: Vec<u64> = (0..N as u64).collect();
+        let now = ctx.gather::<i64>(&arr, &all).unwrap();
+        let expected_now: Vec<i64> =
+            (0..N as i64).map(|i| if i % 2 == 0 { i * 3 + 1 } else { -1 }).collect();
+        assert_eq!(now, expected_now);
+        ctx.free(arr);
+    });
+    cluster.shutdown();
+}
+
+#[test]
+fn two_cas_on_one_word_in_one_wave_have_exactly_one_winner() {
+    let cluster = Cluster::start(2, Config::small()).unwrap();
+    cluster.node(0).run(|ctx| {
+        for dist in [Distribution::Local, Distribution::Remote] {
+            let arr = ctx.alloc(64, dist);
+            let old = ctx.atomic_cas_wave(&arr, &[3, 5, 3, 3], 0, 9).unwrap();
+            assert_eq!(old.iter().filter(|&&o| o == 0).count(), 2, "{dist:?}: {old:?}");
+            assert_eq!(old[1], 0, "the lone word is simply won");
+            assert_eq!(old.iter().filter(|&&o| o == 9).count(), 2, "{dist:?}: {old:?}");
+            assert_eq!(ctx.gather::<i64>(&arr, &[3, 5, 4]).unwrap(), vec![9, 9, 0]);
+            ctx.free(arr);
+        }
+    });
+    cluster.shutdown();
+}
+
+#[test]
+fn gather_ranges_concatenates_ragged_ranges_across_owners() {
+    let cluster = Cluster::start(3, Config::small()).unwrap();
+    cluster.node(0).run(|ctx| {
+        let arr = ctx.alloc(300 * 8, Distribution::Partition);
+        let init: Vec<(u64, u64)> = (0..300).map(|i| (i, i * i)).collect();
+        ctx.scatter(&arr, &init).unwrap();
+        let mut out = vec![1u64, 2, 3];
+        ctx.gather_ranges(&arr, &[(290, 10), (5, 0), (95, 110), (0, 1)], &mut out).unwrap();
+        let expected: Vec<u64> =
+            (290..300).chain(95..205).chain(0..1).map(|i: u64| i * i).collect();
+        assert_eq!(out, expected);
+        ctx.gather_ranges::<u64>(&arr, &[], &mut out).unwrap();
+        assert!(out.is_empty());
+        ctx.free(arr);
+    });
+    cluster.shutdown();
+}
+
+/// A deadline abandons a wave whose requests sit behind a link that is
+/// down for a while. Its replies, which arrive once the link is back, must
+/// not be written (the slots of a safe helper are freed by then); the next
+/// wave waits the stragglers out, re-arms delivery and gets its results —
+/// the behaviour of `get` and `gather` after an abandon.
+#[test]
+fn an_abandoned_wave_is_never_written_and_the_next_one_rearms() {
+    // The watchdog enforces deadlines at a quarter of the configured one;
+    // retries must outlast the outage instead of declaring the peer dead.
+    let config = Config { op_deadline_ns: 40_000_000, max_retries: 64, ..Config::small() };
+    let cluster = Cluster::start_sim(2, config).unwrap();
+    let arr = cluster.node(0).run(|ctx| ctx.alloc(8 * 8, Distribution::Remote));
+    cluster.install_faults(FaultPlan::new(1).flap(0, 1, 0, 150_000_000));
+    cluster.node(0).run(move |ctx| {
+        let indices: Vec<u64> = (0..8).collect();
+        let mut abandoned = vec![UNTOUCHED; 8];
+        for (slot, &i) in abandoned.iter_mut().zip(&indices) {
+            // Safety: `abandoned` lives to the end of this task, which
+            // outlasts every wait below.
+            unsafe { ctx.atomic_cas_nb(&arr, i * 8, 0, 7, slot) };
+        }
+        let first = ctx.wait_commands();
+        assert!(
+            matches!(first, Err(GmtError::DeadlineExceeded { pending: 8 })),
+            "expected the deadline to abandon all eight, got {first:?}"
+        );
+        // Long enough for the outage to end and the retransmits to land.
+        ctx.set_op_deadline(10_000_000_000);
+        let old = ctx.atomic_cas_wave(&arr, &indices, 7, 9).unwrap();
+        assert_eq!(old, vec![7; 8], "the abandoned swaps did execute at the owner");
+        assert_eq!(abandoned, vec![UNTOUCHED; 8], "an abandoned slot was written");
+        let mut now = Vec::new();
+        ctx.gather_ranges::<i64>(&arr, &[(0, 8)], &mut now).unwrap();
+        assert_eq!(now, vec![9; 8]);
+    });
+    cluster.shutdown();
+}
+
+/// When the stragglers can never drain (unreliable fabric, dead peer) the
+/// task is poisoned: the wave helpers refuse within a bounded time, as
+/// `gather` does, instead of issuing operations whose replies would be
+/// dropped.
+#[test]
+fn a_poisoned_task_is_refused_by_the_wave_helpers() {
+    let config = Config { reliable: false, op_deadline_ns: 40_000_000, ..Config::small() };
+    let cluster = Cluster::start_sim(2, config).unwrap();
+    let arr = cluster.node(0).run(|ctx| ctx.alloc(8 * 8, Distribution::Remote));
+    cluster.install_faults(FaultPlan::new(1).kill(1));
+    cluster.node(0).run(move |ctx| {
+        let first = ctx.atomic_cas_wave(&arr, &[0, 1, 2], 0, 1);
+        assert!(matches!(first, Err(GmtError::DeadlineExceeded { pending: 3 })), "{first:?}");
+        let cas = ctx.atomic_cas_wave(&arr, &[4], 0, 1);
+        assert!(matches!(cas, Err(GmtError::DeadlineExceeded { .. })), "{cas:?}");
+        let mut out = vec![5i64];
+        let ranges = ctx.gather_ranges(&arr, &[(0, 4)], &mut out);
+        assert!(matches!(ranges, Err(GmtError::DeadlineExceeded { .. })), "{ranges:?}");
+        assert!(out.is_empty(), "a refused gather hands back no stale elements");
+        let gather = ctx.gather::<i64>(&arr, &[0]);
+        assert!(matches!(gather, Err(GmtError::DeadlineExceeded { .. })), "{gather:?}");
+    });
+    cluster.shutdown();
+}
+
+#[test]
+fn a_wave_toward_a_killed_peer_fails_and_leaves_its_slots_alone() {
+    let cluster = Cluster::start_sim(2, Config::small()).unwrap();
+    // 16 words block-partitioned over 2 nodes: 0..8 here, 8..16 on node 1.
+    let arr = cluster.node(0).run(|ctx| ctx.alloc(16 * 8, Distribution::Partition));
+    cluster.install_faults(FaultPlan::new(1).kill(1));
+    cluster.node(0).run(move |ctx| {
+        let mut old = [UNTOUCHED; 16];
+        for (i, slot) in old.iter_mut().enumerate() {
+            // Safety: `old` outlives the wait and is not read before it.
+            unsafe {
+                if i % 2 == 0 {
+                    ctx.atomic_cas_nb(&arr, i as u64 * 8, 0, 3, slot);
+                } else {
+                    ctx.atomic_fetch_add_nb(&arr, i as u64 * 8, 3, slot);
+                }
+            }
+        }
+        let waited = ctx.wait_commands();
+        assert!(
+            matches!(waited, Err(GmtError::RemoteDead { node: 1, failed_ops: 8 })),
+            "{waited:?}"
+        );
+        assert_eq!(old[..8], [0; 8], "the local half completed");
+        assert_eq!(old[8..], [UNTOUCHED; 8], "a dead peer's slot was written");
+        // The peer is known dead now: the safe helpers fail fast.
+        let cas = ctx.atomic_cas_wave(&arr, &[1, 9], 3, 4);
+        assert!(matches!(cas, Err(GmtError::RemoteDead { node: 1, .. })), "{cas:?}");
+        let mut out = Vec::new();
+        let ranges = ctx.gather_ranges::<i64>(&arr, &[(6, 4)], &mut out);
+        assert!(matches!(ranges, Err(GmtError::RemoteDead { node: 1, .. })), "{ranges:?}");
+    });
+    cluster.shutdown();
+}
+
+#[test]
+fn range_bodies_cover_every_iteration_once_when_chunks_do_not_divide() {
+    const ITERS: u64 = 1003;
+    const CHUNK: u32 = 16;
+    let cluster = Cluster::start(3, Config::small()).unwrap();
+    let seen: Arc<Vec<AtomicU64>> = Arc::new((0..ITERS).map(|_| AtomicU64::new(0)).collect());
+    let tasks = Arc::new(AtomicU64::new(0));
+    let (seen2, tasks2) = (Arc::clone(&seen), Arc::clone(&tasks));
+    cluster.node(0).run(move |ctx| {
+        ctx.parfor_range(SpawnPolicy::Partition, ITERS, CHUNK, move |_, range| {
+            assert!(range.start < range.end && range.end - range.start <= CHUNK as u64);
+            tasks2.fetch_add(1, Ordering::Relaxed);
+            for i in range {
+                seen2[i as usize].fetch_add(1, Ordering::Relaxed);
+            }
+        });
+    });
+    assert!(seen.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+    // One call per claimed chunk, not per iteration: each node's share of
+    // 335 or 333 iterations peels into 21 chunks.
+    assert_eq!(tasks.load(Ordering::Relaxed), 63);
+    let spawned: u64 = (0..3)
+        .map(|n| cluster.node(n).metrics_snapshot().counter("worker.tasks_spawned").unwrap())
+        .sum();
+    assert_eq!(spawned, 63 + 1, "one task per chunk plus the root");
+    cluster.shutdown();
+}
+
+#[test]
+fn a_panicking_range_body_still_books_its_whole_chunk() {
+    let cluster = Cluster::start(2, Config::small()).unwrap();
+    let done = Arc::new(AtomicU64::new(0));
+    let done2 = Arc::clone(&done);
+    // Returning at all is the point: an unbooked chunk would leave the
+    // parent waiting on its block forever.
+    cluster.node(0).run(move |ctx| {
+        ctx.parfor_range(SpawnPolicy::Partition, 100, 8, move |_, range| {
+            if range.contains(&20) {
+                panic!("chunk {range:?} goes boom");
+            }
+            done2.fetch_add(range.end - range.start, Ordering::Relaxed);
+        });
+    });
+    // 50 iterations per node in chunks of 8: 16..24 is the one that died.
+    assert_eq!(done.load(Ordering::Relaxed), 92);
+    let panicked: u64 = (0..2)
+        .map(|n| cluster.node(n).metrics_snapshot().counter("worker.tasks_panicked").unwrap())
+        .sum();
+    assert_eq!(panicked, 1);
+    cluster.shutdown();
+}

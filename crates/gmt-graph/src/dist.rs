@@ -76,7 +76,10 @@ impl DistGraph {
         (lo, hi)
     }
 
-    /// Out-degree of `v` (two global reads).
+    /// Out-degree of `v`: one 16-byte get, i.e. one *blocking* round trip
+    /// when `v`'s offsets live on another node. Fine for a lone lookup;
+    /// in a loop it serialises the loop on the network — fetch a slice of
+    /// vertices with [`DistGraph::adjacency_into`] instead.
     pub fn degree(&self, ctx: &TaskCtx<'_>, v: u64) -> u64 {
         let (lo, hi) = self.edge_range(ctx, v);
         hi - lo
@@ -96,6 +99,27 @@ impl DistGraph {
         let bytes =
             unsafe { std::slice::from_raw_parts_mut(buf.as_mut_ptr().cast::<u8>(), count * 8) };
         ctx.get(&self.targets, lo * 8, bytes).unwrap();
+    }
+
+    /// Reads the adjacency of every vertex in `vertices` in two waves —
+    /// all edge ranges at once, then all neighbor lists at once — instead
+    /// of two blocking round trips per vertex. `ranges[k]` becomes the
+    /// `(first edge, out-degree)` of `vertices[k]`, and `neighbors` the
+    /// neighbor lists back to back in the same order.
+    pub fn adjacency_into(
+        &self,
+        ctx: &TaskCtx<'_>,
+        vertices: &[u64],
+        ranges: &mut Vec<(u64, u64)>,
+        neighbors: &mut Vec<u64>,
+    ) {
+        debug_assert!(vertices.iter().all(|&v| v < self.vertices));
+        let pairs: Vec<(u64, u64)> = vertices.iter().map(|&v| (v, 2)).collect();
+        let mut bounds = Vec::new();
+        ctx.gather_ranges::<u64>(&self.offsets, &pairs, &mut bounds).unwrap();
+        ranges.clear();
+        ranges.extend(bounds.chunks_exact(2).map(|b| (b[0], b[1] - b[0])));
+        ctx.gather_ranges(&self.targets, ranges, neighbors).unwrap();
     }
 
     /// Out-neighbors of `v` as a fresh vector.
@@ -137,6 +161,15 @@ mod tests {
                 assert_eq!(g.degree(ctx, v), csr2.degree(v));
                 assert_eq!(g.neighbors(ctx, v), csr2.neighbors(v));
             }
+            // The two-wave batch agrees with the per-vertex reads, in order.
+            let batch = [63u64, 0, 31, 31];
+            let (mut ranges, mut nbrs) = (Vec::new(), Vec::new());
+            g.adjacency_into(ctx, &batch, &mut ranges, &mut nbrs);
+            let degrees: Vec<u64> = ranges.iter().map(|&(_, d)| d).collect();
+            assert_eq!(degrees, batch.map(|v| csr2.degree(v)));
+            let expected: Vec<u64> =
+                batch.iter().flat_map(|&v| csr2.neighbors(v).iter().copied()).collect();
+            assert_eq!(nbrs, expected);
             // Single-neighbor access agrees with bulk access.
             let (lo, _) = g.edge_range(ctx, 7);
             assert_eq!(g.neighbor_at(ctx, lo, 2), csr2.neighbors(7)[2]);
@@ -154,6 +187,11 @@ mod tests {
             assert_eq!(g.degree(ctx, 3), 0);
             assert!(g.neighbors(ctx, 3).is_empty());
             assert_eq!(g.neighbors(ctx, 0), vec![1]);
+            let (mut ranges, mut nbrs) = (Vec::new(), vec![9]);
+            g.adjacency_into(ctx, &[3, 0, 2], &mut ranges, &mut nbrs);
+            assert_eq!((&ranges, &nbrs), (&vec![(1, 0), (0, 1), (1, 0)], &vec![1]));
+            g.adjacency_into(ctx, &[], &mut ranges, &mut nbrs);
+            assert!(ranges.is_empty() && nbrs.is_empty());
             g.free(ctx);
         });
         cluster.shutdown();

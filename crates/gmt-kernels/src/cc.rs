@@ -33,9 +33,9 @@ fn cas_min(ctx: &TaskCtx<'_>, labels: &GmtArray, v: u64, new: i64) -> bool {
 pub fn gmt_cc(ctx: &TaskCtx<'_>, g: &DistGraph) -> Vec<u64> {
     let n = g.vertices();
     let labels = ctx.alloc(n * 8, Distribution::Partition);
-    ctx.parfor(SpawnPolicy::Partition, n, 64, move |ctx, v| {
-        ctx.put_value_nb::<i64>(&labels, v, v as i64);
-        ctx.wait_commands().unwrap();
+    ctx.parfor_range(SpawnPolicy::Partition, n, 64, move |ctx, chunk| {
+        let own: Vec<u8> = chunk.clone().flat_map(|v| (v as i64).to_le_bytes()).collect();
+        ctx.put(&labels, chunk.start * 8, &own).unwrap();
     });
 
     let changed = GlobalCounter::new(ctx, Distribution::Partition);

@@ -84,8 +84,10 @@ pub fn gmt_grw(
             v = g.neighbor_at(ctx, lo, rng.gen_range(0..hi - lo));
             traversed += 1;
         }
-        ctx.atomic_add(&acc, 0, v as i64).unwrap();
-        ctx.atomic_add(&acc, 8, traversed).unwrap();
+        // Nobody reads the old values: both adds leave together.
+        ctx.atomic_add_nb(&acc, 0, v as i64);
+        ctx.atomic_add_nb(&acc, 8, traversed);
+        ctx.wait_commands().unwrap();
     });
     let checksum = ctx.atomic_add(&acc, 0, 0).unwrap() as u64;
     let traversed = ctx.atomic_add(&acc, 8, 0).unwrap() as u64;

@@ -3,7 +3,7 @@
 //! Starts a small in-process "cluster", allocates global arrays with
 //! different distributions, and exercises every primitive of the paper's
 //! Table I: put/get (blocking and non-blocking), typed values, atomics,
-//! waitCommands and parFor.
+//! waitCommands and parFor (per iteration and per chunk).
 //!
 //! ```text
 //! cargo run --release --example quickstart
@@ -47,10 +47,14 @@ fn main() {
         });
 
         // -- Verify with a parallel reduction ----------------------------
+        // The range form hands a task its whole chunk, so it can keep all
+        // 32 irregular reads in flight behind one wait instead of blocking
+        // on each (31 is coprime to 1024: every slot is read exactly once).
         let total = ctx.alloc(8, Distribution::Local);
-        ctx.parfor(SpawnPolicy::Partition, 1024, 32, move |ctx, i| {
-            let v = ctx.get_value::<u64>(&counters, i).unwrap();
-            ctx.atomic_add(&total, 0, v as i64).unwrap();
+        ctx.parfor_range(SpawnPolicy::Partition, 1024, 32, move |ctx, chunk| {
+            let slots: Vec<u64> = chunk.map(|i| (i * 31) % 1024).collect();
+            let values = ctx.gather::<u64>(&counters, &slots).unwrap();
+            ctx.atomic_add(&total, 0, values.iter().sum::<u64>() as i64).unwrap();
         });
         let sum = ctx.atomic_add(&total, 0, 0).unwrap();
         assert_eq!(sum, 4096);
