@@ -5,13 +5,19 @@
 # (doc comments included) before the first `#[cfg(test)]` — the code —
 # and, the same way, the lines from that marker on — the unit tests. Prints one row per
 # file of the transport crate and of the two files that drive it, plus a
-# total for `crates/gmt-net/src`.
+# total for `crates/gmt-net/src`, and then the whole workspace: code and
+# unit-test lines over `crates/*/src` and `src`, and the lines of the
+# integration tests under `crates/*/tests` and `tests`.
 #
 # Then the workspace's `unsafe` count (ROADMAP item 5's number): the lines
 # of `crates`, `src`, `tests` and `examples` that name the keyword outside
 # a `//` comment. The three graph kernels must not contribute to it — they
 # are written against the safe wave helpers — and the script fails if one
 # does.
+#
+# Last the number of `pub` fields of `gmt_core::Config`: every field is a
+# switch the tests and the benchmark are supposed to cover at two values,
+# so the script fails above 20.
 #
 # Usage: ci/loc.sh [file.rs ...]   (default: the set described above)
 set -euo pipefail
@@ -47,6 +53,20 @@ for f in "${files[@]}"; do
 done
 printf '%-40s %6d %6d\n' "crates/gmt-net/src (total)" "$net_code" "$net_tests"
 
+ws_code=0
+ws_tests=0
+while IFS= read -r f; do
+    ws_code=$((ws_code + $(code_lines "$f")))
+    ws_tests=$((ws_tests + $(test_lines "$f")))
+done < <(find crates/*/src src -name '*.rs' | sort)
+ws_integration=0
+while IFS= read -r f; do
+    # No `#[cfg(test)]` marker in an integration test: all of it counts.
+    ws_integration=$((ws_integration + $(code_lines "$f") + $(test_lines "$f")))
+done < <(find crates/*/tests tests -name '*.rs' | sort)
+printf '%-40s %6d %6d\n' "workspace src (total)" "$ws_code" "$ws_tests"
+printf '%-40s %6d\n' "workspace integration tests" "$ws_integration"
+
 unsafe_lines() {
     grep -rwh unsafe --include='*.rs' "$@" | grep -vc '^[[:space:]]*//' || true
 }
@@ -58,3 +78,11 @@ for f in crates/gmt-kernels/src/bfs.rs crates/gmt-kernels/src/grw.rs crates/gmt-
         exit 1
     fi
 done
+
+config_fields=$(awk '/^pub struct Config \{/{f=1; next} f && /^\}/{exit} f && /^    pub [a-z_0-9]+:/{c++} END{print c+0}' \
+    crates/gmt-core/src/config.rs)
+printf '%-40s %6d\n' "Config fields" "$config_fields"
+if [ "$config_fields" -gt 20 ]; then
+    echo "crates/gmt-core/src/config.rs: Config has $config_fields fields (limit 20); a value nobody sets twice is a constant" >&2
+    exit 1
+fi

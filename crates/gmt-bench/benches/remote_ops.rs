@@ -6,24 +6,18 @@
 //! fire-and-forget atomic-add storm where many tasks hammer a few hot
 //! remote counters.
 //!
-//! `atomic_add_storm` runs three ways:
+//! `atomic_add_storm` runs two ways:
 //!
 //! * `combining_on` — merge-at-source combining table on
-//!   (`combine_window` at its default), batched helper apply on.
-//! * `combining_off` — combining off (`combine_window = 0`), batched
-//!   helper apply on: every add crosses the wire individually and the
-//!   receive side does the merging (`atomic_add_batch` collapses
-//!   same-cell runs into one RMW, acks come back in one `AckN`).
-//! * `batch_off` — combining off *and* `batch_apply = false`: the
-//!   scalar one-command-at-a-time helper loop, one segment resolution
-//!   and one `AtomicReply` per add.
+//!   (`combine_window` at its default).
+//! * `combining_off` — combining off (`combine_window = 0`): every add
+//!   crosses the wire individually and the receive side does the merging
+//!   (`atomic_add_batch` collapses same-cell runs into one RMW, acks come
+//!   back in one `AckN`).
 //!
-//! The `combining_off` / `batch_off` delta is the end-to-end value of
-//! the batched receive pipeline alone; `combining_on` / `combining_off`
-//! is the value of merging at the source. EXPERIMENTS.md records the
-//! measured ablations; acceptance targets are >= 2x for `combining_on`
-//! over `combining_off` and >= 1.3x for `combining_off` over
-//! `batch_off`.
+//! `combining_on` / `combining_off` is the value of merging at the
+//! source; EXPERIMENTS.md records the measured ablation (acceptance
+//! target >= 2x).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use gmt_core::{Cluster, Config, Distribution, SpawnPolicy};
@@ -165,13 +159,11 @@ fn bench_remote_ops(c: &mut Criterion) {
     }
     g.throughput(Throughput::Elements(STORM_ADDS));
     let default_window = Config::small().combine_window;
-    for (name, combine_window, batch_apply) in [
-        ("atomic_add_storm/combining_on", default_window, true),
-        ("atomic_add_storm/combining_off", 0, true),
-        ("atomic_add_storm/batch_off", 0, false),
-    ] {
+    for (name, combine_window) in
+        [("atomic_add_storm/combining_on", default_window), ("atomic_add_storm/combining_off", 0)]
+    {
         g.bench_function(name, |b| {
-            let config = Config { combine_window, batch_apply, ..Config::small() };
+            let config = Config { combine_window, ..Config::small() };
             let cluster = Cluster::start(2, config).unwrap();
             b.iter(|| atomic_add_storm(&cluster));
             cluster.shutdown();

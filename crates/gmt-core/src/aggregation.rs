@@ -230,7 +230,7 @@ pub struct AggStats {
     /// path no longer busy-spins on a dry pool).
     pub pool_dry_waits: u64,
     /// Combine-table age-flushes deferred because the destination peer
-    /// was backpressured (`flow_shed`).
+    /// was backpressured.
     pub sheds: u64,
 }
 
@@ -245,9 +245,6 @@ pub struct AggStats {
 pub struct FlowState {
     backpressured: Vec<AtomicBool>,
     active: AtomicUsize,
-    /// Mirror of [`crate::config::Config::flow_shed`]: pump defers
-    /// combine-table age-flushes toward backpressured peers.
-    shed: AtomicBool,
 }
 
 impl FlowState {
@@ -255,7 +252,6 @@ impl FlowState {
         FlowState {
             backpressured: (0..destinations).map(|_| AtomicBool::new(false)).collect(),
             active: AtomicUsize::new(0),
-            shed: AtomicBool::new(false),
         }
     }
 
@@ -292,17 +288,6 @@ impl FlowState {
             return Vec::new();
         }
         (0..self.backpressured.len()).filter(|&d| self.is_backpressured(d)).collect()
-    }
-
-    /// Enables/disables load shedding (set once at runtime start from
-    /// `Config::flow_shed`).
-    pub fn set_shed(&self, on: bool) {
-        self.shed.store(on, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn shed(&self) -> bool {
-        self.shed.load(Ordering::Relaxed)
     }
 }
 
@@ -946,17 +931,15 @@ impl CommandSink {
     }
 
     /// Whether flushing the combining table for `dst` should be deferred
-    /// (and counted as a shed): with `flow_shed` on, a table toward a
-    /// backpressured peer keeps merging, shedding fire-and-forget load
-    /// off the full window, until the peer recovers or the table ages
-    /// past `SHED_MAX_AGE_MULT` block timeouts — the liveness bound
-    /// `wait_commands` depends on holds, just stretched while the peer
-    /// is quarantined.
+    /// (and counted as a shed): a table toward a backpressured peer keeps
+    /// merging, shedding fire-and-forget load off the full window, until
+    /// the peer recovers or the table ages past `SHED_MAX_AGE_MULT` block
+    /// timeouts — the liveness bound `wait_commands` depends on holds,
+    /// just stretched while the peer is quarantined.
     fn shed_combine(&self, dst: NodeId, now: u64) -> bool {
         let shared = &self.shared;
         let age = now.saturating_sub(self.combine[dst].born_ns);
-        let shed = shared.flow.shed()
-            && shared.flow.is_backpressured(dst)
+        let shed = shared.flow.is_backpressured(dst)
             && age < shared.cmd_block_timeout_ns.saturating_mul(SHED_MAX_AGE_MULT);
         if shed {
             self.metrics().sheds.add(self.chan, 1);
@@ -1008,7 +991,7 @@ impl CommandSink {
     /// Same rules as the aged flush: `aggregate` never blocks, a dry pool
     /// (or its closed back-off gate) leaves the blocks queued for the
     /// next pump, and a combining table toward a backpressured peer stays
-    /// deferred under `flow_shed`. With nothing held it touches no pool.
+    /// deferred. With nothing held it touches no pool.
     ///
     /// Returns `false` while it holds a block back for its slot
     /// ([`Self::push_paced`]): the caller has to call again — it keeps
@@ -1815,7 +1798,6 @@ mod tests {
         // Millisecond timeouts so a 2 ms sleep lands the table's age
         // inside the shed window [timeout, 8 * timeout).
         let shared = AggShared::new(2, 1, 4, 1024, 100, 1_000_000, 1_000_000, 0, 16);
-        shared.flow().set_shed(true);
         shared.flow().set_backpressured(1, true);
         let mut sink = CommandSink::new(Arc::clone(&shared), 0);
         sink.emit(1, &add(9, 8, 2));
@@ -1839,7 +1821,6 @@ mod tests {
     #[test]
     fn flush_idle_defers_a_combine_table_toward_a_backpressured_peer() {
         let shared = combining_shared(1024);
-        shared.flow().set_shed(true);
         shared.flow().set_backpressured(1, true);
         let mut sink = CommandSink::new(Arc::clone(&shared), 0);
         sink.emit(1, &add(9, 8, 2));
@@ -1859,7 +1840,6 @@ mod tests {
         // The peer never recovers, but the table still flushes once it
         // ages past SHED_MAX_AGE_MULT block timeouts (2 ms ≫ 8 µs).
         let shared = AggShared::new(2, 1, 4, 1024, 100, 1_000, 1_000, 0, 16);
-        shared.flow().set_shed(true);
         shared.flow().set_backpressured(1, true);
         let mut sink = CommandSink::new(Arc::clone(&shared), 0);
         sink.emit(1, &add(5, 8, 1));

@@ -29,11 +29,12 @@
 //! blocking primitives return `Err(GmtError::RemoteDead)` instead of
 //! hanging; [`TaskCtx::parfor_report`] surfaces lost iterations without
 //! panicking; and the `*_deadline` variants ([`TaskCtx::get_deadline`],
-//! [`TaskCtx::put_deadline`], [`TaskCtx::get_value_deadline`],
-//! [`TaskCtx::wait_commands_deadline`]) bound any single wait even when
-//! the detector is off.
+//! [`TaskCtx::get_value_deadline`]) bound a single wait, as
+//! [`TaskCtx::set_op_deadline`] bounds every wait of a task, even when the
+//! detector is off.
 
 use crate::command::Command;
+use crate::config::FLOW_PARK_NS;
 use crate::error::GmtError;
 use crate::handle::{Distribution, GmtArray, Layout};
 use crate::runtime::NodeShared;
@@ -203,8 +204,8 @@ impl<'a> TaskCtx<'a> {
     /// A dead peer's segment is unreachable anyway, so its failure is
     /// swallowed: freeing is best-effort on a degraded cluster. Swallowed
     /// failures are *counted* in the `free.remote_dead_swallowed` metric
-    /// and logged once per dead peer (under `log_net_warnings`), so the
-    /// degradation stays observable without poisoning teardown paths.
+    /// and logged once per dead peer, so the degradation stays observable
+    /// without poisoning teardown paths.
     pub fn free(&self, arr: GmtArray) {
         let me = self.node.node_id;
         self.node.memory.free(arr.id);
@@ -231,9 +232,7 @@ impl<'a> TaskCtx<'a> {
         // Workers have no dedicated counter shard; the cells are atomic,
         // so shard 0 is as correct as any.
         self.node.metrics.free_remote_dead_swallowed.add(0, ops);
-        if self.node.config.log_net_warnings
-            && !self.node.free_warned[dst].swap(true, Ordering::Relaxed)
-        {
+        if !self.node.free_warned[dst].swap(true, Ordering::Relaxed) {
             eprintln!(
                 "[gmt] node {}: gmt_free toward dead peer {dst} swallowed (its segments died \
                  with it; counted in free.remote_dead_swallowed, further frees are silent)",
@@ -732,24 +731,6 @@ impl<'a> TaskCtx<'a> {
         }
     }
 
-    /// [`TaskCtx::wait_commands`] under a temporary deadline: waits at
-    /// most (about) `deadline_ns` nanoseconds for the pending operations,
-    /// then restores the previous per-task deadline. Enforcement
-    /// granularity is the watchdog period.
-    ///
-    /// Operations issued *before* any deadline was armed on this node are
-    /// only guarded against the abandon on a best-effort basis; for
-    /// airtight reply-abandon safety issue them after
-    /// [`TaskCtx::set_op_deadline`] or use the `*_deadline` operation
-    /// variants.
-    pub fn wait_commands_deadline(&self, deadline_ns: u64) -> Result<(), GmtError> {
-        let prev = self.ctl.op_deadline();
-        self.set_op_deadline(deadline_ns);
-        let r = self.wait_commands();
-        self.ctl.set_op_deadline(prev);
-        r
-    }
-
     /// [`TaskCtx::get`] that cannot hang: returns
     /// `Err(GmtError::DeadlineExceeded)` if the replies take longer than
     /// `deadline_ns`. On that error the contents of `dest` are
@@ -773,25 +754,6 @@ impl<'a> TaskCtx<'a> {
                 unsafe { self.get_nb(arr, offset, dest) };
                 self.wait_commands()
             });
-        self.ctl.set_op_deadline(prev);
-        r
-    }
-
-    /// [`TaskCtx::put`] that cannot hang: data is globally visible on
-    /// `Ok`; on `Err(GmtError::DeadlineExceeded)` some extents may still
-    /// land later (puts carry no reply data, so there is nothing to
-    /// abandon — only the wait is bounded).
-    pub fn put_deadline(
-        &self,
-        arr: &GmtArray,
-        offset: u64,
-        data: &[u8],
-        deadline_ns: u64,
-    ) -> Result<(), GmtError> {
-        let prev = self.ctl.op_deadline();
-        self.set_op_deadline(deadline_ns);
-        self.put_nb(arr, offset, data);
-        let r = self.wait_commands();
         self.ctl.set_op_deadline(prev);
         r
     }
@@ -1012,7 +974,7 @@ impl<'a> TaskCtx<'a> {
         // Remember the last remote command for watchdog diagnostics.
         self.ctl.note_op(dst, cmd.opcode());
         // Flow-control admission: toward a backpressured peer the task
-        // yields/parks (bounded by `flow_park_ns`) *before* the command
+        // yields/parks (bounded by `FLOW_PARK_NS`) *before* the command
         // enters the pipeline, so a slow peer's full window stalls the
         // emitters instead of piling buffers behind the link.
         self.flow_admit(dst);
@@ -1026,18 +988,18 @@ impl<'a> TaskCtx<'a> {
     }
 
     /// Backpressure admission for one command toward `dst`. The fast path
-    /// (no peer backpressured anywhere, or flow parking disabled) is two
-    /// relaxed loads. The slow path yields cooperatively a few times —
-    /// backpressure often clears within one comm-server sweep — then
-    /// parks the task on [`NodeShared::flow_waiters`] until the window
-    /// reopens, the peer dies, the node stops, or `flow_park_ns` elapses.
+    /// (no peer backpressured anywhere) is one relaxed load. The slow path
+    /// yields cooperatively a few times — backpressure often clears within
+    /// one comm-server sweep — then parks the task on
+    /// [`NodeShared::flow_waiters`] until the window reopens, the peer
+    /// dies, the node stops, or [`FLOW_PARK_NS`] elapses.
     /// After the deadline the command is admitted anyway (the pipeline's
     /// own holds and pool bounds take over): flow parking trades latency
     /// for bounded queueing, it never blocks an emit forever.
     fn flow_admit(&self, dst: NodeId) {
         let node = &**self.node;
         let flow = node.agg.flow();
-        if node.config.flow_park_ns == 0 || !flow.any() || !flow.is_backpressured(dst) {
+        if !flow.any() || !flow.is_backpressured(dst) {
             return;
         }
         // Task context: counters go to shard 0 (same convention as the
@@ -1048,7 +1010,7 @@ impl<'a> TaskCtx<'a> {
         while flow.is_backpressured(dst)
             && !node.peer_is_dead(dst)
             && !node.stopping()
-            && node.agg.now_ns().saturating_sub(start) < node.config.flow_park_ns
+            && node.agg.now_ns().saturating_sub(start) < FLOW_PARK_NS
         {
             spins += 1;
             if spins <= 4 {

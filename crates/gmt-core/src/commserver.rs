@@ -31,6 +31,7 @@
 //! Channel polling is a fair round-robin: at most one buffer per channel
 //! per sweep, so one chatty worker cannot starve the others' queues.
 
+use crate::config::ACK_DELAY_NS;
 use crate::idle::IdleBackoff;
 use crate::metrics::ThreadTracer;
 use crate::reliable::{DeathReason, DetectorConfig, PollAction, Recv, ReliableLink};
@@ -42,7 +43,7 @@ use std::sync::Arc;
 /// the reliability header's kind byte tells them apart).
 pub const TAG_AGG: Tag = 1;
 
-/// Transmits one payload, counting and (optionally) logging failures.
+/// Transmits one payload, counting and logging failures.
 /// The destination and buffer size go into the warning so a flaky link is
 /// attributable from the log alone.
 fn send(node: &NodeShared, transport: &dyn Transport, dst: crate::NodeId, payload: Payload) {
@@ -50,13 +51,11 @@ fn send(node: &NodeShared, transport: &dyn Transport, dst: crate::NodeId, payloa
     let shard = node.metrics.comm_shard();
     if let Err(e) = transport.send(dst, TAG_AGG, payload) {
         node.metrics.net_errors.add(shard, 1);
-        if node.config.log_net_warnings {
-            eprintln!(
-                "[gmt] warn: node {}: failed to send {nbytes} B aggregation buffer to node \
-                 {dst}: {e}",
-                node.node_id
-            );
-        }
+        eprintln!(
+            "[gmt] warn: node {}: failed to send {nbytes} B aggregation buffer to node \
+             {dst}: {e}",
+            node.node_id
+        );
     } else {
         node.metrics.comm_buffers_sent.add(shard, 1);
         node.metrics.comm_bytes_sent.add(shard, nbytes as u64);
@@ -163,26 +162,22 @@ fn receive(
                 // A survivor believes *we* are dead — there is no
                 // protocol to rejoin, so just log it; our own traffic
                 // to other survivors is unaffected.
-                if node.config.log_net_warnings {
-                    eprintln!(
-                        "[gmt] warn: node {}: node {src} disseminated a death notice \
-                         naming this node; ignoring",
-                        node.node_id
-                    );
-                }
+                eprintln!(
+                    "[gmt] warn: node {}: node {src} disseminated a death notice \
+                     naming this node; ignoring",
+                    node.node_id
+                );
             } else if let Some(unacked) = link.confirm_death(dead) {
                 apply_death(node, dead, unacked, "death notice received");
             }
         }
         Recv::Malformed => {
             node.metrics.net_errors.add(shard, 1);
-            if node.config.log_net_warnings {
-                eprintln!(
-                    "[gmt] warn: node {}: dropping malformed {} B packet from node {src}",
-                    node.node_id,
-                    payload.len()
-                );
-            }
+            eprintln!(
+                "[gmt] warn: node {}: dropping malformed {} B packet from node {src}",
+                node.node_id,
+                payload.len()
+            );
         }
     }
 }
@@ -222,14 +217,12 @@ fn apply_death(node: &NodeShared, dst: crate::NodeId, unacked: Vec<Payload>, cau
     // out their park deadline.
     node.agg.flow().set_backpressured(dst, false);
     wake_flow_waiters(node);
-    if node.config.log_net_warnings {
-        eprintln!(
-            "[gmt] warn: node {}: peer {dst} confirmed dead ({cause}); {failed} operation(s) \
-             failed; {} unacked buffer(s) dropped",
-            node.node_id,
-            unacked.len()
-        );
-    }
+    eprintln!(
+        "[gmt] warn: node {}: peer {dst} confirmed dead ({cause}); {failed} operation(s) \
+         failed; {} unacked buffer(s) dropped",
+        node.node_id,
+        unacked.len()
+    );
     // Dropping `unacked` releases the pooled buffers.
 }
 
@@ -256,21 +249,14 @@ fn apply(node: &NodeShared, transport: &dyn Transport, action: PollAction) {
         }
         PollAction::Suspect { dst } => {
             node.metrics.suspicions_raised.add(shard, 1);
-            if node.config.log_net_warnings {
-                eprintln!(
-                    "[gmt] warn: node {}: peer {dst} is silent past the suspicion threshold",
-                    node.node_id
-                );
-            }
+            eprintln!(
+                "[gmt] warn: node {}: peer {dst} is silent past the suspicion threshold",
+                node.node_id
+            );
         }
         PollAction::SuspectCleared { dst } => {
             node.metrics.suspicions_cleared.add(shard, 1);
-            if node.config.log_net_warnings {
-                eprintln!(
-                    "[gmt] warn: node {}: suspicion against peer {dst} cleared",
-                    node.node_id
-                );
-            }
+            eprintln!("[gmt] warn: node {}: suspicion against peer {dst} cleared", node.node_id);
         }
         PollAction::Dead { dst, unacked, reason } => {
             let cause = match reason {
@@ -291,11 +277,10 @@ pub fn comm_main(node: Arc<NodeShared>, transport: Arc<dyn Transport>, tracer: T
             node.config.rto_base_ns,
             node.config.rto_max_ns,
             node.config.max_retries,
-            node.config.ack_delay_ns,
+            ACK_DELAY_NS,
             node.config.flow_window,
             DetectorConfig {
                 heartbeat_idle_ns: node.config.heartbeat_idle_ns,
-                suspect_after_ns: node.config.suspect_after_ns,
                 death_timeout_ns: node.config.peer_death_timeout_ns,
             },
         )
@@ -312,11 +297,9 @@ pub fn comm_main(node: Arc<NodeShared>, transport: Arc<dyn Transport>, tracer: T
     }
     let mut next_watchdog_ns = watchdog_period_ns;
     // Link-state observation shares the heartbeat cadence: asking the
-    // transport takes a lock, so it stays off the per-sweep path.
-    // Disabled with the detector (or by config).
-    let observe_kills = node.config.reliable
-        && node.config.observe_fabric_kills
-        && node.config.heartbeat_idle_ns > 0;
+    // transport takes a lock, so it stays off the per-sweep path. It runs
+    // whenever the detector does.
+    let observe_kills = node.config.heartbeat_idle_ns > 0;
     let kill_check_period_ns = node.config.heartbeat_idle_ns.max(1);
     let mut next_kill_check_ns = 0u64;
     let mut backoff = IdleBackoff::default();

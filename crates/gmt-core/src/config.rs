@@ -2,7 +2,40 @@
 
 use gmt_net::NetworkModel;
 
-/// Configuration of one GMT node instance.
+/// Stack size of user-level tasks, bytes. Task stacks have no guard page,
+/// and a task that panics on a stack under 32 KiB corrupts the heap (the
+/// first unwind of a process needs more than 16 KiB), so this is not a
+/// knob: 64 KiB leaves headroom over that.
+pub const TASK_STACK_SIZE: usize = 64 * 1024;
+const _: () = assert!(TASK_STACK_SIZE >= gmt_context::MIN_STACK_SIZE);
+
+/// How long a receiver may sit on an unsent cumulative ack hoping to
+/// piggyback it on return traffic before a standalone ack goes out (ns).
+pub const ACK_DELAY_NS: u64 = 100_000;
+
+/// How long an emitting task may be parked waiting for a backpressured
+/// peer's window to reopen before the emit proceeds anyway (ns,
+/// coarse-clock granularity; the buffer then waits in the link's hold
+/// queue instead of the task spinning).
+pub const FLOW_PARK_NS: u64 = 2_000_000;
+
+/// Events retained per thread lane by the ring-buffer tracer (a sliding
+/// window over the run's tail). Only allocated when the runtime is built
+/// with the `trace` cargo feature *and* `GMT_TRACE` is set.
+pub const TRACE_CAPACITY: usize = 8 * 1024;
+
+/// Failure detector: silence from a peer past this fraction of
+/// [`Config::peer_death_timeout_ns`] raises a *suspicion* (counted,
+/// logged, cleared by any packet from the peer; no token fails), and a
+/// peer heard from within it is never declared dead by retry exhaustion.
+pub const SUSPECT_FRACTION: u64 = 5;
+
+/// Configuration of one GMT node instance: the 19 values that some
+/// caller, preset, test or benchmark sets to a second value. Everything
+/// else that used to be a field is a constant above or simply always on
+/// (batched helper apply, load shedding toward backpressured peers,
+/// link-state observation whenever the detector runs, `[gmt] warn:`
+/// lines on stderr).
 ///
 /// The defaults of [`Config::olympus`] mirror Table IV of the paper; the
 /// reproduction host has a single core, so [`Config::small`] scales the
@@ -21,11 +54,16 @@ pub struct Config {
     /// Aggregation buffer size in bytes (Table IV: 65536).
     pub buffer_size: usize,
     /// Maximum commands collected in one command block before it is pushed
-    /// to the aggregation queue.
+    /// to the aggregation queue. Kept: the end-to-end benchmark runs on 64
+    /// where the presets carry 16 and 64.
     pub cmd_block_entries: usize,
     /// Age (ns) after which a non-empty command block is pushed to the
     /// aggregation queue even if not full (the paper flushes blocks that
     /// "have been waiting longer than a predetermined time interval").
+    /// Kept, with [`Config::aggregation_timeout_ns`]: the presets differ,
+    /// one test raises both to 1 s to show that a lone task does not wait
+    /// for them, and whether the idle flush has made them one value is a
+    /// performance question of its own.
     ///
     /// Timeouts are checked against the runtime's coarse monotonic clock,
     /// which advances once per worker pump / comm-server sweep rather than
@@ -38,106 +76,73 @@ pub struct Config {
     /// Maximum distinct `(array, offset)` cells tracked per destination in
     /// the command sink's combining table, which merges fire-and-forget
     /// atomic adds to the same cell into one wire command. 0 disables
-    /// combining. Tables flush on overflow, on block flush, and on the
-    /// same coarse-clock timeout as command blocks.
+    /// combining — kept because `tests/combining.rs` uses 0 as the
+    /// reference its merged results are compared against. Tables flush on
+    /// overflow, on block flush, and on the same coarse-clock timeout as
+    /// command blocks.
     pub combine_window: usize,
-    /// Process received aggregation buffers through the batched helper
-    /// datapath: one decode pass extracts request commands into
-    /// struct-of-arrays staging, requests are bucketed by target segment
-    /// so each run pays the segment-table lookup once, and runs apply
-    /// through vectorized kernels (same-offset atomic adds pre-merged
-    /// into one RMW, word-wise batch copies, replies emitted per run).
-    /// `false` restores the scalar one-command-at-a-time loop — the
-    /// ablation baseline, observably equivalent by construction.
-    pub batch_apply: bool,
-    /// Stack size for user-level tasks, bytes. Task stacks have no guard
-    /// page, and a task that panics on a stack under 32 KiB corrupts the
-    /// heap (the first unwind of a process needs more than 16 KiB; see
-    /// `gmt_context::MIN_STACK_SIZE`), so keep the 64 KiB default unless
-    /// task bodies cannot panic.
-    pub task_stack_size: usize,
     /// Network cost model enforced by the fabric, or `None` for instant
-    /// delivery (functional testing).
+    /// delivery (functional testing). Kept: the latency-tolerance
+    /// experiments need the Olympus model, every functional test `None`.
     pub network: Option<NetworkModel>,
     /// Run the seq/ack/retransmit reliability layer on aggregation
     /// traffic. The paper assumes a lossless MPI fabric (no such layer);
     /// turning this off reproduces that assumption — and its failure mode:
-    /// any lost buffer hangs every task parked on a token inside it.
+    /// any lost buffer hangs every task parked on a token inside it. Kept:
+    /// it is the paper's configuration, and the only way a test can make a
+    /// loss undetectable (stuck-task watchdog, operation deadlines).
     pub reliable: bool,
     /// Initial retransmit timeout (ns, coarse-clock granularity); doubles
-    /// on every retry of the same packet.
+    /// on every retry of the same packet. Kept, with
+    /// [`Config::rto_max_ns`]: a retransmit timeout follows the fabric's
+    /// round trip, which the two presets model differently (until it is
+    /// estimated from the acks the link already carries).
     pub rto_base_ns: u64,
     /// Upper bound on the backed-off retransmit timeout (ns).
     pub rto_max_ns: u64,
     /// Retransmissions of one packet before its destination is declared
     /// dead and every operation addressed to it fails with
     /// [`GmtError::RemoteDead`](crate::error::GmtError::RemoteDead).
+    /// Kept: the retry-budget tests shrink it to bound their run time.
     pub max_retries: u32,
-    /// How long the receiver may sit on an unsent cumulative ack hoping to
-    /// piggyback it on return traffic before a standalone ack packet is
-    /// emitted (ns).
-    pub ack_delay_ns: u64,
     /// Per-peer flow-control window: the maximum unacked data buffers in
     /// flight toward one peer before further buffers are held back at the
     /// sender and the peer enters the **Backpressured** state (distinct
     /// from death — nothing fails, the window just stops growing).
     /// Receivers additionally advertise credit from their inbound backlog
     /// and the effective window is the smaller of the two. `0` disables
-    /// flow control (pre-window behaviour: sender memory toward a slow
-    /// peer is bounded only by pool exhaustion). Capped at `u16::MAX - 1`
-    /// by the credit wire encoding.
+    /// flow control (sender memory toward a slow peer is bounded only by
+    /// pool exhaustion). Capped at `u16::MAX - 1` by the credit wire
+    /// encoding. Kept: the flow-control tests narrow it so a throttled
+    /// link fills it.
     pub flow_window: usize,
-    /// How long an emitting task may be parked waiting for a
-    /// backpressured peer's window to reopen before the emit proceeds
-    /// anyway (ns, coarse-clock granularity; the buffer then waits in the
-    /// hold queue instead of the task spinning). `0` disables
-    /// backpressure parking — emits never block on flow control.
-    pub flow_park_ns: u64,
-    /// Shed load toward backpressured peers: while a peer is
-    /// backpressured, the combining table's age-based flushes toward it
-    /// are deferred (bounded memory — the table is fixed-size), so
-    /// fire-and-forget updates keep merging instead of piling up buffers
-    /// behind the window. Explicit flushes still go out.
-    pub flow_shed: bool,
     /// Age (ns) past which a task parked on remote completions is reported
-    /// by the stuck-task watchdog.
+    /// by the stuck-task watchdog. Kept: the watchdog tests shorten it.
     pub stuck_task_deadline_ns: u64,
     /// Failure detector: a link with no outbound traffic for this long gets
     /// a standalone heartbeat packet. Busy links never emit heartbeats —
     /// liveness rides on data/ack traffic for free. `0` disables the
-    /// detector entirely (no heartbeats, no suspicion, no silence deaths;
-    /// retry-budget exhaustion still declares peers dead).
+    /// detector entirely (no heartbeats, no suspicion, no silence deaths,
+    /// no link-state observation; retry-budget exhaustion still declares
+    /// peers dead) — kept because that is how a test pins the retry-budget
+    /// path.
     pub heartbeat_idle_ns: u64,
-    /// Failure detector: silence from a peer past this age raises a
-    /// *suspicion* (counted, logged under `log_net_warnings`, cleared by
-    /// any packet from the peer). Purely diagnostic — no tokens fail.
-    pub suspect_after_ns: u64,
     /// Failure detector: silence past this age *confirms* the peer dead;
     /// its tokens are error-completed and a death notice is disseminated
     /// to all survivors so the cluster converges on one membership view.
+    /// Silence past a [`SUSPECT_FRACTION`]th of it raises a suspicion
+    /// first. Kept: `gmt-launch` and the TCP tests raise it on hosts where
+    /// a loaded process can stay silent for a second, the membership tests
+    /// lower it.
     pub peer_death_timeout_ns: u64,
     /// Enforcement deadline (ns) for blocking remote operations: a task
     /// parked longer than this is force-woken and its wait returns
     /// [`GmtError::DeadlineExceeded`](crate::error::GmtError::DeadlineExceeded).
     /// `0` (the default) disables enforcement; per-task deadlines set via
-    /// the `*_deadline` API variants override this value.
+    /// the `*_deadline` API variants override this value. Kept: it is the
+    /// only bound on a wait over an unreliable fabric, which the wave and
+    /// membership tests arm.
     pub op_deadline_ns: u64,
-    /// Let the comm server consult the installed [`FaultPlan`] for explicit
-    /// node kills and confirm them as deaths immediately, instead of
-    /// waiting out the retry budget or heartbeat timeout. Mirrors a
-    /// production fabric's link-down notification. Tests that exercise the
-    /// timeout paths themselves turn this off.
-    ///
-    /// [`FaultPlan`]: gmt_net::FaultPlan
-    pub observe_fabric_kills: bool,
-    /// Events retained per thread lane by the ring-buffer tracer (a
-    /// sliding window over the run's tail). Only consulted when the
-    /// runtime is built with the `trace` cargo feature *and* `GMT_TRACE`
-    /// is set; otherwise no ring is allocated.
-    pub trace_capacity: usize,
-    /// Emit `eprintln!` warnings for transport failures, dead peers and
-    /// stuck tasks (the in-process stand-in for a logging hook).
-    pub log_net_warnings: bool,
 }
 
 impl Config {
@@ -153,25 +158,16 @@ impl Config {
             cmd_block_timeout_ns: 10_000,
             aggregation_timeout_ns: 30_000,
             combine_window: 16,
-            batch_apply: true,
-            task_stack_size: 64 * 1024,
             network: Some(NetworkModel::olympus()),
             reliable: true,
             rto_base_ns: 5_000_000,
             rto_max_ns: 80_000_000,
             max_retries: 8,
-            ack_delay_ns: 200_000,
             flow_window: 32,
-            flow_park_ns: 2_000_000,
-            flow_shed: true,
             stuck_task_deadline_ns: 1_000_000_000,
             heartbeat_idle_ns: 50_000_000,
-            suspect_after_ns: 500_000_000,
             peer_death_timeout_ns: 3_000_000_000,
             op_deadline_ns: 0,
-            observe_fabric_kills: true,
-            trace_capacity: 16_384,
-            log_net_warnings: true,
         }
     }
 
@@ -188,25 +184,16 @@ impl Config {
             cmd_block_timeout_ns: 5_000,
             aggregation_timeout_ns: 10_000,
             combine_window: 16,
-            batch_apply: true,
-            task_stack_size: 64 * 1024,
             network: None,
             reliable: true,
             rto_base_ns: 1_000_000,
             rto_max_ns: 20_000_000,
             max_retries: 6,
-            ack_delay_ns: 100_000,
             flow_window: 32,
-            flow_park_ns: 2_000_000,
-            flow_shed: true,
             stuck_task_deadline_ns: 1_000_000_000,
             heartbeat_idle_ns: 25_000_000,
-            suspect_after_ns: 200_000_000,
             peer_death_timeout_ns: 1_000_000_000,
             op_deadline_ns: 0,
-            observe_fabric_kills: true,
-            trace_capacity: 8_192,
-            log_net_warnings: true,
         }
     }
 
@@ -236,13 +223,6 @@ impl Config {
         if self.cmd_block_entries == 0 {
             return Err("cmd_block_entries must be at least 1".into());
         }
-        if self.task_stack_size < gmt_context::MIN_STACK_SIZE {
-            return Err(format!(
-                "task_stack_size {} below minimum {}",
-                self.task_stack_size,
-                gmt_context::MIN_STACK_SIZE
-            ));
-        }
         if self.reliable {
             if self.rto_base_ns == 0 {
                 return Err("rto_base_ns must be nonzero with reliability enabled".into());
@@ -260,13 +240,13 @@ impl Config {
                     u16::MAX - 1
                 ));
             }
-            if self.heartbeat_idle_ns > 0 {
-                if self.suspect_after_ns <= self.heartbeat_idle_ns {
-                    return Err("suspect_after_ns must exceed heartbeat_idle_ns".into());
-                }
-                if self.peer_death_timeout_ns <= self.suspect_after_ns {
-                    return Err("peer_death_timeout_ns must exceed suspect_after_ns".into());
-                }
+            // A suspicion needs at least one missed heartbeat behind it.
+            if self.heartbeat_idle_ns > 0
+                && self.peer_death_timeout_ns / SUSPECT_FRACTION <= self.heartbeat_idle_ns
+            {
+                return Err(format!(
+                    "peer_death_timeout_ns must exceed {SUSPECT_FRACTION} x heartbeat_idle_ns"
+                ));
             }
         }
         Ok(())
@@ -318,10 +298,8 @@ mod tests {
             |c: &mut Config| c.num_buf_per_channel = 0,
             |c: &mut Config| c.buffer_size = 16,
             |c: &mut Config| c.cmd_block_entries = 0,
-            |c: &mut Config| c.task_stack_size = 64,
             |c: &mut Config| c.flow_window = u16::MAX as usize,
-            |c: &mut Config| c.suspect_after_ns = c.heartbeat_idle_ns,
-            |c: &mut Config| c.peer_death_timeout_ns = c.suspect_after_ns,
+            |c: &mut Config| c.peer_death_timeout_ns = SUSPECT_FRACTION * c.heartbeat_idle_ns,
         ] {
             let mut c = Config::small();
             f(&mut c);
@@ -331,11 +309,10 @@ mod tests {
 
     #[test]
     fn detector_off_skips_timer_ordering() {
-        // heartbeat_idle_ns == 0 disables the detector; the suspicion /
+        // heartbeat_idle_ns == 0 disables the detector; the heartbeat /
         // death timer ordering is then irrelevant and must not reject.
         let mut c = Config::small();
         c.heartbeat_idle_ns = 0;
-        c.suspect_after_ns = 0;
         c.peer_death_timeout_ns = 0;
         c.validate().unwrap();
     }

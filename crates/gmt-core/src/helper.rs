@@ -3,26 +3,23 @@
 //! against local segments, and generate reply commands that flow back
 //! through the same aggregation pipeline.
 //!
-//! Two receive datapaths exist, selected by `Config::batch_apply`:
+//! Every received buffer goes through one three-stage pipeline —
+//! *decode* (one pass extracts every request command into
+//! struct-of-arrays staging, [`BatchStage`]), *bucket* (requests are
+//! grouped by target segment so each same-segment run resolves the
+//! segment once via [`NodeMemory::with_batch`]), *apply* (runs go through
+//! the vectorized [`Segment`] kernels: same-offset atomic adds pre-merged
+//! into one RMW, word-wise batch copies, `GetReply`s streamed through one
+//! sink access per run, token acknowledgements assembled straight from
+//! the staged token columns). Reply-side opcodes are executed one by one
+//! but gain run-detection for same-token `Ack` bursts. Control commands
+//! (`Alloc`/`Free`/`Spawn`) act as barriers: the staged batch applies
+//! before them, preserving their order relative to data commands.
 //!
-//! * **Batched** (default): a three-stage pipeline over each received
-//!   buffer — *decode* (one pass extracts every request command into
-//!   struct-of-arrays staging, [`BatchStage`]), *bucket* (requests are
-//!   grouped by target segment so each same-segment run resolves the
-//!   segment once via [`NodeMemory::with_batch`]), *apply* (runs go
-//!   through the vectorized [`Segment`] kernels: same-offset atomic adds
-//!   pre-merged into one RMW, word-wise batch copies, `GetReply`s
-//!   streamed through one sink access per run, token acknowledgements
-//!   assembled straight from the staged token columns). Reply-side
-//!   opcodes stay scalar but gain run-detection for same-token `Ack`
-//!   bursts. Control commands (`Alloc`/`Free`/`Spawn`) act as barriers:
-//!   the staged batch applies before them, preserving their order
-//!   relative to data commands.
-//! * **Scalar** (`batch_apply = false`): the original
-//!   one-command-at-a-time loop, kept as the ablation baseline. The two
-//!   paths are observably equivalent (same memory contents, same
-//!   completion multiplicities); `tests/batch_equivalence.rs` pins this
-//!   with randomized mixed-opcode workloads.
+//! What the pipeline must be observably equivalent to — each command
+//! applied alone, in some order — is written down as the host-side model
+//! of `tests/batch_equivalence.rs`, which randomized mixed-opcode
+//! workloads are compared against.
 //!
 //! [`BatchStage`]: crate::command::BatchStage
 //! [`NodeMemory::with_batch`]: crate::memory::NodeMemory::with_batch
@@ -75,9 +72,6 @@ impl HelperScratch {
 
     /// Caps every reusable allocation at sizes derived from
     /// `buffer_size`; called between buffers, when everything is empty.
-    /// (The scalar path used to keep `scratch` at its high-water mark for
-    /// the thread's lifetime — one huge `Get` pinned that allocation per
-    /// helper forever.)
     fn shrink(&mut self, buffer_size: usize) {
         if self.scratch.capacity() > buffer_size {
             self.scratch.truncate(buffer_size);
@@ -106,70 +100,10 @@ impl HelperScratch {
     }
 }
 
-/// Executes every command in one received aggregation buffer through the
-/// scalar (one-at-a-time) datapath — the `batch_apply = false` ablation
-/// baseline. Returns the number of commands executed. `chan` is the
-/// executing helper's counter shard.
-///
-/// `src` is the node the buffer came from (replies go back there).
-/// `scratch` holds `GetReply` payloads; `acks` collects the completion
-/// tokens of every token-only acknowledgement (Put/Alloc/Free/AddN) so
-/// one vectorized [`Command::AckN`] answers the whole buffer instead of
-/// one `Ack` per command.
-fn process_buffer_scalar(
-    node: &Arc<NodeShared>,
-    src: NodeId,
-    buf: &[u8],
-    scratch: &mut Vec<u8>,
-    acks: &mut Vec<u8>,
-    chan: usize,
-) -> u64 {
-    debug_assert!(acks.is_empty());
-    let mut executed = 0u64;
-    for cmd in CommandIter::new(buf) {
-        node.metrics.cmd_counter(cmd.opcode()).add(chan, 1);
-        executed += 1;
-        match cmd {
-            // ---- requests: execute against local memory, reply --------
-            Command::Put { token, array, offset, data } => {
-                node.memory.with(array, |s| s.write(offset as usize, data));
-                acks.extend_from_slice(&token.to_le_bytes());
-            }
-            Command::Get { token, array, offset, len, dest } => {
-                let len = len as usize;
-                // Grow-only within the buffer: `Segment::read` overwrites
-                // every byte of the slice, so zero-filling (or clearing
-                // stale bytes from an earlier reply) would be pure waste.
-                if scratch.len() < len {
-                    scratch.resize(len, 0);
-                }
-                let out = &mut scratch[..len];
-                node.memory.with(array, |s| s.read(offset as usize, out));
-                reply(src, &Command::GetReply { token, dest, data: out });
-            }
-            Command::Add { token, array, offset, delta, dest } => {
-                let old = node.memory.with(array, |s| s.atomic_add(offset as usize, delta));
-                reply(src, &Command::AtomicReply { token, dest, old });
-            }
-            Command::AddN { array, offset, delta, tokens } => {
-                // The merged delta of several fire-and-forget adds:
-                // applied once, acknowledged once per absorbed token.
-                node.memory.with(array, |s| s.atomic_add(offset as usize, delta));
-                acks.extend_from_slice(tokens);
-            }
-            Command::Cas { token, array, offset, expected, new, dest } => {
-                let old = node.memory.with(array, |s| s.atomic_cas(offset as usize, expected, new));
-                reply(src, &Command::AtomicReply { token, dest, old });
-            }
-            other => execute_control_or_reply(node, src, &other, acks),
-        }
-    }
-    flush_acks(node, src, acks);
-    executed
-}
-
 /// Executes one control command (`Alloc`/`Free`/`Spawn`) or reply command
-/// — the opcodes both datapaths handle scalar.
+/// — the opcodes the pipeline does not stage. `acks` collects the
+/// completion tokens of token-only acknowledgements so one vectorized
+/// [`Command::AckN`] answers the whole buffer.
 fn execute_control_or_reply(
     node: &Arc<NodeShared>,
     src: NodeId,
@@ -266,7 +200,7 @@ fn execute_control_or_reply(
         | Command::Get { .. }
         | Command::Add { .. }
         | Command::AddN { .. }
-        | Command::Cas { .. } => unreachable!("request opcodes are handled by the datapaths"),
+        | Command::Cas { .. } => unreachable!("request opcodes are staged, not executed here"),
     }
 }
 
@@ -279,10 +213,11 @@ fn complete_ack_run(node: &Arc<NodeShared>, src: NodeId, token: u64, n: u32) {
     unsafe { complete_token_n(token, acquitted) };
 }
 
-/// Executes every command in one received aggregation buffer through the
-/// batched datapath (decode → bucket → apply; see the module docs).
-/// Returns the number of commands executed.
-fn process_buffer_batched(
+/// Executes every command in one received aggregation buffer (decode →
+/// bucket → apply; see the module docs) and returns how many there were.
+/// `src` is the node the buffer came from (replies go back there), `chan`
+/// the executing helper's counter shard.
+fn process_buffer(
     node: &Arc<NodeShared>,
     src: NodeId,
     buf: &[u8],
@@ -442,9 +377,9 @@ fn apply_staged(
     // Fire-and-forget adds (`dest == 0` — the uncombined storm shape)
     // merge exactly like the sink's combining table does at the source
     // and acknowledge through the ack column (observably equivalent to
-    // the scalar path's `AtomicReply { dest: 0 }`: both acquit and
-    // complete the token without writing anything back). Blocking adds
-    // need their individual old values, so they stay scalar inside the
+    // an `AtomicReply { dest: 0 }` each: both acquit and complete the
+    // token without writing anything back). Value-returning adds need
+    // their individual old values, so they apply one by one inside the
     // resolved run.
     if !stage.add_arrays.is_empty() {
         bucket_by_array(order, &stage.add_arrays);
@@ -495,7 +430,7 @@ fn apply_staged(
         });
     }
 
-    // ---- cas: order-sensitive and value-returning, scalar per op -----
+    // ---- cas: order-sensitive and value-returning, one by one ---------
     if !stage.cas_arrays.is_empty() {
         bucket_by_array(order, &stage.cas_arrays);
         resolved += for_each_run(node, order, &stage.cas_arrays, |seg, run| {
@@ -642,7 +577,6 @@ pub fn helper_main(node: Arc<NodeShared>, chan: usize, tracer: ThreadTracer) {
     tls::install(CommandSink::new(Arc::clone(&node.agg), chan));
     let mut hs = HelperScratch::new();
     let mut backoff = IdleBackoff::default();
-    let batch = node.config.batch_apply;
     let buffer_size = node.config.buffer_size;
     // Commands start after the transport header the sender reserved (the
     // communication server validated its presence before delivering).
@@ -651,11 +585,7 @@ pub fn helper_main(node: Arc<NodeShared>, chan: usize, tracer: ThreadTracer) {
         let mut progressed = false;
         while let Some((src, buf)) = node.helper_in.pop() {
             let t0 = tracer.now_ns();
-            let executed = if batch {
-                process_buffer_batched(&node, src, &buf[hdr..], &mut hs, chan)
-            } else {
-                process_buffer_scalar(&node, src, &buf[hdr..], &mut hs.scratch, &mut hs.acks, chan)
-            };
+            let executed = process_buffer(&node, src, &buf[hdr..], &mut hs, chan);
             tracer.span("process_buffer", t0, executed);
             // Buffer boundary: release pathological high-water marks.
             hs.shrink(buffer_size);

@@ -83,14 +83,14 @@ pub struct NodeMetrics {
     /// Commands executed, indexed by `opcode - 1`
     /// (`helper.cmd.<op_name>`).
     pub cmd_counters: Vec<Counter>,
-    /// Received buffers processed through the batched (SoA) datapath.
+    /// Received buffers processed by the helpers.
     pub batch_buffers: Counter,
     /// Length of each same-segment run applied through one
     /// `NodeMemory::with_batch` resolution (batching efficiency: long
     /// runs amortize the generation-checked lookup well).
     pub batch_run_len: Histogram,
-    /// Distinct segment resolutions per batched buffer (lower is
-    /// better; the scalar path pays one per command).
+    /// Distinct segment resolutions per buffer (lower is better; one per
+    /// command is the unbatched cost).
     pub batch_segments_per_buffer: Histogram,
     /// Atomic adds absorbed by the same-offset pre-merge (each is one
     /// RMW that never happened).

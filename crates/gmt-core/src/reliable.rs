@@ -46,7 +46,7 @@
 //!   from that peer is dropped (a late reply from a "dead" peer must never
 //!   touch a token that already completed with an error). When the
 //!   failure detector is enabled, retry exhaustion alone does *not* kill
-//!   a peer that has been heard from within `suspect_after_ns` — a slow
+//!   a peer that has been heard from within the suspicion threshold — a slow
 //!   peer that still acks keeps being retransmitted to at the capped
 //!   backoff instead of being declared dead by an RTO miscalibration.
 //!
@@ -59,8 +59,9 @@
 //!   extra packets. Only when a link has been outbound-idle past
 //!   `heartbeat_idle_ns` does a standalone [`KIND_HEARTBEAT`] go out
 //!   (doubling as a cumulative ack carrier).
-//! * Inbound silence past `suspect_after_ns` raises a *suspicion*
-//!   (diagnostic: counted and logged, cleared by the next packet);
+//! * Inbound silence past a [`SUSPECT_FRACTION`]th of `death_timeout_ns`
+//!   raises a *suspicion* (diagnostic: counted and logged, cleared by the
+//!   next packet);
 //!   silence past `death_timeout_ns` *confirms* the peer dead, exactly
 //!   like retry-budget exhaustion does.
 //! * Every confirmed death — by retry exhaustion, by silence, by an
@@ -79,6 +80,7 @@
 //! [`GmtError::RemoteDead`]: crate::error::GmtError::RemoteDead
 //! [`AggShared::now_ns`]: crate::aggregation::AggShared::now_ns
 
+use crate::config::SUSPECT_FRACTION;
 use crate::NodeId;
 use gmt_net::Payload;
 use std::collections::{BTreeSet, VecDeque};
@@ -277,14 +279,19 @@ pub enum PollAction {
 #[derive(Debug, Clone, Copy)]
 pub struct DetectorConfig {
     pub heartbeat_idle_ns: u64,
-    pub suspect_after_ns: u64,
     pub death_timeout_ns: u64,
 }
 
 impl DetectorConfig {
     /// A disabled detector (delivery-layer death detection only).
     pub fn disabled() -> Self {
-        DetectorConfig { heartbeat_idle_ns: 0, suspect_after_ns: 0, death_timeout_ns: 0 }
+        DetectorConfig { heartbeat_idle_ns: 0, death_timeout_ns: 0 }
+    }
+
+    /// Silence past which a peer is suspected, and within which retry
+    /// exhaustion alone does not kill it.
+    fn suspect_after(&self) -> u64 {
+        self.death_timeout_ns / SUSPECT_FRACTION
     }
 
     fn enabled(&self) -> bool {
@@ -628,7 +635,7 @@ impl ReliableLink {
                     // via the detector's own silence timeout.
                     let heard_recently = det.enabled()
                         && now_ns.saturating_sub(self.peers[dst].last_heard_ns)
-                            < det.suspect_after_ns;
+                            < det.suspect_after();
                     if !heard_recently {
                         let unacked = self.mark_dead_inner(dst);
                         out.push(PollAction::Dead {
@@ -662,7 +669,7 @@ impl ReliableLink {
                     });
                     continue;
                 }
-                if silence >= det.suspect_after_ns && !p.suspected {
+                if silence >= det.suspect_after() && !p.suspected {
                     p.suspected = true;
                     out.push(PollAction::Suspect { dst });
                 }
@@ -737,13 +744,9 @@ mod tests {
     }
 
     fn link_det(nodes: usize) -> ReliableLink {
-        // Same delivery params; detector: heartbeat idle 100, suspect
-        // after 300, death at 1000.
-        let det = DetectorConfig {
-            heartbeat_idle_ns: 100,
-            suspect_after_ns: 300,
-            death_timeout_ns: 1000,
-        };
+        // Same delivery params; detector: heartbeat idle 100, death at
+        // 1000, so suspicion at 200.
+        let det = DetectorConfig { heartbeat_idle_ns: 100, death_timeout_ns: 1000 };
         ReliableLink::new(0, nodes, 100, 400, 2, 50, 0, det)
     }
 
@@ -1204,7 +1207,8 @@ mod tests {
             out.iter().any(|a| matches!(a, PollAction::Retransmit { dst: 1, .. })),
             "suppression keeps retransmitting the head"
         );
-        // Silence past suspect_after (300): the next expiry now kills.
+        // Silence past the suspicion threshold (200): the next expiry now
+        // kills.
         out.clear();
         l.poll(1100, &mut out);
         assert!(out.iter().any(|a| matches!(

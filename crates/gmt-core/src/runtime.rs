@@ -321,7 +321,7 @@ impl NodeShared {
     /// force-waking tasks parked past it (their `wait_commands` then
     /// returns [`GmtError::DeadlineExceeded`]).
     /// Returns how many tasks are currently stuck. One diagnostic is
-    /// printed per park (not per sweep), gated on `log_net_warnings`.
+    /// printed per park (not per sweep).
     ///
     /// Tasks parked toward a **backpressured** peer are exempt from both
     /// the stuck count and deadline enforcement (their park clock keeps
@@ -362,19 +362,17 @@ impl NodeShared {
                 };
                 if enforce > 0 && age >= enforce && ctl.expire_deadline() {
                     self.metrics.deadline_expired.add(self.metrics.comm_shard(), 1);
-                    if self.config.log_net_warnings {
-                        eprintln!(
-                            "[gmt] warn: node {}: operation deadline ({} ms) expired; \
-                             force-waking task with {pending} completion(s) in flight",
-                            self.node_id,
-                            enforce / 1_000_000,
-                        );
-                    }
+                    eprintln!(
+                        "[gmt] warn: node {}: operation deadline ({} ms) expired; \
+                         force-waking task with {pending} completion(s) in flight",
+                        self.node_id,
+                        enforce / 1_000_000,
+                    );
                     return true;
                 }
                 if age >= deadline {
                     stuck += 1;
-                    if self.config.log_net_warnings && ctl.claim_warning() {
+                    if ctl.claim_warning() {
                         let toward = match dst {
                             Some(d) => format!("last command {} toward node {d}", {
                                 crate::command::op_name(opcode)
@@ -489,6 +487,22 @@ impl NodeHandle {
         snap
     }
 
+    /// Honors `GMT_METRICS_OUT`: when it names a directory, writes
+    /// [`NodeHandle::metrics_snapshot`] there as `<tag>-node<id>.json`,
+    /// the layout CI uploads as failure artifacts. A failed write is
+    /// reported on stderr and otherwise ignored.
+    pub fn write_metrics_out(&self, tag: &str) {
+        let Ok(dir) = std::env::var("GMT_METRICS_OUT") else { return };
+        if dir.is_empty() {
+            return;
+        }
+        let _ = std::fs::create_dir_all(&dir);
+        let path = format!("{dir}/{tag}-node{}.json", self.shared.node_id);
+        if let Err(e) = std::fs::write(&path, self.metrics_snapshot().to_json()) {
+            eprintln!("[gmt] could not write {path}: {e}");
+        }
+    }
+
     /// Peers this node has confirmed dead (retry exhaustion, heartbeat
     /// timeout, observed kill, or a death notice from another survivor).
     pub fn dead_peers(&self) -> Vec<NodeId> {
@@ -581,12 +595,7 @@ mod trace_hub {
         /// `chrome:/path/run.json`, a bare path, or a directory spec
         /// ending in `/` (a unique file name per run is generated, so
         /// parallel tests sharing the env var do not clobber each other).
-        pub fn from_env(
-            nodes: usize,
-            workers: usize,
-            helpers: usize,
-            capacity: usize,
-        ) -> Option<TraceHub> {
+        pub fn from_env(nodes: usize, workers: usize, helpers: usize) -> Option<TraceHub> {
             let spec = std::env::var("GMT_TRACE").ok()?;
             let raw = spec.strip_prefix("chrome:").unwrap_or(&spec);
             if raw.is_empty() {
@@ -600,7 +609,7 @@ mod trace_hub {
                 PathBuf::from(raw)
             };
             let lanes_per_node = workers + helpers + 1;
-            let mut sink = TraceSink::new(capacity);
+            let mut sink = TraceSink::new(crate::config::TRACE_CAPACITY);
             for node in 0..nodes {
                 for w in 0..workers {
                     sink.add_lane(format!("n{node}.worker{w}"), node as u64, w as u64);
@@ -662,7 +671,6 @@ fn boot_node(
         config.combine_window,
         metrics.registry(),
     );
-    agg.flow().set_shed(config.flow_shed);
     let shared = Arc::new(NodeShared {
         node_id,
         nodes,
@@ -800,12 +808,7 @@ impl Cluster {
             cross_process: false,
         });
         #[cfg(feature = "trace")]
-        let trace = trace_hub::TraceHub::from_env(
-            nodes,
-            config.num_workers,
-            config.num_helpers,
-            config.trace_capacity,
-        );
+        let trace = trace_hub::TraceHub::from_env(nodes, config.num_workers, config.num_helpers);
         // Resolves the tracer of one runtime thread; a no-op handle when
         // the `trace` feature is off or GMT_TRACE is not set.
         let make_tracer = |node: usize, lane: usize| -> ThreadTracer {

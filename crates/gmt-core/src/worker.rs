@@ -12,6 +12,7 @@
 use crate::aggregation::CommandSink;
 use crate::api::TaskCtx;
 use crate::command::Command;
+use crate::config::TASK_STACK_SIZE;
 use crate::idle::IdleBackoff;
 use crate::metrics::ThreadTracer;
 use crate::runtime::NodeShared;
@@ -67,9 +68,7 @@ impl Worker {
     }
 
     fn take_stack(&mut self) -> Stack {
-        self.stacks
-            .pop()
-            .unwrap_or_else(|| Stack::new(self.node.config.task_stack_size).expect("task stack"))
+        self.stacks.pop().unwrap_or_else(|| Stack::new(TASK_STACK_SIZE).expect("task stack"))
     }
 
     fn alloc_slot(&mut self) -> usize {

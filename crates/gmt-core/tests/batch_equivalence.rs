@@ -1,23 +1,22 @@
-//! Batched ≡ scalar helper-datapath equivalence.
+//! The helper datapath against a host-side model.
 //!
-//! The helper receive path has two implementations selected by
-//! `Config::batch_apply`: the scalar one-command-at-a-time loop and the
-//! batched decode → bucket → apply pipeline (same-offset RMW merging,
-//! run-wise segment resolution, `AckN` assembly from staged token
-//! columns). They must be observably identical: same final memory, same
-//! completion multiplicities (a lost or duplicated completion hangs or
-//! corrupts `wait_commands`, so the runs below double as multiplicity
-//! checks), same values returned by blocking atomics.
+//! The helper receive path is a batched decode → bucket → apply pipeline
+//! (same-offset RMW merging, run-wise segment resolution, `AckN` assembly
+//! from staged token columns). It must be observably identical to
+//! applying each command alone: same final memory, same completion
+//! multiplicities (a lost or duplicated completion hangs or corrupts
+//! `wait_commands`, so the runs below double as multiplicity checks),
+//! same values returned by blocking atomics. [`model`] is that reference:
+//! the op sequences applied one at a time on the host.
 //!
 //! Each property case runs one seeded mixed-opcode workload — puts to
 //! disjoint slots (some duplicated same-bytes), fire-and-forget adds to
 //! a small set of shared cells (heavy duplicate offsets → the merge
 //! path), blocking adds, per-task cas chains (order-sensitive), and
 //! interleaved gets — across three arrays with different distributions,
-//! once with batching on and once off, and compares both against each
-//! other and against a host-side model. Only outcomes that GMT defines
-//! are compared: slots are single-writer, adds commute, cas chains are
-//! per-task sequenced by their blocking replies.
+//! and compares the cluster's memory against the model. Only outcomes
+//! that GMT defines are compared: slots are single-writer, adds commute,
+//! cas chains are per-task sequenced by their blocking replies.
 
 use gmt_core::{Cluster, Config, Distribution, SpawnPolicy};
 use proptest::prelude::*;
@@ -105,14 +104,8 @@ fn model(seed: u64, n_ops: usize) -> (Vec<u8>, Vec<i64>, Vec<i64>) {
 
 /// Runs the seeded workload on a fresh cluster and returns the final
 /// memory of all three arrays.
-fn run_workload(
-    batch: bool,
-    seed: u64,
-    n_ops: usize,
-    nodes: usize,
-) -> (Vec<u8>, Vec<i64>, Vec<i64>) {
-    let config = Config { batch_apply: batch, ..Config::small() };
-    let cluster = Cluster::start(nodes, config).unwrap();
+fn run_workload(seed: u64, n_ops: usize, nodes: usize) -> (Vec<u8>, Vec<i64>, Vec<i64>) {
+    let cluster = Cluster::start(nodes, Config::small()).unwrap();
     let result = cluster.node(0).run(move |ctx| {
         let put_bytes = TASKS * n_ops as u64 * SLOT;
         let puts = ctx.alloc(put_bytes, Distribution::Partition);
@@ -176,16 +169,13 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
 
     #[test]
-    fn batched_and_scalar_datapaths_are_observably_identical(
+    fn helper_datapath_matches_the_host_model(
         seed in any::<u64>(),
         n_ops in 12usize..40,
         nodes in 2usize..4,
     ) {
-        let batched = run_workload(true, seed, n_ops, nodes);
-        let scalar = run_workload(false, seed, n_ops, nodes);
-        prop_assert_eq!(&batched, &scalar, "batched vs scalar mismatch (seed {})", seed);
-        let expected = model(seed, n_ops);
-        prop_assert_eq!(batched, expected, "batched vs model mismatch (seed {})", seed);
+        let got = run_workload(seed, n_ops, nodes);
+        prop_assert_eq!(got, model(seed, n_ops), "cluster vs model mismatch (seed {})", seed);
     }
 }
 
@@ -195,23 +185,20 @@ proptest! {
 /// through the source combining table before that).
 #[test]
 fn single_cell_storm_sums_exactly() {
-    for batch in [true, false] {
-        let config = Config { batch_apply: batch, ..Config::small() };
-        let cluster = Cluster::start(2, config).unwrap();
-        let total = cluster.node(0).run(move |ctx| {
-            let arr = ctx.alloc(8, Distribution::Remote);
-            ctx.parfor(SpawnPolicy::Partition, 64, 4, move |ctx, i| {
-                for k in 0..32 {
-                    ctx.atomic_add_nb(&arr, 0, (i * 37 + k) as i64 % 101);
-                }
-                ctx.wait_commands().unwrap();
-            });
-            let v = ctx.atomic_add(&arr, 0, 0).unwrap();
-            ctx.free(arr);
-            v
+    let cluster = Cluster::start(2, Config::small()).unwrap();
+    let total = cluster.node(0).run(move |ctx| {
+        let arr = ctx.alloc(8, Distribution::Remote);
+        ctx.parfor(SpawnPolicy::Partition, 64, 4, move |ctx, i| {
+            for k in 0..32 {
+                ctx.atomic_add_nb(&arr, 0, (i * 37 + k) as i64 % 101);
+            }
+            ctx.wait_commands().unwrap();
         });
-        let expected: i64 = (0..64).flat_map(|i| (0..32).map(move |k| (i * 37 + k) % 101)).sum();
-        assert_eq!(total, expected, "batch_apply={batch}");
-        cluster.shutdown();
-    }
+        let v = ctx.atomic_add(&arr, 0, 0).unwrap();
+        ctx.free(arr);
+        v
+    });
+    let expected: i64 = (0..64).flat_map(|i| (0..32).map(move |k| (i * 37 + k) % 101)).sum();
+    assert_eq!(total, expected);
+    cluster.shutdown();
 }

@@ -113,13 +113,11 @@ fn reliability_survives_lossy_shm() {
 /// monitors read over shm. (A true SIGKILL on shm, where even `GONE` is
 /// never written and only the pid check can tell, is exercised
 /// cross-process by the gmt-launch --kill CI job.) The config pushes the
-/// suspicion window out to 2 s so neither retry-budget exhaustion nor
-/// heartbeat silence can fire first: only the evidence path can explain
-/// a sub-second confirmation.
+/// death timeout out to 10 s, and with it the suspicion window to 2 s, so
+/// neither retry-budget exhaustion nor heartbeat silence can fire first:
+/// only the evidence path can explain a sub-second confirmation.
 fn loss_evidence_confirms_death_in_detection_time(transports: Vec<Arc<dyn Transport>>) {
-    let mut config = Config::small();
-    config.suspect_after_ns = 2_000_000_000;
-    config.peer_death_timeout_ns = 10_000_000_000;
+    let config = Config { peer_death_timeout_ns: 10_000_000_000, ..Config::small() };
     let (runtimes, transports) = boot_nodes(transports, &config);
     // Let the mesh settle into heartbeat traffic.
     std::thread::sleep(Duration::from_millis(50));
@@ -169,7 +167,6 @@ fn peer_loss_evidence_confirms_death_on_shm() {
 fn crash_under_a_large_frame_stream_is_counted_once_and_keeps_pools_whole() {
     let mut config = Config::small();
     config.buffer_size = 64 * 1024;
-    config.suspect_after_ns = 2_000_000_000;
     config.peer_death_timeout_ns = 10_000_000_000;
     let (runtimes, transports) = boot_nodes(tcp_mesh(2), &config);
     let aggs: Vec<_> = runtimes.iter().map(|rt| Arc::clone(&rt.node().shared().agg)).collect();
@@ -218,31 +215,23 @@ fn crash_under_a_large_frame_stream_is_counted_once_and_keeps_pools_whole() {
     }
 }
 
-/// Measures crash-detection latency with and without connection-loss
-/// evidence under `Config::small` — the source of the EXPERIMENTS.md
-/// numbers. Run with `--ignored --nocapture`.
+/// Measures crash-detection latency through connection-loss evidence
+/// under `Config::small` — the source of the EXPERIMENTS.md number. Run
+/// with `--ignored --nocapture`.
 #[test]
 #[ignore = "latency measurement harness, run manually"]
 fn crash_detection_latency_report() {
-    for observe in [true, false] {
-        let mut config = Config::small();
-        config.observe_fabric_kills = observe;
-        let (runtimes, transports) = boot_nodes(tcp_mesh(2), &config);
-        std::thread::sleep(Duration::from_millis(50));
-        let t0 = Instant::now();
-        transports[1].shutdown();
-        while runtimes[0].node().dead_peers() != vec![1] {
-            assert!(t0.elapsed() < Duration::from_secs(30), "no detection at all");
-            std::thread::sleep(Duration::from_micros(500));
-        }
-        println!(
-            "crash detection {} link-down evidence: {:?}",
-            if observe { "with" } else { "without" },
-            t0.elapsed()
-        );
-        for rt in runtimes {
-            rt.shutdown();
-        }
+    let (runtimes, transports) = boot_nodes(tcp_mesh(2), &Config::small());
+    std::thread::sleep(Duration::from_millis(50));
+    let t0 = Instant::now();
+    transports[1].shutdown();
+    while runtimes[0].node().dead_peers() != vec![1] {
+        assert!(t0.elapsed() < Duration::from_secs(30), "no detection at all");
+        std::thread::sleep(Duration::from_micros(500));
+    }
+    println!("crash detection with link-down evidence: {:?}", t0.elapsed());
+    for rt in runtimes {
+        rt.shutdown();
     }
 }
 

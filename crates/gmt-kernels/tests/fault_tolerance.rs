@@ -65,23 +65,6 @@ fn assert_flow_bounded(snap: &MetricsSnapshot, node: usize, flow_window: usize, 
     }
 }
 
-/// When `GMT_METRICS_OUT` names a directory, drops one metrics snapshot
-/// per node there (`<tag>-node<i>.json`) so CI can upload the evidence
-/// as a failure artifact.
-fn write_metrics_artifacts(cluster: &Cluster, tag: &str) {
-    let Ok(dir) = std::env::var("GMT_METRICS_OUT") else { return };
-    if dir.is_empty() {
-        return;
-    }
-    let _ = std::fs::create_dir_all(&dir);
-    for i in 0..cluster.nodes() {
-        let path = format!("{dir}/{tag}-node{i}.json");
-        if let Err(e) = std::fs::write(&path, cluster.node(i).metrics_snapshot().to_json()) {
-            eprintln!("[fault_tolerance] could not write {path}: {e}");
-        }
-    }
-}
-
 fn run_bfs(cluster: &Cluster, vertices: u64, degree: u64, graph_seed: u64) -> BfsResult {
     let csr = uniform_random(GraphSpec { vertices, avg_degree: degree, seed: graph_seed });
     cluster.node(0).run(move |ctx| {
@@ -129,41 +112,6 @@ fn bfs_is_bit_identical_under_drops_and_flaps() {
     let total = cluster.net_stats().total();
     assert!(total.dropped_msgs > 0, "fault plan never dropped a packet (seed {seed})");
     assert!(total.retransmits > 0, "loss was never repaired by retransmission (seed {seed})");
-    cluster.shutdown();
-    assert_pools_whole(&aggs);
-}
-
-/// The batched helper datapath under fault injection: the 4-node BFS
-/// with `batch_apply` explicitly on, over a lossy/flapping/duplicating
-/// fabric, must match the fault-free *scalar* run bit-for-bit — batching
-/// may not change what retransmitted, duplicated or delayed buffers do
-/// (duplicate delivery exercises the staged path twice; the outstanding
-/// registry's acquit still decides which completions count).
-#[test]
-fn bfs_with_batched_datapath_survives_fault_injection() {
-    let seed = seed_from_env(0xBA7C);
-    eprintln!("[fault_tolerance] bfs_with_batched_datapath_survives_fault_injection seed={seed}");
-
-    let scalar_cluster =
-        Cluster::start_sim(4, Config { batch_apply: false, ..Config::small() }).unwrap();
-    let clean = run_bfs(&scalar_cluster, 200, 4, 31);
-    scalar_cluster.shutdown();
-
-    let cluster = Cluster::start_sim(4, Config { batch_apply: true, ..Config::small() }).unwrap();
-    cluster.fabric().install_faults(
-        FaultPlan::new(seed)
-            .drop_all(0.05)
-            .flap_period(1, 2, 10_000_000, 2_000_000)
-            .dup(2, 1, 0.02),
-    );
-    let aggs = pool_handles(&cluster);
-    let faulty = run_bfs(&cluster, 200, 4, 31);
-    assert_eq!(faulty, clean, "batched BFS diverged from scalar under faults (seed {seed})");
-    for i in 0..cluster.nodes() {
-        assert_eq!(cluster.node(i).stuck_tasks(), 0, "node {i} has stuck tasks (seed {seed})");
-    }
-    let total = cluster.net_stats().total();
-    assert!(total.dropped_msgs > 0, "fault plan never dropped a packet (seed {seed})");
     cluster.shutdown();
     assert_pools_whole(&aggs);
 }
@@ -239,8 +187,9 @@ fn duplication_storm_is_deduplicated_exactly() {
     assert_pools_whole(&aggs);
 }
 
-/// Node-kill acceptance: after the retry budget is exhausted against a
-/// blackholed peer, blocking operations addressed to it fail with
+/// Node-loss acceptance: after the retry budget is exhausted against a
+/// peer behind a silent partition, blocking operations addressed to it
+/// fail with
 /// [`GmtError::RemoteDead`] (instead of hanging), subsequent operations
 /// fail fast, and the watchdog reports zero stuck tasks once the failure
 /// has been surfaced.
@@ -249,10 +198,11 @@ fn killed_node_surfaces_remote_dead_within_retry_budget() {
     let seed = seed_from_env(0xDEAD);
     eprintln!("[fault_tolerance] killed_node_surfaces_remote_dead_within_retry_budget seed={seed}");
 
-    // Pin the death to the retry-exhaustion path: no fabric-kill
-    // observation, no heartbeat/silence detector — this test is the
-    // end-to-end coverage for the retry budget itself.
-    let config = Config { observe_fabric_kills: false, heartbeat_idle_ns: 0, ..Config::small() };
+    // Pin the death to the retry-exhaustion path: no heartbeat/silence
+    // detector, and a partition that no backend reports as a link going
+    // down (below) — this test is the end-to-end coverage for the retry
+    // budget itself.
+    let config = Config { heartbeat_idle_ns: 0, ..Config::small() };
     // Generous wall-clock budget: sum of backed-off RTOs plus scheduling
     // slack on a loaded single-core CI host.
     let rto_budget: u64 = (0..config.max_retries)
@@ -270,7 +220,11 @@ fn killed_node_surfaces_remote_dead_within_retry_budget() {
         arr
     });
 
-    cluster.fabric().install_faults(FaultPlan::new(seed).kill(3));
+    // Node 3 stays alive behind the partition; whatever it concludes
+    // about the others reaches nobody.
+    cluster.fabric().install_faults((0..3).fold(FaultPlan::new(seed), |plan, survivor| {
+        plan.drop(3, survivor, 1.0).drop(survivor, 3, 1.0)
+    }));
 
     let start = Instant::now();
     let (first, fast, fast_elapsed) = cluster.node(0).run(move |ctx| {
@@ -314,8 +268,9 @@ fn killed_node_surfaces_remote_dead_within_retry_budget() {
     cluster.shutdown();
     // Node 0's pools must be whole even though packets to node 3 died in
     // the retransmit queue — their pooled payloads are released when the
-    // peer is declared dead. Node 3 never learns anything (all its inbound
-    // was blackholed), so its pools are trivially whole too.
+    // peer is declared dead. Node 3's pools are checked with the rest:
+    // whatever it still held for a peer it could no longer hear was
+    // released the same way, or when its link state was dropped.
     assert_pools_whole(&aggs);
 }
 
@@ -370,16 +325,33 @@ fn watchdog_reports_stuck_tokens_when_reliability_is_off() {
 /// over a link that drops, duplicates, jitters, throttles and stalls, the
 /// sender's unacked count never exceeds `flow_window` (watermark gauge
 /// and occupancy histogram both bounded), no token is lost or
-/// double-completed (every put/get value exact, zero stuck tasks), the
-/// throttled peer is never mistaken for a dead one, and the pools are
-/// whole after shutdown.
+/// double-completed (every byte put is read back exact, zero stuck
+/// tasks), the throttled peer is never mistaken for a dead one, and the
+/// pools are whole after shutdown.
+///
+/// The load is built so that the window has to bind. One channel owns
+/// `num_buf_per_channel` = 4 buffers, which is exactly the window, and a
+/// buffer is not back in its pool before it is acked — so one channel
+/// alone can never overrun the window; a fifth unacked buffer has to come
+/// out of a second channel's pool. Every task therefore queues four full
+/// buffers' worth of bulk puts (two ~4 KB payloads fill an 8 KiB buffer)
+/// before its one `wait_commands`: sixteen of them put 64 buffers' worth
+/// into the node-wide aggregation queue within microseconds each, where
+/// whatever the first worker's dry pool leaves behind is packed by the
+/// other worker's next pump. The first ack cannot be back before the
+/// throttled port has serialized its buffer (6 x 4.4 us) and node 1 has
+/// swept, and the comm server submits a buffer per channel per sweep.
 #[test]
 fn flow_window_bounds_inflight_under_composed_faults() {
     let seed = seed_from_env(0xF10);
     eprintln!("[fault_tolerance] flow_window_bounds_inflight_under_composed_faults seed={seed}");
 
     const FLOW_WINDOW: usize = 4;
+    const TASKS: u64 = 16;
+    const PUTS: u64 = 8;
+    const PAYLOAD: u64 = 4000;
     let config = Config { flow_window: FLOW_WINDOW, ..Config::small_throttled() };
+    assert_eq!(config.num_buf_per_channel, FLOW_WINDOW, "one channel must not overrun the window");
     let cluster = Cluster::start_sim(2, config).unwrap();
     cluster.fabric().install_faults(
         FaultPlan::new(seed)
@@ -390,17 +362,21 @@ fn flow_window_bounds_inflight_under_composed_faults() {
             .stall(0, 1, 0.10, 100_000),
     );
     let aggs = pool_handles(&cluster);
-    let bad = cluster.node(0).run(|ctx| {
-        let n = 512u64;
-        let arr = ctx.alloc(n * 8, Distribution::Remote);
-        ctx.parfor(gmt_core::SpawnPolicy::Local, n, 16, move |ctx, i| {
-            ctx.put_value::<u64>(&arr, i, i * 7 + 3).unwrap();
+    let fill = |task: u64, k: u64| (task * PUTS + k) as u8 ^ 0x5A;
+    let bad = cluster.node(0).run(move |ctx| {
+        let arr = ctx.alloc(TASKS * PUTS * PAYLOAD, Distribution::Remote);
+        ctx.parfor(gmt_core::SpawnPolicy::Local, TASKS, 1, move |ctx, task| {
+            for k in 0..PUTS {
+                let data = [fill(task, k); PAYLOAD as usize];
+                ctx.put_nb(&arr, (task * PUTS + k) * PAYLOAD, &data);
+            }
+            ctx.wait_commands().unwrap();
         });
         let mut bad = 0u64;
-        for i in 0..n {
-            if ctx.get_value::<u64>(&arr, i).unwrap() != i * 7 + 3 {
-                bad += 1;
-            }
+        let mut back = vec![0u8; PAYLOAD as usize];
+        for slot in 0..TASKS * PUTS {
+            ctx.get(&arr, slot * PAYLOAD, &mut back).unwrap();
+            bad += back.iter().filter(|&&b| b != fill(slot / PUTS, slot % PUTS)).count() as u64;
         }
         ctx.free(arr);
         bad
@@ -416,11 +392,11 @@ fn flow_window_bounds_inflight_under_composed_faults() {
             "node {i} mistook a slow peer for a dead one (seed {seed})"
         );
     }
-    // The window actually bound: a 4-deep window against a throttled link
-    // must have made the sender hold buffers at least once.
-    let snap0 = cluster.node(0).metrics_snapshot();
+    // The window actually bound: the sender held buffers at least once.
+    let holds = cluster.node(0).metrics_snapshot().counter("net.flow.holds").unwrap_or(0);
+    eprintln!("[fault_tolerance] node 0 held {holds} buffer(s) behind the window");
     assert!(
-        snap0.counter("net.flow.holds").unwrap_or(0) > 0,
+        holds > 0,
         "flow window never held a buffer — the property was not exercised (seed {seed})"
     );
     let total = cluster.net_stats().total();
@@ -459,7 +435,9 @@ fn slow_peer_soak_survives_throttled_link() {
     cluster.fabric().install_faults(FaultPlan::new(seed).throttle(0, 3, 10.0).throttle(3, 0, 10.0));
     let aggs = pool_handles(&cluster);
     let slow = run_bfs(&cluster, 1024, 8, 77);
-    write_metrics_artifacts(&cluster, "slow-peer-soak");
+    for i in 0..cluster.nodes() {
+        cluster.node(i).write_metrics_out("slow-peer-soak");
+    }
     assert_eq!(slow, clean, "BFS result changed under a 10x-throttled link (seed {seed})");
 
     let mut parks = 0u64;

@@ -484,10 +484,7 @@ fn child(opts: &Opts, id: &str) -> Result<(), String> {
         // Push the silence-based detector paths out so a sub-second
         // confirmation can only come from connection-loss evidence —
         // the property the kill matrix exists to prove.
-        let mut c = Config::small();
-        c.suspect_after_ns = 1_000_000_000;
-        c.peer_death_timeout_ns = 10_000_000_000;
-        c
+        Config { peer_death_timeout_ns: 10_000_000_000, ..Config::small() }
     } else {
         Config::small()
     };
@@ -513,7 +510,7 @@ fn child(opts: &Opts, id: &str) -> Result<(), String> {
             println!("RESULT membership epoch={} dead={dead:?}", runtime.node().membership_epoch());
         }
         write_epoch(runtime.node(), node);
-        write_metrics(&opts.bin, wire, runtime.node(), node);
+        runtime.node().write_metrics_out(&format!("{}-{wire}", opts.bin));
         control.signal_done();
         // Wait for every survivor's ack so our links stay up while they
         // finish converging and writing artifacts. EOF counts as an ack
@@ -542,7 +539,7 @@ fn child(opts: &Opts, id: &str) -> Result<(), String> {
             await_victims_dead(runtime.node(), &opts.kill, node)?;
         }
         write_epoch(runtime.node(), node);
-        write_metrics(&opts.bin, wire, runtime.node(), node);
+        runtime.node().write_metrics_out(&format!("{}-{wire}", opts.bin));
         control.signal_done();
     }
     runtime.shutdown();
@@ -615,7 +612,7 @@ fn single_process(opts: &Opts) -> Result<(), String> {
     };
     run_workload(opts, cluster.node(0), label);
     for node in 0..opts.nodes {
-        write_metrics(&opts.bin, label, cluster.node(node), node);
+        cluster.node(node).write_metrics_out(&format!("{}-{label}", opts.bin));
     }
     cluster.shutdown();
     Ok(())
@@ -689,20 +686,4 @@ fn run_chma(driver: &gmt_core::NodeHandle) {
         r.inserts,
         r.accesses
     );
-}
-
-/// Honors `GMT_METRICS_OUT`: one JSON snapshot per node, same layout the
-/// fault-injection CI jobs upload as failure artifacts. The transport
-/// label is part of the file name so a diff artifact says which wire
-/// produced it (RESULT lines on stdout stay transport-free by design).
-fn write_metrics(bin: &str, transport: &str, node: &gmt_core::NodeHandle, id: usize) {
-    let Ok(dir) = std::env::var("GMT_METRICS_OUT") else { return };
-    if dir.is_empty() {
-        return;
-    }
-    let _ = std::fs::create_dir_all(&dir);
-    let path = format!("{dir}/{bin}-{transport}-node{id}.json");
-    if let Err(e) = std::fs::write(&path, node.metrics_snapshot().to_json()) {
-        eprintln!("[gmt-launch] could not write {path}: {e}");
-    }
 }
