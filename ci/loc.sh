@@ -15,9 +15,13 @@
 # are written against the safe wave helpers — and the script fails if one
 # does.
 #
-# Last the number of `pub` fields of `gmt_core::Config`: every field is a
-# switch the tests and the benchmark are supposed to cover at two values,
-# so the script fails above 20.
+# Last the switches: every one is something the tests and the benchmark
+# are supposed to cover at two values. The `pub` fields of
+# `gmt_core::Config` (fails above 20); the cargo features the crates
+# declare and the `cfg(feature` sites that fork on them (one build of the
+# runtime: fails above 0); and the distinct `GMT_*` names in the crates'
+# sources outside `//` comments — however one is read: `env::var`,
+# `var_os`, a constant, a helper — which fails above 9.
 #
 # Usage: ci/loc.sh [file.rs ...]   (default: the set described above)
 set -euo pipefail
@@ -84,5 +88,20 @@ config_fields=$(awk '/^pub struct Config \{/{f=1; next} f && /^\}/{exit} f && /^
 printf '%-40s %6d\n' "Config fields" "$config_fields"
 if [ "$config_fields" -gt 20 ]; then
     echo "crates/gmt-core/src/config.rs: Config has $config_fields fields (limit 20); a value nobody sets twice is a constant" >&2
+    exit 1
+fi
+
+features=$(awk 'FNR==1{f=0} /^\[/{f=($0=="[features]")} f && /^[A-Za-z0-9_-]+ *=/{c++} END{print c+0}' crates/*/Cargo.toml)
+cfg_sites=$(grep -rnE --include='*.rs' 'cfg\(.*feature *=' crates | grep -vc '^[^:]*:[0-9]*:[[:space:]]*//' || true)
+env_vars=$(grep -rh --include='*.rs' 'GMT_[A-Z_]' crates/*/src src | grep -v '^[[:space:]]*//' | grep -oE 'GMT_[A-Z_]+' | sort -u | wc -l)
+printf '%-40s %6d\n' "cargo features (crates)" "$features"
+printf '%-40s %6d\n' "cfg(feature sites (crates)" "$cfg_sites"
+printf '%-40s %6d\n' "GMT_* variables named (crates)" "$env_vars"
+if [ "$features" -gt 0 ] || [ "$cfg_sites" -gt 0 ]; then
+    echo "crates: $features cargo feature(s), $cfg_sites cfg(feature site(s); the runtime has one build" >&2
+    exit 1
+fi
+if [ "$env_vars" -gt 9 ]; then
+    echo "crates: $env_vars GMT_* variables named (limit 9); a variable nothing sets is a constant" >&2
     exit 1
 fi

@@ -130,15 +130,10 @@ fn bench_remote_ops(c: &mut Criterion) {
             cluster.shutdown();
         });
     }
-    // Flow-window ablation on the blocking put storm: `flow_off` removes
-    // the in-flight cap entirely (the pre-flow-control datapath), 8 is a
-    // window tight enough to bind under load, 32 is the default. On a
-    // healthy in-process link the three must be within noise of each
-    // other — the cost of the credit machinery itself — which is what the
-    // bench gate holds the default to.
-    for (name, flow_window) in
-        [("put_storm/flow_off", 0usize), ("put_storm/flow_8", 8), ("put_storm/flow_32", 32)]
-    {
+    // Flow-window ablation on the blocking put storm: 8 is a window
+    // tight enough to bind under load, 32 is the default. On a healthy
+    // in-process link the two must be within noise of each other.
+    for (name, flow_window) in [("put_storm/flow_8", 8usize), ("put_storm/flow_32", 32)] {
         g.bench_function(name, |b| {
             let config = Config { flow_window, ..Config::small() };
             let cluster = Cluster::start(2, config).unwrap();

@@ -6,10 +6,9 @@
 //! the two ratios that tell a latency-tolerant shape from a serial one:
 //! task parks per unit of work and commands per buffer.
 //!
-//! Built with `--features trace` and run with
-//! `GMT_TRACE=chrome:/tmp/run.json`, it additionally leaves a Chrome
-//! `trace_event` file per kernel (openable in Perfetto, one lane per
-//! worker/helper/comm thread).
+//! Run with `GMT_TRACE=chrome:/tmp/run/`, it additionally leaves a Chrome
+//! `trace_event` file per kernel in that directory (openable in Perfetto,
+//! one lane per worker/helper/comm thread).
 
 use gmt_core::{Cluster, Config, MetricsSnapshot, NodeHandle};
 use gmt_graph::{uniform_random, DistGraph, GraphSpec};
@@ -226,7 +225,7 @@ fn print_comm(snap: &MetricsSnapshot) {
         snap.counter("reliable.acks_piggybacked").unwrap_or(0),
         snap.counter("reliable.acks_standalone").unwrap_or(0),
         snap.counter("reliable.dedup_hits").unwrap_or(0),
-        snap.counter("net.tcp.conn_lost").unwrap_or(0),
+        snap.counter("net.conn_lost").unwrap_or(0),
     );
     print_shm(snap);
 }

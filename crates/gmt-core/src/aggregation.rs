@@ -226,8 +226,7 @@ pub struct AggStats {
     /// Combining-table entries flushed as `AddN` wire commands.
     pub combine_flushes: u64,
     /// `aggregate` attempts skipped because the empty-pool backoff gate
-    /// was still closed (satellite of the flow-control work: the retry
-    /// path no longer busy-spins on a dry pool).
+    /// was still closed (the retry path does not busy-spin on a dry pool).
     pub pool_dry_waits: u64,
     /// Combine-table age-flushes deferred because the destination peer
     /// was backpressured.
@@ -986,7 +985,7 @@ impl CommandSink {
     /// whatever is queued, instead of waiting out `cmd_block_timeout_ns`
     /// plus `aggregation_timeout_ns` at pump granularity. Called on the
     /// busy→idle edge of the worker and helper loops
-    /// ([`crate::idle::IdleBackoff`]).
+    /// (`idle::IdleBackoff`).
     ///
     /// Same rules as the aged flush: `aggregate` never blocks, a dry pool
     /// (or its closed back-off gate) leaves the blocks queued for the
@@ -995,7 +994,7 @@ impl CommandSink {
     ///
     /// Returns `false` while it holds a block back for its slot
     /// ([`Self::push_paced`]): the caller has to call again — it keeps
-    /// polling until then ([`crate::idle::IdleBackoff::wait`] retries on
+    /// polling until then (`idle::IdleBackoff::wait` retries on
     /// every idle pass), since the slot comes sooner than a sleep returns.
     pub fn flush_idle(&mut self) -> bool {
         let now = self.shared.coarse_now_ns();
@@ -1027,8 +1026,8 @@ impl CommandSink {
     /// Waits (spin-yield) for pool buffers to come back when more than a
     /// pool's worth is queued, but gives up on a destination after a long
     /// stretch with no free buffer: that only happens when nobody is
-    /// draining any more (peers already shut down), where the seed's
-    /// behaviour would be to spin forever.
+    /// draining any more (peers already shut down), and waiting on would
+    /// spin forever.
     pub fn flush_all(&mut self) {
         const MAX_STALLS: u32 = 1 << 20;
         for dst in 0..self.active.len() {

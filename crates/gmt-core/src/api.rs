@@ -811,9 +811,8 @@ impl<'a> TaskCtx<'a> {
     /// Nodes already confirmed dead are skipped at spawn time (their
     /// share redistributes over the survivors). A peer dying *mid*-loop
     /// loses iterations with no meaningful partial result, so this
-    /// panics, mirroring `alloc`; use [`TaskCtx::parfor_report`] /
-    /// [`TaskCtx::parfor_args_report`] to handle mid-loop deaths
-    /// gracefully instead.
+    /// panics, mirroring `alloc`; use [`TaskCtx::parfor_report`] to handle
+    /// mid-loop deaths gracefully instead.
     pub fn parfor_args<F>(&self, policy: SpawnPolicy, iters: u64, chunk: u32, args: &[u8], f: F)
     where
         F: Fn(&TaskCtx<'_>, u64, &[u8]) + Send + Sync + 'static,
@@ -838,9 +837,8 @@ impl<'a> TaskCtx<'a> {
         self.parfor_args_report(policy, iters, chunk, &[], move |ctx, i, _| f(ctx, i))
     }
 
-    /// [`TaskCtx::parfor_args`] with a [`ParForReport`] instead of a
-    /// panic; see [`TaskCtx::parfor_report`].
-    pub fn parfor_args_report<F>(
+    /// The per-iteration loops: `f` runs once for each index of a chunk.
+    fn parfor_args_report<F>(
         &self,
         policy: SpawnPolicy,
         iters: u64,

@@ -231,7 +231,6 @@ fn apply(node: &NodeShared, transport: &dyn Transport, action: PollAction) {
     let shard = node.metrics.comm_shard();
     match action {
         PollAction::Retransmit { dst, payload } => {
-            transport.stats().record_retransmit(node.node_id);
             node.metrics.retransmits.add(shard, 1);
             send(node, transport, dst, payload);
         }
@@ -339,16 +338,14 @@ pub fn comm_main(node: Arc<NodeShared>, transport: Arc<dyn Transport>, tracer: T
         // Reliability timers: standalone acks, retransmits, heartbeats,
         // suspicion, death, notice dissemination.
         if let Some(l) = &mut link {
-            if node.config.flow_window > 0 {
-                // Re-advertise receive credit from the inbound backlog:
-                // a node drowning in unprocessed buffers tells its peers
-                // to narrow their windows toward it (piggybacked on every
-                // outgoing header). Floor of 1 — the zero-credit probe
-                // keeps the link from wedging.
-                let backlog = node.helper_in.len();
-                let credit = node.config.flow_window.saturating_sub(backlog).max(1) as u16;
-                l.set_local_credit(credit);
-            }
+            // Re-advertise receive credit from the inbound backlog: a
+            // node drowning in unprocessed buffers tells its peers to
+            // narrow their windows toward it (piggybacked on every
+            // outgoing header). Floor of 1 — the zero-credit probe keeps
+            // the link from wedging.
+            let backlog = node.helper_in.len();
+            let credit = node.config.flow_window.saturating_sub(backlog).max(1) as u16;
+            l.set_local_credit(credit);
             if node.agg.flow().any() {
                 // Release pass: acks processed above may have opened
                 // windows — stamp and ship what each one now admits, and
@@ -371,27 +368,23 @@ pub fn comm_main(node: Arc<NodeShared>, transport: Arc<dyn Transport>, tracer: T
                     }
                 }
             }
-            if node.config.flow_window > 0 {
-                // Publish the held-buffer gauge and the unacked
-                // watermark (both by delta — gauges have no set). The
-                // O(nodes) scan is cheap at in-process cluster sizes and
-                // also absorbs held buffers drained by a death.
-                let mut held_now: i64 = 0;
-                let mut watermark = watermark_published;
-                for dst in 0..node.nodes {
-                    held_now += l.held_len(dst) as i64;
-                    watermark = watermark.max(l.unacked_watermark(dst));
-                }
-                if held_now != held_published {
-                    node.metrics.flow_held.add(held_now - held_published);
-                    held_published = held_now;
-                }
-                if watermark > watermark_published {
-                    node.metrics
-                        .flow_unacked_watermark
-                        .add((watermark - watermark_published) as i64);
-                    watermark_published = watermark;
-                }
+            // Publish the held-buffer gauge and the unacked watermark
+            // (both by delta — gauges have no set). The O(nodes) scan is
+            // cheap at in-process cluster sizes and also absorbs held
+            // buffers drained by a death.
+            let mut held_now: i64 = 0;
+            let mut watermark = watermark_published;
+            for dst in 0..node.nodes {
+                held_now += l.held_len(dst) as i64;
+                watermark = watermark.max(l.unacked_watermark(dst));
+            }
+            if held_now != held_published {
+                node.metrics.flow_held.add(held_now - held_published);
+                held_published = held_now;
+            }
+            if watermark > watermark_published {
+                node.metrics.flow_unacked_watermark.add((watermark - watermark_published) as i64);
+                watermark_published = watermark;
             }
             if observe_kills && now >= next_kill_check_ns {
                 next_kill_check_ns = now + kill_check_period_ns;

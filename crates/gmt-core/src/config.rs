@@ -20,8 +20,7 @@ pub const ACK_DELAY_NS: u64 = 100_000;
 pub const FLOW_PARK_NS: u64 = 2_000_000;
 
 /// Events retained per thread lane by the ring-buffer tracer (a sliding
-/// window over the run's tail). Only allocated when the runtime is built
-/// with the `trace` cargo feature *and* `GMT_TRACE` is set.
+/// window over the run's tail). Only allocated when `GMT_TRACE` is set.
 pub const TRACE_CAPACITY: usize = 8 * 1024;
 
 /// Failure detector: silence from a peer past this fraction of
@@ -32,10 +31,10 @@ pub const SUSPECT_FRACTION: u64 = 5;
 
 /// Configuration of one GMT node instance: the 19 values that some
 /// caller, preset, test or benchmark sets to a second value. Everything
-/// else that used to be a field is a constant above or simply always on
-/// (batched helper apply, load shedding toward backpressured peers,
-/// link-state observation whenever the detector runs, `[gmt] warn:`
-/// lines on stderr).
+/// else is a constant above or simply always on (batched helper apply,
+/// flow control, load shedding toward backpressured peers, link-state
+/// observation whenever the detector runs, `[gmt] warn:` lines on
+/// stderr).
 ///
 /// The defaults of [`Config::olympus`] mirror Table IV of the paper; the
 /// reproduction host has a single core, so [`Config::small`] scales the
@@ -110,11 +109,9 @@ pub struct Config {
     /// sender and the peer enters the **Backpressured** state (distinct
     /// from death — nothing fails, the window just stops growing).
     /// Receivers additionally advertise credit from their inbound backlog
-    /// and the effective window is the smaller of the two. `0` disables
-    /// flow control (sender memory toward a slow peer is bounded only by
-    /// pool exhaustion). Capped at `u16::MAX - 1` by the credit wire
-    /// encoding. Kept: the flow-control tests narrow it so a throttled
-    /// link fills it.
+    /// and the effective window is the smaller of the two. At least 1,
+    /// capped at `u16::MAX - 1` by the credit wire encoding. Kept: the
+    /// flow-control tests narrow it so a throttled link fills it.
     pub flow_window: usize,
     /// Age (ns) past which a task parked on remote completions is reported
     /// by the stuck-task watchdog. Kept: the watchdog tests shorten it.
@@ -233,9 +230,9 @@ impl Config {
             if self.max_retries == 0 {
                 return Err("max_retries must be at least 1 with reliability enabled".into());
             }
-            if self.flow_window >= u16::MAX as usize {
+            if self.flow_window == 0 || self.flow_window >= u16::MAX as usize {
                 return Err(format!(
-                    "flow_window {} does not fit the u16 credit encoding (max {})",
+                    "flow_window {} is outside 1..={} (the u16 credit encoding)",
                     self.flow_window,
                     u16::MAX - 1
                 ));
@@ -298,6 +295,7 @@ mod tests {
             |c: &mut Config| c.num_buf_per_channel = 0,
             |c: &mut Config| c.buffer_size = 16,
             |c: &mut Config| c.cmd_block_entries = 0,
+            |c: &mut Config| c.flow_window = 0,
             |c: &mut Config| c.flow_window = u16::MAX as usize,
             |c: &mut Config| c.peer_death_timeout_ns = SUSPECT_FRACTION * c.heartbeat_idle_ns,
         ] {

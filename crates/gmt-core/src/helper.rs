@@ -7,7 +7,7 @@
 //! *decode* (one pass extracts every request command into
 //! struct-of-arrays staging, [`BatchStage`]), *bucket* (requests are
 //! grouped by target segment so each same-segment run resolves the
-//! segment once via [`NodeMemory::with_batch`]), *apply* (runs go through
+//! segment once via [`NodeMemory::with`]), *apply* (runs go through
 //! the vectorized [`Segment`] kernels: same-offset atomic adds pre-merged
 //! into one RMW, word-wise batch copies, `GetReply`s streamed through one
 //! sink access per run, token acknowledgements assembled straight from
@@ -22,7 +22,7 @@
 //! workloads are compared against.
 //!
 //! [`BatchStage`]: crate::command::BatchStage
-//! [`NodeMemory::with_batch`]: crate::memory::NodeMemory::with_batch
+//! [`NodeMemory::with`]: crate::memory::NodeMemory::with
 //! [`Segment`]: crate::memory::Segment
 
 use crate::aggregation::CommandSink;
@@ -303,7 +303,7 @@ fn for_each_run(
         }
         node.metrics.batch_run_len.record((j - i) as u64);
         resolved += 1;
-        node.memory.with_batch(array, |seg| apply(seg, &order[i..j]));
+        node.memory.with(array, |seg| apply(seg, &order[i..j]));
         i = j;
     }
     resolved

@@ -10,11 +10,11 @@
 //! 1. a **PGAS data model** — global arrays allocated with a distribution
 //!    policy and accessed by offset ([`handle`], [`memory`], [`api`]);
 //! 2. **fine-grained software multithreading** — thousands of coroutine
-//!    tasks per worker thread hide remote latency ([`task`], [`worker`],
+//!    tasks per worker thread hide remote latency ([`task`], `worker`,
 //!    `gmt-context`);
 //! 3. **multi-level message aggregation** — commands are batched into
 //!    per-destination 64 KiB buffers before hitting the network
-//!    ([`command`], [`aggregation`], [`commserver`]).
+//!    ([`command`], [`aggregation`], `commserver`).
 //!
 //! Each node runs specialized threads: *workers* execute tasks, *helpers*
 //! serve the global address space and generate replies, and one
@@ -49,20 +49,20 @@ pub mod aggregation;
 pub mod api;
 pub mod collectives;
 pub mod command;
-pub mod commserver;
+pub(crate) mod commserver;
 pub mod config;
 pub mod error;
 pub mod handle;
-pub mod helper;
-pub mod idle;
+pub(crate) mod helper;
+pub(crate) mod idle;
 pub mod memory;
 pub mod metrics;
 pub mod reliable;
 pub mod runtime;
 pub mod task;
-pub mod tls;
+pub(crate) mod tls;
 pub mod value;
-pub mod worker;
+pub(crate) mod worker;
 
 pub use api::{ParForReport, SpawnPolicy, TaskCtx};
 pub use collectives::{alltoall, broadcast, reduce_max, reduce_sum, GlobalBarrier, GlobalCounter};

@@ -325,28 +325,15 @@ impl NodeMemory {
         }
     }
 
-    /// Runs `f` with the segment for `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the array is unknown on this node (use-after-free or
-    /// never-allocated — both programming errors in GMT as well).
-    pub fn with<R>(&self, id: u64, f: impl FnOnce(&Segment) -> R) -> R {
-        self.with_batch(id, f)
-    }
-
-    /// Runs `f` with the segment for `id`, resolved **once** for a whole
-    /// run of commands. Identical semantics to [`NodeMemory::with`] —
-    /// the distinct name marks the call sites where the batched helper
-    /// datapath amortizes the generation-checked lookup across a
-    /// same-segment run instead of paying it per command.
+    /// Runs `f` with the segment for `id`: one generation-checked lookup,
+    /// which the helper pays once for a whole same-segment run of commands.
     ///
     /// # Panics
     ///
     /// Panics if the array is unknown on this node (use-after-free or
     /// never-allocated — both programming errors in GMT as well).
     #[inline]
-    pub fn with_batch<R>(&self, id: u64, f: impl FnOnce(&Segment) -> R) -> R {
+    pub fn with<R>(&self, id: u64, f: impl FnOnce(&Segment) -> R) -> R {
         let seg =
             self.slot(id, false).map(|s| s.load(Ordering::Acquire)).unwrap_or(std::ptr::null_mut());
         if seg.is_null() || seg == tombstone() {

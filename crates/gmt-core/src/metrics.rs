@@ -1,5 +1,5 @@
-//! Runtime instrumentation: the per-node metrics registry and the
-//! (feature-gated) event tracer.
+//! Runtime instrumentation: the per-node metrics registry and the event
+//! tracer.
 //!
 //! Every instrument the runtime exposes is registered here, once, at node
 //! bring-up — [`NodeMetrics::new`] names them all, so this module is the
@@ -34,13 +34,12 @@
 //! histograms are fed from the coarse clock; nothing in this module calls
 //! `Instant::now` on a hot path.
 //!
-//! [`ThreadTracer`] is the per-thread handle of the event tracer. Without
-//! the `trace` cargo feature it is a zero-sized struct with empty inline
-//! methods — call sites compile to nothing. With the feature, each runtime
-//! thread writes to its own SPSC ring ([`gmt_metrics::trace`]) and the
-//! cluster exports Chrome `trace_event` JSON at shutdown when `GMT_TRACE`
-//! is set (`GMT_TRACE=chrome:/tmp/run.json`, or a `.../dir/` suffix for a
-//! unique file per run).
+//! [`ThreadTracer`] is the per-thread handle of the event tracer. When
+//! `GMT_TRACE` is set at boot (`GMT_TRACE=chrome:/tmp/run/`, a directory),
+//! each runtime thread writes to its own SPSC ring ([`gmt_metrics::trace`])
+//! and the cluster — or, in a multi-process run, each node — exports
+//! Chrome `trace_event` JSON to a file of its own there at shutdown. Unset,
+//! every handle is empty and a call site costs one branch.
 //!
 //! [`NodeHandle::metrics_snapshot`]: crate::runtime::NodeHandle::metrics_snapshot
 //! [`AggShared::new_in_registry`]: crate::aggregation::AggShared::new_in_registry
@@ -86,7 +85,7 @@ pub struct NodeMetrics {
     /// Received buffers processed by the helpers.
     pub batch_buffers: Counter,
     /// Length of each same-segment run applied through one
-    /// `NodeMemory::with_batch` resolution (batching efficiency: long
+    /// `NodeMemory::with` resolution (batching efficiency: long
     /// runs amortize the generation-checked lookup well).
     pub batch_run_len: Histogram,
     /// Distinct segment resolutions per buffer (lower is better; one per
@@ -268,26 +267,19 @@ impl std::fmt::Debug for NodeMetrics {
     }
 }
 
-/// Per-thread tracer handle. Without the `trace` cargo feature this is a
-/// zero-sized type whose methods are empty `#[inline]` bodies — the
-/// instrumentation call sites compile out entirely. With the feature on
-/// but tracing not enabled at runtime (`GMT_TRACE` unset), the handle is
-/// `None` and every call is one branch.
+/// Per-thread tracer handle: the writer of this thread's lane when
+/// `GMT_TRACE` was set at boot, `None` otherwise — every call is then one
+/// predicted branch.
 pub struct ThreadTracer {
-    #[cfg(feature = "trace")]
     writer: Option<gmt_metrics::trace::LaneWriter>,
 }
 
 impl ThreadTracer {
     /// A tracer that records nothing.
     pub fn disabled() -> Self {
-        ThreadTracer {
-            #[cfg(feature = "trace")]
-            writer: None,
-        }
+        ThreadTracer { writer: None }
     }
 
-    #[cfg(feature = "trace")]
     pub(crate) fn new(writer: Option<gmt_metrics::trace::LaneWriter>) -> Self {
         ThreadTracer { writer }
     }
@@ -295,50 +287,29 @@ impl ThreadTracer {
     /// Whether events are being recorded.
     #[inline]
     pub fn enabled(&self) -> bool {
-        #[cfg(feature = "trace")]
-        {
-            self.writer.is_some()
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            false
-        }
+        self.writer.is_some()
     }
 
     /// Nanoseconds on the trace timebase (0 when disabled) — pair with
     /// [`Self::span`].
     #[inline]
     pub fn now_ns(&self) -> u64 {
-        #[cfg(feature = "trace")]
-        if let Some(w) = &self.writer {
-            return w.now_ns();
-        }
-        0
+        self.writer.as_ref().map_or(0, |w| w.now_ns())
     }
 
     /// Records a span from `start_ns` (a prior [`Self::now_ns`]) to now.
     #[inline]
     pub fn span(&self, name: &'static str, start_ns: u64, arg: u64) {
-        #[cfg(feature = "trace")]
         if let Some(w) = &self.writer {
             w.span(name, start_ns, arg);
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = (name, start_ns, arg);
         }
     }
 
     /// Records an instant event.
     #[inline]
     pub fn instant(&self, name: &'static str, arg: u64) {
-        #[cfg(feature = "trace")]
         if let Some(w) = &self.writer {
             w.instant(name, arg);
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = (name, arg);
         }
     }
 }

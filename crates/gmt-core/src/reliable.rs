@@ -27,17 +27,15 @@
 //! * The sender keeps every unacked buffer in a retransmit queue **as a
 //!   shared payload handle**, so the pooled buffer cannot return to its
 //!   pool until the peer acknowledged it.
-//! * **Flow control**: with a nonzero `flow_window`, the sender stops
-//!   stamping new data buffers once `min(flow_window, peer credit)`
-//!   buffers are unacked. Further submissions are *held back* unstamped
+//! * **Flow control**: the sender stops stamping new data buffers once
+//!   `min(flow_window, peer credit)` buffers are unacked. Further submissions are *held back* unstamped
 //!   ([`ReliableLink::submit_data`] returns `None`) and the peer enters
 //!   the **Backpressured** state — distinct from death: nothing is
 //!   error-completed, the accrual detector is not tripped, and held
 //!   buffers drain in order as acks open the window
-//!   ([`ReliableLink::release_window`]). Before this window existed,
-//!   backpressure against a slow link only fell out of pool exhaustion;
-//!   the explicit window bounds per-peer sender memory and gives the
-//!   runtime a state it can report and shed load against.
+//!   ([`ReliableLink::release_window`]). The window bounds per-peer
+//!   sender memory and gives the runtime a state it can report and shed
+//!   load against.
 //! * Only the queue head is retransmitted (cumulative acks make the rest
 //!   redundant), with exponential backoff from `rto_base_ns` to
 //!   `rto_max_ns`. After `max_retries` retransmissions of the same buffer
@@ -90,8 +88,9 @@ use std::collections::{BTreeSet, VecDeque};
 pub const HEADER_LEN: usize = 19;
 
 /// Credit value meaning "no receiver-imposed bound": the sender's own
-/// `flow_window` (if any) is the only limit. Also what a node advertises
-/// when flow control is disabled.
+/// `flow_window` is the only limit. What a peer is taken to grant until
+/// its first packet says otherwise, and what a death notice carries (its
+/// credit field means nothing).
 pub const CREDIT_UNLIMITED: u16 = u16::MAX;
 
 /// Header kind: a data buffer (commands follow the header).
@@ -317,7 +316,7 @@ pub struct ReliableLink {
     ack_delay_ns: u64,
     detector: DetectorConfig,
     /// Max unacked data buffers per peer before new submissions are held
-    /// back (0 = flow control off).
+    /// back (at least 1; `Config::validate` rejects 0).
     flow_window: usize,
     /// The receive credit this node currently advertises in every
     /// outgoing header (data, ack, heartbeat).
@@ -401,9 +400,6 @@ impl ReliableLink {
     /// zero-credit peer can never wedge the link — the window reopens
     /// from the ack of that one probe buffer.
     fn effective_window(&self, dst: NodeId) -> usize {
-        if self.flow_window == 0 {
-            return usize::MAX;
-        }
         let credit = (self.peers[dst].credit as usize).max(1);
         self.flow_window.min(credit)
     }
@@ -726,20 +722,21 @@ mod tests {
         Payload::from(v)
     }
 
-    /// Test shorthand: encode with unlimited credit (most tests predate
-    /// — and are indifferent to — flow control).
+    /// Test shorthand: encode with unlimited credit (most tests are
+    /// indifferent to flow control).
     fn hdr(kind: u8, seq: u64, ack: u64) -> [u8; HEADER_LEN] {
         encode_header(kind, seq, ack, CREDIT_UNLIMITED)
     }
 
+    /// A flow window no test below fills.
+    const WIDE: usize = 1 << 12;
+
     fn link(nodes: usize) -> ReliableLink {
-        // rto_base 100, rto_max 400, 2 retries, ack delay 50, no flow
-        // window, no detector.
-        ReliableLink::new(0, nodes, 100, 400, 2, 50, 0, DetectorConfig::disabled())
+        link_flow(nodes, WIDE)
     }
 
     fn link_flow(nodes: usize, flow_window: usize) -> ReliableLink {
-        // Same delivery params as `link`, with a flow window.
+        // rto_base 100, rto_max 400, 2 retries, ack delay 50, no detector.
         ReliableLink::new(0, nodes, 100, 400, 2, 50, flow_window, DetectorConfig::disabled())
     }
 
@@ -747,7 +744,7 @@ mod tests {
         // Same delivery params; detector: heartbeat idle 100, death at
         // 1000, so suspicion at 200.
         let det = DetectorConfig { heartbeat_idle_ns: 100, death_timeout_ns: 1000 };
-        ReliableLink::new(0, nodes, 100, 400, 2, 50, 0, det)
+        ReliableLink::new(0, nodes, 100, 400, 2, 50, WIDE, det)
     }
 
     fn kinds(out: &[PollAction]) -> Vec<u8> {
@@ -1158,16 +1155,6 @@ mod tests {
         let mut released = Vec::new();
         assert!(l2.release_window(1, 20, &mut released));
         assert_eq!(released.len(), 1);
-    }
-
-    #[test]
-    fn zero_flow_window_disables_flow_control() {
-        let mut l = link(2); // flow_window 0
-        for i in 0..64u8 {
-            assert!(l.submit_data(1, data_payload(&[i]), 10).is_some());
-        }
-        assert!(!l.is_backpressured(1));
-        assert_eq!(l.unacked(1), 64);
     }
 
     #[test]

@@ -20,6 +20,7 @@ use crate::task::{Itb, RootTask, TaskControl};
 use crate::worker;
 use crate::{memory::NodeMemory, NodeId};
 use crossbeam::queue::SegQueue;
+use gmt_metrics::trace::TraceSink;
 use gmt_metrics::MetricsSnapshot;
 use gmt_net::{
     loopback_mesh, shm_mesh, DeliveryMode, Fabric, FaultPlan, Payload, TrafficStats, Transport,
@@ -27,6 +28,7 @@ use gmt_net::{
 };
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
@@ -270,8 +272,7 @@ pub struct NodeShared {
     /// skip the reply-abandon handshake entirely, so undeadlined programs
     /// pay one Acquire load per reply at most.
     pub deadlines_armed: AtomicBool,
-    /// Per-peer "gmt_free toward this dead peer already warned" latches
-    /// (satellite of the swallowed-`RemoteDead` accounting).
+    /// Per-peer "gmt_free toward this dead peer already warned" latches.
     pub free_warned: Vec<AtomicBool>,
     /// Remote operations awaiting application-level completion, for
     /// error-completion when their destination is confirmed dead.
@@ -472,15 +473,9 @@ impl NodeHandle {
     /// [`NodeHandle::agg_stats`]).
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = self.shared.metrics.registry().snapshot();
-        let t = self.shared.net.node(self.shared.node_id);
-        snap.push_counter("net.sent_msgs", t.sent_msgs);
-        snap.push_counter("net.sent_bytes", t.sent_bytes);
-        snap.push_counter("net.recv_msgs", t.recv_msgs);
-        snap.push_counter("net.recv_bytes", t.recv_bytes);
-        snap.push_counter("net.dropped_msgs", t.dropped_msgs);
-        snap.push_counter("net.duplicated_msgs", t.duplicated_msgs);
-        snap.push_counter("net.retransmits", t.retransmits);
-        snap.push_counter("net.tcp.conn_lost", t.conn_lost);
+        for (name, value) in self.shared.net.node(self.shared.node_id).counters() {
+            snap.push_counter(name, value);
+        }
         for (name, value) in self.shared.transport.backend_counters() {
             snap.push_counter(&name, value);
         }
@@ -571,61 +566,73 @@ pub struct Cluster {
     net: Arc<TrafficStats>,
     threads: Vec<JoinHandle<()>>,
     stopped: bool,
-    #[cfg(feature = "trace")]
-    trace: Option<trace_hub::TraceHub>,
+    trace: Option<TraceHub>,
 }
 
-/// Cluster-wide event-trace collection: one SPSC lane per runtime thread,
-/// exported as Chrome `trace_event` JSON after every thread joined.
-#[cfg(feature = "trace")]
-mod trace_hub {
-    use gmt_metrics::trace::TraceSink;
-    use std::path::PathBuf;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
+/// Event-trace collection for the nodes one process hosts (all of a
+/// [`Cluster`]'s, the one of a [`NodeRuntime`]): one SPSC lane per runtime
+/// thread, exported as Chrome `trace_event` JSON after every thread joined.
+struct TraceHub {
+    sink: Arc<TraceSink>,
+    path: PathBuf,
+    first_node: NodeId,
+    lanes_per_node: usize,
+}
 
-    pub(super) struct TraceHub {
-        pub sink: Arc<TraceSink>,
-        pub path: PathBuf,
-        lanes_per_node: usize,
+impl TraceHub {
+    /// Builds the hub for `nodes` when `GMT_TRACE=chrome:<dir>` is set. The
+    /// value always names a directory and every hub writes its own file
+    /// there, so the clusters of one test binary and the node processes of
+    /// one launch — all of which see the variable — never share a path.
+    fn from_env(nodes: std::ops::Range<NodeId>, config: &Config) -> Option<TraceHub> {
+        let spec = std::env::var("GMT_TRACE").ok()?;
+        let Some(dir) = spec.strip_prefix("chrome:").filter(|d| !d.is_empty()) else {
+            eprintln!("[gmt] warn: GMT_TRACE={spec:?} ignored (expected chrome:<dir>)");
+            return None;
+        };
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let n = SEQ.fetch_add(1, Ordering::Relaxed);
+        let path = Path::new(dir).join(format!("gmt-trace-{}-{n}.json", std::process::id()));
+        let (workers, helpers) = (config.num_workers, config.num_helpers);
+        let first_node = nodes.start;
+        let mut sink = TraceSink::new(crate::config::TRACE_CAPACITY);
+        for node in nodes {
+            for w in 0..workers {
+                sink.add_lane(format!("n{node}.worker{w}"), node as u64, w as u64);
+            }
+            for h in 0..helpers {
+                sink.add_lane(format!("n{node}.helper{h}"), node as u64, (workers + h) as u64);
+            }
+            sink.add_lane(format!("n{node}.comm"), node as u64, (workers + helpers) as u64);
+        }
+        Some(TraceHub {
+            sink: Arc::new(sink),
+            path,
+            first_node,
+            lanes_per_node: workers + helpers + 1,
+        })
     }
 
-    impl TraceHub {
-        /// Builds the hub when `GMT_TRACE` is set. Accepted forms:
-        /// `chrome:/path/run.json`, a bare path, or a directory spec
-        /// ending in `/` (a unique file name per run is generated, so
-        /// parallel tests sharing the env var do not clobber each other).
-        pub fn from_env(nodes: usize, workers: usize, helpers: usize) -> Option<TraceHub> {
-            let spec = std::env::var("GMT_TRACE").ok()?;
-            let raw = spec.strip_prefix("chrome:").unwrap_or(&spec);
-            if raw.is_empty() {
-                return None;
-            }
-            let path = if raw.ends_with('/') {
-                static SEQ: AtomicU64 = AtomicU64::new(0);
-                let n = SEQ.fetch_add(1, Ordering::Relaxed);
-                PathBuf::from(raw).join(format!("gmt-trace-{}-{n}.json", std::process::id()))
-            } else {
-                PathBuf::from(raw)
-            };
-            let lanes_per_node = workers + helpers + 1;
-            let mut sink = TraceSink::new(crate::config::TRACE_CAPACITY);
-            for node in 0..nodes {
-                for w in 0..workers {
-                    sink.add_lane(format!("n{node}.worker{w}"), node as u64, w as u64);
-                }
-                for h in 0..helpers {
-                    sink.add_lane(format!("n{node}.helper{h}"), node as u64, (workers + h) as u64);
-                }
-                sink.add_lane(format!("n{node}.comm"), node as u64, (workers + helpers) as u64);
-            }
-            Some(TraceHub { sink: Arc::new(sink), path, lanes_per_node })
-        }
+    /// The tracer for `lane_in_node` (channel index; comm server =
+    /// workers + helpers) of `node`.
+    fn tracer(&self, node: NodeId, lane_in_node: usize) -> ThreadTracer {
+        let lane = (node - self.first_node) * self.lanes_per_node + lane_in_node;
+        ThreadTracer::new(self.sink.writer(lane))
+    }
 
-        /// The tracer for `lane_in_node` (channel index; comm server =
-        /// workers + helpers) of `node`.
-        pub fn tracer(&self, node: usize, lane_in_node: usize) -> super::ThreadTracer {
-            super::ThreadTracer::new(self.sink.writer(node * self.lanes_per_node + lane_in_node))
+    /// Writes the trace file. Every runtime thread must have joined, so
+    /// that all `LaneWriter`s are dropped and the sink is sole-owned again.
+    fn export(self) {
+        let Some(mut sink) = Arc::into_inner(self.sink) else {
+            eprintln!("[gmt] warn: trace sink still shared; export skipped");
+            return;
+        };
+        if let Some(parent) = self.path.parent() {
+            let _ = std::fs::create_dir_all(parent);
+        }
+        match std::fs::write(&self.path, sink.chrome_trace_json()) {
+            Ok(()) => eprintln!("[gmt] trace written to {}", self.path.display()),
+            Err(e) => eprintln!("[gmt] warn: writing trace {}: {e}", self.path.display()),
         }
     }
 }
@@ -647,17 +654,22 @@ fn boot_node(
     config: &Config,
     cluster_shared: &Arc<ClusterShared>,
     transport: Arc<dyn Transport>,
-    make_tracer: &dyn Fn(usize, usize) -> ThreadTracer,
+    trace: Option<&TraceHub>,
 ) -> Result<NodeBoot, String> {
     let threads_per_node = config.num_workers + config.num_helpers;
     if config.buffer_size > transport.max_frame() {
         return Err(format!(
-            "buffer_size {} does not fit this transport's largest frame ({} B); shrink the \
-             buffers or grow the wire (shm: GMT_SHM_RING_BYTES)",
+            "buffer_size {} does not fit this transport's largest frame ({} B)",
             config.buffer_size,
             transport.max_frame()
         ));
     }
+    // The tracer of one runtime thread; an empty handle unless GMT_TRACE
+    // was set.
+    let make_tracer = |lane: usize| match trace {
+        Some(hub) => hub.tracer(node_id, lane),
+        None => ThreadTracer::disabled(),
+    };
     let metrics = NodeMetrics::new(config.num_workers, config.num_helpers);
     let agg = AggShared::new_in_registry(
         nodes,
@@ -695,7 +707,7 @@ fn boot_node(
     let mut threads = Vec::with_capacity(threads_per_node + 1);
     for w in 0..config.num_workers {
         let s = Arc::clone(&shared);
-        let tracer = make_tracer(node_id, w);
+        let tracer = make_tracer(w);
         threads.push(
             std::thread::Builder::new()
                 .name(format!("gmt-n{node_id}-w{w}"))
@@ -706,7 +718,7 @@ fn boot_node(
     for h in 0..config.num_helpers {
         let s = Arc::clone(&shared);
         let chan = config.num_workers + h;
-        let tracer = make_tracer(node_id, chan);
+        let tracer = make_tracer(chan);
         threads.push(
             std::thread::Builder::new()
                 .name(format!("gmt-n{node_id}-h{h}"))
@@ -715,7 +727,7 @@ fn boot_node(
         );
     }
     let s = Arc::clone(&shared);
-    let tracer = make_tracer(node_id, threads_per_node);
+    let tracer = make_tracer(threads_per_node);
     threads.push(
         std::thread::Builder::new()
             .name(format!("gmt-n{node_id}-comm"))
@@ -744,17 +756,16 @@ impl Cluster {
     }
 
     /// Starts a cluster pinned to the simulated fabric, regardless of
-    /// `GMT_TRANSPORT`. Deterministic fault injection
-    /// ([`Cluster::fabric`], `install_faults`, `set_link`) and network
-    /// cost models only exist here.
+    /// `GMT_TRANSPORT`. Time-shaping faults and network cost models only
+    /// exist here ([`Cluster::fabric`]).
     pub fn start_sim(nodes: usize, config: Config) -> Result<Cluster, String> {
         Self::start_with(nodes, config, TransportSelect::Sim)
     }
 
     /// Starts a cluster pinned to the TCP loopback mesh: real sockets,
     /// real framing, one process. The comm stack (reliability,
-    /// membership, flow control) runs unchanged; fault injection and
-    /// cost models are not available.
+    /// membership, flow control) runs unchanged; seeded [`FaultPlan`]s
+    /// work via the frame shim, cost models do not.
     pub fn start_tcp_loopback(nodes: usize, config: Config) -> Result<Cluster, String> {
         Self::start_with(nodes, config, TransportSelect::TcpLoopback)
     }
@@ -807,19 +818,7 @@ impl Cluster {
             alloc_stride: 1,
             cross_process: false,
         });
-        #[cfg(feature = "trace")]
-        let trace = trace_hub::TraceHub::from_env(nodes, config.num_workers, config.num_helpers);
-        // Resolves the tracer of one runtime thread; a no-op handle when
-        // the `trace` feature is off or GMT_TRACE is not set.
-        let make_tracer = |node: usize, lane: usize| -> ThreadTracer {
-            #[cfg(feature = "trace")]
-            if let Some(hub) = &trace {
-                return hub.tracer(node, lane);
-            }
-            #[cfg(not(feature = "trace"))]
-            let _ = (node, lane);
-            ThreadTracer::disabled()
-        };
+        let trace = TraceHub::from_env(0..nodes, &config);
         let mut handles = Vec::with_capacity(nodes);
         let mut threads = Vec::new();
         for (node_id, transport) in transports.iter().enumerate() {
@@ -829,21 +828,12 @@ impl Cluster {
                 &config,
                 &cluster_shared,
                 Arc::clone(transport),
-                &make_tracer,
+                trace.as_ref(),
             )?;
             threads.extend(boot.threads);
             handles.push(NodeHandle { shared: boot.shared });
         }
-        Ok(Cluster {
-            nodes: handles,
-            fabric,
-            transports,
-            net,
-            threads,
-            stopped: false,
-            #[cfg(feature = "trace")]
-            trace,
-        })
+        Ok(Cluster { nodes: handles, fabric, transports, net, threads, stopped: false, trace })
     }
 
     /// Handle to node `i`.
@@ -922,25 +912,8 @@ impl Cluster {
         for t in &self.transports {
             t.shutdown();
         }
-        #[cfg(feature = "trace")]
         if let Some(hub) = self.trace.take() {
-            // Every runtime thread has joined, so all `LaneWriter`s are
-            // dropped and the sink is sole-owned again.
-            match Arc::into_inner(hub.sink) {
-                Some(mut sink) => {
-                    let json = sink.chrome_trace_json();
-                    if let Some(parent) = hub.path.parent() {
-                        let _ = std::fs::create_dir_all(parent);
-                    }
-                    match std::fs::write(&hub.path, json) {
-                        Ok(()) => eprintln!("[gmt] trace written to {}", hub.path.display()),
-                        Err(e) => {
-                            eprintln!("[gmt] warn: writing trace {}: {e}", hub.path.display())
-                        }
-                    }
-                }
-                None => eprintln!("[gmt] warn: trace sink still shared; export skipped"),
-            }
+            hub.export();
         }
     }
 }
@@ -975,6 +948,7 @@ pub struct NodeRuntime {
     transport: Arc<dyn Transport>,
     threads: Vec<JoinHandle<()>>,
     stopped: bool,
+    trace: Option<TraceHub>,
 }
 
 impl NodeRuntime {
@@ -995,20 +969,21 @@ impl NodeRuntime {
             alloc_stride: nodes as u64,
             cross_process: true,
         });
-        let make_tracer = |_node: usize, _lane: usize| ThreadTracer::disabled();
+        let trace = TraceHub::from_env(node_id..node_id + 1, &config);
         let boot = boot_node(
             node_id,
             nodes,
             &config,
             &cluster_shared,
             Arc::clone(&transport),
-            &make_tracer,
+            trace.as_ref(),
         )?;
         Ok(NodeRuntime {
             node: NodeHandle { shared: boot.shared },
             transport,
             threads: boot.threads,
             stopped: false,
+            trace,
         })
     }
 
@@ -1045,6 +1020,9 @@ impl NodeRuntime {
             let _ = t.join();
         }
         self.transport.shutdown();
+        if let Some(hub) = self.trace.take() {
+            hub.export();
+        }
     }
 }
 

@@ -39,8 +39,3 @@ pub fn with_sink<R>(f: impl FnOnce(&mut CommandSink) -> R) -> R {
         f(sink)
     })
 }
-
-/// `true` if the current thread has a sink installed.
-pub fn has_sink() -> bool {
-    SINK.with(|s| s.borrow().is_some())
-}

@@ -356,11 +356,15 @@ fn dependent_gets_do_not_wait_for_flush_timeouts() {
 
 #[test]
 fn link_failure_is_surfaced_as_net_error() {
-    // Pinned to the sim backend: set_link is a fabric-only fault switch.
-    let cluster = Cluster::start_sim(2, Config::small()).unwrap();
+    // Over TCP a kill severs the victim's streams for good; with the
+    // detector off nothing confirms the death before the sends are tried.
+    let config = Config { heartbeat_idle_ns: 0, ..Config::small() };
+    let cluster = Cluster::start_tcp_loopback(2, config).unwrap();
     // Pre-allocate while the link is up.
     let arr = cluster.node(0).run(|ctx| ctx.alloc(64, Distribution::Remote));
-    cluster.fabric().set_link(0, 1, false);
+    cluster.install_faults(gmt_net::FaultPlan::new(0).kill(1));
+    // The plan gone, no shim drops the frames short of the dead socket.
+    cluster.clear_faults();
     // Fire-and-forget puts: they will fail to transmit.
     cluster.node(0).run(move |ctx| {
         ctx.put_value_nb::<u64>(&arr, 0, 1);
@@ -375,7 +379,6 @@ fn link_failure_is_surfaced_as_net_error() {
         std::thread::sleep(std::time::Duration::from_millis(10));
     }
     assert!(cluster.node(0).net_errors() > 0, "link failure went unnoticed");
-    cluster.fabric().set_link(0, 1, true);
     cluster.shutdown();
 }
 

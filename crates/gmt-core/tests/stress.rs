@@ -135,15 +135,7 @@ fn deeply_nested_parfor() {
 /// contract (see `gmt_net::transport`), so it runs against **every**
 /// backend: the sim fabric's wire-thread drain, the TCP transport's
 /// socket teardown and the shm transport's ring abandonment mid-traffic
-/// must each keep the pools whole.
-fn pools_whole_after_shutdown(
-    start: impl FnOnce(usize, Config) -> Result<Cluster, String>,
-    backend: &str,
-) {
-    pools_whole_after_puts(start, backend, 1024, 8);
-}
-
-/// The body of [`pools_whole_after_shutdown`]: 16 tasks fire 64 puts of
+/// must each keep the pools whole. The workload: 16 tasks fire 64 puts of
 /// `put_bytes` each into `buffer_size`-byte aggregation buffers.
 fn pools_whole_after_puts(
     start: impl FnOnce(usize, Config) -> Result<Cluster, String>,
@@ -182,17 +174,17 @@ fn pools_whole_after_puts(
 
 #[test]
 fn buffer_pools_whole_after_shutdown() {
-    pools_whole_after_shutdown(Cluster::start_sim, "sim");
+    pools_whole_after_puts(Cluster::start_sim, "sim", 1024, 8);
 }
 
 #[test]
 fn buffer_pools_whole_after_shutdown_tcp() {
-    pools_whole_after_shutdown(Cluster::start_tcp_loopback, "tcp-loopback");
+    pools_whole_after_puts(Cluster::start_tcp_loopback, "tcp-loopback", 1024, 8);
 }
 
 #[test]
 fn buffer_pools_whole_after_shutdown_shm() {
-    pools_whole_after_shutdown(Cluster::start_shm, "shm");
+    pools_whole_after_puts(Cluster::start_shm, "shm", 1024, 8);
 }
 
 /// The same contract with frames large enough for the TCP receive side

@@ -85,7 +85,8 @@ fn reliability_survives_lossy(transports: Vec<Arc<dyn Transport>>, seed: u64) {
     let total = transports[0].stats().total();
     assert!(total.dropped_msgs > 0, "shim never dropped a frame (seed {seed})");
     assert!(total.duplicated_msgs > 0, "shim never duplicated a frame (seed {seed})");
-    assert!(total.retransmits > 0, "drops happened but nothing was retransmitted (seed {seed})");
+    let retransmits: u64 = runtimes.iter().map(|rt| rt.node().metrics().retransmits.sum()).sum();
+    assert!(retransmits > 0, "drops happened but nothing was retransmitted (seed {seed})");
 
     // Lift the faults before teardown so the shutdown drain itself is
     // exercised on a clean link (lossy-drain liveness is the failure

@@ -31,21 +31,14 @@ fn walker_seed(seed: u64, w: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One walker's trajectory on an in-memory CSR (reference + seed-shared
-/// with the GMT version, so checksums must agree).
-fn walk_csr(csr: &gmt_graph::Csr, seed: u64, w: u64, length: u64) -> (u64, u64) {
-    let mut rng = SmallRng::seed_from_u64(walker_seed(seed, w));
-    let mut v = w % csr.vertices();
-    let mut traversed = 0;
-    for _ in 0..length {
-        let nbrs = csr.neighbors(v);
-        if nbrs.is_empty() {
-            break;
-        }
-        v = nbrs[rng.gen_range(0..nbrs.len())];
-        traversed += 1;
-    }
-    (v, traversed)
+/// Which out-edge walker `w` takes at `step` from a vertex of `degree`
+/// out-edges. A pure function of the run seed — no RNG state travels with
+/// a walk — so a walk takes the same path whichever task, node or MPI
+/// rank advances it, and every implementation (this kernel, the MPI
+/// baseline, [`seq_grw`]) produces the same checksum.
+pub fn decision(seed: u64, w: u64, step: u64, degree: u64) -> u64 {
+    let mut rng = SmallRng::seed_from_u64(walker_seed(seed, w) ^ step.wrapping_mul(0xD129_42F7));
+    rng.gen_range(0..degree)
 }
 
 /// Sequential reference implementation.
@@ -53,9 +46,16 @@ pub fn seq_grw(csr: &gmt_graph::Csr, walkers: u64, length: u64, seed: u64) -> Gr
     let mut checksum = 0u64;
     let mut traversed = 0u64;
     for w in 0..walkers {
-        let (v, t) = walk_csr(csr, seed, w, length);
+        let mut v = w % csr.vertices();
+        for step in 0..length {
+            let nbrs = csr.neighbors(v);
+            if nbrs.is_empty() {
+                break;
+            }
+            v = nbrs[decision(seed, w, step, nbrs.len() as u64) as usize];
+            traversed += 1;
+        }
         checksum = checksum.wrapping_add(v);
-        traversed += t;
     }
     GrwResult { walkers, steps_per_walker: length, traversed_edges: traversed, checksum }
 }
@@ -73,15 +73,14 @@ pub fn gmt_grw(
     let acc = ctx.alloc(16, Distribution::Partition);
     let g = *g;
     ctx.parfor(SpawnPolicy::Partition, walkers, 2, move |ctx, w| {
-        let mut rng = SmallRng::seed_from_u64(walker_seed(seed, w));
         let mut v = w % g.vertices();
         let mut traversed = 0i64;
-        for _ in 0..length {
+        for step in 0..length {
             let (lo, hi) = g.edge_range(ctx, v);
             if hi == lo {
                 break;
             }
-            v = g.neighbor_at(ctx, lo, rng.gen_range(0..hi - lo));
+            v = g.neighbor_at(ctx, lo, decision(seed, w, step, hi - lo));
             traversed += 1;
         }
         // Nobody reads the old values: both adds leave together.

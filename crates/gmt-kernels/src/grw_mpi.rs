@@ -10,12 +10,10 @@
 //! measured this MPI code at 15× more source lines than the GMT version —
 //! and still an order of magnitude slower.
 
-use crate::grw::GrwResult;
+use crate::grw::{decision, GrwResult};
 use crate::mpi_util::{owner, run_ranks_on};
 use gmt_graph::Csr;
 use gmt_net::{DeliveryMode, Endpoint, Fabric, Packet, Tag};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -37,15 +35,10 @@ const TAG_CONT: Tag = 4;
 /// A delegated walk on the wire: (walker id, current vertex, remaining).
 const WALK_BYTES: usize = 24;
 
-fn walker_seed(seed: u64, w: u64) -> u64 {
-    let mut z = seed ^ w.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Runs the baseline over `ranks` ranks; the result matches
-/// [`seq_grw_stepwise`] for the same seed.
+/// [`seq_grw`](crate::grw::seq_grw) and the GMT kernel for the same seed —
+/// a delegated walk carries no RNG state, its next step is
+/// [`decision`]'s.
 pub fn mpi_grw(
     csr: &Csr,
     ranks: usize,
@@ -76,36 +69,6 @@ pub fn mpi_grw_on(
     for (c, t) in results {
         checksum = checksum.wrapping_add(c);
         traversed += t;
-    }
-    GrwResult { walkers, steps_per_walker: length, traversed_edges: traversed, checksum }
-}
-
-/// Walks migrate between ranks, so their randomness must be reproducible
-/// wherever they resume: each (walker, step) pair derives its decision
-/// from the run seed alone, rather than carrying RNG state on the wire.
-fn decision(seed: u64, w: u64, step: u64, degree: u64) -> u64 {
-    // One RNG draw per (walker, step): reproducible wherever the walk is.
-    let mut rng = SmallRng::seed_from_u64(walker_seed(seed, w) ^ (step.wrapping_mul(0xD129_42F7)));
-    rng.gen_range(0..degree)
-}
-
-/// Sequential reference using the same per-step decision stream as the
-/// MPI baseline (the GMT kernel uses a per-walker stream instead, so the
-/// two kernels are compared by throughput, not by checksum).
-pub fn seq_grw_stepwise(csr: &Csr, walkers: u64, length: u64, seed: u64) -> GrwResult {
-    let mut checksum = 0u64;
-    let mut traversed = 0u64;
-    for w in 0..walkers {
-        let mut v = w % csr.vertices();
-        for step in 0..length {
-            let d = csr.degree(v);
-            if d == 0 {
-                break;
-            }
-            v = csr.neighbors(v)[decision(seed, w, step, d) as usize];
-            traversed += 1;
-        }
-        checksum = checksum.wrapping_add(v);
     }
     GrwResult { walkers, steps_per_walker: length, traversed_edges: traversed, checksum }
 }
@@ -240,28 +203,36 @@ fn rank_main(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gmt_graph::{uniform_random, GraphSpec};
+    use crate::grw::{gmt_grw, seq_grw};
+    use gmt_core::{Cluster, Config};
+    use gmt_graph::{uniform_random, DistGraph, GraphSpec};
 
+    /// One decision stream, one reference: both MPI modes, the GMT kernel
+    /// on a two-node cluster and the sequential walk agree on every count.
     #[test]
-    fn matches_stepwise_reference_fine_grained() {
+    fn mpi_gmt_and_sequential_walks_agree() {
         let csr = uniform_random(GraphSpec { vertices: 80, avg_degree: 4, seed: 41 });
-        let expected = seq_grw_stepwise(&csr, 40, 6, 7);
-        let (got, _) = mpi_grw(&csr, 3, 40, 6, 7, GrwMode::FineGrained);
-        assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn matches_stepwise_reference_aggregated() {
-        let csr = uniform_random(GraphSpec { vertices: 80, avg_degree: 4, seed: 42 });
-        let expected = seq_grw_stepwise(&csr, 40, 6, 8);
-        let (got, _) = mpi_grw(&csr, 4, 40, 6, 8, GrwMode::Aggregated);
-        assert_eq!(got, expected);
+        let expected = seq_grw(&csr, 40, 6, 7);
+        assert!(expected.traversed_edges > 0);
+        for (ranks, mode) in [(3, GrwMode::FineGrained), (4, GrwMode::Aggregated)] {
+            let (got, _) = mpi_grw(&csr, ranks, 40, 6, 7, mode);
+            assert_eq!(got, expected, "{mode:?} on {ranks} ranks");
+        }
+        let cluster = Cluster::start(2, Config::small()).unwrap();
+        let got = cluster.node(0).run(move |ctx| {
+            let g = DistGraph::from_csr(ctx, &csr);
+            let r = gmt_grw(ctx, &g, 40, 6, 7);
+            g.free(ctx);
+            r
+        });
+        cluster.shutdown();
+        assert_eq!(got, expected, "gmt_grw on 2 nodes");
     }
 
     #[test]
     fn single_rank_walks_locally() {
         let csr = uniform_random(GraphSpec { vertices: 50, avg_degree: 4, seed: 43 });
-        let expected = seq_grw_stepwise(&csr, 25, 10, 9);
+        let expected = seq_grw(&csr, 25, 10, 9);
         let (got, traffic) = mpi_grw(&csr, 1, 25, 10, 9, GrwMode::Aggregated);
         assert_eq!(got, expected);
         assert_eq!(traffic.sent_msgs, 0);

@@ -9,7 +9,9 @@
 //! delta applied twice (or a token completed twice) would show up as a
 //! wrong rank sum or counter total immediately.
 
-use gmt_core::aggregation::AggShared;
+mod common;
+
+use common::{assert_pools_whole, pool_handles};
 use gmt_core::{Cluster, Config};
 use gmt_graph::{uniform_random, DistGraph, GraphSpec};
 use gmt_kernels::chma::{
@@ -18,24 +20,6 @@ use gmt_kernels::chma::{
 use gmt_kernels::pagerank::{gmt_pagerank, PageRankConfig};
 use gmt_net::{seed_from_env, FaultPlan};
 use std::collections::HashMap;
-use std::sync::Arc;
-
-fn pool_handles(cluster: &Cluster) -> Vec<Arc<AggShared>> {
-    (0..cluster.nodes()).map(|i| Arc::clone(&cluster.node(i).shared().agg)).collect()
-}
-
-fn assert_pools_whole(aggs: &[Arc<AggShared>]) {
-    for (node, agg) in aggs.iter().enumerate() {
-        for chan in 0..agg.channels() {
-            let q = agg.channel(chan);
-            assert_eq!(
-                q.free_buffers(),
-                q.pool_capacity(),
-                "node {node} channel {chan} leaked pooled buffers"
-            );
-        }
-    }
-}
 
 /// Fixed-point ranks out of the runtime, before the f64 conversion —
 /// bit-exact comparison needs the integer representation.
@@ -164,7 +148,8 @@ fn combined_adds_survive_faults_without_double_apply() {
     }
     let total = cluster.net_stats().total();
     assert!(total.dropped_msgs > 0, "fault plan never dropped a packet (seed {seed})");
-    assert!(total.retransmits > 0, "loss was never repaired by retransmission (seed {seed})");
+    let repaired = (0..cluster.nodes()).any(|i| cluster.node(i).metrics().retransmits.sum() > 0);
+    assert!(repaired, "loss was never repaired by retransmission (seed {seed})");
     cluster.shutdown();
     assert_pools_whole(&aggs);
 }

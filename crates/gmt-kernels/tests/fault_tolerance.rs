@@ -10,36 +10,15 @@
 //! (`GMT_FAULT_SEED`) and prints it, so a CI failure under a randomized
 //! seed can be replayed verbatim.
 
-use gmt_core::aggregation::AggShared;
+mod common;
+
+use common::{assert_pools_whole, pool_handles};
 use gmt_core::{Cluster, Config, Distribution, GmtError, MetricsSnapshot};
 use gmt_graph::{uniform_random, DistGraph, GraphSpec};
 use gmt_kernels::bfs::{gmt_bfs, BfsResult};
 use gmt_kernels::grw::{gmt_grw, seq_grw};
 use gmt_net::{seed_from_env, FaultPlan};
-use std::sync::Arc;
 use std::time::Instant;
-
-/// Snapshot of every node's aggregation pools, checkable after the
-/// cluster (and thus every runtime thread) is gone.
-fn pool_handles(cluster: &Cluster) -> Vec<Arc<AggShared>> {
-    (0..cluster.nodes()).map(|i| Arc::clone(&cluster.node(i).shared().agg)).collect()
-}
-
-/// Asserts that every channel of every node has all its pooled buffers
-/// back — i.e. the fault run leaked nothing, not even buffers that were
-/// sitting in retransmit queues when the cluster stopped.
-fn assert_pools_whole(aggs: &[Arc<AggShared>]) {
-    for (node, agg) in aggs.iter().enumerate() {
-        for chan in 0..agg.channels() {
-            let q = agg.channel(chan);
-            assert_eq!(
-                q.free_buffers(),
-                q.pool_capacity(),
-                "node {node} channel {chan} leaked pooled buffers"
-            );
-        }
-    }
-}
 
 /// Asserts that the flow-control watermarks on `snap` respect
 /// `flow_window`: the unacked high-water mark never exceeded the window,
@@ -111,7 +90,8 @@ fn bfs_is_bit_identical_under_drops_and_flaps() {
     // layer actually recovered them.
     let total = cluster.net_stats().total();
     assert!(total.dropped_msgs > 0, "fault plan never dropped a packet (seed {seed})");
-    assert!(total.retransmits > 0, "loss was never repaired by retransmission (seed {seed})");
+    let repaired = (0..cluster.nodes()).any(|i| cluster.node(i).metrics().retransmits.sum() > 0);
+    assert!(repaired, "loss was never repaired by retransmission (seed {seed})");
     cluster.shutdown();
     assert_pools_whole(&aggs);
 }

@@ -23,7 +23,9 @@
 //! its pid — is cross-process by nature and covered by the gmt-launch
 //! `--kill` CI job.)
 
-use gmt_core::aggregation::AggShared;
+mod common;
+
+use common::{assert_pools_whole, pool_handles};
 use gmt_core::collectives::GlobalBarrier;
 use gmt_core::task::RootTask;
 use gmt_core::{Cluster, Config, Distribution, GmtError, SpawnPolicy};
@@ -32,25 +34,7 @@ use gmt_kernels::bfs::gmt_bfs;
 use gmt_net::{seed_from_env, FaultPlan, NodeId};
 use std::panic::AssertUnwindSafe;
 use std::sync::mpsc;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-fn pool_handles(cluster: &Cluster) -> Vec<Arc<AggShared>> {
-    (0..cluster.nodes()).map(|i| Arc::clone(&cluster.node(i).shared().agg)).collect()
-}
-
-fn assert_pools_whole(aggs: &[Arc<AggShared>]) {
-    for (node, agg) in aggs.iter().enumerate() {
-        for chan in 0..agg.channels() {
-            let q = agg.channel(chan);
-            assert_eq!(
-                q.free_buffers(),
-                q.pool_capacity(),
-                "node {node} channel {chan} leaked pooled buffers"
-            );
-        }
-    }
-}
 
 /// Polls until every survivor's membership equals `expected_dead` (same
 /// set, same epoch on every survivor) or the budget runs out. Returns

@@ -43,7 +43,8 @@
 //!
 //! If `GMT_METRICS_OUT` names a directory, every node process drops a
 //! metrics snapshot there (`<bin>-<transport>-node<i>.json`) before
-//! exiting.
+//! exiting; if `GMT_TRACE` does (`chrome:<dir>/`), a Chrome trace of its
+//! runtime threads as well.
 
 use gmt_core::{Cluster, Config, NodeRuntime};
 use gmt_graph::{uniform_random, DistGraph, GraphSpec};
@@ -114,6 +115,8 @@ ENVIRONMENT:
                       (<bin>-<transport>-node<i>.json)
     GMT_EPOCH_OUT     directory for per-survivor membership epoch files
                       (chaos runs; CI diffs them identical)
+    GMT_TRACE         chrome:<dir>/ — every node process leaves a Chrome
+                      trace_event file of its runtime threads there
 ";
 
 fn parse_opts() -> Result<Opts, String> {

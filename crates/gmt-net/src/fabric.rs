@@ -6,6 +6,10 @@
 //! pair are delivered in send order, like MPI point-to-point messages on
 //! one communicator.
 //!
+//! Faults are injected one way, by installing a seeded
+//! [`FaultPlan`] ([`Fabric::install_faults`]): sends keep succeeding and
+//! the packet is lost, duplicated or delayed on the wire.
+//!
 //! Two delivery modes:
 //!
 //! * [`DeliveryMode::Instant`] — messages become receivable immediately.
@@ -28,7 +32,7 @@ use crate::NodeId;
 use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -55,7 +59,8 @@ pub struct Packet {
 pub enum NetError {
     /// The destination is out of range.
     NoSuchNode { dst: NodeId, nodes: usize },
-    /// A fault was injected on this link (failure-injection tests).
+    /// The connection to `dst` is gone (a real wire only: a write failed,
+    /// or a kill severed the link).
     LinkDown { src: NodeId, dst: NodeId },
     /// The fabric has been shut down.
     Closed,
@@ -108,10 +113,7 @@ struct Shared {
     /// `Arc` so the runtime can keep reading traffic counters (metrics
     /// snapshots) without holding the whole fabric alive.
     stats: Arc<TrafficStats>,
-    /// Links currently failed by the legacy binary switch
-    /// ([`Fabric::set_link`]); sends on them *fail with an error*.
-    faults: RwLock<HashSet<(NodeId, NodeId)>>,
-    /// Probabilistic / scheduled fault plan; faults here are *silent*.
+    /// Probabilistic / scheduled fault plan; its faults are *silent*.
     plan: RwLock<Option<InstalledShim>>,
 }
 
@@ -158,7 +160,6 @@ impl Fabric {
             wire_tx: RwLock::new(wire_tx),
             ports: (0..nodes).map(|_| Mutex::new(Port { busy_until: now })).collect(),
             stats: Arc::new(TrafficStats::new(nodes)),
-            faults: RwLock::new(HashSet::new()),
             plan: RwLock::new(None),
         });
         Fabric { shared, inbox_rx, wire_thread }
@@ -194,22 +195,11 @@ impl Fabric {
         (0..self.shared.nodes).map(|n| self.endpoint(n)).collect()
     }
 
-    /// Fails or restores the directed link `src -> dst`
-    /// (failure-injection tests; sends then return [`NetError::LinkDown`]).
-    pub fn set_link(&self, src: NodeId, dst: NodeId, up: bool) {
-        let mut faults = self.shared.faults.write();
-        if up {
-            faults.remove(&(src, dst));
-        } else {
-            faults.insert((src, dst));
-        }
-    }
-
-    /// Installs a [`FaultPlan`]; replaces any previous plan. Unlike
-    /// [`set_link`](Fabric::set_link), plan faults are *silent*: the send
-    /// succeeds, the packet vanishes (or duplicates, or is delayed) in the
-    /// fabric — which is what a reliability layer has to survive. Flap
-    /// schedules and decision sequences restart at installation time.
+    /// Installs a [`FaultPlan`]; replaces any previous plan. Plan faults
+    /// are *silent*: the send succeeds, the packet vanishes (or
+    /// duplicates, or is delayed) in the fabric — which is what a
+    /// reliability layer has to survive. Flap schedules and decision
+    /// sequences restart at installation time.
     pub fn install_faults(&self, plan: FaultPlan) {
         self.shared.install_faults(plan);
     }
@@ -336,15 +326,6 @@ impl Endpoint {
         if dst >= shared.nodes {
             return Err(NetError::NoSuchNode { dst, nodes: shared.nodes });
         }
-        {
-            // One read guard for both checks: with two separate reads a
-            // concurrent set_link() could land in between, so the set we
-            // tested for emptiness is not the set we probe.
-            let faults = shared.faults.read();
-            if !faults.is_empty() && faults.contains(&(self.node, dst)) {
-                return Err(NetError::LinkDown { src: self.node, dst });
-            }
-        }
         // Silent-fault decision from the installed plan, if any. The
         // decision is made here, but in throttled mode a dropped packet
         // still consumes the port's serialization time below: the NIC
@@ -418,8 +399,7 @@ impl Endpoint {
         self.rx.recv().map_err(|_| NetError::Closed)
     }
 
-    /// The fabric's traffic counters (shared by all endpoints). The
-    /// transport layer above uses this to record retransmissions.
+    /// The fabric's traffic counters (shared by all endpoints).
     pub fn stats(&self) -> &Arc<TrafficStats> {
         &self.shared.stats
     }
@@ -498,20 +478,6 @@ mod tests {
         let fabric = Fabric::new(2, DeliveryMode::Instant);
         let ep = fabric.endpoint(0);
         assert_eq!(ep.send(5, 0, vec![]), Err(NetError::NoSuchNode { dst: 5, nodes: 2 }));
-    }
-
-    #[test]
-    fn fault_injection_downs_a_link_directionally() {
-        let fabric = Fabric::new(3, DeliveryMode::Instant);
-        let eps = fabric.endpoints();
-        fabric.set_link(0, 1, false);
-        assert_eq!(eps[0].send(1, 0, vec![1]), Err(NetError::LinkDown { src: 0, dst: 1 }));
-        // Reverse direction and other links unaffected.
-        eps[1].send(0, 0, vec![2]).unwrap();
-        eps[0].send(2, 0, vec![3]).unwrap();
-        fabric.set_link(0, 1, true);
-        eps[0].send(1, 0, vec![4]).unwrap();
-        assert_eq!(eps[1].recv().unwrap().payload, vec![4]);
     }
 
     #[test]

@@ -37,11 +37,9 @@
 //!
 //! Silent loss and duplication are only safe for traffic protected by a
 //! delivery layer (gmt-core's `reliable` module) or for raw-fabric tests
-//! that tolerate them; the legacy [`Fabric::set_link`] switch, which makes
-//! sends *fail with an error* instead, remains for tests that want the
-//! sender to observe the outage.
-//!
-//! [`Fabric::set_link`]: crate::fabric::Fabric::set_link
+//! that tolerate them. A sender observes an outage as a *failed send*
+//! only on a real wire, after a kill severed the link
+//! ([`crate::framed`]).
 
 use crate::NodeId;
 use std::collections::HashMap;

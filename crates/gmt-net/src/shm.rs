@@ -35,10 +35,8 @@
 //!
 //! The runtime's one receive site is the communication server's polling
 //! `try_recv`, so the consumer side is a poll of the inbound rings and
-//! no receiver ever waits in the kernel for a frame. The wake-up word
-//! this backend used to carry for a blocking receive woke nobody — 0
-//! wakes per thousand operations on both shm workloads of the
-//! end-to-end benchmark — and is gone with that receive.
+//! no receiver ever waits in the kernel for a frame: the segment carries
+//! no wake-up word.
 //!
 //! A full ring blocks the sender (counted once per blocked send in
 //! `net.shm.full_waits`) — but while waiting it drains its *own*
@@ -70,7 +68,7 @@ use crate::framed::{
     decode_header, encode_header, Core, FramedTransport, Link, FRAME_HEADER, MAX_FRAME,
 };
 use crate::stats::TrafficStats;
-use crate::transport::{handshake_timeout, DoneBarrier, Transport};
+use crate::transport::{DoneBarrier, Transport, HANDSHAKE_TIMEOUT};
 use crate::NodeId;
 use parking_lot::Mutex;
 use std::io::{self, ErrorKind};
@@ -96,8 +94,9 @@ const HDR_BYTES: usize = 128;
 const SLOT_BYTES: usize = 128;
 const RING_HDR_BYTES: usize = 384;
 
-/// Per-directed-link ring capacity: default, floor (must hold at least
-/// one max-size aggregation buffer plus header) and ceiling.
+/// Per-directed-link ring capacity: what [`shm_mesh`] and a launched
+/// cluster use, then the floor (must hold at least one max-size
+/// aggregation buffer plus header) and ceiling of an explicit size.
 const DEFAULT_RING_BYTES: usize = 1 << 20;
 const MIN_RING_BYTES: usize = 1 << 16;
 const MAX_RING_BYTES: usize = 1 << 28;
@@ -111,18 +110,6 @@ const FULL_RETRY: Duration = Duration::from_micros(50);
 /// shm detection in the same band as TCP's sub-millisecond EOF without
 /// burning a core on `/proc` stats.
 const MONITOR_PERIOD: Duration = Duration::from_millis(2);
-
-/// Per-directed-link ring bytes, overridable via `GMT_SHM_RING_BYTES`
-/// (rounded up to a power of two and clamped; the SPSC cursors rely on
-/// power-of-two wraparound).
-fn ring_bytes_from_env() -> usize {
-    std::env::var("GMT_SHM_RING_BYTES")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(DEFAULT_RING_BYTES)
-        .clamp(MIN_RING_BYTES, MAX_RING_BYTES)
-        .next_power_of_two()
-}
 
 /// Whether a process with this pid still exists. Own pid short-circuits
 /// (the in-process mesh writes the same pid in every slot); elsewhere
@@ -645,12 +632,13 @@ fn monitor_loop(core: &Core, seg: &Segment) {
 /// CI backend. One heap segment, one shared [`TrafficStats`] table, so
 /// cluster-wide counters behave exactly as over the sim fabric.
 pub fn shm_mesh(nodes: usize) -> io::Result<Vec<ShmTransport>> {
-    shm_mesh_with(nodes, ring_bytes_from_env())
+    shm_mesh_with(nodes, DEFAULT_RING_BYTES)
 }
 
-/// [`shm_mesh`] with an explicit per-link ring capacity (rounded up to
-/// a power of two) — tests use tiny rings to exercise the full-ring
-/// path deterministically.
+/// [`shm_mesh`] with an explicit per-link ring capacity (clamped, then
+/// rounded up to a power of two: the SPSC cursors rely on power-of-two
+/// wraparound) — tests use tiny rings to exercise the full-ring path
+/// deterministically.
 pub fn shm_mesh_with(nodes: usize, ring_bytes: usize) -> io::Result<Vec<ShmTransport>> {
     assert!(nodes > 0, "a mesh needs at least one node");
     let ring_cap = ring_bytes.clamp(MIN_RING_BYTES, MAX_RING_BYTES).next_power_of_two();
@@ -762,8 +750,7 @@ fn wait_all_alive(seg: &Segment, deadline: Instant) -> io::Result<()> {
 /// for the magic, map, and mark themselves `ALIVE`. Everyone returns
 /// only once all slots are `ALIVE`, at which point node 0 unlinks the
 /// file — the mappings keep the memory alive, so no crash can leak the
-/// segment. The deadline is [`handshake_timeout`]'s
-/// (`GMT_RDV_TIMEOUT_MS`).
+/// segment. The deadline is [`HANDSHAKE_TIMEOUT`].
 pub(crate) fn attach(
     node: NodeId,
     nodes: usize,
@@ -775,10 +762,10 @@ pub(crate) fn attach(
             "shm cross-process attach needs the x86-64 Linux syscall shim",
         ));
     }
-    let deadline = Instant::now() + handshake_timeout();
+    let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
     let pid = u64::from(std::process::id());
     let seg = if node == 0 {
-        let ring_cap = ring_bytes_from_env();
+        let ring_cap = DEFAULT_RING_BYTES;
         let size = Segment::size_for(nodes, ring_cap);
         if path.exists() {
             match peek_header(path) {

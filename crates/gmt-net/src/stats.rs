@@ -8,59 +8,71 @@
 use crossbeam::utils::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// One node's counters.
-#[derive(Debug, Default)]
-struct NodeCounters {
-    sent_msgs: AtomicU64,
-    sent_bytes: AtomicU64,
-    recv_msgs: AtomicU64,
-    recv_bytes: AtomicU64,
-    /// Packets from this node the fabric silently dropped (fault
-    /// injection: lossy links, flap windows, killed nodes).
-    dropped_msgs: AtomicU64,
-    /// Extra deliveries the fabric injected by duplicating this node's
-    /// packets.
-    duplicated_msgs: AtomicU64,
-    /// Packets this node's reliability layer sent again after a timeout
-    /// (recorded by the transport layer above the fabric).
-    retransmits: AtomicU64,
-    /// Packets from this node whose serialization time was inflated by a
-    /// bandwidth-throttle fault (throttled delivery only).
-    throttled_msgs: AtomicU64,
-    /// Packets from this node held up by a stall fault (throttled
-    /// delivery only).
-    stalled_msgs: AtomicU64,
-    /// Peer connections this node lost mid-run (EOF, ECONNRESET, write
-    /// failure — TCP backend only; the sim has no connections to lose).
-    conn_lost: AtomicU64,
+/// Declares the per-node counters once: the atomics the transports bump,
+/// the [`NodeTraffic`] copy readers get, and the name each one carries in
+/// a metrics snapshot ([`NodeTraffic::counters`]).
+macro_rules! traffic_counters {
+    ($($(#[$doc:meta])* $field:ident => $name:literal,)*) => {
+        /// One node's counters.
+        #[derive(Debug, Default)]
+        struct NodeCounters {
+            $($field: AtomicU64,)*
+        }
+
+        /// A point-in-time copy of one node's counters.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct NodeTraffic {
+            $($(#[$doc])* pub $field: u64,)*
+        }
+
+        impl NodeCounters {
+            fn load(&self) -> NodeTraffic {
+                NodeTraffic { $($field: self.$field.load(Ordering::Relaxed),)* }
+            }
+        }
+
+        impl NodeTraffic {
+            /// Every counter under its metrics-snapshot name.
+            pub fn counters(&self) -> Vec<(&'static str, u64)> {
+                vec![$(($name, self.$field),)*]
+            }
+        }
+
+        impl std::ops::AddAssign for NodeTraffic {
+            fn add_assign(&mut self, other: NodeTraffic) {
+                $(self.$field += other.$field;)*
+            }
+        }
+    };
+}
+
+traffic_counters! {
+    sent_msgs => "net.sent_msgs",
+    sent_bytes => "net.sent_bytes",
+    recv_msgs => "net.recv_msgs",
+    recv_bytes => "net.recv_bytes",
+    /// Packets from this node silently dropped by fault injection (lossy
+    /// links, flap windows, killed nodes).
+    dropped_msgs => "net.dropped_msgs",
+    /// Extra deliveries fault injection made of this node's packets.
+    duplicated_msgs => "net.duplicated_msgs",
+    /// Packets from this node whose serialization a throttle fault
+    /// inflated (throttled delivery only).
+    throttled_msgs => "net.throttled_msgs",
+    /// Packets from this node a stall fault held up (throttled delivery
+    /// only).
+    stalled_msgs => "net.stalled_msgs",
+    /// Peer connections this node lost mid-run, once per peer: EOF, a
+    /// reset or a write failure over TCP; a severed ring, a clean
+    /// shutdown or a vanished process over shm. The sim has no
+    /// connections to lose.
+    conn_lost => "net.conn_lost",
 }
 
 /// Traffic counters for every node of a fabric.
 #[derive(Debug)]
 pub struct TrafficStats {
     nodes: Vec<CachePadded<NodeCounters>>,
-}
-
-/// A point-in-time copy of one node's counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct NodeTraffic {
-    pub sent_msgs: u64,
-    pub sent_bytes: u64,
-    pub recv_msgs: u64,
-    pub recv_bytes: u64,
-    /// Packets silently dropped by fault injection (counted at the src).
-    pub dropped_msgs: u64,
-    /// Duplicate deliveries injected by fault injection (counted at the src).
-    pub duplicated_msgs: u64,
-    /// Retransmissions performed by the reliability layer above the fabric.
-    pub retransmits: u64,
-    /// Packets whose serialization a throttle fault inflated (counted at the src).
-    pub throttled_msgs: u64,
-    /// Packets a stall fault held up (counted at the src).
-    pub stalled_msgs: u64,
-    /// Peer connections lost mid-run (TCP backend; counted at the node
-    /// that observed the loss, once per peer).
-    pub conn_lost: u64,
 }
 
 impl TrafficStats {
@@ -96,12 +108,6 @@ impl TrafficStats {
         self.nodes[node].duplicated_msgs.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a retransmission by `node`'s reliability layer.
-    #[inline]
-    pub fn record_retransmit(&self, node: usize) {
-        self.nodes[node].retransmits.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records a throttle-inflated serialization on a packet from `node`.
     #[inline]
     pub fn record_throttle(&self, node: usize) {
@@ -122,36 +128,14 @@ impl TrafficStats {
 
     /// Snapshot of one node's counters.
     pub fn node(&self, node: usize) -> NodeTraffic {
-        let c = &self.nodes[node];
-        NodeTraffic {
-            sent_msgs: c.sent_msgs.load(Ordering::Relaxed),
-            sent_bytes: c.sent_bytes.load(Ordering::Relaxed),
-            recv_msgs: c.recv_msgs.load(Ordering::Relaxed),
-            recv_bytes: c.recv_bytes.load(Ordering::Relaxed),
-            dropped_msgs: c.dropped_msgs.load(Ordering::Relaxed),
-            duplicated_msgs: c.duplicated_msgs.load(Ordering::Relaxed),
-            retransmits: c.retransmits.load(Ordering::Relaxed),
-            throttled_msgs: c.throttled_msgs.load(Ordering::Relaxed),
-            stalled_msgs: c.stalled_msgs.load(Ordering::Relaxed),
-            conn_lost: c.conn_lost.load(Ordering::Relaxed),
-        }
+        self.nodes[node].load()
     }
 
     /// Sum over all nodes.
     pub fn total(&self) -> NodeTraffic {
         let mut t = NodeTraffic::default();
-        for i in 0..self.nodes.len() {
-            let n = self.node(i);
-            t.sent_msgs += n.sent_msgs;
-            t.sent_bytes += n.sent_bytes;
-            t.recv_msgs += n.recv_msgs;
-            t.recv_bytes += n.recv_bytes;
-            t.dropped_msgs += n.dropped_msgs;
-            t.duplicated_msgs += n.duplicated_msgs;
-            t.retransmits += n.retransmits;
-            t.throttled_msgs += n.throttled_msgs;
-            t.stalled_msgs += n.stalled_msgs;
-            t.conn_lost += n.conn_lost;
+        for c in &self.nodes {
+            t += c.load();
         }
         t
     }
@@ -182,12 +166,12 @@ mod tests {
         );
         s.record_drop(0);
         s.record_dup(0);
-        s.record_retransmit(0);
         s.record_conn_lost(0);
         let n0 = s.node(0);
-        assert_eq!((n0.dropped_msgs, n0.duplicated_msgs, n0.retransmits), (1, 1, 1));
+        assert_eq!((n0.dropped_msgs, n0.duplicated_msgs), (1, 1));
         assert_eq!(n0.conn_lost, 1);
         assert_eq!(s.total().conn_lost, 1);
+        assert!(n0.counters().contains(&("net.conn_lost", 1)));
         assert_eq!(s.node(1), NodeTraffic::default());
         let t = s.total();
         assert_eq!(t.sent_bytes, 128);

@@ -24,11 +24,11 @@
 //!   (`write_frame`); a small frame is one TCP segment, not two.
 //! * **Wake on arrival** — each inbound link has its own reader thread
 //!   (`gmt-tcp-rx-<node>-<src>`) parked in a blocking `read`, so the
-//!   kernel wakes it when bytes land. The reader used to sweep every link
-//!   nonblocking and sleep 100 µs between empty sweeps, which put that
-//!   sleep (plus timer slack) into every round trip: a 64 B ping-pong took
-//!   366 µs against 21 µs now (`net.ceil.tcp_rtt_us`, bench/e2e). One
-//!   thread per link needs no readiness syscall and scales to N peers by
+//!   kernel wakes it when bytes land. One reader sweeping every link
+//!   nonblocking, asleep between empty sweeps, puts that sleep (plus
+//!   timer slack) into every round trip: a 64 B ping-pong took 366 µs
+//!   that way against 21 µs this way (`net.ceil.tcp_rtt_us`, bench/e2e).
+//!   One thread per link needs no readiness syscall and scales to N peers by
 //!   construction; an idle reader costs nothing. Shutdown and injected
 //!   kills unblock a reader by severing the `inbound_ctl` clone of its
 //!   stream, so joins stay bounded.
@@ -70,7 +70,7 @@ use crate::framed::{
     decode_header, encode_header, Core, FramedTransport, Link, FRAME_HEADER, MAX_FRAME,
 };
 use crate::stats::TrafficStats;
-use crate::transport::{handshake_timeout, Bootstrap, DoneBarrier, Transport};
+use crate::transport::{Bootstrap, DoneBarrier, Transport, HANDSHAKE_TIMEOUT};
 use crate::NodeId;
 use parking_lot::Mutex;
 use std::io::{self, ErrorKind, IoSlice, Read, Write};
@@ -392,7 +392,7 @@ fn accept_peer(
 ) -> io::Result<(NodeId, TcpStream)> {
     let mut stream = accept_with_deadline(listener, deadline)?;
     stream.set_nodelay(true).ok();
-    stream.set_read_timeout(Some(handshake_timeout()))?;
+    stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
     let src = read_hello(&mut stream, nodes)?;
     stream.set_read_timeout(None)?;
     Ok((src, stream))
@@ -425,7 +425,7 @@ pub fn loopback_mesh(nodes: usize) -> io::Result<Vec<TcpTransport>> {
             *slot = Some(s);
         }
     }
-    let deadline = Instant::now() + handshake_timeout();
+    let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
     let mut transports = Vec::with_capacity(nodes);
     for (node, listener) in listeners.into_iter().enumerate() {
         let mut inbound = Vec::with_capacity(nodes - 1);
@@ -555,18 +555,17 @@ fn poll_addr(path: &Path, deadline: Instant) -> io::Result<SocketAddr> {
 ///    identifies the dialer) and accepts from every lower-numbered one,
 ///    completing the full mesh.
 ///
-/// Every blocking step carries a bounded deadline ([`handshake_timeout`],
-/// 60 s default, `GMT_RDV_TIMEOUT_MS` to override) plus retry/backoff on
-/// dials, so one crashed process fails the whole launch with a
-/// stage-attributed error instead of wedging it. Node 0 deletes a
-/// [`Bootstrap::File`] once every peer has registered (the launcher also
-/// cleans it up on its own exit paths).
+/// Every blocking step carries a bounded deadline ([`HANDSHAKE_TIMEOUT`],
+/// 60 s) plus retry/backoff on dials, so one crashed process fails the
+/// whole launch with a stage-attributed error instead of wedging it.
+/// Node 0 deletes a [`Bootstrap::File`] once every peer has registered
+/// (the launcher also cleans it up on its own exit paths).
 pub(crate) fn rendezvous(
     node: NodeId,
     nodes: usize,
     bootstrap: &Bootstrap,
 ) -> io::Result<(Arc<dyn Transport>, Box<dyn DoneBarrier>)> {
-    let deadline = Instant::now() + handshake_timeout();
+    let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
     let data_listener =
         TcpListener::bind("127.0.0.1:0").map_err(|e| stage_err("binding data listener", e))?;
     let data_addr = data_listener.local_addr()?;
@@ -608,7 +607,7 @@ pub(crate) fn rendezvous(
         s.set_nodelay(true).ok();
         write_registration(&mut s, node, nodes, &data_addr)
             .map_err(|e| stage_err("registering with node 0", e))?;
-        s.set_read_timeout(Some(handshake_timeout()))?;
+        s.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
         let addrs: Vec<SocketAddr> = (0..nodes)
             .map(|_| read_addr(&mut s))
             .collect::<io::Result<_>>()
@@ -675,7 +674,7 @@ fn coordinate_registration(
         };
         let mut s = accept_with_deadline(rdv, deadline).map_err(|e| stage_err(missing(), e))?;
         s.set_nodelay(true).ok();
-        s.set_read_timeout(Some(handshake_timeout()))?;
+        s.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
         let peer = read_hello(&mut s, nodes).map_err(|e| stage_err(missing(), e))?;
         let addr = read_addr(&mut s)
             .map_err(|e| stage_err(format_args!("reading node {peer}'s data address"), e))?;

@@ -248,16 +248,8 @@ impl Bootstrap {
 
 /// How long construction-time handshakes (rendezvous registration, mesh
 /// accepts, hello reads, segment attach) may take before giving up with
-/// an error — a crashed peer must fail the launch, not hang it. 60 s,
-/// overridable via `GMT_RDV_TIMEOUT_MS` so tests and chaos harnesses can
-/// fail a doomed launch in milliseconds.
-pub(crate) fn handshake_timeout() -> Duration {
-    std::env::var("GMT_RDV_TIMEOUT_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .map(Duration::from_millis)
-        .unwrap_or(Duration::from_secs(60))
-}
+/// an error — a crashed peer must fail the launch, not hang it.
+pub(crate) const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// The end-of-job side channel a multi-process mesh is left with after
 /// [`connect`]: node 0 and each peer tell each other when they are done,
@@ -298,9 +290,9 @@ pub trait DoneBarrier: Send {
 /// the bootstrap form names: [`Bootstrap::Shm`] attaches the shared
 /// segment (see [`crate::shm`]), the other two run the TCP rendezvous
 /// (see [`crate::tcp`]). Returns once every node has joined. Every
-/// blocking step carries a bounded deadline (60 s, `GMT_RDV_TIMEOUT_MS`
-/// to override), so one crashed process fails the whole launch with an
-/// error naming the stage instead of wedging it.
+/// blocking step carries a bounded deadline (60 s), so one crashed
+/// process fails the whole launch with an error naming the stage instead
+/// of wedging it.
 pub fn connect(
     node: NodeId,
     nodes: usize,
