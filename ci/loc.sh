@@ -11,9 +11,11 @@
 #
 # Then the workspace's `unsafe` count (ROADMAP item 5's number): the lines
 # of `crates`, `src`, `tests` and `examples` that name the keyword outside
-# a `//` comment. The three graph kernels must not contribute to it — they
-# are written against the safe wave helpers — and the script fails if one
-# does.
+# a `//` comment. It only goes down: the script fails above the count of
+# the last change that lowered it (113; 134 before the op table replaced
+# the pointer tokens). The three graph kernels must not contribute to it —
+# they are written against the safe wave helpers — and the script fails if
+# one does.
 #
 # Last the switches: every one is something the tests and the benchmark
 # are supposed to cover at two values. The `pub` fields of
@@ -75,7 +77,12 @@ unsafe_lines() {
     grep -rwh unsafe --include='*.rs' "$@" | grep -vc '^[[:space:]]*//' || true
 }
 
-printf '%-40s %6d\n' "unsafe lines (workspace)" "$(unsafe_lines crates src tests examples)"
+unsafe_total=$(unsafe_lines crates src tests examples)
+printf '%-40s %6d\n' "unsafe lines (workspace)" "$unsafe_total"
+if [ "$unsafe_total" -gt 113 ]; then
+    echo "workspace: $unsafe_total lines name unsafe (limit 113); lower the limit with the count, never raise it" >&2
+    exit 1
+fi
 for f in crates/gmt-kernels/src/bfs.rs crates/gmt-kernels/src/grw.rs crates/gmt-kernels/src/cc.rs; do
     if [ "$(unsafe_lines "$f")" -ne 0 ]; then
         echo "$f: kernels stay unsafe-free (use the wave helpers of gmt-core)" >&2

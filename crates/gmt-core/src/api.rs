@@ -7,6 +7,13 @@
 //! immediately; [`TaskCtx::wait_commands`] drains them (per §III-D it
 //! waits for *all* pending operations of the task, not a specific one).
 //!
+//! Every remote operation leaves through one private `emit`: it counts the
+//! operation toward its destination in the node's
+//! [`OpTable`](crate::task::OpTable) and stamps the command with the
+//! task's token, the one value a task mints in its life. No lock is taken
+//! and nothing is hashed between a primitive and the thread-private
+//! command block its command lands in (§IV-C).
+//!
 //! | Paper primitive | Here |
 //! |---|---|
 //! | `gmt_alloc` / `gmt_free` | [`TaskCtx::alloc`] / [`TaskCtx::free`] |
@@ -38,7 +45,7 @@ use crate::config::FLOW_PARK_NS;
 use crate::error::GmtError;
 use crate::handle::{Distribution, GmtArray, Layout};
 use crate::runtime::NodeShared;
-use crate::task::{token_from, BodyFn, Itb, ParForBody, ParentRef, TaskControl};
+use crate::task::{BodyFn, Itb, ParForBody, ParentRef, TaskControl};
 use crate::tls;
 use crate::value::Scalar;
 use crate::NodeId;
@@ -174,15 +181,14 @@ impl<'a> TaskCtx<'a> {
         // recipients, so the layout and the collective agree even if a
         // death lands mid-allocation.
         let dead_mask = self.node.dead_mask();
-        let arr = GmtArray::new(id, nbytes, dist, me, dead_mask);
+        let arr = GmtArray::new(id, nbytes, dist, me, self.node.nodes, dead_mask);
         let layout = self.layout(&arr);
         self.node.memory.alloc(id, &layout, me);
         for dst in 0..self.node.nodes {
             if dst == me || dead_mask >> dst & 1 == 1 {
                 continue;
             }
-            self.ctl.add_pending(1);
-            let token = token_from(self.ctl);
+            let token = self.ctl.token();
             self.emit(
                 dst,
                 &Command::Alloc {
@@ -217,8 +223,7 @@ impl<'a> TaskCtx<'a> {
                 self.swallow_dead_free(dst, 1);
                 continue;
             }
-            self.ctl.add_pending(1);
-            let token = token_from(self.ctl);
+            let token = self.ctl.token();
             self.emit(dst, &Command::Free { token, id: arr.id });
         }
         if let Err(GmtError::RemoteDead { node, failed_ops }) = self.wait_commands() {
@@ -267,8 +272,7 @@ impl<'a> TaskCtx<'a> {
             let mut done = 0u64;
             while done < ext.len {
                 let take = (ext.len - done).min(max) as usize;
-                self.ctl.add_pending(1);
-                let token = token_from(self.ctl);
+                let token = self.ctl.token();
                 self.emit(
                     ext.node,
                     &Command::Put {
@@ -334,8 +338,7 @@ impl<'a> TaskCtx<'a> {
             while done < ext.len {
                 let take = (ext.len - done).min(max);
                 let dst_ptr = dest[base + done as usize..].as_mut_ptr() as u64;
-                self.ctl.add_pending(1);
-                let token = token_from(self.ctl);
+                let token = self.ctl.token();
                 self.emit(
                     ext.node,
                     &Command::Get {
@@ -450,8 +453,7 @@ impl<'a> TaskCtx<'a> {
             }
             return;
         }
-        self.ctl.add_pending(1);
-        let token = token_from(self.ctl);
+        let token = self.ctl.token();
         let dest = old as u64;
         self.emit(owner, &Command::Add { token, array: arr.id, offset: seg_off, delta, dest });
     }
@@ -496,8 +498,7 @@ impl<'a> TaskCtx<'a> {
             *old = self.node.memory.with(arr.id, |s| s.atomic_cas(seg_off as usize, expected, new));
             return;
         }
-        self.ctl.add_pending(1);
-        let token = token_from(self.ctl);
+        let token = self.ctl.token();
         let dest = old as *mut i64 as u64;
         self.emit(
             owner,
@@ -666,7 +667,7 @@ impl<'a> TaskCtx<'a> {
     fn spans_remote(&self, arr: &GmtArray, offset: u64, len: u64) -> bool {
         let layout = self.layout(arr);
         let me = self.node.node_id;
-        layout.extents(offset, len).iter().any(|e| e.node != me)
+        layout.extents(offset, len).any(|e| e.node != me)
     }
 
     /// Re-arms reply delivery after a deadline abandon, called before
@@ -903,9 +904,11 @@ impl<'a> TaskCtx<'a> {
         let splits = split_iterations(policy, iters, self.node.nodes, me, &is_dead);
         for &(dst, start, count) in &splits {
             debug_assert!(count > 0);
-            self.ctl.add_pending(1);
-            let token = token_from(self.ctl);
+            let token = self.ctl.token();
             if dst == me {
+                // Counted toward this node itself, where the worker that
+                // finishes the block acquits it (`notify_parent`).
+                self.node.ops.register(self.ctl, me);
                 self.node.itb_queue.push(Itb::new(
                     Arc::clone(&body),
                     Arc::clone(&args_arc),
@@ -971,17 +974,18 @@ impl<'a> TaskCtx<'a> {
         debug_assert!(!cmd.is_reply(), "tasks emit requests; helpers emit replies");
         // Remember the last remote command for watchdog diagnostics.
         self.ctl.note_op(dst, cmd.opcode());
+        // Count the operation — in the task's pending count and in the op
+        // table — before the command becomes visible anywhere: only
+        // counted operations are error-completed if `dst` is (or is later
+        // confirmed) dead, and the comm server re-drains the op table
+        // whenever it drops a buffer bound for a dead peer, so an emit
+        // racing the death confirmation is still covered.
+        self.node.ops.register(self.ctl, dst);
         // Flow-control admission: toward a backpressured peer the task
         // yields/parks (bounded by `FLOW_PARK_NS`) *before* the command
         // enters the pipeline, so a slow peer's full window stalls the
         // emitters instead of piling buffers behind the link.
         self.flow_admit(dst);
-        // Register before the command becomes visible anywhere: only
-        // registered operations are error-completed if `dst` is (or is
-        // later confirmed) dead, and the comm server re-drains the
-        // registry whenever it drops a buffer bound for a dead peer, so
-        // an emit racing the death confirmation is still covered.
-        self.node.outstanding.register(cmd.token(), dst);
         tls::with_sink(|s| s.emit(dst, cmd));
     }
 

@@ -81,7 +81,7 @@ fn send_buffer(
         Some(link) => {
             if link.is_dead(dst) {
                 // Emitted after (or racing) the death confirmation: the
-                // registry still holds these tokens — fail them now.
+                // op table still counts these operations — fail them now.
                 // Dropping `payload` returns the buffer to its pool.
                 fail_outstanding(node, dst);
                 return;
@@ -182,22 +182,19 @@ fn receive(
     }
 }
 
-/// Error-completes every registered operation toward `dst` with
+/// Error-completes every operation still counted toward `dst` with
 /// `GmtError::RemoteDead`, returning how many failed. Covers the full
 /// in-flight window — unsent buffers, transport-unacked buffers, and
 /// requests already delivered whose application reply died with the peer.
 fn fail_outstanding(node: &NodeShared, dst: crate::NodeId) -> u32 {
     let mut failed = 0u32;
-    for (token, count) in node.outstanding.drain_peer(dst) {
-        for _ in 0..count {
-            // SAFETY: each registry entry stands for exactly one token
-            // minted by `token_from` and not completed yet — a normal
-            // completion acquits its entry before touching the token, so
-            // draining the entry transfers sole completion rights here.
-            unsafe { crate::task::complete_token_err(token, dst) };
-        }
-        failed += count;
-    }
+    // Draining a count transfers sole completion rights here: a reply that
+    // arrives later finds nothing to take and is dropped whole.
+    node.ops.drain_peer(dst, |units| {
+        failed += units.count();
+        units.record_remote_failures(dst, units.count());
+    });
+    node.metrics.ops_failed.add(node.metrics.comm_shard(), failed as u64);
     failed
 }
 

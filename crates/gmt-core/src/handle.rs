@@ -66,17 +66,23 @@ pub struct GmtArray {
     /// once at alloc time so every node resolves the same placement no
     /// matter when its own membership view catches up.
     pub(crate) dead_mask: u64,
+    /// Bytes per owning node, resolved once at allocation so that locating
+    /// a byte never recomputes it (see [`Layout`]).
+    pub(crate) block: u64,
 }
 
 impl GmtArray {
+    /// The handle of allocation `id` on a cluster of `nodes` nodes.
     pub(crate) fn new(
         id: u64,
         nbytes: u64,
         dist: Distribution,
         origin: NodeId,
+        nodes: usize,
         dead_mask: u64,
     ) -> Self {
-        GmtArray { id, nbytes, dist, origin, dead_mask }
+        let block = Layout::degraded(nbytes, dist, origin, nodes, dead_mask).block;
+        GmtArray { id, nbytes, dist, origin, dead_mask, block }
     }
 
     /// Allocation id (unique within a cluster's lifetime).
@@ -98,9 +104,18 @@ impl GmtArray {
         self.dist
     }
 
-    /// The layout of this array on a cluster of `nodes` nodes.
+    /// The layout of this array on the cluster of `nodes` nodes it was
+    /// allocated on: the placement [`Layout::degraded`] validated and sized
+    /// then, reassembled without redoing either.
     pub fn layout(&self, nodes: usize) -> Layout {
-        Layout::degraded(self.nbytes, self.dist, self.origin, nodes, self.dead_mask)
+        Layout {
+            nbytes: self.nbytes,
+            dist: self.dist,
+            origin: self.origin,
+            nodes,
+            dead_mask: self.dead_mask,
+            block: self.block,
+        }
     }
 }
 
@@ -249,23 +264,29 @@ impl Layout {
 
     /// Splits the byte range `[offset, offset + len)` into per-node
     /// extents, in ascending global-offset order.
-    pub fn extents(&self, offset: u64, len: u64) -> Vec<Extent> {
+    ///
+    /// # Panics
+    ///
+    /// Panics, before the first extent is asked for, if the range exceeds
+    /// the array.
+    pub fn extents(self, offset: u64, len: u64) -> impl Iterator<Item = Extent> {
         assert!(
             offset.checked_add(len).is_some_and(|end| end <= self.nbytes),
             "range [{offset}, {offset}+{len}) out of bounds ({} bytes)",
             self.nbytes
         );
-        let mut out = Vec::new();
         let mut cur = offset;
         let end = offset + len;
-        while cur < end {
+        std::iter::from_fn(move || {
+            if cur >= end {
+                return None;
+            }
             let (node, seg_off) = self.locate(cur);
-            let slot_end = (cur / self.block + 1) * self.block;
-            let take = (end - cur).min(slot_end - cur);
-            out.push(Extent { node, global_offset: cur, segment_offset: seg_off, len: take });
+            let take = (end - cur).min(self.block - seg_off);
+            let extent = Extent { node, global_offset: cur, segment_offset: seg_off, len: take };
             cur += take;
-        }
-        out
+            Some(extent)
+        })
     }
 }
 
@@ -329,12 +350,12 @@ mod tests {
         assert_eq!(l.segment_size(0), 40);
         assert_eq!(l.segment_size(1), 40);
         assert_eq!(l.segment_size(2), 20);
-        let ex = l.extents(30, 40);
+        let ex: Vec<Extent> = l.extents(30, 40).collect();
         assert_eq!(ex.len(), 2);
         assert_eq!(ex[0], Extent { node: 0, global_offset: 30, segment_offset: 30, len: 10 });
         assert_eq!(ex[1], Extent { node: 1, global_offset: 40, segment_offset: 0, len: 30 });
         // Whole-array extent walk covers every byte exactly once.
-        let all = l.extents(0, 100);
+        let all: Vec<Extent> = l.extents(0, 100).collect();
         let covered: u64 = all.iter().map(|e| e.len).sum();
         assert_eq!(covered, 100);
         for w in all.windows(2) {
@@ -348,7 +369,7 @@ mod tests {
             for nbytes in [64u64, 100, 1000, 4096, 10_001] {
                 let l = Layout::new(nbytes, Distribution::Partition, 0, nodes);
                 for word in 0..(nbytes / 8) {
-                    let ex = l.extents(word * 8, 8);
+                    let ex: Vec<Extent> = l.extents(word * 8, 8).collect();
                     assert_eq!(ex.len(), 1, "word {word} straddles nodes ({nodes}/{nbytes})");
                     assert_eq!(ex[0].segment_offset % 8, 0);
                 }
@@ -367,7 +388,7 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn extents_reject_overflowing_range() {
         let l = Layout::new(10, Distribution::Partition, 0, 2);
-        l.extents(8, 3);
+        let _ = l.extents(8, 3);
     }
 
     #[test]

@@ -31,7 +31,7 @@ use crate::handle::{Distribution, Layout};
 use crate::idle::IdleBackoff;
 use crate::metrics::ThreadTracer;
 use crate::runtime::NodeShared;
-use crate::task::{complete_token, complete_token_n, Itb, ParForBody, ParentRef};
+use crate::task::{Itb, ParForBody, ParentRef, Units};
 use crate::tls;
 use crate::NodeId;
 use std::sync::Arc;
@@ -148,11 +148,12 @@ fn execute_control_or_reply(
 
         // ---- replies: complete operations of local tasks ----------
         //
-        // Every completion first *acquits* its registry entry: if the
-        // acquit fails, the comm server's death sweep already
-        // error-completed the token (the reply raced a — possibly
-        // false-positive — death confirmation against `src`), so the
-        // token reference is gone and the reply must be dropped whole.
+        // Every completion first *acquits* its operation in the op table:
+        // if nothing is there to take, the comm server's death sweep
+        // already error-completed it (the reply raced a — possibly
+        // false-positive — death confirmation against `src`) or its task
+        // is gone, and the reply must be dropped whole. The `Units` taken
+        // complete when they drop, after the reply's data is in place.
         Command::Ack { token } => complete_ack_run(node, src, token, 1),
         Command::AckN { tokens } => {
             // Runs of equal tokens (one task's merged adds, or its
@@ -168,31 +169,23 @@ fn execute_control_or_reply(
             }
         }
         Command::GetReply { token, dest, data } => {
-            // Safety: `dest` points into the buffer registered by the
-            // issuing task, which stays parked (and its stack alive)
-            // until this completion — unless it abandoned the
-            // operation after a deadline expiry, in which case the
-            // write guard below refuses the write.
-            if node.outstanding.acquit(token, src) {
-                unsafe {
-                    reply_write(node, token, || {
-                        std::ptr::copy_nonoverlapping(data.as_ptr(), dest as *mut u8, data.len());
-                    });
-                    complete_token(token);
-                }
+            if let Some(units) = node.ops.acquit(token, src, 1) {
+                // Safety: `dest` points into the buffer registered by the
+                // issuing task, which stays parked (and its stack alive)
+                // until this completion — unless it abandoned the
+                // operation after a deadline expiry, in which case the
+                // write guard refuses the write.
+                reply_write(node, &units, || unsafe {
+                    std::ptr::copy_nonoverlapping(data.as_ptr(), dest as *mut u8, data.len());
+                });
             }
         }
         Command::AtomicReply { token, dest, old } => {
-            // Safety: as above; `dest` is an aligned i64 slot on the
-            // parked task's stack (0 = fire-and-forget).
-            if node.outstanding.acquit(token, src) {
-                unsafe {
-                    if dest != 0 {
-                        reply_write(node, token, || {
-                            (dest as *mut i64).write(old);
-                        });
-                    }
-                    complete_token(token);
+            if let Some(units) = node.ops.acquit(token, src, 1) {
+                if dest != 0 {
+                    // Safety: as above; `dest` is an aligned i64 slot on
+                    // the parked task's stack (0 = fire-and-forget).
+                    reply_write(node, &units, || unsafe { (dest as *mut i64).write(old) });
                 }
             }
         }
@@ -204,13 +197,11 @@ fn execute_control_or_reply(
     }
 }
 
-/// Acquits and completes `n` references of `token` in one batch (one
-/// `fetch_sub` instead of *n*); a shortfall means the death sweep already
+/// Acquits and completes `n` operations of `token` in one batch (one
+/// decrement instead of *n*); a shortfall means the death sweep already
 /// error-completed the rest.
-fn complete_ack_run(node: &Arc<NodeShared>, src: NodeId, token: u64, n: u32) {
-    let acquitted = node.outstanding.acquit_n(token, src, n);
-    // Safety: each acquit guarantees one uncompleted mint of `token`.
-    unsafe { complete_token_n(token, acquitted) };
+fn complete_ack_run(node: &NodeShared, src: NodeId, token: u64, n: u32) {
+    drop(node.ops.acquit(token, src, n));
 }
 
 /// Executes every command in one received aggregation buffer (decode →
@@ -541,34 +532,26 @@ fn reply(dst: NodeId, cmd: &Command<'_>) {
 
 /// Performs a reply-data write through a task-provided destination
 /// pointer, guarded against the task having abandoned the operation after
-/// a deadline expiry (its stack frame may be gone by then).
+/// a deadline expiry (its stack frame may be gone by then). `units` is the
+/// reply's operation, acquitted and not yet completed, which is what keeps
+/// its task in reach.
 ///
 /// While no deadline has ever been armed on this node the guard is one
 /// `Acquire` load; once armed, the write brackets itself in the
 /// writer-counter handshake of [`TaskControl::begin_reply_write`].
 ///
-/// # Safety
-///
-/// `token` must be a live token minted by [`crate::task::token_from`]
-/// whose completion has not happened yet (this function does not complete
-/// it), and `write` must be safe to perform while the issuing task is
-/// parked.
-///
 /// [`TaskControl::begin_reply_write`]: crate::task::TaskControl::begin_reply_write
 #[inline]
-unsafe fn reply_write(node: &Arc<NodeShared>, token: u64, write: impl FnOnce()) {
+fn reply_write(node: &NodeShared, units: &Units<'_>, write: impl FnOnce()) {
     use std::sync::atomic::Ordering;
     if !node.deadlines_armed.load(Ordering::Acquire) {
         write();
         return;
     }
-    // Safety: the token holds a strong reference until `complete_token`,
-    // so borrowing the TaskControl here (before completion) is sound.
-    let ctl = unsafe { &*(token as *const crate::task::TaskControl) };
-    if ctl.begin_reply_write() {
+    if units.begin_reply_write() {
         write();
     }
-    ctl.end_reply_write();
+    units.end_reply_write();
 }
 
 /// Entry point of a helper thread. `chan` is the index of this helper's

@@ -116,6 +116,9 @@ pub struct NodeMetrics {
     /// Inbound buffers suppressed as duplicates.
     pub dedup_hits: Counter,
     pub peers_dead: Counter,
+    /// Operations error-completed because their destination was confirmed
+    /// dead (the death sweep and every later re-drain).
+    pub ops_failed: Counter,
 
     // -- flow control (`net.flow.*`) ---------------------------------
     /// Unacked in-flight buffers toward the destination at each data
@@ -211,6 +214,7 @@ impl NodeMetrics {
             acks_standalone: r.counter("reliable.acks_standalone"),
             dedup_hits: r.counter("reliable.dedup_hits"),
             peers_dead: r.counter("reliable.peers_dead"),
+            ops_failed: r.counter("reliable.ops_failed"),
             flow_window_occupancy: r.histogram(
                 "net.flow.window",
                 // Power-of-two occupancy buckets around the default

@@ -16,7 +16,7 @@ use crate::commserver;
 use crate::config::Config;
 use crate::helper;
 use crate::metrics::{NodeMetrics, ThreadTracer};
-use crate::task::{Itb, RootTask, TaskControl};
+use crate::task::{Itb, OpTable, RootTask, TaskControl};
 use crate::worker;
 use crate::{memory::NodeMemory, NodeId};
 use crossbeam::queue::SegQueue;
@@ -27,7 +27,6 @@ use gmt_net::{
     TransportSelect,
 };
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -102,107 +101,6 @@ impl Membership {
     }
 }
 
-/// Registry of remote operations awaiting an application-level completion
-/// (a reply or ack command), keyed by `(token, destination)` with a
-/// multiplicity — one task reuses one token value for all of its
-/// concurrent operations.
-///
-/// This is the communication server's handle for *error-completing*
-/// operations toward a peer confirmed dead. Transport-level tracking (the
-/// reliable link's unacked queue) cannot cover an operation whose request
-/// was delivered and transport-acked but whose application reply died
-/// with the peer — a `Spawn` awaiting its remote iteration block, a `Get`
-/// whose answer was in flight. So every request registers here at emit
-/// time and is acquitted by the helper that processes its completion;
-/// whatever is still registered toward a peer when its death is confirmed
-/// fails with `RemoteDead`. Sharded by token to keep the hot path
-/// (one register + one acquit per remote operation) off a single lock.
-pub(crate) struct OutstandingOps {
-    shards: Vec<Mutex<HashMap<(u64, NodeId), u32>>>,
-}
-
-impl OutstandingOps {
-    const SHARDS: usize = 16;
-
-    fn new() -> Self {
-        OutstandingOps { shards: (0..Self::SHARDS).map(|_| Mutex::new(HashMap::new())).collect() }
-    }
-
-    fn shard(&self, token: u64) -> &Mutex<HashMap<(u64, NodeId), u32>> {
-        // Tokens are `Arc` pointers: shift out the alignment bits before
-        // folding into a shard index.
-        &self.shards[((token >> 4) as usize) & (Self::SHARDS - 1)]
-    }
-
-    /// Records one emitted operation toward `dst` awaiting completion.
-    pub fn register(&self, token: u64, dst: NodeId) {
-        *self.shard(token).lock().entry((token, dst)).or_insert(0) += 1;
-    }
-
-    /// Removes one registered operation on receipt of its completion from
-    /// `src`. Returns `false` if the entry was already taken — the death
-    /// sweep error-completed the token first, so the caller must neither
-    /// complete it again nor apply the reply's data.
-    pub fn acquit(&self, token: u64, src: NodeId) -> bool {
-        let mut map = self.shard(token).lock();
-        match map.get_mut(&(token, src)) {
-            Some(n) => {
-                *n -= 1;
-                if *n == 0 {
-                    map.remove(&(token, src));
-                }
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Removes up to `n` registered operations for `(token, src)` at once
-    /// (vectorized ack path). Returns how many were actually acquitted —
-    /// fewer than `n` means the death sweep already error-completed the
-    /// rest, and the caller must only complete the returned count.
-    pub fn acquit_n(&self, token: u64, src: NodeId, n: u32) -> u32 {
-        if n == 0 {
-            return 0;
-        }
-        let mut map = self.shard(token).lock();
-        match map.get_mut(&(token, src)) {
-            Some(have) => {
-                let taken = n.min(*have);
-                *have -= taken;
-                if *have == 0 {
-                    map.remove(&(token, src));
-                }
-                taken
-            }
-            None => 0,
-        }
-    }
-
-    /// Removes every operation toward `peer`, returning `(token,
-    /// multiplicity)` pairs for the caller to error-complete.
-    pub fn drain_peer(&self, peer: NodeId) -> Vec<(u64, u32)> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            shard.lock().retain(|&(token, dst), count| {
-                if dst == peer {
-                    out.push((token, *count));
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-        out
-    }
-}
-
-impl std::fmt::Debug for OutstandingOps {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("OutstandingOps").finish()
-    }
-}
-
 /// State shared by every node of one cluster.
 #[derive(Debug)]
 pub struct ClusterShared {
@@ -274,9 +172,10 @@ pub struct NodeShared {
     pub deadlines_armed: AtomicBool,
     /// Per-peer "gmt_free toward this dead peer already warned" latches.
     pub free_warned: Vec<AtomicBool>,
-    /// Remote operations awaiting application-level completion, for
-    /// error-completion when their destination is confirmed dead.
-    pub(crate) outstanding: OutstandingOps,
+    /// Operations awaiting an application-level completion, counted per
+    /// task and peer: where a reply's token is resolved, and what the
+    /// communication server error-completes toward a peer confirmed dead.
+    pub ops: OpTable,
 }
 
 impl NodeShared {
@@ -702,7 +601,7 @@ fn boot_node(
         flow_waiters: SegQueue::new(),
         deadlines_armed: AtomicBool::new(config.op_deadline_ns > 0),
         free_warned: (0..nodes).map(|_| AtomicBool::new(false)).collect(),
-        outstanding: OutstandingOps::new(),
+        ops: OpTable::new(nodes),
     });
     let mut threads = Vec::with_capacity(threads_per_node + 1);
     for w in 0..config.num_workers {

@@ -1,28 +1,40 @@
-//! Task bookkeeping: completion tokens, parking protocol, iteration blocks.
+//! Task bookkeeping: the op table and its tokens, the parking protocol,
+//! iteration blocks.
 //!
 //! A GMT *task* is a coroutine multiplexed on a worker. When a task issues
 //! remote operations it registers how many completions it expects in its
 //! [`TaskControl`], yields, and is re-readied by whichever helper processes
-//! the final reply. The park/wake handshake is the classic two-flag
-//! protocol: the worker publishes "parked" before its final pending check;
-//! the completer decrements pending before its parked check; the single
-//! winner of `parked.swap(false)` requeues the task, so wakeups are
-//! exactly-once even when a reply races the park.
+//! the final reply. Pending count and parked flag share one word: the
+//! worker sets the flag with a compare-and-swap that fails once the count
+//! is zero, and the completer that takes the count to zero clears the flag
+//! in the same compare-and-swap, which makes it the one thread that
+//! requeues the task — wakeups are exactly-once even when a reply races
+//! the park, and a completer that does not wake never touches the task
+//! after its decrement.
+//!
+//! Which task a reply belongs to travels as a *token*, an opaque `u64`
+//! naming a slot of the node's [`OpTable`] and the generation the slot was
+//! bound at. The table counts, per slot and peer, the operations still
+//! awaiting a completion from that peer; a completion is applied only
+//! after it took its unit out of that count, and the count is what a death
+//! sweep error-completes. See [`OpTable`] for the protocol and for who may
+//! dereference a slot's task.
 
 use crate::NodeId;
 use crossbeam::queue::SegQueue;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{
+    AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering,
+};
+use std::sync::{Arc, OnceLock};
 
 /// Sentinel for "no node" in the failure/diagnostic fields.
 const NO_NODE: usize = usize::MAX;
 
 /// Shared handle to a task used for wakeups from any thread of the node.
 pub struct TaskControl {
-    /// Completions still outstanding.
-    pending: AtomicU32,
-    /// Task is suspended waiting for `pending` to reach zero.
-    parked: AtomicBool,
+    /// Completions still outstanding in the low 31 bits; [`PARKED`] while
+    /// the task is suspended waiting for them to reach zero.
+    state: AtomicU32,
     /// The next yield is a *blocking* yield (set by `wait_commands` right
     /// before suspending); distinguishes it from cooperative yields, which
     /// must simply requeue the task.
@@ -31,6 +43,8 @@ pub struct TaskControl {
     ready: Arc<SegQueue<usize>>,
     /// Slot of this task in the owning worker's task table.
     slot: usize,
+    /// This task's token: its [`OpTable`] slot and generation.
+    token: u64,
     /// Operations completed with an error (dead peer) since the last
     /// `take_failure`.
     failed_ops: AtomicU32,
@@ -45,10 +59,6 @@ pub struct TaskControl {
     last_op_kind: AtomicU8,
     /// The watchdog already reported this park (one diagnostic per park).
     warned: AtomicBool,
-    /// The owning worker counted this park in the `parked_tasks` gauge;
-    /// consumed by the single genuine unpark so stale wakeups for a
-    /// retired-and-reused slot cannot skew the gauge.
-    gauge_parked: AtomicBool,
     /// Per-task operation deadline (ns); 0 = use `Config::op_deadline_ns`.
     deadline_ns: AtomicU64,
     /// Watchdog expired this task's deadline; consumed by `wait_commands`.
@@ -63,26 +73,30 @@ pub struct TaskControl {
     reply_writers: AtomicU32,
 }
 
+/// Flag bit of [`TaskControl::state`]; the rest is the pending count.
+const PARKED: u32 = 1 << 31;
+
 /// Reply-abandon states (see [`TaskControl::begin_reply_write`]).
 const REPLY_ACTIVE: u8 = 0;
 const REPLY_ABANDONING: u8 = 1;
 const REPLY_ABANDONED: u8 = 2;
 
 impl TaskControl {
-    pub fn new(ready: Arc<SegQueue<usize>>, slot: usize) -> Arc<Self> {
+    /// A task that runs in `slot` of the worker draining `ready`, made by
+    /// [`OpTable::bind`], which supplies `token`.
+    fn new(ready: Arc<SegQueue<usize>>, slot: usize, token: u64) -> Arc<Self> {
         Arc::new(TaskControl {
-            pending: AtomicU32::new(0),
-            parked: AtomicBool::new(false),
+            state: AtomicU32::new(0),
             park_intent: AtomicBool::new(false),
             ready,
             slot,
+            token,
             failed_ops: AtomicU32::new(0),
             failed_node: AtomicUsize::new(NO_NODE),
             parked_since_ns: AtomicU64::new(0),
             last_op_dst: AtomicUsize::new(NO_NODE),
             last_op_kind: AtomicU8::new(0),
             warned: AtomicBool::new(false),
-            gauge_parked: AtomicBool::new(false),
             deadline_ns: AtomicU64::new(0),
             deadline_hit: AtomicBool::new(false),
             abandoned: AtomicU8::new(REPLY_ACTIVE),
@@ -107,13 +121,7 @@ impl TaskControl {
     /// per expiry).
     pub fn expire_deadline(&self) -> bool {
         self.deadline_hit.store(true, Ordering::Release);
-        if self.parked.swap(false, Ordering::AcqRel) {
-            self.parked_since_ns.store(0, Ordering::Relaxed);
-            self.ready.push(self.slot);
-            true
-        } else {
-            false
-        }
+        self.unpark_remote()
     }
 
     /// Task side, on wake: consumes a deadline expiry.
@@ -125,16 +133,24 @@ impl TaskControl {
     /// parked, without marking anything — used to resume flow-parked
     /// workers when a peer's backpressure clears. Returns `true` if this
     /// call performed the wake. Safe against every park state: a task
-    /// that is not parked is untouched, and the worker loop tolerates
-    /// spurious wakeups of reused slots by design.
+    /// that is not parked is untouched, and whoever clears the flag is the
+    /// one thread that requeues the task. The caller holds a strong
+    /// reference, unlike a completer.
     pub fn unpark_remote(&self) -> bool {
-        if self.parked.swap(false, Ordering::AcqRel) {
-            self.parked_since_ns.store(0, Ordering::Relaxed);
-            self.ready.push(self.slot);
+        if self.state.fetch_and(!PARKED, Ordering::AcqRel) & PARKED != 0 {
+            self.wake();
             true
         } else {
             false
         }
+    }
+
+    /// Requeues the task on its worker. Only for the thread that cleared
+    /// [`PARKED`]: until the push lands the task cannot run, so it cannot
+    /// retire either.
+    fn wake(&self) {
+        self.parked_since_ns.store(0, Ordering::Relaxed);
+        self.ready.push(self.slot);
     }
 
     /// Helper side, before writing reply data through a task-provided
@@ -176,7 +192,7 @@ impl TaskControl {
     pub fn try_rearm(&self) -> bool {
         match self.abandoned.load(Ordering::SeqCst) {
             REPLY_ACTIVE => true,
-            REPLY_ABANDONED if self.pending.load(Ordering::Acquire) == 0 => {
+            REPLY_ABANDONED if self.pending() == 0 => {
                 self.abandoned.store(REPLY_ACTIVE, Ordering::SeqCst);
                 true
             }
@@ -210,45 +226,58 @@ impl TaskControl {
         self.slot
     }
 
-    /// Registers `n` more expected completions. Called by the issuing task
-    /// *before* the commands become visible to any other thread.
-    pub fn add_pending(&self, n: u32) {
-        self.pending.fetch_add(n, Ordering::AcqRel);
+    /// The token every command of this task carries.
+    pub fn token(&self) -> u64 {
+        self.token
+    }
+
+    /// Registers `n` more expected completions, for [`OpTable::register`]:
+    /// what enters the count leaves it through [`Units`] only, which is the
+    /// table's lifetime argument.
+    fn add_pending(&self, n: u32) {
+        self.state.fetch_add(n, Ordering::AcqRel);
     }
 
     /// Outstanding completions right now.
     pub fn pending(&self) -> u32 {
-        self.pending.load(Ordering::Acquire)
-    }
-
-    /// Completer side: one operation finished. Wakes the task if this was
-    /// the last outstanding operation and the task is parked.
-    pub fn op_completed(&self) {
-        self.ops_completed(1);
+        self.state.load(Ordering::Acquire) & !PARKED
     }
 
     /// Completer side: `n` operations finished at once (vectorized ack
-    /// path). One decrement, one wake check — equivalent to `n` calls of
-    /// [`op_completed`](Self::op_completed).
-    pub fn ops_completed(&self, n: u32) {
+    /// path): one decrement, one wake check. Wakes the task if these were
+    /// the last outstanding operations and the task is parked.
+    ///
+    /// The successful compare-and-swap is the completer's last access to
+    /// the task unless it also cleared [`PARKED`], in which case the task
+    /// waits for this thread's [`wake`](Self::wake). That is what lets a
+    /// completer work through a plain reference ([`Units`]): the task
+    /// cannot retire while its count includes this completer's operations,
+    /// and nothing is touched after they left the count.
+    fn ops_completed(&self, n: u32) {
         if n == 0 {
             return;
         }
-        let prev = self.pending.fetch_sub(n, Ordering::AcqRel);
-        debug_assert!(prev >= n, "ops_completed without matching add_pending");
-        if prev == n && self.parked.swap(false, Ordering::AcqRel) {
-            self.parked_since_ns.store(0, Ordering::Relaxed);
-            self.ready.push(self.slot);
+        let mut cur = self.state.load(Ordering::Relaxed);
+        loop {
+            debug_assert!(cur & !PARKED >= n, "ops_completed without matching add_pending");
+            // The last completion of a parked task takes the flag with it.
+            let wake = cur - n == PARKED;
+            let next = if wake { 0 } else { cur - n };
+            match self.state.compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Relaxed) {
+                Ok(_) if wake => return self.wake(),
+                Ok(_) => return,
+                Err(seen) => cur = seen,
+            }
         }
     }
 
-    /// Records that one of this task's operations failed against `node`
-    /// (dead peer). Followed by [`op_completed`](Self::op_completed) via
-    /// [`complete_token_err`]; the task observes the failure at its next
+    /// Records that `n` of this task's operations failed against `node`
+    /// (dead peer). Their completion follows when the [`Units`] that
+    /// carried them drop; the task observes the failure at its next
     /// `wait_commands`.
-    pub fn record_remote_failure(&self, node: NodeId) {
+    pub fn record_remote_failures(&self, node: NodeId, n: u32) {
         self.failed_node.store(node, Ordering::Relaxed);
-        self.failed_ops.fetch_add(1, Ordering::Release);
+        self.failed_ops.fetch_add(n, Ordering::Release);
     }
 
     /// Task side, on wake: consumes any accumulated failures, returning
@@ -274,24 +303,16 @@ impl TaskControl {
     pub fn note_parked(&self, now_ns: u64) {
         self.parked_since_ns.store(now_ns.max(1), Ordering::Relaxed);
         self.warned.store(false, Ordering::Relaxed);
-        self.gauge_parked.store(true, Ordering::Relaxed);
-    }
-
-    /// Worker side, on a wakeup: whether this task was counted in the
-    /// `parked_tasks` gauge (consumes the mark). `false` means the wakeup
-    /// is stale — the slot was retired and possibly reused — and the gauge
-    /// must not be decremented.
-    pub fn take_gauge_parked(&self) -> bool {
-        self.gauge_parked.swap(false, Ordering::Relaxed)
     }
 
     /// Watchdog side: `(parked_since_ns, last_dst, last_opcode, pending)`
     /// if the task is currently parked waiting on completions.
     pub fn parked_info(&self) -> Option<(u64, Option<NodeId>, u8, u32)> {
-        if !self.parked.load(Ordering::Acquire) {
+        let state = self.state.load(Ordering::Acquire);
+        if state & PARKED == 0 {
             return None;
         }
-        let pending = self.pending.load(Ordering::Acquire);
+        let pending = state & !PARKED;
         let since = self.parked_since_ns.load(Ordering::Relaxed);
         if pending == 0 || since == 0 {
             return None;
@@ -307,26 +328,24 @@ impl TaskControl {
         !self.warned.swap(true, Ordering::Relaxed)
     }
 
-    /// Worker side, before suspending: publishes the parked flag and
-    /// re-checks. Returns `true` if the task must actually suspend;
-    /// `false` if every operation already completed (no yield needed, or
-    /// the task should be re-run immediately).
+    /// Worker side, before suspending: sets the parked flag unless every
+    /// operation already completed. Returns `true` if the task must
+    /// actually suspend; `false` if it should be re-run immediately. The
+    /// flag is never set on a zero count, so no completion can miss it.
     pub fn prepare_park(&self) -> bool {
-        if self.pending.load(Ordering::Acquire) == 0 {
-            return false;
-        }
-        self.parked.store(true, Ordering::Release);
-        if self.pending.load(Ordering::Acquire) == 0 {
-            // A completer may have missed the flag; whoever wins the swap
-            // owns the wakeup.
-            if self.parked.swap(false, Ordering::AcqRel) {
-                return false; // we reclaimed the park: run on
+        let mut cur = self.state.load(Ordering::Acquire);
+        while cur & !PARKED != 0 {
+            match self.state.compare_exchange_weak(
+                cur,
+                cur | PARKED,
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            ) {
+                Ok(_) => return true,
+                Err(seen) => cur = seen,
             }
-            // The completer beat us to the swap and already pushed the
-            // slot; we must still yield so the queued wakeup is consumed
-            // by the scheduler, not duplicated.
         }
-        true
+        false
     }
 }
 
@@ -334,61 +353,309 @@ impl std::fmt::Debug for TaskControl {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TaskControl")
             .field("slot", &self.slot)
-            .field("pending", &self.pending.load(Ordering::Relaxed))
-            .field("parked", &self.parked.load(Ordering::Relaxed))
+            .field("pending", &self.pending())
+            .field("parked", &(self.state.load(Ordering::Relaxed) & PARKED != 0))
             .finish()
     }
 }
 
-/// Mints a wire token carrying one strong reference to `ctl`.
-///
-/// The matching [`complete_token`] consumes the reference, so every minted
-/// token must be completed exactly once.
-pub fn token_from(ctl: &Arc<TaskControl>) -> u64 {
-    Arc::into_raw(Arc::clone(ctl)) as u64
+/// Slots per chunk of an [`OpTable`]: what one worker claims at a time.
+pub const CHUNK_SLOTS: usize = 256;
+
+/// Chunks an [`OpTable`] can grow to (262 144 live tasks per node).
+const MAX_CHUNKS: usize = 1024;
+
+/// A generation-tagged word of the table: a token (`low` is the slot) or a
+/// count word (`low` is the count).
+const fn tagged(generation: u32, low: u32) -> u64 {
+    (generation as u64) << 32 | low as u64
 }
 
-/// Completes one operation for the task identified by `token`.
-///
-/// # Safety
-///
-/// `token` must come from [`token_from`] and not have been completed yet.
-pub unsafe fn complete_token(token: u64) {
-    let ctl = unsafe { Arc::from_raw(token as *const TaskControl) };
-    ctl.op_completed();
+/// The generation a token or count word is tagged with.
+const fn generation_of(tagged: u64) -> u32 {
+    (tagged >> 32) as u32
 }
 
-/// Completes `n` operations at once for the task identified by `token`
-/// (vectorized ack path: every mint of the same token leaked one strong
-/// reference, so `n` references are consumed here along with one batched
-/// pending decrement).
-///
-/// # Safety
-///
-/// `token` must come from [`token_from`], minted at least `n` times, with
-/// `n` of those mints not yet completed.
-pub unsafe fn complete_token_n(token: u64, n: u32) {
-    if n == 0 {
-        return;
+/// What a completer holding a token of `generation` may swing the count
+/// word `cur` to, and how many of the `n` units it asked for that takes:
+/// `None` when the word belongs to another generation or holds nothing.
+/// The one transition rule of the protocol — [`OpTable::acquit`] and
+/// [`OpTable::drain_peer`] retry it, the model test enumerates it.
+fn take(cur: u64, generation: u32, n: u32) -> Option<(u64, u32)> {
+    let have = cur as u32;
+    if generation_of(cur) != generation || have == 0 {
+        return None;
     }
-    let ctl = unsafe { Arc::from_raw(token as *const TaskControl) };
-    for _ in 1..n {
-        unsafe { Arc::decrement_strong_count(token as *const TaskControl) };
-    }
-    ctl.ops_completed(n);
+    let taken = n.min(have);
+    Some((cur - taken as u64, taken))
 }
 
-/// Completes one operation *with an error*: the destination `node` was
-/// declared dead and the operation will never execute. The waiting task
-/// wakes as usual and observes the failure at its next `wait_commands`.
+/// One slot: the task bound to it and the generation of that binding.
+struct Slot {
+    /// Odd while a task is bound (that task's token carries the value),
+    /// even while the slot is free. Written by the owning worker only.
+    generation: AtomicU32,
+    /// The bound task's strong reference as a raw pointer, null while free.
+    ctl: AtomicPtr<TaskControl>,
+}
+
+/// `CHUNK_SLOTS` slots and their count words, `peers` per slot.
+struct Chunk {
+    slots: Box<[Slot]>,
+    counts: Box<[AtomicU64]>,
+}
+
+/// The node's table of remote operations awaiting an application-level
+/// completion (a reply or ack command), and the home of every task's
+/// completion token.
 ///
-/// # Safety
+/// Transport-level tracking (the reliable link's unacked queue) cannot
+/// error-complete an operation whose request was delivered and
+/// transport-acked but whose application reply died with the peer — a
+/// `Spawn` awaiting its remote iteration block, a `Get` whose answer was in
+/// flight. So every operation is counted here when it is emitted and taken
+/// out by the helper that processes its completion; whatever is still
+/// counted toward a peer when its death is confirmed fails with
+/// `RemoteDead`.
 ///
-/// Same contract as [`complete_token`].
-pub unsafe fn complete_token_err(token: u64, node: NodeId) {
-    let ctl = unsafe { Arc::from_raw(token as *const TaskControl) };
-    ctl.record_remote_failure(node);
-    ctl.op_completed();
+/// # Layout
+///
+/// A worker [binds](Self::bind) each task it spawns to a slot of a chunk
+/// it [claimed](Self::grow) and [releases](Self::release) the slot when
+/// the task retires; both bump the slot's generation, so it is odd exactly
+/// while bound. The task's token is `generation << 32 | slot` for life and
+/// travels in every command it emits; peers echo it, nothing else reads it.
+/// Per slot and peer one word holds `generation << 32 | count`:
+///
+/// * [`register`](Self::register) — the owning worker, one `fetch_add`
+///   (a store the first time a binding addresses that peer, which is what
+///   moves the word to the binding's generation);
+/// * [`acquit`](Self::acquit) — any helper: a compare-and-swap that takes
+///   units only while the word's generation is the token's and the count
+///   is positive;
+/// * [`drain_peer`](Self::drain_peer) — the communication server: the
+///   same compare-and-swap, for everything a word holds.
+///
+/// Nobody but the owner writes a word whose count is zero, and the owner
+/// writes only words of its own slots, so the owner's load-then-store
+/// cannot lose an update.
+///
+/// # Who may dereference a slot's task
+///
+/// Only a thread holding units it took out of one of the slot's words, for
+/// as long as it has not given them to the task's `ops_completed` — the
+/// [`Units`] guard is that permission. Every counted operation is also
+/// in the task's pending count (`register` adds to both, and only a
+/// dropping `Units` subtracts), so while units are held the pending count
+/// is positive; a slot is released only at a pending count of zero, and a
+/// task that retires with operations pending keeps its slot (and its
+/// stack) forever. The strong reference the slot owns therefore outlives
+/// every `Units`, and `ops_completed` touches nothing after its decrement
+/// unless it owns the task's wake-up.
+///
+/// A token of an earlier binding meets either its own generation with a
+/// count of zero (release requires it) or a later generation: it is
+/// rejected by comparison and no pointer is followed. Generations are 32
+/// bits and a binding uses two values, so a reply would have to outlive
+/// 2³¹ re-uses of its slot to be mistaken for a current one; that bound is
+/// accepted.
+pub struct OpTable {
+    peers: usize,
+    chunks: Box<[OnceLock<Chunk>]>,
+    /// Chunks handed out so far.
+    claimed: AtomicUsize,
+}
+
+/// Operations taken out of an [`OpTable`] count and not yet completed: the
+/// permission to touch their task. Dropping completes them.
+pub struct Units<'t> {
+    ctl: &'t TaskControl,
+    n: u32,
+}
+
+impl Units<'_> {
+    /// How many operations these are.
+    pub fn count(&self) -> u32 {
+        self.n
+    }
+}
+
+impl std::ops::Deref for Units<'_> {
+    type Target = TaskControl;
+
+    fn deref(&self) -> &TaskControl {
+        self.ctl
+    }
+}
+
+impl Drop for Units<'_> {
+    fn drop(&mut self) {
+        self.ctl.ops_completed(self.n);
+    }
+}
+
+impl OpTable {
+    /// A table for a node with `peers` nodes to address (itself included:
+    /// a local parFor block counts toward the spawning node).
+    pub fn new(peers: usize) -> Self {
+        OpTable {
+            peers,
+            chunks: (0..MAX_CHUNKS).map(|_| OnceLock::new()).collect(),
+            claimed: AtomicUsize::new(0),
+        }
+    }
+
+    /// Claims a fresh chunk for the calling worker and returns its first
+    /// slot; the chunk's `CHUNK_SLOTS` slots are that worker's to bind.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the node already has `MAX_CHUNKS * CHUNK_SLOTS` tasks.
+    pub fn grow(&self) -> u32 {
+        let index = self.claimed.fetch_add(1, Ordering::Relaxed);
+        assert!(index < MAX_CHUNKS, "op table full: {} live tasks", index * CHUNK_SLOTS);
+        let chunk = Chunk {
+            slots: (0..CHUNK_SLOTS)
+                .map(|_| Slot {
+                    generation: AtomicU32::new(0),
+                    ctl: AtomicPtr::new(std::ptr::null_mut()),
+                })
+                .collect(),
+            counts: (0..CHUNK_SLOTS * self.peers).map(|_| AtomicU64::new(0)).collect(),
+        };
+        assert!(self.chunks[index].set(chunk).is_ok(), "chunk indices are handed out once");
+        (index * CHUNK_SLOTS) as u32
+    }
+
+    /// The chunk holding `slot` and the slot's index in it; `None` for a
+    /// slot no chunk was ever claimed for (a token this node did not mint).
+    fn locate(&self, slot: u32) -> Option<(&Chunk, usize)> {
+        let chunk = self.chunks.get(slot as usize / CHUNK_SLOTS)?.get()?;
+        Some((chunk, slot as usize % CHUNK_SLOTS))
+    }
+
+    /// The count word of `token`'s slot toward `peer`, with the slot.
+    fn count_word(&self, token: u64, peer: NodeId) -> Option<(&AtomicU64, &Slot)> {
+        let (chunk, index) = self.locate(token as u32)?;
+        Some((chunk.counts.get(index * self.peers + peer)?, &chunk.slots[index]))
+    }
+
+    /// Owning worker: binds a new task to the free `slot` (of a chunk this
+    /// worker claimed). The task will be resumed through `ready` as the
+    /// worker's `local` slot.
+    pub fn bind(&self, slot: u32, ready: Arc<SegQueue<usize>>, local: usize) -> Arc<TaskControl> {
+        let (chunk, index) = self.locate(slot).expect("binding a slot of a claimed chunk");
+        let slot_ref = &chunk.slots[index];
+        let generation = slot_ref.generation.load(Ordering::Relaxed).wrapping_add(1);
+        assert!(generation & 1 == 1, "binding a slot that is already bound");
+        let ctl = TaskControl::new(ready, local, tagged(generation, slot));
+        slot_ref.ctl.store(Arc::into_raw(Arc::clone(&ctl)).cast_mut(), Ordering::Release);
+        slot_ref.generation.store(generation, Ordering::Release);
+        ctl
+    }
+
+    /// Owning worker: frees the slot `ctl` was bound to, at retirement.
+    /// Every token of the binding is dead from here on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the task still has operations pending — such a task keeps
+    /// its slot, as it keeps its stack.
+    pub fn release(&self, ctl: &TaskControl) {
+        assert_eq!(ctl.pending(), 0, "releasing the slot of a task with operations in flight");
+        let (chunk, index) = self.locate(ctl.token as u32).expect("releasing a bound slot");
+        let slot = &chunk.slots[index];
+        let generation = generation_of(ctl.token);
+        assert_eq!(slot.generation.load(Ordering::Relaxed), generation, "released twice");
+        let bound = slot.ctl.swap(std::ptr::null_mut(), Ordering::AcqRel);
+        slot.generation.store(generation.wrapping_add(1), Ordering::Release);
+        // SAFETY: `bound` is the `Arc::into_raw` of this binding's `bind`,
+        // reclaimed once (the generation check above). No `Units` of the
+        // binding exist: they would be in the pending count.
+        drop(unsafe { Arc::from_raw(bound) });
+    }
+
+    /// Owning worker: counts one operation the task `ctl` is about to emit
+    /// toward `dst`, in the task's pending count and in the table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ctl` is not the task currently bound to its slot here.
+    #[inline]
+    pub fn register(&self, ctl: &TaskControl, dst: NodeId) {
+        let (count, slot) = self.count_word(ctl.token, dst).expect("registering a bound task");
+        assert!(std::ptr::eq(slot.ctl.load(Ordering::Relaxed), ctl), "task is not bound here");
+        ctl.add_pending(1);
+        let generation = generation_of(ctl.token);
+        if generation_of(count.load(Ordering::Relaxed)) == generation {
+            count.fetch_add(1, Ordering::Release);
+        } else {
+            // First operation of this binding toward `dst`: the word still
+            // carries an earlier generation, so its count is zero and
+            // nobody else writes it.
+            count.store(tagged(generation, 1), Ordering::Release);
+        }
+    }
+
+    /// Takes up to `n` operations of `token` out of the count toward `src`
+    /// on receipt of their completion. `None` means none were there: the
+    /// death sweep error-completed them first, or the token outlived its
+    /// task — the caller must neither complete anything nor apply the
+    /// reply's data. Fewer [`Units`] than `n` likewise: the sweep got the
+    /// rest.
+    #[inline]
+    pub fn acquit(&self, token: u64, src: NodeId, n: u32) -> Option<Units<'_>> {
+        let (count, slot) = self.count_word(token, src)?;
+        Self::take_units(count, slot, generation_of(token), n)
+    }
+
+    /// Retries [`take`] on `count` until it lands or has nothing to take.
+    fn take_units<'t>(
+        count: &AtomicU64,
+        slot: &'t Slot,
+        generation: u32,
+        n: u32,
+    ) -> Option<Units<'t>> {
+        let mut cur = count.load(Ordering::Relaxed);
+        loop {
+            let (next, taken) = take(cur, generation, n)?;
+            match count.compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Relaxed) {
+                Ok(_) => {
+                    // SAFETY: we hold `taken` units of the slot's current
+                    // binding (see "Who may dereference" above): its task
+                    // is alive until the returned guard completes them.
+                    // The Acquire above pairs with `register`'s Release,
+                    // which follows `bind`'s store of the pointer.
+                    let ctl = unsafe { &*slot.ctl.load(Ordering::Acquire) };
+                    return Some(Units { ctl, n: taken });
+                }
+                Err(seen) => cur = seen,
+            }
+        }
+    }
+
+    /// Takes every operation still counted toward `peer`, handing each
+    /// task's share to `fail` (the death sweep). Operations registered
+    /// while the walk runs may be missed; the caller re-drains whenever it
+    /// drops a buffer bound for the dead peer.
+    pub fn drain_peer(&self, peer: NodeId, mut fail: impl FnMut(Units<'_>)) {
+        for chunk in self.chunks.iter().filter_map(OnceLock::get) {
+            for (index, slot) in chunk.slots.iter().enumerate() {
+                let count = &chunk.counts[index * self.peers + peer];
+                let generation = generation_of(count.load(Ordering::Relaxed));
+                if let Some(units) = Self::take_units(count, slot, generation, u32::MAX) {
+                    fail(units);
+                }
+            }
+        }
+    }
+
+    /// Slots currently bound to a task. Exact once the node is quiescent;
+    /// zero after an orderly shutdown.
+    pub fn bound_slots(&self) -> usize {
+        let slots = self.chunks.iter().filter_map(OnceLock::get).flat_map(|c| c.slots.iter());
+        slots.filter(|s| s.generation.load(Ordering::Acquire) & 1 == 1).count()
+    }
 }
 
 /// Type-erased body of a parallel loop, shared by every node executing it.
@@ -609,14 +876,24 @@ mod tests {
 
     fn ctl() -> (Arc<TaskControl>, Arc<SegQueue<usize>>) {
         let q = Arc::new(SegQueue::new());
-        (TaskControl::new(Arc::clone(&q), 7), q)
+        (TaskControl::new(Arc::clone(&q), 7, 0), q)
+    }
+
+    /// A two-peer table with one claimed chunk, and a task bound to its
+    /// slot 0 that wakes through `q` as local slot 7.
+    fn bound() -> (OpTable, Arc<TaskControl>, Arc<SegQueue<usize>>) {
+        let table = OpTable::new(2);
+        let q = Arc::new(SegQueue::new());
+        let slot = table.grow();
+        let c = table.bind(slot, Arc::clone(&q), 7);
+        (table, c, q)
     }
 
     #[test]
     fn completion_without_park_does_not_wake() {
         let (c, q) = ctl();
         c.add_pending(1);
-        c.op_completed();
+        c.ops_completed(1);
         assert!(q.pop().is_none());
         assert_eq!(c.pending(), 0);
     }
@@ -626,9 +903,9 @@ mod tests {
         let (c, q) = ctl();
         c.add_pending(2);
         assert!(c.prepare_park());
-        c.op_completed();
+        c.ops_completed(1);
         assert!(q.pop().is_none(), "woke before last completion");
-        c.op_completed();
+        c.ops_completed(1);
         assert_eq!(q.pop(), Some(7));
         assert!(q.pop().is_none());
     }
@@ -637,71 +914,94 @@ mod tests {
     fn complete_before_park_skips_suspension() {
         let (c, q) = ctl();
         c.add_pending(1);
-        c.op_completed();
+        c.ops_completed(1);
         assert!(!c.prepare_park(), "should not park with nothing pending");
         assert!(q.pop().is_none());
     }
 
     #[test]
     fn token_roundtrip_completes() {
-        let (c, q) = ctl();
-        c.add_pending(3);
+        let (table, c, q) = bound();
+        for _ in 0..3 {
+            table.register(&c, 1);
+        }
         assert!(c.prepare_park());
-        let tokens = [token_from(&c), token_from(&c), token_from(&c)];
-        for t in tokens {
-            unsafe { complete_token(t) };
+        for _ in 0..3 {
+            assert_eq!(table.acquit(c.token(), 1, 1).expect("registered").count(), 1);
         }
         assert_eq!(q.pop(), Some(7));
         assert_eq!(c.pending(), 0);
-        // All token references were consumed: only `c` remains.
+        assert!(table.acquit(c.token(), 1, 1).is_none(), "nothing left to take");
+        // The slot holds the one reference besides `c`, until released.
+        assert_eq!(Arc::strong_count(&c), 2);
+        assert_eq!(table.bound_slots(), 1);
+        table.release(&c);
         assert_eq!(Arc::strong_count(&c), 1);
+        assert_eq!(table.bound_slots(), 0);
     }
 
     #[test]
     fn batched_token_completion_matches_singles() {
-        let (c, q) = ctl();
-        c.add_pending(5);
-        assert!(c.prepare_park());
-        let t = token_from(&c);
-        for _ in 0..2 {
-            let _ = token_from(&c);
+        let (table, c, q) = bound();
+        for _ in 0..5 {
+            table.register(&c, 1);
         }
-        unsafe { complete_token_n(t, 3) };
+        assert!(c.prepare_park());
+        drop(table.acquit(c.token(), 1, 3));
         assert!(q.pop().is_none(), "woke with completions still pending");
         assert_eq!(c.pending(), 2);
-        let t2 = token_from(&c);
-        let _ = token_from(&c);
-        unsafe { complete_token_n(t2, 2) };
+        // Asking for more than is counted takes what is there.
+        assert_eq!(table.acquit(c.token(), 1, 9).expect("two left").count(), 2);
         assert_eq!(q.pop(), Some(7));
         assert_eq!(c.pending(), 0);
-        // Every minted reference was consumed: only `c` remains.
-        assert_eq!(Arc::strong_count(&c), 1);
-        unsafe { complete_token_n(0xdead, 0) }; // n == 0 touches nothing
-    }
-
-    #[test]
-    fn gauge_park_mark_is_consumed_once() {
-        let (c, _q) = ctl();
-        assert!(!c.take_gauge_parked(), "fresh task never counted");
-        c.note_parked(5);
-        assert!(c.take_gauge_parked());
-        assert!(!c.take_gauge_parked(), "mark must be one-shot");
+        assert!(table.acquit(c.token(), 0, 1).is_none(), "nothing was sent to peer 0");
+        assert!(table.acquit(0xdead_0000_beef, 1, 1).is_none(), "unknown slots are refused");
+        table.release(&c);
     }
 
     #[test]
     fn error_completion_wakes_and_reports_failure() {
-        let (c, q) = ctl();
-        c.add_pending(2);
+        let (table, c, q) = bound();
+        table.register(&c, 0);
+        table.register(&c, 1);
+        table.register(&c, 1);
         assert!(c.prepare_park());
-        let t1 = token_from(&c);
-        let t2 = token_from(&c);
-        unsafe { complete_token(t1) };
+        drop(table.acquit(c.token(), 0, 1));
         assert!(q.pop().is_none());
-        unsafe { complete_token_err(t2, 3) };
+        // Peer 1 dies: the sweep takes both operations toward it at once.
+        let mut failed = 0;
+        table.drain_peer(1, |units| {
+            failed += units.count();
+            units.record_remote_failures(1, units.count());
+        });
+        assert_eq!(failed, 2);
         assert_eq!(q.pop(), Some(7));
-        assert_eq!(c.take_failure(), Some((3, 1)));
+        assert_eq!(c.take_failure(), Some((1, 2)));
         assert_eq!(c.take_failure(), None, "failure must be consumed");
+        // Their replies, had they been in flight, now find nothing.
+        assert!(table.acquit(c.token(), 1, 2).is_none());
+        table.release(&c);
         assert_eq!(Arc::strong_count(&c), 1);
+    }
+
+    /// The hole the pointer tokens had: a task retires, the next one
+    /// re-uses its identity and addresses the same peer, and a reply to
+    /// the first arrives late.
+    #[test]
+    fn late_reply_to_a_reused_slot_acquits_nothing() {
+        let (table, a, q) = bound();
+        table.register(&a, 1);
+        table.drain_peer(1, |units| drop(units)); // peer 1 declared dead (falsely, say)
+        assert_eq!(a.pending(), 0);
+        table.release(&a);
+        let b = table.bind(a.token() as u32, Arc::clone(&q), 7);
+        assert_eq!(b.token() as u32, a.token() as u32, "same slot");
+        assert_ne!(b.token(), a.token(), "another generation");
+        table.register(&b, 1);
+        assert!(table.acquit(a.token(), 1, 1).is_none(), "A's reply must not settle B's op");
+        assert_eq!(b.pending(), 1);
+        assert_eq!(table.acquit(b.token(), 1, 1).expect("B's unit is still there").count(), 1);
+        table.release(&b);
     }
 
     #[test]
@@ -716,7 +1016,7 @@ mod tests {
         assert_eq!((since, dst, kind, pending), (1_000, Some(4), 2, 1));
         assert!(c.claim_warning());
         assert!(!c.claim_warning(), "one diagnostic per park");
-        unsafe { complete_token(token_from(&c)) };
+        c.ops_completed(1);
         assert!(c.parked_info().is_none());
     }
 
@@ -729,7 +1029,7 @@ mod tests {
             let threads: Vec<_> = (0..4)
                 .map(|_| {
                     let c = Arc::clone(&c);
-                    std::thread::spawn(move || c.op_completed())
+                    std::thread::spawn(move || c.ops_completed(1))
                 })
                 .collect();
             for t in threads {
@@ -799,9 +1099,10 @@ mod tests {
         assert!(q.pop().is_none(), "no duplicate wakeup");
         assert!(c.take_deadline_hit());
         assert!(!c.take_deadline_hit(), "hit is consumed");
-        // The straggler completion still balances the token refcount.
-        unsafe { complete_token(token_from(&c)) };
+        // The straggler completion finds the task awake and queues nothing.
+        c.ops_completed(1);
         assert_eq!(c.pending(), 0);
+        assert!(q.pop().is_none());
     }
 
     #[test]
@@ -817,9 +1118,10 @@ mod tests {
         assert!(!c.unpark_remote(), "second wake is a no-op");
         assert!(q.pop().is_none(), "no duplicate wakeup");
         assert!(!c.take_deadline_hit(), "flow unpark is not a deadline expiry");
-        // The straggler completion still balances the token refcount.
-        unsafe { complete_token(token_from(&c)) };
+        // The straggler completion finds the task awake and queues nothing.
+        c.ops_completed(1);
         assert_eq!(c.pending(), 0);
+        assert!(q.pop().is_none());
     }
 
     #[test]
@@ -832,7 +1134,7 @@ mod tests {
         assert!(!c.begin_reply_write(), "abandoned task refuses writes");
         c.end_reply_write();
         assert!(!c.try_rearm(), "cannot rearm with operations in flight");
-        c.op_completed();
+        c.ops_completed(1);
         assert!(c.try_rearm(), "rearms once drained");
         assert!(c.begin_reply_write());
         c.end_reply_write();
@@ -917,5 +1219,249 @@ mod tests {
         let mut truncated = packed;
         truncated[0..4].copy_from_slice(&64u32.to_le_bytes());
         assert!(unsafe { ParForBody::from_wire_bytes(off, &truncated) }.is_none());
+    }
+
+    /// The op-table protocol on one slot, in every interleaving.
+    ///
+    /// Each actor is the real operation cut at its atomic accesses — one
+    /// step, one access to a shared word — around the same [`take`] rule:
+    /// the owning worker (`register` as add-pending, load, write; `release`
+    /// once nothing is pending; bind again), two helpers working through
+    /// their replies (`acquit` as load, compare-and-swap, `ops_completed`)
+    /// and the communication server's one `drain_peer` of peer 1. The
+    /// search visits every reachable state once.
+    mod model {
+        use super::super::{generation_of, tagged, take};
+        use std::collections::HashSet;
+
+        /// Generations of the slot's first and second binding.
+        const GENERATION: [u32; 2] = [1, 3];
+
+        /// What the owner emits, `(binding, peer)` each; the slot is
+        /// released where the binding changes and after the last one.
+        const EMITS: [(usize, usize); 4] = [(0, 1), (0, 0), (0, 1), (1, 1)];
+
+        /// One reply a helper processes: `n` operations of `binding`
+        /// answered by `peer`. It can arrive once those were emitted; a
+        /// `late` one is a duplicate that arrives after its binding's slot
+        /// was released, and must find nothing.
+        struct Reply {
+            binding: usize,
+            peer: usize,
+            n: u32,
+            late: bool,
+        }
+
+        /// The two helpers' inboxes, in processing order.
+        const REPLIES: [&[Reply]; 2] = [
+            &[
+                Reply { binding: 0, peer: 1, n: 2, late: false },
+                Reply { binding: 0, peer: 1, n: 1, late: true },
+            ],
+            &[
+                Reply { binding: 0, peer: 0, n: 1, late: false },
+                Reply { binding: 1, peer: 1, n: 1, late: false },
+            ],
+        ];
+
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+        enum Owner {
+            AddPending(usize),
+            Load(usize),
+            Write(usize, u64),
+            /// Release, then go on with the emit of that index.
+            Release(usize),
+            Done,
+        }
+
+        /// `acquit` and `drain_peer` alike: load the count, swing it,
+        /// complete what was taken.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+        enum Taker {
+            Load,
+            Cas(u64),
+            Complete(u32),
+            Done,
+        }
+
+        #[derive(Clone, Debug, PartialEq, Eq, Hash)]
+        struct World {
+            /// The slot's count words, one per peer.
+            counts: [u64; 2],
+            /// The bound task's pending count.
+            pending: u32,
+            owner: Owner,
+            /// Each helper's position in its inbox and in that reply.
+            helpers: [(usize, Taker); 2],
+            sweeper: Taker,
+            // Ghost state: read by the checks, never by an actor's choice
+            // of what to write.
+            emitted: [[u32; 2]; 2],
+            taken: [u32; 2],
+            drained: u32,
+            released: bool,
+        }
+
+        impl World {
+            /// One step of `load; loop { take; compare_exchange }` on the
+            /// count toward `peer`, then the completion. `generation` is
+            /// the token's; the sweeper passes `None` and uses the word's.
+            fn take_step(
+                &mut self,
+                at: Taker,
+                peer: usize,
+                generation: Option<u32>,
+                n: u32,
+            ) -> (Taker, u32) {
+                match at {
+                    Taker::Load => (Taker::Cas(self.counts[peer]), 0),
+                    Taker::Cas(cur) => {
+                        let generation = generation.unwrap_or(generation_of(cur));
+                        match take(cur, generation, n) {
+                            None => (Taker::Done, 0),
+                            Some(_) if self.counts[peer] != cur => {
+                                (Taker::Cas(self.counts[peer]), 0)
+                            }
+                            Some((next, taken)) => {
+                                self.counts[peer] = next;
+                                let binding = GENERATION.iter().position(|&g| g == generation);
+                                self.taken[binding.expect("a generation that was bound")] += taken;
+                                (Taker::Complete(taken), taken)
+                            }
+                        }
+                    }
+                    Taker::Complete(taken) => {
+                        self.pending =
+                            self.pending.checked_sub(taken).expect("completed more than pending");
+                        (Taker::Done, 0)
+                    }
+                    Taker::Done => unreachable!("finished actors do not step"),
+                }
+            }
+
+            /// The state after `actor` takes its next step; `None` while
+            /// it is finished or has to wait.
+            fn step(&self, actor: usize) -> Option<World> {
+                let mut w = self.clone();
+                match actor {
+                    0 => match self.owner {
+                        Owner::AddPending(i) => {
+                            w.pending += 1;
+                            w.owner = Owner::Load(i);
+                        }
+                        Owner::Load(i) => w.owner = Owner::Write(i, self.counts[EMITS[i].1]),
+                        Owner::Write(i, cur) => {
+                            let (binding, peer) = EMITS[i];
+                            if generation_of(cur) == GENERATION[binding] {
+                                w.counts[peer] += 1;
+                            } else {
+                                w.counts[peer] = tagged(GENERATION[binding], 1);
+                            }
+                            w.emitted[binding][peer] += 1;
+                            let same_binding = EMITS.get(i + 1).is_some_and(|e| e.0 == binding);
+                            w.owner = if same_binding {
+                                Owner::AddPending(i + 1)
+                            } else {
+                                Owner::Release(i + 1)
+                            };
+                        }
+                        Owner::Release(_) if self.pending != 0 => return None,
+                        Owner::Release(next) => {
+                            assert!(
+                                self.counts.iter().all(|&c| c as u32 == 0),
+                                "released with operations still counted: {self:?}"
+                            );
+                            w.released = true;
+                            w.owner = if next < EMITS.len() {
+                                Owner::AddPending(next)
+                            } else {
+                                Owner::Done
+                            };
+                        }
+                        Owner::Done => return None,
+                    },
+                    1 | 2 => {
+                        let (index, at) = self.helpers[actor - 1];
+                        let reply = REPLIES[actor - 1].get(index)?;
+                        let arrived = if reply.late {
+                            self.released
+                        } else {
+                            self.emitted[reply.binding][reply.peer] >= reply.n
+                        };
+                        if !arrived {
+                            return None;
+                        }
+                        let generation = GENERATION[reply.binding];
+                        let (at, taken) = w.take_step(at, reply.peer, Some(generation), reply.n);
+                        assert!(
+                            !reply.late || taken == 0,
+                            "a released binding's token took a unit"
+                        );
+                        w.helpers[actor - 1] =
+                            if at == Taker::Done { (index + 1, Taker::Load) } else { (index, at) };
+                    }
+                    _ => {
+                        if self.sweeper == Taker::Done {
+                            return None;
+                        }
+                        let (at, taken) = w.take_step(self.sweeper, 1, None, u32::MAX);
+                        w.drained += taken;
+                        w.sweeper = at;
+                    }
+                }
+                Some(w)
+            }
+        }
+
+        #[test]
+        fn every_interleaving_conserves_units() {
+            let start = World {
+                counts: [0; 2],
+                pending: 0,
+                owner: Owner::AddPending(0),
+                helpers: [(0, Taker::Load); 2],
+                sweeper: Taker::Load,
+                emitted: [[0; 2]; 2],
+                taken: [0; 2],
+                drained: 0,
+                released: false,
+            };
+            let mut seen = HashSet::new();
+            let mut drained = HashSet::new();
+            let mut late_met_rebound_count = HashSet::new();
+            let mut stack = vec![start];
+            while let Some(w) = stack.pop() {
+                if seen.contains(&w) {
+                    continue;
+                }
+                if let (1, Taker::Cas(cur)) = w.helpers[0] {
+                    late_met_rebound_count.insert(generation_of(cur) == GENERATION[1]);
+                }
+                for binding in 0..2 {
+                    let emitted: u32 = w.emitted[binding].iter().sum();
+                    assert!(w.taken[binding] <= emitted, "a unit was taken twice: {w:?}");
+                }
+                let next: Vec<World> = (0..4).filter_map(|actor| w.step(actor)).collect();
+                if next.is_empty() {
+                    // Nobody can move: everybody must be finished, with
+                    // every emitted operation acquitted or drained.
+                    assert_eq!(w.owner, Owner::Done, "stuck: {w:?}");
+                    assert_eq!(w.sweeper, Taker::Done, "stuck: {w:?}");
+                    for (helper, inbox) in w.helpers.iter().zip(REPLIES) {
+                        assert_eq!(helper.0, inbox.len(), "stuck: {w:?}");
+                    }
+                    assert_eq!(w.taken, [3, 1], "operations lost: {w:?}");
+                    assert_eq!(w.pending, 0);
+                    drained.insert(w.drained);
+                }
+                stack.extend(next);
+                seen.insert(w);
+            }
+            // The sweep ran before, between and after the registers.
+            assert_eq!(drained, HashSet::from([0, 1, 2]));
+            // The duplicate met its own generation's empty count, and the
+            // next binding's live one (the ABA case).
+            assert_eq!(late_met_rebound_count, HashSet::from([false, true]));
+        }
     }
 }

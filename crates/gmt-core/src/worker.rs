@@ -16,7 +16,7 @@ use crate::config::TASK_STACK_SIZE;
 use crate::idle::IdleBackoff;
 use crate::metrics::ThreadTracer;
 use crate::runtime::NodeShared;
-use crate::task::{complete_token, Itb, ParentRef, RootTask, TaskControl};
+use crate::task::{Itb, ParentRef, RootTask, TaskControl, CHUNK_SLOTS};
 use crate::tls;
 use crossbeam::queue::SegQueue;
 use gmt_context::{Coroutine, Resume, Stack};
@@ -45,6 +45,10 @@ struct Worker {
     /// Task table; slot indices are stable for a task's lifetime.
     tasks: Vec<Option<Task>>,
     free_slots: Vec<usize>,
+    /// First op-table slot of each chunk this worker claimed: task slot
+    /// `i` binds op-table slot `op_chunks[i / CHUNK_SLOTS] + i % CHUNK_SLOTS`,
+    /// so `free_slots` is the free list of both.
+    op_chunks: Vec<u32>,
     /// Locally runnable slots.
     runnable: VecDeque<usize>,
     /// Recycled coroutine stacks.
@@ -61,6 +65,7 @@ impl Worker {
             ready: Arc::new(SegQueue::new()),
             tasks: Vec::new(),
             free_slots: Vec::new(),
+            op_chunks: Vec::new(),
             runnable: VecDeque::new(),
             stacks: Vec::new(),
             live: 0,
@@ -71,13 +76,19 @@ impl Worker {
         self.stacks.pop().unwrap_or_else(|| Stack::new(TASK_STACK_SIZE).expect("task stack"))
     }
 
-    fn alloc_slot(&mut self) -> usize {
-        if let Some(s) = self.free_slots.pop() {
-            s
-        } else {
+    /// Takes a free task slot and binds a new task to its op-table slot.
+    fn bind_slot(&mut self) -> (usize, Arc<TaskControl>) {
+        let slot = self.free_slots.pop().unwrap_or_else(|| {
             self.tasks.push(None);
             self.tasks.len() - 1
+        });
+        if slot / CHUNK_SLOTS == self.op_chunks.len() {
+            self.op_chunks.push(self.node.ops.grow());
         }
+        let op_slot = self.op_chunks[slot / CHUNK_SLOTS] + (slot % CHUNK_SLOTS) as u32;
+        let ctl = self.node.ops.bind(op_slot, Arc::clone(&self.ready), slot);
+        self.node.register_task(&ctl);
+        (slot, ctl)
     }
 
     fn install(&mut self, slot: usize, task: Task) {
@@ -91,9 +102,7 @@ impl Worker {
 
     /// Spawns a task executing the iterations `range` claimed from `itb`.
     fn spawn_chunk(&mut self, itb: Arc<Itb>, range: std::ops::Range<u64>) {
-        let slot = self.alloc_slot();
-        let ctl = TaskControl::new(Arc::clone(&self.ready), slot);
-        self.node.register_task(&ctl);
+        let (slot, ctl) = self.bind_slot();
         let node = Arc::clone(&self.node);
         let ctl2 = Arc::clone(&ctl);
         let stack = self.take_stack();
@@ -110,9 +119,7 @@ impl Worker {
 
     /// Spawns a root task ("task zero").
     fn spawn_root(&mut self, root: RootTask) {
-        let slot = self.alloc_slot();
-        let ctl = TaskControl::new(Arc::clone(&self.ready), slot);
-        self.node.register_task(&ctl);
+        let (slot, ctl) = self.bind_slot();
         let node = Arc::clone(&self.node);
         let ctl2 = Arc::clone(&ctl);
         let stack = self.take_stack();
@@ -127,10 +134,12 @@ impl Worker {
     /// Resumes the task in `slot` until it yields or finishes.
     fn step(&mut self, slot: usize) {
         let Some(task) = self.tasks[slot].as_mut() else {
-            // Stale wakeup: a late completion of an abandoned operation
-            // re-readied a slot that was already retired (and possibly
-            // reused). Ignore — `wait_commands` re-checks on wake, so
-            // spurious resumes are harmless and missing ones impossible.
+            // Nothing queues a retired slot any more: a completion is
+            // applied only if its token's generation is the slot's current
+            // binding (`OpTable::acquit`), a task queues once per park, and
+            // a task that retired with operations pending keeps its slot
+            // out of `free_slots`. Were one to show up, ignoring it is
+            // safe — `wait_commands` re-checks on wake.
             return;
         };
         self.node.metrics.ctx_switches.add(self.chan, 1);
@@ -196,25 +205,27 @@ impl Worker {
             self.node.metrics.tasks_panicked.add(self.chan, 1);
         }
         self.node.metrics.live_tasks.dec();
+        self.live -= 1;
         if task.ctl.pending() > 0 {
             // The task finished with operations still in flight (it never
             // awaited them — possible with `put_nb`/`get_nb` misuse, or a
             // dead link). Late replies may still write through raw
-            // pointers into this stack, so leak it rather than recycle.
+            // pointers into this stack and complete through its op-table
+            // slot, so leak both rather than recycle.
             eprintln!(
                 "[gmt] node {}: task retired with {} operation(s) still pending; leaking its stack",
                 self.node.node_id,
                 task.ctl.pending()
             );
             std::mem::forget(task.coro);
-        } else if !panicked {
-            // Recycle the stack (bounded pool).
-            if self.stacks.len() < 64 {
-                self.stacks.push(task.coro.into_stack());
-            }
+            return;
         }
+        self.node.ops.release(&task.ctl);
         self.free_slots.push(slot);
-        self.live -= 1;
+        if !panicked && self.stacks.len() < 64 {
+            // Recycle the stack (bounded pool).
+            self.stacks.push(task.coro.into_stack());
+        }
     }
 
     /// Whether this worker may take on new work right now. The cap is
@@ -254,9 +265,9 @@ impl Worker {
 /// Reports a finished iteration block to its parent task.
 pub(crate) fn notify_parent(node: &Arc<NodeShared>, parent: ParentRef) {
     if parent.node == node.node_id {
-        // Safety: the token was minted by the parFor issuer and is
-        // completed exactly once, here.
-        unsafe { complete_token(parent.token) };
+        // A local block is counted toward this node itself.
+        let unit = node.ops.acquit(parent.token, parent.node, 1);
+        debug_assert!(unit.is_some(), "a local block's parent waits for it");
     } else {
         tls::with_sink(|s| s.emit(parent.node, &Command::Ack { token: parent.token }));
     }
@@ -273,17 +284,9 @@ pub fn worker_main(node: Arc<NodeShared>, chan: usize, tracer: ThreadTracer) {
         // 1. Wakeups from helpers.
         while let Some(slot) = w.ready.pop() {
             w.node.metrics.wakeups.add(w.chan, 1);
-            // Decrement the parked gauge only for a genuine unpark: a
-            // stale wakeup can name a slot that was retired and reused by
-            // a task that never parked, which used to skew the gauge.
-            let genuine = w
-                .tasks
-                .get(slot)
-                .and_then(Option::as_ref)
-                .is_some_and(|t| t.ctl.take_gauge_parked());
-            if genuine {
-                w.node.metrics.parked_tasks.dec();
-            }
+            // One entry per park: whoever cleared the task's parked flag
+            // queued it, once, and it cannot retire before it ran again.
+            w.node.metrics.parked_tasks.dec();
             w.runnable.push_back(slot);
         }
         // 2. Run one task step.
@@ -321,6 +324,8 @@ pub fn worker_main(node: Arc<NodeShared>, chan: usize, tracer: ThreadTracer) {
             if task.ctl.pending() > 0 {
                 std::mem::forget(task);
                 leaked += 1;
+            } else {
+                w.node.ops.release(&task.ctl);
             }
         }
     }

@@ -71,6 +71,8 @@ fn snapshot_is_consistent_after_shutdown() {
         );
         // Task accounting balanced out.
         assert_eq!(snap.gauge("worker.live_tasks"), Some(0));
+        assert_eq!(snap.gauge("worker.parked_tasks"), Some(0), "one wake-up per park");
+        assert_eq!(snap.counter("worker.task_parks"), snap.counter("worker.wakeups"));
         assert_eq!(
             snap.counter("worker.tasks_spawned"),
             snap.counter("worker.tasks_finished"),

@@ -261,7 +261,7 @@ proptest! {
         let (a, b) = (a % nbytes, b % nbytes);
         let (offset, end) = if a <= b { (a, b + 1) } else { (b, a + 1) };
         let len = end - offset;
-        let extents = l.extents(offset, len);
+        let extents: Vec<_> = l.extents(offset, len).collect();
         let covered: u64 = extents.iter().map(|e| e.len).sum();
         prop_assert_eq!(covered, len);
         let mut cursor = offset;
@@ -280,7 +280,7 @@ proptest! {
     fn words_never_straddle(nbytes in 8u64..50_000, nodes in 1usize..9, w in any::<u64>()) {
         let l = Layout::new(nbytes, Distribution::Partition, 0, nodes);
         let word = (w % (nbytes / 8)) * 8;
-        prop_assert_eq!(l.extents(word, 8).len(), 1);
+        prop_assert_eq!(l.extents(word, 8).count(), 1);
     }
 }
 
@@ -365,30 +365,38 @@ proptest! {
 
 proptest! {
     /// A vectorized `AckN` completes exactly what the equivalent stream
-    /// of plain `Ack`s would: for any interleaving of tokens minted by a
-    /// few tasks, the helper's run-length batching through
-    /// `complete_token_n` drains the same pending counts and releases
-    /// the same token references as completing each token individually.
+    /// of plain `Ack`s would: for any interleaving of tokens issued by a
+    /// few tasks, the helper's run-length batching through `acquit(n)`
+    /// drains the same pending counts, wakes each parked task exactly
+    /// once, and leaves every slot releasable — as acquitting each token
+    /// individually does.
     #[test]
     fn ackn_completion_equals_ack_stream(stream in proptest::collection::vec(0usize..3, 1..40)) {
         use crossbeam::queue::SegQueue;
-        use gmt_core::task::{complete_token, complete_token_n, token_from, TaskControl};
+        use gmt_core::task::OpTable;
         use std::sync::Arc;
 
         for batched in [false, true] {
+            let table = OpTable::new(2);
             let ready = Arc::new(SegQueue::new());
-            let ctls: Vec<_> =
-                (0..3).map(|slot| TaskControl::new(Arc::clone(&ready), slot)).collect();
-            // Mint one token per stream element, as the issuing tasks'
-            // emit paths do (each mint = one pending op + one strong
-            // reference; mints of the same task share the numeric token).
+            let first = table.grow();
+            let ctls: Vec<_> = (0..3usize)
+                .map(|slot| table.bind(first + slot as u32, Arc::clone(&ready), slot))
+                .collect();
+            // One token per stream element, as the issuing tasks' emit
+            // paths do (one pending op + one unit toward the peer; all
+            // operations of a task share its token).
             let tokens: Vec<u64> = stream
                 .iter()
                 .map(|&i| {
-                    ctls[i].add_pending(1);
-                    token_from(&ctls[i])
+                    table.register(&ctls[i], 1);
+                    ctls[i].token()
                 })
                 .collect();
+            let issued: Vec<usize> = (0..3).filter(|i| stream.contains(i)).collect();
+            for &i in &issued {
+                prop_assert!(ctls[i].prepare_park());
+            }
             if batched {
                 // The helper's RLE grouping over an `AckN` token run.
                 let mut k = 0;
@@ -397,25 +405,32 @@ proptest! {
                     while k + (n as usize) < tokens.len() && tokens[k + n as usize] == tokens[k] {
                         n += 1;
                     }
-                    unsafe { complete_token_n(tokens[k], n) };
+                    prop_assert_eq!(table.acquit(tokens[k], 1, n).map(|u| u.count()), Some(n));
                     k += n as usize;
                 }
             } else {
                 for &t in &tokens {
-                    unsafe { complete_token(t) };
+                    prop_assert_eq!(table.acquit(t, 1, 1).map(|u| u.count()), Some(1));
                 }
             }
+            let mut woken: Vec<usize> = std::iter::from_fn(|| ready.pop()).collect();
+            woken.sort_unstable();
+            prop_assert_eq!(woken, issued, "one wake per parked task (batched={})", batched);
             for (i, ctl) in ctls.iter().enumerate() {
                 prop_assert_eq!(ctl.pending(), 0, "task {} pending (batched={})", i, batched);
-                // Every minted reference was released: only ours is left.
+                prop_assert!(table.acquit(ctl.token(), 1, 1).is_none(), "task {} over-counted", i);
+                table.release(ctl);
+                // Every reference the table held was released: only ours
+                // is left.
                 prop_assert_eq!(
                     Arc::strong_count(ctl),
                     1,
-                    "task {} leaked token refs (batched={})",
+                    "task {} leaked table refs (batched={})",
                     i,
                     batched
                 );
             }
+            prop_assert_eq!(table.bound_slots(), 0);
         }
     }
 }

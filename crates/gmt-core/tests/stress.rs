@@ -128,6 +128,45 @@ fn deeply_nested_parfor() {
     assert_eq!(total, 2 * 2 * 2 * 4);
 }
 
+/// The op table grows on demand and empties at shutdown. Three nested
+/// loops keep 600 tasks alive on one worker at once — each parks on polls
+/// of a remote counter that releases nobody before all 600 arrived, and
+/// the soft task cap admits the next one whenever every live task is
+/// parked — which is more than two table chunks hold. Every task retires
+/// with nothing pending, so every slot must be free again afterwards.
+#[test]
+fn op_table_grows_past_a_chunk_and_empties() {
+    use gmt_core::task::CHUNK_SLOTS;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    const TASKS: i64 = 600;
+    let config = Config { num_workers: 1, ..Config::small() };
+    let cluster = Cluster::start(2, config).unwrap();
+    let shared: Vec<_> = (0..2).map(|n| Arc::clone(cluster.node(n).shared())).collect();
+    let peak = Arc::new(AtomicUsize::new(0));
+    let (node0, peak2) = (Arc::clone(&shared[0]), Arc::clone(&peak));
+    cluster.node(0).run(move |ctx| {
+        let arrived = ctx.alloc(8, Distribution::Remote);
+        ctx.parfor(SpawnPolicy::Local, 3, 1, move |ctx, _| {
+            let (node0, peak) = (Arc::clone(&node0), Arc::clone(&peak2));
+            ctx.parfor(SpawnPolicy::Local, TASKS as u64 / 3, 1, move |ctx, _| {
+                if ctx.atomic_add(&arrived, 0, 1).unwrap() + 1 == TASKS {
+                    peak.store(node0.ops.bound_slots(), Ordering::Relaxed);
+                }
+                while ctx.get_value::<i64>(&arrived, 0).unwrap() < TASKS {}
+            });
+        });
+        ctx.free(arrived);
+    });
+    let peak = peak.load(Ordering::Relaxed);
+    assert!(peak > TASKS as usize, "all {TASKS} tasks and their parents were bound, saw {peak}");
+    assert!(peak > 2 * CHUNK_SLOTS, "the run must outgrow two chunks");
+    cluster.shutdown();
+    for (n, node) in shared.iter().enumerate() {
+        assert_eq!(node.ops.bound_slots(), 0, "node {n} still has bound op-table slots");
+    }
+}
+
 /// Zero-copy pool accounting: after a remote-put workload and a full
 /// shutdown, every aggregation buffer has flowed out through the comm
 /// server and back into its pool via `Payload` drop — nothing leaked in
@@ -146,7 +185,7 @@ fn pools_whole_after_puts(
     let mut config = Config::small();
     config.buffer_size = buffer_size;
     let cluster = start(2, config).unwrap();
-    let aggs: Vec<_> = (0..2).map(|n| Arc::clone(&cluster.node(n).shared().agg)).collect();
+    let shared: Vec<_> = (0..2).map(|n| Arc::clone(cluster.node(n).shared())).collect();
     cluster.node(0).run(move |ctx| {
         let arr = ctx.alloc((1024 * put_bytes) as u64, Distribution::Remote);
         ctx.parfor(SpawnPolicy::Local, 16, 1, move |ctx, t| {
@@ -159,7 +198,9 @@ fn pools_whole_after_puts(
         ctx.free(arr);
     });
     cluster.shutdown();
-    for (n, agg) in aggs.iter().enumerate() {
+    for (n, node) in shared.iter().enumerate() {
+        assert_eq!(node.ops.bound_slots(), 0, "[{backend}] node {n} has bound op-table slots");
+        let agg = &node.agg;
         for c in 0..agg.channels() {
             let q = agg.channel(c);
             assert_eq!(q.backlog(), 0, "[{backend}] node {n} channel {c} still has filled buffers");

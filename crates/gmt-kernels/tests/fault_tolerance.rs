@@ -232,6 +232,15 @@ fn killed_node_surfaces_remote_dead_within_retry_budget() {
     assert!(fast_elapsed < deadline / 2, "post-death op was not fast: {fast_elapsed:?}");
 
     assert_eq!(cluster.node(0).dead_peers(), vec![3], "node 0 peer-death record (seed {seed})");
+    // The death sweep failed exactly what was registered toward the
+    // victim: the put in flight when it died, and the get emitted after.
+    assert!(matches!(first, Err(GmtError::RemoteDead { failed_ops: 1, .. })), "(seed {seed})");
+    assert!(matches!(fast, Err(GmtError::RemoteDead { failed_ops: 1, .. })), "(seed {seed})");
+    assert_eq!(
+        cluster.node(0).metrics_snapshot().counter("reliable.ops_failed"),
+        Some(2),
+        "operations the death log reports failed vs registered toward node 3 (seed {seed})"
+    );
     // The failure unparked everything: the watchdog sees zero stuck tasks.
     assert_eq!(cluster.node(0).stuck_tasks(), 0, "tasks left parked after failure (seed {seed})");
 
