@@ -880,10 +880,8 @@ impl CommandSink {
                     } else {
                         // Does not fit: requeue and stop. Reordering is
                         // fine — GMT does not order independent commands.
-                        let len = block.len();
                         q.blocks.push(block);
                         // The queue is still non-empty; keep its timestamp.
-                        let _ = len;
                         break;
                     }
                 }

@@ -115,16 +115,16 @@ impl ParForReport {
 /// implicit task context of the C API.
 pub struct TaskCtx<'a> {
     node: &'a Arc<NodeShared>,
-    ctl: &'a Arc<TaskControl>,
+    ctl: &'a TaskControl,
     yielder: &'a Yielder,
 }
 
 impl<'a> TaskCtx<'a> {
-    pub(crate) fn new(
-        node: &'a Arc<NodeShared>,
-        ctl: &'a Arc<TaskControl>,
-        yielder: &'a Yielder,
-    ) -> Self {
+    /// The context of the running task that was bound as `token`: a
+    /// coroutine owns its node, not a borrow of it, so the block is looked
+    /// up from inside.
+    pub(crate) fn new(node: &'a Arc<NodeShared>, token: u64, yielder: &'a Yielder) -> Self {
+        let ctl = node.ops.current(token).expect("a task stays bound while its coroutine runs");
         TaskCtx { node, ctl, yielder }
     }
 
@@ -1026,7 +1026,7 @@ impl<'a> TaskCtx<'a> {
             // spuriously, which the loop re-check absorbs. The watchdog
             // exempts parks toward backpressured peers from stuck/
             // deadline accounting, so this wait cannot trip either.
-            node.flow_waiters.push(Arc::clone(self.ctl));
+            node.flow_waiters.push(self.ctl.token());
             self.ctl.set_park_intent();
             self.yielder.yield_now();
         }

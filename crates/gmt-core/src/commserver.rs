@@ -117,8 +117,11 @@ fn send_buffer(
 /// are absorbed by the waiters' re-check loop (they re-enqueue themselves
 /// if still backpressured), so draining unconditionally is always safe.
 fn wake_flow_waiters(node: &NodeShared) {
-    while let Some(ctl) = node.flow_waiters.pop() {
-        ctl.unpark_remote();
+    while let Some(token) = node.flow_waiters.pop() {
+        // A waiter that retired since it queued itself is nobody's to wake.
+        if let Some(ctl) = node.ops.current(token) {
+            ctl.unpark_remote();
+        }
     }
 }
 
@@ -282,7 +285,7 @@ pub fn comm_main(node: Arc<NodeShared>, transport: Arc<dyn Transport>, tracer: T
         )
     });
     let mut actions: Vec<PollAction> = Vec::new();
-    // Watchdog sweeps are cheap but take the registry lock; run them at a
+    // Watchdog sweeps walk every claimed op-table slot; run them at a
     // quarter of the reporting deadline (floor 1 ms) for ±25% precision.
     // An armed operation deadline tightens the period the same way so
     // enforcement reacts within a quarter of the deadline too.

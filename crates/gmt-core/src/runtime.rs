@@ -16,7 +16,7 @@ use crate::commserver;
 use crate::config::Config;
 use crate::helper;
 use crate::metrics::{NodeMetrics, ThreadTracer};
-use crate::task::{Itb, OpTable, RootTask, TaskControl};
+use crate::task::{Itb, OpTable, RootTask};
 use crate::worker;
 use crate::{memory::NodeMemory, NodeId};
 use crossbeam::queue::SegQueue;
@@ -26,10 +26,9 @@ use gmt_net::{
     loopback_mesh, shm_mesh, DeliveryMode, Fabric, FaultPlan, Payload, TrafficStats, Transport,
     TransportSelect,
 };
-use parking_lot::Mutex;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// One node's view of cluster membership: per-peer death flags plus a
@@ -157,14 +156,12 @@ pub struct NodeShared {
     /// This node's membership view: per-peer death flags plus the epoch,
     /// maintained by the communication server's failure detector.
     pub membership: Membership,
-    /// Stuck-task watchdog registry: weak handles to every task spawned on
-    /// this node, swept periodically by the communication server.
-    pub watch: Mutex<Vec<Weak<TaskControl>>>,
-    /// Workers parked by flow-control admission (`emit` toward a
-    /// backpressured peer). The communication server drains and wakes
-    /// these when a window reopens, a peer dies, or the node stops;
-    /// spurious wakeups are harmless by the worker loop's design.
-    pub flow_waiters: SegQueue<Arc<TaskControl>>,
+    /// Tokens of tasks parked by flow-control admission (`emit` toward a
+    /// backpressured peer). The communication server drains these and
+    /// wakes each through the op table when a window reopens, a peer
+    /// dies, or the node stops; spurious wakeups are harmless by the
+    /// worker loop's design.
+    pub flow_waiters: SegQueue<u64>,
     /// Set (never cleared) once any task on this node runs with an
     /// operation deadline — config-wide or per-task. While clear, helpers
     /// skip the reply-abandon handshake entirely, so undeadlined programs
@@ -175,6 +172,8 @@ pub struct NodeShared {
     /// Operations awaiting an application-level completion, counted per
     /// task and peer: where a reply's token is resolved, and what the
     /// communication server error-completes toward a peer confirmed dead.
+    /// Its bound slots are the node's live tasks, which is what the
+    /// stuck-task watchdog walks.
     pub ops: OpTable,
 }
 
@@ -210,13 +209,8 @@ impl NodeShared {
         self.membership.mark_dead(node)
     }
 
-    /// Registers a freshly spawned task with the stuck-task watchdog.
-    pub(crate) fn register_task(&self, ctl: &Arc<TaskControl>) {
-        self.watch.lock().push(Arc::downgrade(ctl));
-    }
-
-    /// Watchdog sweep: prunes finished tasks, reports tasks parked on
-    /// remote completions for longer than the configured deadline, and —
+    /// Watchdog sweep over the op table's bound slots: reports tasks parked
+    /// on remote completions for longer than the configured deadline, and —
     /// when an operation deadline is armed — **enforces** it by
     /// force-waking tasks parked past it (their `wait_commands` then
     /// returns [`GmtError::DeadlineExceeded`]).
@@ -236,9 +230,11 @@ impl NodeShared {
         let flow = self.agg.flow();
         let any_backpressured = flow.any();
         let mut stuck = 0usize;
-        let mut watch = self.watch.lock();
-        watch.retain(|w| {
-            let Some(ctl) = w.upgrade() else { return false };
+        // Nothing serialises this walk against another caller's or against
+        // the slots being bound again under it: what it writes is one-shot
+        // (`claim_warning`, the parked flag `expire_deadline` clears) or
+        // addressed to the token seen here (see `OpTable`).
+        for (token, ctl) in self.ops.bound() {
             if let Some((since_ns, dst, opcode, pending)) = ctl.parked_info() {
                 // A task waiting on a *backpressured* peer is slow, not
                 // stuck: the peer is alive, its window is just full. The
@@ -251,7 +247,7 @@ impl NodeShared {
                         if flow.is_backpressured(d) {
                             self.metrics.backpressure_deferrals.add(self.metrics.comm_shard(), 1);
                             ctl.note_parked(now_ns);
-                            return true;
+                            continue;
                         }
                     }
                 }
@@ -260,7 +256,7 @@ impl NodeShared {
                     0 => op_deadline,
                     per_task => per_task,
                 };
-                if enforce > 0 && age >= enforce && ctl.expire_deadline() {
+                if enforce > 0 && age >= enforce && ctl.expire_deadline(token) {
                     self.metrics.deadline_expired.add(self.metrics.comm_shard(), 1);
                     eprintln!(
                         "[gmt] warn: node {}: operation deadline ({} ms) expired; \
@@ -268,7 +264,7 @@ impl NodeShared {
                         self.node_id,
                         enforce / 1_000_000,
                     );
-                    return true;
+                    continue;
                 }
                 if age >= deadline {
                     stuck += 1;
@@ -288,8 +284,7 @@ impl NodeShared {
                     }
                 }
             }
-            true
-        });
+        }
         stuck
     }
 }
@@ -597,7 +592,6 @@ fn boot_node(
         net: Arc::clone(transport.stats()),
         transport: Arc::clone(&transport),
         membership: Membership::new(nodes),
-        watch: Mutex::new(Vec::new()),
         flow_waiters: SegQueue::new(),
         deadlines_armed: AtomicBool::new(config.op_deadline_ns > 0),
         free_warned: (0..nodes).map(|_| AtomicBool::new(false)).collect(),

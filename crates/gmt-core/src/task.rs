@@ -17,20 +17,25 @@
 //! bound at. The table counts, per slot and peer, the operations still
 //! awaiting a completion from that peer; a completion is applied only
 //! after it took its unit out of that count, and the count is what a death
-//! sweep error-completes. See [`OpTable`] for the protocol and for who may
-//! dereference a slot's task.
+//! sweep error-completes. The table is also the one record of a live task:
+//! a slot is a [`TaskControl`], reset at every binding. See
+//! [`OpTable`] for the protocol and for whom a write into a block concerns.
 
 use crate::NodeId;
 use crossbeam::queue::SegQueue;
-use std::sync::atomic::{
-    AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering,
-};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Sentinel for "no node" in the failure/diagnostic fields.
 const NO_NODE: usize = usize::MAX;
 
-/// Shared handle to a task used for wakeups from any thread of the node.
+/// A task's control block, used for wakeups from any thread of the node.
+/// It *is* the task's [`OpTable`] slot and lives as long as the table:
+/// [`OpTable::bind`] resets it for each task the slot is bound to. Aligned
+/// like the shm ring headers, so that a helper's compare-and-swap on one
+/// task's `state` does not take the line the worker is running the
+/// neighbouring task on.
+#[repr(align(128))]
 pub struct TaskControl {
     /// Completions still outstanding in the low 31 bits; [`PARKED`] while
     /// the task is suspended waiting for them to reach zero.
@@ -39,12 +44,15 @@ pub struct TaskControl {
     /// before suspending); distinguishes it from cooperative yields, which
     /// must simply requeue the task.
     park_intent: AtomicBool,
-    /// The owning worker's ready queue (slot indices).
+    /// The owning worker's ready queue (slot indices). A fact of the
+    /// slot's chunk, like `slot`: set once, in [`OpTable::grow`].
     ready: Arc<SegQueue<usize>>,
-    /// Slot of this task in the owning worker's task table.
+    /// The owning worker's task-table slot that binds this block.
     slot: usize,
-    /// This task's token: its [`OpTable`] slot and generation.
-    token: u64,
+    /// `generation << 32 | op-table slot`. The generation is odd exactly
+    /// while a task is bound, and the word is then that task's token.
+    /// Written by the owning worker only.
+    token: AtomicU64,
     /// Operations completed with an error (dead peer) since the last
     /// `take_failure`.
     failed_ops: AtomicU32,
@@ -61,8 +69,9 @@ pub struct TaskControl {
     warned: AtomicBool,
     /// Per-task operation deadline (ns); 0 = use `Config::op_deadline_ns`.
     deadline_ns: AtomicU64,
-    /// Watchdog expired this task's deadline; consumed by `wait_commands`.
-    deadline_hit: AtomicBool,
+    /// Token of the binding whose deadline the watchdog expired, 0 for
+    /// none; consumed by `wait_commands`, which honours only its own.
+    deadline_hit: AtomicU64,
     /// Reply-abandon state: [`REPLY_ACTIVE`], [`REPLY_ABANDONING`] or
     /// [`REPLY_ABANDONED`]. While not ACTIVE, helpers must skip writing
     /// reply data through task-provided destination pointers (the task's
@@ -73,6 +82,8 @@ pub struct TaskControl {
     reply_writers: AtomicU32,
 }
 
+const _: () = assert!(std::mem::size_of::<TaskControl>() == 128, "a block outgrew its line pair");
+
 /// Flag bit of [`TaskControl::state`]; the rest is the pending count.
 const PARKED: u32 = 1 << 31;
 
@@ -82,15 +93,15 @@ const REPLY_ABANDONING: u8 = 1;
 const REPLY_ABANDONED: u8 = 2;
 
 impl TaskControl {
-    /// A task that runs in `slot` of the worker draining `ready`, made by
-    /// [`OpTable::bind`], which supplies `token`.
-    fn new(ready: Arc<SegQueue<usize>>, slot: usize, token: u64) -> Arc<Self> {
-        Arc::new(TaskControl {
+    /// The block of the op-table slot `token` names, whose tasks run in
+    /// `slot` of the worker draining `ready`; made by [`OpTable::grow`].
+    fn new(ready: Arc<SegQueue<usize>>, slot: usize, token: u64) -> Self {
+        TaskControl {
             state: AtomicU32::new(0),
             park_intent: AtomicBool::new(false),
             ready,
             slot,
-            token,
+            token: AtomicU64::new(token),
             failed_ops: AtomicU32::new(0),
             failed_node: AtomicUsize::new(NO_NODE),
             parked_since_ns: AtomicU64::new(0),
@@ -98,10 +109,25 @@ impl TaskControl {
             last_op_kind: AtomicU8::new(0),
             warned: AtomicBool::new(false),
             deadline_ns: AtomicU64::new(0),
-            deadline_hit: AtomicBool::new(false),
+            deadline_hit: AtomicU64::new(0),
             abandoned: AtomicU8::new(REPLY_ACTIVE),
             reply_writers: AtomicU32::new(0),
-        })
+        }
+    }
+
+    /// Owning worker, for [`OpTable::bind`]: makes the block a new task's
+    /// by clearing what a retired task can leave in it. The rest is at
+    /// rest already: `state` is zero (released at a pending count of zero,
+    /// and a finished task is not parked), so no helper is registered in
+    /// `reply_writers`; every yield consumed `park_intent`; every park
+    /// re-arms `parked_since_ns` and `warned`; and a `deadline_hit` names
+    /// the binding it is for.
+    fn reset(&self) {
+        self.failed_ops.store(0, Ordering::Relaxed);
+        self.failed_node.store(NO_NODE, Ordering::Relaxed);
+        self.note_op(NO_NODE, 0);
+        self.deadline_ns.store(0, Ordering::Relaxed);
+        self.abandoned.store(REPLY_ACTIVE, Ordering::Relaxed);
     }
 
     /// Sets (or clears, with 0) this task's per-operation deadline,
@@ -115,18 +141,23 @@ impl TaskControl {
         self.deadline_ns.load(Ordering::Relaxed)
     }
 
-    /// Watchdog side: expires the deadline of a parked task — marks the
-    /// hit and force-wakes it if it was parked. Returns `true` if this
-    /// call performed the wake (so the caller counts/logs exactly once
-    /// per expiry).
-    pub fn expire_deadline(&self) -> bool {
-        self.deadline_hit.store(true, Ordering::Release);
+    /// Watchdog side: expires the deadline of the parked task it judged,
+    /// which held `token` — marks the hit with that token and force-wakes
+    /// the block's task if it is parked. Returns `true` if this call
+    /// performed the wake (so the caller counts/logs exactly once per
+    /// expiry). The watchdog holds no [`Units`], so the block may have
+    /// been bound again since it looked: the new task then wakes at worst
+    /// once, finds a hit that is not addressed to it and parks again.
+    pub fn expire_deadline(&self, token: u64) -> bool {
+        self.deadline_hit.store(token, Ordering::Release);
         self.unpark_remote()
     }
 
-    /// Task side, on wake: consumes a deadline expiry.
+    /// Task side, on wake: consumes a deadline expiry, `true` if it was
+    /// addressed to this binding (one left for an earlier binding of the
+    /// block is dropped).
     pub fn take_deadline_hit(&self) -> bool {
-        self.deadline_hit.swap(false, Ordering::AcqRel)
+        self.deadline_hit.swap(0, Ordering::AcqRel) == self.token()
     }
 
     /// Remote side (communication server): force-wakes the task if it is
@@ -134,8 +165,9 @@ impl TaskControl {
     /// workers when a peer's backpressure clears. Returns `true` if this
     /// call performed the wake. Safe against every park state: a task
     /// that is not parked is untouched, and whoever clears the flag is the
-    /// one thread that requeues the task. The caller holds a strong
-    /// reference, unlike a completer.
+    /// one thread that requeues the task. A caller that reached the block
+    /// through a stale token wakes the block's next task once; every park
+    /// re-checks what it waits for.
     pub fn unpark_remote(&self) -> bool {
         if self.state.fetch_and(!PARKED, Ordering::AcqRel) & PARKED != 0 {
             self.wake();
@@ -221,14 +253,9 @@ impl TaskControl {
         self.park_intent.swap(false, Ordering::Relaxed)
     }
 
-    /// Slot in the owning worker's task table.
-    pub fn slot(&self) -> usize {
-        self.slot
-    }
-
-    /// The token every command of this task carries.
+    /// The token every command of the bound task carries.
     pub fn token(&self) -> u64 {
-        self.token
+        self.token.load(Ordering::Relaxed)
     }
 
     /// Registers `n` more expected completions, for [`OpTable::register`]:
@@ -390,24 +417,15 @@ fn take(cur: u64, generation: u32, n: u32) -> Option<(u64, u32)> {
     Some((cur - taken as u64, taken))
 }
 
-/// One slot: the task bound to it and the generation of that binding.
-struct Slot {
-    /// Odd while a task is bound (that task's token carries the value),
-    /// even while the slot is free. Written by the owning worker only.
-    generation: AtomicU32,
-    /// The bound task's strong reference as a raw pointer, null while free.
-    ctl: AtomicPtr<TaskControl>,
-}
-
 /// `CHUNK_SLOTS` slots and their count words, `peers` per slot.
 struct Chunk {
-    slots: Box<[Slot]>,
+    slots: Box<[TaskControl]>,
     counts: Box<[AtomicU64]>,
 }
 
 /// The node's table of remote operations awaiting an application-level
-/// completion (a reply or ack command), and the home of every task's
-/// completion token.
+/// completion (a reply or ack command), the home of every task's
+/// completion token, and the one registry of its live tasks.
 ///
 /// Transport-level tracking (the reliable link's unacked queue) cannot
 /// error-complete an operation whose request was delivered and
@@ -420,12 +438,15 @@ struct Chunk {
 ///
 /// # Layout
 ///
-/// A worker [binds](Self::bind) each task it spawns to a slot of a chunk
-/// it [claimed](Self::grow) and [releases](Self::release) the slot when
-/// the task retires; both bump the slot's generation, so it is odd exactly
+/// A slot is a [`TaskControl`]. A worker [claims](Self::grow) the table a
+/// chunk at a time, which is where the chunk's blocks are made, wired to
+/// that worker's ready queue and task-table slots for good. It
+/// [binds](Self::bind) each task it spawns to a slot — reset the block,
+/// bump the generation — and [releases](Self::release) the slot when the
+/// task retires, which is the bump alone; the generation is odd exactly
 /// while bound. The task's token is `generation << 32 | slot` for life and
-/// travels in every command it emits; peers echo it, nothing else reads it.
-/// Per slot and peer one word holds `generation << 32 | count`:
+/// travels in every command it emits; peers echo it, nothing else reads
+/// it. Per slot and peer one word holds `generation << 32 | count`:
 ///
 /// * [`register`](Self::register) — the owning worker, one `fetch_add`
 ///   (a store the first time a binding addresses that peer, which is what
@@ -440,25 +461,36 @@ struct Chunk {
 /// writes only words of its own slots, so the owner's load-then-store
 /// cannot lose an update.
 ///
-/// # Who may dereference a slot's task
+/// # Whom a write into a block concerns
 ///
-/// Only a thread holding units it took out of one of the slot's words, for
-/// as long as it has not given them to the task's `ops_completed` — the
-/// [`Units`] guard is that permission. Every counted operation is also
-/// in the task's pending count (`register` adds to both, and only a
+/// Chunks are never freed, so anyone may dereference a slot's block for as
+/// long as the table lives; the generation decides whom a write concerns.
+///
+/// A thread holding [`Units`] it took out of one of the slot's words
+/// writes to the binding that registered them. Every counted operation is
+/// also in the task's pending count (`register` adds to both, and only a
 /// dropping `Units` subtracts), so while units are held the pending count
 /// is positive; a slot is released only at a pending count of zero, and a
 /// task that retires with operations pending keeps its slot (and its
-/// stack) forever. The strong reference the slot owns therefore outlives
-/// every `Units`, and `ops_completed` touches nothing after its decrement
-/// unless it owns the task's wake-up.
+/// stack) forever. The block is therefore not reset under a holder of
+/// units, and `ops_completed` touches nothing after its decrement unless
+/// it owns the task's wake-up, which the task cannot outrun.
 ///
 /// A token of an earlier binding meets either its own generation with a
 /// count of zero (release requires it) or a later generation: it is
-/// rejected by comparison and no pointer is followed. Generations are 32
-/// bits and a binding uses two values, so a reply would have to outlive
-/// 2³¹ re-uses of its slot to be mistaken for a current one; that bound is
-/// accepted.
+/// rejected by comparison and takes no units. Generations are 32 bits and
+/// a binding uses two values, so a reply would have to outlive 2³¹ re-uses
+/// of its slot to be mistaken for a current one; that bound is accepted.
+///
+/// The watchdog (walking `bound`) and a flow wake (through `current`) hold
+/// no units, so the binding they judged may be gone when they write. What
+/// they write is closed the same way, by comparison: a deadline hit
+/// carries the token it was judged on and the task that consumes it
+/// honours only its own ([`TaskControl::take_deadline_hit`]); a force-wake
+/// that lands on a later binding costs that task one spurious wake-up,
+/// after which it re-checks what it waits for and parks again; a restarted
+/// park clock or a claimed warning is diagnostic, and the next park
+/// re-arms both.
 pub struct OpTable {
     peers: usize,
     chunks: Box<[OnceLock<Chunk>]>,
@@ -467,7 +499,7 @@ pub struct OpTable {
 }
 
 /// Operations taken out of an [`OpTable`] count and not yet completed: the
-/// permission to touch their task. Dropping completes them.
+/// permission to write to their task. Dropping completes them.
 pub struct Units<'t> {
     ctl: &'t TaskControl,
     n: u32,
@@ -506,25 +538,36 @@ impl OpTable {
     }
 
     /// Claims a fresh chunk for the calling worker and returns its first
-    /// slot; the chunk's `CHUNK_SLOTS` slots are that worker's to bind.
+    /// slot; the chunk's `CHUNK_SLOTS` slots are that worker's to bind. A
+    /// task bound to the chunk's `i`th slot is resumed through `ready` as
+    /// the worker's task-table slot `first_local + i`.
     ///
     /// # Panics
     ///
     /// Panics when the node already has `MAX_CHUNKS * CHUNK_SLOTS` tasks.
-    pub fn grow(&self) -> u32 {
+    pub fn grow(&self, ready: &Arc<SegQueue<usize>>, first_local: usize) -> u32 {
         let index = self.claimed.fetch_add(1, Ordering::Relaxed);
         assert!(index < MAX_CHUNKS, "op table full: {} live tasks", index * CHUNK_SLOTS);
+        let first = (index * CHUNK_SLOTS) as u32;
         let chunk = Chunk {
             slots: (0..CHUNK_SLOTS)
-                .map(|_| Slot {
-                    generation: AtomicU32::new(0),
-                    ctl: AtomicPtr::new(std::ptr::null_mut()),
+                .map(|i| {
+                    TaskControl::new(
+                        Arc::clone(ready),
+                        first_local + i,
+                        tagged(0, first + i as u32),
+                    )
                 })
                 .collect(),
             counts: (0..CHUNK_SLOTS * self.peers).map(|_| AtomicU64::new(0)).collect(),
         };
         assert!(self.chunks[index].set(chunk).is_ok(), "chunk indices are handed out once");
-        (index * CHUNK_SLOTS) as u32
+        first
+    }
+
+    /// Chunks claimed so far (they are never given back).
+    pub fn claimed_chunks(&self) -> usize {
+        self.claimed.load(Ordering::Relaxed)
     }
 
     /// The chunk holding `slot` and the slot's index in it; `None` for a
@@ -534,27 +577,26 @@ impl OpTable {
         Some((chunk, slot as usize % CHUNK_SLOTS))
     }
 
-    /// The count word of `token`'s slot toward `peer`, with the slot.
-    fn count_word(&self, token: u64, peer: NodeId) -> Option<(&AtomicU64, &Slot)> {
+    /// The count word of `token`'s slot toward `peer`, with the slot's
+    /// block.
+    fn count_word(&self, token: u64, peer: NodeId) -> Option<(&AtomicU64, &TaskControl)> {
         let (chunk, index) = self.locate(token as u32)?;
         Some((chunk.counts.get(index * self.peers + peer)?, &chunk.slots[index]))
     }
 
     /// Owning worker: binds a new task to the free `slot` (of a chunk this
-    /// worker claimed). The task will be resumed through `ready` as the
-    /// worker's `local` slot.
-    pub fn bind(&self, slot: u32, ready: Arc<SegQueue<usize>>, local: usize) -> Arc<TaskControl> {
+    /// worker claimed) and returns its control block, reset.
+    pub fn bind(&self, slot: u32) -> &TaskControl {
         let (chunk, index) = self.locate(slot).expect("binding a slot of a claimed chunk");
-        let slot_ref = &chunk.slots[index];
-        let generation = slot_ref.generation.load(Ordering::Relaxed).wrapping_add(1);
-        assert!(generation & 1 == 1, "binding a slot that is already bound");
-        let ctl = TaskControl::new(ready, local, tagged(generation, slot));
-        slot_ref.ctl.store(Arc::into_raw(Arc::clone(&ctl)).cast_mut(), Ordering::Release);
-        slot_ref.generation.store(generation, Ordering::Release);
+        let ctl = &chunk.slots[index];
+        let free = ctl.token();
+        assert!(generation_of(free) & 1 == 0, "binding a slot that is already bound");
+        ctl.reset();
+        ctl.token.store(free.wrapping_add(1 << 32), Ordering::Release);
         ctl
     }
 
-    /// Owning worker: frees the slot `ctl` was bound to, at retirement.
+    /// Owning worker: frees the slot `ctl` is bound to, at retirement.
     /// Every token of the binding is dead from here on.
     ///
     /// # Panics
@@ -563,16 +605,16 @@ impl OpTable {
     /// its slot, as it keeps its stack.
     pub fn release(&self, ctl: &TaskControl) {
         assert_eq!(ctl.pending(), 0, "releasing the slot of a task with operations in flight");
-        let (chunk, index) = self.locate(ctl.token as u32).expect("releasing a bound slot");
-        let slot = &chunk.slots[index];
-        let generation = generation_of(ctl.token);
-        assert_eq!(slot.generation.load(Ordering::Relaxed), generation, "released twice");
-        let bound = slot.ctl.swap(std::ptr::null_mut(), Ordering::AcqRel);
-        slot.generation.store(generation.wrapping_add(1), Ordering::Release);
-        // SAFETY: `bound` is the `Arc::into_raw` of this binding's `bind`,
-        // reclaimed once (the generation check above). No `Units` of the
-        // binding exist: they would be in the pending count.
-        drop(unsafe { Arc::from_raw(bound) });
+        let token = ctl.token();
+        assert!(generation_of(token) & 1 == 1, "released twice");
+        ctl.token.store(token.wrapping_add(1 << 32), Ordering::Release);
+    }
+
+    /// The block of `token`'s slot while `token` is its current binding.
+    pub(crate) fn current(&self, token: u64) -> Option<&TaskControl> {
+        let (chunk, index) = self.locate(token as u32)?;
+        let ctl = &chunk.slots[index];
+        (ctl.token.load(Ordering::Acquire) == token).then_some(ctl)
     }
 
     /// Owning worker: counts one operation the task `ctl` is about to emit
@@ -580,13 +622,14 @@ impl OpTable {
     ///
     /// # Panics
     ///
-    /// Panics if `ctl` is not the task currently bound to its slot here.
+    /// Panics if `ctl` is not a bound block of this table.
     #[inline]
     pub fn register(&self, ctl: &TaskControl, dst: NodeId) {
-        let (count, slot) = self.count_word(ctl.token, dst).expect("registering a bound task");
-        assert!(std::ptr::eq(slot.ctl.load(Ordering::Relaxed), ctl), "task is not bound here");
+        let token = ctl.token();
+        let generation = generation_of(token);
+        let (count, bound) = self.count_word(token, dst).expect("registering a bound task");
+        assert!(std::ptr::eq(bound, ctl) && generation & 1 == 1, "task is not bound here");
         ctl.add_pending(1);
-        let generation = generation_of(ctl.token);
         if generation_of(count.load(Ordering::Relaxed)) == generation {
             count.fetch_add(1, Ordering::Release);
         } else {
@@ -605,14 +648,16 @@ impl OpTable {
     /// rest.
     #[inline]
     pub fn acquit(&self, token: u64, src: NodeId, n: u32) -> Option<Units<'_>> {
-        let (count, slot) = self.count_word(token, src)?;
-        Self::take_units(count, slot, generation_of(token), n)
+        let (count, ctl) = self.count_word(token, src)?;
+        Self::take_units(count, ctl, generation_of(token), n)
     }
 
     /// Retries [`take`] on `count` until it lands or has nothing to take.
+    /// The Acquire of the landing compare-and-swap pairs with `register`'s
+    /// Release, which follows `bind`'s reset of `ctl`.
     fn take_units<'t>(
         count: &AtomicU64,
-        slot: &'t Slot,
+        ctl: &'t TaskControl,
         generation: u32,
         n: u32,
     ) -> Option<Units<'t>> {
@@ -620,15 +665,7 @@ impl OpTable {
         loop {
             let (next, taken) = take(cur, generation, n)?;
             match count.compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Relaxed) {
-                Ok(_) => {
-                    // SAFETY: we hold `taken` units of the slot's current
-                    // binding (see "Who may dereference" above): its task
-                    // is alive until the returned guard completes them.
-                    // The Acquire above pairs with `register`'s Release,
-                    // which follows `bind`'s store of the pointer.
-                    let ctl = unsafe { &*slot.ctl.load(Ordering::Acquire) };
-                    return Some(Units { ctl, n: taken });
-                }
+                Ok(_) => return Some(Units { ctl, n: taken }),
                 Err(seen) => cur = seen,
             }
         }
@@ -640,21 +677,30 @@ impl OpTable {
     /// drops a buffer bound for the dead peer.
     pub fn drain_peer(&self, peer: NodeId, mut fail: impl FnMut(Units<'_>)) {
         for chunk in self.chunks.iter().filter_map(OnceLock::get) {
-            for (index, slot) in chunk.slots.iter().enumerate() {
+            for (index, ctl) in chunk.slots.iter().enumerate() {
                 let count = &chunk.counts[index * self.peers + peer];
                 let generation = generation_of(count.load(Ordering::Relaxed));
-                if let Some(units) = Self::take_units(count, slot, generation, u32::MAX) {
+                if let Some(units) = Self::take_units(count, ctl, generation, u32::MAX) {
                     fail(units);
                 }
             }
         }
     }
 
+    /// The slots bound to a task right now, each with the token it was
+    /// seen bound under (the watchdog's walk).
+    pub(crate) fn bound(&self) -> impl Iterator<Item = (u64, &TaskControl)> {
+        let slots = self.chunks.iter().filter_map(OnceLock::get).flat_map(|c| c.slots.iter());
+        slots.filter_map(|ctl| {
+            let token = ctl.token.load(Ordering::Acquire);
+            (generation_of(token) & 1 == 1).then_some((token, ctl))
+        })
+    }
+
     /// Slots currently bound to a task. Exact once the node is quiescent;
     /// zero after an orderly shutdown.
     pub fn bound_slots(&self) -> usize {
-        let slots = self.chunks.iter().filter_map(OnceLock::get).flat_map(|c| c.slots.iter());
-        slots.filter(|s| s.generation.load(Ordering::Acquire) & 1 == 1).count()
+        self.bound().count()
     }
 }
 
@@ -874,19 +920,20 @@ pub struct RootTask {
 mod tests {
     use super::*;
 
-    fn ctl() -> (Arc<TaskControl>, Arc<SegQueue<usize>>) {
+    /// A block outside any table, bound under generation 1, that wakes
+    /// through `q` as local slot 7.
+    fn ctl() -> (TaskControl, Arc<SegQueue<usize>>) {
         let q = Arc::new(SegQueue::new());
-        (TaskControl::new(Arc::clone(&q), 7, 0), q)
+        (TaskControl::new(Arc::clone(&q), 7, tagged(1, 0)), q)
     }
 
-    /// A two-peer table with one claimed chunk, and a task bound to its
-    /// slot 0 that wakes through `q` as local slot 7.
-    fn bound() -> (OpTable, Arc<TaskControl>, Arc<SegQueue<usize>>) {
+    /// A two-peer table with one claimed chunk, whose first slot (returned)
+    /// wakes through `q` as local slot 7.
+    fn table() -> (OpTable, u32, Arc<SegQueue<usize>>) {
         let table = OpTable::new(2);
         let q = Arc::new(SegQueue::new());
-        let slot = table.grow();
-        let c = table.bind(slot, Arc::clone(&q), 7);
-        (table, c, q)
+        let slot = table.grow(&q, 7);
+        (table, slot, q)
     }
 
     #[test]
@@ -921,9 +968,10 @@ mod tests {
 
     #[test]
     fn token_roundtrip_completes() {
-        let (table, c, q) = bound();
+        let (table, slot, q) = table();
+        let c = table.bind(slot);
         for _ in 0..3 {
-            table.register(&c, 1);
+            table.register(c, 1);
         }
         assert!(c.prepare_park());
         for _ in 0..3 {
@@ -932,19 +980,20 @@ mod tests {
         assert_eq!(q.pop(), Some(7));
         assert_eq!(c.pending(), 0);
         assert!(table.acquit(c.token(), 1, 1).is_none(), "nothing left to take");
-        // The slot holds the one reference besides `c`, until released.
-        assert_eq!(Arc::strong_count(&c), 2);
         assert_eq!(table.bound_slots(), 1);
-        table.release(&c);
-        assert_eq!(Arc::strong_count(&c), 1);
+        assert!(table.current(c.token()).is_some_and(|cur| std::ptr::eq(cur, c)));
+        let token = c.token();
+        table.release(c);
         assert_eq!(table.bound_slots(), 0);
+        assert!(table.current(token).is_none(), "a released token names nobody");
     }
 
     #[test]
     fn batched_token_completion_matches_singles() {
-        let (table, c, q) = bound();
+        let (table, slot, q) = table();
+        let c = table.bind(slot);
         for _ in 0..5 {
-            table.register(&c, 1);
+            table.register(c, 1);
         }
         assert!(c.prepare_park());
         drop(table.acquit(c.token(), 1, 3));
@@ -956,15 +1005,16 @@ mod tests {
         assert_eq!(c.pending(), 0);
         assert!(table.acquit(c.token(), 0, 1).is_none(), "nothing was sent to peer 0");
         assert!(table.acquit(0xdead_0000_beef, 1, 1).is_none(), "unknown slots are refused");
-        table.release(&c);
+        table.release(c);
     }
 
     #[test]
     fn error_completion_wakes_and_reports_failure() {
-        let (table, c, q) = bound();
-        table.register(&c, 0);
-        table.register(&c, 1);
-        table.register(&c, 1);
+        let (table, slot, q) = table();
+        let c = table.bind(slot);
+        table.register(c, 0);
+        table.register(c, 1);
+        table.register(c, 1);
         assert!(c.prepare_park());
         drop(table.acquit(c.token(), 0, 1));
         assert!(q.pop().is_none());
@@ -980,8 +1030,7 @@ mod tests {
         assert_eq!(c.take_failure(), None, "failure must be consumed");
         // Their replies, had they been in flight, now find nothing.
         assert!(table.acquit(c.token(), 1, 2).is_none());
-        table.release(&c);
-        assert_eq!(Arc::strong_count(&c), 1);
+        table.release(c);
     }
 
     /// The hole the pointer tokens had: a task retires, the next one
@@ -989,19 +1038,60 @@ mod tests {
     /// the first arrives late.
     #[test]
     fn late_reply_to_a_reused_slot_acquits_nothing() {
-        let (table, a, q) = bound();
-        table.register(&a, 1);
+        let (table, slot, _q) = table();
+        let a = table.bind(slot).token();
+        table.register(table.current(a).expect("A is bound"), 1);
         table.drain_peer(1, |units| drop(units)); // peer 1 declared dead (falsely, say)
-        assert_eq!(a.pending(), 0);
-        table.release(&a);
-        let b = table.bind(a.token() as u32, Arc::clone(&q), 7);
-        assert_eq!(b.token() as u32, a.token() as u32, "same slot");
-        assert_ne!(b.token(), a.token(), "another generation");
-        table.register(&b, 1);
-        assert!(table.acquit(a.token(), 1, 1).is_none(), "A's reply must not settle B's op");
+        table.release(table.current(a).expect("A is bound"));
+        let b = table.bind(slot);
+        assert_eq!(b.token() as u32, a as u32, "same slot");
+        assert_ne!(b.token(), a, "another generation");
+        table.register(b, 1);
+        assert!(table.acquit(a, 1, 1).is_none(), "A's reply must not settle B's op");
         assert_eq!(b.pending(), 1);
         assert_eq!(table.acquit(b.token(), 1, 1).expect("B's unit is still there").count(), 1);
-        table.release(&b);
+        table.release(b);
+    }
+
+    /// The block is re-used across bindings: the second task starts from a
+    /// fresh block, and what the watchdog or a flow wake addressed to the
+    /// first (they hold no units, so they may act after it retired) leaves
+    /// the second where it was — parked again on its own operation.
+    #[test]
+    fn a_rebound_block_is_fresh_and_ignores_hits_on_its_predecessor() {
+        let (table, slot, q) = table();
+        let a = table.bind(slot);
+        let a_token = a.token();
+        a.set_op_deadline(5);
+        a.note_op(1, 2);
+        table.register(a, 1);
+        assert!(a.prepare_park());
+        table.drain_peer(1, |units| units.record_remote_failures(1, units.count()));
+        assert_eq!(q.pop(), Some(7));
+        a.abandon_pending_writes();
+        table.release(a); // retires without looking at its failure
+
+        let b = table.bind(slot);
+        assert_eq!((b.op_deadline(), b.take_failure()), (0, None));
+        assert!(!b.reply_disarmed());
+        table.register(b, 1);
+        assert!(b.prepare_park());
+        b.note_parked(100);
+        assert_eq!(b.parked_info(), Some((100, None, 0, 1)), "no command of A's is remembered");
+        // A flow wake queued by A finds another generation and nobody to wake.
+        assert!(table.current(a_token).is_none());
+        // The watchdog judged A and acts now: B wakes once, finds a hit
+        // that is not its own, and parks again.
+        assert!(b.expire_deadline(a_token));
+        assert_eq!(q.pop(), Some(7));
+        assert!(!b.take_deadline_hit(), "a hit on A is not B's deadline");
+        assert!(b.prepare_park());
+        // B's own hit is honoured.
+        assert!(b.expire_deadline(b.token()));
+        assert_eq!(q.pop(), Some(7));
+        assert!(b.take_deadline_hit());
+        drop(table.acquit(b.token(), 1, 1));
+        table.release(b);
     }
 
     #[test]
@@ -1026,15 +1116,11 @@ mod tests {
             let (c, q) = ctl();
             c.add_pending(4);
             assert!(c.prepare_park());
-            let threads: Vec<_> = (0..4)
-                .map(|_| {
-                    let c = Arc::clone(&c);
-                    std::thread::spawn(move || c.ops_completed(1))
-                })
-                .collect();
-            for t in threads {
-                t.join().unwrap();
-            }
+            std::thread::scope(|s| {
+                for _ in 0..4 {
+                    s.spawn(|| c.ops_completed(1));
+                }
+            });
             assert_eq!(q.pop(), Some(7));
             assert!(q.pop().is_none(), "duplicate wakeup");
         }
@@ -1093,9 +1179,9 @@ mod tests {
         c.add_pending(1);
         assert!(c.prepare_park());
         c.note_parked(100);
-        assert!(c.expire_deadline(), "expiry performs the wake");
+        assert!(c.expire_deadline(c.token()), "expiry performs the wake");
         assert_eq!(q.pop(), Some(7));
-        assert!(!c.expire_deadline(), "task no longer parked");
+        assert!(!c.expire_deadline(c.token()), "task no longer parked");
         assert!(q.pop().is_none(), "no duplicate wakeup");
         assert!(c.take_deadline_hit());
         assert!(!c.take_deadline_hit(), "hit is consumed");
@@ -1144,20 +1230,17 @@ mod tests {
     fn abandon_waits_for_in_flight_reply_writers() {
         for _ in 0..100 {
             let (c, _q) = ctl();
-            let helper = {
-                let c = Arc::clone(&c);
-                std::thread::spawn(move || {
-                    let ok = c.begin_reply_write();
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    let _ok = c.begin_reply_write();
                     // Simulated reply write window.
                     std::hint::black_box(&c);
                     c.end_reply_write();
-                    ok
-                })
-            };
-            c.abandon_pending_writes();
-            // After abandon returns, no helper is mid-write: the writer
+                });
+                c.abandon_pending_writes();
+            });
+            // After abandon returned, no helper was mid-write: the writer
             // either finished first (ok) or saw the abandon (skipped).
-            let _ = helper.join().unwrap();
             assert_eq!(c.reply_writers.load(Ordering::SeqCst), 0);
         }
     }
@@ -1225,11 +1308,16 @@ mod tests {
     ///
     /// Each actor is the real operation cut at its atomic accesses — one
     /// step, one access to a shared word — around the same [`take`] rule:
-    /// the owning worker (`register` as add-pending, load, write; `release`
+    /// the owning worker (`bind` as the reset of the embedded block with
+    /// its generation bump; `register` as add-pending, load, write; the
+    /// park, wake and deadline-hit check of `wait_commands`; `release`
     /// once nothing is pending; bind again), two helpers working through
-    /// their replies (`acquit` as load, compare-and-swap, `ops_completed`)
-    /// and the communication server's one `drain_peer` of peer 1. The
-    /// search visits every reachable state once.
+    /// their replies (`acquit` as load, compare-and-swap, `ops_completed`,
+    /// the wake's push), the communication server's one `drain_peer` of
+    /// peer 1, and its watchdog, which holds no units: it judges a parked
+    /// binding once and then, whatever became of that binding, writes its
+    /// hit and force-wakes (a flow wake is the same walk without the hit).
+    /// The search visits every reachable state once.
     mod model {
         use super::super::{generation_of, tagged, take};
         use std::collections::HashSet;
@@ -1237,8 +1325,9 @@ mod tests {
         /// Generations of the slot's first and second binding.
         const GENERATION: [u32; 2] = [1, 3];
 
-        /// What the owner emits, `(binding, peer)` each; the slot is
-        /// released where the binding changes and after the last one.
+        /// What the owner emits, `(binding, peer)` each; it waits for its
+        /// operations and releases the slot where the binding changes and
+        /// after the last one.
         const EMITS: [(usize, usize); 4] = [(0, 1), (0, 0), (0, 1), (1, 1)];
 
         /// One reply a helper processes: `n` operations of `binding`
@@ -1264,23 +1353,49 @@ mod tests {
             ],
         ];
 
+        /// The owner's states carry the index of its next emit.
         #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
         enum Owner {
+            Bind(usize),
             AddPending(usize),
             Load(usize),
             Write(usize, u64),
-            /// Release, then go on with the emit of that index.
+            /// `prepare_park`, at each turn of `wait_commands`' loop.
+            Park(usize),
+            /// Suspended until its entry shows up in the ready queue.
+            Parked(usize),
+            /// Woken: `take_deadline_hit`, then around the loop again.
+            TakeHit(usize),
             Release(usize),
             Done,
         }
 
         /// `acquit` and `drain_peer` alike: load the count, swing it,
-        /// complete what was taken.
+        /// complete what was taken, requeue the task if that woke it.
         #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
         enum Taker {
             Load,
             Cas(u64),
             Complete(u32),
+            Push,
+            Done,
+        }
+
+        impl Taker {
+            /// Between taking units and its last access to their task.
+            fn holds_units(self) -> bool {
+                matches!(self, Taker::Complete(_) | Taker::Push)
+            }
+        }
+
+        /// `sweep_stuck_tasks` on this slot, once. From `Hit` on it carries
+        /// the generation it judged.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+        enum Watchdog {
+            Judge,
+            Hit(u32),
+            Wake(u32),
+            Push,
             Done,
         }
 
@@ -1288,18 +1403,28 @@ mod tests {
         struct World {
             /// The slot's count words, one per peer.
             counts: [u64; 2],
-            /// The bound task's pending count.
+            /// The block: pending count and parked flag (one word in the
+            /// code), the generation in its token word, and the generation
+            /// a deadline hit is addressed to (0 for none).
             pending: u32,
+            parked: bool,
+            generation: u32,
+            hit: u32,
+            /// Entries for this slot in the worker's ready queue.
+            ready: u32,
             owner: Owner,
             /// Each helper's position in its inbox and in that reply.
             helpers: [(usize, Taker); 2],
             sweeper: Taker,
+            watchdog: Watchdog,
             // Ghost state: read by the checks, never by an actor's choice
             // of what to write.
             emitted: [[u32; 2]; 2],
             taken: [u32; 2],
             drained: u32,
             released: bool,
+            /// The generation the watchdog judged (0 before it did).
+            judged: u32,
         }
 
         impl World {
@@ -1333,10 +1458,29 @@ mod tests {
                     Taker::Complete(taken) => {
                         self.pending =
                             self.pending.checked_sub(taken).expect("completed more than pending");
+                        // The last completion of a parked task takes the
+                        // flag with it, in the same compare-and-swap.
+                        if self.pending == 0 && self.parked {
+                            self.parked = false;
+                            (Taker::Push, 0)
+                        } else {
+                            (Taker::Done, 0)
+                        }
+                    }
+                    Taker::Push => {
+                        self.ready += 1;
                         (Taker::Done, 0)
                     }
                     Taker::Done => unreachable!("finished actors do not step"),
                 }
+            }
+
+            /// Whether the block may be reset or handed on: nobody is
+            /// between taking units of it and their last access to it, nor
+            /// owes it a wake-up.
+            fn unobserved(&self) -> bool {
+                let takers = self.helpers.iter().map(|h| h.1).chain([self.sweeper]);
+                !takers.into_iter().any(Taker::holds_units) && self.watchdog != Watchdog::Push
             }
 
             /// The state after `actor` takes its next step; `None` while
@@ -1345,6 +1489,13 @@ mod tests {
                 let mut w = self.clone();
                 match actor {
                     0 => match self.owner {
+                        Owner::Bind(i) => {
+                            assert!(self.unobserved(), "reset under a holder of units: {self:?}");
+                            (w.pending, w.parked, w.hit) = (0, false, 0);
+                            w.generation += 1;
+                            assert_eq!(w.generation, GENERATION[EMITS[i].0]);
+                            w.owner = Owner::AddPending(i);
+                        }
                         Owner::AddPending(i) => {
                             w.pending += 1;
                             w.owner = Owner::Load(i);
@@ -1362,21 +1513,42 @@ mod tests {
                             w.owner = if same_binding {
                                 Owner::AddPending(i + 1)
                             } else {
-                                Owner::Release(i + 1)
+                                Owner::Park(i + 1)
                             };
                         }
-                        Owner::Release(_) if self.pending != 0 => return None,
+                        Owner::Park(next) if self.pending == 0 => w.owner = Owner::Release(next),
+                        Owner::Park(next) => {
+                            w.parked = true;
+                            w.owner = Owner::Parked(next);
+                        }
+                        Owner::Parked(_) if self.ready == 0 => return None,
+                        Owner::Parked(next) => {
+                            w.ready -= 1;
+                            w.owner = Owner::TakeHit(next);
+                        }
+                        Owner::TakeHit(next) => {
+                            w.hit = 0;
+                            // `take_deadline_hit`: honoured only if it is
+                            // addressed to this binding.
+                            if self.hit == self.generation {
+                                assert_eq!(
+                                    self.judged, self.generation,
+                                    "honoured a hit judged on another binding: {self:?}"
+                                );
+                            }
+                            w.owner = Owner::Park(next);
+                        }
                         Owner::Release(next) => {
+                            assert_eq!(self.pending, 0, "released with operations pending");
                             assert!(
                                 self.counts.iter().all(|&c| c as u32 == 0),
                                 "released with operations still counted: {self:?}"
                             );
+                            assert!(self.unobserved(), "released under a holder of units");
                             w.released = true;
-                            w.owner = if next < EMITS.len() {
-                                Owner::AddPending(next)
-                            } else {
-                                Owner::Done
-                            };
+                            w.generation += 1;
+                            w.owner =
+                                if next < EMITS.len() { Owner::Bind(next) } else { Owner::Done };
                         }
                         Owner::Done => return None,
                     },
@@ -1400,7 +1572,7 @@ mod tests {
                         w.helpers[actor - 1] =
                             if at == Taker::Done { (index + 1, Taker::Load) } else { (index, at) };
                     }
-                    _ => {
+                    3 => {
                         if self.sweeper == Taker::Done {
                             return None;
                         }
@@ -1408,6 +1580,36 @@ mod tests {
                         w.drained += taken;
                         w.sweeper = at;
                     }
+                    // The watchdog (4), and as 5 its walk as a flow wake,
+                    // which differs in leaving no hit.
+                    _ => match self.watchdog {
+                        Watchdog::Judge => {
+                            let stuck = self.generation & 1 == 1 && self.parked;
+                            if !stuck {
+                                return None;
+                            }
+                            w.judged = self.generation;
+                            w.watchdog = if actor == 4 {
+                                Watchdog::Hit(self.generation)
+                            } else {
+                                Watchdog::Wake(self.generation)
+                            };
+                        }
+                        _ if actor == 5 => return None,
+                        Watchdog::Hit(judged) => {
+                            w.hit = judged;
+                            w.watchdog = Watchdog::Wake(judged);
+                        }
+                        Watchdog::Wake(_) => {
+                            w.watchdog = if self.parked { Watchdog::Push } else { Watchdog::Done };
+                            w.parked = false;
+                        }
+                        Watchdog::Push => {
+                            w.ready += 1;
+                            w.watchdog = Watchdog::Done;
+                        }
+                        Watchdog::Done => return None,
+                    },
                 }
                 Some(w)
             }
@@ -1418,17 +1620,25 @@ mod tests {
             let start = World {
                 counts: [0; 2],
                 pending: 0,
-                owner: Owner::AddPending(0),
+                parked: false,
+                generation: 0,
+                hit: 0,
+                ready: 0,
+                owner: Owner::Bind(0),
                 helpers: [(0, Taker::Load); 2],
                 sweeper: Taker::Load,
+                watchdog: Watchdog::Judge,
                 emitted: [[0; 2]; 2],
                 taken: [0; 2],
                 drained: 0,
                 released: false,
+                judged: 0,
             };
             let mut seen = HashSet::new();
             let mut drained = HashSet::new();
             let mut late_met_rebound_count = HashSet::new();
+            let mut hit_met_its_binding = HashSet::new();
+            let mut wake_met_its_binding = HashSet::new();
             let mut stack = vec![start];
             while let Some(w) = stack.pop() {
                 if seen.contains(&w) {
@@ -1437,21 +1647,31 @@ mod tests {
                 if let (1, Taker::Cas(cur)) = w.helpers[0] {
                     late_met_rebound_count.insert(generation_of(cur) == GENERATION[1]);
                 }
+                if let (Owner::TakeHit(_), true) = (w.owner, w.hit != 0) {
+                    hit_met_its_binding.insert(w.hit == w.generation);
+                }
+                if let (Watchdog::Wake(judged), true) = (w.watchdog, w.parked) {
+                    wake_met_its_binding.insert(judged == w.generation);
+                }
                 for binding in 0..2 {
                     let emitted: u32 = w.emitted[binding].iter().sum();
                     assert!(w.taken[binding] <= emitted, "a unit was taken twice: {w:?}");
                 }
-                let next: Vec<World> = (0..4).filter_map(|actor| w.step(actor)).collect();
+                assert!(w.ready + w.parked as u32 <= 1, "a park was woken twice: {w:?}");
+                let next: Vec<World> = (0..6).filter_map(|actor| w.step(actor)).collect();
                 if next.is_empty() {
-                    // Nobody can move: everybody must be finished, with
-                    // every emitted operation acquitted or drained.
+                    // Nobody can move: everybody must be finished (the
+                    // watchdog may never have seen a park), with every
+                    // emitted operation acquitted or drained and the last
+                    // binding neither parked nor queued.
                     assert_eq!(w.owner, Owner::Done, "stuck: {w:?}");
                     assert_eq!(w.sweeper, Taker::Done, "stuck: {w:?}");
                     for (helper, inbox) in w.helpers.iter().zip(REPLIES) {
                         assert_eq!(helper.0, inbox.len(), "stuck: {w:?}");
                     }
+                    assert!(matches!(w.watchdog, Watchdog::Judge | Watchdog::Done), "stuck: {w:?}");
                     assert_eq!(w.taken, [3, 1], "operations lost: {w:?}");
-                    assert_eq!(w.pending, 0);
+                    assert_eq!((w.pending, w.parked, w.ready), (0, false, 0));
                     drained.insert(w.drained);
                 }
                 stack.extend(next);
@@ -1462,6 +1682,10 @@ mod tests {
             // The duplicate met its own generation's empty count, and the
             // next binding's live one (the ABA case).
             assert_eq!(late_met_rebound_count, HashSet::from([false, true]));
+            // The watchdog's hit and its force-wake each landed on the
+            // binding it judged, and on the one bound after it.
+            assert_eq!(hit_met_its_binding, HashSet::from([false, true]));
+            assert_eq!(wake_met_its_binding, HashSet::from([false, true]));
         }
     }
 }

@@ -24,10 +24,10 @@ use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 
-/// One live task: its coroutine plus the shared wake handle.
-struct Task {
+/// One live task: its coroutine plus its control block in the op table.
+struct Task<'n> {
     coro: Coroutine<()>,
-    ctl: Arc<TaskControl>,
+    ctl: &'n TaskControl,
     /// For parFor chunk tasks: the owning iteration block and this
     /// chunk's claimed iteration count. Completion is booked at
     /// retirement — normal *or* panicked — so a panicking iteration body
@@ -35,15 +35,15 @@ struct Task {
     chunk: Option<(Arc<Itb>, u64)>,
 }
 
-struct Worker {
-    node: Arc<NodeShared>,
+struct Worker<'n> {
+    node: &'n Arc<NodeShared>,
     /// Channel index of this worker — also its counter shard.
     chan: usize,
     tracer: ThreadTracer,
     /// Wakeups from helpers (slot indices), MPSC onto this worker.
     ready: Arc<SegQueue<usize>>,
     /// Task table; slot indices are stable for a task's lifetime.
-    tasks: Vec<Option<Task>>,
+    tasks: Vec<Option<Task<'n>>>,
     free_slots: Vec<usize>,
     /// First op-table slot of each chunk this worker claimed: task slot
     /// `i` binds op-table slot `op_chunks[i / CHUNK_SLOTS] + i % CHUNK_SLOTS`,
@@ -56,8 +56,8 @@ struct Worker {
     live: usize,
 }
 
-impl Worker {
-    fn new(node: Arc<NodeShared>, chan: usize, tracer: ThreadTracer) -> Self {
+impl<'n> Worker<'n> {
+    fn new(node: &'n Arc<NodeShared>, chan: usize, tracer: ThreadTracer) -> Self {
         Worker {
             node,
             chan,
@@ -77,21 +77,20 @@ impl Worker {
     }
 
     /// Takes a free task slot and binds a new task to its op-table slot.
-    fn bind_slot(&mut self) -> (usize, Arc<TaskControl>) {
+    fn bind_slot(&mut self) -> (usize, &'n TaskControl) {
         let slot = self.free_slots.pop().unwrap_or_else(|| {
             self.tasks.push(None);
             self.tasks.len() - 1
         });
+        let ops = &self.node.ops;
         if slot / CHUNK_SLOTS == self.op_chunks.len() {
-            self.op_chunks.push(self.node.ops.grow());
+            self.op_chunks.push(ops.grow(&self.ready, slot));
         }
         let op_slot = self.op_chunks[slot / CHUNK_SLOTS] + (slot % CHUNK_SLOTS) as u32;
-        let ctl = self.node.ops.bind(op_slot, Arc::clone(&self.ready), slot);
-        self.node.register_task(&ctl);
-        (slot, ctl)
+        (slot, ops.bind(op_slot))
     }
 
-    fn install(&mut self, slot: usize, task: Task) {
+    fn install(&mut self, slot: usize, task: Task<'n>) {
         debug_assert!(self.tasks[slot].is_none());
         self.tasks[slot] = Some(task);
         self.runnable.push_back(slot);
@@ -103,13 +102,13 @@ impl Worker {
     /// Spawns a task executing the iterations `range` claimed from `itb`.
     fn spawn_chunk(&mut self, itb: Arc<Itb>, range: std::ops::Range<u64>) {
         let (slot, ctl) = self.bind_slot();
-        let node = Arc::clone(&self.node);
-        let ctl2 = Arc::clone(&ctl);
+        let node = Arc::clone(self.node);
+        let token = ctl.token();
         let stack = self.take_stack();
         let n = range.end - range.start;
         let itb2 = Arc::clone(&itb);
         let coro = Coroutine::with_stack(stack, move |y| {
-            let ctx = TaskCtx::new(&node, &ctl2, y);
+            let ctx = TaskCtx::new(&node, token, y);
             (itb2.body.f)(&ctx, range, &itb2.args);
             // Block completion is booked by the worker at retirement (see
             // `Task::chunk`), not here, so a panic cannot skip it.
@@ -120,12 +119,12 @@ impl Worker {
     /// Spawns a root task ("task zero").
     fn spawn_root(&mut self, root: RootTask) {
         let (slot, ctl) = self.bind_slot();
-        let node = Arc::clone(&self.node);
-        let ctl2 = Arc::clone(&ctl);
+        let node = Arc::clone(self.node);
+        let token = ctl.token();
         let stack = self.take_stack();
         let f = root.f;
         let coro = Coroutine::with_stack(stack, move |y| {
-            let ctx = TaskCtx::new(&node, &ctl2, y);
+            let ctx = TaskCtx::new(&node, token, y);
             f(&ctx);
         });
         self.install(slot, Task { coro, ctl, chunk: None });
@@ -148,7 +147,7 @@ impl Worker {
         self.tracer.span("task_step", t0, slot as u64);
         match outcome {
             Ok(Resume::Yielded) => {
-                let ctl = Arc::clone(&self.tasks[slot].as_ref().unwrap().ctl);
+                let ctl = task.ctl;
                 if ctl.take_park_intent() {
                     // Blocking yield: run the park handshake; a helper
                     // will push the slot into `ready` on the last reply.
@@ -197,7 +196,7 @@ impl Worker {
             // counted in `tasks_panicked`) but still count as executed
             // toward the block.
             if itb.complete(n) {
-                notify_parent(&self.node, itb.parent);
+                notify_parent(self.node, itb.parent);
             }
         }
         self.node.metrics.tasks_finished.add(self.chan, 1);
@@ -220,7 +219,7 @@ impl Worker {
             std::mem::forget(task.coro);
             return;
         }
-        self.node.ops.release(&task.ctl);
+        self.node.ops.release(task.ctl);
         self.free_slots.push(slot);
         if !panicked && self.stacks.len() < 64 {
             // Recycle the stack (bounded pool).
@@ -277,7 +276,7 @@ pub(crate) fn notify_parent(node: &Arc<NodeShared>, parent: ParentRef) {
 /// worker's channel queue to the communication server.
 pub fn worker_main(node: Arc<NodeShared>, chan: usize, tracer: ThreadTracer) {
     tls::install(CommandSink::new(Arc::clone(&node.agg), chan));
-    let mut w = Worker::new(node, chan, tracer);
+    let mut w = Worker::new(&node, chan, tracer);
     let mut backoff = IdleBackoff::default();
     loop {
         let mut progressed = false;
@@ -325,7 +324,7 @@ pub fn worker_main(node: Arc<NodeShared>, chan: usize, tracer: ThreadTracer) {
                 std::mem::forget(task);
                 leaked += 1;
             } else {
-                w.node.ops.release(&task.ctl);
+                w.node.ops.release(task.ctl);
             }
         }
     }

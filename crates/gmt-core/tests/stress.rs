@@ -167,6 +167,47 @@ fn op_table_grows_past_a_chunk_and_empties() {
     }
 }
 
+/// A control block is recycled with its slot, not allocated per task: 200
+/// joined loops push 204 800 chunk tasks through one worker, every one
+/// parking on a remote add, at most 1024 (and their root) alive at once.
+/// The table must end up empty and must never have claimed more chunks
+/// than that many live tasks need — a slot that retirement failed to give
+/// back, or a spawn that took a fresh one, would grow it round by round.
+#[test]
+fn two_hundred_thousand_tasks_reuse_one_workers_slots() {
+    use gmt_core::task::CHUNK_SLOTS;
+
+    const ROUNDS: u64 = 200;
+    const TASKS: u64 = 1024;
+    let config = Config { num_workers: 1, max_tasks_per_worker: TASKS as usize, ..Config::small() };
+    let cluster = Cluster::start(2, config).unwrap();
+    let shared: Vec<_> = (0..2).map(|n| Arc::clone(cluster.node(n).shared())).collect();
+    let total = cluster.node(0).run(|ctx| {
+        let acc = ctx.alloc(8, Distribution::Remote);
+        for _ in 0..ROUNDS {
+            ctx.parfor(SpawnPolicy::Local, TASKS, 1, move |ctx, _| {
+                ctx.atomic_add(&acc, 0, 1).unwrap();
+            });
+        }
+        let total = ctx.atomic_add(&acc, 0, 0).unwrap();
+        ctx.free(acc);
+        total
+    });
+    assert_eq!(total as u64, ROUNDS * TASKS);
+    cluster.shutdown();
+    let spawned = shared[0].metrics.tasks_spawned.sum();
+    assert!(spawned > ROUNDS * TASKS, "every iteration was a task of node 0, saw {spawned}");
+    for (n, node) in shared.iter().enumerate() {
+        assert_eq!(node.ops.bound_slots(), 0, "node {n} still has bound op-table slots");
+    }
+    let chunks = shared[0].ops.claimed_chunks();
+    assert!(
+        chunks <= TASKS as usize / CHUNK_SLOTS + 1,
+        "{chunks} chunks claimed for at most {} live tasks",
+        TASKS + 1
+    );
+}
+
 /// Zero-copy pool accounting: after a remote-put workload and a full
 /// shutdown, every aggregation buffer has flowed out through the comm
 /// server and back into its pool via `Payload` drop — nothing leaked in
