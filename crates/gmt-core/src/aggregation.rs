@@ -4,13 +4,21 @@
 //!
 //! 1. Each worker/helper thread owns per-destination **command blocks**
 //!    (pre-aggregation): commands are encoded into the block without any
-//!    synchronization.
+//!    synchronization. A block is laid out like the buffer it may become:
+//!    the transport-header reserve first, commands behind it.
 //! 2. A block is pushed into the node-wide, per-destination **aggregation
 //!    queue** when it is full (entries or bytes), older than a timeout, or
 //!    its owning thread runs out of work.
 //! 3. When an aggregation queue holds a buffer's worth of commands (or
 //!    times out, or the noticing thread goes idle), that thread pops
-//!    blocks and packs them into a pooled **aggregation buffer**.
+//!    blocks, ships the first as the **aggregation buffer** and packs the
+//!    rest behind it: a first block that holds at least half of what the
+//!    buffer will carry trades its `Vec` for the pooled buffer's instead
+//!    of being copied into it (a 16 KiB put is never copied between
+//!    encode and the wire); the blocks behind it are copied in. A smaller
+//!    first block — the blocks of a stream of small commands — is copied
+//!    into the pooled buffer like the rest, so such a stream keeps filling
+//!    the same few buffers.
 //! 4. The filled buffer goes into the thread's **channel queue** (SPSC to
 //!    the communication server), which hands it to the fabric **without
 //!    copying**: the buffer travels as a pooled [`gmt_net::Payload`] whose
@@ -20,7 +28,9 @@
 //!    registered buffer and completing it back to the sender.
 //!
 //! Blocks and buffers come from fixed pools and are recycled "to save
-//! memory space and eliminate allocation overhead".
+//! memory space and eliminate allocation overhead". Both pools hold
+//! `Vec`s of `buffer_size` capacity, so a `Vec` can serve as either and
+//! the trade above conserves the count of each pool.
 //!
 //! A buffer therefore ships for one of three reasons ([`FlushCause`]):
 //! it is **full**, a **timeout** fired on a thread that is busy with
@@ -198,6 +208,21 @@ impl ChannelQueue {
     pub fn pool_capacity(&self) -> usize {
         self.pool.capacity
     }
+
+    /// Smallest allocation among the buffers resting in the pool (`None`
+    /// when it is empty). Cycles the pool once, so only meaningful on a
+    /// quiescent channel: the tests' check that trading blocks for buffers
+    /// never left an undersized `Vec` behind.
+    #[doc(hidden)]
+    pub fn min_free_buffer_capacity(&self) -> Option<usize> {
+        let mut min = None;
+        for _ in 0..self.pool.free.len() {
+            let Some(buf) = self.pool.free.pop() else { break };
+            min = Some(min.map_or(buf.capacity(), |m: usize| m.min(buf.capacity())));
+            self.pool.free.push(buf).expect("buffer pool overflow");
+        }
+        min
+    }
 }
 
 /// Snapshot of the aggregation counters, summed over all per-channel
@@ -347,9 +372,9 @@ impl AggMetrics {
 /// Node-wide shared aggregation state.
 pub struct AggShared {
     buffer_size: usize,
-    /// Bytes reserved (zeroed) at the front of every aggregation buffer
-    /// for the transport header the reliability layer patches in before
-    /// the send. 0 when reliability is off.
+    /// Bytes reserved (zeroed) at the front of every command block and
+    /// aggregation buffer for the transport header the reliability layer
+    /// patches in before the send. 0 when reliability is off.
     header_reserve: usize,
     cmd_block_entries: usize,
     cmd_block_timeout_ns: u64,
@@ -539,8 +564,13 @@ impl AggShared {
         &self.queues[dst]
     }
 
+    /// An empty command block: the zeroed header reserve and nothing
+    /// else, in a `Vec` that can hold a whole buffer (it may become one).
     fn take_block(&self) -> Vec<u8> {
-        self.block_pool.pop().unwrap_or_else(|| Vec::with_capacity(self.buffer_size / 4))
+        let mut block =
+            self.block_pool.pop().unwrap_or_else(|| Vec::with_capacity(self.buffer_size));
+        block.resize(self.header_reserve, 0);
+        block
     }
 
     /// Returns `true` if the block was dropped because the pool was full
@@ -749,14 +779,43 @@ impl CommandSink {
     /// Encodes `cmd` into the active block for `dst` (no combining).
     #[inline]
     fn encode_cmd(&mut self, dst: NodeId, cmd: &Command<'_>) {
-        let size = cmd.encoded_len();
+        self.encode_with(dst, cmd.encoded_len(), |block| cmd.encode(block));
+    }
+
+    /// Emits the [`Command::GetReply`] that answers a get of `len` bytes,
+    /// its payload produced where it will travel: `fill` is handed the
+    /// `len` (zeroed) payload bytes inside the command block and reads the
+    /// segment straight into them, so the reply is never staged anywhere
+    /// else — and, when the block goes on to become the buffer, not copied
+    /// again before the wire.
+    #[inline]
+    pub fn emit_get_reply(
+        &mut self,
+        dst: NodeId,
+        token: u64,
+        dest: u64,
+        len: usize,
+        fill: impl FnOnce(&mut [u8]),
+    ) {
+        let size = Command::GetReply { token, dest, data: &[] }.encoded_len() + len;
+        self.encode_with(dst, size, |block| {
+            Command::encode_get_reply(block, token, dest, len, fill)
+        });
+    }
+
+    /// Appends one command of `size` wire bytes, written by `encode`, to
+    /// the active block for `dst`.
+    #[inline]
+    fn encode_with(&mut self, dst: NodeId, size: usize, encode: impl FnOnce(&mut Vec<u8>)) {
         let cap = self.shared.cmd_capacity();
         assert!(size <= cap, "command of {size} bytes exceeds aggregation buffer capacity {cap}");
         self.metrics().commands.add(self.chan, 1);
         // A command never splits across blocks: push the block first if
-        // this one would overflow it.
+        // this one would overflow it. A block counts its header reserve,
+        // so its limit is the buffer's.
+        let limit = self.shared.buffer_size;
         if let Some(active) = &self.active[dst] {
-            if active.buf.len() + size > cap {
+            if active.buf.len() + size > limit {
                 self.push_block(dst);
             }
         }
@@ -766,9 +825,11 @@ impl CommandSink {
             born_ns: self.shared.coarse_now_ns(),
             deferred: false,
         });
-        cmd.encode(&mut active.buf);
+        let at = active.buf.len();
+        encode(&mut active.buf);
+        debug_assert_eq!(active.buf.len(), at + size);
         active.entries += 1;
-        if active.entries >= self.shared.cmd_block_entries || active.buf.len() >= cap {
+        if active.entries >= self.shared.cmd_block_entries || active.buf.len() >= limit {
             self.push_block(dst);
         }
     }
@@ -782,8 +843,9 @@ impl CommandSink {
     /// is a spacing after this one was *due*, or after now when this one
     /// is more than a spacing late.
     fn push_paced(&mut self, dst: NodeId, now: u64) -> bool {
+        let shared = &self.shared;
         let sparse = matches!(&self.active[dst],
-            Some(a) if a.buf.len() < self.shared.buffer_size / SPARSE_DIV);
+            Some(a) if a.buf.len() - shared.header_reserve < shared.buffer_size / SPARSE_DIV);
         if sparse && self.shared.queues[dst].bytes.load(Ordering::Acquire) == 0 {
             let slot = self.sparse_slot_ns[dst];
             if now < slot {
@@ -801,7 +863,7 @@ impl CommandSink {
     /// (step 3), triggering aggregation if a buffer's worth is ready.
     fn push_block(&mut self, dst: NodeId) {
         let Some(active) = self.active[dst].take() else { return };
-        if active.buf.is_empty() {
+        if active.entries == 0 {
             if self.shared.recycle_block(active.buf) {
                 self.metrics().block_pool_drops.add(self.chan, 1);
             }
@@ -809,7 +871,8 @@ impl CommandSink {
         }
         let shared = &self.shared;
         let q = &shared.queues[dst];
-        let len = active.buf.len();
+        // The queue counts commands, not the reserve each block carries.
+        let len = active.buf.len() - shared.header_reserve;
         q.blocks.push(active.buf);
         q.bytes.fetch_add(len, Ordering::AcqRel);
         // Stamp *after* the push, unconditionally. Invariant: a non-empty
@@ -865,27 +928,46 @@ impl CommandSink {
         self.pool_backoff_ns.set(0);
         self.pool_retry_at_ns.set(0);
         debug_assert!(buf.is_empty());
-        // Reserve (zeroed) space for the transport header; the
-        // communication server patches it in place before the send.
-        buf.resize(shared.header_reserve, 0);
+        let hdr = shared.header_reserve;
+        // What this buffer will carry, as far as the queue knows now.
+        let load = q.bytes.load(Ordering::Acquire).min(shared.cmd_capacity());
         while buf.len() < shared.buffer_size {
-            match q.blocks.pop() {
-                Some(block) => {
-                    if buf.len() + block.len() <= shared.buffer_size {
-                        q.bytes.fetch_sub(block.len(), Ordering::AcqRel);
-                        buf.extend_from_slice(&block);
-                        if shared.recycle_block(block) {
-                            self.metrics().block_pool_drops.add(self.chan, 1);
-                        }
-                    } else {
-                        // Does not fit: requeue and stop. Reordering is
-                        // fine — GMT does not order independent commands.
-                        q.blocks.push(block);
-                        // The queue is still non-empty; keep its timestamp.
-                        break;
-                    }
+            let Some(mut block) = q.blocks.pop() else { break };
+            let body = block.len() - hdr;
+            if buf.is_empty() && 2 * body >= load {
+                // A first block that is the larger share of the load
+                // *becomes* the buffer: it brings the (zeroed) header
+                // reserve the communication server patches in place before
+                // the send, the two `Vec`s trade places and the pool's
+                // goes on as a block. Only the blocks behind it are copied.
+                //
+                // A smaller first block is copied like the rest, into the
+                // pool's `Vec`. Trading it would copy fewer bytes and cost
+                // more: the rest of the load would be written behind it
+                // into memory last touched when that `Vec` was a buffer,
+                // and since every `Vec` of the block pool takes its turn
+                // at being first, a stream of small commands would fill
+                // buffers across the whole block pool (dozens of 64 KiB
+                // `Vec`s) instead of the channel's few. Measured: 9 % slower
+                // and four times less steady on `scatter_add_sim`
+                // (EXPERIMENTS.md, "Refused for spread").
+                std::mem::swap(&mut buf, &mut block);
+            } else {
+                if buf.is_empty() {
+                    buf.resize(hdr, 0);
                 }
-                None => break,
+                if buf.len() + body > shared.buffer_size {
+                    // Does not fit: requeue and stop. Reordering is fine —
+                    // GMT does not order independent commands. The queue
+                    // is still non-empty and keeps its timestamp.
+                    q.blocks.push(block);
+                    break;
+                }
+                buf.extend_from_slice(&block[hdr..]);
+            }
+            q.bytes.fetch_sub(body, Ordering::AcqRel);
+            if shared.recycle_block(block) {
+                self.metrics().block_pool_drops.add(self.chan, 1);
             }
         }
         if q.blocks.is_empty() {
@@ -899,7 +981,7 @@ impl CommandSink {
         } else {
             q.oldest_push_ns.store(shared.coarse_now_ns(), Ordering::Release);
         }
-        if buf.len() <= shared.header_reserve {
+        if buf.len() <= hdr {
             // No commands packed (a racing drain got there first).
             buf.clear();
             chan.pool.free.push(buf).expect("buffer pool overflow");
@@ -1518,14 +1600,136 @@ mod tests {
     }
 
     #[test]
+    fn a_block_that_fills_the_buffer_travels_as_the_buffer() {
+        // The copy that is gone stays gone: a bulk put is encoded once, and
+        // the bytes the communication server pops are those very bytes —
+        // same address — behind the zeroed header reserve.
+        const HDR: usize = 17;
+        const BUFFER: usize = 65_536;
+        let config = crate::config::Config { buffer_size: BUFFER, ..Default::default() };
+        for len in [BUFFER / 4, config.max_inline_payload()] {
+            let shared = AggShared::new(2, 1, 4, BUFFER, 100, u64::MAX / 2, u64::MAX / 2, HDR, 0);
+            let mut sink = CommandSink::new(Arc::clone(&shared), 0);
+            let data: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            let cmd = Command::Put { token: 7, array: 3, offset: 64, data: &data };
+            sink.emit(1, &cmd);
+            let encoded_at = sink.active[1].as_ref().expect("the block is still held").buf.as_ptr();
+            sink.flush_all();
+            let chan = shared.channel(0);
+            let (dst, payload) = chan.pop_filled().expect("one buffer");
+            assert_eq!(dst, 1);
+            assert_eq!(payload.as_ptr(), encoded_at, "a {len}-byte put was copied into the buffer");
+            assert!(payload[..HDR].iter().all(|&b| b == 0), "reserve not zeroed");
+            let mut cmds = crate::command::CommandIter::new(&payload[HDR..]);
+            assert_eq!(cmds.next(), Some(cmd));
+            assert_eq!(cmds.next(), None);
+            assert!(chan.pop_filled().is_none());
+            assert_eq!(shared.queue(1).queued_bytes(), 0);
+            // The two `Vec`s traded places: the pool's went on as a block,
+            // the block's comes back to the pool, and either fits a buffer.
+            assert_eq!(shared.block_pool.len(), 1);
+            drop(payload);
+            assert_eq!(chan.free_buffers(), chan.pool_capacity());
+            assert!(chan.min_free_buffer_capacity().unwrap() >= BUFFER);
+            assert_eq!(shared.stats().block_pool_drops, 0);
+        }
+    }
+
+    #[test]
+    fn small_blocks_still_merge_into_one_buffer() {
+        // 64 eight-byte puts fill a block (64 entries) from each of two
+        // sinks; neither block is a buffer's worth, so the buffer carries
+        // both: the first as the buffer, the second copied behind it with
+        // its header reserve stripped.
+        const HDR: usize = 17;
+        let shared = AggShared::new(2, 2, 4, 65_536, 64, u64::MAX / 2, u64::MAX / 2, HDR, 0);
+        let mut sinks: Vec<_> = (0..2).map(|c| CommandSink::new(Arc::clone(&shared), c)).collect();
+        let data = [7u8; 8];
+        for (s, sink) in sinks.iter_mut().enumerate() {
+            for i in 0..64u64 {
+                let token = s as u64 * 64 + i;
+                sink.emit(1, &Command::Put { token, array: 3, offset: 8 * i, data: &data });
+            }
+        }
+        let body = 64 * Command::Put { token: 0, array: 3, offset: 0, data: &data }.encoded_len();
+        assert_eq!(shared.stats().blocks_pushed, 2);
+        assert_eq!(shared.queue(1).queued_bytes(), 2 * body, "the queue counts no header reserve");
+        sinks[0].flush_all();
+        let (_, payload) = shared.channel(0).pop_filled().expect("one buffer");
+        assert_eq!(payload.len(), HDR + 2 * body);
+        let mut tokens: Vec<u64> = crate::command::CommandIter::new(&payload[HDR..])
+            .map(|cmd| match cmd {
+                Command::Put { token, .. } => token,
+                other => panic!("unexpected command {other:?}"),
+            })
+            .collect();
+        tokens.sort_unstable();
+        assert_eq!(tokens, (0..128).collect::<Vec<_>>());
+        assert!(shared.channel(0).pop_filled().is_none());
+        assert_eq!(shared.stats().buffers_filled, 1);
+    }
+
+    #[test]
+    fn a_stream_of_small_commands_fills_the_channels_own_buffers() {
+        // Eight acks to a block, a dozen blocks to a full buffer: no first
+        // block is half the load, so none trades places with the buffer and
+        // every buffer is one of the channel pool's four `Vec`s. Were small
+        // first blocks traded, the buffers would wander through every `Vec`
+        // of the block pool (what made `scatter_add_sim` slow and unsteady).
+        const HDR: usize = 17;
+        const BUFFERS: usize = 4;
+        let shared = AggShared::new(2, 1, BUFFERS, 1024, 8, u64::MAX / 2, u64::MAX / 2, HDR, 0);
+        let mut sink = CommandSink::new(Arc::clone(&shared), 0);
+        let chan = shared.channel(0);
+        let mut addresses = std::collections::HashSet::new();
+        let mut tokens = Vec::new();
+        for token in 0..8_000u64 {
+            sink.emit(1, &ack(token));
+            while let Some((_, payload)) = chan.pop_filled() {
+                addresses.insert(payload.as_ptr());
+                assert!(payload[..HDR].iter().all(|&b| b == 0), "reserve not zeroed");
+                tokens.extend(crate::command::CommandIter::new(&payload[HDR..]).map(
+                    |cmd| match cmd {
+                        Command::Ack { token } => token,
+                        other => panic!("unexpected command {other:?}"),
+                    },
+                ));
+            }
+        }
+        assert!(shared.stats().buffers_filled > 50, "the stream filled buffers");
+        assert_eq!(shared.stats().timeout_flushes + shared.stats().idle_flushes, 0);
+        assert!(addresses.len() <= BUFFERS, "buffers came from {} `Vec`s", addresses.len());
+        // Everything that left arrived once (a block that did not fit goes
+        // back behind the others, so order is not kept).
+        let shipped = tokens.len();
+        tokens.sort_unstable();
+        tokens.dedup();
+        assert_eq!(tokens.len(), shipped, "a command travelled twice");
+        assert!(tokens.iter().all(|&t| t < 8_000));
+    }
+
+    static BULK: [u8; 16 * 1024] = [7; 16 * 1024];
+
+    #[test]
     fn pool_stress_never_leaks_or_exceeds_capacity() {
+        // 128-byte buffers of acks: small blocks, several to a buffer.
+        pool_stress(128, 3_000, ack);
+        // 64 KiB buffers, every fourth command a 16 KiB put: blocks that
+        // become the buffer and blocks copied behind one, interleaved.
+        pool_stress(65_536, 600, |i| match i % 4 {
+            0 => Command::Put { token: i, array: 1, offset: 0, data: &BULK },
+            _ => ack(i),
+        });
+    }
+
+    fn pool_stress(buffer_size: usize, per_thread: u64, cmd: fn(u64) -> Command<'static>) {
         // Two emitter threads + one drainer hammering the buffer pools
         // through both the full-flush and timeout-flush paths. At
-        // quiescence every buffer must be back in its pool.
+        // quiescence every buffer must be back in its pool, and every
+        // `Vec` resting there must still hold a buffer.
         use std::sync::atomic::AtomicBool;
-        let shared = AggShared::new(3, 2, 4, 128, 4, 0, 0, 0, 0);
+        let shared = AggShared::new(3, 2, 4, buffer_size, 4, 0, 0, 0, 0);
         let stop = Arc::new(AtomicBool::new(false));
-        let per_thread = 3_000u64;
 
         let drainer = {
             let shared = Arc::clone(&shared);
@@ -1566,7 +1770,7 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut sink = CommandSink::new(shared, chan);
                     for i in 0..per_thread {
-                        sink.emit((i % 3) as NodeId, &ack(i));
+                        sink.emit((i % 3) as NodeId, &cmd(i));
                         if i % 7 == 0 {
                             sink.pump(); // timeout 0: exercises timeout flushes
                         }
@@ -1587,6 +1791,7 @@ mod tests {
             let q = shared.channel(chan);
             assert_eq!(q.backlog(), 0);
             assert_eq!(q.free_buffers(), q.pool_capacity(), "channel {chan} leaked buffers");
+            assert!(q.min_free_buffer_capacity().unwrap() >= buffer_size);
         }
     }
 

@@ -9,12 +9,14 @@
 //! grouped by target segment so each same-segment run resolves the
 //! segment once via [`NodeMemory::with`]), *apply* (runs go through
 //! the vectorized [`Segment`] kernels: same-offset atomic adds pre-merged
-//! into one RMW, word-wise batch copies, `GetReply`s streamed through one
-//! sink access per run, token acknowledgements assembled straight from
-//! the staged token columns). Reply-side opcodes are executed one by one
-//! but gain run-detection for same-token `Ack` bursts. Control commands
-//! (`Alloc`/`Free`/`Spawn`) act as barriers: the staged batch applies
-//! before them, preserving their order relative to data commands.
+//! into one RMW, batch copies at a word atomic per 8 bytes, each
+//! `GetReply`'s payload read from the segment straight into the outgoing
+//! command block through one sink access per run, token acknowledgements
+//! assembled straight from the staged token columns). Reply-side opcodes
+//! are executed one by one but gain run-detection for same-token `Ack`
+//! bursts. Control commands (`Alloc`/`Free`/`Spawn`) act as barriers: the
+//! staged batch applies before them, preserving their order relative to
+//! data commands.
 //!
 //! What the pipeline must be observably equivalent to — each command
 //! applied alone, in some order — is written down as the host-side model
@@ -51,8 +53,6 @@ struct HelperScratch {
     merge: Vec<(u64, i64)>,
     merge_offsets: Vec<u64>,
     merge_deltas: Vec<i64>,
-    /// `GetReply` payload gather area.
-    scratch: Vec<u8>,
     /// Token-only acknowledgements of the buffer (one vectorized `AckN`).
     acks: Vec<u8>,
 }
@@ -65,7 +65,6 @@ impl HelperScratch {
             merge: Vec::new(),
             merge_offsets: Vec::new(),
             merge_deltas: Vec::new(),
-            scratch: Vec::new(),
             acks: Vec::new(),
         }
     }
@@ -73,10 +72,6 @@ impl HelperScratch {
     /// Caps every reusable allocation at sizes derived from
     /// `buffer_size`; called between buffers, when everything is empty.
     fn shrink(&mut self, buffer_size: usize) {
-        if self.scratch.capacity() > buffer_size {
-            self.scratch.truncate(buffer_size);
-            self.scratch.shrink_to(buffer_size);
-        }
         if self.acks.capacity() > buffer_size {
             self.acks.shrink_to(buffer_size);
         }
@@ -345,10 +340,10 @@ fn apply_staged(
     if hs.stage.is_empty() {
         return 0;
     }
-    let HelperScratch { stage, order, merge, merge_offsets, merge_deltas, scratch, acks } = hs;
+    let HelperScratch { stage, order, merge, merge_offsets, merge_deltas, acks } = hs;
     let mut resolved = 0u64;
 
-    // ---- puts: word-wise batch copies, tokens into the ack column ----
+    // ---- puts: batch copies, tokens into the ack column ---------------
     if !stage.put_arrays.is_empty() {
         bucket_by_array(order, &stage.put_arrays);
         resolved += for_each_run(node, order, &stage.put_arrays, |seg, run| {
@@ -446,57 +441,24 @@ fn apply_staged(
         });
     }
 
-    // ---- gets: gather runs into scratch, stream replies per chunk ----
-    //
-    // Chunked so the gather area stays bounded by one buffer's worth of
-    // reply payload (plus one oversized get): a run's total could
-    // otherwise reach commands-per-buffer × max payload.
+    // ---- gets: each reply's payload read into the outgoing block -----
     if !stage.get_arrays.is_empty() {
-        let chunk_cap = node.config.buffer_size;
         bucket_by_array(order, &stage.get_arrays);
         resolved += for_each_run(node, order, &stage.get_arrays, |seg, run| {
-            let mut i = 0;
-            while i < run.len() {
-                let mut total = 0usize;
-                let mut end = i;
-                while end < run.len() {
-                    let len = stage.get_lens[run[end] as usize] as usize;
-                    if end > i && total + len > chunk_cap {
-                        break;
-                    }
-                    total += len;
-                    end += 1;
-                }
-                if scratch.len() < total {
-                    scratch.resize(total, 0);
-                }
-                let mut rest = &mut scratch[..total];
-                seg.gather_batch(run[i..end].iter().map(|&k| {
+            // One sink access streams the whole run of replies.
+            tls::with_sink(|sink| {
+                for &k in run {
                     let k = k as usize;
-                    let (head, tail) =
-                        std::mem::take(&mut rest).split_at_mut(stage.get_lens[k] as usize);
-                    rest = tail;
-                    (stage.get_offsets[k] as usize, head)
-                }));
-                // One sink access streams the whole chunk of replies.
-                tls::with_sink(|sink| {
-                    let mut pos = 0usize;
-                    for &k in &run[i..end] {
-                        let k = k as usize;
-                        let len = stage.get_lens[k] as usize;
-                        sink.emit(
-                            src,
-                            &Command::GetReply {
-                                token: stage.get_tokens[k],
-                                dest: stage.get_dests[k],
-                                data: &scratch[pos..pos + len],
-                            },
-                        );
-                        pos += len;
-                    }
-                });
-                i = end;
-            }
+                    let offset = stage.get_offsets[k] as usize;
+                    sink.emit_get_reply(
+                        src,
+                        stage.get_tokens[k],
+                        stage.get_dests[k],
+                        stage.get_lens[k] as usize,
+                        |payload| seg.read(offset, payload),
+                    );
+                }
+            });
         });
     }
 

@@ -296,20 +296,36 @@ enum MemOp {
     Cas { word: usize, expected: i64, new: i64 },
 }
 
+/// Longest copy the model test makes, in words: with the segment twice
+/// that, the aligned middle of a copy runs to a thousand words, not eight.
+const MAX_COPY_WORDS: usize = 1024;
+
+/// A byte range of the segment: offset and length each drawn as a word
+/// count plus one of the eight alignments, so every head/middle/tail split
+/// of the copy loops comes up at every size (the length gives way where the
+/// range would pass the end).
+fn arb_range(seg_len: usize) -> impl Strategy<Value = (usize, usize)> {
+    (0..seg_len / 8, 0usize..8, 0..MAX_COPY_WORDS + 1, 0usize..8).prop_map(
+        move |(word, a, words, b)| {
+            let offset = word * 8 + a;
+            (offset, (words * 8 + b).min(seg_len - offset))
+        },
+    )
+}
+
 fn arb_mem_ops(seg_len: usize) -> impl Strategy<Value = Vec<MemOp>> {
     let words = seg_len / 8;
     proptest::collection::vec(
         prop_oneof![
-            (0..seg_len, proptest::collection::vec(any::<u8>(), 0..64)).prop_map(
-                move |(offset, mut data)| {
-                    data.truncate(seg_len - offset);
-                    MemOp::Write { offset, data }
-                }
-            ),
-            (0..seg_len, 0usize..64).prop_map(move |(offset, len)| MemOp::Read {
-                offset,
-                len: len.min(seg_len - offset),
+            (arb_range(seg_len), any::<u64>()).prop_map(|((offset, len), seed)| {
+                // Cheap distinct bytes: a write of kilobytes needs no
+                // kilobytes of generated entropy.
+                let data = (0..len as u64)
+                    .map(|i| (seed.wrapping_add(i).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8)
+                    .collect();
+                MemOp::Write { offset, data }
             }),
+            arb_range(seg_len).prop_map(|(offset, len)| MemOp::Read { offset, len }),
             (0..words, any::<i64>()).prop_map(|(w, delta)| MemOp::Add { word: w * 8, delta }),
             (0..words, any::<i64>(), any::<i64>()).prop_map(|(w, e, n)| MemOp::Cas {
                 word: w * 8,
@@ -325,9 +341,9 @@ proptest! {
     /// A `Segment` behaves exactly like a plain byte array under any
     /// single-threaded sequence of writes, reads and atomics.
     #[test]
-    fn segment_matches_reference_model(ops in arb_mem_ops(256)) {
-        let seg = Segment::new(256);
-        let mut model = vec![0u8; 256];
+    fn segment_matches_reference_model(ops in arb_mem_ops(16 * MAX_COPY_WORDS)) {
+        let seg = Segment::new(16 * MAX_COPY_WORDS);
+        let mut model = vec![0u8; 16 * MAX_COPY_WORDS];
         for op in ops {
             match op {
                 MemOp::Write { offset, data } => {

@@ -216,7 +216,10 @@ fn two_hundred_thousand_tasks_reuse_one_workers_slots() {
 /// backend: the sim fabric's wire-thread drain, the TCP transport's
 /// socket teardown and the shm transport's ring abandonment mid-traffic
 /// must each keep the pools whole. The workload: 16 tasks fire 64 puts of
-/// `put_bytes` each into `buffer_size`-byte aggregation buffers.
+/// `put_bytes` each into `buffer_size`-byte aggregation buffers and read
+/// the last one back. A put that fills its command block ships as the
+/// buffer and the pool's `Vec` goes on as a block, so whole also means that
+/// every `Vec` resting in a pool can still hold a buffer.
 fn pools_whole_after_puts(
     start: impl FnOnce(usize, Config) -> Result<Cluster, String>,
     backend: &str,
@@ -235,6 +238,9 @@ fn pools_whole_after_puts(
                 ctx.put_nb(&arr, (t * 64 + k) * put_bytes as u64, &data);
             }
             ctx.wait_commands().unwrap();
+            let mut back = vec![0u8; put_bytes];
+            ctx.get(&arr, (t * 64 + 63) * put_bytes as u64, &mut back).unwrap();
+            assert_eq!(back, data);
         });
         ctx.free(arr);
     });
@@ -250,6 +256,10 @@ fn pools_whole_after_puts(
                 q.pool_capacity(),
                 "[{backend}] node {n} channel {c} pool not whole after shutdown"
             );
+            assert!(
+                q.min_free_buffer_capacity().unwrap() >= buffer_size,
+                "[{backend}] node {n} channel {c} pool holds a Vec too small for a buffer"
+            );
         }
     }
 }
@@ -257,16 +267,19 @@ fn pools_whole_after_puts(
 #[test]
 fn buffer_pools_whole_after_shutdown() {
     pools_whole_after_puts(Cluster::start_sim, "sim", 1024, 8);
+    pools_whole_after_puts(Cluster::start_sim, "sim", 64 * 1024, 16 * 1024);
 }
 
 #[test]
 fn buffer_pools_whole_after_shutdown_tcp() {
     pools_whole_after_puts(Cluster::start_tcp_loopback, "tcp-loopback", 1024, 8);
+    pools_whole_after_puts(Cluster::start_tcp_loopback, "tcp-loopback", 64 * 1024, 16 * 1024);
 }
 
 #[test]
 fn buffer_pools_whole_after_shutdown_shm() {
     pools_whole_after_puts(Cluster::start_shm, "shm", 1024, 8);
+    pools_whole_after_puts(Cluster::start_shm, "shm", 64 * 1024, 16 * 1024);
 }
 
 /// The same contract with frames large enough for the TCP receive side
