@@ -1,4 +1,5 @@
-//! Aggregation-pipeline benchmarks and ablations (DESIGN.md §11).
+//! Aggregation-pipeline benchmarks and ablations (DESIGN.md §12), for a
+//! developer at a quiet machine: nothing gates on these numbers.
 //!
 //! * command emit throughput through the two-level pipeline,
 //! * pre-aggregation ablation (command blocks of one entry push straight
@@ -9,11 +10,13 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gmt_core::aggregation::{AggShared, CommandSink};
 use gmt_core::command::Command;
+use gmt_core::reliable::HEADER_LEN;
 use gmt_sim::{simulate, MachineParams, OpPattern, Phase};
 use std::sync::Arc;
 
 /// Emits `n` small commands, draining the channel queue like the
-/// communication server would.
+/// communication server would. Every pipeline here reserves the
+/// reliability header at the front of each buffer, as the runtime does.
 ///
 /// The drain must interleave with the emits: aggregation gives up when
 /// the fixed buffer pool is empty and retries on a later pump (in the
@@ -48,22 +51,14 @@ fn bench_emit_throughput(c: &mut Criterion) {
     g.throughput(Throughput::Elements(N));
     // Normal two-level pipeline (64-entry command blocks).
     g.bench_function("pre_aggregation_on", |b| {
-        let shared = AggShared::new(2, 1, 4, 65536, 64, u64::MAX / 2, 0, 0, 0);
+        let shared = AggShared::new(2, 1, 4, 65536, 64, u64::MAX / 2, 0, HEADER_LEN, 0);
         let mut sink = CommandSink::new(Arc::clone(&shared), 0);
         b.iter(|| pump_commands(&shared, &mut sink, N));
     });
     // Ablation: one-entry blocks — every command goes through the shared
     // MPMC queue, i.e. no thread-local pre-aggregation level.
     g.bench_function("pre_aggregation_off", |b| {
-        let shared = AggShared::new(2, 1, 4, 65536, 1, u64::MAX / 2, 0, 0, 0);
-        let mut sink = CommandSink::new(Arc::clone(&shared), 0);
-        b.iter(|| pump_commands(&shared, &mut sink, N));
-    });
-    // Reliability ablation: same pipeline with the seq/ack header reserved
-    // at the front of every buffer, as `Config::reliable = true` runs it.
-    g.bench_function("reliability_reserve_on", |b| {
-        let shared =
-            AggShared::new(2, 1, 4, 65536, 64, u64::MAX / 2, 0, gmt_core::reliable::HEADER_LEN, 0);
+        let shared = AggShared::new(2, 1, 4, 65536, 1, u64::MAX / 2, 0, HEADER_LEN, 0);
         let mut sink = CommandSink::new(Arc::clone(&shared), 0);
         b.iter(|| pump_commands(&shared, &mut sink, N));
     });
@@ -76,7 +71,7 @@ fn bench_buffer_size_sweep(c: &mut Criterion) {
     g.throughput(Throughput::Elements(N));
     for &size in &[4096usize, 16384, 65536, 262144] {
         g.bench_with_input(BenchmarkId::from_parameter(size), &size, |b, &size| {
-            let shared = AggShared::new(2, 1, 4, size, 64, u64::MAX / 2, 0, 0, 0);
+            let shared = AggShared::new(2, 1, 4, size, 64, u64::MAX / 2, 0, HEADER_LEN, 0);
             let mut sink = CommandSink::new(Arc::clone(&shared), 0);
             b.iter(|| pump_commands(&shared, &mut sink, N));
         });

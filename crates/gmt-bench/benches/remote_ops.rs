@@ -17,7 +17,10 @@
 //!
 //! `combining_on` / `combining_off` is the value of merging at the
 //! source; EXPERIMENTS.md records the measured ablation (acceptance
-//! target >= 2x).
+//! target >= 2x). Like every criterion bench here, these are developer
+//! microbenchmarks that nothing gates on: the end-to-end benchmark
+//! (`bench/e2e`, compared against a base commit by `ci/ab.sh`) is the
+//! one that judges a change.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use gmt_core::{Cluster, Config, Distribution, SpawnPolicy};
@@ -166,10 +169,7 @@ fn bench_remote_ops(c: &mut Criterion) {
     }
     // The same storms over real sockets: frames cross the kernel loopback
     // path instead of the sim's in-memory queues, pricing syscalls,
-    // copies and wakeups per emitted buffer. Recorded by the gate script
-    // but *not* gated — loopback latency on shared CI runners is too
-    // noisy to hold to a 15% threshold (EXPERIMENTS.md tracks the
-    // numbers instead).
+    // copies and wakeups per emitted buffer.
     g.throughput(Throughput::Elements(ELEMS));
     g.bench_function("put_storm/tcp_loopback", |b| {
         let cluster = Cluster::start_tcp_loopback(2, Config::small()).unwrap();
@@ -184,8 +184,7 @@ fn bench_remote_ops(c: &mut Criterion) {
     });
     // And over the shared-memory rings: the same real framing with zero
     // syscalls on the hot path — the number that prices exactly the
-    // loopback syscall/copy/wakeup tax the rows above pay. Recorded,
-    // not gated, like every non-sim tag.
+    // loopback syscall/copy/wakeup tax the rows above pay.
     g.throughput(Throughput::Elements(ELEMS));
     g.bench_function("put_storm/shm", |b| {
         let cluster = Cluster::start_shm(2, Config::small()).unwrap();

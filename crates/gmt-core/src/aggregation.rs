@@ -374,7 +374,9 @@ pub struct AggShared {
     buffer_size: usize,
     /// Bytes reserved (zeroed) at the front of every command block and
     /// aggregation buffer for the transport header the reliability layer
-    /// patches in before the send. 0 when reliability is off.
+    /// patches in before the send. The runtime always reserves
+    /// `reliable::HEADER_LEN`; standalone instances (tests, benchmarks)
+    /// may reserve 0.
     header_reserve: usize,
     cmd_block_entries: usize,
     cmd_block_timeout_ns: u64,

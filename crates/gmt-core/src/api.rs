@@ -618,7 +618,7 @@ impl<'a> TaskCtx<'a> {
             && self.node.config.op_deadline_ns == 0
         {
             // Poisoned task (a previous deadline abandoned operations that
-            // may never complete, e.g. an unreliable fabric lost them) and
+            // may never complete, e.g. behind a partition nothing detects) and
             // no deadline is armed any more: never wait unbounded here —
             // re-arm a floor deadline so the watchdog still frees us.
             self.set_op_deadline(POISONED_WAIT_FLOOR_NS);
@@ -679,8 +679,8 @@ impl<'a> TaskCtx<'a> {
     ///
     /// In the common case this is one load. In the abandoned state it
     /// yields cooperatively for up to one deadline's worth of time; if
-    /// the stragglers still have not drained (they may *never* — an
-    /// unreliable fabric loses them for good), it fails fast with
+    /// the stragglers still have not drained (they may *never* — behind a
+    /// partition nothing detects they are lost for good), it fails fast with
     /// [`GmtError::DeadlineExceeded`] rather than hanging: the task is
     /// poisoned for reply-carrying remote operations, while purely local
     /// operations (for which `is_remote` returns `false`) proceed

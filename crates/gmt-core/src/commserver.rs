@@ -9,24 +9,24 @@
 //! point of the paper: multi-threaded MPI performed poorly (Table II), so
 //! GMT relies on aggregation — not endpoint parallelism — for bandwidth.
 //!
-//! When `Config::reliable` is on, this thread also drives the
-//! [`ReliableLink`] state machine: it stamps sequence/ack headers onto
-//! outgoing buffers (keeping a shared payload handle queued until the
-//! peer's cumulative ack arrives), deduplicates inbound buffers, emits
-//! standalone acks when there is no return traffic to piggyback on,
-//! retransmits the queue head with exponential backoff, and declares peers
-//! dead when the retry budget runs out — failing every affected request
-//! token with `GmtError::RemoteDead`. It also drives end-to-end flow
-//! control: buffers beyond a peer's in-flight window are held inside the
-//! link (the peer enters the **Backpressured** state — slow, not dead),
-//! released as acks open the window, and the node's own receive credit is
-//! re-advertised each sweep from the helper backlog. The failure detector rides on the
-//! same sweep: idle links get heartbeats, silent peers are suspected and
-//! eventually confirmed dead, and death notices disseminate every
-//! confirmation so survivors converge on one membership view (see
-//! [`crate::reliable`]). It additionally runs the stuck-task
-//! watchdog sweep, since it is the one thread guaranteed to keep spinning
-//! while every worker is parked.
+//! This thread also drives the [`ReliableLink`] state machine, the
+//! stand-in for the lossless delivery the paper gets from MPI: it stamps
+//! sequence/ack headers onto outgoing buffers (keeping a shared payload
+//! handle queued until the peer's cumulative ack arrives), deduplicates
+//! inbound buffers, emits standalone acks when there is no return traffic
+//! to piggyback on, retransmits the queue head with exponential backoff,
+//! and declares peers dead when the retry budget runs out — failing every
+//! affected request token with `GmtError::RemoteDead`. It also drives
+//! end-to-end flow control: buffers beyond a peer's in-flight window are
+//! held inside the link (the peer enters the **Backpressured** state —
+//! slow, not dead), released as acks open the window, and the node's own
+//! receive credit is re-advertised each sweep from the helper backlog. The
+//! failure detector rides on the same sweep: idle links get heartbeats,
+//! silent peers are suspected and eventually confirmed dead, and death
+//! notices disseminate every confirmation so survivors converge on one
+//! membership view (see [`crate::reliable`]). It additionally runs the
+//! stuck-task watchdog sweep, since it is the one thread guaranteed to
+//! keep spinning while every worker is parked.
 //!
 //! Channel polling is a fair round-robin: at most one buffer per channel
 //! per sweep, so one chatty worker cannot starve the others' queues.
@@ -38,6 +38,7 @@ use crate::reliable::{DeathReason, DetectorConfig, PollAction, Recv, ReliableLin
 use crate::runtime::NodeShared;
 use gmt_net::{LinkState, Payload, Tag, Transport};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 /// Fabric tag used for aggregation buffers (data and standalone acks —
 /// the reliability header's kind byte tells them apart).
@@ -62,54 +63,49 @@ fn send(node: &NodeShared, transport: &dyn Transport, dst: crate::NodeId, payloa
     }
 }
 
-/// Ships one filled aggregation buffer: through the reliability layer
-/// (header stamp + retransmit queue + flow window) when enabled, raw
-/// otherwise. Buffers bound for a dead peer are never sent — their
-/// request tokens fail immediately and the buffer returns to its pool.
+/// Ships one filled aggregation buffer through the reliability layer
+/// (header stamp + retransmit queue + flow window). Buffers bound for a
+/// dead peer are never sent — their request tokens fail immediately and
+/// the buffer returns to its pool.
 /// Buffers the flow window refuses are *held* inside the link (the peer
 /// enters the Backpressured state) and drained by the release pass once
 /// acks open the window again.
 fn send_buffer(
     node: &NodeShared,
     transport: &dyn Transport,
-    link: &mut Option<ReliableLink>,
+    link: &mut ReliableLink,
     dst: crate::NodeId,
     payload: Payload,
     now_ns: u64,
 ) {
-    match link {
-        Some(link) => {
-            if link.is_dead(dst) {
-                // Emitted after (or racing) the death confirmation: the
-                // op table still counts these operations — fail them now.
-                // Dropping `payload` returns the buffer to its pool.
-                fail_outstanding(node, dst);
-                return;
+    if link.is_dead(dst) {
+        // Emitted after (or racing) the death confirmation: the op table
+        // still counts these operations — fail them now. Dropping
+        // `payload` returns the buffer to its pool.
+        fail_outstanding(node, dst);
+        return;
+    }
+    let had_pending_ack = link.has_pending_ack(dst);
+    match link.submit_data(dst, payload, now_ns) {
+        Some(wire) => {
+            if had_pending_ack {
+                // This data buffer carries the deferred cumulative ack,
+                // sparing a standalone ack packet.
+                node.metrics.acks_piggybacked.add(node.metrics.comm_shard(), 1);
             }
-            let had_pending_ack = link.has_pending_ack(dst);
-            match link.submit_data(dst, payload, now_ns) {
-                Some(wire) => {
-                    if had_pending_ack {
-                        // This data buffer carries the deferred cumulative
-                        // ack, sparing a standalone ack packet.
-                        node.metrics.acks_piggybacked.add(node.metrics.comm_shard(), 1);
-                    }
-                    node.metrics.flow_window_occupancy.record(link.unacked(dst) as u64);
-                    send(node, transport, dst, wire);
-                }
-                None => {
-                    // Window full: the link holds the buffer, the peer is
-                    // now Backpressured (slow, not dead).
-                    let shard = node.metrics.comm_shard();
-                    node.metrics.flow_holds.add(shard, 1);
-                    if !node.agg.flow().is_backpressured(dst) {
-                        node.metrics.flow_backpressure_events.add(shard, 1);
-                        node.agg.flow().set_backpressured(dst, true);
-                    }
-                }
+            node.metrics.flow_window_occupancy.record(link.unacked(dst) as u64);
+            send(node, transport, dst, wire);
+        }
+        None => {
+            // Window full: the link holds the buffer, the peer is now
+            // Backpressured (slow, not dead).
+            let shard = node.metrics.comm_shard();
+            node.metrics.flow_holds.add(shard, 1);
+            if !node.agg.flow().is_backpressured(dst) {
+                node.metrics.flow_backpressure_events.add(shard, 1);
+                node.agg.flow().set_backpressured(dst, true);
             }
         }
-        None => send(node, transport, dst, payload),
     }
 }
 
@@ -125,23 +121,17 @@ fn wake_flow_waiters(node: &NodeShared) {
     }
 }
 
-/// Routes one inbound packet: dedup + ack processing when reliable,
-/// straight to the helpers otherwise.
+/// Routes one inbound packet: dedup and ack processing, then new data to
+/// the helpers.
 fn receive(
     node: &NodeShared,
-    link: &mut Option<ReliableLink>,
+    link: &mut ReliableLink,
     src: crate::NodeId,
     payload: Payload,
     now_ns: u64,
 ) {
     let shard = node.metrics.comm_shard();
     let nbytes = payload.len() as u64;
-    let Some(link) = link else {
-        node.metrics.comm_buffers_recv.add(shard, 1);
-        node.metrics.comm_bytes_recv.add(shard, nbytes);
-        node.helper_in.push((src, payload));
-        return;
-    };
     match link.on_packet(src, &payload, now_ns) {
         Recv::Deliver => {
             node.metrics.comm_buffers_recv.add(shard, 1);
@@ -267,23 +257,30 @@ fn apply(node: &NodeShared, transport: &dyn Transport, action: PollAction) {
     }
 }
 
-/// Entry point of the communication-server thread.
-pub fn comm_main(node: Arc<NodeShared>, transport: Arc<dyn Transport>, tracer: ThreadTracer) {
-    let mut link = node.config.reliable.then(|| {
-        ReliableLink::new(
-            node.node_id,
-            node.nodes,
-            node.config.rto_base_ns,
-            node.config.rto_max_ns,
-            node.config.max_retries,
-            ACK_DELAY_NS,
-            node.config.flow_window,
-            DetectorConfig {
-                heartbeat_idle_ns: node.config.heartbeat_idle_ns,
-                death_timeout_ns: node.config.peer_death_timeout_ns,
-            },
-        )
-    });
+/// Entry point of the communication-server thread. `emitters` are the
+/// node's worker and helper threads: at shutdown the server keeps
+/// sweeping until every one of them has returned from its final flush,
+/// so its own last drain sees every buffer they filled, and then joins
+/// them.
+pub fn comm_main(
+    node: Arc<NodeShared>,
+    transport: Arc<dyn Transport>,
+    tracer: ThreadTracer,
+    emitters: Vec<JoinHandle<()>>,
+) {
+    let mut link = ReliableLink::new(
+        node.node_id,
+        node.nodes,
+        node.config.rto_base_ns,
+        node.config.rto_max_ns,
+        node.config.max_retries,
+        ACK_DELAY_NS,
+        node.config.flow_window,
+        DetectorConfig {
+            heartbeat_idle_ns: node.config.heartbeat_idle_ns,
+            death_timeout_ns: node.config.peer_death_timeout_ns,
+        },
+    );
     let mut actions: Vec<PollAction> = Vec::new();
     // Watchdog sweeps walk every claimed op-table slot; run them at a
     // quarter of the reporting deadline (floor 1 ms) for ±25% precision.
@@ -335,80 +332,77 @@ pub fn comm_main(node: Arc<NodeShared>, transport: Arc<dyn Transport>, tracer: T
             receive(&node, &mut link, pkt.src, pkt.payload, now);
             progressed = true;
         }
+        // Re-advertise receive credit from the inbound backlog: a node
+        // drowning in unprocessed buffers tells its peers to narrow their
+        // windows toward it (piggybacked on every outgoing header). Floor
+        // of 1 — the zero-credit probe keeps the link from wedging.
+        let backlog = node.helper_in.len();
+        let credit = node.config.flow_window.saturating_sub(backlog).max(1) as u16;
+        link.set_local_credit(credit);
+        if node.agg.flow().any() {
+            // Release pass: acks processed above may have opened
+            // windows — stamp and ship what each one now admits, and
+            // clear the Backpressured state (waking flow-parked
+            // emitters) once a held queue drains.
+            for dst in 0..node.nodes {
+                if !node.agg.flow().is_backpressured(dst) || link.is_dead(dst) {
+                    continue;
+                }
+                let opened = link.release_window(dst, now, &mut released);
+                for wire in released.drain(..) {
+                    node.metrics.flow_window_occupancy.record(link.unacked(dst) as u64);
+                    send(&node, &*transport, dst, wire);
+                    progressed = true;
+                }
+                if opened {
+                    node.agg.flow().set_backpressured(dst, false);
+                    wake_flow_waiters(&node);
+                    progressed = true;
+                }
+            }
+        }
+        // Publish the held-buffer gauge and the unacked watermark
+        // (both by delta — gauges have no set). The O(nodes) scan is
+        // cheap at in-process cluster sizes and also absorbs held
+        // buffers drained by a death.
+        let mut held_now: i64 = 0;
+        let mut watermark = watermark_published;
+        for dst in 0..node.nodes {
+            held_now += link.held_len(dst) as i64;
+            watermark = watermark.max(link.unacked_watermark(dst));
+        }
+        if held_now != held_published {
+            node.metrics.flow_held.add(held_now - held_published);
+            held_published = held_now;
+        }
+        if watermark > watermark_published {
+            node.metrics.flow_unacked_watermark.add((watermark - watermark_published) as i64);
+            watermark_published = watermark;
+        }
+        if observe_kills && now >= next_kill_check_ns {
+            next_kill_check_ns = now + kill_check_period_ns;
+            for peer in 0..node.nodes {
+                if peer == node.node_id || link.is_dead(peer) {
+                    continue;
+                }
+                // First-hand connection loss and an injected fabric
+                // kill arrive through the same observation; the
+                // cause says which evidence fired, and the log line
+                // below is the only place it is printed.
+                if let LinkState::Down(cause) = transport.link_state(peer) {
+                    if let Some(unacked) = link.confirm_death(peer) {
+                        apply_death(&node, peer, unacked, &cause.to_string());
+                        progressed = true;
+                    }
+                }
+            }
+        }
         // Reliability timers: standalone acks, retransmits, heartbeats,
         // suspicion, death, notice dissemination.
-        if let Some(l) = &mut link {
-            // Re-advertise receive credit from the inbound backlog: a
-            // node drowning in unprocessed buffers tells its peers to
-            // narrow their windows toward it (piggybacked on every
-            // outgoing header). Floor of 1 — the zero-credit probe keeps
-            // the link from wedging.
-            let backlog = node.helper_in.len();
-            let credit = node.config.flow_window.saturating_sub(backlog).max(1) as u16;
-            l.set_local_credit(credit);
-            if node.agg.flow().any() {
-                // Release pass: acks processed above may have opened
-                // windows — stamp and ship what each one now admits, and
-                // clear the Backpressured state (waking flow-parked
-                // emitters) once a held queue drains.
-                for dst in 0..node.nodes {
-                    if !node.agg.flow().is_backpressured(dst) || l.is_dead(dst) {
-                        continue;
-                    }
-                    let opened = l.release_window(dst, now, &mut released);
-                    for wire in released.drain(..) {
-                        node.metrics.flow_window_occupancy.record(l.unacked(dst) as u64);
-                        send(&node, &*transport, dst, wire);
-                        progressed = true;
-                    }
-                    if opened {
-                        node.agg.flow().set_backpressured(dst, false);
-                        wake_flow_waiters(&node);
-                        progressed = true;
-                    }
-                }
-            }
-            // Publish the held-buffer gauge and the unacked watermark
-            // (both by delta — gauges have no set). The O(nodes) scan is
-            // cheap at in-process cluster sizes and also absorbs held
-            // buffers drained by a death.
-            let mut held_now: i64 = 0;
-            let mut watermark = watermark_published;
-            for dst in 0..node.nodes {
-                held_now += l.held_len(dst) as i64;
-                watermark = watermark.max(l.unacked_watermark(dst));
-            }
-            if held_now != held_published {
-                node.metrics.flow_held.add(held_now - held_published);
-                held_published = held_now;
-            }
-            if watermark > watermark_published {
-                node.metrics.flow_unacked_watermark.add((watermark - watermark_published) as i64);
-                watermark_published = watermark;
-            }
-            if observe_kills && now >= next_kill_check_ns {
-                next_kill_check_ns = now + kill_check_period_ns;
-                for peer in 0..node.nodes {
-                    if peer == node.node_id || l.is_dead(peer) {
-                        continue;
-                    }
-                    // First-hand connection loss and an injected fabric
-                    // kill arrive through the same observation; the
-                    // cause says which evidence fired, and the log line
-                    // below is the only place it is printed.
-                    if let LinkState::Down(cause) = transport.link_state(peer) {
-                        if let Some(unacked) = l.confirm_death(peer) {
-                            apply_death(&node, peer, unacked, &cause.to_string());
-                            progressed = true;
-                        }
-                    }
-                }
-            }
-            l.poll(now, &mut actions);
-            for a in actions.drain(..) {
-                apply(&node, &*transport, a);
-                progressed = true;
-            }
+        link.poll(now, &mut actions);
+        for a in actions.drain(..) {
+            apply(&node, &*transport, a);
+            progressed = true;
         }
         if now >= next_watchdog_ns {
             next_watchdog_ns = now + watchdog_period_ns;
@@ -428,17 +422,19 @@ pub fn comm_main(node: Arc<NodeShared>, transport: Arc<dyn Transport>, tracer: T
             backoff.reset();
         } else {
             if node.stopping() {
-                break;
+                // Release every flow-parked emitter: it observes
+                // `stopping` and returns.
+                wake_flow_waiters(&node);
+                if emitters.iter().all(JoinHandle::is_finished) {
+                    break;
+                }
             }
             // The communication server holds nothing of its own to flush.
             backoff.wait(|| true);
         }
     }
-    // Shutdown: release every flow-parked emitter (they observe
-    // `stopping` and return) before the final channel drain.
-    wake_flow_waiters(&node);
-    // Best-effort final drain so peers unblock during shutdown; sweep
-    // round-robin until every channel is empty.
+    // The final drain, after the emitters' last flushes, so peers unblock
+    // during shutdown; sweep round-robin until every channel is empty.
     loop {
         let now = node.agg.tick();
         let mut progressed = false;
@@ -452,6 +448,11 @@ pub fn comm_main(node: Arc<NodeShared>, transport: Arc<dyn Transport>, tracer: T
             break;
         }
     }
-    // `link` drops here: any still-unacked shared payloads release their
-    // pooled buffers, keeping every pool whole after shutdown.
+    // Every emitter has finished, so nothing refills a channel once
+    // `link` drops here and its still-unacked payloads go back to their
+    // pools: the pools are whole after shutdown.
+    drop(link);
+    for t in emitters {
+        let _ = t.join();
+    }
 }

@@ -29,7 +29,7 @@ pub const TRACE_CAPACITY: usize = 8 * 1024;
 /// peer heard from within it is never declared dead by retry exhaustion.
 pub const SUSPECT_FRACTION: u64 = 5;
 
-/// Configuration of one GMT node instance: the 19 values that some
+/// Configuration of one GMT node instance: the 18 values that some
 /// caller, preset, test or benchmark sets to a second value. Everything
 /// else is a constant above or simply always on (batched helper apply,
 /// flow control, load shedding toward backpressured peers, link-state
@@ -84,13 +84,6 @@ pub struct Config {
     /// delivery (functional testing). Kept: the latency-tolerance
     /// experiments need the Olympus model, every functional test `None`.
     pub network: Option<NetworkModel>,
-    /// Run the seq/ack/retransmit reliability layer on aggregation
-    /// traffic. The paper assumes a lossless MPI fabric (no such layer);
-    /// turning this off reproduces that assumption — and its failure mode:
-    /// any lost buffer hangs every task parked on a token inside it. Kept:
-    /// it is the paper's configuration, and the only way a test can make a
-    /// loss undetectable (stuck-task watchdog, operation deadlines).
-    pub reliable: bool,
     /// Initial retransmit timeout (ns, coarse-clock granularity); doubles
     /// on every retry of the same packet. Kept, with
     /// [`Config::rto_max_ns`]: a retransmit timeout follows the fabric's
@@ -137,8 +130,9 @@ pub struct Config {
     /// [`GmtError::DeadlineExceeded`](crate::error::GmtError::DeadlineExceeded).
     /// `0` (the default) disables enforcement; per-task deadlines set via
     /// the `*_deadline` API variants override this value. Kept: it is the
-    /// only bound on a wait over an unreliable fabric, which the wave and
-    /// membership tests arm.
+    /// only bound on a wait behind a loss nothing detects (a silent
+    /// partition from a peer heard within the suspicion threshold), which
+    /// the wave and membership tests arm.
     pub op_deadline_ns: u64,
 }
 
@@ -156,7 +150,6 @@ impl Config {
             aggregation_timeout_ns: 30_000,
             combine_window: 16,
             network: Some(NetworkModel::olympus()),
-            reliable: true,
             rto_base_ns: 5_000_000,
             rto_max_ns: 80_000_000,
             max_retries: 8,
@@ -182,7 +175,6 @@ impl Config {
             aggregation_timeout_ns: 10_000,
             combine_window: 16,
             network: None,
-            reliable: true,
             rto_base_ns: 1_000_000,
             rto_max_ns: 20_000_000,
             max_retries: 6,
@@ -220,31 +212,29 @@ impl Config {
         if self.cmd_block_entries == 0 {
             return Err("cmd_block_entries must be at least 1".into());
         }
-        if self.reliable {
-            if self.rto_base_ns == 0 {
-                return Err("rto_base_ns must be nonzero with reliability enabled".into());
-            }
-            if self.rto_max_ns < self.rto_base_ns {
-                return Err("rto_max_ns must be at least rto_base_ns".into());
-            }
-            if self.max_retries == 0 {
-                return Err("max_retries must be at least 1 with reliability enabled".into());
-            }
-            if self.flow_window == 0 || self.flow_window >= u16::MAX as usize {
-                return Err(format!(
-                    "flow_window {} is outside 1..={} (the u16 credit encoding)",
-                    self.flow_window,
-                    u16::MAX - 1
-                ));
-            }
-            // A suspicion needs at least one missed heartbeat behind it.
-            if self.heartbeat_idle_ns > 0
-                && self.peer_death_timeout_ns / SUSPECT_FRACTION <= self.heartbeat_idle_ns
-            {
-                return Err(format!(
-                    "peer_death_timeout_ns must exceed {SUSPECT_FRACTION} x heartbeat_idle_ns"
-                ));
-            }
+        if self.rto_base_ns == 0 {
+            return Err("rto_base_ns must be nonzero".into());
+        }
+        if self.rto_max_ns < self.rto_base_ns {
+            return Err("rto_max_ns must be at least rto_base_ns".into());
+        }
+        if self.max_retries == 0 {
+            return Err("max_retries must be at least 1".into());
+        }
+        if self.flow_window == 0 || self.flow_window >= u16::MAX as usize {
+            return Err(format!(
+                "flow_window {} is outside 1..={} (the u16 credit encoding)",
+                self.flow_window,
+                u16::MAX - 1
+            ));
+        }
+        // A suspicion needs at least one missed heartbeat behind it.
+        if self.heartbeat_idle_ns > 0
+            && self.peer_death_timeout_ns / SUSPECT_FRACTION <= self.heartbeat_idle_ns
+        {
+            return Err(format!(
+                "peer_death_timeout_ns must exceed {SUSPECT_FRACTION} x heartbeat_idle_ns"
+            ));
         }
         Ok(())
     }

@@ -458,6 +458,8 @@ pub struct Cluster {
     /// Cluster-wide traffic counters (all transports of one in-process
     /// cluster share a single table on either backend).
     net: Arc<TrafficStats>,
+    /// One comm-server thread per node; each joins its node's workers and
+    /// helpers before it returns.
     threads: Vec<JoinHandle<()>>,
     stopped: bool,
     trace: Option<TraceHub>,
@@ -531,11 +533,11 @@ impl TraceHub {
     }
 }
 
-/// One booted node: its shared state plus the runtime threads serving
-/// it (workers, helpers, comm server — in that spawn order).
+/// One booted node: its shared state plus its comm-server thread, which
+/// joins the node's workers and helpers before it returns.
 struct NodeBoot {
     shared: Arc<NodeShared>,
-    threads: Vec<JoinHandle<()>>,
+    comm: JoinHandle<()>,
 }
 
 /// Brings up one node over an already-built transport: allocates its
@@ -573,7 +575,7 @@ fn boot_node(
         config.cmd_block_entries,
         config.cmd_block_timeout_ns,
         config.aggregation_timeout_ns,
-        if config.reliable { crate::reliable::HEADER_LEN } else { 0 },
+        crate::reliable::HEADER_LEN,
         config.combine_window,
         metrics.registry(),
     );
@@ -597,11 +599,11 @@ fn boot_node(
         free_warned: (0..nodes).map(|_| AtomicBool::new(false)).collect(),
         ops: OpTable::new(nodes),
     });
-    let mut threads = Vec::with_capacity(threads_per_node + 1);
+    let mut emitters = Vec::with_capacity(threads_per_node);
     for w in 0..config.num_workers {
         let s = Arc::clone(&shared);
         let tracer = make_tracer(w);
-        threads.push(
+        emitters.push(
             std::thread::Builder::new()
                 .name(format!("gmt-n{node_id}-w{w}"))
                 .spawn(move || worker::worker_main(s, w, tracer))
@@ -612,7 +614,7 @@ fn boot_node(
         let s = Arc::clone(&shared);
         let chan = config.num_workers + h;
         let tracer = make_tracer(chan);
-        threads.push(
+        emitters.push(
             std::thread::Builder::new()
                 .name(format!("gmt-n{node_id}-h{h}"))
                 .spawn(move || helper::helper_main(s, chan, tracer))
@@ -621,13 +623,11 @@ fn boot_node(
     }
     let s = Arc::clone(&shared);
     let tracer = make_tracer(threads_per_node);
-    threads.push(
-        std::thread::Builder::new()
-            .name(format!("gmt-n{node_id}-comm"))
-            .spawn(move || commserver::comm_main(s, transport, tracer))
-            .map_err(|e| format!("spawning comm server: {e}"))?,
-    );
-    Ok(NodeBoot { shared, threads })
+    let comm = std::thread::Builder::new()
+        .name(format!("gmt-n{node_id}-comm"))
+        .spawn(move || commserver::comm_main(s, transport, tracer, emitters))
+        .map_err(|e| format!("spawning comm server: {e}"))?;
+    Ok(NodeBoot { shared, comm })
 }
 
 impl Cluster {
@@ -723,7 +723,7 @@ impl Cluster {
                 Arc::clone(transport),
                 trace.as_ref(),
             )?;
-            threads.extend(boot.threads);
+            threads.push(boot.comm);
             handles.push(NodeHandle { shared: boot.shared });
         }
         Ok(Cluster { nodes: handles, fabric, transports, net, threads, stopped: false, trace })
@@ -839,7 +839,8 @@ impl std::fmt::Debug for Cluster {
 pub struct NodeRuntime {
     node: NodeHandle,
     transport: Arc<dyn Transport>,
-    threads: Vec<JoinHandle<()>>,
+    /// The comm-server thread, which joins the workers and helpers.
+    comm: Option<JoinHandle<()>>,
     stopped: bool,
     trace: Option<TraceHub>,
 }
@@ -874,7 +875,7 @@ impl NodeRuntime {
         Ok(NodeRuntime {
             node: NodeHandle { shared: boot.shared },
             transport,
-            threads: boot.threads,
+            comm: Some(boot.comm),
             stopped: false,
             trace,
         })
@@ -909,7 +910,7 @@ impl NodeRuntime {
         }
         self.stopped = true;
         self.node.shared().stop.store(true, Ordering::SeqCst);
-        for t in self.threads.drain(..) {
+        if let Some(t) = self.comm.take() {
             let _ = t.join();
         }
         self.transport.shutdown();

@@ -291,6 +291,61 @@ fn buffer_pools_whole_after_shutdown_tcp_large_frames() {
     pools_whole_after_puts(Cluster::start_tcp_loopback, "tcp-loopback", 64 * 1024, 4096);
 }
 
+/// Pools are whole after a shutdown that finds them dry. Behind a silent
+/// partition (a 60 s death timeout: nothing is declared dead meanwhile)
+/// every buffer of node 0 sits unacked in its link's retransmit queue
+/// while more blocks wait in the aggregation queue, and the tasks that
+/// emitted them park for good. At shutdown the workers' and helper's
+/// final flushes retry the dry pools. The comm server must not drop its
+/// link, which hands those buffers back, before every one of them gave up:
+/// a flush would fill a returned buffer and leave it in a channel that
+/// nobody drains any more.
+#[test]
+fn pools_whole_after_shutdown_behind_a_silent_partition() {
+    use gmt_core::task::RootTask;
+    use gmt_net::FaultPlan;
+    use std::time::{Duration, Instant};
+
+    const TASKS: u64 = 4;
+    const PUTS: u64 = 16;
+    const PAYLOAD: u64 = 4000;
+    let config = Config { peer_death_timeout_ns: 60_000_000_000, ..Config::small() };
+    let cluster = Cluster::start_sim(2, config).unwrap();
+    let aggs: Vec<_> = (0..2).map(|n| Arc::clone(&cluster.node(n).shared().agg)).collect();
+    let arr = cluster.node(0).run(|ctx| ctx.alloc(TASKS * PUTS * PAYLOAD, Distribution::Remote));
+    cluster.install_faults(FaultPlan::new(1).drop(0, 1, 1.0).drop(1, 0, 1.0));
+    for t in 0..TASKS {
+        cluster.node(0).shared().root_queue.push(RootTask {
+            f: Box::new(move |ctx| {
+                let data = vec![t as u8; PAYLOAD as usize];
+                for k in 0..PUTS {
+                    ctx.put_nb(&arr, (t * PUTS + k) * PAYLOAD, &data);
+                }
+                let _ = ctx.wait_commands();
+            }),
+        });
+    }
+    let node0 = &aggs[0];
+    let dry = || {
+        (0..node0.channels()).all(|c| node0.channel(c).free_buffers() == 0)
+            && node0.queue(1).queued_bytes() > 0
+    };
+    let start = Instant::now();
+    while !dry() && start.elapsed() < Duration::from_secs(10) {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(dry(), "node 0's pools never ran dry with blocks still queued");
+    cluster.shutdown();
+    assert!(node0.queue(1).queued_bytes() > 0, "the final flushes found a buffer to fill");
+    for (n, agg) in aggs.iter().enumerate() {
+        for c in 0..agg.channels() {
+            let q = agg.channel(c);
+            assert_eq!(q.backlog(), 0, "node {n} channel {c} still has filled buffers");
+            assert_eq!(q.free_buffers(), q.pool_capacity(), "node {n} channel {c} pool not whole");
+        }
+    }
+}
+
 /// Soak: repeated cluster lifecycles must not leak OS threads or wedge.
 #[test]
 fn repeated_cluster_lifecycles() {

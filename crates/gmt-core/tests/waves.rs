@@ -158,16 +158,21 @@ fn an_abandoned_wave_is_never_written_and_the_next_one_rearms() {
     cluster.shutdown();
 }
 
-/// When the stragglers can never drain (unreliable fabric, dead peer) the
-/// task is poisoned: the wave helpers refuse within a bounded time, as
-/// `gather` does, instead of issuing operations whose replies would be
-/// dropped.
+/// When the stragglers can never drain (a silent partition, which nothing
+/// detects while the peer was heard within a fifth of the 60 s death
+/// timeout) the task is poisoned: the wave helpers refuse within a bounded
+/// time, as `gather` does, instead of issuing operations whose replies
+/// would be dropped.
 #[test]
 fn a_poisoned_task_is_refused_by_the_wave_helpers() {
-    let config = Config { reliable: false, op_deadline_ns: 40_000_000, ..Config::small() };
+    let config = Config {
+        op_deadline_ns: 40_000_000,
+        peer_death_timeout_ns: 60_000_000_000,
+        ..Config::small()
+    };
     let cluster = Cluster::start_sim(2, config).unwrap();
     let arr = cluster.node(0).run(|ctx| ctx.alloc(8 * 8, Distribution::Remote));
-    cluster.install_faults(FaultPlan::new(1).kill(1));
+    cluster.install_faults(FaultPlan::new(1).drop(0, 1, 1.0).drop(1, 0, 1.0));
     cluster.node(0).run(move |ctx| {
         let first = ctx.atomic_cas_wave(&arr, &[0, 1, 2], 0, 1);
         assert!(matches!(first, Err(GmtError::DeadlineExceeded { pending: 3 })), "{first:?}");
@@ -180,6 +185,10 @@ fn a_poisoned_task_is_refused_by_the_wave_helpers() {
         let gather = ctx.gather::<i64>(&arr, &[0]);
         assert!(matches!(gather, Err(GmtError::DeadlineExceeded { .. })), "{gather:?}");
     });
+    // The link kept retrying into the partition and declared nothing.
+    assert!(cluster.node(0).dead_peers().is_empty());
+    let retransmits = cluster.node(0).metrics_snapshot().counter("reliable.retransmits");
+    assert!(retransmits.unwrap_or(0) > 0, "no retransmit into the partition");
     cluster.shutdown();
 }
 

@@ -263,23 +263,30 @@ fn killed_node_surfaces_remote_dead_within_retry_budget() {
     assert_pools_whole(&aggs);
 }
 
-/// The watchdog's positive path: with the reliability layer *off* (the
-/// paper's lossless-MPI assumption) a blackholed peer turns every token
-/// addressed to it into a permanent hang — and the stuck-token watchdog
-/// must say so, instead of the program just sitting there.
+/// The watchdog's positive path: a silent partition is a loss nothing
+/// detects while the test runs — no backend reports a dropped frame as a
+/// link going down, and with a 60 s death timeout the peer was heard
+/// within the suspicion threshold (a fifth of it), so retry exhaustion
+/// does not kill it either. Every token addressed across the partition
+/// hangs, and the stuck-token watchdog must say so, instead of the program
+/// just sitting there.
 #[test]
-fn watchdog_reports_stuck_tokens_when_reliability_is_off() {
+fn watchdog_reports_stuck_tokens_behind_a_silent_partition() {
     let seed = seed_from_env(0x57C);
     eprintln!(
-        "[fault_tolerance] watchdog_reports_stuck_tokens_when_reliability_is_off seed={seed}"
+        "[fault_tolerance] watchdog_reports_stuck_tokens_behind_a_silent_partition seed={seed}"
     );
 
-    let config = Config { reliable: false, stuck_task_deadline_ns: 50_000_000, ..Config::small() };
+    let config = Config {
+        stuck_task_deadline_ns: 50_000_000,
+        peer_death_timeout_ns: 60_000_000_000,
+        ..Config::small()
+    };
     let cluster = Cluster::start_sim(2, config).unwrap();
     // Allocate while the fabric is healthy; elements 16..32 live on node 1.
     let arr = cluster.node(0).run(|ctx| ctx.alloc(32 * 8, Distribution::Partition));
 
-    cluster.fabric().install_faults(FaultPlan::new(seed).kill(1));
+    cluster.fabric().install_faults(FaultPlan::new(seed).drop(0, 1, 1.0).drop(1, 0, 1.0));
 
     // `NodeHandle::run` would block with the task, so submit the doomed
     // root task directly. It parks forever on the swallowed put; at
@@ -291,8 +298,8 @@ fn watchdog_reports_stuck_tokens_when_reliability_is_off() {
         }),
     });
 
-    // Without seq/ack the runtime can never notice the loss — only the
-    // watchdog can. Poll it past the 50 ms deadline.
+    // The link retransmits into the partition and declares nothing — only
+    // the watchdog reports the hang. Poll it past the 50 ms deadline.
     let start = Instant::now();
     let mut stuck = 0;
     while start.elapsed() < std::time::Duration::from_secs(10) {
@@ -305,7 +312,12 @@ fn watchdog_reports_stuck_tokens_when_reliability_is_off() {
     assert_eq!(stuck, 1, "watchdog never reported the hung token (seed {seed})");
     assert!(
         cluster.node(0).dead_peers().is_empty(),
-        "no reliability layer, so nobody should be declared dead"
+        "a peer heard within the suspicion threshold was declared dead (seed {seed})"
+    );
+    let retransmits = cluster.node(0).metrics_snapshot().counter("reliable.retransmits");
+    assert!(
+        retransmits.unwrap_or(0) > 0,
+        "the link never retried into the partition (seed {seed})"
     );
     cluster.shutdown();
 }

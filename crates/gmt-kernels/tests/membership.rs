@@ -221,33 +221,40 @@ fn silent_peer_is_confirmed_dead_by_heartbeat_timeout() {
     cluster.shutdown();
 }
 
-/// Watchdog escalation: with the reliability layer (and thus the
-/// detector) off, a kill is undetectable — only the operation deadline
-/// bounds the wait. `get_value_deadline` must return
-/// `Err(DeadlineExceeded)` instead of hanging, and local work must still
-/// run afterwards.
+/// Watchdog escalation: a silent partition is undetectable while the test
+/// runs — no backend reports a dropped frame as a link going down, and
+/// with a 60 s death timeout the peer was heard within the suspicion
+/// threshold (a fifth of it), so neither silence nor retry exhaustion
+/// confirms a death. Only the operation deadline bounds the wait:
+/// `get_value_deadline` must return `Err(DeadlineExceeded)` instead of
+/// hanging, and local work must still run afterwards.
 #[test]
 fn deadline_bounds_the_wait_when_detection_is_impossible() {
     let seed = seed_from_env(0xDD11);
     eprintln!("[membership] deadline_bounds_the_wait_when_detection_is_impossible seed={seed}");
 
     // op_deadline_ns also tightens the watchdog sweep period (deadline/4).
-    let config = Config { reliable: false, op_deadline_ns: 2_000_000_000, ..Config::small() };
+    let config = Config {
+        op_deadline_ns: 2_000_000_000,
+        peer_death_timeout_ns: 60_000_000_000,
+        ..Config::small()
+    };
     let cluster = Cluster::start(2, config).unwrap();
     // Elements 16..32 live on node 1 (32*8 bytes partitioned over 2).
     let arr = cluster.node(0).run(|ctx| ctx.alloc(32 * 8, Distribution::Partition));
 
-    cluster.install_faults(FaultPlan::new(seed).kill(1));
+    cluster.install_faults(FaultPlan::new(seed).drop(0, 1, 1.0).drop(1, 0, 1.0));
 
     let (tx, rx) = mpsc::channel();
     cluster.node(0).shared().root_queue.push(RootTask {
         f: Box::new(move |ctx| {
             // Tighter per-call deadline overrides the config-wide one.
             let first = ctx.get_value_deadline::<u64>(&arr, 20, 300_000_000);
-            // The abandoned straggler can never complete on an unreliable
-            // fabric, so this task is now *poisoned*: every later blocking
-            // wait on it errs within a bounded time instead of hanging —
-            // even a local read (the wait still covers the zombie op).
+            // The abandoned straggler can never complete behind the
+            // partition, so this task is now *poisoned*: every later
+            // blocking wait on it errs within a bounded time instead of
+            // hanging — even a local read (the wait still covers the
+            // zombie op).
             let poisoned = ctx.get_value::<u64>(&arr, 3);
             let _ = tx.send((first, poisoned));
         }),
@@ -269,6 +276,12 @@ fn deadline_bounds_the_wait_when_detection_is_impossible() {
     assert!(
         snap.counter("watchdog.deadline_expired").unwrap_or(0) >= 1,
         "watchdog never counted the expiry (seed {seed})"
+    );
+    // The link kept retrying into the partition and declared nothing.
+    assert!(cluster.node(0).dead_peers().is_empty(), "a death was confirmed (seed {seed})");
+    assert!(
+        snap.counter("reliable.retransmits").unwrap_or(0) > 0,
+        "no retransmit into the partition (seed {seed})"
     );
     cluster.shutdown();
 }
