@@ -4,7 +4,9 @@
 # For each file, counts the non-blank lines that are not `//` comments
 # (doc comments included) before the first `#[cfg(test)]` — the code —
 # and, the same way, the lines from that marker on — the unit tests. Prints one row per
-# file of the transport crate and of the two files that drive it, plus a
+# file of the transport crate and of the two files that drive it, one each
+# for the link protocol and the communication server that drives it
+# (ROADMAP item 4's size), plus a
 # total for `crates/gmt-net/src`, and then the whole workspace: code and
 # unit-test lines over `crates/*/src` and `src`, and the lines of the
 # integration tests under `crates/*/tests` and `tests`.
@@ -12,7 +14,8 @@
 # Then the workspace's `unsafe` count (ROADMAP item 5's number): the lines
 # of `crates`, `src`, `tests` and `examples` that name the keyword outside
 # a `//` comment. It only goes down: the script fails above the count of
-# the last change that lowered it (111; 113 while an op-table slot owned a
+# the last change that lowered it (110, since `Yielder::is_cancelling`
+# went; 111 before; 113 while an op-table slot owned a
 # raw `Arc` of its task, 134 before the op table replaced the pointer
 # tokens). The three graph kernels must not contribute to it — they are
 # written against the safe wave helpers — and the script fails if one
@@ -46,7 +49,8 @@ test_lines() {
 if [ "$#" -gt 0 ]; then
     files=("$@")
 else
-    files=(crates/gmt-net/src/*.rs crates/gmt-core/src/runtime.rs crates/gmt-launch/src/main.rs)
+    files=(crates/gmt-net/src/*.rs crates/gmt-core/src/runtime.rs crates/gmt-launch/src/main.rs
+        crates/gmt-core/src/reliable.rs crates/gmt-core/src/commserver.rs)
 fi
 
 printf '%-40s %6s %6s\n' file code tests
@@ -85,8 +89,8 @@ unsafe_lines() {
 
 unsafe_total=$(unsafe_lines crates src tests examples)
 printf '%-40s %6d\n' "unsafe lines (workspace)" "$unsafe_total"
-if [ "$unsafe_total" -gt 111 ]; then
-    echo "workspace: $unsafe_total lines name unsafe (limit 111); lower the limit with the count, never raise it" >&2
+if [ "$unsafe_total" -gt 110 ]; then
+    echo "workspace: $unsafe_total lines name unsafe (limit 110); lower the limit with the count, never raise it" >&2
     exit 1
 fi
 if grep -rnE --include='*.rs' '(Arc|Weak)<TaskControl>' crates/*/src >&2; then

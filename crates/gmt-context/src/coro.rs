@@ -89,14 +89,6 @@ impl Yielder {
             panic::resume_unwind(Box::new(ForcedUnwind));
         }
     }
-
-    /// Returns `true` if the owner has requested cancellation.
-    ///
-    /// Normally invisible to user code (cancellation unwinds out of
-    /// `yield_now`), but useful in tests and diagnostics.
-    pub fn is_cancelling(&self) -> bool {
-        unsafe { &*self.shared }.cancelling.get()
-    }
 }
 
 /// Start-up package handed to the type-erased entry function.
@@ -218,11 +210,6 @@ impl<T: 'static> Coroutine<T> {
     /// Size of the coroutine's stack in bytes.
     pub fn stack_size(&self) -> usize {
         self.stack.size()
-    }
-
-    /// Verifies the debug stack canary (no-op in release builds).
-    pub fn check_stack(&self) {
-        self.stack.check_canary();
     }
 
     /// Consumes a finished coroutine and returns its stack for reuse.

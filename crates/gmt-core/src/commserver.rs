@@ -9,24 +9,21 @@
 //! point of the paper: multi-threaded MPI performed poorly (Table II), so
 //! GMT relies on aggregation — not endpoint parallelism — for bandwidth.
 //!
-//! This thread also drives the [`ReliableLink`] state machine, the
-//! stand-in for the lossless delivery the paper gets from MPI: it stamps
-//! sequence/ack headers onto outgoing buffers (keeping a shared payload
-//! handle queued until the peer's cumulative ack arrives), deduplicates
-//! inbound buffers, emits standalone acks when there is no return traffic
-//! to piggyback on, retransmits the queue head with exponential backoff,
-//! and declares peers dead when the retry budget runs out — failing every
-//! affected request token with `GmtError::RemoteDead`. It also drives
-//! end-to-end flow control: buffers beyond a peer's in-flight window are
-//! held inside the link (the peer enters the **Backpressured** state —
-//! slow, not dead), released as acks open the window, and the node's own
-//! receive credit is re-advertised each sweep from the helper backlog. The
-//! failure detector rides on the same sweep: idle links get heartbeats,
-//! silent peers are suspected and eventually confirmed dead, and death
-//! notices disseminate every confirmation so survivors converge on one
-//! membership view (see [`crate::reliable`]). It additionally runs the
-//! stuck-task watchdog sweep, since it is the one thread guaranteed to
-//! keep spinning while every worker is parked.
+//! Between the channels and the wire sits the [`ReliableLink`], the
+//! stand-in for the lossless delivery the paper gets from MPI, and this
+//! thread is its driver. Each sweep feeds it four kinds of [`Event`] —
+//! every filled buffer, every inbound packet, a peer's link observed down
+//! (asked of the transport at heartbeat cadence), and one tick carrying
+//! the node's receive credit, recomputed from the helper backlog — and
+//! applies each [`Action`] it returns in one `match`: send, hand to the
+//! helpers, count, log, mark a peer backpressured (waking flow-parked
+//! emitters when its window opens), and on a confirmed death mirror it
+//! into the node's membership view and fail every operation still counted
+//! toward the peer with `GmtError::RemoteDead`. Sequencing, acks,
+//! retransmission, the flow window, the failure detector and death
+//! notices are the link's decisions (see [`crate::reliable`]). The thread
+//! additionally runs the stuck-task watchdog sweep, since it is the one
+//! thread guaranteed to keep spinning while every worker is parked.
 //!
 //! Channel polling is a fair round-robin: at most one buffer per channel
 //! per sweep, so one chatty worker cannot starve the others' queues.
@@ -34,7 +31,7 @@
 use crate::config::ACK_DELAY_NS;
 use crate::idle::IdleBackoff;
 use crate::metrics::ThreadTracer;
-use crate::reliable::{DeathReason, DetectorConfig, PollAction, Recv, ReliableLink};
+use crate::reliable::{Action, DetectorConfig, Event, ReliableLink, SendKind};
 use crate::runtime::NodeShared;
 use gmt_net::{LinkState, Payload, Tag, Transport};
 use std::sync::Arc;
@@ -63,52 +60,6 @@ fn send(node: &NodeShared, transport: &dyn Transport, dst: crate::NodeId, payloa
     }
 }
 
-/// Ships one filled aggregation buffer through the reliability layer
-/// (header stamp + retransmit queue + flow window). Buffers bound for a
-/// dead peer are never sent — their request tokens fail immediately and
-/// the buffer returns to its pool.
-/// Buffers the flow window refuses are *held* inside the link (the peer
-/// enters the Backpressured state) and drained by the release pass once
-/// acks open the window again.
-fn send_buffer(
-    node: &NodeShared,
-    transport: &dyn Transport,
-    link: &mut ReliableLink,
-    dst: crate::NodeId,
-    payload: Payload,
-    now_ns: u64,
-) {
-    if link.is_dead(dst) {
-        // Emitted after (or racing) the death confirmation: the op table
-        // still counts these operations — fail them now. Dropping
-        // `payload` returns the buffer to its pool.
-        fail_outstanding(node, dst);
-        return;
-    }
-    let had_pending_ack = link.has_pending_ack(dst);
-    match link.submit_data(dst, payload, now_ns) {
-        Some(wire) => {
-            if had_pending_ack {
-                // This data buffer carries the deferred cumulative ack,
-                // sparing a standalone ack packet.
-                node.metrics.acks_piggybacked.add(node.metrics.comm_shard(), 1);
-            }
-            node.metrics.flow_window_occupancy.record(link.unacked(dst) as u64);
-            send(node, transport, dst, wire);
-        }
-        None => {
-            // Window full: the link holds the buffer, the peer is now
-            // Backpressured (slow, not dead).
-            let shard = node.metrics.comm_shard();
-            node.metrics.flow_holds.add(shard, 1);
-            if !node.agg.flow().is_backpressured(dst) {
-                node.metrics.flow_backpressure_events.add(shard, 1);
-                node.agg.flow().set_backpressured(dst, true);
-            }
-        }
-    }
-}
-
 /// Wakes every task parked on flow-control admission. Spurious wakeups
 /// are absorbed by the waiters' re-check loop (they re-enqueue themselves
 /// if still backpressured), so draining unconditionally is always safe.
@@ -117,60 +68,6 @@ fn wake_flow_waiters(node: &NodeShared) {
         // A waiter that retired since it queued itself is nobody's to wake.
         if let Some(ctl) = node.ops.current(token) {
             ctl.unpark_remote();
-        }
-    }
-}
-
-/// Routes one inbound packet: dedup and ack processing, then new data to
-/// the helpers.
-fn receive(
-    node: &NodeShared,
-    link: &mut ReliableLink,
-    src: crate::NodeId,
-    payload: Payload,
-    now_ns: u64,
-) {
-    let shard = node.metrics.comm_shard();
-    let nbytes = payload.len() as u64;
-    match link.on_packet(src, &payload, now_ns) {
-        Recv::Deliver => {
-            node.metrics.comm_buffers_recv.add(shard, 1);
-            node.metrics.comm_bytes_recv.add(shard, nbytes);
-            node.helper_in.push((src, payload));
-        }
-        // Duplicates were already processed once; acks carry no commands;
-        // anything from a dead peer must not touch tokens that already
-        // completed with an error. All three just drop (the payload's
-        // drop returns any pooled buffer to its sender's pool).
-        Recv::Duplicate => {
-            node.metrics.dedup_hits.add(shard, 1);
-        }
-        Recv::AckOnly | Recv::FromDead => {}
-        Recv::Heartbeat => {
-            node.metrics.heartbeats_recv.add(shard, 1);
-        }
-        Recv::Notice { dead } => {
-            node.metrics.notices_received.add(shard, 1);
-            if dead == node.node_id {
-                // A survivor believes *we* are dead — there is no
-                // protocol to rejoin, so just log it; our own traffic
-                // to other survivors is unaffected.
-                eprintln!(
-                    "[gmt] warn: node {}: node {src} disseminated a death notice \
-                     naming this node; ignoring",
-                    node.node_id
-                );
-            } else if let Some(unacked) = link.confirm_death(dead) {
-                apply_death(node, dead, unacked, "death notice received");
-            }
-        }
-        Recv::Malformed => {
-            node.metrics.net_errors.add(shard, 1);
-            eprintln!(
-                "[gmt] warn: node {}: dropping malformed {} B packet from node {src}",
-                node.node_id,
-                payload.len()
-            );
         }
     }
 }
@@ -191,68 +88,112 @@ fn fail_outstanding(node: &NodeShared, dst: crate::NodeId) -> u32 {
     failed
 }
 
-/// Confirms a death in the node's membership view: marks the peer dead
-/// (bumping the epoch exactly once), fails every operation still awaiting
-/// a completion from it, and logs the cause. The reliability link has
-/// already drained its own state and scheduled notice dissemination.
-fn apply_death(node: &NodeShared, dst: crate::NodeId, unacked: Vec<Payload>, cause: &str) {
-    let shard = node.metrics.comm_shard();
-    if node.mark_peer_dead(dst) {
-        node.metrics.peers_dead.add(shard, 1);
-        node.metrics.epoch_bumps.add(shard, 1);
-    }
-    let failed = fail_outstanding(node, dst);
-    // Death supersedes backpressure: clear the flag and wake any
-    // flow-parked emitters so they observe the death instead of waiting
-    // out their park deadline.
-    node.agg.flow().set_backpressured(dst, false);
-    wake_flow_waiters(node);
-    eprintln!(
-        "[gmt] warn: node {}: peer {dst} confirmed dead ({cause}); {failed} operation(s) \
-         failed; {} unacked buffer(s) dropped",
-        node.node_id,
-        unacked.len()
-    );
-    // Dropping `unacked` releases the pooled buffers.
-}
-
-/// Applies the outcomes of one reliability timer sweep.
-fn apply(node: &NodeShared, transport: &dyn Transport, action: PollAction) {
-    let shard = node.metrics.comm_shard();
+/// Applies one action of the link: the only place its decisions reach the
+/// wire, the helpers, the op table, the flow state and the counters.
+fn apply(node: &NodeShared, transport: &dyn Transport, action: Action) {
+    let m = &node.metrics;
+    let shard = m.comm_shard();
     match action {
-        PollAction::Retransmit { dst, payload } => {
-            node.metrics.retransmits.add(shard, 1);
+        Action::Send { dst, payload, kind } => {
+            match kind {
+                SendKind::Data { piggybacked_ack, was_held, occupancy } => {
+                    if piggybacked_ack {
+                        m.acks_piggybacked.add(shard, 1);
+                    }
+                    if was_held {
+                        m.flow_held.dec();
+                    }
+                    m.flow_window_occupancy.record(occupancy as u64);
+                    // This thread is the gauge's only writer: a max by delta.
+                    let rise = occupancy as i64 - m.flow_unacked_watermark.get();
+                    if rise > 0 {
+                        m.flow_unacked_watermark.add(rise);
+                    }
+                }
+                SendKind::Retransmit => m.retransmits.add(shard, 1),
+                SendKind::Ack => m.acks_standalone.add(shard, 1),
+                SendKind::Heartbeat => m.heartbeats_sent.add(shard, 1),
+                SendKind::Notice => m.notices_sent.add(shard, 1),
+            }
             send(node, transport, dst, payload);
         }
-        PollAction::SendAck { dst, payload } => {
-            node.metrics.acks_standalone.add(shard, 1);
-            send(node, transport, dst, payload);
+        Action::Deliver { src, payload } => {
+            m.comm_buffers_recv.add(shard, 1);
+            m.comm_bytes_recv.add(shard, payload.len() as u64);
+            node.helper_in.push((src, payload));
         }
-        PollAction::Heartbeat { dst, payload } => {
-            node.metrics.heartbeats_sent.add(shard, 1);
-            send(node, transport, dst, payload);
+        Action::Refused { dst, payload } => {
+            // The op table still counts these operations: fail them now.
+            // Dropping `payload` returns the buffer to its pool.
+            fail_outstanding(node, dst);
+            drop(payload);
         }
-        PollAction::SendNotice { dst, payload } => {
-            node.metrics.notices_sent.add(shard, 1);
-            send(node, transport, dst, payload);
+        Action::Held { dst, entered } => {
+            m.flow_holds.add(shard, 1);
+            m.flow_held.inc();
+            if entered {
+                m.flow_backpressure_events.add(shard, 1);
+                node.agg.flow().set_backpressured(dst, true);
+            }
         }
-        PollAction::Suspect { dst } => {
-            node.metrics.suspicions_raised.add(shard, 1);
+        Action::WindowOpen { dst } => {
+            node.agg.flow().set_backpressured(dst, false);
+            wake_flow_waiters(node);
+        }
+        Action::Suspect { dst, raised: true } => {
+            m.suspicions_raised.add(shard, 1);
             eprintln!(
                 "[gmt] warn: node {}: peer {dst} is silent past the suspicion threshold",
                 node.node_id
             );
         }
-        PollAction::SuspectCleared { dst } => {
-            node.metrics.suspicions_cleared.add(shard, 1);
+        Action::Suspect { dst, raised: false } => {
+            m.suspicions_cleared.add(shard, 1);
             eprintln!("[gmt] warn: node {}: suspicion against peer {dst} cleared", node.node_id);
         }
-        PollAction::Dead { dst, unacked, reason } => {
-            let cause = match reason {
-                DeathReason::RetryExhausted => "retry budget exhausted",
-                DeathReason::HeartbeatTimeout => "silent past the death timeout",
-            };
-            apply_death(node, dst, unacked, cause);
+        Action::Dead { dst, unacked, held, cause } => {
+            // Mirror the death into the membership view, bumping the
+            // epoch exactly once.
+            if node.mark_peer_dead(dst) {
+                m.peers_dead.add(shard, 1);
+                m.epoch_bumps.add(shard, 1);
+            }
+            m.flow_held.add(-(held.len() as i64));
+            let failed = fail_outstanding(node, dst);
+            // Death supersedes backpressure: clear the flag and wake any
+            // flow-parked emitters so they observe the death instead of
+            // waiting out their park deadline.
+            node.agg.flow().set_backpressured(dst, false);
+            wake_flow_waiters(node);
+            eprintln!(
+                "[gmt] warn: node {}: peer {dst} confirmed dead ({cause}); {failed} \
+                 operation(s) failed; {} unacked buffer(s) dropped",
+                node.node_id,
+                unacked.len() + held.len()
+            );
+            // Dropping `unacked` and `held` releases the pooled buffers.
+        }
+        Action::Duplicate => m.dedup_hits.add(shard, 1),
+        Action::HeartbeatIn => m.heartbeats_recv.add(shard, 1),
+        Action::NoticeIn { src, dead } => {
+            m.notices_received.add(shard, 1);
+            if dead == node.node_id {
+                // A survivor believes *we* are dead — there is no
+                // protocol to rejoin, so just log it; our own traffic
+                // to other survivors is unaffected.
+                eprintln!(
+                    "[gmt] warn: node {}: node {src} disseminated a death notice \
+                     naming this node; ignoring",
+                    node.node_id
+                );
+            }
+        }
+        Action::Malformed { src, len } => {
+            m.net_errors.add(shard, 1);
+            eprintln!(
+                "[gmt] warn: node {}: dropping malformed {len} B packet from node {src}",
+                node.node_id
+            );
         }
     }
 }
@@ -281,7 +222,17 @@ pub fn comm_main(
             death_timeout_ns: node.config.peer_death_timeout_ns,
         },
     );
-    let mut actions: Vec<PollAction> = Vec::new();
+    let mut actions: Vec<Action> = Vec::new();
+    // Feeds one event to the link and applies what it asks for; `true`
+    // if it asked for anything.
+    let mut feed = |now: u64, event: Event| {
+        link.step(now, event, &mut actions);
+        let any = !actions.is_empty();
+        for a in actions.drain(..) {
+            apply(&node, &*transport, a);
+        }
+        any
+    };
     // Watchdog sweeps walk every claimed op-table slot; run them at a
     // quarter of the reporting deadline (floor 1 ms) for ±25% precision.
     // An armed operation deadline tightens the period the same way so
@@ -302,12 +253,6 @@ pub fn comm_main(
     // Coarse-clock stamp of the last sweep that moved traffic, for the
     // sweep-gap histogram.
     let mut last_progress_ns = node.agg.tick();
-    // Flow-control bookkeeping: scratch vector for released buffers, plus
-    // the last published values of the held gauge and the unacked
-    // watermark (gauges move by delta, so the deltas are tracked here).
-    let mut released: Vec<Payload> = Vec::new();
-    let mut held_published: i64 = 0;
-    let mut watermark_published: usize = 0;
     loop {
         // Keep the node's coarse clock fresh even when every worker is
         // stalled inside a long task and nobody pumps.
@@ -322,94 +267,46 @@ pub fn comm_main(
                 // queue's once acked) returns the buffer to this
                 // channel's pool, as in the paper ("returns the
                 // aggregation buffer into the pool").
-                send_buffer(&node, &*transport, &mut link, dst, payload, now);
+                feed(now, Event::Send { dst, payload });
                 sent_this_sweep += 1;
                 progressed = true;
             }
         }
-        // Incoming: hand received buffers to the helpers.
+        // Incoming: acks, dedup, and new data to the helpers.
         while let Some(pkt) = transport.try_recv() {
-            receive(&node, &mut link, pkt.src, pkt.payload, now);
+            feed(now, Event::Packet { src: pkt.src, payload: pkt.payload });
             progressed = true;
-        }
-        // Re-advertise receive credit from the inbound backlog: a node
-        // drowning in unprocessed buffers tells its peers to narrow their
-        // windows toward it (piggybacked on every outgoing header). Floor
-        // of 1 — the zero-credit probe keeps the link from wedging.
-        let backlog = node.helper_in.len();
-        let credit = node.config.flow_window.saturating_sub(backlog).max(1) as u16;
-        link.set_local_credit(credit);
-        if node.agg.flow().any() {
-            // Release pass: acks processed above may have opened
-            // windows — stamp and ship what each one now admits, and
-            // clear the Backpressured state (waking flow-parked
-            // emitters) once a held queue drains.
-            for dst in 0..node.nodes {
-                if !node.agg.flow().is_backpressured(dst) || link.is_dead(dst) {
-                    continue;
-                }
-                let opened = link.release_window(dst, now, &mut released);
-                for wire in released.drain(..) {
-                    node.metrics.flow_window_occupancy.record(link.unacked(dst) as u64);
-                    send(&node, &*transport, dst, wire);
-                    progressed = true;
-                }
-                if opened {
-                    node.agg.flow().set_backpressured(dst, false);
-                    wake_flow_waiters(&node);
-                    progressed = true;
-                }
-            }
-        }
-        // Publish the held-buffer gauge and the unacked watermark
-        // (both by delta — gauges have no set). The O(nodes) scan is
-        // cheap at in-process cluster sizes and also absorbs held
-        // buffers drained by a death.
-        let mut held_now: i64 = 0;
-        let mut watermark = watermark_published;
-        for dst in 0..node.nodes {
-            held_now += link.held_len(dst) as i64;
-            watermark = watermark.max(link.unacked_watermark(dst));
-        }
-        if held_now != held_published {
-            node.metrics.flow_held.add(held_now - held_published);
-            held_published = held_now;
-        }
-        if watermark > watermark_published {
-            node.metrics.flow_unacked_watermark.add((watermark - watermark_published) as i64);
-            watermark_published = watermark;
         }
         if observe_kills && now >= next_kill_check_ns {
             next_kill_check_ns = now + kill_check_period_ns;
             for peer in 0..node.nodes {
-                if peer == node.node_id || link.is_dead(peer) {
+                if peer == node.node_id || node.peer_is_dead(peer) {
                     continue;
                 }
                 // First-hand connection loss and an injected fabric
-                // kill arrive through the same observation; the
-                // cause says which evidence fired, and the log line
-                // below is the only place it is printed.
+                // kill arrive through the same observation; the cause
+                // says which evidence fired, and the death's log line
+                // is the only place it is printed.
                 if let LinkState::Down(cause) = transport.link_state(peer) {
-                    if let Some(unacked) = link.confirm_death(peer) {
-                        apply_death(&node, peer, unacked, &cause.to_string());
-                        progressed = true;
-                    }
+                    progressed |= feed(now, Event::Down { peer, cause });
                 }
             }
         }
-        // Reliability timers: standalone acks, retransmits, heartbeats,
-        // suspicion, death, notice dissemination.
-        link.poll(now, &mut actions);
-        for a in actions.drain(..) {
-            apply(&node, &*transport, a);
-            progressed = true;
-        }
+        // Receive credit from the inbound backlog: a node drowning in
+        // unprocessed buffers tells its peers to narrow their windows
+        // toward it (piggybacked on every outgoing header). Floor of 1 —
+        // the zero-credit probe keeps the link from wedging.
+        let backlog = node.helper_in.len();
+        let credit = node.config.flow_window.saturating_sub(backlog).max(1) as u16;
+        // Timers: standalone acks, retransmits, heartbeats, suspicion,
+        // death, notice dissemination.
+        progressed |= feed(now, Event::Tick { credit });
         if now >= next_watchdog_ns {
             next_watchdog_ns = now + watchdog_period_ns;
             node.sweep_stuck_tasks(now);
             // Periodic flow-waiter drain: the lost-wake safety net. A
-            // waiter that enqueued itself after the release pass cleared
-            // its peer wakes at the latest here, re-checks, and proceeds.
+            // waiter that enqueued itself after its peer's window opened
+            // wakes at the latest here, re-checks, and proceeds.
             wake_flow_waiters(&node);
         }
         if progressed {
@@ -440,7 +337,7 @@ pub fn comm_main(
         let mut progressed = false;
         for c in 0..node.agg.channels() {
             if let Some((dst, payload)) = node.agg.channel(c).pop_filled() {
-                send_buffer(&node, &*transport, &mut link, dst, payload, now);
+                feed(now, Event::Send { dst, payload });
                 progressed = true;
             }
         }

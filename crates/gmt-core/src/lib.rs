@@ -71,7 +71,6 @@ pub use error::GmtError;
 pub use gmt_metrics::{HistogramSnapshot, MetricsSnapshot};
 pub use handle::{Distribution, GmtArray};
 pub use metrics::NodeMetrics;
-pub use reliable::DetectorConfig;
 pub use runtime::{Cluster, MembershipView, NodeHandle, NodeRuntime};
 pub use value::Scalar;
 

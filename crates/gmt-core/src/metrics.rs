@@ -74,8 +74,8 @@ pub struct NodeMetrics {
     /// of steal attempts in a work-stealing runtime.
     pub itb_claims: Counter,
     pub live_tasks: Gauge,
-    /// Approximate: stale wakeups of already-retired slots can skew it by
-    /// a few counts. Diagnostic, not an invariant.
+    /// Tasks parked on remote completions. Every ready-queue entry is one
+    /// park, so the gauge returns to 0 once the node is quiescent.
     pub parked_tasks: Gauge,
 
     // -- helpers ------------------------------------------------------

@@ -1,5 +1,6 @@
 //! Reliable delivery of aggregation buffers: sequence numbers, cumulative
-//! acks, head-of-line retransmission and peer-death detection.
+//! acks, head-of-line retransmission, flow control and peer-death
+//! detection.
 //!
 //! The paper's GMT rides on MPI and simply assumes the fabric is lossless.
 //! This reproduction's fabric can be adversarial ([`gmt_net::FaultPlan`]):
@@ -7,6 +8,15 @@
 //! module restores exactly-once *processing* of aggregation buffers on top
 //! of that, driven entirely by the (single-threaded) communication server —
 //! no locks, no extra threads.
+//!
+//! **One door.** [`ReliableLink::step`] is the only way in. The
+//! communication server feeds it an [`Event`] — a filled buffer to send,
+//! an inbound packet, a peer's link observed down, or the sweep's tick —
+//! with the coarse time it happened at, and applies the [`Action`]s it
+//! appends: put a packet on the wire, hand one to the helpers, fail the
+//! operations toward a dead peer, mark a peer backpressured or not, count
+//! and log. The link itself does no I/O, takes no lock, touches no atomic
+//! and reads no clock.
 //!
 //! Protocol, per ordered peer pair:
 //!
@@ -28,14 +38,16 @@
 //!   shared payload handle**, so the pooled buffer cannot return to its
 //!   pool until the peer acknowledged it.
 //! * **Flow control**: the sender stops stamping new data buffers once
-//!   `min(flow_window, peer credit)` buffers are unacked. Further submissions are *held back* unstamped
-//!   ([`ReliableLink::submit_data`] returns `None`) and the peer enters
-//!   the **Backpressured** state — distinct from death: nothing is
-//!   error-completed, the accrual detector is not tripped, and held
-//!   buffers drain in order as acks open the window
-//!   ([`ReliableLink::release_window`]). The window bounds per-peer
-//!   sender memory and gives the runtime a state it can report and shed
-//!   load against.
+//!   `min(flow_window, peer credit)` buffers are unacked. Further
+//!   submissions are *held back* unstamped ([`Action::Held`]) and the peer
+//!   enters the **Backpressured** state — distinct from death: nothing is
+//!   error-completed, the accrual detector is not tripped. Held buffers
+//!   go out in order inside the inbound packet that opens the window —
+//!   only a packet can: the unacked count falls only on an ack (or a
+//!   death) and the peer's credit changes only in a header — and the peer
+//!   leaves Backpressured ([`Action::WindowOpen`]) once none is left and
+//!   the window has room. The window bounds per-peer sender memory and
+//!   gives the runtime a state it can report and shed load against.
 //! * Only the queue head is retransmitted (cumulative acks make the rest
 //!   redundant), with exponential backoff from `rto_base_ns` to
 //!   `rto_max_ns`. After `max_retries` retransmissions of the same buffer
@@ -72,19 +84,21 @@
 //!   set — and therefore an identical membership epoch — within a
 //!   bounded number of sweeps.
 //!
-//! All timing uses the runtime's coarse clock ([`AggShared::now_ns`]),
-//! which the communication server ticks every sweep.
+//! Every timer compares against the time that arrives with the event:
+//! the runtime's coarse clock ([`AggShared::now_ns`]), which the
+//! communication server ticks every sweep.
 //!
 //! [`GmtError::RemoteDead`]: crate::error::GmtError::RemoteDead
 //! [`AggShared::now_ns`]: crate::aggregation::AggShared::now_ns
 
 use crate::config::SUSPECT_FRACTION;
 use crate::NodeId;
-use gmt_net::Payload;
+use gmt_net::{DownCause, Payload};
 use std::collections::{BTreeSet, VecDeque};
+use std::fmt;
 
-/// Bytes of transport header at the front of every aggregation buffer when
-/// reliability is enabled: `[kind u8][seq u64 LE][ack u64 LE][credit u16 LE]`.
+/// Bytes of transport header at the front of every aggregation buffer:
+/// `[kind u8][seq u64 LE][ack u64 LE][credit u16 LE]`.
 pub const HEADER_LEN: usize = 19;
 
 /// Credit value meaning "no receiver-imposed bound": the sender's own
@@ -149,6 +163,100 @@ pub fn parse_header(buf: &[u8]) -> Option<Header> {
     })
 }
 
+/// What the communication server feeds [`ReliableLink::step`].
+#[derive(Debug)]
+pub enum Event {
+    /// A filled aggregation buffer for `dst`, its first [`HEADER_LEN`]
+    /// bytes reserved for the header.
+    Send { dst: NodeId, payload: Payload },
+    /// A packet that arrived from `src`.
+    Packet { src: NodeId, payload: Payload },
+    /// The transport observed the link to `peer` down for good.
+    Down { peer: NodeId, cause: DownCause },
+    /// The sweep's timer pass. `credit` is the receive credit this node
+    /// advertises in every header from now on.
+    Tick { credit: u16 },
+}
+
+/// What a packet put on the wire is, and so which counter books it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SendKind {
+    /// A data buffer stamped now. `piggybacked_ack`: it carries an ack
+    /// that was pending, sparing a standalone one. `was_held`: flow
+    /// control had held it back. `occupancy`: the buffers unacked toward
+    /// its destination, itself included.
+    Data { piggybacked_ack: bool, was_held: bool, occupancy: usize },
+    /// The head of the retransmit queue, again.
+    Retransmit,
+    /// A standalone cumulative ack.
+    Ack,
+    /// A liveness heartbeat for an idle link.
+    Heartbeat,
+    /// A death notice.
+    Notice,
+}
+
+/// Why a peer was confirmed dead. Its `Display` is the cause the
+/// communication server logs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DeathCause {
+    /// The retransmit budget toward the peer ran dry.
+    RetryExhausted,
+    /// The peer was silent past `death_timeout_ns`.
+    HeartbeatTimeout,
+    /// Another survivor's death notice named it.
+    Notice,
+    /// The transport observed its link down.
+    Down(DownCause),
+}
+
+impl fmt::Display for DeathCause {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            DeathCause::RetryExhausted => f.write_str("retry budget exhausted"),
+            DeathCause::HeartbeatTimeout => f.write_str("silent past the death timeout"),
+            DeathCause::Notice => f.write_str("death notice received"),
+            DeathCause::Down(cause) => cause.fmt(f),
+        }
+    }
+}
+
+/// What [`ReliableLink::step`] asks of the communication server.
+#[derive(Debug)]
+pub enum Action {
+    /// Put `payload` on the wire to `dst`.
+    Send { dst: NodeId, payload: Payload, kind: SendKind },
+    /// New data from `src`: hand it to the helpers (the commands follow
+    /// the header).
+    Deliver { src: NodeId, payload: Payload },
+    /// A buffer for a peer already confirmed dead (emitted after, or
+    /// racing, the confirmation): fail what is still counted toward
+    /// `dst`; dropping `payload` returns the buffer to its pool.
+    Refused { dst: NodeId, payload: Payload },
+    /// Flow control held a buffer for `dst` back. `entered`: this hold
+    /// moved the peer into Backpressured.
+    Held { dst: NodeId, entered: bool },
+    /// `dst` left Backpressured: nothing is held for it and its window
+    /// has room.
+    WindowOpen { dst: NodeId },
+    /// A suspicion against `dst` was raised (silence) or cleared (a packet
+    /// arrived).
+    Suspect { dst: NodeId, raised: bool },
+    /// `dst` was confirmed dead. The request tokens inside the `unacked`
+    /// and `held` payloads (after [`HEADER_LEN`]) must fail; dropping the
+    /// payloads returns their buffers.
+    Dead { dst: NodeId, unacked: Vec<Payload>, held: Vec<Payload>, cause: DeathCause },
+    /// An inbound data buffer seen before, dropped (the ack is repeated).
+    Duplicate,
+    /// An inbound heartbeat.
+    HeartbeatIn,
+    /// An inbound death notice from `src` naming `dead` (possibly this
+    /// node, which the link ignores).
+    NoticeIn { src: NodeId, dead: NodeId },
+    /// An inbound packet of `len` bytes from `src` with no valid header.
+    Malformed { src: NodeId, len: usize },
+}
+
 /// One unacked data buffer awaiting acknowledgement.
 struct Rtx {
     seq: u64,
@@ -168,7 +276,7 @@ struct Peer {
     /// Unacked data buffers, in sequence order.
     rtx: VecDeque<Rtx>,
     /// Data buffers held back (unstamped) by flow control, in submission
-    /// order. Non-empty iff `backpressured`.
+    /// order. Non-empty only while `backpressured`.
     held: VecDeque<Payload>,
     /// Highest sequence received contiguously from this peer.
     cum_recv: u64,
@@ -178,16 +286,13 @@ struct Peer {
     ack_due_ns: u64,
     /// Declared dead (retry exhaustion, silence, kill, or notice).
     dead: bool,
-    /// In the Backpressured state: the flow window toward this peer is
-    /// full and at least one buffer is (or recently was) held back.
+    /// In the Backpressured state: a buffer toward this peer was held
+    /// back, and the held queue has not yet drained into an open window.
     backpressured: bool,
     /// Latest receive credit this peer advertised.
     credit: u16,
-    /// High-water mark of `rtx.len()` (introspection: the soak asserts
-    /// it never exceeds the effective window).
-    max_unacked: usize,
     /// Coarse time of the last valid packet from this peer (0 = not yet
-    /// initialised; the first detector poll stamps it, so a quiet startup
+    /// initialised; the first detector tick stamps it, so a quiet startup
     /// is not mistaken for silence).
     last_heard_ns: u64,
     /// Coarse time of the last packet *to* this peer (0 = uninitialised).
@@ -208,7 +313,6 @@ impl Peer {
             dead: false,
             backpressured: false,
             credit: CREDIT_UNLIMITED,
-            max_unacked: 0,
             last_heard_ns: 0,
             last_sent_ns: 0,
             suspected: false,
@@ -223,56 +327,6 @@ impl Peer {
     }
 }
 
-/// Classification of an inbound packet.
-#[derive(Debug, PartialEq, Eq)]
-pub enum Recv {
-    /// New data: process the commands after [`HEADER_LEN`].
-    Deliver,
-    /// Already-seen data: drop the payload (the ack will be repeated).
-    Duplicate,
-    /// Standalone ack: nothing to process.
-    AckOnly,
-    /// From a peer already declared dead: drop without looking further (a
-    /// late reply could complete a token that already failed).
-    FromDead,
-    /// A liveness heartbeat (also carried a cumulative ack).
-    Heartbeat,
-    /// A death notice naming `dead`. The communication server decides how
-    /// to apply it (via [`ReliableLink::confirm_death`]) so it can fail
-    /// the drained tokens and count the event.
-    Notice { dead: NodeId },
-    /// Header missing or unknown kind.
-    Malformed,
-}
-
-/// Why a peer was confirmed dead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeathReason {
-    /// The retransmit budget toward the peer ran dry.
-    RetryExhausted,
-    /// The peer was silent past `death_timeout_ns`.
-    HeartbeatTimeout,
-}
-
-/// Work the communication server must perform after a [`ReliableLink::poll`].
-pub enum PollAction {
-    /// Re-send this (shared) payload to `dst`.
-    Retransmit { dst: NodeId, payload: Payload },
-    /// Send this standalone ack packet to `dst`.
-    SendAck { dst: NodeId, payload: Payload },
-    /// Send this liveness heartbeat to `dst` (its link has been idle).
-    Heartbeat { dst: NodeId, payload: Payload },
-    /// `dst` has been silent past the suspicion threshold (diagnostic).
-    Suspect { dst: NodeId },
-    /// A previously suspected `dst` produced traffic again (diagnostic).
-    SuspectCleared { dst: NodeId },
-    /// Send this death notice to `dst` (membership dissemination).
-    SendNotice { dst: NodeId, payload: Payload },
-    /// `dst` was confirmed dead: fail the request tokens inside each
-    /// unacked payload (after [`HEADER_LEN`]), then drop them.
-    Dead { dst: NodeId, unacked: Vec<Payload>, reason: DeathReason },
-}
-
 /// Failure-detector timers (coarse-clock ns). `heartbeat_idle_ns == 0`
 /// disables the detector: no heartbeats, no suspicion, no silence deaths.
 #[derive(Debug, Clone, Copy)]
@@ -282,11 +336,6 @@ pub struct DetectorConfig {
 }
 
 impl DetectorConfig {
-    /// A disabled detector (delivery-layer death detection only).
-    pub fn disabled() -> Self {
-        DetectorConfig { heartbeat_idle_ns: 0, death_timeout_ns: 0 }
-    }
-
     /// Silence past which a peer is suspected, and within which retry
     /// exhaustion alone does not kill it.
     fn suspect_after(&self) -> u64 {
@@ -323,9 +372,6 @@ pub struct ReliableLink {
     local_credit: u16,
     /// Dead peers whose notices still have dissemination rounds left.
     notices: Vec<NoticeRounds>,
-    /// Suspicions cleared by inbound packets since the last poll (drained
-    /// into [`PollAction::SuspectCleared`] for counting/logging).
-    cleared: Vec<NodeId>,
 }
 
 impl ReliableLink {
@@ -351,48 +397,22 @@ impl ReliableLink {
             flow_window,
             local_credit: CREDIT_UNLIMITED,
             notices: Vec::new(),
-            cleared: Vec::new(),
         }
     }
 
-    /// Whether `node` has been declared dead.
-    pub fn is_dead(&self, node: NodeId) -> bool {
-        self.peers[node].dead
-    }
-
-    /// Whether a deferred cumulative ack toward `node` is pending — the
-    /// next data buffer prepared for `node` will piggyback it.
-    pub fn has_pending_ack(&self, node: NodeId) -> bool {
-        self.peers[node].ack_due_ns != 0
-    }
-
-    /// Unacked buffers queued toward `node` (introspection/tests).
-    pub fn unacked(&self, node: NodeId) -> usize {
-        self.peers[node].rtx.len()
-    }
-
-    /// High-water mark of the unacked count toward `node`.
-    pub fn unacked_watermark(&self, node: NodeId) -> usize {
-        self.peers[node].max_unacked
-    }
-
-    /// Whether `node` is currently in the Backpressured state (its flow
-    /// window filled and submissions were held back). Distinct from
-    /// death: cleared as soon as acks drain the held queue.
-    pub fn is_backpressured(&self, node: NodeId) -> bool {
-        self.peers[node].backpressured
-    }
-
-    /// Data buffers currently held back (unstamped) toward `node`.
-    pub fn held_len(&self, node: NodeId) -> usize {
-        self.peers[node].held.len()
-    }
-
-    /// Updates the receive credit this node advertises on every outgoing
-    /// header. The communication server recomputes it each sweep from its
-    /// inbound backlog.
-    pub fn set_local_credit(&mut self, credit: u16) {
-        self.local_credit = credit;
+    /// Takes one event that happened at coarse time `now_ns` and appends
+    /// to `out` everything the communication server must do about it, in
+    /// order.
+    pub fn step(&mut self, now_ns: u64, event: Event, out: &mut Vec<Action>) {
+        match event {
+            Event::Send { dst, payload } => self.submit(dst, payload, now_ns, out),
+            Event::Packet { src, payload } => self.receive(src, payload, now_ns, out),
+            Event::Down { peer, cause } => self.mark_dead(peer, DeathCause::Down(cause), out),
+            Event::Tick { credit } => {
+                self.local_credit = credit;
+                self.tick(now_ns, out);
+            }
+        }
     }
 
     /// How many data buffers may currently be unacked toward `dst`:
@@ -404,91 +424,84 @@ impl ReliableLink {
         self.flow_window.min(credit)
     }
 
-    /// Whether a suspicion is currently raised against `node` (tests).
-    pub fn is_suspected(&self, node: NodeId) -> bool {
-        self.peers[node].suspected
-    }
-
-    /// Peers confirmed dead so far, in id order.
-    pub fn dead_peers(&self) -> Vec<NodeId> {
-        (0..self.peers.len()).filter(|&n| self.peers[n].dead).collect()
-    }
-
     fn dead_count(&self) -> u64 {
         self.peers.iter().filter(|p| p.dead).count() as u64
     }
 
-    /// Stamps the transport header onto an outgoing data buffer, enqueues
-    /// a shared handle for retransmission and returns the handle to put on
-    /// the wire. The piggybacked ack clears any pending standalone ack.
-    ///
-    /// Bypasses the flow window — callers that want windowing go through
-    /// [`Self::submit_data`]. The caller must have checked
-    /// [`Self::is_dead`] first.
-    pub fn prepare_data(&mut self, dst: NodeId, mut payload: Payload, now_ns: u64) -> Payload {
-        let credit = self.local_credit;
+    /// Stamps and sends a buffer if the window toward `dst` is open *and*
+    /// nothing is already held (held buffers keep submission order);
+    /// otherwise holds it back unstamped and moves the peer into the
+    /// Backpressured state.
+    fn submit(&mut self, dst: NodeId, payload: Payload, now_ns: u64, out: &mut Vec<Action>) {
+        let window = self.effective_window(dst);
         let p = &mut self.peers[dst];
-        assert!(!p.dead, "prepare_data for a dead peer");
+        if p.dead {
+            out.push(Action::Refused { dst, payload });
+        } else if p.held.is_empty() && p.rtx.len() < window {
+            self.stamp(dst, payload, false, now_ns, out);
+        } else {
+            p.held.push_back(payload);
+            let entered = !std::mem::replace(&mut p.backpressured, true);
+            out.push(Action::Held { dst, entered });
+        }
+    }
+
+    /// Stamps the transport header onto an outgoing data buffer, enqueues
+    /// a shared handle for retransmission and sends the other. The
+    /// piggybacked ack clears any pending standalone ack.
+    fn stamp(
+        &mut self,
+        dst: NodeId,
+        mut payload: Payload,
+        was_held: bool,
+        now_ns: u64,
+        out: &mut Vec<Action>,
+    ) {
+        let p = &mut self.peers[dst];
         let seq = p.next_seq;
         p.next_seq += 1;
-        payload.patch(0, &encode_header(KIND_DATA, seq, p.cum_recv, credit));
-        p.ack_due_ns = 0;
+        payload.patch(0, &encode_header(KIND_DATA, seq, p.cum_recv, self.local_credit));
+        let piggybacked_ack = std::mem::take(&mut p.ack_due_ns) != 0;
         p.last_sent_ns = now_ns.max(1);
         let wire = payload.share();
         p.rtx.push_back(Rtx { seq, payload, sent_ns: now_ns, attempts: 0 });
-        p.max_unacked = p.max_unacked.max(p.rtx.len());
-        wire
+        let kind = SendKind::Data { piggybacked_ack, was_held, occupancy: p.rtx.len() };
+        out.push(Action::Send { dst, payload: wire, kind });
     }
 
-    /// Flow-controlled variant of [`Self::prepare_data`]: stamps and
-    /// returns the wire handle if the window toward `dst` is open *and*
-    /// nothing is already held (held buffers keep submission order);
-    /// otherwise holds the buffer back unstamped, moves the peer into the
-    /// Backpressured state, and returns `None`. Held buffers drain via
-    /// [`Self::release_window`].
-    pub fn submit_data(&mut self, dst: NodeId, payload: Payload, now_ns: u64) -> Option<Payload> {
-        let window = self.effective_window(dst);
-        let p = &mut self.peers[dst];
-        assert!(!p.dead, "submit_data for a dead peer");
-        if p.held.is_empty() && p.rtx.len() < window {
-            return Some(self.prepare_data(dst, payload, now_ns));
-        }
-        p.held.push_back(payload);
-        p.backpressured = true;
-        None
-    }
-
-    /// Stamps and appends to `out` every held buffer the (re-evaluated)
-    /// window toward `dst` now admits. Returns `true` when this call
-    /// cleared the Backpressured state — held queue drained and the
-    /// window no longer full.
-    pub fn release_window(&mut self, dst: NodeId, now_ns: u64, out: &mut Vec<Payload>) -> bool {
-        if self.peers[dst].dead || !self.peers[dst].backpressured {
-            return false;
-        }
+    /// Stamps and sends every held buffer the window toward `dst` now
+    /// admits, in submission order; once none is left and the window
+    /// still has room, the peer leaves Backpressured.
+    fn release(&mut self, dst: NodeId, now_ns: u64, out: &mut Vec<Action>) {
         loop {
             let window = self.effective_window(dst);
             let p = &mut self.peers[dst];
             if p.rtx.len() >= window {
-                return false;
+                return;
             }
             let Some(payload) = p.held.pop_front() else {
                 p.backpressured = false;
-                return true;
+                out.push(Action::WindowOpen { dst });
+                return;
             };
-            let wire = self.prepare_data(dst, payload, now_ns);
-            out.push(wire);
+            self.stamp(dst, payload, true, now_ns, out);
         }
     }
 
-    /// Processes an inbound packet from `src` and classifies it.
-    pub fn on_packet(&mut self, src: NodeId, buf: &[u8], now_ns: u64) -> Recv {
-        let Some(h) = parse_header(buf) else { return Recv::Malformed };
+    /// Processes an inbound packet from `src`: liveness, notices, acks and
+    /// credit, deduplication, and the held buffers a reopened window admits.
+    fn receive(&mut self, src: NodeId, payload: Payload, now_ns: u64, out: &mut Vec<Action>) {
+        let Some(h) = parse_header(&payload) else {
+            out.push(Action::Malformed { src, len: payload.len() });
+            return;
+        };
         if self.peers[src].dead {
-            return Recv::FromDead;
+            // Dropped unseen: a late reply could complete a token that
+            // already failed.
+            return;
         }
         if self.peers[src].heard(now_ns) {
-            self.cleared.push(src);
+            out.push(Action::Suspect { dst: src, raised: false });
         }
         if h.kind == KIND_NOTICE {
             // `ack` is the sender's dead count, not a cumulative ack —
@@ -496,38 +509,43 @@ impl ReliableLink {
             // meaningless on notices).
             let dead = h.seq as NodeId;
             if dead >= self.peers.len() {
-                return Recv::Malformed;
+                out.push(Action::Malformed { src, len: payload.len() });
+            } else {
+                out.push(Action::NoticeIn { src, dead });
+                self.mark_dead(dead, DeathCause::Notice, out);
             }
-            return Recv::Notice { dead };
+            return;
         }
         self.peers[src].credit = h.credit;
         self.process_ack(src, h.ack, now_ns);
         let p = &mut self.peers[src];
         match h.kind {
-            KIND_ACK => Recv::AckOnly,
-            KIND_HEARTBEAT => Recv::Heartbeat,
-            KIND_DATA => {
-                if h.seq <= p.cum_recv || p.ooo.contains(&h.seq) {
-                    // Our ack got lost (or the fabric duplicated the
-                    // packet): re-ack promptly so the sender stops.
-                    p.ack_due_ns = now_ns.max(1);
-                    Recv::Duplicate
-                } else {
-                    if h.seq == p.cum_recv + 1 {
-                        p.cum_recv += 1;
-                        while p.ooo.remove(&(p.cum_recv + 1)) {
-                            p.cum_recv += 1;
-                        }
-                    } else {
-                        p.ooo.insert(h.seq);
-                    }
-                    if p.ack_due_ns == 0 {
-                        p.ack_due_ns = now_ns.saturating_add(self.ack_delay_ns).max(1);
-                    }
-                    Recv::Deliver
-                }
+            KIND_HEARTBEAT => out.push(Action::HeartbeatIn),
+            KIND_DATA if h.seq <= p.cum_recv || p.ooo.contains(&h.seq) => {
+                // Our ack got lost (or the fabric duplicated the packet):
+                // re-ack promptly so the sender stops.
+                p.ack_due_ns = now_ns.max(1);
+                out.push(Action::Duplicate);
             }
-            _ => Recv::Malformed,
+            KIND_DATA => {
+                if h.seq == p.cum_recv + 1 {
+                    p.cum_recv += 1;
+                    while p.ooo.remove(&(p.cum_recv + 1)) {
+                        p.cum_recv += 1;
+                    }
+                } else {
+                    p.ooo.insert(h.seq);
+                }
+                if p.ack_due_ns == 0 {
+                    p.ack_due_ns = now_ns.saturating_add(self.ack_delay_ns).max(1);
+                }
+                out.push(Action::Deliver { src, payload });
+            }
+            // A standalone ack: processed above.
+            _ => {}
+        }
+        if self.peers[src].backpressured {
+            self.release(src, now_ns, out);
         }
     }
 
@@ -556,12 +574,14 @@ impl ReliableLink {
     }
 
     /// Marks `dst` dead, drains its state, and schedules one dissemination
-    /// cycle of death notices. Returns the unacked payloads whose tokens
-    /// the caller must fail. The once-per-peer dissemination guard is the
+    /// cycle of death notices — unless `dst` is this node or already dead
+    /// (nothing to do, nothing to forward). The once-per-peer guard is the
     /// `dead` flag itself: a peer is only ever marked dead once.
-    fn mark_dead_inner(&mut self, dst: NodeId) -> Vec<Payload> {
+    fn mark_dead(&mut self, dst: NodeId, cause: DeathCause, out: &mut Vec<Action>) {
+        if dst == self.me || self.peers[dst].dead {
+            return;
+        }
         let p = &mut self.peers[dst];
-        debug_assert!(!p.dead);
         p.dead = true;
         p.ooo.clear();
         p.ack_due_ns = 0;
@@ -570,30 +590,15 @@ impl ReliableLink {
         p.credit = CREDIT_UNLIMITED;
         // Held (never-stamped) buffers carry request tokens just like
         // unacked ones: both must be error-completed.
-        let mut unacked: Vec<Payload> = p.rtx.drain(..).map(|r| r.payload).collect();
-        unacked.extend(p.held.drain(..));
+        let unacked = p.rtx.drain(..).map(|r| r.payload).collect();
+        let held = p.held.drain(..).collect();
         self.notices.push(NoticeRounds { dead: dst, remaining: NOTICE_ROUNDS, next_ns: 0 });
-        unacked
+        out.push(Action::Dead { dst, unacked, held, cause });
     }
 
-    /// Confirms `node` dead from an out-of-band source — a received death
-    /// notice or an observed fabric kill — and returns the unacked
-    /// payloads whose tokens must be failed. `None` if `node` is this
-    /// node itself or already dead (nothing to do, nothing to forward).
-    pub fn confirm_death(&mut self, node: NodeId) -> Option<Vec<Payload>> {
-        if node == self.me || self.peers[node].dead {
-            return None;
-        }
-        Some(self.mark_dead_inner(node))
-    }
-
-    /// Timer sweep: appends retransmissions, standalone acks, heartbeats,
-    /// suspicion transitions, death declarations and notice dissemination
-    /// to `out`. Called once per communication-server sweep.
-    pub fn poll(&mut self, now_ns: u64, out: &mut Vec<PollAction>) {
-        for dst in self.cleared.split_off(0) {
-            out.push(PollAction::SuspectCleared { dst });
-        }
+    /// Timer sweep: retransmissions, standalone acks, heartbeats,
+    /// suspicions, death declarations and notice dissemination.
+    fn tick(&mut self, now_ns: u64, out: &mut Vec<Action>) {
         let det = self.detector;
         let local_credit = self.local_credit;
         for dst in 0..self.peers.len() {
@@ -633,12 +638,7 @@ impl ReliableLink {
                         && now_ns.saturating_sub(self.peers[dst].last_heard_ns)
                             < det.suspect_after();
                     if !heard_recently {
-                        let unacked = self.mark_dead_inner(dst);
-                        out.push(PollAction::Dead {
-                            dst,
-                            unacked,
-                            reason: DeathReason::RetryExhausted,
-                        });
+                        self.mark_dead(dst, DeathCause::RetryExhausted, out);
                         continue;
                     }
                 }
@@ -651,29 +651,26 @@ impl ReliableLink {
                     front.attempts += 1;
                 }
                 front.sent_ns = now_ns;
-                out.push(PollAction::Retransmit { dst, payload: front.payload.clone() });
+                let payload = front.payload.clone();
+                out.push(Action::Send { dst, payload, kind: SendKind::Retransmit });
             }
             let p = &mut self.peers[dst];
             if det.enabled() {
                 let silence = now_ns.saturating_sub(p.last_heard_ns);
                 if silence >= det.death_timeout_ns {
-                    let unacked = self.mark_dead_inner(dst);
-                    out.push(PollAction::Dead {
-                        dst,
-                        unacked,
-                        reason: DeathReason::HeartbeatTimeout,
-                    });
+                    self.mark_dead(dst, DeathCause::HeartbeatTimeout, out);
                     continue;
                 }
                 if silence >= det.suspect_after() && !p.suspected {
                     p.suspected = true;
-                    out.push(PollAction::Suspect { dst });
+                    out.push(Action::Suspect { dst, raised: true });
                 }
                 if now_ns.saturating_sub(p.last_sent_ns) >= det.heartbeat_idle_ns {
                     p.last_sent_ns = now_ns.max(1);
                     p.ack_due_ns = 0;
                     let hb = encode_header(KIND_HEARTBEAT, 0, p.cum_recv, local_credit);
-                    out.push(PollAction::Heartbeat { dst, payload: Payload::from(hb.to_vec()) });
+                    let payload = Payload::from(hb.to_vec());
+                    out.push(Action::Send { dst, payload, kind: SendKind::Heartbeat });
                     continue;
                 }
             }
@@ -681,7 +678,8 @@ impl ReliableLink {
                 p.ack_due_ns = 0;
                 p.last_sent_ns = now_ns.max(1);
                 let ack = encode_header(KIND_ACK, 0, p.cum_recv, local_credit);
-                out.push(PollAction::SendAck { dst, payload: Payload::from(ack.to_vec()) });
+                let payload = Payload::from(ack.to_vec());
+                out.push(Action::Send { dst, payload, kind: SendKind::Ack });
             }
         }
         // Notice dissemination: each dead peer's notice goes to every
@@ -701,10 +699,8 @@ impl ReliableLink {
                 let notice = encode_header(KIND_NOTICE, dead as u64, dead_count, CREDIT_UNLIMITED);
                 for &dst in &alive {
                     self.peers[dst].last_sent_ns = now_ns.max(1);
-                    out.push(PollAction::SendNotice {
-                        dst,
-                        payload: Payload::from(notice.to_vec()),
-                    });
+                    let payload = Payload::from(notice.to_vec());
+                    out.push(Action::Send { dst, payload, kind: SendKind::Notice });
                 }
             }
             self.notices.retain(|n| n.remaining > 0);
@@ -715,6 +711,8 @@ impl ReliableLink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn data_payload(extra: &[u8]) -> Payload {
         let mut v = vec![0u8; HEADER_LEN];
@@ -731,13 +729,16 @@ mod tests {
     /// A flow window no test below fills.
     const WIDE: usize = 1 << 12;
 
+    const NO_DETECTOR: DetectorConfig =
+        DetectorConfig { heartbeat_idle_ns: 0, death_timeout_ns: 0 };
+
     fn link(nodes: usize) -> ReliableLink {
         link_flow(nodes, WIDE)
     }
 
     fn link_flow(nodes: usize, flow_window: usize) -> ReliableLink {
         // rto_base 100, rto_max 400, 2 retries, ack delay 50, no detector.
-        ReliableLink::new(0, nodes, 100, 400, 2, 50, flow_window, DetectorConfig::disabled())
+        ReliableLink::new(0, nodes, 100, 400, 2, 50, flow_window, NO_DETECTOR)
     }
 
     fn link_det(nodes: usize) -> ReliableLink {
@@ -747,18 +748,70 @@ mod tests {
         ReliableLink::new(0, nodes, 100, 400, 2, 50, WIDE, det)
     }
 
-    fn kinds(out: &[PollAction]) -> Vec<u8> {
+    fn step(l: &mut ReliableLink, now: u64, event: Event) -> Vec<Action> {
+        let mut out = Vec::new();
+        l.step(now, event, &mut out);
+        out
+    }
+
+    fn send(l: &mut ReliableLink, dst: NodeId, extra: &[u8], now: u64) -> Vec<Action> {
+        step(l, now, Event::Send { dst, payload: data_payload(extra) })
+    }
+
+    fn packet(l: &mut ReliableLink, src: NodeId, bytes: &[u8], now: u64) -> Vec<Action> {
+        step(l, now, Event::Packet { src, payload: Payload::from(bytes.to_vec()) })
+    }
+
+    fn tick(l: &mut ReliableLink, now: u64) -> Vec<Action> {
+        step(l, now, Event::Tick { credit: CREDIT_UNLIMITED })
+    }
+
+    fn down(l: &mut ReliableLink, peer: NodeId) -> Vec<Action> {
+        step(l, 0, Event::Down { peer, cause: DownCause::Killed })
+    }
+
+    /// The packets `out` puts on the wire, with their parsed headers.
+    fn wire(out: &[Action]) -> Vec<(NodeId, SendKind, Header)> {
         out.iter()
-            .map(|a| match a {
-                PollAction::Retransmit { .. } => KIND_DATA,
-                PollAction::SendAck { .. } => KIND_ACK,
-                PollAction::Heartbeat { .. } => KIND_HEARTBEAT,
-                PollAction::SendNotice { .. } => KIND_NOTICE,
-                PollAction::Suspect { .. } => 100,
-                PollAction::SuspectCleared { .. } => 101,
-                PollAction::Dead { .. } => 102,
+            .filter_map(|a| match a {
+                Action::Send { dst, payload, kind } => {
+                    Some((*dst, *kind, parse_header(payload).unwrap()))
+                }
+                _ => None,
             })
             .collect()
+    }
+
+    /// One short name per action, to compare whole outcomes.
+    fn tags(out: &[Action]) -> Vec<&'static str> {
+        out.iter()
+            .map(|a| match a {
+                Action::Send { kind: SendKind::Data { .. }, .. } => "data",
+                Action::Send { kind: SendKind::Retransmit, .. } => "retransmit",
+                Action::Send { kind: SendKind::Ack, .. } => "ack",
+                Action::Send { kind: SendKind::Heartbeat, .. } => "heartbeat",
+                Action::Send { kind: SendKind::Notice, .. } => "notice",
+                Action::Deliver { .. } => "deliver",
+                Action::Refused { .. } => "refused",
+                Action::Held { .. } => "held",
+                Action::WindowOpen { .. } => "open",
+                Action::Suspect { raised: true, .. } => "suspect",
+                Action::Suspect { raised: false, .. } => "cleared",
+                Action::Dead { .. } => "dead",
+                Action::Duplicate => "duplicate",
+                Action::HeartbeatIn => "heartbeat-in",
+                Action::NoticeIn { .. } => "notice-in",
+                Action::Malformed { .. } => "malformed",
+            })
+            .collect()
+    }
+
+    fn unacked(l: &ReliableLink, node: NodeId) -> usize {
+        l.peers[node].rtx.len()
+    }
+
+    fn dead_peers(l: &ReliableLink) -> Vec<NodeId> {
+        (0..l.peers.len()).filter(|&n| l.peers[n].dead).collect()
     }
 
     #[test]
@@ -773,136 +826,123 @@ mod tests {
     #[test]
     fn sequences_are_per_destination_and_one_based() {
         let mut l = link(3);
-        let w1 = l.prepare_data(1, data_payload(b"a"), 10);
-        let w2 = l.prepare_data(2, data_payload(b"b"), 10);
-        let w3 = l.prepare_data(1, data_payload(b"c"), 10);
-        assert_eq!(parse_header(&w1).unwrap().seq, 1);
-        assert_eq!(parse_header(&w2).unwrap().seq, 1);
-        assert_eq!(parse_header(&w3).unwrap().seq, 2);
-        assert_eq!(l.unacked(1), 2);
-        assert_eq!(l.unacked(2), 1);
+        let w1 = wire(&send(&mut l, 1, b"a", 10));
+        let w2 = wire(&send(&mut l, 2, b"b", 10));
+        let w3 = wire(&send(&mut l, 1, b"c", 10));
+        assert_eq!((w1[0].0, w1[0].2.seq), (1, 1));
+        assert_eq!((w2[0].0, w2[0].2.seq), (2, 1));
+        assert_eq!((w3[0].0, w3[0].2.seq), (1, 2));
+        assert_eq!(unacked(&l, 1), 2);
+        assert_eq!(unacked(&l, 2), 1);
     }
 
     #[test]
     fn duplicates_are_suppressed_and_reacked() {
         let mut l = link(2);
         let pkt = hdr(KIND_DATA, 1, 0);
-        assert_eq!(l.on_packet(1, &pkt, 10), Recv::Deliver);
-        assert_eq!(l.on_packet(1, &pkt, 20), Recv::Duplicate);
+        assert_eq!(tags(&packet(&mut l, 1, &pkt, 10)), ["deliver"]);
+        assert_eq!(tags(&packet(&mut l, 1, &pkt, 20)), ["duplicate"]);
         // Duplicate forces a prompt standalone re-ack.
-        let mut out = Vec::new();
-        l.poll(20, &mut out);
-        assert!(out.iter().any(|a| matches!(a,
-            PollAction::SendAck { dst: 1, payload } if parse_header(payload).unwrap().ack == 1)));
+        assert!(wire(&tick(&mut l, 20))
+            .iter()
+            .any(|(dst, kind, h)| *dst == 1 && *kind == SendKind::Ack && h.ack == 1));
     }
 
     #[test]
     fn out_of_order_data_is_delivered_once_and_acked_cumulatively() {
         let mut l = link(2);
         // 2 and 3 arrive before 1.
-        assert_eq!(l.on_packet(1, &hdr(KIND_DATA, 2, 0), 10), Recv::Deliver);
-        assert_eq!(l.on_packet(1, &hdr(KIND_DATA, 3, 0), 11), Recv::Deliver);
-        assert_eq!(l.on_packet(1, &hdr(KIND_DATA, 2, 0), 12), Recv::Duplicate);
-        assert_eq!(l.on_packet(1, &hdr(KIND_DATA, 1, 0), 13), Recv::Deliver);
+        assert_eq!(tags(&packet(&mut l, 1, &hdr(KIND_DATA, 2, 0), 10)), ["deliver"]);
+        assert_eq!(tags(&packet(&mut l, 1, &hdr(KIND_DATA, 3, 0), 11)), ["deliver"]);
+        assert_eq!(tags(&packet(&mut l, 1, &hdr(KIND_DATA, 2, 0), 12)), ["duplicate"]);
+        assert_eq!(tags(&packet(&mut l, 1, &hdr(KIND_DATA, 1, 0), 13)), ["deliver"]);
         // Ack (after the delay) covers all three.
-        let mut out = Vec::new();
-        l.poll(13 + 50, &mut out);
-        let Some(PollAction::SendAck { payload, .. }) = out.first() else {
+        let Some((_, SendKind::Ack, h)) = wire(&tick(&mut l, 13 + 50)).first().copied() else {
             panic!("expected a standalone ack");
         };
-        assert_eq!(parse_header(payload).unwrap().ack, 3);
+        assert_eq!(h.ack, 3);
     }
 
     #[test]
     fn cumulative_ack_drains_retransmit_queue() {
         let mut l = link(2);
         for i in 0..3 {
-            l.prepare_data(1, data_payload(&[i]), 10);
+            send(&mut l, 1, &[i], 10);
         }
-        assert_eq!(l.unacked(1), 3);
-        // A standalone ack for seq 2 pops the first two.
-        assert_eq!(l.on_packet(1, &hdr(KIND_ACK, 0, 2), 20), Recv::AckOnly);
-        assert_eq!(l.unacked(1), 1);
-        assert_eq!(l.on_packet(1, &hdr(KIND_ACK, 0, 3), 30), Recv::AckOnly);
-        assert_eq!(l.unacked(1), 0);
+        assert_eq!(unacked(&l, 1), 3);
+        // A standalone ack for seq 2 pops the first two; it asks for
+        // nothing else.
+        assert!(packet(&mut l, 1, &hdr(KIND_ACK, 0, 2), 20).is_empty());
+        assert_eq!(unacked(&l, 1), 1);
+        assert!(packet(&mut l, 1, &hdr(KIND_ACK, 0, 3), 30).is_empty());
+        assert_eq!(unacked(&l, 1), 0);
     }
 
     #[test]
     fn piggybacked_ack_on_data_also_acks() {
         let mut l = link(2);
-        l.prepare_data(1, data_payload(b"x"), 10);
-        assert_eq!(l.on_packet(1, &hdr(KIND_DATA, 1, 1), 20), Recv::Deliver);
-        assert_eq!(l.unacked(1), 0);
+        send(&mut l, 1, b"x", 10);
+        assert_eq!(tags(&packet(&mut l, 1, &hdr(KIND_DATA, 1, 1), 20)), ["deliver"]);
+        assert_eq!(unacked(&l, 1), 0);
     }
 
     #[test]
     fn head_of_line_retransmits_with_backoff_then_death() {
         let mut l = link(2);
-        l.prepare_data(1, data_payload(b"x"), 0);
-        l.prepare_data(1, data_payload(b"y"), 0);
-        let mut out = Vec::new();
+        send(&mut l, 1, b"x", 0);
+        send(&mut l, 1, b"y", 0);
         // rto_base=100: first retransmit at t=100, attempts 0→1.
-        l.poll(99, &mut out);
-        assert!(out.is_empty());
-        l.poll(100, &mut out);
+        assert!(tick(&mut l, 99).is_empty());
+        let out = tick(&mut l, 100);
         assert!(
-            matches!(out.as_slice(), [PollAction::Retransmit { dst: 1, payload }]
-                if parse_header(payload).unwrap().seq == 1),
+            matches!(wire(&out).as_slice(), [(1, SendKind::Retransmit, h)] if h.seq == 1)
+                && out.len() == 1,
             "only the queue head retransmits"
         );
-        out.clear();
         // Backoff doubles: next at 100 + 200.
-        l.poll(250, &mut out);
-        assert!(out.is_empty());
-        l.poll(300, &mut out);
-        assert_eq!(out.len(), 1);
-        out.clear();
+        assert!(tick(&mut l, 250).is_empty());
+        assert_eq!(tags(&tick(&mut l, 300)), ["retransmit"]);
         // attempts == max_retries (2): the next expiry declares death.
-        l.poll(300 + 400, &mut out);
-        let [PollAction::Dead { dst: 1, unacked, reason: DeathReason::RetryExhausted }] =
+        let out = tick(&mut l, 300 + 400);
+        let [Action::Dead { dst: 1, unacked, held, cause: DeathCause::RetryExhausted }] =
             out.as_slice()
         else {
-            panic!("expected death declaration");
+            panic!("expected death declaration, got {:?}", tags(&out));
         };
-        assert_eq!(unacked.len(), 2);
-        assert!(l.is_dead(1));
-        // Dead peers are inert afterwards.
-        out.clear();
-        l.poll(10_000, &mut out);
-        assert!(out.is_empty());
-        assert_eq!(l.on_packet(1, &hdr(KIND_DATA, 5, 0), 10_000), Recv::FromDead);
+        assert_eq!((unacked.len(), held.len()), (2, 0));
+        assert_eq!(dead_peers(&l), [1]);
+        // Dead peers are inert afterwards: their packets drop unseen, and
+        // a buffer emitted toward them is refused.
+        assert!(tick(&mut l, 10_000).is_empty());
+        assert!(packet(&mut l, 1, &hdr(KIND_DATA, 5, 0), 10_000).is_empty());
+        assert_eq!(tags(&send(&mut l, 1, b"z", 10_000)), ["refused"]);
     }
 
     #[test]
     fn ack_progress_resets_backoff_of_new_head() {
         let mut l = link(2);
-        l.prepare_data(1, data_payload(b"x"), 0);
-        l.prepare_data(1, data_payload(b"y"), 0);
-        let mut out = Vec::new();
-        l.poll(100, &mut out); // head seq 1 retransmitted, attempts=1
-        out.clear();
+        send(&mut l, 1, b"x", 0);
+        send(&mut l, 1, b"y", 0);
+        // Head seq 1 retransmitted, attempts=1.
+        tick(&mut l, 100);
         // Ack seq 1 at t=150: new head (seq 2) restarts its timer there.
-        l.on_packet(1, &hdr(KIND_ACK, 0, 1), 150);
-        l.poll(249, &mut out);
-        assert!(out.is_empty(), "timer restarted at ack time");
-        l.poll(250, &mut out);
-        assert!(matches!(out.as_slice(), [PollAction::Retransmit { dst: 1, payload }]
-            if parse_header(payload).unwrap().seq == 2));
+        packet(&mut l, 1, &hdr(KIND_ACK, 0, 1), 150);
+        assert!(tick(&mut l, 249).is_empty(), "timer restarted at ack time");
+        assert!(matches!(wire(&tick(&mut l, 250)).as_slice(),
+            [(1, SendKind::Retransmit, h)] if h.seq == 2));
     }
 
     #[test]
     fn standalone_ack_waits_for_the_delay_and_piggyback_cancels_it() {
         let mut l = link(2);
-        assert_eq!(l.on_packet(1, &hdr(KIND_DATA, 1, 0), 10), Recv::Deliver);
-        let mut out = Vec::new();
-        l.poll(59, &mut out);
-        assert!(out.is_empty(), "ack delay (50) not yet elapsed");
+        assert_eq!(tags(&packet(&mut l, 1, &hdr(KIND_DATA, 1, 0), 10)), ["deliver"]);
+        assert!(tick(&mut l, 59).is_empty(), "ack delay (50) not yet elapsed");
         // Outgoing data to the same peer piggybacks the ack instead.
-        let wire = l.prepare_data(1, data_payload(b"z"), 40);
-        assert_eq!(parse_header(&wire).unwrap().ack, 1);
-        l.poll(1_000, &mut out);
+        let w = wire(&send(&mut l, 1, b"z", 40));
+        assert!(matches!(w[0].1, SendKind::Data { piggybacked_ack: true, .. }));
+        assert_eq!(w[0].2.ack, 1);
         assert!(
-            !out.iter().any(|a| matches!(a, PollAction::SendAck { .. })),
+            !tags(&tick(&mut l, 1_000)).contains(&"ack"),
             "piggyback cancelled the standalone ack"
         );
     }
@@ -910,10 +950,13 @@ mod tests {
     #[test]
     fn malformed_and_short_buffers_are_flagged() {
         let mut l = link(2);
-        assert_eq!(l.on_packet(1, &[1, 2, 3], 10), Recv::Malformed);
-        assert_eq!(l.on_packet(1, &hdr(7, 1, 0), 10), Recv::Malformed);
+        assert!(matches!(
+            packet(&mut l, 1, &[1, 2, 3], 10).as_slice(),
+            [Action::Malformed { src: 1, len: 3 }]
+        ));
+        assert_eq!(tags(&packet(&mut l, 1, &hdr(7, 1, 0), 10)), ["malformed"]);
         // A notice naming an out-of-range node is malformed, not a panic.
-        assert_eq!(l.on_packet(1, &hdr(KIND_NOTICE, 99, 0), 10), Recv::Malformed);
+        assert_eq!(tags(&packet(&mut l, 1, &hdr(KIND_NOTICE, 99, 0), 10)), ["malformed"]);
     }
 
     #[test]
@@ -925,150 +968,119 @@ mod tests {
         let mut t = 0;
         for i in 0..40u64 {
             t = i * 50;
-            l.prepare_data(1, data_payload(b"x"), t);
-            l.on_packet(1, &hdr(KIND_ACK, 0, i + 1), t + 10);
-            l.poll(t + 10, &mut out);
+            out.extend(send(&mut l, 1, b"x", t));
+            out.extend(packet(&mut l, 1, &hdr(KIND_ACK, 0, i + 1), t + 10));
+            out.extend(tick(&mut l, t + 10));
         }
-        assert!(
-            !out.iter().any(|a| matches!(a, PollAction::Heartbeat { .. })),
-            "busy link must not heartbeat"
-        );
-        assert!(!l.is_suspected(1) && !l.is_dead(1));
+        assert!(!tags(&out).contains(&"heartbeat"), "busy link must not heartbeat");
+        assert!(!l.peers[1].suspected && !l.peers[1].dead);
         // Once the link idles past the threshold, exactly one heartbeat
         // goes out per idle period.
-        out.clear();
-        l.poll(t + 10 + 100, &mut out);
-        assert_eq!(kinds(&out), vec![KIND_HEARTBEAT]);
-        out.clear();
-        l.poll(t + 10 + 150, &mut out);
-        assert!(out.is_empty(), "heartbeat interval not yet elapsed again");
+        assert_eq!(tags(&tick(&mut l, t + 10 + 100)), ["heartbeat"]);
+        assert!(tick(&mut l, t + 10 + 150).is_empty(), "heartbeat interval not yet elapsed again");
     }
 
     #[test]
     fn heartbeats_carry_the_cumulative_ack() {
         let mut l = link_det(2);
-        l.on_packet(1, &hdr(KIND_DATA, 1, 0), 10);
-        let mut out = Vec::new();
-        l.poll(10, &mut out); // baseline init
-        out.clear();
+        packet(&mut l, 1, &hdr(KIND_DATA, 1, 0), 10);
+        tick(&mut l, 10); // baseline init
+
         // The heartbeat subsumes the pending standalone ack.
-        l.poll(200, &mut out);
-        let hb = out
-            .iter()
-            .find_map(|a| match a {
-                PollAction::Heartbeat { payload, .. } => Some(parse_header(payload).unwrap()),
-                _ => None,
-            })
-            .expect("heartbeat emitted");
+        let out = wire(&tick(&mut l, 200));
+        let (_, _, hb) =
+            out.iter().find(|(_, kind, _)| *kind == SendKind::Heartbeat).expect("heartbeat sent");
         assert_eq!(hb.kind, KIND_HEARTBEAT);
         assert_eq!(hb.ack, 1);
         assert!(
-            !out.iter().any(|a| matches!(a, PollAction::SendAck { .. })),
+            !out.iter().any(|(_, kind, _)| *kind == SendKind::Ack),
             "heartbeat replaces the standalone ack"
         );
         // Receiving a heartbeat acks our in-flight data and counts as
         // liveness.
         let mut l2 = link_det(2);
-        l2.prepare_data(1, data_payload(b"x"), 0);
-        assert_eq!(l2.on_packet(1, &hdr(KIND_HEARTBEAT, 0, 1), 50), Recv::Heartbeat);
-        assert_eq!(l2.unacked(1), 0);
+        send(&mut l2, 1, b"x", 0);
+        assert_eq!(tags(&packet(&mut l2, 1, &hdr(KIND_HEARTBEAT, 0, 1), 50)), ["heartbeat-in"]);
+        assert_eq!(unacked(&l2, 1), 0);
     }
 
     #[test]
     fn silence_raises_suspicion_then_clears_on_traffic() {
         let mut l = link_det(2);
-        let mut out = Vec::new();
-        l.poll(0, &mut out); // baseline init
-        assert!(out.is_empty() || kinds(&out) == vec![KIND_HEARTBEAT]);
-        out.clear();
-        l.poll(301, &mut out);
-        assert!(out.iter().any(|a| matches!(a, PollAction::Suspect { dst: 1 })));
-        assert!(l.is_suspected(1));
+        let out = tick(&mut l, 0); // baseline init
+        assert!(out.is_empty() || tags(&out) == ["heartbeat"]);
+        assert!(matches!(
+            tick(&mut l, 301).as_slice(),
+            [Action::Suspect { dst: 1, raised: true }, ..]
+        ));
+        assert!(l.peers[1].suspected);
         // Suspicion is raised once, not every sweep.
-        out.clear();
-        l.poll(400, &mut out);
-        assert!(!out.iter().any(|a| matches!(a, PollAction::Suspect { .. })));
-        // Any packet clears it; the clearance surfaces on the next poll.
-        l.on_packet(1, &hdr(KIND_ACK, 0, 0), 450);
-        assert!(!l.is_suspected(1));
-        out.clear();
-        l.poll(460, &mut out);
-        assert!(out.iter().any(|a| matches!(a, PollAction::SuspectCleared { dst: 1 })));
+        assert!(!tags(&tick(&mut l, 400)).contains(&"suspect"));
+        // Any packet clears it, in that packet's own step.
+        assert!(matches!(
+            packet(&mut l, 1, &hdr(KIND_ACK, 0, 0), 450).as_slice(),
+            [Action::Suspect { dst: 1, raised: false }]
+        ));
+        assert!(!l.peers[1].suspected);
     }
 
     #[test]
     fn prolonged_silence_confirms_death_and_disseminates() {
         let mut l = link_det(4);
-        let mut out = Vec::new();
-        l.poll(0, &mut out); // baseline for all peers
-                             // Keep peers 2 and 3 alive; peer 1 goes silent.
+        tick(&mut l, 0); // baseline for all peers
+
+        // Keep peers 2 and 3 alive; peer 1 goes silent.
         for t in (0..=1000).step_by(100) {
-            l.on_packet(2, &hdr(KIND_ACK, 0, 0), t);
-            l.on_packet(3, &hdr(KIND_ACK, 0, 0), t);
+            packet(&mut l, 2, &hdr(KIND_ACK, 0, 0), t);
+            packet(&mut l, 3, &hdr(KIND_ACK, 0, 0), t);
         }
-        out.clear();
-        l.poll(1001, &mut out);
+        let out = tick(&mut l, 1001);
         assert!(out.iter().any(|a| matches!(
             a,
-            PollAction::Dead { dst: 1, reason: DeathReason::HeartbeatTimeout, .. }
+            Action::Dead { dst: 1, cause: DeathCause::HeartbeatTimeout, .. }
         )));
-        assert!(l.is_dead(1));
-        assert_eq!(l.dead_peers(), vec![1]);
+        assert_eq!(dead_peers(&l), [1]);
         // The same sweep disseminates notices to both survivors.
-        let notices: Vec<_> = out
-            .iter()
-            .filter_map(|a| match a {
-                PollAction::SendNotice { dst, payload } => {
-                    Some((*dst, parse_header(payload).unwrap()))
-                }
-                _ => None,
-            })
-            .collect();
+        let notices: Vec<_> =
+            wire(&out).into_iter().filter(|(_, kind, _)| *kind == SendKind::Notice).collect();
         assert_eq!(notices.len(), 2);
-        for (dst, h) in &notices {
+        for (dst, _, h) in &notices {
             assert!(*dst == 2 || *dst == 3);
             assert_eq!(h.kind, KIND_NOTICE);
             assert_eq!(h.seq, 1, "notice names the dead node");
         }
         // Two more rounds follow, spaced rto_base apart, then it stops.
-        out.clear();
-        l.poll(1101, &mut out);
-        assert_eq!(out.iter().filter(|a| matches!(a, PollAction::SendNotice { .. })).count(), 2);
-        out.clear();
-        l.poll(1201, &mut out);
-        assert_eq!(out.iter().filter(|a| matches!(a, PollAction::SendNotice { .. })).count(), 2);
-        out.clear();
-        l.poll(1301, &mut out);
-        assert!(!out.iter().any(|a| matches!(a, PollAction::SendNotice { .. })));
+        let count = |out: Vec<Action>| tags(&out).iter().filter(|&&t| t == "notice").count();
+        assert_eq!(count(tick(&mut l, 1101)), 2);
+        assert_eq!(count(tick(&mut l, 1201)), 2);
+        assert_eq!(count(tick(&mut l, 1301)), 0);
     }
 
     #[test]
     fn received_notice_confirms_death_exactly_once() {
         let mut l = link_det(4);
-        l.prepare_data(2, data_payload(b"x"), 0);
+        send(&mut l, 2, b"x", 0);
         // Peer 1 tells us node 2 is dead.
         let notice = hdr(KIND_NOTICE, 2, 1);
-        assert_eq!(l.on_packet(1, &notice, 10), Recv::Notice { dead: 2 });
-        let unacked = l.confirm_death(2).expect("first confirmation");
+        let out = packet(&mut l, 1, &notice, 10);
+        let [Action::NoticeIn { src: 1, dead: 2 }, Action::Dead { dst: 2, unacked, cause: DeathCause::Notice, .. }] =
+            out.as_slice()
+        else {
+            panic!("expected the notice and its confirmation, got {:?}", tags(&out));
+        };
         assert_eq!(unacked.len(), 1, "in-flight data toward the dead peer is drained");
-        assert!(l.is_dead(2));
+        assert_eq!(dead_peers(&l), [2]);
         // Re-confirmation (another survivor's notice) is a no-op.
-        assert_eq!(l.on_packet(3, &notice, 20), Recv::Notice { dead: 2 });
-        assert!(l.confirm_death(2).is_none());
-        // Confirming ourselves dead is refused.
-        assert!(l.confirm_death(0).is_none());
+        assert_eq!(tags(&packet(&mut l, 3, &notice, 20)), ["notice-in"]);
+        // A notice naming ourselves confirms nothing.
+        assert_eq!(tags(&packet(&mut l, 1, &hdr(KIND_NOTICE, 0, 1), 25)), ["notice-in"]);
+        assert_eq!(dead_peers(&l), [2]);
         // Gossip: our own dissemination cycle for node 2 runs (to peers 1
         // and 3), forwarding the death we learned second-hand.
-        let mut out = Vec::new();
-        l.poll(30, &mut out);
-        let fwd: Vec<_> = out
-            .iter()
-            .filter_map(|a| match a {
-                PollAction::SendNotice { dst, payload } => {
-                    Some((*dst, parse_header(payload).unwrap().seq))
-                }
-                _ => None,
-            })
+        let fwd: Vec<_> = wire(&tick(&mut l, 30))
+            .into_iter()
+            .filter(|(_, kind, _)| *kind == SendKind::Notice)
+            .map(|(dst, _, h)| (dst, h.seq))
             .collect();
         assert_eq!(fwd.len(), 2);
         assert!(fwd.iter().all(|(dst, dead)| (*dst == 1 || *dst == 3) && *dead == 2));
@@ -1077,25 +1089,22 @@ mod tests {
     #[test]
     fn detector_disabled_means_no_heartbeats_or_silence_deaths() {
         let mut l = link(2);
-        let mut out = Vec::new();
-        l.poll(0, &mut out);
-        l.poll(1_000_000_000, &mut out);
-        assert!(out.is_empty());
-        assert!(!l.is_dead(1) && !l.is_suspected(1));
+        assert!(tick(&mut l, 0).is_empty());
+        assert!(tick(&mut l, 1_000_000_000).is_empty());
+        assert!(!l.peers[1].dead && !l.peers[1].suspected);
     }
 
     #[test]
     fn notices_are_not_sent_to_the_dead() {
         let mut l = link_det(4);
-        let mut out = Vec::new();
-        l.poll(0, &mut out);
-        l.confirm_death(1).unwrap();
-        l.confirm_death(2).unwrap();
-        out.clear();
-        l.poll(10, &mut out);
-        for a in &out {
-            if let PollAction::SendNotice { dst, .. } = a {
-                assert_eq!(*dst, 3, "only the survivor receives notices");
+        tick(&mut l, 0);
+        assert_eq!(tags(&down(&mut l, 1)), ["dead"]);
+        assert_eq!(tags(&down(&mut l, 2)), ["dead"]);
+        // A link observed down again, or this node's own, changes nothing.
+        assert!(down(&mut l, 1).is_empty() && down(&mut l, 0).is_empty());
+        for (dst, kind, _) in wire(&tick(&mut l, 10)) {
+            if kind == SendKind::Notice {
+                assert_eq!(dst, 3, "only the survivor receives notices");
             }
         }
     }
@@ -1103,71 +1112,89 @@ mod tests {
     #[test]
     fn flow_window_holds_submissions_and_releases_in_order() {
         let mut l = link_flow(2, 2);
-        assert!(l.submit_data(1, data_payload(b"a"), 10).is_some());
-        assert!(l.submit_data(1, data_payload(b"b"), 10).is_some());
+        let mut all = Vec::new();
+        let run = |out: Vec<Action>, all: &mut Vec<SendKind>| {
+            all.extend(wire(&out).into_iter().map(|(_, kind, _)| kind));
+            out
+        };
+        assert_eq!(tags(&run(send(&mut l, 1, b"a", 10), &mut all)), ["data"]);
+        assert_eq!(tags(&run(send(&mut l, 1, b"b", 10), &mut all)), ["data"]);
         // Window full: further submissions are held unstamped.
-        assert!(l.submit_data(1, data_payload(b"c"), 10).is_none());
-        assert!(l.submit_data(1, data_payload(b"d"), 10).is_none());
-        assert!(l.is_backpressured(1));
-        assert_eq!(l.unacked(1), 2);
-        assert_eq!(l.held_len(1), 2);
-        assert_eq!(l.unacked_watermark(1), 2);
-        // Ack seq 1: one slot opens; exactly one held buffer is stamped,
-        // in submission order (it gets seq 3).
-        l.on_packet(1, &hdr(KIND_ACK, 0, 1), 20);
-        let mut released = Vec::new();
-        assert!(!l.release_window(1, 20, &mut released), "still one held");
-        assert_eq!(released.len(), 1);
-        let h = parse_header(&released[0]).unwrap();
-        assert_eq!((h.seq, &released[0][HEADER_LEN..]), (3, &b"c"[..]));
-        assert!(l.is_backpressured(1));
+        assert!(matches!(
+            send(&mut l, 1, b"c", 10).as_slice(),
+            [Action::Held { dst: 1, entered: true }]
+        ));
+        assert!(matches!(
+            send(&mut l, 1, b"d", 10).as_slice(),
+            [Action::Held { dst: 1, entered: false }]
+        ));
+        assert!(l.peers[1].backpressured);
+        assert_eq!((unacked(&l, 1), l.peers[1].held.len()), (2, 2));
+        // Ack seq 1: one slot opens inside the ack's own step; exactly one
+        // held buffer is stamped, in submission order (it gets seq 3).
+        let out = run(packet(&mut l, 1, &hdr(KIND_ACK, 0, 1), 20), &mut all);
+        let [Action::Send { dst: 1, payload, kind: SendKind::Data { was_held: true, .. } }] =
+            out.as_slice()
+        else {
+            panic!("expected one released buffer, got {:?}", tags(&out));
+        };
+        let h = parse_header(payload).unwrap();
+        assert_eq!((h.seq, &payload[HEADER_LEN..]), (3, &b"c"[..]));
+        assert!(l.peers[1].backpressured, "still one held");
         // Ack everything in flight: the last held buffer drains and the
         // Backpressured state clears.
-        l.on_packet(1, &hdr(KIND_ACK, 0, 3), 30);
-        released.clear();
-        assert!(l.release_window(1, 30, &mut released));
-        assert_eq!(released.len(), 1);
-        assert_eq!(parse_header(&released[0]).unwrap().seq, 4);
-        assert!(!l.is_backpressured(1));
-        assert_eq!(l.held_len(1), 0);
+        let out = run(packet(&mut l, 1, &hdr(KIND_ACK, 0, 3), 30), &mut all);
+        assert_eq!(tags(&out), ["data", "open"]);
+        assert_eq!(wire(&out)[0].2.seq, 4);
+        assert!(!l.peers[1].backpressured);
+        assert!(l.peers[1].held.is_empty());
         // Window never overshot its bound.
-        assert_eq!(l.unacked_watermark(1), 2);
+        let occupancy = all.iter().map(|k| match k {
+            SendKind::Data { occupancy, .. } => *occupancy,
+            _ => 0,
+        });
+        assert_eq!(occupancy.max(), Some(2));
         // And the window is usable again.
-        assert!(l.submit_data(1, data_payload(b"e"), 40).is_some());
+        assert_eq!(tags(&send(&mut l, 1, b"e", 40)), ["data"]);
     }
 
     #[test]
     fn receiver_credit_shrinks_the_window_and_zero_credit_keeps_one_probe() {
         let mut l = link_flow(2, 8);
         // Peer advertises credit 1: effective window min(8, 1).
-        l.on_packet(1, &encode_header(KIND_ACK, 0, 0, 1), 10);
-        assert!(l.submit_data(1, data_payload(b"a"), 10).is_some());
-        assert!(l.submit_data(1, data_payload(b"b"), 10).is_none());
-        assert!(l.is_backpressured(1));
+        packet(&mut l, 1, &encode_header(KIND_ACK, 0, 0, 1), 10);
+        assert_eq!(tags(&send(&mut l, 1, b"a", 10)), ["data"]);
+        assert_eq!(tags(&send(&mut l, 1, b"b", 10)), ["held"]);
+        assert!(l.peers[1].backpressured);
         // Credit 0 floors at one in-flight probe buffer, so the window
         // can reopen from that probe's ack (never wedges).
         let mut l2 = link_flow(2, 8);
-        l2.on_packet(1, &encode_header(KIND_ACK, 0, 0, 0), 10);
-        assert!(l2.submit_data(1, data_payload(b"a"), 10).is_some());
-        assert!(l2.submit_data(1, data_payload(b"b"), 10).is_none());
+        packet(&mut l2, 1, &encode_header(KIND_ACK, 0, 0, 0), 10);
+        assert_eq!(tags(&send(&mut l2, 1, b"a", 10)), ["data"]);
+        assert_eq!(tags(&send(&mut l2, 1, b"b", 10)), ["held"]);
         // The probe's ack (with restored credit) releases the rest.
-        l2.on_packet(1, &encode_header(KIND_ACK, 0, 1, 4), 20);
-        let mut released = Vec::new();
-        assert!(l2.release_window(1, 20, &mut released));
-        assert_eq!(released.len(), 1);
+        assert_eq!(
+            tags(&packet(&mut l2, 1, &encode_header(KIND_ACK, 0, 1, 4), 20)),
+            ["data", "open"]
+        );
     }
 
     #[test]
     fn death_drains_held_buffers_alongside_unacked() {
         let mut l = link_flow(2, 1);
-        assert!(l.submit_data(1, data_payload(b"a"), 10).is_some());
-        assert!(l.submit_data(1, data_payload(b"b"), 10).is_none());
-        assert!(l.submit_data(1, data_payload(b"c"), 10).is_none());
-        let unacked = l.confirm_death(1).expect("first confirmation");
+        assert_eq!(tags(&send(&mut l, 1, b"a", 10)), ["data"]);
+        assert_eq!(tags(&send(&mut l, 1, b"b", 10)), ["held"]);
+        assert_eq!(tags(&send(&mut l, 1, b"c", 10)), ["held"]);
+        let out = down(&mut l, 1);
+        let [Action::Dead { dst: 1, unacked, held, cause: DeathCause::Down(DownCause::Killed) }] =
+            out.as_slice()
+        else {
+            panic!("expected the death, got {:?}", tags(&out));
+        };
         // 1 in-flight + 2 held: all three carry tokens that must fail.
-        assert_eq!(unacked.len(), 3);
-        assert!(!l.is_backpressured(1));
-        assert_eq!(l.held_len(1), 0);
+        assert_eq!((unacked.len(), held.len()), (1, 2));
+        assert!(!l.peers[1].backpressured);
+        assert!(l.peers[1].held.is_empty());
     }
 
     #[test]
@@ -1176,33 +1203,23 @@ mod tests {
         // the slow-receiver shape) is retransmitted to indefinitely at
         // the capped backoff instead of being declared dead.
         let mut l = link_det(2);
-        let mut out = Vec::new();
-        l.poll(0, &mut out); // baseline init
-        l.prepare_data(1, data_payload(b"x"), 0);
+        tick(&mut l, 0); // baseline init
+        send(&mut l, 1, b"x", 0);
         // Expiries at 100 (attempts→1), 300 (→2), 700 (at budget).
         for t in [100, 300] {
-            out.clear();
-            l.poll(t, &mut out);
-            assert!(out.iter().any(|a| matches!(a, PollAction::Retransmit { dst: 1, .. })));
+            assert!(tags(&tick(&mut l, t)).contains(&"retransmit"));
         }
         // Keep the peer audibly alive just before the budget expiry.
-        l.on_packet(1, &hdr(KIND_ACK, 0, 0), 650);
-        out.clear();
-        l.poll(700, &mut out);
-        assert!(!l.is_dead(1), "heard 50ns ago: exhaustion suppressed");
-        assert!(
-            out.iter().any(|a| matches!(a, PollAction::Retransmit { dst: 1, .. })),
-            "suppression keeps retransmitting the head"
-        );
+        packet(&mut l, 1, &hdr(KIND_ACK, 0, 0), 650);
+        let out = tick(&mut l, 700);
+        assert!(!l.peers[1].dead, "heard 50ns ago: exhaustion suppressed");
+        assert!(tags(&out).contains(&"retransmit"), "suppression keeps retransmitting the head");
         // Silence past the suspicion threshold (200): the next expiry now
         // kills.
-        out.clear();
-        l.poll(1100, &mut out);
-        assert!(out.iter().any(|a| matches!(
-            a,
-            PollAction::Dead { dst: 1, reason: DeathReason::RetryExhausted, .. }
-        )));
-        assert!(l.is_dead(1));
+        assert!(tick(&mut l, 1100)
+            .iter()
+            .any(|a| matches!(a, Action::Dead { dst: 1, cause: DeathCause::RetryExhausted, .. })));
+        assert!(l.peers[1].dead);
     }
 
     #[test]
@@ -1210,14 +1227,140 @@ mod tests {
         // Without a detector there is no liveness evidence to suppress
         // on: the original budget semantics hold even if packets arrive.
         let mut l = link(2);
-        l.prepare_data(1, data_payload(b"x"), 0);
-        let mut out = Vec::new();
+        send(&mut l, 1, b"x", 0);
         for t in [100, 300] {
-            l.poll(t, &mut out);
+            tick(&mut l, t);
         }
-        l.on_packet(1, &hdr(KIND_ACK, 0, 0), 650);
-        out.clear();
-        l.poll(700, &mut out);
-        assert!(l.is_dead(1));
+        packet(&mut l, 1, &hdr(KIND_ACK, 0, 0), 650);
+        tick(&mut l, 700);
+        assert!(l.peers[1].dead);
+    }
+
+    /// Carries the send actions of two links between them, dropping,
+    /// duplicating and delaying packets from a seeded generator until it
+    /// turns lossless.
+    struct LossyWire {
+        rng: SmallRng,
+        drop: f64,
+        dup: f64,
+        lossless: bool,
+        /// Packets on the wire: the tick they arrive at, where, what.
+        in_flight: Vec<(u64, NodeId, Payload)>,
+        /// Deliveries at the receiver, per buffer index.
+        delivered: Vec<u32>,
+    }
+
+    impl LossyWire {
+        /// Takes the actions node `from` asked for at tick `t`.
+        fn carry(&mut self, from: NodeId, t: u64, window: usize, out: &mut Vec<Action>) {
+            for a in out.drain(..) {
+                match a {
+                    Action::Send { dst, payload, kind } => {
+                        if let SendKind::Data { occupancy, .. } = kind {
+                            assert!(occupancy <= window, "{occupancy} unacked, window {window}");
+                        }
+                        if self.lossless {
+                            self.in_flight.push((t + 1, dst, payload));
+                            continue;
+                        }
+                        if self.rng.gen_bool(self.drop) {
+                            continue;
+                        }
+                        let copies = if self.rng.gen_bool(self.dup) { 2 } else { 1 };
+                        for _ in 0..copies {
+                            let late = self.rng.gen_range(0..=3u64);
+                            self.in_flight.push((t + 1 + late, dst, payload.clone()));
+                        }
+                    }
+                    Action::Deliver { payload, .. } => {
+                        let index = u64::from_le_bytes(payload[HEADER_LEN..].try_into().unwrap());
+                        self.delivered[index as usize] += 1;
+                    }
+                    Action::Dead { dst, cause, .. } => {
+                        panic!("node {from} declared node {dst} dead: {cause}")
+                    }
+                    _ => {}
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_seeded_lossy_wire_delivers_every_buffer_exactly_once() {
+        const BUFFERS: u64 = 500;
+        const WINDOW: usize = 4;
+        const TICK: u64 = 10;
+        /// Ticks the links get, once the wire is lossless, to go quiet.
+        const SETTLE: u64 = 200;
+        for seed in 0..20u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let (drop, dup) = (rng.gen_range(0.0..0.2), rng.gen_range(0.0..0.1));
+            // Detector on, its death timeout longer than any run.
+            let det = DetectorConfig { heartbeat_idle_ns: 20 * TICK, death_timeout_ns: 1 << 60 };
+            let mut links = [0, 1]
+                .map(|me| ReliableLink::new(me, 2, 4 * TICK, 32 * TICK, 4, 2 * TICK, WINDOW, det));
+            let mut wire = LossyWire {
+                rng,
+                drop,
+                dup,
+                lossless: false,
+                in_flight: Vec::new(),
+                delivered: vec![0; BUFFERS as usize],
+            };
+            let quiet = |links: &[ReliableLink; 2]| {
+                links.iter().all(|l| {
+                    l.peers
+                        .iter()
+                        .all(|p| p.rtx.is_empty() && p.held.is_empty() && p.ack_due_ns == 0)
+                })
+            };
+            let mut out = Vec::new();
+            let mut next = 0u64;
+            let mut lossless_at = None;
+            for t in 0u64.. {
+                let now = t * TICK;
+                // Node 0 submits two buffers a tick, each tagged with its index.
+                for _ in 0..2 {
+                    if next < BUFFERS {
+                        let payload = data_payload(&next.to_le_bytes());
+                        links[0].step(now, Event::Send { dst: 1, payload }, &mut out);
+                        wire.carry(0, t, WINDOW, &mut out);
+                        next += 1;
+                    }
+                }
+                let (due, later) = std::mem::take(&mut wire.in_flight)
+                    .into_iter()
+                    .partition::<Vec<_>, _>(|(at, ..)| *at <= t);
+                wire.in_flight = later;
+                for (_, to, payload) in due {
+                    links[to].step(now, Event::Packet { src: 1 - to, payload }, &mut out);
+                    wire.carry(to, t, WINDOW, &mut out);
+                }
+                for (me, l) in links.iter_mut().enumerate() {
+                    l.step(now, Event::Tick { credit: WINDOW as u16 }, &mut out);
+                    wire.carry(me, t, WINDOW, &mut out);
+                }
+                assert!(unacked(&links[0], 1) <= links[0].effective_window(1));
+                match lossless_at {
+                    None if wire.delivered.iter().all(|&n| n > 0) => {
+                        wire.lossless = true;
+                        lossless_at = Some(t);
+                    }
+                    None => assert!(t < 100_000, "seed {seed}: delivery never completed"),
+                    Some(at) if quiet(&links) && wire.in_flight.is_empty() => {
+                        assert!(t - at <= SETTLE);
+                        break;
+                    }
+                    Some(at) => assert!(
+                        t - at <= SETTLE,
+                        "seed {seed}: not quiet {SETTLE} ticks after the wire turned lossless"
+                    ),
+                }
+            }
+            assert!(
+                wire.delivered.iter().all(|&n| n == 1),
+                "seed {seed} (drop {drop:.3}, dup {dup:.3}): a buffer was not delivered exactly once"
+            );
+        }
     }
 }

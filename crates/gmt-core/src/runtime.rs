@@ -4,8 +4,9 @@
 //! communicate through commands" (§IV-A). A [`Cluster`] hosts all node
 //! instances in one process, wired through a pluggable
 //! [`gmt_net::Transport`] backend — the simulated [`gmt_net::Fabric`]
-//! (default; deterministic, fault-injectable) or a TCP loopback mesh
-//! (`GMT_TRANSPORT=tcp-loopback`). A [`NodeRuntime`] is the
+//! (default; deterministic, fault-injectable), a TCP loopback mesh
+//! (`GMT_TRANSPORT=tcp-loopback`) or a mesh of shared-memory rings
+//! (`GMT_TRANSPORT=shm`). A [`NodeRuntime`] is the
 //! multi-process shape: one node per OS process over a transport built
 //! by [`gmt_net::connect`], booted by `gmt-launch`. Either way,
 //! every node runs its configured worker threads, helper threads and
@@ -445,7 +446,8 @@ impl std::fmt::Debug for NodeHandle {
 }
 
 /// A running in-process GMT cluster (every node as threads of this
-/// process, over the sim fabric or a TCP loopback mesh).
+/// process, over the sim fabric, a TCP loopback mesh or shared-memory
+/// rings).
 pub struct Cluster {
     nodes: Vec<NodeHandle>,
     /// `Some` on the sim backend only: the owner of the endpoints below,

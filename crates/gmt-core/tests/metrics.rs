@@ -42,16 +42,24 @@ fn snapshot_is_consistent_after_shutdown() {
         // can go idle mid-run and emit standalone heartbeat frames.
         let extra = snap.counter("reliable.acks_standalone").unwrap()
             + snap.counter("reliable.retransmits").unwrap()
-            + snap.counter("detector.heartbeats_sent").unwrap();
+            + snap.counter("detector.heartbeats_sent").unwrap()
+            + snap.counter("detector.notices_sent").unwrap();
+        // Buffers the flow window still held when the link dropped at
+        // shutdown were filled and never sent.
+        let held_at_shutdown = snap.gauge("net.flow.held").unwrap() as u64;
         assert!(flushes > 0, "node {}: no aggregation flushes recorded", s.node_id);
-        // Everything on the wire is a flushed aggregation buffer (each at
-        // most `buffer_size` bytes), a standalone ack, a retransmit, or a
-        // heartbeat.
-        assert!(
-            sent_buffers <= flushes + extra,
-            "node {}: sent {sent_buffers} buffers from {flushes} flushes + {extra} acks/rtx/hb",
+        // Every packet on the wire is booked exactly once, as a flushed
+        // aggregation buffer (each at most `buffer_size` bytes), a
+        // standalone ack, a retransmit, a heartbeat or a death notice —
+        // and the transport counted the same packets.
+        assert_eq!(
+            sent_buffers,
+            flushes - held_at_shutdown + extra,
+            "node {}: sent {sent_buffers} buffers from {flushes} flushes - {held_at_shutdown} \
+             held + {extra} acks/rtx/hb/notices",
             s.node_id
         );
+        assert_eq!(sent_buffers, s.net.node(s.node_id).sent_msgs, "node {}", s.node_id);
         assert!(
             sent_bytes <= (flushes + extra) * config.buffer_size as u64,
             "node {}: {sent_bytes} B sent exceeds {} flushes x {} B capacity (+{extra} extra)",

@@ -56,16 +56,6 @@ impl DistGraph {
         self.edges
     }
 
-    /// The global offsets array (for kernels doing raw accesses).
-    pub fn offsets_array(&self) -> &GmtArray {
-        &self.offsets
-    }
-
-    /// The global targets array.
-    pub fn targets_array(&self) -> &GmtArray {
-        &self.targets
-    }
-
     /// Fetches `[offsets[v], offsets[v+1])` with a single 16-byte get.
     pub fn edge_range(&self, ctx: &TaskCtx<'_>, v: u64) -> (u64, u64) {
         debug_assert!(v < self.vertices);

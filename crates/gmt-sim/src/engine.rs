@@ -99,14 +99,6 @@ impl SimReport {
         }
         self.payload_bytes as f64 * 1e3 / self.elapsed_ns as f64
     }
-
-    /// Operation throughput in M ops/s.
-    pub fn mops_s(&self) -> f64 {
-        if self.elapsed_ns == 0 {
-            return 0.0;
-        }
-        self.ops_completed as f64 * 1e3 / self.elapsed_ns as f64
-    }
 }
 
 #[derive(Debug, Clone, Copy)]
