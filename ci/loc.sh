@@ -22,7 +22,10 @@
 # does. A task's control block is its op-table slot: the script fails if a
 # reference-counted handle to one (`Arc<TaskControl>`, `Weak<TaskControl>`)
 # reappears in the crates' sources, which is how a second registry of live
-# tasks would start.
+# tasks would start. Every backend is a `Link` leaf under the one
+# `impl Transport for FramedTransport`: the script fails if a second
+# `impl … Transport for` appears there, which is how a second send path
+# would start.
 #
 # Last the switches: every one is something the tests and the benchmark
 # are supposed to cover at two values. The `pub` fields of
@@ -95,6 +98,12 @@ if [ "$unsafe_total" -gt 110 ]; then
 fi
 if grep -rnE --include='*.rs' '(Arc|Weak)<TaskControl>' crates/*/src >&2; then
     echo "crates: a task's control block lives in its op-table slot; borrow it, do not count references to it" >&2
+    exit 1
+fi
+transport_impls=$(grep -rnE --include='*.rs' 'impl(<[^>]*>)? +Transport +for' crates/*/src || true)
+if [ "$(grep -c . <<<"$transport_impls")" -gt 1 ]; then
+    echo "$transport_impls" >&2
+    echo "crates: one Transport implementation (FramedTransport); a new backend is a Link leaf under it, not a second send path" >&2
     exit 1
 fi
 for f in crates/gmt-kernels/src/bfs.rs crates/gmt-kernels/src/grw.rs crates/gmt-kernels/src/cc.rs; do

@@ -207,11 +207,6 @@ impl<T: 'static> Coroutine<T> {
         self.result.take()
     }
 
-    /// Size of the coroutine's stack in bytes.
-    pub fn stack_size(&self) -> usize {
-        self.stack.size()
-    }
-
     /// Consumes a finished coroutine and returns its stack for reuse.
     ///
     /// Recycling stacks is how the GMT runtime keeps task creation cheap

@@ -450,9 +450,9 @@ impl std::fmt::Debug for NodeHandle {
 /// rings).
 pub struct Cluster {
     nodes: Vec<NodeHandle>,
-    /// `Some` on the sim backend only: the owner of the endpoints below,
-    /// whose `Drop` is the sim's bounded drain. Real-wire clusters drain
-    /// per-transport instead.
+    /// `Some` on the sim backend only: the owner of the wire thread under
+    /// the endpoints below, dropped (which drains it in bounded time)
+    /// after they shut down.
     fabric: Option<Fabric>,
     /// One transport per node; explicitly shut down (drained) after the
     /// comm threads join.
@@ -638,9 +638,6 @@ impl Cluster {
     /// (`sim`, the default, `tcp-loopback`, or `shm` — the CI transport
     /// matrix). A config with a network cost model always runs on the
     /// sim: throttled delivery is what enforces the model.
-    ///
-    /// Tests that inject faults or read [`Cluster::fabric`] must pin the
-    /// backend with [`Cluster::start_sim`] instead.
     pub fn start(nodes: usize, config: Config) -> Result<Cluster, String> {
         let select = if config.network.is_some() {
             TransportSelect::Sim
@@ -652,7 +649,7 @@ impl Cluster {
 
     /// Starts a cluster pinned to the simulated fabric, regardless of
     /// `GMT_TRANSPORT`. Time-shaping faults and network cost models only
-    /// exist here ([`Cluster::fabric`]).
+    /// exist here.
     pub fn start_sim(nodes: usize, config: Config) -> Result<Cluster, String> {
         Self::start_with(nodes, config, TransportSelect::Sim)
     }
@@ -747,20 +744,6 @@ impl Cluster {
         &self.net
     }
 
-    /// The underlying simulated fabric (fault injection in tests).
-    ///
-    /// # Panics
-    ///
-    /// If the cluster runs on the TCP or shm backend — fault-injecting
-    /// tests must pin the sim with [`Cluster::start_sim`].
-    pub fn fabric(&self) -> &Fabric {
-        self.fabric.as_ref().expect(
-            "this cluster runs on a real transport backend (GMT_TRANSPORT); fabric-level \
-             fault injection and cost models need the sim — start it with Cluster::start_sim \
-             (seeded FaultPlans work on every backend via Cluster::install_faults)",
-        )
-    }
-
     /// Installs a seeded [`FaultPlan`] on every node's send path,
     /// whichever backend this cluster runs. Drop/dup/flap/kill replay
     /// identically from a seed on all three; time-shaping faults (jitter,
@@ -802,11 +785,10 @@ impl Cluster {
         }
         // Drain the transports after every comm thread is gone (the
         // Transport contract: bounded, idempotent, pools stay whole).
-        // On the sim this is a no-op per endpoint — the fabric's own
-        // `Drop` performs the wire-thread drain when `self.fabric` goes.
         for t in &self.transports {
             t.shutdown();
         }
+        drop(self.fabric.take());
         if let Some(hub) = self.trace.take() {
             hub.export();
         }

@@ -20,7 +20,7 @@
 
 use crate::mpi_util::{block_range, owner, run_ranks_on};
 use gmt_graph::Csr;
-use gmt_net::{DeliveryMode, Endpoint, Fabric, Packet, Tag};
+use gmt_net::{DeliveryMode, Endpoint, Fabric, Packet, Tag, Transport};
 use std::collections::VecDeque;
 use std::sync::Arc;
 

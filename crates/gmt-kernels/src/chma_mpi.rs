@@ -13,7 +13,7 @@
 
 use crate::chma::{fnv1a, pool_string, ChmaConfig, ChmaResult, MAX_STR};
 use crate::mpi_util::{owner, run_ranks_on};
-use gmt_net::{DeliveryMode, Endpoint, Fabric, Tag};
+use gmt_net::{DeliveryMode, Endpoint, Fabric, Tag, Transport};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;

@@ -13,7 +13,7 @@
 use crate::grw::{decision, GrwResult};
 use crate::mpi_util::{owner, run_ranks_on};
 use gmt_graph::Csr;
-use gmt_net::{DeliveryMode, Endpoint, Fabric, Packet, Tag};
+use gmt_net::{DeliveryMode, Endpoint, Fabric, Packet, Tag, Transport};
 use std::collections::VecDeque;
 use std::sync::Arc;
 

@@ -3,8 +3,11 @@
 //! The paper's comparison codes are plain MPI programs: one rank per
 //! (core of a) node, explicit messages, owner-compute data placement.
 //! Here each rank is an OS thread with a `gmt-net` [`Endpoint`] — the
-//! same fabric the GMT communication servers use, so GMT and baselines
-//! pay identical per-message costs.
+//! sim fabric's transport, the same send path the GMT communication
+//! servers use, so GMT and baselines pay identical per-message costs. A
+//! rank's endpoint closes when its thread returns, and sends to it fail
+//! from then on (like `MPI_Finalize`), so a rank returns only once no
+//! other rank will send to it.
 
 use gmt_net::{DeliveryMode, Endpoint, Fabric};
 use std::sync::{Arc, Barrier};

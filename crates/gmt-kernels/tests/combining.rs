@@ -132,7 +132,7 @@ fn combined_adds_survive_faults_without_double_apply() {
     clean.shutdown();
 
     let cluster = Cluster::start_sim(3, Config::small()).unwrap();
-    cluster.fabric().install_faults(
+    cluster.install_faults(
         FaultPlan::new(seed)
             .drop_all(0.05)
             .flap_period(1, 2, 10_000_000, 2_000_000)
@@ -167,7 +167,7 @@ fn chma_under_faults_matches_clean_run_with_combining_on() {
     clean.shutdown();
 
     let cluster = Cluster::start_sim(2, Config::small()).unwrap();
-    cluster.fabric().install_faults(FaultPlan::new(seed).drop_all(0.08).dup_all(0.10));
+    cluster.install_faults(FaultPlan::new(seed).drop_all(0.08).dup_all(0.10));
     let aggs = pool_handles(&cluster);
     let got = run_chma(&cluster);
     assert_eq!(got, expected, "CHMA totals diverged under faults (seed {seed})");

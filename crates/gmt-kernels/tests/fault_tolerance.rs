@@ -70,7 +70,7 @@ fn bfs_is_bit_identical_under_drops_and_flaps() {
     let cluster = Cluster::start_sim(4, Config::small()).unwrap();
     // 5% loss on every link, a link that is down 20% of the time in 10 ms
     // cycles, and 2% duplication on the return path of that link.
-    cluster.fabric().install_faults(
+    cluster.install_faults(
         FaultPlan::new(seed)
             .drop_all(0.05)
             .flap_period(1, 2, 10_000_000, 2_000_000)
@@ -110,7 +110,7 @@ fn grw_under_throttled_fabric_with_faults_matches_reference() {
     let expected = seq_grw(&csr, 24, 6, 99);
 
     let cluster = Cluster::start_sim(2, Config::small_throttled()).unwrap();
-    cluster.fabric().install_faults(
+    cluster.install_faults(
         FaultPlan::new(seed)
             .drop_all(0.05)
             .jitter(0, 1, 50_000)
@@ -142,7 +142,7 @@ fn duplication_storm_is_deduplicated_exactly() {
     eprintln!("[fault_tolerance] duplication_storm_is_deduplicated_exactly seed={seed}");
 
     let cluster = Cluster::start_sim(2, Config::small()).unwrap();
-    cluster.fabric().install_faults(FaultPlan::new(seed).dup_all(0.30).drop_all(0.10));
+    cluster.install_faults(FaultPlan::new(seed).dup_all(0.30).drop_all(0.10));
     let aggs = pool_handles(&cluster);
     let bad = cluster.node(0).run(|ctx| {
         let n = 512u64;
@@ -202,7 +202,7 @@ fn killed_node_surfaces_remote_dead_within_retry_budget() {
 
     // Node 3 stays alive behind the partition; whatever it concludes
     // about the others reaches nobody.
-    cluster.fabric().install_faults((0..3).fold(FaultPlan::new(seed), |plan, survivor| {
+    cluster.install_faults((0..3).fold(FaultPlan::new(seed), |plan, survivor| {
         plan.drop(3, survivor, 1.0).drop(survivor, 3, 1.0)
     }));
 
@@ -286,7 +286,7 @@ fn watchdog_reports_stuck_tokens_behind_a_silent_partition() {
     // Allocate while the fabric is healthy; elements 16..32 live on node 1.
     let arr = cluster.node(0).run(|ctx| ctx.alloc(32 * 8, Distribution::Partition));
 
-    cluster.fabric().install_faults(FaultPlan::new(seed).drop(0, 1, 1.0).drop(1, 0, 1.0));
+    cluster.install_faults(FaultPlan::new(seed).drop(0, 1, 1.0).drop(1, 0, 1.0));
 
     // `NodeHandle::run` would block with the task, so submit the doomed
     // root task directly. It parks forever on the swallowed put; at
@@ -354,7 +354,7 @@ fn flow_window_bounds_inflight_under_composed_faults() {
     let config = Config { flow_window: FLOW_WINDOW, ..Config::small_throttled() };
     assert_eq!(config.num_buf_per_channel, FLOW_WINDOW, "one channel must not overrun the window");
     let cluster = Cluster::start_sim(2, config).unwrap();
-    cluster.fabric().install_faults(
+    cluster.install_faults(
         FaultPlan::new(seed)
             .drop_all(0.05)
             .dup(1, 0, 0.05)
@@ -433,7 +433,7 @@ fn slow_peer_soak_survives_throttled_link() {
     assert!(clean.visited > 1, "graph too sparse to exercise the fabric");
 
     let cluster = Cluster::start_sim(4, config).unwrap();
-    cluster.fabric().install_faults(FaultPlan::new(seed).throttle(0, 3, 10.0).throttle(3, 0, 10.0));
+    cluster.install_faults(FaultPlan::new(seed).throttle(0, 3, 10.0).throttle(3, 0, 10.0));
     let aggs = pool_handles(&cluster);
     let slow = run_bfs(&cluster, 1024, 8, 77);
     for i in 0..cluster.nodes() {

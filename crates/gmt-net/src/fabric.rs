@@ -1,14 +1,14 @@
-//! The in-process interconnect fabric.
+//! The in-process interconnect fabric: the sim leaf of the framed
+//! transport.
 //!
-//! A [`Fabric`] connects `n` nodes; each node holds an [`Endpoint`] with
-//! MPI-like semantics: non-blocking `send`, polled `try_recv`, blocking
-//! `recv`. Messages between a given (source, destination)
-//! pair are delivered in send order, like MPI point-to-point messages on
-//! one communicator.
-//!
-//! Faults are injected one way, by installing a seeded
-//! [`FaultPlan`] ([`Fabric::install_faults`]): sends keep succeeding and
-//! the packet is lost, duplicated or delayed on the wire.
+//! A [`Fabric`] connects `n` nodes; each node holds an [`Endpoint`] — a
+//! [`FramedTransport`] over a [`SimLink`] — with MPI-like semantics:
+//! non-blocking `send`, polled `try_recv`, blocking `recv`. The
+//! [`framed`](crate::framed) core owns everything a frame transport
+//! does regardless of its medium (the inbox and the self-send loopback,
+//! the fault shim, traffic accounting, the shutdown gate); the leaf only
+//! hands each payload to the destination node's inbox, zero-copy, like an
+//! MPI point-to-point message on one communicator: per-link FIFO.
 //!
 //! Two delivery modes:
 //!
@@ -20,20 +20,21 @@
 //!   serializes its messages (`overhead + bytes/bandwidth`) and delivery
 //!   happens one wire latency later. This makes latency-tolerance effects
 //!   (the whole point of GMT's multithreading) observable for real inside
-//!   one process.
+//!   one process. The time-shaping faults of a [`FaultPlan`](crate::FaultPlan)
+//!   (throttle, stall, jitter) act here and only here.
 
-use crate::fault::{FaultDecision, FaultPlan};
-use crate::framed::{InstalledShim, MAX_FRAME};
+use crate::fault::FaultDecision;
+use crate::framed::{Core, FramedTransport, Link, MAX_FRAME};
 use crate::model::NetworkModel;
 use crate::payload::Payload;
 use crate::stats::TrafficStats;
-use crate::transport::{DownCause, LinkState, Transport};
+use crate::transport::Transport;
 use crate::NodeId;
-use crossbeam::channel::{self, Receiver, Sender};
+use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
 use parking_lot::{Mutex, RwLock};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -54,15 +55,15 @@ pub struct Packet {
     pub payload: Payload,
 }
 
-/// Errors surfaced by the fabric.
+/// Errors surfaced by a transport.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NetError {
     /// The destination is out of range.
     NoSuchNode { dst: NodeId, nodes: usize },
-    /// The connection to `dst` is gone (a real wire only: a write failed,
-    /// or a kill severed the link).
+    /// The connection to `dst` is gone: a write failed, a kill severed
+    /// the link, or the peer shut down.
     LinkDown { src: NodeId, dst: NodeId },
-    /// The fabric has been shut down.
+    /// This transport (or the fabric's wire under it) has been shut down.
     Closed,
     /// The payload exceeds what one frame can carry on this transport.
     FrameTooLarge { len: usize, max: usize },
@@ -94,58 +95,48 @@ pub enum DeliveryMode {
     Throttled(NetworkModel),
 }
 
-/// Per-source injection-port state for throttled delivery.
-struct Port {
-    /// Wall-clock time until which the port is busy serializing.
-    busy_until: Instant,
-}
-
-struct Shared {
-    nodes: usize,
+/// What every endpoint of one fabric shares.
+struct Sim {
     mode: DeliveryMode,
     /// Inboxes, one per node.
-    inbox_tx: Vec<Sender<Packet>>,
+    inboxes: Vec<Sender<Packet>>,
+    /// Whether each node's endpoint still takes frames: its shutdown
+    /// closes it, and a push toward it is then a lost link. A flag that
+    /// publishes no other data, hence `Relaxed`.
+    open: Vec<AtomicBool>,
     /// Wire-thread input (throttled mode only). Taken out (disconnecting
     /// the channel) when the fabric drops, so the wire thread exits and
     /// can be joined; subsequent sends observe [`NetError::Closed`].
     wire_tx: RwLock<Option<Sender<(Instant, Packet)>>>,
-    ports: Vec<Mutex<Port>>,
+    /// Per-source injection port (throttled mode): busy serializing until
+    /// this instant.
+    ports: Vec<Mutex<Instant>>,
     /// `Arc` so the runtime can keep reading traffic counters (metrics
     /// snapshots) without holding the whole fabric alive.
     stats: Arc<TrafficStats>,
-    /// Probabilistic / scheduled fault plan; its faults are *silent*.
-    plan: RwLock<Option<InstalledShim>>,
-}
-
-impl Shared {
-    fn install_faults(&self, plan: FaultPlan) {
-        *self.plan.write() = Some(InstalledShim::new(plan, self.nodes));
-    }
-
-    fn clear_faults(&self) {
-        *self.plan.write() = None;
-    }
 }
 
 /// An in-process cluster interconnect between `n` nodes.
 pub struct Fabric {
-    shared: Arc<Shared>,
+    sim: Arc<Sim>,
     inbox_rx: Vec<Receiver<Packet>>,
     wire_thread: Option<JoinHandle<()>>,
 }
+
+/// One node's attachment to the fabric.
+pub type Endpoint = FramedTransport<SimLink>;
 
 impl Fabric {
     /// Builds a fabric connecting `nodes` nodes.
     pub fn new(nodes: usize, mode: DeliveryMode) -> Self {
         assert!(nodes > 0, "a fabric needs at least one node");
-        let (inbox_tx, inbox_rx): (Vec<_>, Vec<_>) =
+        let (inboxes, inbox_rx): (Vec<_>, Vec<_>) =
             (0..nodes).map(|_| channel::unbounded::<Packet>()).unzip();
-        let now = Instant::now();
         let (wire_tx, wire_thread) = match mode {
             DeliveryMode::Instant => (None, None),
             DeliveryMode::Throttled(_) => {
                 let (tx, rx) = channel::unbounded::<(Instant, Packet)>();
-                let inboxes = inbox_tx.clone();
+                let inboxes = inboxes.clone();
                 let handle = std::thread::Builder::new()
                     .name("gmt-net-wire".into())
                     .spawn(move || wire_loop(rx, inboxes))
@@ -153,344 +144,189 @@ impl Fabric {
                 (Some(tx), Some(handle))
             }
         };
-        let shared = Arc::new(Shared {
-            nodes,
+        let now = Instant::now();
+        let sim = Arc::new(Sim {
             mode,
-            inbox_tx,
+            inboxes,
+            open: (0..nodes).map(|_| AtomicBool::new(true)).collect(),
             wire_tx: RwLock::new(wire_tx),
-            ports: (0..nodes).map(|_| Mutex::new(Port { busy_until: now })).collect(),
+            ports: (0..nodes).map(|_| Mutex::new(now)).collect(),
             stats: Arc::new(TrafficStats::new(nodes)),
-            plan: RwLock::new(None),
         });
-        Fabric { shared, inbox_rx, wire_thread }
+        Fabric { sim, inbox_rx, wire_thread }
     }
 
     /// Number of nodes.
     pub fn nodes(&self) -> usize {
-        self.shared.nodes
-    }
-
-    /// The cost model in effect (for [`DeliveryMode::Throttled`]), if any.
-    pub fn model(&self) -> Option<NetworkModel> {
-        match self.shared.mode {
-            DeliveryMode::Instant => None,
-            DeliveryMode::Throttled(m) => Some(m),
-        }
+        self.inbox_rx.len()
     }
 
     /// Traffic counters (the `Arc` outlives the fabric).
     pub fn stats(&self) -> &Arc<TrafficStats> {
-        &self.shared.stats
+        &self.sim.stats
     }
 
-    /// Creates the endpoint for `node`. May be called repeatedly; all
-    /// clones of a node's endpoint share (and compete for) one inbox.
+    /// Creates the endpoint for `node`, with its own fault plan and
+    /// shutdown gate. One per node at a time: its shutdown (or drop)
+    /// closes the node's inbox to new frames.
     pub fn endpoint(&self, node: NodeId) -> Endpoint {
-        assert!(node < self.shared.nodes, "node {node} out of range");
-        Endpoint { node, shared: Arc::clone(&self.shared), rx: self.inbox_rx[node].clone() }
+        let sim = &self.sim;
+        let core = Core::new(node, self.nodes(), Arc::clone(&sim.stats), sim.inboxes[node].clone());
+        sim.open[node].store(true, Ordering::Relaxed);
+        let link = SimLink { core: Arc::clone(&core), sim: Arc::clone(sim) };
+        FramedTransport::new(core, self.inbox_rx[node].clone(), link)
     }
 
     /// All endpoints, index = node id.
     pub fn endpoints(&self) -> Vec<Endpoint> {
-        (0..self.shared.nodes).map(|n| self.endpoint(n)).collect()
-    }
-
-    /// Installs a [`FaultPlan`]; replaces any previous plan. Plan faults
-    /// are *silent*: the send succeeds, the packet vanishes (or
-    /// duplicates, or is delayed) in the fabric — which is what a
-    /// reliability layer has to survive. Flap schedules and decision
-    /// sequences restart at installation time.
-    pub fn install_faults(&self, plan: FaultPlan) {
-        self.shared.install_faults(plan);
-    }
-
-    /// Removes any installed [`FaultPlan`]; the fabric is lossless again.
-    pub fn clear_faults(&self) {
-        self.shared.clear_faults();
+        (0..self.nodes()).map(|n| self.endpoint(n)).collect()
     }
 }
 
 impl Drop for Fabric {
     fn drop(&mut self) {
-        // Take the only wire-thread sender out of `shared`: the channel
+        // Take the only wire-thread sender out of `sim`: the channel
         // disconnects (endpoints sending afterwards observe
         // `NetError::Closed`), the wire thread delivers whatever is still
         // queued *immediately* — shutdown does not honour remaining model
         // delay — and exits, so the join is bounded.
         if let Some(handle) = self.wire_thread.take() {
-            drop(self.shared.wire_tx.write().take());
+            drop(self.sim.wire_tx.write().take());
             let _ = handle.join();
         }
     }
 }
 
-impl fmt::Debug for Fabric {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Fabric")
-            .field("nodes", &self.shared.nodes)
-            .field("mode", &self.shared.mode)
-            .finish()
-    }
-}
-
 /// Wire thread: delivers packets at their deadline, in deadline order.
 fn wire_loop(rx: Receiver<(Instant, Packet)>, inboxes: Vec<Sender<Packet>>) {
-    // (deadline, seq) orders simultaneous deliveries by submission.
-    let mut heap: BinaryHeap<Reverse<(Instant, u64)>> = BinaryHeap::new();
-    let mut payloads: std::collections::HashMap<u64, Packet> = std::collections::HashMap::new();
+    // Keyed (deadline, seq): simultaneous deliveries keep submission order.
+    let mut queue: BTreeMap<(Instant, u64), Packet> = BTreeMap::new();
     let mut seq = 0u64;
+    // The receiver may be gone during shutdown; ignore.
+    let deliver = |pkt: Packet| drop(inboxes[pkt.dst].send(pkt));
     loop {
-        // Deliver everything due.
         let now = Instant::now();
-        while let Some(&Reverse((deadline, s))) = heap.peek() {
-            if deadline > now {
-                break;
-            }
-            heap.pop();
-            let pkt = payloads.remove(&s).expect("packet for heap entry");
-            // Receiver may be gone during shutdown; ignore.
-            let _ = inboxes[pkt.dst].send(pkt);
+        while queue.first_key_value().is_some_and(|(&(due, _), _)| due <= now) {
+            deliver(queue.pop_first().expect("a due packet").1);
         }
         // Wait for new input until the next deadline (or forever).
-        let wait = heap.peek().map(|Reverse((d, _))| d.saturating_duration_since(Instant::now()));
-        let received = match wait {
-            Some(d) => rx.recv_timeout(d).map_err(|e| match e {
-                channel::RecvTimeoutError::Timeout => None,
-                channel::RecvTimeoutError::Disconnected => Some(()),
-            }),
-            None => rx.recv().map_err(|_| Some(())),
+        let received = match queue.first_key_value() {
+            Some((&(due, _), _)) => rx.recv_timeout(due.saturating_duration_since(Instant::now())),
+            None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
         };
         match received {
             Ok((deadline, pkt)) => {
-                heap.push(Reverse((deadline, seq)));
-                payloads.insert(seq, pkt);
+                queue.insert((deadline, seq), pkt);
                 seq += 1;
             }
-            Err(Some(())) => {
-                // Input disconnected: the fabric is shutting down. Flush
-                // what is queued in deadline order but deliver immediately —
-                // honouring remaining model delay here would make drop()
-                // block for the full modeled backlog.
-                let mut rest: Vec<_> = heap.into_sorted_vec();
-                rest.reverse(); // into_sorted_vec on Reverse puts latest first
-                rest.sort_by_key(|Reverse(k)| *k);
-                for Reverse((_deadline, s)) in rest {
-                    let pkt = payloads.remove(&s).expect("packet for heap entry");
-                    let _ = inboxes[pkt.dst].send(pkt);
-                }
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => {
+                // The fabric is shutting down. Flush what is queued in
+                // deadline order but deliver immediately — honouring
+                // remaining model delay here would make drop() block for
+                // the full modeled backlog.
+                queue.into_values().for_each(deliver);
                 return;
             }
-            Err(None) => { /* timeout: loop to deliver due packets */ }
         }
     }
 }
 
-/// One node's attachment to the fabric.
-#[derive(Clone)]
-pub struct Endpoint {
-    node: NodeId,
-    shared: Arc<Shared>,
-    rx: Receiver<Packet>,
+/// The sim leaf: hands each frame's payload — zero-copy — to the
+/// destination's inbox, at once or through the wire thread.
+pub struct SimLink {
+    core: Arc<Core>,
+    sim: Arc<Sim>,
 }
 
-impl Endpoint {
-    /// This endpoint's node id (MPI rank).
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
-    /// Number of nodes in the fabric.
-    pub fn nodes(&self) -> usize {
-        self.shared.nodes
-    }
-
-    /// The cost model in effect, if delivery is throttled.
-    pub fn model(&self) -> Option<NetworkModel> {
-        match self.shared.mode {
-            DeliveryMode::Instant => None,
-            DeliveryMode::Throttled(m) => Some(m),
+impl SimLink {
+    /// Occupies this node's injection port for one frame's serialization,
+    /// inflated by a throttle fault, and returns when the port is done.
+    /// The slowdown backpressures later sends exactly like a slow NIC.
+    fn serialize(&self, model: NetworkModel, bytes: usize, fault: &FaultDecision) -> Instant {
+        let mut ser_ns = model.serialization_ns(bytes);
+        if fault.throttle_factor > 1.0 {
+            ser_ns = (ser_ns as f64 * fault.throttle_factor) as u64;
+            self.sim.stats.record_throttle(self.core.node);
         }
-    }
-
-    /// Non-blocking send (like `MPI_Isend` whose buffer is handed off).
-    ///
-    /// Messages to the same destination arrive in send order. Sending to
-    /// self is allowed and loops back through the same machinery.
-    ///
-    /// Accepts a plain `Vec<u8>` or a pooled [`Payload`]; a pooled buffer
-    /// crosses the fabric without copies and returns to its pool when the
-    /// receiver drops it (or immediately, on a failed send).
-    pub fn send(&self, dst: NodeId, tag: Tag, payload: impl Into<Payload>) -> Result<(), NetError> {
-        let payload = payload.into();
-        let shared = &*self.shared;
-        if dst >= shared.nodes {
-            return Err(NetError::NoSuchNode { dst, nodes: shared.nodes });
-        }
-        // Silent-fault decision from the installed plan, if any. The
-        // decision is made here, but in throttled mode a dropped packet
-        // still consumes the port's serialization time below: the NIC
-        // serialized the frame, the wire ate it.
-        let decision = match shared.plan.read().as_ref() {
-            Some(shim) => shim.decide(self.node, dst),
-            None => FaultDecision::CLEAN,
-        };
-        let bytes = payload.len();
-        shared.stats.record_send(self.node, bytes);
-        let pkt = Packet { src: self.node, dst, tag, payload };
-        match shared.mode {
-            DeliveryMode::Instant => {
-                if decision.drop {
-                    shared.stats.record_drop(self.node);
-                    return Ok(());
-                }
-                if decision.duplicate {
-                    shared.stats.record_dup(self.node);
-                    shared.stats.record_recv(dst, bytes);
-                    let _ = shared.inbox_tx[dst].send(pkt.clone());
-                }
-                shared.stats.record_recv(dst, bytes);
-                shared.inbox_tx[dst].send(pkt).map_err(|_| NetError::Closed)
-            }
-            DeliveryMode::Throttled(model) => {
-                let deadline = {
-                    let mut port = shared.ports[self.node].lock();
-                    let now = Instant::now();
-                    let start = port.busy_until.max(now);
-                    // A bandwidth-throttle fault inflates serialization:
-                    // the port stays busy longer, so the slowdown
-                    // backpressures later sends exactly like a slow NIC.
-                    let mut ser_ns = model.serialization_ns(bytes);
-                    if decision.throttle_factor > 1.0 {
-                        ser_ns = (ser_ns as f64 * decision.throttle_factor) as u64;
-                        shared.stats.record_throttle(self.node);
-                    }
-                    let busy = Duration::from_nanos(ser_ns);
-                    port.busy_until = start + busy;
-                    port.busy_until + Duration::from_nanos(model.wire_latency_ns)
-                };
-                if decision.drop {
-                    shared.stats.record_drop(self.node);
-                    return Ok(());
-                }
-                if decision.stalled {
-                    shared.stats.record_stall(self.node);
-                }
-                let deadline = deadline + Duration::from_nanos(decision.extra_delay_ns);
-                let guard = shared.wire_tx.read();
-                let tx = guard.as_ref().ok_or(NetError::Closed)?;
-                if decision.duplicate {
-                    shared.stats.record_dup(self.node);
-                    shared.stats.record_recv(dst, bytes);
-                    let _ = tx.send((deadline, pkt.clone()));
-                }
-                shared.stats.record_recv(dst, bytes);
-                tx.send((deadline, pkt)).map_err(|_| NetError::Closed)
-            }
-        }
-    }
-
-    /// Non-blocking receive.
-    pub fn try_recv(&self) -> Option<Packet> {
-        self.rx.try_recv().ok()
-    }
-
-    /// Blocking receive.
-    pub fn recv(&self) -> Result<Packet, NetError> {
-        self.rx.recv().map_err(|_| NetError::Closed)
-    }
-
-    /// The fabric's traffic counters (shared by all endpoints).
-    pub fn stats(&self) -> &Arc<TrafficStats> {
-        &self.shared.stats
+        let mut busy_until = self.sim.ports[self.core.node].lock();
+        *busy_until = (*busy_until).max(Instant::now()) + Duration::from_nanos(ser_ns);
+        *busy_until
     }
 }
 
-impl Transport for Endpoint {
-    fn node(&self) -> NodeId {
-        self.node
-    }
-
-    fn nodes(&self) -> usize {
-        self.shared.nodes
-    }
-
+impl Link for SimLink {
     fn max_frame(&self) -> usize {
         MAX_FRAME
     }
 
-    fn send(&self, dst: NodeId, tag: Tag, payload: Payload) -> Result<(), NetError> {
-        Endpoint::send(self, dst, tag, payload)
+    fn push(
+        &self,
+        dst: NodeId,
+        tag: Tag,
+        payload: Payload,
+        fault: Option<FaultDecision>,
+    ) -> Result<(), NetError> {
+        let (sim, src) = (&*self.sim, self.core.node);
+        if !sim.open[dst].load(Ordering::Relaxed) {
+            self.core.note_conn_lost(dst, "peer shut down");
+            return Err(NetError::LinkDown { src, dst });
+        }
+        let bytes = payload.len();
+        let pkt = Packet { src, dst, tag, payload };
+        let DeliveryMode::Throttled(model) = sim.mode else {
+            sim.stats.record_recv(dst, bytes);
+            return sim.inboxes[dst].send(pkt).map_err(|_| NetError::Closed);
+        };
+        let fault = fault.unwrap_or(FaultDecision::CLEAN);
+        if fault.stalled {
+            sim.stats.record_stall(src);
+        }
+        let delay =
+            Duration::from_nanos(model.wire_latency_ns.saturating_add(fault.extra_delay_ns));
+        let deadline = self.serialize(model, bytes, &fault) + delay;
+        let wire = sim.wire_tx.read();
+        let tx = wire.as_ref().ok_or(NetError::Closed)?;
+        sim.stats.record_recv(dst, bytes);
+        tx.send((deadline, pkt)).map_err(|_| NetError::Closed)
     }
 
-    fn try_recv(&self) -> Option<Packet> {
-        Endpoint::try_recv(self)
-    }
-
-    /// A kill in the installed plan is the in-process stand-in for a
-    /// fabric's port-down notification, which any survivor can observe.
-    /// The sim has no connections to lose.
-    fn link_state(&self, peer: NodeId) -> LinkState {
-        if self.shared.plan.read().as_ref().is_some_and(|shim| shim.is_killed(peer)) {
-            LinkState::Down(DownCause::Killed)
-        } else {
-            LinkState::Up
+    /// In throttled mode a dropped frame still occupies the port: the NIC
+    /// serialized it, the wire ate it. This is what makes loss compose
+    /// with the cost model.
+    fn dropped(&self, bytes: usize, fault: &FaultDecision) {
+        if let DeliveryMode::Throttled(model) = self.sim.mode {
+            self.serialize(model, bytes, fault);
         }
     }
 
-    fn install_faults(&self, plan: FaultPlan) {
-        self.shared.install_faults(plan);
-    }
+    /// Nothing to cut: a sim kill is the plan's `Down(Killed)` and its
+    /// blackholing, so clearing the plan revives the peer.
+    fn sever(&self, _peer: NodeId) {}
 
-    fn clear_faults(&self) {
-        self.shared.clear_faults();
-    }
-
-    fn stats(&self) -> &Arc<TrafficStats> {
-        &self.shared.stats
+    fn close(&self) {
+        self.sim.open[self.core.node].store(false, Ordering::Relaxed);
     }
 }
 
-impl fmt::Debug for Endpoint {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Endpoint").field("node", &self.node).finish()
+impl Endpoint {
+    /// Non-blocking send of a plain `Vec<u8>` or a pooled [`Payload`]; a
+    /// pooled buffer crosses the fabric without copies and returns to its
+    /// pool when the receiver drops it (or at once, on a failed send).
+    pub fn send(&self, dst: NodeId, tag: Tag, payload: impl Into<Payload>) -> Result<(), NetError> {
+        Transport::send(self, dst, tag, payload.into())
+    }
+
+    /// Blocking receive.
+    pub fn recv(&self) -> Result<Packet, NetError> {
+        self.inbox_rx.recv().map_err(|_| NetError::Closed)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn send_and_receive_instant() {
-        let fabric = Fabric::new(2, DeliveryMode::Instant);
-        let eps = fabric.endpoints();
-        eps[0].send(1, 7, vec![1, 2, 3]).unwrap();
-        let pkt = eps[1].recv().unwrap();
-        assert_eq!(pkt.src, 0);
-        assert_eq!(pkt.dst, 1);
-        assert_eq!(pkt.tag, 7);
-        assert_eq!(pkt.payload, vec![1, 2, 3]);
-        assert!(eps[0].try_recv().is_none());
-    }
-
-    #[test]
-    fn out_of_range_destination_is_an_error() {
-        let fabric = Fabric::new(2, DeliveryMode::Instant);
-        let ep = fabric.endpoint(0);
-        assert_eq!(ep.send(5, 0, vec![]), Err(NetError::NoSuchNode { dst: 5, nodes: 2 }));
-    }
-
-    #[test]
-    fn stats_track_messages_and_bytes() {
-        let fabric = Fabric::new(2, DeliveryMode::Instant);
-        let eps = fabric.endpoints();
-        eps[0].send(1, 0, vec![0; 100]).unwrap();
-        eps[0].send(1, 0, vec![0; 28]).unwrap();
-        let s = fabric.stats();
-        assert_eq!(s.node(0).sent_msgs, 2);
-        assert_eq!(s.node(0).sent_bytes, 128);
-        assert_eq!(s.node(1).recv_bytes, 128);
-    }
+    use crate::{DownCause, FaultPlan, LinkState};
 
     #[test]
     fn throttled_mode_delivers_everything_in_order() {
@@ -561,8 +397,8 @@ mod tests {
     fn fault_plan_drops_silently_and_deterministically() {
         let run = |seed: u64| {
             let fabric = Fabric::new(2, DeliveryMode::Instant);
-            fabric.install_faults(FaultPlan::new(seed).drop(0, 1, 0.3));
             let eps = fabric.endpoints();
+            eps[0].install_faults(FaultPlan::new(seed).drop(0, 1, 0.3));
             let mut got = Vec::new();
             for i in 0..200u8 {
                 eps[0].send(1, 0, vec![i]).unwrap(); // silent: Ok even when dropped
@@ -585,44 +421,16 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_duplicates_packets() {
+    fn clearing_a_kill_revives_the_peer() {
         let fabric = Fabric::new(2, DeliveryMode::Instant);
-        fabric.install_faults(FaultPlan::new(9).dup(0, 1, 1.0));
         let eps = fabric.endpoints();
-        eps[0].send(1, 0, vec![5]).unwrap();
-        assert_eq!(eps[1].recv().unwrap().payload, vec![5]);
-        assert_eq!(eps[1].recv().unwrap().payload, vec![5]);
-        assert_eq!(fabric.stats().node(0).duplicated_msgs, 1);
-        assert_eq!(fabric.stats().node(1).recv_msgs, 2);
-    }
-
-    #[test]
-    fn killed_node_blackholes_without_errors() {
-        let fabric = Fabric::new(3, DeliveryMode::Instant);
-        fabric.install_faults(FaultPlan::new(0).kill(2));
-        let eps = fabric.endpoints();
-        eps[0].send(2, 0, vec![1]).unwrap();
-        eps[2].send(0, 0, vec![2]).unwrap();
-        eps[0].send(1, 0, vec![3]).unwrap(); // unaffected link
-        assert!(eps[2].try_recv().is_none());
-        assert!(eps[0].try_recv().is_none());
-        assert_eq!(eps[1].recv().unwrap().payload, vec![3]);
-        fabric.clear_faults();
-        eps[0].send(2, 0, vec![4]).unwrap();
-        assert_eq!(eps[2].recv().unwrap().payload, vec![4]);
-    }
-
-    #[test]
-    fn kills_are_observable_by_any_endpoint() {
-        let fabric = Fabric::new(3, DeliveryMode::Instant);
-        assert_eq!(fabric.endpoint(0).link_state(2), LinkState::Up, "no plan installed");
-        fabric.install_faults(FaultPlan::new(0).kill(2));
-        for ep in fabric.endpoints() {
-            assert_eq!(ep.link_state(2), LinkState::Down(DownCause::Killed));
-            assert_eq!(ep.link_state(1), LinkState::Up);
-        }
-        fabric.clear_faults();
-        assert_eq!(fabric.endpoint(0).link_state(2), LinkState::Up);
+        eps[0].install_faults(FaultPlan::new(0).kill(1));
+        assert_eq!(eps[0].link_state(1), LinkState::Down(DownCause::Killed));
+        eps[0].send(1, 0, vec![1]).unwrap(); // blackholed
+        eps[0].clear_faults();
+        assert_eq!(eps[0].link_state(1), LinkState::Up);
+        eps[0].send(1, 0, vec![2]).unwrap();
+        assert_eq!(eps[1].recv().unwrap().payload, vec![2]);
     }
 
     #[test]
@@ -636,15 +444,15 @@ mod tests {
             wire_latency_ns: 0,
         };
         let fabric = Fabric::new(2, DeliveryMode::Throttled(model));
-        fabric.install_faults(FaultPlan::new(1).drop(0, 1, 1.0));
         let eps = fabric.endpoints();
+        eps[0].install_faults(FaultPlan::new(1).drop(0, 1, 1.0));
         for _ in 0..5 {
             eps[0].send(1, 0, vec![1]).unwrap();
         }
         assert_eq!(fabric.stats().node(0).dropped_msgs, 5);
         // The port's busy_until has advanced 5 ms into the future: a clean
         // probe message sent now cannot arrive before that.
-        fabric.clear_faults();
+        eps[0].clear_faults();
         let start = Instant::now();
         eps[0].send(1, 0, vec![2]).unwrap();
         let pkt = eps[1].recv_timeout(Duration::from_secs(5)).expect("probe delivery");
@@ -664,9 +472,9 @@ mod tests {
             wire_latency_ns: 1_000,
         };
         let fabric = Fabric::new(2, DeliveryMode::Throttled(model));
-        // Link down for the first 50 ms after install.
-        fabric.install_faults(FaultPlan::new(3).flap(0, 1, 0, 50_000_000));
         let eps = fabric.endpoints();
+        // Link down for the first 50 ms after install.
+        eps[0].install_faults(FaultPlan::new(3).flap(0, 1, 0, 50_000_000));
         eps[0].send(1, 0, vec![1]).unwrap(); // inside the window: eaten
         std::thread::sleep(Duration::from_millis(60));
         eps[0].send(1, 0, vec![2]).unwrap(); // window over: delivered
@@ -694,11 +502,12 @@ mod tests {
     #[test]
     fn many_to_one_concurrent_senders() {
         let fabric = Fabric::new(5, DeliveryMode::Instant);
-        let eps = fabric.endpoints();
-        let sink = eps[4].clone();
-        let handles: Vec<_> = (0..4)
-            .map(|src| {
-                let ep = eps[src].clone();
+        let mut eps = fabric.endpoints();
+        let sink = eps.pop().expect("node 4");
+        let handles: Vec<_> = eps
+            .into_iter()
+            .enumerate()
+            .map(|(src, ep)| {
                 std::thread::spawn(move || {
                     for i in 0..250u32 {
                         ep.send(4, src as Tag, i.to_le_bytes().to_vec()).unwrap();

@@ -11,7 +11,8 @@
 //! how sends on *different* links interleave. Tests print their seed on
 //! failure and replay the exact same fault pattern.
 //!
-//! Semantics at the send site (see [`crate::fabric::Endpoint::send`]):
+//! Semantics at the send site (the fault shim of [`crate::framed`], which
+//! every backend's [`Transport::send`](crate::Transport::send) runs):
 //!
 //! * **drop / flap-down / killed node** — the send *succeeds* from the
 //!   sender's point of view (a real NIC does not know the switch ate the
@@ -104,7 +105,7 @@ impl LinkFaults {
 
 /// What the plan decided for one packet.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct FaultDecision {
+pub struct FaultDecision {
     pub drop: bool,
     pub duplicate: bool,
     pub extra_delay_ns: u64,
@@ -130,8 +131,8 @@ impl FaultDecision {
 
 /// A seeded, deterministic description of how the fabric misbehaves.
 ///
-/// Built with the fluent setters, then installed on a fabric with
-/// [`Fabric::install_faults`](crate::fabric::Fabric::install_faults).
+/// Built with the fluent setters, then installed on a node's send path
+/// with [`Transport::install_faults`](crate::Transport::install_faults).
 ///
 /// ```
 /// use gmt_net::{FaultPlan, FlapWindow};

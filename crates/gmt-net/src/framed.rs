@@ -1,10 +1,11 @@
-//! The transport core under both real-wire backends.
+//! The transport core under every backend.
 //!
 //! A [`FramedTransport<L>`] is everything about a frame transport that
-//! does not depend on what carries the bytes: the inbox, the self-send
+//! does not depend on what carries the frames: the inbox, the self-send
 //! loopback, the fault shim, sticky per-peer loss evidence, the pooled
 //! receive buffers, traffic accounting and the shutdown gate. What does
-//! depend on it is a [`Link`] — a TCP stream set ([`crate::tcp`]) or a
+//! depend on it is a [`Link`] — the in-process sim fabric
+//! ([`crate::fabric`]), a TCP stream set ([`crate::tcp`]) or a
 //! shared-memory ring set ([`crate::shm`]) — which only moves frames:
 //! push one toward a peer, sever a peer, stop. `L` is a type parameter,
 //! so the send and receive paths call their leaf directly; the runtime
@@ -12,27 +13,31 @@
 //!
 //! # Frame format
 //!
-//! `[len: u32 LE][tag: u32 LE]` followed by `len` payload bytes, on a
-//! socket and in a ring alike ([`encode_header`] / [`decode_header`]).
+//! On the real wires, `[len: u32 LE][tag: u32 LE]` followed by `len`
+//! payload bytes, on a socket and in a ring alike ([`encode_header`] /
+//! [`decode_header`]). The sim hands the payload itself to the receiver.
 //!
 //! # Fault shim
 //!
 //! [`Transport::install_faults`] applies a [`FaultPlan`] in userspace,
 //! before a frame reaches the leaf: drop skips the push, duplicate
-//! pushes twice, a flap window drops every frame inside it, and while
-//! any plan is installed the leaf is asked to fragment its writes so
-//! reassembly is exercised. A kill also severs both directions of the
-//! link to the killed peer, so in-flight frames are lost and the peer
-//! sees the link die, exactly like a process death — which
-//! `clear_faults` cannot undo. The decision itself is
-//! [`InstalledShim::decide`], the same function the sim fabric calls,
-//! so a seed replays one loss pattern on every backend. Time-shaping
-//! faults need the cost model and stay sim-only.
+//! pushes a clone first (a refcount for shared payloads), a flap window
+//! drops every frame inside it, and every push carries the decision, so
+//! a leaf can act on it: TCP fragments its writes while any plan is
+//! installed, so reassembly is exercised, and the sim applies the
+//! time-shaping faults (throttle, stall, jitter) that need its cost
+//! model. A kill also severs both directions of the link to the killed
+//! peer, so in-flight frames are lost and the peer sees the link die,
+//! exactly like a process death — which `clear_faults` cannot undo on a
+//! real wire. Decisions are [`InstalledShim::decide`], per node, and pure
+//! in `(seed, link, n)`, so a seed replays one loss pattern on every
+//! backend.
 //!
 //! # Loss evidence
 //!
-//! Leaves report EOF, resets, write failures, severed rings and vanished
-//! peer processes through [`Core::note_conn_lost`]. The first report per
+//! Leaves report EOF, resets, write failures, severed rings, vanished
+//! peer processes and peers that shut down through
+//! [`Core::note_conn_lost`]. The first report per
 //! peer sticks: it is counted once in `conn_lost` and from then on
 //! [`Transport::link_state`] answers `Down(Lost(cause))`, which the
 //! failure detector treats as first-hand evidence of the death. Reports
@@ -45,7 +50,7 @@ use crate::payload::{BufRelease, Payload};
 use crate::stats::TrafficStats;
 use crate::transport::{DownCause, LinkState, Transport};
 use crate::NodeId;
-use crossbeam::channel::{self, Receiver, Sender};
+use crossbeam::channel::{Receiver, Sender};
 use crossbeam::queue::SegQueue;
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -115,8 +120,7 @@ impl BufRelease for RecvPool {
 
 /// An installed [`FaultPlan`] with the state that makes its decisions
 /// deterministic: the n-th packet on a directed link always gets the
-/// n-th decision, however sends on other links interleave. The sim
-/// fabric and the framed core both decide through this.
+/// n-th decision, however sends on other links interleave.
 pub(crate) struct InstalledShim {
     plan: FaultPlan,
     installed_at: Instant,
@@ -151,13 +155,22 @@ pub trait Link: Send + Sync + 'static {
     /// The largest payload one frame can carry on this link.
     fn max_frame(&self) -> usize;
 
-    /// Writes one frame toward `dst` (never this node). `fragment` asks
-    /// for the frame to reach the peer in pieces where the medium has
-    /// pieces (fault-shim mode). A link that turns out to be broken is
-    /// reported through [`Core::note_conn_lost`] and returned as
-    /// [`NetError::LinkDown`]; after shutdown the answer is
-    /// [`NetError::Closed`].
-    fn push(&self, dst: NodeId, tag: Tag, bytes: &[u8], fragment: bool) -> Result<(), NetError>;
+    /// Moves one frame toward `dst` (never this node). `fault` is the
+    /// installed plan's decision for it (never a drop), `None` without a
+    /// plan. A link that turns out to be broken is reported through
+    /// [`Core::note_conn_lost`] and returned as [`NetError::LinkDown`];
+    /// after shutdown the answer is [`NetError::Closed`].
+    fn push(
+        &self,
+        dst: NodeId,
+        tag: Tag,
+        payload: Payload,
+        fault: Option<FaultDecision>,
+    ) -> Result<(), NetError>;
+
+    /// A `bytes`-long frame the fault shim dropped before the leaf saw
+    /// it, for leaves that model what the frame would have cost.
+    fn dropped(&self, _bytes: usize, _fault: &FaultDecision) {}
 
     /// A frame still below the inbox, for leaves that have no thread of
     /// their own to move arrivals there.
@@ -167,7 +180,8 @@ pub trait Link: Send + Sync + 'static {
 
     /// Irreversibly cuts both directions of the link to `peer` (an
     /// injected kill): frames in flight are lost and the peer observes
-    /// the loss first-hand.
+    /// the loss first-hand. A leaf with no link to cut leaves the kill to
+    /// the plan.
     fn sever(&self, peer: NodeId);
 
     /// Stops the leaf's threads and closes its links. Called once, after
@@ -195,13 +209,15 @@ pub(crate) struct Core {
 }
 
 impl Core {
+    /// A core whose self-sends, and whatever its leaf receives, go to
+    /// `inbox_tx`.
     pub(crate) fn new(
         node: NodeId,
         nodes: usize,
         stats: Arc<TrafficStats>,
-    ) -> (Arc<Core>, Receiver<Packet>) {
-        let (inbox_tx, inbox_rx) = channel::unbounded();
-        let core = Core {
+        inbox_tx: Sender<Packet>,
+    ) -> Arc<Core> {
+        Arc::new(Core {
             node,
             nodes,
             stats,
@@ -210,8 +226,7 @@ impl Core {
             shim: RwLock::new(None),
             pool: Arc::new(RecvPool { bufs: SegQueue::new() }),
             inbox_tx,
-        };
-        (Arc::new(core), inbox_rx)
+        })
     }
 
     /// Whether this transport's shutdown has begun.
@@ -260,13 +275,31 @@ impl Core {
 /// pooled receive payloads, bounded shutdown) is documented on the trait.
 pub struct FramedTransport<L: Link> {
     pub(crate) core: Arc<Core>,
-    inbox_rx: Receiver<Packet>,
+    pub(crate) inbox_rx: Receiver<Packet>,
     pub(crate) link: L,
 }
 
 impl<L: Link> FramedTransport<L> {
     pub(crate) fn new(core: Arc<Core>, inbox_rx: Receiver<Packet>, link: L) -> Self {
         FramedTransport { core, inbox_rx, link }
+    }
+
+    /// Hands one copy of a frame to the leaf, or loops a self-send
+    /// straight into the inbox, zero-copy.
+    fn deliver(
+        &self,
+        dst: NodeId,
+        tag: Tag,
+        payload: Payload,
+        fault: Option<FaultDecision>,
+    ) -> Result<(), NetError> {
+        let core = &*self.core;
+        if dst != core.node {
+            return self.link.push(dst, tag, payload, fault);
+        }
+        core.stats.record_recv(core.node, payload.len());
+        core.enqueue(Packet { src: core.node, dst, tag, payload });
+        Ok(())
     }
 }
 
@@ -291,45 +324,28 @@ impl<L: Link> Transport for FramedTransport<L> {
         if core.stopping() {
             return Err(NetError::Closed);
         }
-        let bytes = payload.as_slice();
-        let max = self.link.max_frame();
-        if bytes.len() > max {
-            return Err(NetError::FrameTooLarge { len: bytes.len(), max });
+        let (len, max) = (payload.len(), self.link.max_frame());
+        if len > max {
+            return Err(NetError::FrameTooLarge { len, max });
         }
-        core.stats.record_send(core.node, bytes.len());
+        core.stats.record_send(core.node, len);
 
-        let mut copies = 1;
-        let mut fragment = false;
-        if let Some(shim) = core.shim.read().as_ref() {
-            let d = shim.decide(core.node, dst);
+        let fault = core.shim.read().as_ref().map(|shim| shim.decide(core.node, dst));
+        if let Some(d) = &fault {
             if d.drop {
                 // Silent loss: the sender's NIC does not know the switch
                 // ate the frame. Dropping the payload here releases any
                 // pooled buffer.
                 core.stats.record_drop(core.node);
+                self.link.dropped(len, d);
                 return Ok(());
             }
             if d.duplicate {
                 core.stats.record_dup(core.node);
-                copies = 2;
+                self.deliver(dst, tag, payload.clone(), fault)?;
             }
-            fragment = true;
         }
-
-        if dst == core.node {
-            // Self-send: loop straight into the inbox, zero-copy.
-            for _ in 1..copies {
-                core.stats.record_recv(core.node, bytes.len());
-                core.enqueue(Packet { src: core.node, dst, tag, payload: payload.clone() });
-            }
-            core.stats.record_recv(core.node, bytes.len());
-            core.enqueue(Packet { src: core.node, dst, tag, payload });
-            return Ok(());
-        }
-        for _ in 0..copies {
-            self.link.push(dst, tag, bytes, fragment)?;
-        }
-        Ok(())
+        self.deliver(dst, tag, payload, fault)
     }
 
     fn try_recv(&self) -> Option<Packet> {

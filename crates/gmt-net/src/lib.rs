@@ -9,18 +9,16 @@
 //!   calibrated against the numbers the paper reports for Olympus
 //!   (§IV-B, Table II, Figures 2/5/6). The same model parameterizes both the
 //!   real transport below and the discrete-event simulator in `gmt-sim`.
-//! * [`fabric`] — an MPI-like transport between N in-process "nodes":
-//!   non-blocking sends, polled receives, per-node endpoints, optional
-//!   delivery throttling that enforces the cost model in wall-clock time,
-//!   and fault hooks for failure-injection tests.
+//! * [`fabric`] — the sim leaf: MPI-like messaging between N in-process
+//!   "nodes", zero-copy, with optional delivery throttling that enforces
+//!   the cost model in wall-clock time.
 //! * [`stats`] — per-node traffic counters used by the benchmark harness to
 //!   compute effective bandwidth in *modeled* time, independent of host
 //!   scheduling noise.
-//! * [`transport`] — the object-safe [`Transport`] trait every backend
-//!   implements, sized to the calls the runtime makes; everything above
-//!   the wire is written against it. Also the one way into a
-//!   multi-process mesh, [`connect`].
-//! * [`framed`] — the real-wire transport core, written once: inbox,
+//! * [`transport`] — the object-safe [`Transport`] trait, sized to the
+//!   calls the runtime makes; everything above the wire is written
+//!   against it. Also the one way into a multi-process mesh, [`connect`].
+//! * [`framed`] — its one implementation, the transport core: inbox,
 //!   frame format, fault shim, loss evidence, receive-buffer pool and
 //!   shutdown gate, generic over a leaf that only moves frames.
 //! * [`tcp`] — the multi-process leaf: per-peer `TcpStream`s with one

@@ -15,8 +15,6 @@
 //!   the receiver, the other sits in the retransmit queue keeping the
 //!   buffer alive (and out of its pool) until the transfer is acked.
 //!   The pool sees the buffer exactly once, when the *last* handle drops.
-//!
-//! [`Endpoint::send`]: crate::fabric::Endpoint::send
 
 use std::fmt;
 use std::ops::Deref;

@@ -64,12 +64,15 @@
 //! create and attach.
 
 use crate::fabric::{NetError, Packet, Tag};
+use crate::fault::FaultDecision;
 use crate::framed::{
     decode_header, encode_header, Core, FramedTransport, Link, FRAME_HEADER, MAX_FRAME,
 };
+use crate::payload::Payload;
 use crate::stats::TrafficStats;
 use crate::transport::{DoneBarrier, Transport, HANDSHAKE_TIMEOUT};
 use crate::NodeId;
+use crossbeam::channel;
 use parking_lot::Mutex;
 use std::io::{self, ErrorKind};
 use std::path::Path;
@@ -396,7 +399,8 @@ pub type ShmTransport = FramedTransport<ShmLink>;
 /// spawns the crash-evidence monitor.
 fn from_segment(node: NodeId, seg: Arc<Segment>, stats: Arc<TrafficStats>) -> ShmTransport {
     let nodes = seg.nodes;
-    let (core, inbox_rx) = Core::new(node, nodes, stats);
+    let (inbox_tx, inbox_rx) = channel::unbounded();
+    let core = Core::new(node, nodes, stats, inbox_tx);
     let monitor = {
         let (core, seg) = (Arc::clone(&core), Arc::clone(&seg));
         std::thread::Builder::new()
@@ -497,8 +501,14 @@ impl Link for ShmLink {
 
     /// Writes one frame into the ring toward `dst`, blocking while the
     /// ring is full.
-    fn push(&self, dst: NodeId, tag: Tag, bytes: &[u8], _fragment: bool) -> Result<(), NetError> {
-        let core = &*self.core;
+    fn push(
+        &self,
+        dst: NodeId,
+        tag: Tag,
+        payload: Payload,
+        _fault: Option<FaultDecision>,
+    ) -> Result<(), NetError> {
+        let (core, bytes) = (&*self.core, payload.as_slice());
         let ring = self.seg.ring(core.node, dst);
         let lost = |cause: &str| {
             core.note_conn_lost(dst, cause);

@@ -64,8 +64,8 @@ traffic_counters! {
     stalled_msgs => "net.stalled_msgs",
     /// Peer connections this node lost mid-run, once per peer: EOF, a
     /// reset or a write failure over TCP; a severed ring, a clean
-    /// shutdown or a vanished process over shm. The sim has no
-    /// connections to lose.
+    /// shutdown or a vanished process over shm; a send toward a peer
+    /// whose endpoint shut down over the sim.
     conn_lost => "net.conn_lost",
 }
 

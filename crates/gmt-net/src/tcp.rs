@@ -32,9 +32,9 @@
 //!   construction; an idle reader costs nothing. Shutdown and injected
 //!   kills unblock a reader by severing the `inbound_ctl` clone of its
 //!   stream, so joins stay bounded.
-//! * **Fragmented on request** — under a fault shim the core asks for
-//!   fragments: header and body are split across separate flushed writes,
-//!   so reassembly over partial reads is exercised deterministically.
+//! * **Fragmented under a fault plan** — a push that carries the shim's
+//!   decision splits header and body across separate flushed writes, so
+//!   reassembly over partial reads is exercised deterministically.
 //! * **Small frames batch** — reads land in a 16 KiB staging buffer and
 //!   every whole frame in it is parsed out, so a burst of small frames
 //!   still costs one `read`; each body is copied once, into its pooled
@@ -66,12 +66,15 @@
 //! time, not retry-budget time.
 
 use crate::fabric::{NetError, Tag};
+use crate::fault::FaultDecision;
 use crate::framed::{
     decode_header, encode_header, Core, FramedTransport, Link, FRAME_HEADER, MAX_FRAME,
 };
+use crate::payload::Payload;
 use crate::stats::TrafficStats;
 use crate::transport::{Bootstrap, DoneBarrier, Transport, HANDSHAKE_TIMEOUT};
 use crate::NodeId;
+use crossbeam::channel;
 use parking_lot::Mutex;
 use std::io::{self, ErrorKind, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -159,7 +162,8 @@ fn assemble(
     for (src, stream) in &inbound {
         inbound_ctl[*src] = Some(stream.try_clone()?);
     }
-    let (core, inbox_rx) = Core::new(node, nodes, stats);
+    let (inbox_tx, inbox_rx) = channel::unbounded();
+    let core = Core::new(node, nodes, stats, inbox_tx);
     let link = TcpLink {
         core: Arc::clone(&core),
         outbound: outbound.into_iter().map(Mutex::new).collect(),
@@ -184,13 +188,20 @@ impl Link for TcpLink {
         MAX_FRAME
     }
 
-    fn push(&self, dst: NodeId, tag: Tag, bytes: &[u8], fragment: bool) -> Result<(), NetError> {
+    /// Fragments whenever a fault plan is installed.
+    fn push(
+        &self,
+        dst: NodeId,
+        tag: Tag,
+        payload: Payload,
+        fault: Option<FaultDecision>,
+    ) -> Result<(), NetError> {
         let down = NetError::LinkDown { src: self.core.node, dst };
         let mut slot = self.outbound[dst].lock();
         let Some(stream) = slot.as_mut() else {
             return Err(if self.core.stopping() { NetError::Closed } else { down });
         };
-        if let Err(e) = write_frame(stream, tag, bytes, fragment) {
+        if let Err(e) = write_frame(stream, tag, &payload, fault.is_some()) {
             // The connection is gone; drop it so later sends fail fast,
             // and record the loss as evidence for the failure detector.
             // Recovering the peer is the reliability layer's job, not

@@ -3,17 +3,17 @@
 //! Everything above the wire — the reliability layer, the failure
 //! detector, flow control, the aggregation datapath — talks to the
 //! network through the object-safe [`Transport`] trait, which holds
-//! exactly the calls the runtime makes. Two implementations exist:
+//! exactly the calls the runtime makes. One implementation exists,
+//! [`FramedTransport`](crate::framed::FramedTransport), written once over
+//! three leaves:
 //!
-//! * the in-process simulated fabric ([`Endpoint`](crate::Endpoint)) — deterministic,
-//!   fault-injectable, optionally enforcing the network cost model in
-//!   wall time. This is the test and experimentation backend.
-//! * [`FramedTransport`](crate::framed::FramedTransport) — length-prefixed
-//!   frames over a real medium, written once over two leaves: per-peer
-//!   TCP streams ([`crate::tcp`]: one runtime node per OS process, or a
-//!   loopback mesh inside one process for CI) and lock-free SPSC rings in
-//!   one shared-memory segment ([`crate::shm`]: same-host, zero syscalls
-//!   on the hot path).
+//! * the in-process simulated fabric ([`crate::fabric`]) — deterministic,
+//!   zero-copy, optionally enforcing the network cost model in wall time.
+//!   This is the test and experimentation backend.
+//! * per-peer TCP streams ([`crate::tcp`]: one runtime node per OS
+//!   process, or a loopback mesh inside one process for CI);
+//! * lock-free SPSC rings in one shared-memory segment ([`crate::shm`]:
+//!   same-host, zero syscalls on the hot path).
 //!
 //! # Contract
 //!
@@ -141,17 +141,16 @@ pub trait Transport: Send + Sync {
     /// Installs a seeded [`FaultPlan`] on this node's send path,
     /// replacing any previous plan; decisions restart from packet 0.
     /// Drop, duplicate, flap and kill replay identically from a seed on
-    /// every backend; time-shaping faults only act on the sim. The sim's
-    /// endpoints share one plan, so installing through any of them
-    /// installs it for all.
+    /// every backend; time-shaping faults only act on the sim. Each node
+    /// has its own plan: a cluster-wide fault is installed on every node.
     fn install_faults(&self, plan: FaultPlan);
 
     /// Removes the installed fault plan. Links a kill severed stay down.
     fn clear_faults(&self);
 
-    /// Traffic counters. For the sim every endpoint shares the fabric's
-    /// table; a real-wire transport only maintains its own node's row
-    /// (in-process mesh siblings share one table).
+    /// Traffic counters. A transport counts its sends on its own node's
+    /// row and its receives on the receiver's; the transports of one
+    /// fabric or in-process mesh share one table.
     fn stats(&self) -> &Arc<TrafficStats>;
 
     /// Backend-specific counters beyond the shared [`TrafficStats`]
@@ -165,10 +164,10 @@ pub trait Transport: Send + Sync {
     /// Stops receive machinery and closes links. Idempotent, bounded-time
     /// (joins only threads the transport owns), releases pooled buffers
     /// it still holds; subsequent sends return [`NetError::Closed`] and
-    /// already-queued inbox packets stay receivable. The sim endpoint is
-    /// a no-op here — its drain runs in [`Fabric`](crate::Fabric)'s
-    /// `Drop`, which honors the same contract.
-    fn shutdown(&self) {}
+    /// already-queued inbox packets stay receivable. The sim's wire
+    /// thread belongs to its [`Fabric`](crate::Fabric), whose `Drop`
+    /// drains it under the same contract.
+    fn shutdown(&self);
 }
 
 /// Which backend a runtime should attach to, resolved from the

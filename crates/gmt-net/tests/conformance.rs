@@ -2,9 +2,10 @@
 //!
 //! Every body below is written once against `dyn Transport` and run over
 //! the sim fabric, the TCP loopback mesh and the shared-memory ring mesh
-//! (`sim::*`, `tcp::*`, `shm::*`). The bodies that need a connection to
-//! lose or a transport to close run on the two real wires only: the sim
-//! has no connections, and its endpoints close with their fabric.
+//! (`sim::*`, `tcp::*`, `shm::*`). Three bodies run on the two real wires
+//! only: the sim's kill cuts no link, it learns that a peer shut down
+//! only by sending to it, and it has no processes to wait for at a done
+//! barrier.
 
 use gmt_net::{
     connect, loopback_mesh, shm_mesh, Bootstrap, DeliveryMode, DownCause, Fabric, FaultPlan,
@@ -24,7 +25,7 @@ enum Backend {
 /// An N-node in-process mesh, index = node id.
 struct Mesh {
     nodes: Vec<Arc<dyn Transport>>,
-    /// The sim's endpoints deliver only while their fabric lives.
+    /// The sim's inboxes stay open while their fabric or endpoint lives.
     _fabric: Option<Fabric>,
 }
 
@@ -83,8 +84,14 @@ fn frames_roundtrip(backend: Backend) {
         assert_eq!(got.payload.as_slice(), &bytes[..]);
         assert_eq!(got.payload.is_pooled(), backend.pools_receives());
     }
-    assert_eq!(mesh[0].stats().node(0).sent_msgs, 5);
-    assert_eq!(mesh[1].stats().node(1).recv_msgs, 5);
+    assert!(mesh[0].try_recv().is_none(), "nothing was sent to the sender");
+    let (sent, recv) = (mesh[0].stats().node(0), mesh[1].stats().node(1));
+    assert_eq!((sent.sent_msgs, recv.recv_msgs), (5, 5));
+    assert_eq!((sent.sent_bytes, recv.recv_bytes), (104_104, 104_104));
+    assert_eq!(
+        mesh[0].send(5, 0, Payload::from(vec![1])),
+        Err(NetError::NoSuchNode { dst: 5, nodes: 2 })
+    );
 }
 
 fn self_send_loops_back(backend: Backend) {
@@ -130,6 +137,7 @@ fn shim_dup_delivers_twice(backend: Backend) {
     assert_eq!((first.tag, second.tag), (5, 5));
     assert_eq!(first.payload, second.payload);
     assert_eq!(mesh[0].stats().node(0).duplicated_msgs, 1);
+    assert_eq!(mesh[1].stats().node(1).recv_msgs, 2);
 }
 
 fn killed_peer_is_observed_and_blackholed(backend: Backend) {
@@ -143,6 +151,10 @@ fn killed_peer_is_observed_and_blackholed(backend: Backend) {
     // and nothing arrives.
     mesh[0].send(1, 0, Payload::from(vec![1])).expect("blackholed send succeeds");
     assert!(mesh[1].recv_timeout(Duration::from_millis(200)).is_none());
+    // The victim's own sends vanish too, once the plan is on its side.
+    mesh[1].install_faults(FaultPlan::new(0xC0DE).kill(1));
+    mesh[1].send(0, 0, Payload::from(vec![3])).expect("blackholed send succeeds");
+    assert!(mesh[0].recv_timeout(Duration::from_millis(200)).is_none());
     // The unrelated link still works.
     mesh[0].send(2, 1, Payload::from(vec![2])).expect("send");
     assert!(mesh[2].recv_timeout(ARRIVES).is_some());
@@ -303,6 +315,7 @@ suite!(
         shim_dup_delivers_twice,
         killed_peer_is_observed_and_blackholed,
         flap_window_drops_frames_then_recovers,
+        shutdown_mid_traffic_neither_hangs_nor_errors_the_receiver,
     ]
 );
 

@@ -1,6 +1,6 @@
 //! Property-based tests: cost-model laws and fabric delivery guarantees.
 
-use gmt_net::{DeliveryMode, Fabric, NetworkModel};
+use gmt_net::{DeliveryMode, Fabric, NetworkModel, Transport};
 use proptest::prelude::*;
 
 fn arb_model() -> impl Strategy<Value = NetworkModel> {

@@ -46,12 +46,6 @@ impl OpPattern {
     pub fn remote_put(size: u32) -> Self {
         OpPattern { req_bytes: size, reply_bytes: 0, local_fraction: 0.0 }
     }
-
-    /// A fine-grained access to a block-distributed array on `nodes`
-    /// nodes: local with probability 1/nodes.
-    pub fn partitioned(req_bytes: u32, reply_bytes: u32, nodes: usize) -> Self {
-        OpPattern { req_bytes, reply_bytes, local_fraction: 1.0 / nodes as f64 }
-    }
 }
 
 /// One bulk-synchronous phase of a workload (a BFS level, a walk round…).
