@@ -142,10 +142,7 @@ fn print_occupancy(snap: &MetricsSnapshot) {
     let timeout = snap.counter("agg.timeout_flushes").unwrap_or(0);
     let idle = snap.counter("agg.idle_flushes").unwrap_or(0);
     let full = hist.count().saturating_sub(timeout + idle);
-    let paced = snap.counter("agg.paced_deferrals").unwrap_or(0);
-    println!(
-        "  flush triggers: full {full}, timeout {timeout}, idle {idle} ({paced} deferred by pacing)"
-    );
+    println!("  flush triggers: full {full}, timeout {timeout}, idle {idle}");
 }
 
 /// Merge-at-source combining effectiveness: how many fire-and-forget

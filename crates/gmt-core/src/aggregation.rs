@@ -37,22 +37,15 @@
 //! other work ([`CommandSink::pump`]), or its thread went **idle**
 //! ([`CommandSink::flush_idle`]) — a sender with nothing more to send
 //! gains nothing by waiting for company, so it flushes at once instead of
-//! sitting out both timeouts at pump granularity.
+//! sitting out both timeouts at pump granularity. No trigger holds a
+//! block back for company it has no reason to expect: a chain of
+//! dependent single commands sends one buffer per command, as fast as
+//! the host moves one (DESIGN.md §5 has the measurements behind that
+//! choice).
 //!
-//! The timeout and idle triggers are **paced** where they would make a
-//! buffer out of next to nothing: a *sparse* command block (under a
-//! sixteenth of a buffer) that would travel alone stays with its thread
-//! until [`SPARSE_FLUSH_SPACING_NS`] after that thread's previous such
-//! block toward the same node. The first one after a quiet spell still
-//! leaves at once, and a block with a fair load, or one that finds
-//! company in the queue, is never held. What the pacing bounds is a chain
-//! of dependent single commands, which otherwise turns every command
-//! into a buffer of its own as fast as the host can move one; paced, such
-//! a chain runs at one hop per spacing whatever the speed of the CPU
-//! (DESIGN.md §5 has the numbers that made this necessary).
-//!
-//! Two further hot-path design points (measured in
-//! `gmt-bench/benches/aggregation.rs`):
+//! Two further hot-path design points (their ceiling is the end-to-end
+//! benchmark's `aggregation.ceil.emit_ns_per_cmd`, `emit` plus `pump` per
+//! command, printed by `gmt-e2e ceilings`):
 //!
 //! * **Coarse clock** — block ages are stamped from a node-wide
 //!   [`AtomicU64`] ticked by [`AggShared::tick`] (called from `pump()` and
@@ -104,21 +97,6 @@ const POOL_BACKOFF_MAX_NS: u64 = 1_000_000;
 /// bounds how long fire-and-forget adds can be delayed, preserving the
 /// `wait_commands` liveness contract even under persistent backpressure.
 const SHED_MAX_AGE_MULT: u64 = 8;
-
-/// A command block holding less than `buffer_size / SPARSE_DIV` bytes is
-/// *sparse*: shipped alone it makes a buffer that carries a handful of
-/// commands but costs what a full one costs (a pool buffer, a transport
-/// header, the send and receive syscalls, a helper pass on the far side —
-/// about 20 µs of CPU end to end on the benchmark host).
-const SPARSE_DIV: usize = 16;
-
-/// Minimum spacing between the sparse blocks one thread sends off alone
-/// toward one destination on the timeout or idle trigger (a token bucket
-/// of depth one per sink and destination). Slots lie on a grid: a block
-/// that leaves late does not push the next slot back, so a chain of
-/// dependent single commands runs at exactly one hop per spacing, not at
-/// whatever the host's CPU and scheduler make of it that second.
-const SPARSE_FLUSH_SPACING_NS: u64 = 72_000;
 
 /// Per-destination aggregation queue: command blocks from all threads of a
 /// node, bound for one remote node.
@@ -239,10 +217,6 @@ pub struct AggStats {
     /// Buffers dispatched because the owning thread had nothing else to
     /// do (the idle edge of its main loop, or its final drain).
     pub idle_flushes: u64,
-    /// Sparse blocks an idle flush held back because the thread's previous
-    /// one left less than the sparse-flush spacing earlier (counted once
-    /// per block, however often the flush is retried).
-    pub paced_deferrals: u64,
     /// Command blocks dropped (freed) because the block pool was full.
     pub block_pool_drops: u64,
     /// Fire-and-forget adds absorbed into an existing combining-table
@@ -324,7 +298,6 @@ struct AggMetrics {
     buffers_filled: Counter,
     timeout_flushes: Counter,
     idle_flushes: Counter,
-    paced_deferrals: Counter,
     block_pool_drops: Counter,
     /// `aggregate` found the channel's buffer pool empty and left the
     /// blocks queued for a later retry.
@@ -357,7 +330,6 @@ impl AggMetrics {
             buffers_filled: registry.counter("agg.buffers_filled"),
             timeout_flushes: registry.counter("agg.timeout_flushes"),
             idle_flushes: registry.counter("agg.idle_flushes"),
-            paced_deferrals: registry.counter("agg.paced_deferrals"),
             block_pool_drops: registry.counter("agg.block_pool_drops"),
             pool_waits: registry.counter("agg.pool_waits"),
             pool_dry_waits: registry.counter("agg.pool_dry_waits"),
@@ -536,7 +508,6 @@ impl AggShared {
             buffers_filled: self.metrics.buffers_filled.sum(),
             timeout_flushes: self.metrics.timeout_flushes.sum(),
             idle_flushes: self.metrics.idle_flushes.sum(),
-            paced_deferrals: self.metrics.paced_deferrals.sum(),
             block_pool_drops: self.metrics.block_pool_drops.sum(),
             combine_hits: self.metrics.combine_hits.sum(),
             combine_flushes: self.metrics.combine_flushes.sum(),
@@ -601,8 +572,6 @@ struct ActiveBlock {
     buf: Vec<u8>,
     entries: usize,
     born_ns: u64,
-    /// An idle flush already found this block paced out (and counted it).
-    deferred: bool,
 }
 
 /// One cell of the combining table: the merged delta of every
@@ -644,9 +613,6 @@ pub struct CommandSink {
     pool_backoff_ns: Cell<u64>,
     /// Coarse-clock time before which `aggregate` skips the pool pop.
     pool_retry_at_ns: Cell<u64>,
-    /// Per destination: coarse-clock time of this thread's next slot for
-    /// a sparse block that travels alone ([`SPARSE_FLUSH_SPACING_NS`]).
-    sparse_slot_ns: Vec<u64>,
 }
 
 impl CommandSink {
@@ -659,7 +625,6 @@ impl CommandSink {
             combine: (0..dests).map(|_| CombineTable::default()).collect(),
             pool_backoff_ns: Cell::new(0),
             pool_retry_at_ns: Cell::new(0),
-            sparse_slot_ns: vec![0; dests],
         }
     }
 
@@ -825,7 +790,6 @@ impl CommandSink {
             buf: self.shared.take_block(),
             entries: 0,
             born_ns: self.shared.coarse_now_ns(),
-            deferred: false,
         });
         let at = active.buf.len();
         encode(&mut active.buf);
@@ -834,31 +798,6 @@ impl CommandSink {
         if active.entries >= self.shared.cmd_block_entries || active.buf.len() >= limit {
             self.push_block(dst);
         }
-    }
-
-    /// The timeout or idle trigger wants the active block for `dst` gone.
-    /// Pushes it (step 3) and returns `true` — unless the block is sparse,
-    /// would travel alone (nothing is queued toward `dst` to keep it
-    /// company) and this thread's next slot for such a block has not come
-    /// yet: then it stays where it is and the caller tries again later.
-    /// A sparse block that does leave alone takes the slot; the next one
-    /// is a spacing after this one was *due*, or after now when this one
-    /// is more than a spacing late.
-    fn push_paced(&mut self, dst: NodeId, now: u64) -> bool {
-        let shared = &self.shared;
-        let sparse = matches!(&self.active[dst],
-            Some(a) if a.buf.len() - shared.header_reserve < shared.buffer_size / SPARSE_DIV);
-        if sparse && self.shared.queues[dst].bytes.load(Ordering::Acquire) == 0 {
-            let slot = self.sparse_slot_ns[dst];
-            if now < slot {
-                return false;
-            }
-            let next = slot + SPARSE_FLUSH_SPACING_NS;
-            self.sparse_slot_ns[dst] =
-                if now < next { next } else { now + SPARSE_FLUSH_SPACING_NS };
-        }
-        self.push_block(dst);
-        true
     }
 
     /// Moves the active block for `dst` into the aggregation queue
@@ -1032,8 +971,7 @@ impl CommandSink {
     /// ticks the coarse clock, pushes aged command blocks and drains aged
     /// aggregation queues. This is the flush trigger of a *busy* thread;
     /// a thread that runs out of work calls [`Self::flush_idle`] instead
-    /// of waiting for these timeouts. An aged block that is sparse and
-    /// would travel alone waits for its slot ([`Self::push_paced`]).
+    /// of waiting for these timeouts.
     pub fn pump(&mut self) {
         let now = self.shared.tick();
         for dst in 0..self.active.len() {
@@ -1051,7 +989,7 @@ impl CommandSink {
             let aged = matches!(&self.active[dst], Some(a) if a.entries > 0
                 && now.saturating_sub(a.born_ns) >= self.shared.cmd_block_timeout_ns);
             if aged {
-                self.push_paced(dst, now);
+                self.push_block(dst);
             }
             let q = &self.shared.queues[dst];
             let oldest = q.oldest_push_ns.load(Ordering::Acquire);
@@ -1073,32 +1011,20 @@ impl CommandSink {
     /// (or its closed back-off gate) leaves the blocks queued for the
     /// next pump, and a combining table toward a backpressured peer stays
     /// deferred. With nothing held it touches no pool.
-    ///
-    /// Returns `false` while it holds a block back for its slot
-    /// ([`Self::push_paced`]): the caller has to call again — it keeps
-    /// polling until then (`idle::IdleBackoff::wait` retries on
-    /// every idle pass), since the slot comes sooner than a sleep returns.
-    pub fn flush_idle(&mut self) -> bool {
+    pub fn flush_idle(&mut self) {
         let now = self.shared.coarse_now_ns();
-        let mut settled = true;
         for dst in 0..self.active.len() {
             if self.combine[dst].live > 0 && !self.shed_combine(dst, now) {
                 self.flush_combine(dst);
             }
-            if matches!(&self.active[dst], Some(a) if a.entries > 0) && !self.push_paced(dst, now) {
-                settled = false;
-                if let Some(a) = &mut self.active[dst] {
-                    if !std::mem::replace(&mut a.deferred, true) {
-                        self.metrics().paced_deferrals.add(self.chan, 1);
-                    }
-                }
+            if matches!(&self.active[dst], Some(a) if a.entries > 0) {
+                self.push_block(dst);
             }
             let q = &self.shared.queues[dst];
             while q.oldest_push_ns.load(Ordering::Acquire) != 0
                 && self.aggregate(dst, FlushCause::Idle)
             {}
         }
-        settled
     }
 
     /// Pushes every active block and drains every queue this thread can
@@ -1312,133 +1238,6 @@ mod tests {
         sink.pump();
         assert_eq!(drain(&shared, 0), vec![(1, 1)]);
         assert_eq!(shared.stats().timeout_flushes, 1);
-    }
-
-    /// Far enough ahead that the slot has certainly not come.
-    const NOT_YET: u64 = u64::MAX / 2;
-
-    #[test]
-    fn second_sparse_idle_flush_waits_for_its_slot() {
-        // 64 KiB buffers, so an ack is a sparse block; timeouts that never
-        // fire, so what ships here ships as an idle flush.
-        let shared = test_shared(65536, 100);
-        shared.tick();
-        let mut sink = CommandSink::new(Arc::clone(&shared), 0);
-        sink.emit(1, &ack(1));
-        assert!(sink.flush_idle(), "the first sparse block after a quiet spell leaves at once");
-        assert_eq!(drain(&shared, 0), vec![(1, 1)]);
-        assert!(sink.sparse_slot_ns[1] > 0, "and takes the slot");
-        sink.sparse_slot_ns[1] = NOT_YET;
-        sink.emit(1, &ack(2));
-        assert!(!sink.flush_idle(), "the second would follow too soon");
-        assert!(!sink.flush_idle());
-        sink.pump();
-        assert!(drain(&shared, 0).is_empty());
-        assert_eq!(shared.queue(1).queued_bytes(), 0, "held by its thread, not queued");
-        assert_eq!(shared.stats().paced_deferrals, 1, "one deferral, however often it is retried");
-        // Another destination has its own slot.
-        sink.emit(2, &ack(3));
-        assert!(!sink.flush_idle(), "dst 1 is still held");
-        assert_eq!(drain(&shared, 0), vec![(2, 1)]);
-        // The slot comes: the retry ships, as an idle flush and although
-        // no timeout has fired.
-        sink.sparse_slot_ns[1] = 0;
-        assert!(sink.flush_idle());
-        assert_eq!(drain(&shared, 0), vec![(1, 1)]);
-        let stats = shared.stats();
-        assert_eq!((stats.buffers_filled, stats.idle_flushes, stats.timeout_flushes), (3, 3, 0));
-    }
-
-    #[test]
-    fn an_aged_sparse_block_waits_for_its_slot_too() {
-        // Zero timeouts: every pump would ship.
-        let shared = AggShared::new(2, 1, 4, 65536, 100, 0, 0, 0, 0);
-        shared.tick();
-        let mut sink = CommandSink::new(Arc::clone(&shared), 0);
-        sink.emit(1, &ack(1));
-        sink.pump();
-        assert_eq!(drain(&shared, 0), vec![(1, 1)]);
-        sink.sparse_slot_ns[1] = NOT_YET;
-        sink.emit(1, &ack(2));
-        sink.pump();
-        sink.pump();
-        assert!(drain(&shared, 0).is_empty(), "aged, but before its slot");
-        sink.sparse_slot_ns[1] = 0;
-        sink.pump();
-        assert_eq!(drain(&shared, 0), vec![(1, 1)]);
-        assert_eq!(shared.stats().timeout_flushes, 2);
-        assert_eq!(shared.stats().paced_deferrals, 0, "only idle flushes count their deferrals");
-    }
-
-    #[test]
-    fn blocks_with_a_load_or_with_company_are_never_held() {
-        // 1 KiB buffers: 64 B of commands are no longer sparse.
-        let shared = test_shared(1024, 100);
-        shared.tick();
-        let mut sink = CommandSink::new(Arc::clone(&shared), 0);
-        sink.sparse_slot_ns[1] = NOT_YET;
-        for round in 0..3 {
-            for i in 0..8 {
-                sink.emit(1, &ack(round * 8 + i));
-            }
-            assert!(sink.flush_idle());
-        }
-        assert_eq!(drain(&shared, 0), vec![(1, 8), (1, 8), (1, 8)]);
-        // 64 KiB buffers: an 8 KiB put is not sparse either.
-        let shared = test_shared(65536, 100);
-        shared.tick();
-        let mut sink = CommandSink::new(Arc::clone(&shared), 0);
-        sink.sparse_slot_ns[1] = NOT_YET;
-        let data = vec![7u8; 8192];
-        sink.emit(1, &Command::Put { token: 0, array: 1, offset: 0, data: &data });
-        assert!(sink.flush_idle());
-        assert_eq!(drain(&shared, 0), vec![(1, 1)]);
-        // A sparse block that finds another thread's block queued rides
-        // along with it, and does not take the slot.
-        let mut other = CommandSink::new(Arc::clone(&shared), 1);
-        other.emit(1, &ack(1));
-        other.flush_block(1);
-        sink.emit(1, &ack(2));
-        assert!(sink.flush_idle());
-        assert_eq!(drain(&shared, 0), vec![(1, 2)]);
-        assert_eq!(sink.sparse_slot_ns[1], NOT_YET);
-        assert_eq!(shared.stats().paced_deferrals, 0);
-    }
-
-    #[test]
-    fn a_late_sparse_block_keeps_the_grid() {
-        let shared = test_shared(65536, 100);
-        let mut sink = CommandSink::new(Arc::clone(&shared), 0);
-        // Due half a spacing ago: the next slot is one spacing after the
-        // due time, not after the flush, so a chain runs at exactly one
-        // hop per spacing however late each retry notices its slot.
-        let now = 10 * SPARSE_FLUSH_SPACING_NS;
-        shared.clock_ns.store(now, Ordering::Relaxed);
-        let due = now - SPARSE_FLUSH_SPACING_NS / 2;
-        sink.sparse_slot_ns[1] = due;
-        sink.emit(1, &ack(1));
-        assert!(sink.flush_idle());
-        assert_eq!(sink.sparse_slot_ns[1], due + SPARSE_FLUSH_SPACING_NS);
-        // Due more than a spacing ago: the grid restarts from now.
-        let now = 20 * SPARSE_FLUSH_SPACING_NS;
-        shared.clock_ns.store(now, Ordering::Relaxed);
-        sink.emit(1, &ack(2));
-        assert!(sink.flush_idle());
-        assert_eq!(sink.sparse_slot_ns[1], now + SPARSE_FLUSH_SPACING_NS);
-        assert_eq!(drain(&shared, 0).len(), 2);
-    }
-
-    #[test]
-    fn flush_all_does_not_wait_for_a_slot() {
-        let shared = test_shared(65536, 100);
-        shared.tick();
-        let mut sink = CommandSink::new(Arc::clone(&shared), 0);
-        sink.sparse_slot_ns[1] = NOT_YET;
-        sink.emit(1, &ack(1));
-        assert!(!sink.flush_idle());
-        sink.flush_all();
-        assert_eq!(drain(&shared, 0), vec![(1, 1)]);
-        assert!(sink.flush_idle(), "nothing is held any more");
     }
 
     #[test]

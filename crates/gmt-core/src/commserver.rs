@@ -28,7 +28,7 @@
 //! Channel polling is a fair round-robin: at most one buffer per channel
 //! per sweep, so one chatty worker cannot starve the others' queues.
 
-use crate::config::ACK_DELAY_NS;
+use crate::config::{ACK_DELAY_NS, RTO_MAX_NS, RTO_MIN_NS};
 use crate::idle::IdleBackoff;
 use crate::metrics::ThreadTracer;
 use crate::reliable::{Action, DetectorConfig, Event, ReliableLink, SendKind};
@@ -212,8 +212,8 @@ pub fn comm_main(
     let mut link = ReliableLink::new(
         node.node_id,
         node.nodes,
-        node.config.rto_base_ns,
-        node.config.rto_max_ns,
+        RTO_MIN_NS,
+        RTO_MAX_NS,
         node.config.max_retries,
         ACK_DELAY_NS,
         node.config.flow_window,
@@ -327,7 +327,7 @@ pub fn comm_main(
                 }
             }
             // The communication server holds nothing of its own to flush.
-            backoff.wait(|| true);
+            backoff.wait(|| {});
         }
     }
     // The final drain, after the emitters' last flushes, so peers unblock

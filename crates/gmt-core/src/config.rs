@@ -13,6 +13,14 @@ const _: () = assert!(TASK_STACK_SIZE >= gmt_context::MIN_STACK_SIZE);
 /// piggyback it on return traffic before a standalone ack goes out (ns).
 pub const ACK_DELAY_NS: u64 = 100_000;
 
+/// Floor of the retransmit timeout the reliable link measures per peer
+/// (ns, coarse-clock granularity), and the timeout toward a peer it has
+/// no round-trip sample of yet.
+pub const RTO_MIN_NS: u64 = 1_000_000;
+
+/// Cap of the measured retransmit timeout and of its backoff (ns).
+pub const RTO_MAX_NS: u64 = 20_000_000;
+
 /// How long an emitting task may be parked waiting for a backpressured
 /// peer's window to reopen before the emit proceeds anyway (ns,
 /// coarse-clock granularity; the buffer then waits in the link's hold
@@ -29,7 +37,7 @@ pub const TRACE_CAPACITY: usize = 8 * 1024;
 /// peer heard from within it is never declared dead by retry exhaustion.
 pub const SUSPECT_FRACTION: u64 = 5;
 
-/// Configuration of one GMT node instance: the 18 values that some
+/// Configuration of one GMT node instance: the 16 values that some
 /// caller, preset, test or benchmark sets to a second value. Everything
 /// else is a constant above or simply always on (batched helper apply,
 /// flow control, load shedding toward backpressured peers, link-state
@@ -84,14 +92,6 @@ pub struct Config {
     /// delivery (functional testing). Kept: the latency-tolerance
     /// experiments need the Olympus model, every functional test `None`.
     pub network: Option<NetworkModel>,
-    /// Initial retransmit timeout (ns, coarse-clock granularity); doubles
-    /// on every retry of the same packet. Kept, with
-    /// [`Config::rto_max_ns`]: a retransmit timeout follows the fabric's
-    /// round trip, which the two presets model differently (until it is
-    /// estimated from the acks the link already carries).
-    pub rto_base_ns: u64,
-    /// Upper bound on the backed-off retransmit timeout (ns).
-    pub rto_max_ns: u64,
     /// Retransmissions of one packet before its destination is declared
     /// dead and every operation addressed to it fails with
     /// [`GmtError::RemoteDead`](crate::error::GmtError::RemoteDead).
@@ -150,8 +150,6 @@ impl Config {
             aggregation_timeout_ns: 30_000,
             combine_window: 16,
             network: Some(NetworkModel::olympus()),
-            rto_base_ns: 5_000_000,
-            rto_max_ns: 80_000_000,
             max_retries: 8,
             flow_window: 32,
             stuck_task_deadline_ns: 1_000_000_000,
@@ -175,8 +173,6 @@ impl Config {
             aggregation_timeout_ns: 10_000,
             combine_window: 16,
             network: None,
-            rto_base_ns: 1_000_000,
-            rto_max_ns: 20_000_000,
             max_retries: 6,
             flow_window: 32,
             stuck_task_deadline_ns: 1_000_000_000,
@@ -211,12 +207,6 @@ impl Config {
         }
         if self.cmd_block_entries == 0 {
             return Err("cmd_block_entries must be at least 1".into());
-        }
-        if self.rto_base_ns == 0 {
-            return Err("rto_base_ns must be nonzero".into());
-        }
-        if self.rto_max_ns < self.rto_base_ns {
-            return Err("rto_max_ns must be at least rto_base_ns".into());
         }
         if self.max_retries == 0 {
             return Err("max_retries must be at least 1".into());

@@ -6,9 +6,8 @@
 //! *idle edge* — runs a hook before backing off: that is where workers
 //! and helpers flush what they hold ([`CommandSink::flush_idle`]), because
 //! "this thread just ran out of work" is a fact the loop observes, not a
-//! timeout somebody has to tune. The hook reports whether it is done: a
-//! flush that the pacing of sparse blocks held back is retried on every idle
-//! pass, and the thread does not start its way to sleep before it left.
+//! timeout somebody has to tune. The flush always finishes in that one
+//! call, so the hook runs once per edge.
 //!
 //! [`CommandSink::flush_idle`]: crate::aggregation::CommandSink::flush_idle
 
@@ -24,8 +23,6 @@ const IDLE_SLEEP: Duration = Duration::from_micros(50);
 #[derive(Default)]
 pub struct IdleBackoff {
     idle: u32,
-    /// The idle-edge hook has reported that nothing is left to do.
-    settled: bool,
 }
 
 impl IdleBackoff {
@@ -33,24 +30,14 @@ impl IdleBackoff {
     #[inline]
     pub fn reset(&mut self) {
         self.idle = 0;
-        self.settled = false;
     }
 
     /// The pass made no progress. Runs `on_idle_edge` if the previous pass
-    /// was busy, and again on every idle pass until it returns `true`:
-    /// the flush it tries may be paced
-    /// ([`CommandSink::flush_idle`](crate::aggregation::CommandSink::flush_idle)),
-    /// and a thread that still owes a flush only yields — the flush falls
-    /// due sooner than a sleep would return. Once settled the pass yields
-    /// or, after [`YIELD_PASSES`] settled idle passes in a row, sleeps
-    /// [`IDLE_SLEEP`] so an idle node does not burn a core.
-    pub fn wait(&mut self, on_idle_edge: impl FnOnce() -> bool) {
-        if !self.settled {
-            self.settled = on_idle_edge();
-            if !self.settled {
-                std::thread::yield_now();
-                return;
-            }
+    /// was busy, then yields or, after [`YIELD_PASSES`] idle passes in a
+    /// row, sleeps [`IDLE_SLEEP`] so an idle node does not burn a core.
+    pub fn wait(&mut self, on_idle_edge: impl FnOnce()) {
+        if self.idle == 0 {
+            on_idle_edge();
         }
         self.idle = self.idle.saturating_add(1);
         if self.idle < YIELD_PASSES {
@@ -70,36 +57,11 @@ mod tests {
         let mut backoff = IdleBackoff::default();
         let mut edges = 0;
         for _ in 0..3 {
-            backoff.wait(|| {
-                edges += 1;
-                true
-            });
+            backoff.wait(|| edges += 1);
         }
         assert_eq!(edges, 1, "consecutive idle passes share one edge");
         backoff.reset();
-        backoff.wait(|| {
-            edges += 1;
-            true
-        });
+        backoff.wait(|| edges += 1);
         assert_eq!(edges, 2, "progress re-arms the edge");
-    }
-
-    #[test]
-    fn unsettled_hook_is_retried_and_does_not_count_toward_the_sleep() {
-        let mut backoff = IdleBackoff::default();
-        let mut calls = 0;
-        for _ in 0..4 * YIELD_PASSES {
-            backoff.wait(|| {
-                calls += 1;
-                false
-            });
-        }
-        assert_eq!(calls, 4 * YIELD_PASSES, "retried on every idle pass");
-        assert_eq!(backoff.idle, 0, "a thread that owes a flush keeps polling");
-        backoff.wait(|| {
-            calls += 1;
-            true
-        });
-        backoff.wait(|| unreachable!("settled: no further retry"));
     }
 }

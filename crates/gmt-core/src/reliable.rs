@@ -49,9 +49,19 @@
 //!   the window has room. The window bounds per-peer sender memory and
 //!   gives the runtime a state it can report and shed load against.
 //! * Only the queue head is retransmitted (cumulative acks make the rest
-//!   redundant), with exponential backoff from `rto_base_ns` to
-//!   `rto_max_ns`. After `max_retries` retransmissions of the same buffer
-//!   the peer is declared **dead**: every queued buffer's request tokens
+//!   redundant), after a retransmit timeout the link **measures** per
+//!   peer instead of being told: every cumulative ack that advances the
+//!   queue is one round-trip sample — now minus the original send time of
+//!   the newest buffer it covers — folded into a smoothed round trip and
+//!   its mean deviation (RFC 6298), and RTO = `srtt + 4·rttvar`, floored
+//!   at the `rto_floor_ns` the link is built with. Karn's rule: an ack that
+//!   covers a retransmitted buffer cannot say which copy it answers and
+//!   gives no sample. Every expiry doubles the RTO, up to `rto_cap_ns`,
+//!   and the backed-off value stays in force until a fresh sample
+//!   arrives: a wire slower than the floor otherwise retransmits every
+//!   buffer and never yields a sample. After `max_retries`
+//!   retransmissions of the same buffer the peer is declared **dead**:
+//!   every queued buffer's request tokens
 //!   complete with [`GmtError::RemoteDead`] and all further traffic to or
 //!   from that peer is dropped (a late reply from a "dead" peer must never
 //!   touch a token that already completed with an error). When the
@@ -263,9 +273,14 @@ struct Rtx {
     /// Shared handle keeping the pooled buffer alive (out of its pool)
     /// until the ack arrives.
     payload: Payload,
-    /// Coarse-clock time of the last (re)transmission.
+    /// Coarse-clock time of the original transmission, where the round
+    /// trip an ack of this seq samples began.
+    first_sent_ns: u64,
+    /// Coarse-clock time the retransmit timer runs from: the last
+    /// (re)transmission, or the ack that made this buffer the queue head.
     sent_ns: u64,
-    /// Retransmissions performed so far.
+    /// Retransmissions performed so far. Only the queue head is ever
+    /// retransmitted, so a buffer behind it still has 0.
     attempts: u32,
 }
 
@@ -299,10 +314,17 @@ struct Peer {
     last_sent_ns: u64,
     /// A suspicion is currently raised against this peer.
     suspected: bool,
+    /// Smoothed round trip to this peer (coarse ns; `None` until the
+    /// first sample) and its mean deviation.
+    srtt_ns: Option<u64>,
+    rttvar_ns: u64,
+    /// Current retransmit timeout: set from the estimate by every sample,
+    /// doubled (up to the cap) by every expiry in between.
+    rto_ns: u64,
 }
 
 impl Peer {
-    fn new() -> Self {
+    fn new(rto_ns: u64) -> Self {
         Peer {
             next_seq: 1,
             rtx: VecDeque::new(),
@@ -316,6 +338,9 @@ impl Peer {
             last_heard_ns: 0,
             last_sent_ns: 0,
             suspected: false,
+            srtt_ns: None,
+            rttvar_ns: 0,
+            rto_ns,
         }
     }
 
@@ -324,6 +349,23 @@ impl Peer {
     fn heard(&mut self, now_ns: u64) -> bool {
         self.last_heard_ns = now_ns.max(1);
         std::mem::take(&mut self.suspected)
+    }
+
+    /// Folds one round-trip sample into the estimate (RFC 6298 §2) and
+    /// sets the RTO from it, which ends any backoff.
+    fn sample(&mut self, rtt_ns: u64, rto_floor_ns: u64, rto_cap_ns: u64) {
+        let srtt = match self.srtt_ns {
+            None => {
+                self.rttvar_ns = rtt_ns / 2;
+                rtt_ns
+            }
+            Some(srtt) => {
+                self.rttvar_ns = (3 * self.rttvar_ns + srtt.abs_diff(rtt_ns)) / 4;
+                (7 * srtt + rtt_ns) / 8
+            }
+        };
+        self.srtt_ns = Some(srtt);
+        self.rto_ns = srtt.saturating_add(4 * self.rttvar_ns).clamp(rto_floor_ns, rto_cap_ns);
     }
 }
 
@@ -359,8 +401,10 @@ struct NoticeRounds {
 pub struct ReliableLink {
     me: NodeId,
     peers: Vec<Peer>,
-    rto_base_ns: u64,
-    rto_max_ns: u64,
+    /// Floor of the measured RTO, and the RTO of a peer not yet sampled.
+    rto_floor_ns: u64,
+    /// Cap of the measured and backed-off RTO.
+    rto_cap_ns: u64,
     max_retries: u32,
     ack_delay_ns: u64,
     detector: DetectorConfig,
@@ -379,18 +423,19 @@ impl ReliableLink {
     pub fn new(
         me: NodeId,
         nodes: usize,
-        rto_base_ns: u64,
-        rto_max_ns: u64,
+        rto_floor_ns: u64,
+        rto_cap_ns: u64,
         max_retries: u32,
         ack_delay_ns: u64,
         flow_window: usize,
         detector: DetectorConfig,
     ) -> Self {
+        assert!(0 < rto_floor_ns && rto_floor_ns <= rto_cap_ns, "RTO floor must be in 1..=cap");
         ReliableLink {
             me,
-            peers: (0..nodes).map(|_| Peer::new()).collect(),
-            rto_base_ns,
-            rto_max_ns,
+            peers: (0..nodes).map(|_| Peer::new(rto_floor_ns)).collect(),
+            rto_floor_ns,
+            rto_cap_ns,
             max_retries,
             ack_delay_ns,
             detector,
@@ -464,7 +509,7 @@ impl ReliableLink {
         let piggybacked_ack = std::mem::take(&mut p.ack_due_ns) != 0;
         p.last_sent_ns = now_ns.max(1);
         let wire = payload.share();
-        p.rtx.push_back(Rtx { seq, payload, sent_ns: now_ns, attempts: 0 });
+        p.rtx.push_back(Rtx { seq, payload, first_sent_ns: now_ns, sent_ns: now_ns, attempts: 0 });
         let kind = SendKind::Data { piggybacked_ack, was_held, occupancy: p.rtx.len() };
         out.push(Action::Send { dst, payload: wire, kind });
     }
@@ -550,27 +595,26 @@ impl ReliableLink {
     }
 
     /// Applies a cumulative ack from `src` to our retransmit queue toward
-    /// it. Progress restarts the timer (and backoff) of the new queue
-    /// head: the peer is demonstrably alive.
+    /// it. Progress is one round-trip sample, from the newest buffer it
+    /// covers — unless it covers a retransmitted one (Karn's rule) — and
+    /// restarts the timer of the new queue head: the peer is demonstrably
+    /// alive.
     fn process_ack(&mut self, src: NodeId, ack: u64, now_ns: u64) {
         let p = &mut self.peers[src];
-        let mut advanced = false;
+        let mut newest = None;
+        let mut retransmitted = false;
         while p.rtx.front().is_some_and(|r| r.seq <= ack) {
-            p.rtx.pop_front();
-            advanced = true;
+            let r = p.rtx.pop_front().expect("front checked");
+            retransmitted |= r.attempts > 0;
+            newest = Some(r.first_sent_ns);
         }
-        if advanced {
-            if let Some(front) = p.rtx.front_mut() {
-                front.sent_ns = now_ns;
-                front.attempts = 0;
-            }
+        let Some(first_sent_ns) = newest else { return };
+        if !retransmitted {
+            p.sample(now_ns.saturating_sub(first_sent_ns), self.rto_floor_ns, self.rto_cap_ns);
         }
-    }
-
-    fn rto(&self, attempts: u32) -> u64 {
-        self.rto_base_ns
-            .checked_shl(attempts.min(16))
-            .map_or(self.rto_max_ns, |v| v.min(self.rto_max_ns))
+        if let Some(front) = p.rtx.front_mut() {
+            front.sent_ns = now_ns;
+        }
     }
 
     /// Marks `dst` dead, drains its state, and schedules one dissemination
@@ -621,9 +665,7 @@ impl ReliableLink {
             }
             let expired = {
                 let p = &self.peers[dst];
-                p.rtx
-                    .front()
-                    .is_some_and(|f| now_ns.saturating_sub(f.sent_ns) >= self.rto(f.attempts))
+                p.rtx.front().is_some_and(|f| now_ns.saturating_sub(f.sent_ns) >= p.rto_ns)
             };
             if expired {
                 if self.peers[dst].rtx.front().unwrap().attempts >= self.max_retries {
@@ -644,9 +686,10 @@ impl ReliableLink {
                 }
                 let peer = &mut self.peers[dst];
                 peer.last_sent_ns = now_ns.max(1);
+                peer.rto_ns = peer.rto_ns.saturating_mul(2).min(self.rto_cap_ns);
                 let front = peer.rtx.front_mut().unwrap();
-                // Pin attempts at the budget: backoff stays capped and
-                // the next expiry re-evaluates death vs. suppression.
+                // Pin attempts at the budget: the next expiry
+                // re-evaluates death vs. suppression.
                 if front.attempts < self.max_retries {
                     front.attempts += 1;
                 }
@@ -683,19 +726,22 @@ impl ReliableLink {
             }
         }
         // Notice dissemination: each dead peer's notice goes to every
-        // still-alive peer, NOTICE_ROUNDS times spaced rto_base_ns apart
-        // (notices are unacked; repetition covers the loss budget).
+        // still-alive peer, NOTICE_ROUNDS times spaced the largest current
+        // RTO among them apart (notices are unacked; repetition covers
+        // the loss budget).
         if !self.notices.is_empty() {
             let dead_count = self.dead_count();
             let alive: Vec<NodeId> =
                 (0..self.peers.len()).filter(|&n| n != self.me && !self.peers[n].dead).collect();
+            let spacing =
+                alive.iter().map(|&n| self.peers[n].rto_ns).max().unwrap_or(self.rto_floor_ns);
             for i in 0..self.notices.len() {
                 if now_ns < self.notices[i].next_ns {
                     continue;
                 }
                 let dead = self.notices[i].dead;
                 self.notices[i].remaining -= 1;
-                self.notices[i].next_ns = now_ns.saturating_add(self.rto_base_ns).max(1);
+                self.notices[i].next_ns = now_ns.saturating_add(spacing).max(1);
                 let notice = encode_header(KIND_NOTICE, dead as u64, dead_count, CREDIT_UNLIMITED);
                 for &dst in &alive {
                     self.peers[dst].last_sent_ns = now_ns.max(1);
@@ -737,7 +783,7 @@ mod tests {
     }
 
     fn link_flow(nodes: usize, flow_window: usize) -> ReliableLink {
-        // rto_base 100, rto_max 400, 2 retries, ack delay 50, no detector.
+        // RTO floor 100, cap 400, 2 retries, ack delay 50, no detector.
         ReliableLink::new(0, nodes, 100, 400, 2, 50, flow_window, NO_DETECTOR)
     }
 
@@ -891,7 +937,8 @@ mod tests {
         let mut l = link(2);
         send(&mut l, 1, b"x", 0);
         send(&mut l, 1, b"y", 0);
-        // rto_base=100: first retransmit at t=100, attempts 0→1.
+        // No sample yet, so the RTO is the floor: first retransmit at
+        // t=100, attempts 0→1.
         assert!(tick(&mut l, 99).is_empty());
         let out = tick(&mut l, 100);
         assert!(
@@ -919,17 +966,52 @@ mod tests {
     }
 
     #[test]
-    fn ack_progress_resets_backoff_of_new_head() {
+    fn a_backed_off_rto_holds_until_a_fresh_sample() {
         let mut l = link(2);
         send(&mut l, 1, b"x", 0);
         send(&mut l, 1, b"y", 0);
-        // Head seq 1 retransmitted, attempts=1.
-        tick(&mut l, 100);
-        // Ack seq 1 at t=150: new head (seq 2) restarts its timer there.
+        // Head seq 1 retransmitted at the floor: the RTO doubles to 200.
+        assert_eq!(tags(&tick(&mut l, 100)), ["retransmit"]);
+        // The ack of seq 1 at t=150 gives no sample (Karn). The new head
+        // (seq 2) restarts its timer there, at the backed-off RTO.
         packet(&mut l, 1, &hdr(KIND_ACK, 0, 1), 150);
-        assert!(tick(&mut l, 249).is_empty(), "timer restarted at ack time");
-        assert!(matches!(wire(&tick(&mut l, 250)).as_slice(),
+        assert!(tick(&mut l, 349).is_empty(), "timer restarted at ack time, backoff kept");
+        assert!(matches!(wire(&tick(&mut l, 350)).as_slice(),
             [(1, SendKind::Retransmit, h)] if h.seq == 2));
+        packet(&mut l, 1, &hdr(KIND_ACK, 0, 2), 360);
+        assert_eq!(l.peers[1].rto_ns, 400, "still backed off: no sample yet");
+        // Seq 3 goes out once and is acked 30 later: the fresh sample sets
+        // the RTO from the estimate again — 30 + 4·15, at the floor.
+        send(&mut l, 1, b"z", 400);
+        packet(&mut l, 1, &hdr(KIND_ACK, 0, 3), 430);
+        assert_eq!((l.peers[1].srtt_ns, l.peers[1].rto_ns), (Some(30), 100));
+        send(&mut l, 1, b"w", 500);
+        assert!(tick(&mut l, 599).is_empty());
+        assert_eq!(tags(&tick(&mut l, 600)), ["retransmit"]);
+    }
+
+    #[test]
+    fn an_ack_covering_a_retransmitted_seq_gives_no_sample() {
+        let mut l = link(2);
+        // Two clean buffers, sent at 0 and 10. The ack of the first, at
+        // 40, is a sample of 40 and restarts the second's timer; the ack
+        // of the second, at 50, samples from its original send: 40 again.
+        send(&mut l, 1, b"x", 0);
+        send(&mut l, 1, b"y", 10);
+        packet(&mut l, 1, &hdr(KIND_ACK, 0, 1), 40);
+        packet(&mut l, 1, &hdr(KIND_ACK, 0, 2), 50);
+        let p = &l.peers[1];
+        assert_eq!((p.srtt_ns, p.rttvar_ns, p.rto_ns), (Some(40), 15, 100));
+        // Seq 3 times out and is retransmitted; seq 4 goes out clean
+        // behind it. One ack covers both: it may answer either copy of
+        // seq 3, so neither it nor seq 4 behind it is sampled.
+        send(&mut l, 1, b"z", 100);
+        assert_eq!(tags(&tick(&mut l, 200)), ["retransmit"]);
+        send(&mut l, 1, b"w", 205);
+        packet(&mut l, 1, &hdr(KIND_ACK, 0, 4), 210);
+        assert_eq!(unacked(&l, 1), 0);
+        let p = &l.peers[1];
+        assert_eq!((p.srtt_ns, p.rttvar_ns, p.rto_ns), (Some(40), 15, 200));
     }
 
     #[test]
@@ -1049,7 +1131,8 @@ mod tests {
             assert_eq!(h.kind, KIND_NOTICE);
             assert_eq!(h.seq, 1, "notice names the dead node");
         }
-        // Two more rounds follow, spaced rto_base apart, then it stops.
+        // Two more rounds follow, spaced the RTO apart (the floor: no
+        // peer has been sampled), then it stops.
         let count = |out: Vec<Action>| tags(&out).iter().filter(|&&t| t == "notice").count();
         assert_eq!(count(tick(&mut l, 1101)), 2);
         assert_eq!(count(tick(&mut l, 1201)), 2);
@@ -1236,31 +1319,63 @@ mod tests {
         assert!(l.peers[1].dead);
     }
 
-    /// Carries the send actions of two links between them, dropping,
-    /// duplicating and delaying packets from a seeded generator until it
-    /// turns lossless.
+    /// Carries the send actions of two links between them, `delay` ticks
+    /// one way, dropping, duplicating and delaying packets further from a
+    /// seeded generator until it turns lossless.
     struct LossyWire {
         rng: SmallRng,
         drop: f64,
         dup: f64,
         lossless: bool,
+        delay: u64,
         /// Packets on the wire: the tick they arrive at, where, what.
         in_flight: Vec<(u64, NodeId, Payload)>,
         /// Deliveries at the receiver, per buffer index.
         delivered: Vec<u32>,
+        retransmits: u32,
     }
 
     impl LossyWire {
+        fn new(rng: SmallRng, drop: f64, dup: f64, delay: u64, buffers: u64) -> Self {
+            LossyWire {
+                rng,
+                drop,
+                dup,
+                lossless: false,
+                delay,
+                in_flight: Vec::new(),
+                delivered: vec![0; buffers as usize],
+                retransmits: 0,
+            }
+        }
+
+        /// Hands `links` the packets due at tick `t`.
+        fn deliver(&mut self, links: &mut [ReliableLink; 2], t: u64, now: u64, window: usize) {
+            let mut out = Vec::new();
+            let (due, later) = std::mem::take(&mut self.in_flight)
+                .into_iter()
+                .partition::<Vec<_>, _>(|(at, ..)| *at <= t);
+            self.in_flight = later;
+            for (_, to, payload) in due {
+                links[to].step(now, Event::Packet { src: 1 - to, payload }, &mut out);
+                self.carry(to, t, window, &mut out);
+            }
+        }
+
         /// Takes the actions node `from` asked for at tick `t`.
         fn carry(&mut self, from: NodeId, t: u64, window: usize, out: &mut Vec<Action>) {
             for a in out.drain(..) {
                 match a {
                     Action::Send { dst, payload, kind } => {
-                        if let SendKind::Data { occupancy, .. } = kind {
-                            assert!(occupancy <= window, "{occupancy} unacked, window {window}");
+                        match kind {
+                            SendKind::Data { occupancy, .. } => {
+                                assert!(occupancy <= window, "{occupancy} unacked, window {window}")
+                            }
+                            SendKind::Retransmit => self.retransmits += 1,
+                            _ => {}
                         }
                         if self.lossless {
-                            self.in_flight.push((t + 1, dst, payload));
+                            self.in_flight.push((t + self.delay, dst, payload));
                             continue;
                         }
                         if self.rng.gen_bool(self.drop) {
@@ -1269,7 +1384,7 @@ mod tests {
                         let copies = if self.rng.gen_bool(self.dup) { 2 } else { 1 };
                         for _ in 0..copies {
                             let late = self.rng.gen_range(0..=3u64);
-                            self.in_flight.push((t + 1 + late, dst, payload.clone()));
+                            self.in_flight.push((t + self.delay + late, dst, payload.clone()));
                         }
                     }
                     Action::Deliver { payload, .. } => {
@@ -1299,14 +1414,7 @@ mod tests {
             let det = DetectorConfig { heartbeat_idle_ns: 20 * TICK, death_timeout_ns: 1 << 60 };
             let mut links = [0, 1]
                 .map(|me| ReliableLink::new(me, 2, 4 * TICK, 32 * TICK, 4, 2 * TICK, WINDOW, det));
-            let mut wire = LossyWire {
-                rng,
-                drop,
-                dup,
-                lossless: false,
-                in_flight: Vec::new(),
-                delivered: vec![0; BUFFERS as usize],
-            };
+            let mut wire = LossyWire::new(rng, drop, dup, 1, BUFFERS);
             let quiet = |links: &[ReliableLink; 2]| {
                 links.iter().all(|l| {
                     l.peers
@@ -1328,14 +1436,7 @@ mod tests {
                         next += 1;
                     }
                 }
-                let (due, later) = std::mem::take(&mut wire.in_flight)
-                    .into_iter()
-                    .partition::<Vec<_>, _>(|(at, ..)| *at <= t);
-                wire.in_flight = later;
-                for (_, to, payload) in due {
-                    links[to].step(now, Event::Packet { src: 1 - to, payload }, &mut out);
-                    wire.carry(to, t, WINDOW, &mut out);
-                }
+                wire.deliver(&mut links, t, now, WINDOW);
                 for (me, l) in links.iter_mut().enumerate() {
                     l.step(now, Event::Tick { credit: WINDOW as u16 }, &mut out);
                     wire.carry(me, t, WINDOW, &mut out);
@@ -1362,5 +1463,42 @@ mod tests {
                 "seed {seed} (drop {drop:.3}, dup {dup:.3}): a buffer was not delivered exactly once"
             );
         }
+    }
+
+    #[test]
+    fn a_wire_slower_than_the_floor_stops_retransmitting_after_one_sample() {
+        const BUFFERS: u64 = 20;
+        const TICK: u64 = 10;
+        // 15 ticks one way: a round trip of 300, three times the floor.
+        // One buffer at a time, as a chain of dependent operations sends
+        // them: a fixed RTO at the floor retransmits every one.
+        let mut links =
+            [0, 1].map(|me| ReliableLink::new(me, 2, 100, 3200, 8, 50, WIDE, NO_DETECTOR));
+        let mut wire = LossyWire::new(SmallRng::seed_from_u64(0), 0.0, 0.0, 15, BUFFERS);
+        wire.lossless = true;
+        let mut out = Vec::new();
+        let mut before_sample = None;
+        for t in 0..2_000u64 {
+            let now = t * TICK;
+            // Node 0 submits a buffer every 50 ticks.
+            if t % 50 == 0 && t / 50 < BUFFERS {
+                let payload = data_payload(&(t / 50).to_le_bytes());
+                links[0].step(now, Event::Send { dst: 1, payload }, &mut out);
+                wire.carry(0, t, WIDE, &mut out);
+            }
+            wire.deliver(&mut links, t, now, WIDE);
+            for (me, l) in links.iter_mut().enumerate() {
+                l.step(now, Event::Tick { credit: CREDIT_UNLIMITED }, &mut out);
+                wire.carry(me, t, WIDE, &mut out);
+            }
+            if before_sample.is_none() && links[0].peers[1].srtt_ns.is_some() {
+                before_sample = Some(wire.retransmits);
+            }
+        }
+        let before = before_sample.expect("no round trip was sampled");
+        assert!(before > 0, "the floor is under the round trip: the first buffers time out");
+        assert_eq!(wire.retransmits, before, "a retransmission after the first sample");
+        assert!(wire.delivered.iter().all(|&n| n == 1));
+        assert_eq!(unacked(&links[0], 1), 0);
     }
 }

@@ -13,6 +13,7 @@
 mod common;
 
 use common::{assert_pools_whole, pool_handles};
+use gmt_core::config::{RTO_MAX_NS, RTO_MIN_NS};
 use gmt_core::{Cluster, Config, Distribution, GmtError, MetricsSnapshot};
 use gmt_graph::{uniform_random, DistGraph, GraphSpec};
 use gmt_kernels::bfs::{gmt_bfs, BfsResult};
@@ -183,11 +184,11 @@ fn killed_node_surfaces_remote_dead_within_retry_budget() {
     // down (below) — this test is the end-to-end coverage for the retry
     // budget itself.
     let config = Config { heartbeat_idle_ns: 0, ..Config::small() };
-    // Generous wall-clock budget: sum of backed-off RTOs plus scheduling
-    // slack on a loaded single-core CI host.
-    let rto_budget: u64 = (0..config.max_retries)
-        .map(|a| (config.rto_base_ns << a.min(16)).min(config.rto_max_ns))
-        .sum();
+    // Generous wall-clock budget: sum of backed-off RTOs from the link's
+    // floor (an instant fabric's round trip is far below it) plus
+    // scheduling slack on a loaded single-core CI host.
+    let rto_budget: u64 =
+        (0..config.max_retries).map(|a| (RTO_MIN_NS << a.min(16)).min(RTO_MAX_NS)).sum();
     let deadline = std::time::Duration::from_nanos(rto_budget * 20 + 2_000_000_000);
 
     let cluster = Cluster::start_sim(4, config).unwrap();
