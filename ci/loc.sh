@@ -30,9 +30,11 @@
 # Last the switches: every one is something the tests and the benchmark
 # are supposed to cover at two values. The `pub` fields of
 # `gmt_core::Config`, which only go down like the `unsafe` count: the
-# script fails above the count of the last change that removed one (16,
-# since the link measures its own retransmit timeout and `rto_base_ns` /
-# `rto_max_ns` went; 18 since `reliable` went; 19 before); the cargo
+# script fails above the count of the last change that removed one (14,
+# since one rule judges death and `max_retries` / `heartbeat_idle_ns`
+# went; 16 since the link measures its own retransmit timeout and
+# `rto_base_ns` / `rto_max_ns` went; 18 since `reliable` went; 19
+# before); the cargo
 # features the crates
 # declare and the `cfg(feature` sites that fork on them (one build of the
 # runtime: fails above 0); and the distinct `GMT_*` names in the crates'
@@ -118,8 +120,8 @@ done
 config_fields=$(awk '/^pub struct Config \{/{f=1; next} f && /^\}/{exit} f && /^    pub [a-z_0-9]+:/{c++} END{print c+0}' \
     crates/gmt-core/src/config.rs)
 printf '%-40s %6d\n' "Config fields" "$config_fields"
-if [ "$config_fields" -gt 16 ]; then
-    echo "crates/gmt-core/src/config.rs: Config has $config_fields fields (limit 16); lower the limit with the count, never raise it" >&2
+if [ "$config_fields" -gt 14 ]; then
+    echo "crates/gmt-core/src/config.rs: Config has $config_fields fields (limit 14); lower the limit with the count, never raise it" >&2
     exit 1
 fi
 

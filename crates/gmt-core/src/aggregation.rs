@@ -1798,24 +1798,26 @@ mod tests {
 
     #[test]
     fn backpressured_peer_sheds_combine_age_flush() {
-        // Millisecond timeouts so a 2 ms sleep lands the table's age
-        // inside the shed window [timeout, 8 * timeout).
-        let shared = AggShared::new(2, 1, 4, 1024, 100, 1_000_000, 1_000_000, 0, 16);
+        // 20 ms timeouts so a 25 ms sleep lands the table's age inside the
+        // shed window [timeout, 8 * timeout) = [20, 160) ms even when a
+        // loaded host oversleeps it several times over.
+        let shared = AggShared::new(2, 1, 4, 1024, 100, 20_000_000, 20_000_000, 0, 16);
+        let nap = || std::thread::sleep(std::time::Duration::from_millis(25));
         shared.flow().set_backpressured(1, true);
         let mut sink = CommandSink::new(Arc::clone(&shared), 0);
         sink.emit(1, &add(9, 8, 2));
-        std::thread::sleep(std::time::Duration::from_millis(2));
+        nap();
         sink.pump(); // aged, but backpressured → deferred, keeps merging
         assert!(drain_cmds(&shared, 0).is_empty(), "flush deferred while backpressured");
         assert!(shared.stats().sheds >= 1);
         sink.emit(1, &add(10, 8, 2)); // absorbed into the still-live entry
         assert_eq!(shared.stats().combine_hits, 1);
         shared.flow().set_backpressured(1, false);
-        std::thread::sleep(std::time::Duration::from_millis(2));
+        nap();
         sink.pump(); // recovered → table flushes into a block
-        std::thread::sleep(std::time::Duration::from_millis(2));
+        nap();
         sink.pump(); // block + queue age out
-        std::thread::sleep(std::time::Duration::from_millis(2));
+        nap();
         sink.pump();
         let got = drain_cmds(&shared, 0);
         assert_eq!(got, vec![(1, 8, 4, vec![9, 10])]);

@@ -31,7 +31,7 @@
 use crate::config::{ACK_DELAY_NS, RTO_MAX_NS, RTO_MIN_NS};
 use crate::idle::IdleBackoff;
 use crate::metrics::ThreadTracer;
-use crate::reliable::{Action, DetectorConfig, Event, ReliableLink, SendKind};
+use crate::reliable::{Action, Event, ReliableLink, SendKind};
 use crate::runtime::NodeShared;
 use gmt_net::{LinkState, Payload, Tag, Transport};
 use std::sync::Arc;
@@ -214,14 +214,14 @@ pub fn comm_main(
         node.nodes,
         RTO_MIN_NS,
         RTO_MAX_NS,
-        node.config.max_retries,
         ACK_DELAY_NS,
         node.config.flow_window,
-        DetectorConfig {
-            heartbeat_idle_ns: node.config.heartbeat_idle_ns,
-            death_timeout_ns: node.config.peer_death_timeout_ns,
-        },
+        node.config.peer_death_timeout_ns,
     );
+    // Link-state observation runs on the link's heartbeat cadence:
+    // asking the transport takes a lock, so it stays off the per-sweep
+    // path.
+    let kill_check_period_ns = link.heartbeat_ns();
     let mut actions: Vec<Action> = Vec::new();
     // Feeds one event to the link and applies what it asks for; `true`
     // if it asked for anything.
@@ -243,11 +243,6 @@ pub fn comm_main(
             watchdog_period_ns.min((node.config.op_deadline_ns / 4).max(1_000_000));
     }
     let mut next_watchdog_ns = watchdog_period_ns;
-    // Link-state observation shares the heartbeat cadence: asking the
-    // transport takes a lock, so it stays off the per-sweep path. It runs
-    // whenever the detector does.
-    let observe_kills = node.config.heartbeat_idle_ns > 0;
-    let kill_check_period_ns = node.config.heartbeat_idle_ns.max(1);
     let mut next_kill_check_ns = 0u64;
     let mut backoff = IdleBackoff::default();
     // Coarse-clock stamp of the last sweep that moved traffic, for the
@@ -277,7 +272,7 @@ pub fn comm_main(
             feed(now, Event::Packet { src: pkt.src, payload: pkt.payload });
             progressed = true;
         }
-        if observe_kills && now >= next_kill_check_ns {
+        if now >= next_kill_check_ns {
             next_kill_check_ns = now + kill_check_period_ns;
             for peer in 0..node.nodes {
                 if peer == node.node_id || node.peer_is_dead(peer) {

@@ -33,16 +33,21 @@ pub const TRACE_CAPACITY: usize = 8 * 1024;
 
 /// Failure detector: silence from a peer past this fraction of
 /// [`Config::peer_death_timeout_ns`] raises a *suspicion* (counted,
-/// logged, cleared by any packet from the peer; no token fails), and a
-/// peer heard from within it is never declared dead by retry exhaustion.
+/// logged, cleared by any packet from the peer; no token fails).
 pub const SUSPECT_FRACTION: u64 = 5;
 
-/// Configuration of one GMT node instance: the 16 values that some
+/// Failure detector: a link with no outbound traffic for this fraction of
+/// [`Config::peer_death_timeout_ns`] gets a standalone heartbeat, and the
+/// communication server asks the transport for link state on the same
+/// cadence. Busy links never emit heartbeats — liveness rides on data and
+/// ack traffic for free.
+pub const HEARTBEAT_FRACTION: u64 = 40;
+
+/// Configuration of one GMT node instance: the 14 values that some
 /// caller, preset, test or benchmark sets to a second value. Everything
 /// else is a constant above or simply always on (batched helper apply,
-/// flow control, load shedding toward backpressured peers, link-state
-/// observation whenever the detector runs, `[gmt] warn:` lines on
-/// stderr).
+/// flow control, load shedding toward backpressured peers, the failure
+/// detector and link-state observation, `[gmt] warn:` lines on stderr).
 ///
 /// The defaults of [`Config::olympus`] mirror Table IV of the paper; the
 /// reproduction host has a single core, so [`Config::small`] scales the
@@ -92,11 +97,6 @@ pub struct Config {
     /// delivery (functional testing). Kept: the latency-tolerance
     /// experiments need the Olympus model, every functional test `None`.
     pub network: Option<NetworkModel>,
-    /// Retransmissions of one packet before its destination is declared
-    /// dead and every operation addressed to it fails with
-    /// [`GmtError::RemoteDead`](crate::error::GmtError::RemoteDead).
-    /// Kept: the retry-budget tests shrink it to bound their run time.
-    pub max_retries: u32,
     /// Per-peer flow-control window: the maximum unacked data buffers in
     /// flight toward one peer before further buffers are held back at the
     /// sender and the peer enters the **Backpressured** state (distinct
@@ -109,29 +109,26 @@ pub struct Config {
     /// Age (ns) past which a task parked on remote completions is reported
     /// by the stuck-task watchdog. Kept: the watchdog tests shorten it.
     pub stuck_task_deadline_ns: u64,
-    /// Failure detector: a link with no outbound traffic for this long gets
-    /// a standalone heartbeat packet. Busy links never emit heartbeats —
-    /// liveness rides on data/ack traffic for free. `0` disables the
-    /// detector entirely (no heartbeats, no suspicion, no silence deaths,
-    /// no link-state observation; retry-budget exhaustion still declares
-    /// peers dead) — kept because that is how a test pins the retry-budget
-    /// path.
-    pub heartbeat_idle_ns: u64,
-    /// Failure detector: silence past this age *confirms* the peer dead;
-    /// its tokens are error-completed and a death notice is disseminated
-    /// to all survivors so the cluster converges on one membership view.
-    /// Silence past a [`SUSPECT_FRACTION`]th of it raises a suspicion
-    /// first. Kept: `gmt-launch` and the TCP tests raise it on hosts where
-    /// a loaded process can stay silent for a second, the membership tests
-    /// lower it.
+    /// Failure detector: silence past this age *confirms* the peer dead —
+    /// the only timer that does; a retransmission that goes unacked never
+    /// does by itself. The peer's tokens fail with
+    /// [`GmtError::RemoteDead`](crate::error::GmtError::RemoteDead) and a
+    /// death notice is disseminated to all survivors so the cluster
+    /// converges on one membership view. Silence past a
+    /// [`SUSPECT_FRACTION`]th of it raises a suspicion first, and an idle
+    /// link heartbeats every [`HEARTBEAT_FRACTION`]th of it. Kept:
+    /// `gmt-launch` and the TCP tests raise it on hosts where a loaded
+    /// process can stay silent for a second, the membership tests lower
+    /// it.
     pub peer_death_timeout_ns: u64,
     /// Enforcement deadline (ns) for blocking remote operations: a task
     /// parked longer than this is force-woken and its wait returns
     /// [`GmtError::DeadlineExceeded`](crate::error::GmtError::DeadlineExceeded).
     /// `0` (the default) disables enforcement; per-task deadlines set via
     /// the `*_deadline` API variants override this value. Kept: it is the
-    /// only bound on a wait behind a loss nothing detects (a silent
-    /// partition from a peer heard within the suspicion threshold), which
+    /// only bound on a wait behind a loss nothing detects (a
+    /// half-partition: a peer that is heard but never acks) and the only
+    /// one shorter than the death timeout behind a silent partition, which
     /// the wave and membership tests arm.
     pub op_deadline_ns: u64,
 }
@@ -150,10 +147,8 @@ impl Config {
             aggregation_timeout_ns: 30_000,
             combine_window: 16,
             network: Some(NetworkModel::olympus()),
-            max_retries: 8,
             flow_window: 32,
             stuck_task_deadline_ns: 1_000_000_000,
-            heartbeat_idle_ns: 50_000_000,
             peer_death_timeout_ns: 3_000_000_000,
             op_deadline_ns: 0,
         }
@@ -173,10 +168,8 @@ impl Config {
             aggregation_timeout_ns: 10_000,
             combine_window: 16,
             network: None,
-            max_retries: 6,
             flow_window: 32,
             stuck_task_deadline_ns: 1_000_000_000,
-            heartbeat_idle_ns: 25_000_000,
             peer_death_timeout_ns: 1_000_000_000,
             op_deadline_ns: 0,
         }
@@ -208,9 +201,6 @@ impl Config {
         if self.cmd_block_entries == 0 {
             return Err("cmd_block_entries must be at least 1".into());
         }
-        if self.max_retries == 0 {
-            return Err("max_retries must be at least 1".into());
-        }
         if self.flow_window == 0 || self.flow_window >= u16::MAX as usize {
             return Err(format!(
                 "flow_window {} is outside 1..={} (the u16 credit encoding)",
@@ -218,12 +208,10 @@ impl Config {
                 u16::MAX - 1
             ));
         }
-        // A suspicion needs at least one missed heartbeat behind it.
-        if self.heartbeat_idle_ns > 0
-            && self.peer_death_timeout_ns / SUSPECT_FRACTION <= self.heartbeat_idle_ns
-        {
+        if self.peer_death_timeout_ns < HEARTBEAT_FRACTION {
             return Err(format!(
-                "peer_death_timeout_ns must exceed {SUSPECT_FRACTION} x heartbeat_idle_ns"
+                "peer_death_timeout_ns {} leaves no heartbeat interval (min {HEARTBEAT_FRACTION})",
+                self.peer_death_timeout_ns
             ));
         }
         Ok(())
@@ -277,22 +265,12 @@ mod tests {
             |c: &mut Config| c.cmd_block_entries = 0,
             |c: &mut Config| c.flow_window = 0,
             |c: &mut Config| c.flow_window = u16::MAX as usize,
-            |c: &mut Config| c.peer_death_timeout_ns = SUSPECT_FRACTION * c.heartbeat_idle_ns,
+            |c: &mut Config| c.peer_death_timeout_ns = HEARTBEAT_FRACTION - 1,
         ] {
             let mut c = Config::small();
             f(&mut c);
             assert!(c.validate().is_err(), "accepted bad config {c:?}");
         }
-    }
-
-    #[test]
-    fn detector_off_skips_timer_ordering() {
-        // heartbeat_idle_ns == 0 disables the detector; the heartbeat /
-        // death timer ordering is then irrelevant and must not reject.
-        let mut c = Config::small();
-        c.heartbeat_idle_ns = 0;
-        c.peer_death_timeout_ns = 0;
-        c.validate().unwrap();
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Runtime error surface.
 //!
 //! The paper's GMT assumes a lossless MPI fabric and has no failure API at
-//! all; here, once the reliability layer exhausts its retry budget against
-//! a peer, operations addressed to it *fail* instead of hanging. Failures
+//! all; here, once the reliability layer confirms a peer dead, operations
+//! addressed to it *fail* instead of hanging. Failures
 //! surface where the task would otherwise block forever: the blocking data
 //! primitives and [`TaskCtx::wait_commands`].
 //!
@@ -14,9 +14,10 @@ use std::fmt;
 /// An error surfaced by a GMT primitive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GmtError {
-    /// A peer was declared dead (its retry budget was exhausted); every
-    /// operation addressed to it completes with this error instead of
-    /// waiting forever.
+    /// A peer was declared dead (silent past the death timeout, its link
+    /// observed down, or named by a survivor's notice); every operation
+    /// addressed to it completes with this error instead of waiting
+    /// forever.
     RemoteDead {
         /// The peer that stopped responding.
         node: NodeId,

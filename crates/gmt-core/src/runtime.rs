@@ -393,8 +393,8 @@ impl NodeHandle {
         }
     }
 
-    /// Peers this node has confirmed dead (retry exhaustion, heartbeat
-    /// timeout, observed kill, or a death notice from another survivor).
+    /// Peers this node has confirmed dead (silence past the death timeout,
+    /// an observed link loss, or a death notice from another survivor).
     pub fn dead_peers(&self) -> Vec<NodeId> {
         self.shared.membership.dead_nodes()
     }

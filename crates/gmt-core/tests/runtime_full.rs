@@ -356,9 +356,11 @@ fn dependent_gets_do_not_wait_for_flush_timeouts() {
 
 #[test]
 fn link_failure_is_surfaced_as_net_error() {
-    // Over TCP a kill severs the victim's streams for good; with the
-    // detector off nothing confirms the death before the sends are tried.
-    let config = Config { heartbeat_idle_ns: 0, ..Config::small() };
+    // Over TCP a kill severs the victim's streams for good. A death
+    // timeout this long observes link state once, at start-up, before
+    // the kill, and never again within the run, so nothing confirms the
+    // death before the sends are tried.
+    let config = Config { peer_death_timeout_ns: 1 << 62, ..Config::small() };
     let cluster = Cluster::start_tcp_loopback(2, config).unwrap();
     // Pre-allocate while the link is up.
     let arr = cluster.node(0).run(|ctx| ctx.alloc(64, Distribution::Remote));

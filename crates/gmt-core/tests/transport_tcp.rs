@@ -114,8 +114,7 @@ fn reliability_survives_lossy_shm() {
 /// monitors read over shm. (A true SIGKILL on shm, where even `GONE` is
 /// never written and only the pid check can tell, is exercised
 /// cross-process by the gmt-launch --kill CI job.) The config pushes the
-/// death timeout out to 10 s, and with it the suspicion window to 2 s, so
-/// neither retry-budget exhaustion nor heartbeat silence can fire first:
+/// death timeout, the only timer that confirms a death, out to 10 s:
 /// only the evidence path can explain a sub-second confirmation.
 fn loss_evidence_confirms_death_in_detection_time(transports: Vec<Arc<dyn Transport>>) {
     let config = Config { peer_death_timeout_ns: 10_000_000_000, ..Config::small() };

@@ -551,8 +551,8 @@ fn child(opts: &Opts, id: &str) -> Result<(), String> {
 
 /// Blocks until this node's membership view shows exactly the scheduled
 /// victims dead (one epoch bump per victim). Sub-second convergence here
-/// is the connection-loss evidence path at work: the chaos config keeps
-/// suspicion at 1 s and the retry budget longer still.
+/// is the connection-loss evidence path at work: the chaos config puts
+/// the death timeout, the only timer that confirms a death, at 10 s.
 fn await_victims_dead(
     handle: &gmt_core::NodeHandle,
     kills: &[(usize, u64)],

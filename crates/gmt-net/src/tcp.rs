@@ -63,7 +63,7 @@
 //! EOF, ECONNRESET, a corrupt length prefix on the read side and a write
 //! failure on the send side are each reported to the core as loss of
 //! that peer, so a crashed peer process is declared dead in detection
-//! time, not retry-budget time.
+//! time, not death-timeout time.
 
 use crate::fabric::{NetError, Tag};
 use crate::fault::FaultDecision;

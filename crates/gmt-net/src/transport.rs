@@ -135,7 +135,7 @@ pub trait Transport: Send + Sync {
 
     /// What this transport knows about the link to `peer`. The failure
     /// detector polls it and confirms a `Down` peer dead at once, instead
-    /// of waiting out retry exhaustion or heartbeat silence.
+    /// of waiting out the death timeout's silence.
     fn link_state(&self, peer: NodeId) -> LinkState;
 
     /// Installs a seeded [`FaultPlan`] on this node's send path,
