@@ -25,7 +25,12 @@
 # tasks would start. Every backend is a `Link` leaf under the one
 # `impl Transport for FramedTransport`: the script fails if a second
 # `impl … Transport for` appears there, which is how a second send path
-# would start.
+# would start. The vendored `SegQueue` is a mutex around a `VecDeque`
+# (ROADMAP item 2's lock on the scheduler's path): the script counts the
+# `SegQueue::new()` constructions in the code of `crates/*/src` (before
+# `#[cfg(test)]`, outside `//` comments) and, like the `unsafe` count,
+# fails above the count of the last change that removed one (6, since
+# the flow-wake list went with emitter parking; 7 before).
 #
 # Last the switches: every one is something the tests and the benchmark
 # are supposed to cover at two values. The `pub` fields of
@@ -108,6 +113,13 @@ transport_impls=$(grep -rnE --include='*.rs' 'impl(<[^>]*>)? +Transport +for' cr
 if [ "$(grep -c . <<<"$transport_impls")" -gt 1 ]; then
     echo "$transport_impls" >&2
     echo "crates: one Transport implementation (FramedTransport); a new backend is a Link leaf under it, not a second send path" >&2
+    exit 1
+fi
+seg_queues=$(awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{s=$0; sub(/^[ \t]+/,"",s); if (s !~ /^\/\//) c+=gsub(/SegQueue::new\(\)/,"",s)} END{print c+0}' \
+    $(find crates/*/src -name '*.rs' | sort))
+printf '%-40s %6d\n' "SegQueue::new() (crates code)" "$seg_queues"
+if [ "$seg_queues" -gt 6 ]; then
+    echo "crates: $seg_queues SegQueue constructions (limit 6); lower the limit with the count, never raise it" >&2
     exit 1
 fi
 for f in crates/gmt-kernels/src/bfs.rs crates/gmt-kernels/src/grw.rs crates/gmt-kernels/src/cc.rs; do

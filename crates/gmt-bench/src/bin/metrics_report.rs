@@ -249,26 +249,17 @@ fn print_shm(snap: &MetricsSnapshot) {
 }
 
 /// Flow-control watermarks: window occupancy at stamp time, the unacked
-/// high-water mark, backpressure events and emitter park time.
+/// high-water mark, backpressure events and buffers held at the window.
 fn print_flow(snap: &MetricsSnapshot) {
     let holds = snap.counter("net.flow.holds").unwrap_or(0);
-    let parks = snap.counter("net.flow.parks").unwrap_or(0);
-    let sheds = snap.counter("net.flow.sheds").unwrap_or(0);
     let events = snap.counter("net.flow.backpressure_events").unwrap_or(0);
     let watermark = snap.gauge("net.flow.unacked_watermark").unwrap_or(0);
     print!(
-        "  flow: unacked watermark {watermark}, {events} backpressure event(s), {holds} hold(s), \
-         {parks} park(s), {sheds} shed(s)"
+        "  flow: unacked watermark {watermark}, {events} backpressure event(s), {holds} hold(s)"
     );
     if let Some(h) = snap.histogram("net.flow.window") {
         if h.count() > 0 {
             print!(", window occupancy");
-            print_hist_buckets(h);
-        }
-    }
-    if let Some(h) = snap.histogram("net.flow.park_ns") {
-        if h.count() > 0 {
-            print!(", park ns");
             print_hist_buckets(h);
         }
     }

@@ -68,7 +68,7 @@ use crossbeam::queue::{ArrayQueue, SegQueue};
 use gmt_metrics::{Counter, Histogram, Registry};
 use gmt_net::{BufRelease, Payload};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -91,12 +91,6 @@ const POOL_BACKOFF_MIN_NS: u64 = 10_000;
 /// receiver's schedule, so there is no point in hammering the pool, but a
 /// bounded cap keeps the retry latency within one pump interval or two.
 const POOL_BACKOFF_MAX_NS: u64 = 1_000_000;
-
-/// A shed (deferred) combine-table flush toward a backpressured peer is
-/// forced through once the table ages past this many block timeouts —
-/// bounds how long fire-and-forget adds can be delayed, preserving the
-/// `wait_commands` liveness contract even under persistent backpressure.
-const SHED_MAX_AGE_MULT: u64 = 8;
 
 /// Per-destination aggregation queue: command blocks from all threads of a
 /// node, bound for one remote node.
@@ -227,66 +221,6 @@ pub struct AggStats {
     /// `aggregate` attempts skipped because the empty-pool backoff gate
     /// was still closed (the retry path does not busy-spin on a dry pool).
     pub pool_dry_waits: u64,
-    /// Combine-table age-flushes deferred because the destination peer
-    /// was backpressured.
-    pub sheds: u64,
-}
-
-/// Node-wide per-destination flow-control state, published by the
-/// communication server (the only writer) and read by emitters and the
-/// watchdog. A destination is *backpressured* when the reliability layer
-/// is holding buffers for it because its in-flight window is full — the
-/// peer is slow or its link is throttled, but it is **not** dead.
-///
-/// `active` counts backpressured destinations so the hot path can rule
-/// out flow checks with one relaxed load when nothing is backpressured.
-pub struct FlowState {
-    backpressured: Vec<AtomicBool>,
-    active: AtomicUsize,
-}
-
-impl FlowState {
-    fn new(destinations: usize) -> Self {
-        FlowState {
-            backpressured: (0..destinations).map(|_| AtomicBool::new(false)).collect(),
-            active: AtomicUsize::new(0),
-        }
-    }
-
-    /// Marks `dst` backpressured (or clears it). Called only from the
-    /// communication-server thread, so the flag/count pair needs no
-    /// stronger ordering than release.
-    pub fn set_backpressured(&self, dst: NodeId, on: bool) {
-        let prev = self.backpressured[dst].swap(on, Ordering::Release);
-        if prev != on {
-            if on {
-                self.active.fetch_add(1, Ordering::Release);
-            } else {
-                self.active.fetch_sub(1, Ordering::Release);
-            }
-        }
-    }
-
-    /// Is the window toward `dst` currently full?
-    #[inline]
-    pub fn is_backpressured(&self, dst: NodeId) -> bool {
-        self.backpressured[dst].load(Ordering::Acquire)
-    }
-
-    /// Is *any* destination backpressured? One relaxed load — the hot
-    /// path's fast-out.
-    #[inline]
-    pub fn any(&self) -> bool {
-        self.active.load(Ordering::Relaxed) > 0
-    }
-
-    /// Every currently backpressured destination (watchdog reporting).
-    pub fn backpressured_peers(&self) -> Vec<NodeId> {
-        if !self.any() {
-            return Vec::new();
-        }
-        (0..self.backpressured.len()).filter(|&d| self.is_backpressured(d)).collect()
-    }
 }
 
 /// The aggregation layer's registry instruments: sharded counters (one
@@ -305,8 +239,6 @@ struct AggMetrics {
     /// `aggregate` attempts skipped outright because the empty-pool
     /// backoff gate had not expired yet.
     pool_dry_waits: Counter,
-    /// Combine-table age-flushes deferred toward backpressured peers.
-    sheds: Counter,
     combine_hits: Counter,
     combine_flushes: Counter,
     /// Buffer length (header included) at flush, bucketed by fractions of
@@ -333,7 +265,6 @@ impl AggMetrics {
             block_pool_drops: registry.counter("agg.block_pool_drops"),
             pool_waits: registry.counter("agg.pool_waits"),
             pool_dry_waits: registry.counter("agg.pool_dry_waits"),
-            sheds: registry.counter("net.flow.sheds"),
             combine_hits: registry.counter("agg.combine_hits"),
             combine_flushes: registry.counter("agg.combine_flushes"),
             flush_fill: registry.histogram("agg.flush_fill_bytes", &bounds),
@@ -368,9 +299,6 @@ pub struct AggShared {
     block_pool: ArrayQueue<Vec<u8>>,
     channels: Vec<ChannelQueue>,
     metrics: AggMetrics,
-    /// Per-destination backpressure flags (written by the communication
-    /// server, read by emitters, pump and the watchdog).
-    flow: FlowState,
 }
 
 impl AggShared {
@@ -459,7 +387,6 @@ impl AggShared {
                 .map(|_| ChannelQueue::new(num_buf_per_channel, buffer_size))
                 .collect(),
             metrics: AggMetrics::register(registry, buffer_size),
-            flow: FlowState::new(destinations),
         })
     }
 
@@ -512,14 +439,7 @@ impl AggShared {
             combine_hits: self.metrics.combine_hits.sum(),
             combine_flushes: self.metrics.combine_flushes.sum(),
             pool_dry_waits: self.metrics.pool_dry_waits.sum(),
-            sheds: self.metrics.sheds.sum(),
         }
-    }
-
-    /// The node's flow-control state (backpressure flags per peer).
-    #[inline]
-    pub fn flow(&self) -> &FlowState {
-        &self.flow
     }
 
     /// The channel queue of thread `idx` (communication-server side).
@@ -950,23 +870,6 @@ impl CommandSink {
         true
     }
 
-    /// Whether flushing the combining table for `dst` should be deferred
-    /// (and counted as a shed): a table toward a backpressured peer keeps
-    /// merging, shedding fire-and-forget load off the full window, until
-    /// the peer recovers or the table ages past `SHED_MAX_AGE_MULT` block
-    /// timeouts — the liveness bound `wait_commands` depends on holds,
-    /// just stretched while the peer is quarantined.
-    fn shed_combine(&self, dst: NodeId, now: u64) -> bool {
-        let shared = &self.shared;
-        let age = now.saturating_sub(self.combine[dst].born_ns);
-        let shed = shared.flow.is_backpressured(dst)
-            && age < shared.cmd_block_timeout_ns.saturating_mul(SHED_MAX_AGE_MULT);
-        if shed {
-            self.metrics().sheds.add(self.chan, 1);
-        }
-        shed
-    }
-
     /// Periodic maintenance, called from the owning thread's main loop:
     /// ticks the coarse clock, pushes aged command blocks and drains aged
     /// aggregation queues. This is the flush trigger of a *busy* thread;
@@ -977,13 +880,9 @@ impl CommandSink {
         for dst in 0..self.active.len() {
             // Combining tables age on the block timeout: workers pump
             // every scheduler loop, so a merged add is delayed at most
-            // one timeout past its emit (see `shed_combine` for the one
-            // exception).
+            // one timeout past its emit, toward every peer alike.
             let t = &self.combine[dst];
-            if t.live > 0
-                && now.saturating_sub(t.born_ns) >= self.shared.cmd_block_timeout_ns
-                && !self.shed_combine(dst, now)
-            {
+            if t.live > 0 && now.saturating_sub(t.born_ns) >= self.shared.cmd_block_timeout_ns {
                 self.flush_combine(dst);
             }
             let aged = matches!(&self.active[dst], Some(a) if a.entries > 0
@@ -1007,14 +906,12 @@ impl CommandSink {
     /// busy→idle edge of the worker and helper loops
     /// (`idle::IdleBackoff`).
     ///
-    /// Same rules as the aged flush: `aggregate` never blocks, a dry pool
-    /// (or its closed back-off gate) leaves the blocks queued for the
-    /// next pump, and a combining table toward a backpressured peer stays
-    /// deferred. With nothing held it touches no pool.
+    /// Same rules as the aged flush: `aggregate` never blocks, and a dry
+    /// pool (or its closed back-off gate) leaves the blocks queued for the
+    /// next pump. With nothing held it touches no pool.
     pub fn flush_idle(&mut self) {
-        let now = self.shared.coarse_now_ns();
         for dst in 0..self.active.len() {
-            if self.combine[dst].live > 0 && !self.shed_combine(dst, now) {
+            if self.combine[dst].live > 0 {
                 self.flush_combine(dst);
             }
             if matches!(&self.active[dst], Some(a) if a.entries > 0) {
@@ -1726,24 +1623,6 @@ mod tests {
     }
 
     #[test]
-    fn flow_state_tracks_backpressured_peers() {
-        let flow = FlowState::new(4);
-        assert!(!flow.any());
-        flow.set_backpressured(2, true);
-        flow.set_backpressured(2, true); // idempotent
-        assert!(flow.any());
-        assert!(flow.is_backpressured(2));
-        assert_eq!(flow.backpressured_peers(), vec![2]);
-        flow.set_backpressured(1, true);
-        assert_eq!(flow.backpressured_peers(), vec![1, 2]);
-        flow.set_backpressured(2, false);
-        flow.set_backpressured(2, false); // idempotent clear
-        flow.set_backpressured(1, false);
-        assert!(!flow.any());
-        assert!(flow.backpressured_peers().is_empty());
-    }
-
-    #[test]
     fn dry_pool_retries_are_gated_by_backoff() {
         // 64-byte buffers, 4 per channel; hold every popped payload so
         // the pool runs dry, then keep crossing the aggregation
@@ -1794,67 +1673,5 @@ mod tests {
         );
         assert_eq!(sink.pool_backoff_ns.get(), 0, "success resets the backoff");
         drain(&shared, 0);
-    }
-
-    #[test]
-    fn backpressured_peer_sheds_combine_age_flush() {
-        // 20 ms timeouts so a 25 ms sleep lands the table's age inside the
-        // shed window [timeout, 8 * timeout) = [20, 160) ms even when a
-        // loaded host oversleeps it several times over.
-        let shared = AggShared::new(2, 1, 4, 1024, 100, 20_000_000, 20_000_000, 0, 16);
-        let nap = || std::thread::sleep(std::time::Duration::from_millis(25));
-        shared.flow().set_backpressured(1, true);
-        let mut sink = CommandSink::new(Arc::clone(&shared), 0);
-        sink.emit(1, &add(9, 8, 2));
-        nap();
-        sink.pump(); // aged, but backpressured → deferred, keeps merging
-        assert!(drain_cmds(&shared, 0).is_empty(), "flush deferred while backpressured");
-        assert!(shared.stats().sheds >= 1);
-        sink.emit(1, &add(10, 8, 2)); // absorbed into the still-live entry
-        assert_eq!(shared.stats().combine_hits, 1);
-        shared.flow().set_backpressured(1, false);
-        nap();
-        sink.pump(); // recovered → table flushes into a block
-        nap();
-        sink.pump(); // block + queue age out
-        nap();
-        sink.pump();
-        let got = drain_cmds(&shared, 0);
-        assert_eq!(got, vec![(1, 8, 4, vec![9, 10])]);
-    }
-
-    #[test]
-    fn flush_idle_defers_a_combine_table_toward_a_backpressured_peer() {
-        let shared = combining_shared(1024);
-        shared.flow().set_backpressured(1, true);
-        let mut sink = CommandSink::new(Arc::clone(&shared), 0);
-        sink.emit(1, &add(9, 8, 2));
-        sink.emit(2, &add(3, 8, 1)); // peer 2 is not backpressured
-        sink.flush_idle();
-        assert_eq!(drain_cmds(&shared, 0), vec![(1, 8, 1, vec![3])], "only peer 2 ships");
-        assert_eq!(shared.stats().sheds, 1);
-        sink.emit(1, &add(10, 8, 2)); // still merging into the deferred table
-        assert_eq!(shared.stats().combine_hits, 1);
-        shared.flow().set_backpressured(1, false);
-        sink.flush_idle();
-        assert_eq!(drain_cmds(&shared, 0), vec![(1, 8, 4, vec![9, 10])]);
-    }
-
-    #[test]
-    fn shed_deferral_is_bounded() {
-        // The peer never recovers, but the table still flushes once it
-        // ages past SHED_MAX_AGE_MULT block timeouts (2 ms ≫ 8 µs).
-        let shared = AggShared::new(2, 1, 4, 1024, 100, 1_000, 1_000, 0, 16);
-        shared.flow().set_backpressured(1, true);
-        let mut sink = CommandSink::new(Arc::clone(&shared), 0);
-        sink.emit(1, &add(5, 8, 1));
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        sink.pump(); // past the deferral bound → forced flush
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        sink.pump();
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        sink.pump();
-        let got = drain_cmds(&shared, 0);
-        assert_eq!(got, vec![(1, 8, 1, vec![5])]);
     }
 }

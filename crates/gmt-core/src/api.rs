@@ -41,7 +41,6 @@
 //! detector is off.
 
 use crate::command::Command;
-use crate::config::FLOW_PARK_NS;
 use crate::error::GmtError;
 use crate::handle::{Distribution, GmtArray, Layout};
 use crate::runtime::NodeShared;
@@ -981,56 +980,7 @@ impl<'a> TaskCtx<'a> {
         // whenever it drops a buffer bound for a dead peer, so an emit
         // racing the death confirmation is still covered.
         self.node.ops.register(self.ctl, dst);
-        // Flow-control admission: toward a backpressured peer the task
-        // yields/parks (bounded by `FLOW_PARK_NS`) *before* the command
-        // enters the pipeline, so a slow peer's full window stalls the
-        // emitters instead of piling buffers behind the link.
-        self.flow_admit(dst);
         tls::with_sink(|s| s.emit(dst, cmd));
-    }
-
-    /// Backpressure admission for one command toward `dst`. The fast path
-    /// (no peer backpressured anywhere) is one relaxed load. The slow path
-    /// yields cooperatively a few times — backpressure often clears within
-    /// one comm-server sweep — then parks the task on
-    /// [`NodeShared::flow_waiters`] until the window reopens, the peer
-    /// dies, the node stops, or [`FLOW_PARK_NS`] elapses.
-    /// After the deadline the command is admitted anyway (the pipeline's
-    /// own holds and pool bounds take over): flow parking trades latency
-    /// for bounded queueing, it never blocks an emit forever.
-    fn flow_admit(&self, dst: NodeId) {
-        let node = &**self.node;
-        let flow = node.agg.flow();
-        if !flow.any() || !flow.is_backpressured(dst) {
-            return;
-        }
-        // Task context: counters go to shard 0 (same convention as the
-        // other task-side counters); the histogram is unsharded.
-        node.metrics.flow_parks.add(0, 1);
-        let start = node.agg.now_ns();
-        let mut spins = 0u32;
-        while flow.is_backpressured(dst)
-            && !node.peer_is_dead(dst)
-            && !node.stopping()
-            && node.agg.now_ns().saturating_sub(start) < FLOW_PARK_NS
-        {
-            spins += 1;
-            if spins <= 4 {
-                self.yielder.yield_now();
-                continue;
-            }
-            // Genuine park: enqueue on the flow-waiter list *before*
-            // publishing the parked flag so the comm server's next drain
-            // (every sweep, on window-reopen, and at shutdown) cannot
-            // miss us; a drain racing this park at worst wakes us once
-            // spuriously, which the loop re-check absorbs. The watchdog
-            // exempts parks toward backpressured peers from stuck/
-            // deadline accounting, so this wait cannot trip either.
-            node.flow_waiters.push(self.ctl.token());
-            self.ctl.set_park_intent();
-            self.yielder.yield_now();
-        }
-        node.metrics.flow_park_ns.record(node.agg.now_ns().saturating_sub(start));
     }
 }
 

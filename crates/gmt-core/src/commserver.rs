@@ -16,8 +16,9 @@
 //! (asked of the transport at heartbeat cadence), and one tick carrying
 //! the node's receive credit, recomputed from the helper backlog — and
 //! applies each [`Action`] it returns in one `match`: send, hand to the
-//! helpers, count, log, mark a peer backpressured (waking flow-parked
-//! emitters when its window opens), and on a confirmed death mirror it
+//! helpers, count, log, mark a peer backpressured while the link holds
+//! buffers for it (the watchdog excuses tasks waiting on such a peer),
+//! and on a confirmed death mirror it
 //! into the node's membership view and fail every operation still counted
 //! toward the peer with `GmtError::RemoteDead`. Sequencing, acks,
 //! retransmission, the flow window, the failure detector and death
@@ -60,18 +61,6 @@ fn send(node: &NodeShared, transport: &dyn Transport, dst: crate::NodeId, payloa
     }
 }
 
-/// Wakes every task parked on flow-control admission. Spurious wakeups
-/// are absorbed by the waiters' re-check loop (they re-enqueue themselves
-/// if still backpressured), so draining unconditionally is always safe.
-fn wake_flow_waiters(node: &NodeShared) {
-    while let Some(token) = node.flow_waiters.pop() {
-        // A waiter that retired since it queued itself is nobody's to wake.
-        if let Some(ctl) = node.ops.current(token) {
-            ctl.unpark_remote();
-        }
-    }
-}
-
 /// Error-completes every operation still counted toward `dst` with
 /// `GmtError::RemoteDead`, returning how many failed. Covers the full
 /// in-flight window — unsent buffers, transport-unacked buffers, and
@@ -80,11 +69,13 @@ fn fail_outstanding(node: &NodeShared, dst: crate::NodeId) -> u32 {
     let mut failed = 0u32;
     // Draining a count transfers sole completion rights here: a reply that
     // arrives later finds nothing to take and is dropped whole.
+    // Each batch is counted before its `Units` drop completes it: the
+    // woken task may read `reliable.ops_failed` at once.
     node.ops.drain_peer(dst, |units| {
         failed += units.count();
+        node.metrics.ops_failed.add(node.metrics.comm_shard(), units.count() as u64);
         units.record_remote_failures(dst, units.count());
     });
-    node.metrics.ops_failed.add(node.metrics.comm_shard(), failed as u64);
     failed
 }
 
@@ -133,13 +124,10 @@ fn apply(node: &NodeShared, transport: &dyn Transport, action: Action) {
             m.flow_held.inc();
             if entered {
                 m.flow_backpressure_events.add(shard, 1);
-                node.agg.flow().set_backpressured(dst, true);
+                node.flow.set_backpressured(dst, true);
             }
         }
-        Action::WindowOpen { dst } => {
-            node.agg.flow().set_backpressured(dst, false);
-            wake_flow_waiters(node);
-        }
+        Action::WindowOpen { dst } => node.flow.set_backpressured(dst, false),
         Action::Suspect { dst, raised: true } => {
             m.suspicions_raised.add(shard, 1);
             eprintln!(
@@ -160,11 +148,8 @@ fn apply(node: &NodeShared, transport: &dyn Transport, action: Action) {
             }
             m.flow_held.add(-(held.len() as i64));
             let failed = fail_outstanding(node, dst);
-            // Death supersedes backpressure: clear the flag and wake any
-            // flow-parked emitters so they observe the death instead of
-            // waiting out their park deadline.
-            node.agg.flow().set_backpressured(dst, false);
-            wake_flow_waiters(node);
+            // Death supersedes backpressure.
+            node.flow.set_backpressured(dst, false);
             eprintln!(
                 "[gmt] warn: node {}: peer {dst} confirmed dead ({cause}); {failed} \
                  operation(s) failed; {} unacked buffer(s) dropped",
@@ -299,10 +284,6 @@ pub fn comm_main(
         if now >= next_watchdog_ns {
             next_watchdog_ns = now + watchdog_period_ns;
             node.sweep_stuck_tasks(now);
-            // Periodic flow-waiter drain: the lost-wake safety net. A
-            // waiter that enqueued itself after its peer's window opened
-            // wakes at the latest here, re-checks, and proceeds.
-            wake_flow_waiters(&node);
         }
         if progressed {
             node.metrics.sweep_gap_ns.record(now.saturating_sub(last_progress_ns));
@@ -313,13 +294,8 @@ pub fn comm_main(
             }
             backoff.reset();
         } else {
-            if node.stopping() {
-                // Release every flow-parked emitter: it observes
-                // `stopping` and returns.
-                wake_flow_waiters(&node);
-                if emitters.iter().all(JoinHandle::is_finished) {
-                    break;
-                }
+            if node.stopping() && emitters.iter().all(JoinHandle::is_finished) {
+                break;
             }
             // The communication server holds nothing of its own to flush.
             backoff.wait(|| {});

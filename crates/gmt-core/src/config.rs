@@ -21,12 +21,6 @@ pub const RTO_MIN_NS: u64 = 1_000_000;
 /// Cap of the measured retransmit timeout and of its backoff (ns).
 pub const RTO_MAX_NS: u64 = 20_000_000;
 
-/// How long an emitting task may be parked waiting for a backpressured
-/// peer's window to reopen before the emit proceeds anyway (ns,
-/// coarse-clock granularity; the buffer then waits in the link's hold
-/// queue instead of the task spinning).
-pub const FLOW_PARK_NS: u64 = 2_000_000;
-
 /// Events retained per thread lane by the ring-buffer tracer (a sliding
 /// window over the run's tail). Only allocated when `GMT_TRACE` is set.
 pub const TRACE_CAPACITY: usize = 8 * 1024;
@@ -46,7 +40,7 @@ pub const HEARTBEAT_FRACTION: u64 = 40;
 /// Configuration of one GMT node instance: the 14 values that some
 /// caller, preset, test or benchmark sets to a second value. Everything
 /// else is a constant above or simply always on (batched helper apply,
-/// flow control, load shedding toward backpressured peers, the failure
+/// the flow window and its hold queue toward a slow peer, the failure
 /// detector and link-state observation, `[gmt] warn:` lines on stderr).
 ///
 /// The defaults of [`Config::olympus`] mirror Table IV of the paper; the

@@ -20,7 +20,7 @@
 //! | `reliable.*`| retransmits, piggybacked vs standalone acks, dedup hits, dead peers |
 //! | `net.flow.*`| flow control: window-occupancy histogram at stamp time, unacked     |
 //! |             | high-water gauge, buffers held at the window, backpressure          |
-//! |             | transitions, emit parks + park-time histogram, shed combine-flushes |
+//! |             | transitions                                                         |
 //! | `detector.*`| failure detector: heartbeats sent/received, suspicions raised/      |
 //! |             | cleared, death notices sent/received, membership epoch bumps        |
 //! | `free.*`    | `gmt_free` toward dead peers (swallowed `RemoteDead`s)              |
@@ -135,11 +135,6 @@ pub struct NodeMetrics {
     pub flow_holds: Counter,
     /// Peer transitions into the Backpressured state.
     pub flow_backpressure_events: Counter,
-    /// Emitting tasks parked on a backpressured destination.
-    pub flow_parks: Counter,
-    /// Coarse time each such park lasted before the window reopened (or
-    /// the park deadline let the emit proceed).
-    pub flow_park_ns: Histogram,
 
     // -- failure detector / membership -------------------------------
     /// Standalone heartbeats emitted (idle links only).
@@ -225,13 +220,6 @@ impl NodeMetrics {
             flow_held: r.gauge("net.flow.held"),
             flow_holds: r.counter("net.flow.holds"),
             flow_backpressure_events: r.counter("net.flow.backpressure_events"),
-            flow_parks: r.counter("net.flow.parks"),
-            flow_park_ns: r.histogram(
-                "net.flow.park_ns",
-                // 10 µs .. 10 ms: sub-sweep parks land in the first
-                // buckets, watchdog-bounded parks in the tail.
-                &[10_000, 50_000, 100_000, 500_000, 1_000_000, 10_000_000],
-            ),
             heartbeats_sent: r.counter("detector.heartbeats_sent"),
             heartbeats_recv: r.counter("detector.heartbeats_recv"),
             suspicions_raised: r.counter("detector.suspicions_raised"),

@@ -47,7 +47,7 @@
 //!   death) and the peer's credit changes only in a header — and the peer
 //!   leaves Backpressured ([`Action::WindowOpen`]) once none is left and
 //!   the window has room. The window bounds per-peer sender memory and
-//!   gives the runtime a state it can report and shed load against.
+//!   gives the runtime a state it can report and excuse waiting tasks by.
 //! * Only the queue head is retransmitted (cumulative acks make the rest
 //!   redundant), after a retransmit timeout the link **measures** per
 //!   peer instead of being told: every cumulative ack that advances the

@@ -28,7 +28,7 @@ use gmt_net::{
     TransportSelect,
 };
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -101,6 +101,63 @@ impl Membership {
     }
 }
 
+/// Per-peer flow-control state, published by the communication server
+/// (the only writer) and read by the stuck-task watchdog and
+/// [`NodeHandle::backpressured_peers`]. A peer is *backpressured* while
+/// the reliability layer holds buffers for it because its in-flight
+/// window is full — the peer is slow or its link is throttled, but it is
+/// **not** dead. Emitters never read it: a full window's one answer is
+/// the link's hold queue.
+///
+/// `active` counts backpressured peers so a watchdog sweep can rule out
+/// flow checks with one relaxed load when nothing is backpressured.
+#[derive(Debug)]
+pub struct FlowState {
+    backpressured: Vec<AtomicBool>,
+    active: AtomicUsize,
+}
+
+impl FlowState {
+    fn new(nodes: usize) -> Self {
+        FlowState {
+            backpressured: (0..nodes).map(|_| AtomicBool::new(false)).collect(),
+            active: AtomicUsize::new(0),
+        }
+    }
+
+    /// Marks `dst` backpressured (or clears it). Called only from the
+    /// communication-server thread, so the flag/count pair needs no
+    /// stronger ordering than release.
+    pub fn set_backpressured(&self, dst: NodeId, on: bool) {
+        let prev = self.backpressured[dst].swap(on, Ordering::Release);
+        if prev != on {
+            if on {
+                self.active.fetch_add(1, Ordering::Release);
+            } else {
+                self.active.fetch_sub(1, Ordering::Release);
+            }
+        }
+    }
+
+    /// Is the window toward `dst` currently full?
+    pub fn is_backpressured(&self, dst: NodeId) -> bool {
+        self.backpressured[dst].load(Ordering::Acquire)
+    }
+
+    /// Is *any* peer backpressured? One relaxed load.
+    pub fn any(&self) -> bool {
+        self.active.load(Ordering::Relaxed) > 0
+    }
+
+    /// Every currently backpressured peer, ascending.
+    pub fn backpressured_peers(&self) -> Vec<NodeId> {
+        if !self.any() {
+            return Vec::new();
+        }
+        (0..self.backpressured.len()).filter(|&d| self.is_backpressured(d)).collect()
+    }
+}
+
 /// State shared by every node of one cluster.
 #[derive(Debug)]
 pub struct ClusterShared {
@@ -157,12 +214,9 @@ pub struct NodeShared {
     /// This node's membership view: per-peer death flags plus the epoch,
     /// maintained by the communication server's failure detector.
     pub membership: Membership,
-    /// Tokens of tasks parked by flow-control admission (`emit` toward a
-    /// backpressured peer). The communication server drains these and
-    /// wakes each through the op table when a window reopens, a peer
-    /// dies, or the node stops; spurious wakeups are harmless by the
-    /// worker loop's design.
-    pub flow_waiters: SegQueue<u64>,
+    /// Which peers' windows are full, maintained by the communication
+    /// server from the link's `Held` / `WindowOpen` / `Dead` actions.
+    pub flow: FlowState,
     /// Set (never cleared) once any task on this node runs with an
     /// operation deadline — config-wide or per-task. While clear, helpers
     /// skip the reply-abandon handshake entirely, so undeadlined programs
@@ -228,7 +282,7 @@ impl NodeShared {
     pub fn sweep_stuck_tasks(&self, now_ns: u64) -> usize {
         let deadline = self.config.stuck_task_deadline_ns;
         let op_deadline = self.config.op_deadline_ns;
-        let flow = self.agg.flow();
+        let flow = &self.flow;
         let any_backpressured = flow.any();
         let mut stuck = 0usize;
         // Nothing serialises this walk against another caller's or against
@@ -424,7 +478,7 @@ impl NodeHandle {
     /// in-flight window is full (slow or throttled, but **alive** —
     /// disjoint from [`dead_peers`](Self::dead_peers)).
     pub fn backpressured_peers(&self) -> Vec<NodeId> {
-        self.shared.agg.flow().backpressured_peers()
+        self.shared.flow.backpressured_peers()
     }
 
     /// Live global allocations on this node.
@@ -596,7 +650,7 @@ fn boot_node(
         net: Arc::clone(transport.stats()),
         transport: Arc::clone(&transport),
         membership: Membership::new(nodes),
-        flow_waiters: SegQueue::new(),
+        flow: FlowState::new(nodes),
         deadlines_armed: AtomicBool::new(config.op_deadline_ns > 0),
         free_warned: (0..nodes).map(|_| AtomicBool::new(false)).collect(),
         ops: OpTable::new(nodes),
@@ -916,5 +970,28 @@ impl std::fmt::Debug for NodeRuntime {
             .field("node", &self.node.id())
             .field("nodes", &self.nodes())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::FlowState;
+
+    #[test]
+    fn flow_state_tracks_backpressured_peers() {
+        let flow = FlowState::new(4);
+        assert!(!flow.any());
+        flow.set_backpressured(2, true);
+        flow.set_backpressured(2, true); // idempotent
+        assert!(flow.any());
+        assert!(flow.is_backpressured(2));
+        assert_eq!(flow.backpressured_peers(), vec![2]);
+        flow.set_backpressured(1, true);
+        assert_eq!(flow.backpressured_peers(), vec![1, 2]);
+        flow.set_backpressured(2, false);
+        flow.set_backpressured(2, false); // idempotent clear
+        flow.set_backpressured(1, false);
+        assert!(!flow.any());
+        assert!(flow.backpressured_peers().is_empty());
     }
 }

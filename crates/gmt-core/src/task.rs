@@ -145,12 +145,20 @@ impl TaskControl {
     /// which held `token` — marks the hit with that token and force-wakes
     /// the block's task if it is parked. Returns `true` if this call
     /// performed the wake (so the caller counts/logs exactly once per
-    /// expiry). The watchdog holds no [`Units`], so the block may have
-    /// been bound again since it looked: the new task then wakes at worst
-    /// once, finds a hit that is not addressed to it and parks again.
+    /// expiry). Safe against every park state: a task that is not parked
+    /// is untouched, and whoever clears the flag is the one thread that
+    /// requeues the task. The watchdog holds no [`Units`], so the block
+    /// may have been bound again since it looked: the new task then wakes
+    /// at worst once, finds a hit that is not addressed to it and parks
+    /// again.
     pub fn expire_deadline(&self, token: u64) -> bool {
         self.deadline_hit.store(token, Ordering::Release);
-        self.unpark_remote()
+        if self.state.fetch_and(!PARKED, Ordering::AcqRel) & PARKED != 0 {
+            self.wake();
+            true
+        } else {
+            false
+        }
     }
 
     /// Task side, on wake: consumes a deadline expiry, `true` if it was
@@ -158,23 +166,6 @@ impl TaskControl {
     /// block is dropped).
     pub fn take_deadline_hit(&self) -> bool {
         self.deadline_hit.swap(0, Ordering::AcqRel) == self.token()
-    }
-
-    /// Remote side (communication server): force-wakes the task if it is
-    /// parked, without marking anything — used to resume flow-parked
-    /// workers when a peer's backpressure clears. Returns `true` if this
-    /// call performed the wake. Safe against every park state: a task
-    /// that is not parked is untouched, and whoever clears the flag is the
-    /// one thread that requeues the task. A caller that reached the block
-    /// through a stale token wakes the block's next task once; every park
-    /// re-checks what it waits for.
-    pub fn unpark_remote(&self) -> bool {
-        if self.state.fetch_and(!PARKED, Ordering::AcqRel) & PARKED != 0 {
-            self.wake();
-            true
-        } else {
-            false
-        }
     }
 
     /// Requeues the task on its worker. Only for the thread that cleared
@@ -482,15 +473,14 @@ struct Chunk {
 /// a binding uses two values, so a reply would have to outlive 2³¹ re-uses
 /// of its slot to be mistaken for a current one; that bound is accepted.
 ///
-/// The watchdog (walking `bound`) and a flow wake (through `current`) hold
-/// no units, so the binding they judged may be gone when they write. What
-/// they write is closed the same way, by comparison: a deadline hit
-/// carries the token it was judged on and the task that consumes it
-/// honours only its own ([`TaskControl::take_deadline_hit`]); a force-wake
-/// that lands on a later binding costs that task one spurious wake-up,
-/// after which it re-checks what it waits for and parks again; a restarted
-/// park clock or a claimed warning is diagnostic, and the next park
-/// re-arms both.
+/// The watchdog (walking `bound`) holds no units, so the binding it judged
+/// may be gone when it writes. What it writes is closed the same way, by
+/// comparison: a deadline hit carries the token it was judged on and the
+/// task that consumes it honours only its own
+/// ([`TaskControl::take_deadline_hit`]); a force-wake that lands on a
+/// later binding costs that task one spurious wake-up, after which it
+/// re-checks what it waits for and parks again; a restarted park clock or
+/// a claimed warning is diagnostic, and the next park re-arms both.
 pub struct OpTable {
     peers: usize,
     chunks: Box<[OnceLock<Chunk>]>,
@@ -1054,8 +1044,8 @@ mod tests {
     }
 
     /// The block is re-used across bindings: the second task starts from a
-    /// fresh block, and what the watchdog or a flow wake addressed to the
-    /// first (they hold no units, so they may act after it retired) leaves
+    /// fresh block, and what the watchdog addressed to the first (it holds
+    /// no units, so it may act after the first retired) leaves
     /// the second where it was — parked again on its own operation.
     #[test]
     fn a_rebound_block_is_fresh_and_ignores_hits_on_its_predecessor() {
@@ -1078,7 +1068,7 @@ mod tests {
         assert!(b.prepare_park());
         b.note_parked(100);
         assert_eq!(b.parked_info(), Some((100, None, 0, 1)), "no command of A's is remembered");
-        // A flow wake queued by A finds another generation and nobody to wake.
+        // A's token names nobody any more.
         assert!(table.current(a_token).is_none());
         // The watchdog judged A and acts now: B wakes once, finds a hit
         // that is not its own, and parks again.
@@ -1192,18 +1182,22 @@ mod tests {
     }
 
     #[test]
-    fn unpark_remote_wakes_only_parked_tasks() {
+    fn expire_deadline_wakes_only_parked_tasks() {
+        // The watchdog judged another binding of the block (generation 3,
+        // not this task's 1): the wake still lands, the hit is not this
+        // task's to honour.
         let (c, q) = ctl();
-        assert!(!c.unpark_remote(), "unparked task is untouched");
+        let judged = tagged(3, 0);
+        assert!(!c.expire_deadline(judged), "unparked task is untouched");
         assert!(q.pop().is_none());
         c.add_pending(1);
         assert!(c.prepare_park());
         c.note_parked(100);
-        assert!(c.unpark_remote(), "parked task is woken");
+        assert!(c.expire_deadline(judged), "parked task is woken");
         assert_eq!(q.pop(), Some(7));
-        assert!(!c.unpark_remote(), "second wake is a no-op");
+        assert!(!c.expire_deadline(judged), "second wake is a no-op");
         assert!(q.pop().is_none(), "no duplicate wakeup");
-        assert!(!c.take_deadline_hit(), "flow unpark is not a deadline expiry");
+        assert!(!c.take_deadline_hit(), "another binding's hit is not a deadline expiry");
         // The straggler completion finds the task awake and queues nothing.
         c.ops_completed(1);
         assert_eq!(c.pending(), 0);
@@ -1316,7 +1310,7 @@ mod tests {
     /// the wake's push), the communication server's one `drain_peer` of
     /// peer 1, and its watchdog, which holds no units: it judges a parked
     /// binding once and then, whatever became of that binding, writes its
-    /// hit and force-wakes (a flow wake is the same walk without the hit).
+    /// hit and force-wakes.
     /// The search visits every reachable state once.
     mod model {
         use super::super::{generation_of, tagged, take};
@@ -1388,8 +1382,10 @@ mod tests {
             }
         }
 
-        /// `sweep_stuck_tasks` on this slot, once. From `Hit` on it carries
-        /// the generation it judged.
+        /// `sweep_stuck_tasks` on this slot, once: judge, then
+        /// `expire_deadline`'s three accesses (store the hit, clear the
+        /// parked flag, requeue). From `Hit` on it carries the generation
+        /// it judged.
         #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
         enum Watchdog {
             Judge,
@@ -1580,8 +1576,7 @@ mod tests {
                         w.drained += taken;
                         w.sweeper = at;
                     }
-                    // The watchdog (4), and as 5 its walk as a flow wake,
-                    // which differs in leaving no hit.
+                    // The watchdog.
                     _ => match self.watchdog {
                         Watchdog::Judge => {
                             let stuck = self.generation & 1 == 1 && self.parked;
@@ -1589,13 +1584,8 @@ mod tests {
                                 return None;
                             }
                             w.judged = self.generation;
-                            w.watchdog = if actor == 4 {
-                                Watchdog::Hit(self.generation)
-                            } else {
-                                Watchdog::Wake(self.generation)
-                            };
+                            w.watchdog = Watchdog::Hit(self.generation);
                         }
-                        _ if actor == 5 => return None,
                         Watchdog::Hit(judged) => {
                             w.hit = judged;
                             w.watchdog = Watchdog::Wake(judged);
@@ -1658,7 +1648,7 @@ mod tests {
                     assert!(w.taken[binding] <= emitted, "a unit was taken twice: {w:?}");
                 }
                 assert!(w.ready + w.parked as u32 <= 1, "a park was woken twice: {w:?}");
-                let next: Vec<World> = (0..6).filter_map(|actor| w.step(actor)).collect();
+                let next: Vec<World> = (0..5).filter_map(|actor| w.step(actor)).collect();
                 if next.is_empty() {
                     // Nobody can move: everybody must be finished (the
                     // watchdog may never have seen a park), with every

@@ -22,6 +22,39 @@ fn non_blocking_puts_complete_at_wait_commands() {
     cluster.shutdown();
 }
 
+/// A full window is the link's to absorb (it holds the buffer): a
+/// non-blocking emit toward a backpressured peer returns at once, and the
+/// task's first suspension is its `wait_commands`.
+#[test]
+fn non_blocking_emits_toward_a_backpressured_peer_never_suspend() {
+    let cluster = Cluster::start_sim(2, Config::small()).unwrap();
+    let node0 = Arc::clone(cluster.node(0).shared());
+    // Only the flag: the link toward node 1 has room, so every command
+    // still arrives.
+    node0.flow.set_backpressured(1, true);
+    let switches = move || node0.metrics.ctx_switches.sum();
+    cluster.node(0).run(move |ctx| {
+        const N: u64 = 64;
+        let arr = ctx.alloc(2 * N * 8, Distribution::Remote);
+        let before = switches();
+        for i in 0..N {
+            ctx.put_nb(&arr, i * 8, &(i * 3).to_le_bytes());
+            ctx.atomic_add_nb(&arr, (N + i % 4) * 8, 1);
+        }
+        assert_eq!(switches(), before, "an emit toward a backpressured peer suspended its task");
+        ctx.wait_commands().unwrap();
+        for i in 0..N {
+            assert_eq!(ctx.get_value::<u64>(&arr, i).unwrap(), i * 3);
+        }
+        for k in 0..4 {
+            assert_eq!(ctx.get_value::<u64>(&arr, N + k).unwrap(), N / 4);
+        }
+        ctx.free(arr);
+    });
+    cluster.node(0).shared().flow.set_backpressured(1, false);
+    cluster.shutdown();
+}
+
 #[test]
 fn non_blocking_gets_fill_buffers_after_wait() {
     let cluster = Cluster::start(2, Config::small()).unwrap();

@@ -404,15 +404,14 @@ fn flow_window_bounds_inflight_under_composed_faults() {
     assert_pools_whole(&aggs);
 }
 
-/// Nightly slow-peer soak (run with `--ignored`): a 4-node BFS over the
-/// throttled cost model with the node 0 <-> node 3 link slowed 10x in
-/// both directions. The run must finish bit-identical to the fault-free
-/// run, the unacked watermark toward the slow peer must stay inside the
-/// window, the block-pool churn must stay bounded, emitter park time must
-/// show up in `net.flow.*`, the slow peer must never be declared dead and
-/// no task may read as stuck. Honors `GMT_METRICS_OUT` for artifacts.
+/// Slow-peer soak: a 4-node BFS over the throttled cost model with the
+/// node 0 <-> node 3 link slowed 10x in both directions. The run must
+/// finish bit-identical to the fault-free run, the unacked watermark
+/// toward the slow peer must stay inside the window, the window must hold
+/// buffers, the block-pool churn must stay bounded, the slow peer must
+/// never be declared dead and no task may read as stuck. Honors
+/// `GMT_METRICS_OUT` for artifacts.
 #[test]
-#[ignore = "slow-peer soak: run by the nightly CI job (or locally with --ignored)"]
 fn slow_peer_soak_survives_throttled_link() {
     let seed = seed_from_env(0x510E);
     eprintln!("[fault_tolerance] slow_peer_soak_survives_throttled_link seed={seed}");
@@ -438,7 +437,6 @@ fn slow_peer_soak_survives_throttled_link() {
     }
     assert_eq!(slow, clean, "BFS result changed under a 10x-throttled link (seed {seed})");
 
-    let mut parks = 0u64;
     let mut holds = 0u64;
     let mut drops = 0u64;
     for i in 0..cluster.nodes() {
@@ -449,17 +447,16 @@ fn slow_peer_soak_survives_throttled_link() {
             cluster.node(i).dead_peers().is_empty(),
             "node {i} declared the throttled peer dead (seed {seed})"
         );
-        parks += snap.counter("net.flow.parks").unwrap_or(0);
         holds += snap.counter("net.flow.holds").unwrap_or(0);
         drops += snap.counter("agg.block_pool_drops").unwrap_or(0);
     }
-    // The slow link engaged the flow machinery: the 8-deep window held
-    // buffers and at least one emitter parked (its park time lands in the
-    // `net.flow.park_ns` histogram the artifact snapshot carries).
+    // The slow link engaged the flow machinery: the 4-deep window held
+    // buffers (the link's hold queue is the one answer to a full window).
+    eprintln!("[fault_tolerance] slow-peer soak held {holds} buffer(s), dropped {drops} block(s)");
     assert!(holds > 0, "10x throttle never filled the flow window (seed {seed})");
-    assert!(parks > 0, "backpressure never parked an emitter (seed {seed})");
-    // Backpressure bounds block churn instead of letting the command-block
-    // recycle pool thrash: allow slack for transients, not for runaway.
+    // Holding at the window bounds block churn instead of letting the
+    // command-block recycle pool thrash: allow slack for transients, not
+    // for runaway.
     assert!(drops < 10_000, "unbounded block-pool churn: {drops} drops (seed {seed})");
     let total = cluster.net_stats().total();
     assert!(total.throttled_msgs > 0, "fault plan never throttled a packet (seed {seed})");
