@@ -37,7 +37,7 @@
 //! other work ([`CommandSink::pump`]), or its thread went **idle**
 //! ([`CommandSink::flush_idle`]) — a sender with nothing more to send
 //! gains nothing by waiting for company, so it flushes at once instead of
-//! sitting out both timeouts at pump granularity. No trigger holds a
+//! sitting out both timeouts at clock granularity. No trigger holds a
 //! block back for company it has no reason to expect: a chain of
 //! dependent single commands sends one buffer per command, as fast as
 //! the host moves one (DESIGN.md §5 has the measurements behind that
@@ -48,11 +48,17 @@
 //! command, printed by `gmt-e2e ceilings`):
 //!
 //! * **Coarse clock** — block ages are stamped from a node-wide
-//!   [`AtomicU64`] ticked by [`AggShared::tick`] (called from `pump()` and
-//!   the communication-server sweep), so [`CommandSink::emit`] never calls
-//!   `Instant::now()`. Timeout precision degrades only to the pump
-//!   interval, which is exactly the granularity at which timeouts are
-//!   *checked* anyway.
+//!   [`AtomicU64`] that one thread advances: the communication server,
+//!   with [`AggShared::tick`] at every sweep (plus the shutdown drain in
+//!   [`CommandSink::flush_all`] and the on-demand watchdog sweep, when
+//!   that thread may be gone or idle). [`CommandSink::emit`] and
+//!   [`CommandSink::pump`] only read it, so a worker's scheduler pass
+//!   makes no `clock_gettime` call and writes no line the other threads
+//!   write. Timeout precision is the sweep interval, not the pump
+//!   interval — enough, because the thread whose sweeps advance the clock
+//!   is the thread that ships what a timeout flush produces: a buffer
+//!   flushed earlier would only wait in its channel queue for the next
+//!   sweep. The idle flush does not read the clock at all.
 //! * **Sharded statistics** — counters live in the node's metrics
 //!   registry ([`gmt_metrics::Registry`]), one cache-padded cell per
 //!   channel, and are summed on demand by [`AggShared::stats`], so `emit`
@@ -89,7 +95,7 @@ const POOL_BACKOFF_MIN_NS: u64 = 10_000;
 
 /// Ceiling of the empty-pool retry backoff: buffers come back on the
 /// receiver's schedule, so there is no point in hammering the pool, but a
-/// bounded cap keeps the retry latency within one pump interval or two.
+/// bounded cap keeps the retry latency within a sweep of the clock or two.
 const POOL_BACKOFF_MAX_NS: u64 = 1_000_000;
 
 /// Per-destination aggregation queue: command blocks from all threads of a
@@ -292,8 +298,8 @@ pub struct AggShared {
     combine_cap: usize,
     start: Instant,
     /// Coarse monotonic clock (ns since `start`), ticked by [`Self::tick`]
-    /// from pump loops and the communication server. Hot paths read it
-    /// with a relaxed load instead of calling `Instant::now()`.
+    /// from the communication server's sweeps. Hot paths read it with a
+    /// relaxed load instead of calling `Instant::now()`.
     clock_ns: AtomicU64,
     queues: Vec<AggQueue>,
     block_pool: ArrayQueue<Vec<u8>>,
@@ -391,10 +397,11 @@ impl AggShared {
     }
 
     /// Advances the coarse clock to the current elapsed time and returns
-    /// it. Called from `pump()` and each communication-server sweep; any
-    /// number of threads may tick concurrently (stores are monotonic
-    /// enough: a stale store can only *lower* the clock by one tick
-    /// interval, which is within the documented timeout slack).
+    /// it. Called from each communication-server sweep, the shutdown drain
+    /// of [`CommandSink::flush_all`] and an on-demand watchdog sweep; those
+    /// may tick concurrently (stores are monotonic enough: a stale store
+    /// can only *lower* the clock by one tick interval, which is within
+    /// the documented timeout slack).
     pub fn tick(&self) -> u64 {
         let now = self.start.elapsed().as_nanos() as u64;
         self.clock_ns.store(now.max(1), Ordering::Relaxed);
@@ -871,16 +878,18 @@ impl CommandSink {
     }
 
     /// Periodic maintenance, called from the owning thread's main loop:
-    /// ticks the coarse clock, pushes aged command blocks and drains aged
-    /// aggregation queues. This is the flush trigger of a *busy* thread;
-    /// a thread that runs out of work calls [`Self::flush_idle`] instead
-    /// of waiting for these timeouts.
+    /// pushes aged command blocks and drains aged aggregation queues,
+    /// timed against the coarse clock, which it reads and does not tick.
+    /// This is the flush trigger of a *busy* thread; a thread that runs
+    /// out of work calls [`Self::flush_idle`] instead of waiting for these
+    /// timeouts.
     pub fn pump(&mut self) {
-        let now = self.shared.tick();
+        let now = self.shared.coarse_now_ns();
         for dst in 0..self.active.len() {
             // Combining tables age on the block timeout: workers pump
             // every scheduler loop, so a merged add is delayed at most
-            // one timeout past its emit, toward every peer alike.
+            // one timeout (and one sweep of the clock) past its emit,
+            // toward every peer alike.
             let t = &self.combine[dst];
             if t.live > 0 && now.saturating_sub(t.born_ns) >= self.shared.cmd_block_timeout_ns {
                 self.flush_combine(dst);
@@ -902,7 +911,7 @@ impl CommandSink {
     /// no incoming buffer, so nothing it holds will get company soon —
     /// push its combining tables and command blocks now and aggregate
     /// whatever is queued, instead of waiting out `cmd_block_timeout_ns`
-    /// plus `aggregation_timeout_ns` at pump granularity. Called on the
+    /// plus `aggregation_timeout_ns` at clock granularity. Called on the
     /// busy→idle edge of the worker and helper loops
     /// (`idle::IdleBackoff`).
     ///
@@ -1132,6 +1141,33 @@ mod tests {
         // picks the block up.
         drop(held);
         std::thread::sleep(std::time::Duration::from_millis(2));
+        shared.tick(); // the communication server's sweep
+        sink.pump();
+        assert_eq!(drain(&shared, 0), vec![(1, 1)]);
+        assert_eq!(shared.stats().timeout_flushes, 1);
+    }
+
+    #[test]
+    fn pump_reads_the_clock_it_does_not_tick() {
+        // Real timeouts that have long expired in wall time: until the
+        // clock's writer ticks, no pump sees the block age, and nothing
+        // ships.
+        let shared = AggShared::new(2, 1, 4, 1024, 100, 1_000, 1_000, 0, 0);
+        shared.tick();
+        let mut sink = CommandSink::new(Arc::clone(&shared), 0);
+        sink.emit(1, &ack(7));
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        for _ in 0..3 {
+            sink.pump();
+        }
+        assert_eq!(shared.queue(1).queued_bytes(), 0, "the block did not age");
+        assert!(drain(&shared, 0).is_empty());
+        shared.tick();
+        sink.pump(); // block aged → pushed, and re-stamped in the queue
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        sink.pump();
+        assert!(drain(&shared, 0).is_empty(), "the queue did not age either");
+        shared.tick();
         sink.pump();
         assert_eq!(drain(&shared, 0), vec![(1, 1)]);
         assert_eq!(shared.stats().timeout_flushes, 1);
@@ -1259,15 +1295,18 @@ mod tests {
         // one pump of aging past its timeout, with ages measured purely
         // by the coarse clock (no per-emit Instant reads). The block is
         // re-stamped when it enters the aggregation queue, so the two
-        // levels age across two pump intervals.
+        // levels age across two pump intervals. Each `tick` stands in for
+        // the communication server's sweep, the clock's one writer.
         let shared = AggShared::new(2, 1, 4, 1024, 100, 1_000, 1_000, 0, 0);
         let mut sink = CommandSink::new(Arc::clone(&shared), 0);
         sink.emit(1, &ack(7));
         assert!(drain(&shared, 0).is_empty());
         std::thread::sleep(std::time::Duration::from_millis(2));
+        shared.tick();
         sink.pump(); // block aged past cmd_block_timeout → pushed
         assert!(shared.queue(1).queued_bytes() > 0 || shared.channel(0).backlog() > 0);
         std::thread::sleep(std::time::Duration::from_millis(2));
+        shared.tick();
         sink.pump(); // queue aged past aggregation_timeout → flushed
         assert_eq!(drain(&shared, 0), vec![(1, 1)]);
         assert!(shared.stats().timeout_flushes >= 1);
@@ -1612,11 +1651,15 @@ mod tests {
         sink.emit(1, &add(9, 8, 2));
         sink.emit(1, &add(10, 8, 2));
         assert!(drain_cmds(&shared, 0).is_empty(), "still merging");
+        // Each `tick` stands in for the communication server's sweep.
         std::thread::sleep(std::time::Duration::from_millis(2));
+        shared.tick();
         sink.pump(); // table aged → AddN into a block
         std::thread::sleep(std::time::Duration::from_millis(2));
+        shared.tick();
         sink.pump(); // block + queue age out
         std::thread::sleep(std::time::Duration::from_millis(2));
+        shared.tick();
         sink.pump();
         let got = drain_cmds(&shared, 0);
         assert_eq!(got, vec![(1, 8, 4, vec![9, 10])]);

@@ -72,8 +72,8 @@ pub struct Config {
     /// performance question of its own.
     ///
     /// Timeouts are checked against the runtime's coarse monotonic clock,
-    /// which advances once per worker pump / comm-server sweep rather than
-    /// per command, so the effective granularity is one pump interval.
+    /// which the communication server advances once per sweep rather than
+    /// per command, so the effective granularity is one sweep interval.
     pub cmd_block_timeout_ns: u64,
     /// Age (ns) after which an aggregation queue is drained into a buffer
     /// and sent even if a full buffer's worth has not accumulated.

@@ -28,7 +28,7 @@ use gmt_net::{
     TransportSelect,
 };
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -108,35 +108,20 @@ impl Membership {
 /// window is full — the peer is slow or its link is throttled, but it is
 /// **not** dead. Emitters never read it: a full window's one answer is
 /// the link's hold queue.
-///
-/// `active` counts backpressured peers so a watchdog sweep can rule out
-/// flow checks with one relaxed load when nothing is backpressured.
 #[derive(Debug)]
 pub struct FlowState {
     backpressured: Vec<AtomicBool>,
-    active: AtomicUsize,
 }
 
 impl FlowState {
     fn new(nodes: usize) -> Self {
-        FlowState {
-            backpressured: (0..nodes).map(|_| AtomicBool::new(false)).collect(),
-            active: AtomicUsize::new(0),
-        }
+        FlowState { backpressured: (0..nodes).map(|_| AtomicBool::new(false)).collect() }
     }
 
     /// Marks `dst` backpressured (or clears it). Called only from the
-    /// communication-server thread, so the flag/count pair needs no
-    /// stronger ordering than release.
+    /// communication-server thread.
     pub fn set_backpressured(&self, dst: NodeId, on: bool) {
-        let prev = self.backpressured[dst].swap(on, Ordering::Release);
-        if prev != on {
-            if on {
-                self.active.fetch_add(1, Ordering::Release);
-            } else {
-                self.active.fetch_sub(1, Ordering::Release);
-            }
-        }
+        self.backpressured[dst].store(on, Ordering::Release);
     }
 
     /// Is the window toward `dst` currently full?
@@ -144,16 +129,8 @@ impl FlowState {
         self.backpressured[dst].load(Ordering::Acquire)
     }
 
-    /// Is *any* peer backpressured? One relaxed load.
-    pub fn any(&self) -> bool {
-        self.active.load(Ordering::Relaxed) > 0
-    }
-
     /// Every currently backpressured peer, ascending.
     pub fn backpressured_peers(&self) -> Vec<NodeId> {
-        if !self.any() {
-            return Vec::new();
-        }
         (0..self.backpressured.len()).filter(|&d| self.is_backpressured(d)).collect()
     }
 }
@@ -283,7 +260,6 @@ impl NodeShared {
         let deadline = self.config.stuck_task_deadline_ns;
         let op_deadline = self.config.op_deadline_ns;
         let flow = &self.flow;
-        let any_backpressured = flow.any();
         let mut stuck = 0usize;
         // Nothing serialises this walk against another caller's or against
         // the slots being bound again under it: what it writes is one-shot
@@ -297,14 +273,10 @@ impl NodeShared {
                 // op-deadline enforcement fires while flow control is
                 // the cause — both re-arm from now once the peer
                 // recovers (or its death converts the wait to an error).
-                if any_backpressured {
-                    if let Some(d) = dst {
-                        if flow.is_backpressured(d) {
-                            self.metrics.backpressure_deferrals.add(self.metrics.comm_shard(), 1);
-                            ctl.note_parked(now_ns);
-                            continue;
-                        }
-                    }
+                if dst.is_some_and(|d| flow.is_backpressured(d)) {
+                    self.metrics.backpressure_deferrals.add(self.metrics.comm_shard(), 1);
+                    ctl.note_parked(now_ns);
+                    continue;
                 }
                 let age = now_ns.saturating_sub(since_ns);
                 let enforce = match ctl.op_deadline() {
@@ -980,10 +952,9 @@ mod tests {
     #[test]
     fn flow_state_tracks_backpressured_peers() {
         let flow = FlowState::new(4);
-        assert!(!flow.any());
+        assert!(flow.backpressured_peers().is_empty());
         flow.set_backpressured(2, true);
         flow.set_backpressured(2, true); // idempotent
-        assert!(flow.any());
         assert!(flow.is_backpressured(2));
         assert_eq!(flow.backpressured_peers(), vec![2]);
         flow.set_backpressured(1, true);
@@ -991,7 +962,6 @@ mod tests {
         flow.set_backpressured(2, false);
         flow.set_backpressured(2, false); // idempotent clear
         flow.set_backpressured(1, false);
-        assert!(!flow.any());
         assert!(flow.backpressured_peers().is_empty());
     }
 }

@@ -20,9 +20,12 @@
 //! sweep error-completes. The table is also the one record of a live task:
 //! a slot is a [`TaskControl`], reset at every binding. See
 //! [`OpTable`] for the protocol and for whom a write into a block concerns.
+//!
+//! The thread that requeues a task pushes its block onto the owning
+//! worker's [`ReadyList`], a list linked through the blocks themselves.
 
 use crate::NodeId;
-use crossbeam::queue::SegQueue;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -44,9 +47,13 @@ pub struct TaskControl {
     /// before suspending); distinguishes it from cooperative yields, which
     /// must simply requeue the task.
     park_intent: AtomicBool,
-    /// The owning worker's ready queue (slot indices). A fact of the
-    /// slot's chunk, like `slot`: set once, in [`OpTable::grow`].
-    ready: Arc<SegQueue<usize>>,
+    /// The owning worker's ready list. A fact of the slot's chunk, like
+    /// `slot`: set once, in [`OpTable::grow`].
+    ready: Arc<ReadyList>,
+    /// The op-table slot queued behind this block on `ready`
+    /// ([`READY_END`] for none); meaningful only while the block is on the
+    /// list.
+    next: AtomicU32,
     /// The owning worker's task-table slot that binds this block.
     slot: usize,
     /// `generation << 32 | op-table slot`. The generation is odd exactly
@@ -84,6 +91,76 @@ pub struct TaskControl {
 
 const _: () = assert!(std::mem::size_of::<TaskControl>() == 128, "a block outgrew its line pair");
 
+/// [`ReadyList`]'s "no block": an empty list, or the end of a chain.
+const READY_END: u32 = u32::MAX;
+
+/// A worker's ready list: the tasks whose wake-up landed since the worker
+/// last looked, linked through their [`TaskControl::next`] by op-table
+/// slot. Any thread of the node pushes (the one that cleared a task's
+/// [`PARKED`] flag, once per park); only the owning worker takes, and it
+/// takes the whole list at once.
+///
+/// A push is a Treiber compare-and-swap on `head`. With no pop of a single
+/// entry there is no ABA: a push that read a head which was since taken
+/// and pushed again links to the value the head holds when its
+/// compare-and-swap lands, which is all its link has to be. Links are
+/// indices into op-table chunks, which never move or free, so a block on
+/// the list needs no allocation and no raw pointer. A block is on the list
+/// at most once, because a task is woken at most once per park and parks
+/// again only after the worker took it and ran it.
+#[derive(Debug)]
+pub struct ReadyList {
+    /// Op-table slot of the most recent push, [`READY_END`] if empty.
+    head: AtomicU32,
+}
+
+impl Default for ReadyList {
+    fn default() -> Self {
+        ReadyList { head: AtomicU32::new(READY_END) }
+    }
+}
+
+impl ReadyList {
+    /// Pushes `ctl`, the block of op-table slot `slot`. The Release of the
+    /// landing compare-and-swap publishes the link and everything the
+    /// waker wrote to the task before it (a reply's data, a failure).
+    fn push(&self, ctl: &TaskControl, slot: u32) {
+        let mut head = self.head.load(Ordering::Relaxed);
+        loop {
+            ctl.next.store(head, Ordering::Relaxed);
+            match self.head.compare_exchange_weak(head, slot, Ordering::Release, Ordering::Relaxed)
+            {
+                Ok(_) => return,
+                Err(seen) => head = seen,
+            }
+        }
+    }
+
+    /// Whether no wake-up is waiting: one relaxed load.
+    pub fn is_empty(&self) -> bool {
+        self.head.load(Ordering::Relaxed) == READY_END
+    }
+
+    /// Owning worker: takes every waiting block with one swap and appends
+    /// their worker task-table slots to `out`, oldest wake first. Returns
+    /// how many it appended.
+    pub fn take_into(&self, ops: &OpTable, out: &mut VecDeque<usize>) -> usize {
+        let mut at = self.head.swap(READY_END, Ordering::Acquire);
+        let first = out.len();
+        while at != READY_END {
+            let ctl = ops.block(at);
+            out.push_back(ctl.slot);
+            at = ctl.next.load(Ordering::Relaxed);
+        }
+        // The chain runs newest first; the batch runs in wake order.
+        let n = out.len() - first;
+        for i in 0..n / 2 {
+            out.swap(first + i, first + n - 1 - i);
+        }
+        n
+    }
+}
+
 /// Flag bit of [`TaskControl::state`]; the rest is the pending count.
 const PARKED: u32 = 1 << 31;
 
@@ -95,11 +172,12 @@ const REPLY_ABANDONED: u8 = 2;
 impl TaskControl {
     /// The block of the op-table slot `token` names, whose tasks run in
     /// `slot` of the worker draining `ready`; made by [`OpTable::grow`].
-    fn new(ready: Arc<SegQueue<usize>>, slot: usize, token: u64) -> Self {
+    fn new(ready: Arc<ReadyList>, slot: usize, token: u64) -> Self {
         TaskControl {
             state: AtomicU32::new(0),
             park_intent: AtomicBool::new(false),
             ready,
+            next: AtomicU32::new(READY_END),
             slot,
             token: AtomicU64::new(token),
             failed_ops: AtomicU32::new(0),
@@ -164,7 +242,21 @@ impl TaskControl {
     /// Task side, on wake: consumes a deadline expiry, `true` if it was
     /// addressed to this binding (one left for an earlier binding of the
     /// block is dropped).
+    ///
+    /// The load in front of the swap keeps the common wake — no deadline
+    /// armed, the word 0 — free of a read-modify-write, and loses no hit
+    /// the swap alone would have seen. A force-wake is ordered after its
+    /// hit: the watchdog stores the hit (Release) before it clears
+    /// [`PARKED`] and pushes the block, and the worker that took the block
+    /// off its [`ReadyList`] (Acquire) runs this task, so the load sees that
+    /// hit or a later write; only this task writes 0 here. A hit stored
+    /// after a completer's wake may be missed by the load, but a swap could
+    /// have run before that store as well: the hit stays in the word and
+    /// the next call consumes it, exactly as it did with the swap alone.
     pub fn take_deadline_hit(&self) -> bool {
+        if self.deadline_hit.load(Ordering::Acquire) == 0 {
+            return false;
+        }
         self.deadline_hit.swap(0, Ordering::AcqRel) == self.token()
     }
 
@@ -173,7 +265,9 @@ impl TaskControl {
     /// retire either.
     fn wake(&self) {
         self.parked_since_ns.store(0, Ordering::Relaxed);
-        self.ready.push(self.slot);
+        // The token's low half is the block's op-table slot, whatever the
+        // binding.
+        self.ready.push(self, self.token() as u32);
     }
 
     /// Helper side, before writing reply data through a task-provided
@@ -431,7 +525,7 @@ struct Chunk {
 ///
 /// A slot is a [`TaskControl`]. A worker [claims](Self::grow) the table a
 /// chunk at a time, which is where the chunk's blocks are made, wired to
-/// that worker's ready queue and task-table slots for good. It
+/// that worker's ready list and task-table slots for good. It
 /// [binds](Self::bind) each task it spawns to a slot — reset the block,
 /// bump the generation — and [releases](Self::release) the slot when the
 /// task retires, which is the bump alone; the generation is odd exactly
@@ -535,7 +629,7 @@ impl OpTable {
     /// # Panics
     ///
     /// Panics when the node already has `MAX_CHUNKS * CHUNK_SLOTS` tasks.
-    pub fn grow(&self, ready: &Arc<SegQueue<usize>>, first_local: usize) -> u32 {
+    pub fn grow(&self, ready: &Arc<ReadyList>, first_local: usize) -> u32 {
         let index = self.claimed.fetch_add(1, Ordering::Relaxed);
         assert!(index < MAX_CHUNKS, "op table full: {} live tasks", index * CHUNK_SLOTS);
         let first = (index * CHUNK_SLOTS) as u32;
@@ -567,6 +661,12 @@ impl OpTable {
         Some((chunk, slot as usize % CHUNK_SLOTS))
     }
 
+    /// The block of `slot`, which a chunk was claimed for.
+    fn block(&self, slot: u32) -> &TaskControl {
+        let (chunk, index) = self.locate(slot).expect("a slot of a claimed chunk");
+        &chunk.slots[index]
+    }
+
     /// The count word of `token`'s slot toward `peer`, with the slot's
     /// block.
     fn count_word(&self, token: u64, peer: NodeId) -> Option<(&AtomicU64, &TaskControl)> {
@@ -577,8 +677,7 @@ impl OpTable {
     /// Owning worker: binds a new task to the free `slot` (of a chunk this
     /// worker claimed) and returns its control block, reset.
     pub fn bind(&self, slot: u32) -> &TaskControl {
-        let (chunk, index) = self.locate(slot).expect("binding a slot of a claimed chunk");
-        let ctl = &chunk.slots[index];
+        let ctl = self.block(slot);
         let free = ctl.token();
         assert!(generation_of(free) & 1 == 0, "binding a slot that is already bound");
         ctl.reset();
@@ -910,50 +1009,54 @@ pub struct RootTask {
 mod tests {
     use super::*;
 
-    /// A block outside any table, bound under generation 1, that wakes
-    /// through `q` as local slot 7.
-    fn ctl() -> (TaskControl, Arc<SegQueue<usize>>) {
-        let q = Arc::new(SegQueue::new());
-        (TaskControl::new(Arc::clone(&q), 7, tagged(1, 0)), q)
-    }
-
     /// A two-peer table with one claimed chunk, whose first slot (returned)
     /// wakes through `q` as local slot 7.
-    fn table() -> (OpTable, u32, Arc<SegQueue<usize>>) {
+    fn table() -> (OpTable, u32, Arc<ReadyList>) {
         let table = OpTable::new(2);
-        let q = Arc::new(SegQueue::new());
+        let q = Arc::new(ReadyList::default());
         let slot = table.grow(&q, 7);
         (table, slot, q)
     }
 
+    /// The local slots `q` holds, in the order the worker would run them.
+    fn woken(table: &OpTable, q: &ReadyList) -> Vec<usize> {
+        let mut out = VecDeque::new();
+        let n = q.take_into(table, &mut out);
+        assert_eq!(n, out.len());
+        out.into()
+    }
+
     #[test]
     fn completion_without_park_does_not_wake() {
-        let (c, q) = ctl();
+        let (table, slot, q) = table();
+        let c = table.bind(slot);
         c.add_pending(1);
         c.ops_completed(1);
-        assert!(q.pop().is_none());
+        assert!(woken(&table, &q).is_empty());
         assert_eq!(c.pending(), 0);
     }
 
     #[test]
     fn park_then_complete_wakes_once() {
-        let (c, q) = ctl();
+        let (table, slot, q) = table();
+        let c = table.bind(slot);
         c.add_pending(2);
         assert!(c.prepare_park());
         c.ops_completed(1);
-        assert!(q.pop().is_none(), "woke before last completion");
+        assert!(woken(&table, &q).is_empty(), "woke before last completion");
         c.ops_completed(1);
-        assert_eq!(q.pop(), Some(7));
-        assert!(q.pop().is_none());
+        assert_eq!(woken(&table, &q), [7]);
+        assert!(woken(&table, &q).is_empty());
     }
 
     #[test]
     fn complete_before_park_skips_suspension() {
-        let (c, q) = ctl();
+        let (table, slot, q) = table();
+        let c = table.bind(slot);
         c.add_pending(1);
         c.ops_completed(1);
         assert!(!c.prepare_park(), "should not park with nothing pending");
-        assert!(q.pop().is_none());
+        assert!(woken(&table, &q).is_empty());
     }
 
     #[test]
@@ -967,7 +1070,7 @@ mod tests {
         for _ in 0..3 {
             assert_eq!(table.acquit(c.token(), 1, 1).expect("registered").count(), 1);
         }
-        assert_eq!(q.pop(), Some(7));
+        assert_eq!(woken(&table, &q), [7]);
         assert_eq!(c.pending(), 0);
         assert!(table.acquit(c.token(), 1, 1).is_none(), "nothing left to take");
         assert_eq!(table.bound_slots(), 1);
@@ -987,11 +1090,11 @@ mod tests {
         }
         assert!(c.prepare_park());
         drop(table.acquit(c.token(), 1, 3));
-        assert!(q.pop().is_none(), "woke with completions still pending");
+        assert!(woken(&table, &q).is_empty(), "woke with completions still pending");
         assert_eq!(c.pending(), 2);
         // Asking for more than is counted takes what is there.
         assert_eq!(table.acquit(c.token(), 1, 9).expect("two left").count(), 2);
-        assert_eq!(q.pop(), Some(7));
+        assert_eq!(woken(&table, &q), [7]);
         assert_eq!(c.pending(), 0);
         assert!(table.acquit(c.token(), 0, 1).is_none(), "nothing was sent to peer 0");
         assert!(table.acquit(0xdead_0000_beef, 1, 1).is_none(), "unknown slots are refused");
@@ -1007,7 +1110,7 @@ mod tests {
         table.register(c, 1);
         assert!(c.prepare_park());
         drop(table.acquit(c.token(), 0, 1));
-        assert!(q.pop().is_none());
+        assert!(woken(&table, &q).is_empty());
         // Peer 1 dies: the sweep takes both operations toward it at once.
         let mut failed = 0;
         table.drain_peer(1, |units| {
@@ -1015,7 +1118,7 @@ mod tests {
             units.record_remote_failures(1, units.count());
         });
         assert_eq!(failed, 2);
-        assert_eq!(q.pop(), Some(7));
+        assert_eq!(woken(&table, &q), [7]);
         assert_eq!(c.take_failure(), Some((1, 2)));
         assert_eq!(c.take_failure(), None, "failure must be consumed");
         // Their replies, had they been in flight, now find nothing.
@@ -1057,7 +1160,7 @@ mod tests {
         table.register(a, 1);
         assert!(a.prepare_park());
         table.drain_peer(1, |units| units.record_remote_failures(1, units.count()));
-        assert_eq!(q.pop(), Some(7));
+        assert_eq!(woken(&table, &q), [7]);
         a.abandon_pending_writes();
         table.release(a); // retires without looking at its failure
 
@@ -1073,12 +1176,12 @@ mod tests {
         // The watchdog judged A and acts now: B wakes once, finds a hit
         // that is not its own, and parks again.
         assert!(b.expire_deadline(a_token));
-        assert_eq!(q.pop(), Some(7));
+        assert_eq!(woken(&table, &q), [7]);
         assert!(!b.take_deadline_hit(), "a hit on A is not B's deadline");
         assert!(b.prepare_park());
         // B's own hit is honoured.
         assert!(b.expire_deadline(b.token()));
-        assert_eq!(q.pop(), Some(7));
+        assert_eq!(woken(&table, &q), [7]);
         assert!(b.take_deadline_hit());
         drop(table.acquit(b.token(), 1, 1));
         table.release(b);
@@ -1086,7 +1189,8 @@ mod tests {
 
     #[test]
     fn parked_info_reports_only_while_parked() {
-        let (c, _q) = ctl();
+        let (table, slot, _q) = table();
+        let c = table.bind(slot);
         assert!(c.parked_info().is_none());
         c.add_pending(1);
         c.note_op(4, 2);
@@ -1103,7 +1207,8 @@ mod tests {
     #[test]
     fn racing_completers_wake_exactly_once() {
         for _ in 0..200 {
-            let (c, q) = ctl();
+            let (table, slot, q) = table();
+            let c = table.bind(slot);
             c.add_pending(4);
             assert!(c.prepare_park());
             std::thread::scope(|s| {
@@ -1111,8 +1216,75 @@ mod tests {
                     s.spawn(|| c.ops_completed(1));
                 }
             });
-            assert_eq!(q.pop(), Some(7));
-            assert!(q.pop().is_none(), "duplicate wakeup");
+            assert_eq!(woken(&table, &q), [7]);
+            assert!(woken(&table, &q).is_empty(), "duplicate wakeup");
+        }
+    }
+
+    /// Parks every slot of a chunk bound in `table`, each on one
+    /// operation, and returns the blocks in slot order.
+    fn park_chunk(table: &OpTable, first: u32) -> Vec<&TaskControl> {
+        (0..CHUNK_SLOTS as u32)
+            .map(|i| {
+                let c = table.bind(first + i);
+                table.register(c, 1);
+                assert!(c.prepare_park());
+                c
+            })
+            .collect()
+    }
+
+    #[test]
+    fn one_take_runs_its_batch_in_wake_order() {
+        let (table, first, q) = table();
+        let blocks = park_chunk(&table, first);
+        assert!(q.is_empty());
+        for i in [3, 0, 9, 4] {
+            blocks[i].ops_completed(1);
+        }
+        assert!(!q.is_empty());
+        let mut out = VecDeque::from([99]);
+        assert_eq!(q.take_into(&table, &mut out), 4);
+        assert_eq!(out, [99, 10, 7, 16, 11], "appended behind what was there, oldest wake first");
+        assert!(q.is_empty());
+        blocks[1].ops_completed(1);
+        assert_eq!(woken(&table, &q), [8], "a take leaves the list empty for the next batch");
+    }
+
+    /// Completer threads wake distinct parked tasks while the owner takes
+    /// batches: every wake arrives exactly once.
+    #[test]
+    fn concurrent_wakes_arrive_exactly_once() {
+        const COMPLETERS: usize = 4;
+        for _ in 0..20 {
+            let (table, first, q) = table();
+            let blocks = park_chunk(&table, first);
+            let finished = AtomicUsize::new(0);
+            let mut seen = VecDeque::new();
+            std::thread::scope(|s| {
+                for k in 0..COMPLETERS {
+                    let (blocks, finished) = (&blocks, &finished);
+                    s.spawn(move || {
+                        for c in blocks.iter().skip(k).step_by(COMPLETERS) {
+                            c.ops_completed(1);
+                        }
+                        finished.fetch_add(1, Ordering::Release);
+                    });
+                }
+                // Take while they push; the take after the last completer
+                // finished is the final one.
+                loop {
+                    let last = finished.load(Ordering::Acquire) == COMPLETERS;
+                    q.take_into(&table, &mut seen);
+                    if last {
+                        break;
+                    }
+                    std::hint::spin_loop();
+                }
+            });
+            let mut seen = Vec::from(seen);
+            seen.sort_unstable();
+            assert_eq!(seen, (7..7 + CHUNK_SLOTS).collect::<Vec<_>>(), "lost or repeated wakes");
         }
     }
 
@@ -1163,22 +1335,23 @@ mod tests {
 
     #[test]
     fn deadline_expiry_force_wakes_a_parked_task_once() {
-        let (c, q) = ctl();
+        let (table, slot, q) = table();
+        let c = table.bind(slot);
         c.set_op_deadline(500);
         assert_eq!(c.op_deadline(), 500);
         c.add_pending(1);
         assert!(c.prepare_park());
         c.note_parked(100);
         assert!(c.expire_deadline(c.token()), "expiry performs the wake");
-        assert_eq!(q.pop(), Some(7));
+        assert_eq!(woken(&table, &q), [7]);
         assert!(!c.expire_deadline(c.token()), "task no longer parked");
-        assert!(q.pop().is_none(), "no duplicate wakeup");
+        assert!(woken(&table, &q).is_empty(), "no duplicate wakeup");
         assert!(c.take_deadline_hit());
         assert!(!c.take_deadline_hit(), "hit is consumed");
         // The straggler completion finds the task awake and queues nothing.
         c.ops_completed(1);
         assert_eq!(c.pending(), 0);
-        assert!(q.pop().is_none());
+        assert!(woken(&table, &q).is_empty());
     }
 
     #[test]
@@ -1186,27 +1359,29 @@ mod tests {
         // The watchdog judged another binding of the block (generation 3,
         // not this task's 1): the wake still lands, the hit is not this
         // task's to honour.
-        let (c, q) = ctl();
+        let (table, slot, q) = table();
+        let c = table.bind(slot);
         let judged = tagged(3, 0);
         assert!(!c.expire_deadline(judged), "unparked task is untouched");
-        assert!(q.pop().is_none());
+        assert!(woken(&table, &q).is_empty());
         c.add_pending(1);
         assert!(c.prepare_park());
         c.note_parked(100);
         assert!(c.expire_deadline(judged), "parked task is woken");
-        assert_eq!(q.pop(), Some(7));
+        assert_eq!(woken(&table, &q), [7]);
         assert!(!c.expire_deadline(judged), "second wake is a no-op");
-        assert!(q.pop().is_none(), "no duplicate wakeup");
+        assert!(woken(&table, &q).is_empty(), "no duplicate wakeup");
         assert!(!c.take_deadline_hit(), "another binding's hit is not a deadline expiry");
         // The straggler completion finds the task awake and queues nothing.
         c.ops_completed(1);
         assert_eq!(c.pending(), 0);
-        assert!(q.pop().is_none());
+        assert!(woken(&table, &q).is_empty());
     }
 
     #[test]
     fn abandoned_tasks_refuse_reply_writes_until_rearmed() {
-        let (c, _q) = ctl();
+        let (table, slot, _q) = table();
+        let c = table.bind(slot);
         assert!(c.begin_reply_write(), "active task accepts writes");
         c.end_reply_write();
         c.add_pending(1);
@@ -1223,7 +1398,8 @@ mod tests {
     #[test]
     fn abandon_waits_for_in_flight_reply_writers() {
         for _ in 0..100 {
-            let (c, _q) = ctl();
+            let (table, slot, _q) = table();
+            let c = table.bind(slot);
             std::thread::scope(|s| {
                 s.spawn(|| {
                     let _ok = c.begin_reply_write();
@@ -1356,7 +1532,7 @@ mod tests {
             Write(usize, u64),
             /// `prepare_park`, at each turn of `wait_commands`' loop.
             Park(usize),
-            /// Suspended until its entry shows up in the ready queue.
+            /// Suspended until its entry shows up in the ready list.
             Parked(usize),
             /// Woken: `take_deadline_hit`, then around the loop again.
             TakeHit(usize),
@@ -1406,7 +1582,7 @@ mod tests {
             parked: bool,
             generation: u32,
             hit: u32,
-            /// Entries for this slot in the worker's ready queue.
+            /// Entries for this slot in the worker's ready list.
             ready: u32,
             owner: Owner,
             /// Each helper's position in its inbox and in that reply.

@@ -16,9 +16,8 @@ use crate::config::TASK_STACK_SIZE;
 use crate::idle::IdleBackoff;
 use crate::metrics::ThreadTracer;
 use crate::runtime::NodeShared;
-use crate::task::{Itb, ParentRef, RootTask, TaskControl, CHUNK_SLOTS};
+use crate::task::{Itb, ParentRef, ReadyList, RootTask, TaskControl, CHUNK_SLOTS};
 use crate::tls;
-use crossbeam::queue::SegQueue;
 use gmt_context::{Coroutine, Resume, Stack};
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
@@ -40,8 +39,9 @@ struct Worker<'n> {
     /// Channel index of this worker — also its counter shard.
     chan: usize,
     tracer: ThreadTracer,
-    /// Wakeups from helpers (slot indices), MPSC onto this worker.
-    ready: Arc<SegQueue<usize>>,
+    /// Wakeups from helpers and the communication server, MPSC onto this
+    /// worker.
+    ready: Arc<ReadyList>,
     /// Task table; slot indices are stable for a task's lifetime.
     tasks: Vec<Option<Task<'n>>>,
     free_slots: Vec<usize>,
@@ -62,7 +62,7 @@ impl<'n> Worker<'n> {
             node,
             chan,
             tracer,
-            ready: Arc::new(SegQueue::new()),
+            ready: Arc::default(),
             tasks: Vec::new(),
             free_slots: Vec::new(),
             op_chunks: Vec::new(),
@@ -150,7 +150,7 @@ impl<'n> Worker<'n> {
                 let ctl = task.ctl;
                 if ctl.take_park_intent() {
                     // Blocking yield: run the park handshake; a helper
-                    // will push the slot into `ready` on the last reply.
+                    // will push the block onto `ready` on the last reply.
                     if ctl.prepare_park() {
                         // Stamp the park for the stuck-task watchdog.
                         ctl.note_parked(self.node.agg.now_ns());
@@ -280,13 +280,13 @@ pub fn worker_main(node: Arc<NodeShared>, chan: usize, tracer: ThreadTracer) {
     let mut backoff = IdleBackoff::default();
     loop {
         let mut progressed = false;
-        // 1. Wakeups from helpers.
-        while let Some(slot) = w.ready.pop() {
-            w.node.metrics.wakeups.add(w.chan, 1);
+        // 1. Wakeups, all that landed since the last pass in one take.
+        let woken = w.ready.take_into(&w.node.ops, &mut w.runnable);
+        if woken > 0 {
+            w.node.metrics.wakeups.add(w.chan, woken as u64);
             // One entry per park: whoever cleared the task's parked flag
             // queued it, once, and it cannot retire before it ran again.
-            w.node.metrics.parked_tasks.dec();
-            w.runnable.push_back(slot);
+            w.node.metrics.parked_tasks.add(-(woken as i64));
         }
         // 2. Run one task step.
         if let Some(slot) = w.runnable.pop_front() {

@@ -388,13 +388,13 @@ proptest! {
     /// individually does.
     #[test]
     fn ackn_completion_equals_ack_stream(stream in proptest::collection::vec(0usize..3, 1..40)) {
-        use crossbeam::queue::SegQueue;
-        use gmt_core::task::OpTable;
+        use gmt_core::task::{OpTable, ReadyList};
+        use std::collections::VecDeque;
         use std::sync::Arc;
 
         for batched in [false, true] {
             let table = OpTable::new(2);
-            let ready = Arc::new(SegQueue::new());
+            let ready = Arc::new(ReadyList::default());
             let first = table.grow(&ready, 0);
             let ctls: Vec<_> = (0..3u32).map(|slot| table.bind(first + slot)).collect();
             // One token per stream element, as the issuing tasks' emit
@@ -427,7 +427,10 @@ proptest! {
                     prop_assert_eq!(table.acquit(t, 1, 1).map(|u| u.count()), Some(1));
                 }
             }
-            let mut woken: Vec<usize> = std::iter::from_fn(|| ready.pop()).collect();
+            let mut woken = VecDeque::new();
+            ready.take_into(&table, &mut woken);
+            prop_assert!(ready.is_empty());
+            let mut woken = Vec::from(woken);
             woken.sort_unstable();
             prop_assert_eq!(woken, issued, "one wake per parked task (batched={})", batched);
             for (i, ctl) in ctls.iter().enumerate() {

@@ -51,7 +51,7 @@ use crate::stats::TrafficStats;
 use crate::transport::{DownCause, LinkState, Transport};
 use crate::NodeId;
 use crossbeam::channel::{Receiver, Sender};
-use crossbeam::queue::SegQueue;
+use crossbeam::queue::ArrayQueue;
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -65,8 +65,8 @@ pub(crate) const FRAME_HEADER: usize = 8;
 /// few KiB; 64 MiB leaves room for any future bulk path.
 pub const MAX_FRAME: usize = 64 << 20;
 
-/// Receive buffers cached per transport; beyond this, spent buffers are
-/// freed instead of re-pooled.
+/// Receive buffers cached per transport (the pool's ring capacity);
+/// beyond this, spent buffers are freed instead of re-pooled.
 const RECV_POOL_CAP: usize = 256;
 
 pub(crate) fn encode_header(len: usize, tag: Tag) -> [u8; FRAME_HEADER] {
@@ -86,8 +86,10 @@ pub(crate) fn decode_header(hdr: &[u8]) -> (usize, Tag) {
 /// Pool of receive buffers. A leaf copies (or reads) each frame body
 /// into a pooled `Vec`, delivered as a pooled [`Payload`], so the
 /// receive side recycles buffers exactly like the sim's channel pools.
+/// The ring's capacity is the cache's cap: a release into a full ring
+/// frees the buffer, however many threads release at once.
 pub(crate) struct RecvPool {
-    bufs: SegQueue<Vec<u8>>,
+    bufs: ArrayQueue<Vec<u8>>,
 }
 
 impl RecvPool {
@@ -112,9 +114,7 @@ impl RecvPool {
 
 impl BufRelease for RecvPool {
     fn release(&self, buf: Vec<u8>) {
-        if self.bufs.len() < RECV_POOL_CAP {
-            self.bufs.push(buf);
-        }
+        let _ = self.bufs.push(buf);
     }
 }
 
@@ -224,7 +224,7 @@ impl Core {
             lost: (0..nodes).map(|_| OnceLock::new()).collect(),
             stop: AtomicBool::new(false),
             shim: RwLock::new(None),
-            pool: Arc::new(RecvPool { bufs: SegQueue::new() }),
+            pool: Arc::new(RecvPool { bufs: ArrayQueue::new(RECV_POOL_CAP) }),
             inbox_tx,
         })
     }
