@@ -34,6 +34,16 @@
 # transports' receive pool a bounded ring; 6 since the flow-wake list
 # went with emitter parking; 7 before).
 #
+# Idle threads sleep until there is work (`gmt-core`'s `idle` module):
+# the script counts the polling calls, `thread::yield_now()` and
+# `thread::sleep(`, in the code of `crates/*/src` (before `#[cfg(test)]`,
+# outside `//` comments) and, like the `unsafe` count, fails above the
+# count of the last change that removed one (15, since the workers' and
+# helpers' yield-and-sleep backoff became a wake-on-work park; 16
+# before). What is left polls what nothing can wake on: the shm rings,
+# the launcher's and the transports' start-up and shutdown handshakes,
+# a full pool at shutdown.
+#
 # Last the switches: every one is something the tests and the benchmark
 # are supposed to cover at two values. The `pub` fields of
 # `gmt_core::Config`, which only go down like the `unsafe` count: the
@@ -122,6 +132,13 @@ seg_queues=$(awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{s=$0; sub(/^[ \t]+/,""
 printf '%-40s %6d\n' "SegQueue::new() (crates code)" "$seg_queues"
 if [ "$seg_queues" -gt 4 ]; then
     echo "crates: $seg_queues SegQueue constructions (limit 4); lower the limit with the count, never raise it" >&2
+    exit 1
+fi
+polls=$(awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{s=$0; sub(/^[ \t]+/,"",s); if (s !~ /^\/\//) c+=gsub(/thread::yield_now\(\)|thread::sleep\(/,"",s)} END{print c+0}' \
+    $(find crates/*/src -name '*.rs' | sort))
+printf '%-40s %6d\n' "yield_now / sleep calls (crates code)" "$polls"
+if [ "$polls" -gt 15 ]; then
+    echo "crates: $polls polling calls (limit 15); an idle thread sleeps until it is woken, see gmt-core's idle module" >&2
     exit 1
 fi
 for f in crates/gmt-kernels/src/bfs.rs crates/gmt-kernels/src/grw.rs crates/gmt-kernels/src/cc.rs; do

@@ -113,7 +113,18 @@ fn report(cluster: &Cluster, config: &Config, elapsed_s: f64) {
         print_rates(&snap, elapsed_s);
         print_comm(&snap);
         print_flow(&snap);
+        print_sleeps(&snap);
     }
+}
+
+/// How often each role's threads found nothing to do and parked.
+fn print_sleeps(snap: &MetricsSnapshot) {
+    println!(
+        "  sleeps: workers {}, helpers {}, comm {}",
+        snap.counter("worker.sleeps").unwrap_or(0),
+        snap.counter("helper.sleeps").unwrap_or(0),
+        snap.counter("comm.sleeps").unwrap_or(0),
+    );
 }
 
 /// Per-thread context-switch counts (one counter shard per worker).

@@ -74,8 +74,9 @@ use crossbeam::queue::{ArrayQueue, SegQueue};
 use gmt_metrics::{Counter, Histogram, Registry};
 use gmt_net::{BufRelease, Payload};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::task::Waker;
 use std::time::Instant;
 
 /// Wire size of the smallest command (`Ack`); bounds how many blocks one
@@ -128,6 +129,11 @@ impl AggQueue {
 pub struct ChannelPool {
     free: ArrayQueue<Vec<u8>>,
     capacity: usize,
+    /// Set while the owning thread has blocks queued that this pool was
+    /// too dry to ship ([`CommandSink::stranded`]).
+    wanted: AtomicBool,
+    /// What a return wakes while `wanted` is set.
+    waker: OnceLock<Waker>,
 }
 
 impl BufRelease for ChannelPool {
@@ -136,6 +142,14 @@ impl BufRelease for ChannelPool {
         // Pool capacity equals the number of buffers in circulation and
         // each payload releases exactly once, so this cannot overflow.
         self.free.push(buf).expect("buffer pool overflow");
+        // Pairs with the fence of the owner's sleep: either it sees this
+        // buffer when it rechecks the pool, or this sees `wanted`.
+        fence(Ordering::SeqCst);
+        if self.wanted.load(Ordering::Relaxed) {
+            if let Some(w) = self.waker.get() {
+                w.wake_by_ref();
+            }
+        }
     }
 }
 
@@ -157,8 +171,20 @@ impl ChannelQueue {
         }
         ChannelQueue {
             filled: ArrayQueue::new(num_buffers),
-            pool: Arc::new(ChannelPool { free, capacity: num_buffers }),
+            pool: Arc::new(ChannelPool {
+                free,
+                capacity: num_buffers,
+                wanted: AtomicBool::new(false),
+                waker: OnceLock::new(),
+            }),
         }
+    }
+
+    /// Registers what a buffer returning to this channel's pool wakes
+    /// while its thread waits for one ([`CommandSink::stranded`]). Once
+    /// per channel; a second call is ignored.
+    pub fn wake_on_return(&self, waker: Waker) {
+        let _ = self.pool.waker.set(waker);
     }
 
     /// Communication-server side: takes the next filled buffer, already
@@ -770,15 +796,19 @@ impl CommandSink {
     ///
     /// A dry pool opens a bounded exponential backoff gate (timed on the
     /// coarse clock): retries before the gate expires are skipped without
-    /// touching the pool at all, so a starved emitter stops hammering the
-    /// shared `ArrayQueue` head. `agg.pool_waits` counts genuine dry
-    /// pops, `agg.pool_dry_waits` counts gated skips.
+    /// popping, as long as the pool still reads empty, so a starved
+    /// emitter stops hammering the shared `ArrayQueue` head.
+    /// `agg.pool_waits` counts genuine dry pops, `agg.pool_dry_waits`
+    /// counts gated skips.
     fn aggregate(&self, dst: NodeId, cause: FlushCause) -> bool {
         let shared = &self.shared;
         let chan = &shared.channels[self.chan];
         let q = &shared.queues[dst];
         let now = shared.coarse_now_ns();
-        if now < self.pool_retry_at_ns.get() {
+        // The gate opens when its time is up or a buffer is back, so a
+        // clock that stands still while the communication server sleeps
+        // cannot keep a returned buffer from being used.
+        if now < self.pool_retry_at_ns.get() && chan.pool.free.is_empty() {
             self.metrics().pool_dry_waits.add(self.chan, 1);
             return false;
         }
@@ -913,7 +943,7 @@ impl CommandSink {
     /// whatever is queued, instead of waiting out `cmd_block_timeout_ns`
     /// plus `aggregation_timeout_ns` at clock granularity. Called on the
     /// busy→idle edge of the worker and helper loops
-    /// (`idle::IdleBackoff`).
+    /// (`idle::IdleEdge`).
     ///
     /// Same rules as the aged flush: `aggregate` never blocks, and a dry
     /// pool (or its closed back-off gate) leaves the blocks queued for the
@@ -931,6 +961,17 @@ impl CommandSink {
                 && self.aggregate(dst, FlushCause::Idle)
             {}
         }
+    }
+
+    /// Whether commands are still queued after [`Self::flush_idle`]
+    /// because this thread's pool was dry. While it says so, a buffer
+    /// returning to the pool wakes the waker registered with
+    /// [`ChannelQueue::wake_on_return`], so the thread may sleep until its
+    /// pool has a free buffer instead of polling.
+    pub fn stranded(&self) -> bool {
+        let stranded = self.shared.queues.iter().any(|q| q.queued_bytes() > 0);
+        self.shared.channels[self.chan].pool.wanted.store(stranded, Ordering::Relaxed);
+        stranded
     }
 
     /// Pushes every active block and drains every queue this thread can

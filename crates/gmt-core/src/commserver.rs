@@ -1,11 +1,11 @@
 //! The communication server: a node's single endpoint on the network
 //! (§IV-A, §IV-B).
 //!
-//! It continuously polls every worker/helper channel queue for filled
-//! aggregation buffers, transmits them **zero-copy** (the pooled buffer
-//! travels to the receiver as-is and flows back into its pool when the
-//! receiving helper drops the payload), and funnels incoming buffers to
-//! the helpers. One communication server per node is a deliberate design
+//! It sweeps every worker/helper channel queue for filled aggregation
+//! buffers, transmits them **zero-copy** (the pooled buffer travels to
+//! the receiver as-is and flows back into its pool when the receiving
+//! helper drops the payload), and funnels incoming buffers to the
+//! helpers. One communication server per node is a deliberate design
 //! point of the paper: multi-threaded MPI performed poorly (Table II), so
 //! GMT relies on aggregation — not endpoint parallelism — for bandwidth.
 //!
@@ -14,7 +14,8 @@
 //! thread is its driver. Each sweep feeds it four kinds of [`Event`] —
 //! every filled buffer, every inbound packet, a peer's link observed down
 //! (asked of the transport at heartbeat cadence), and one tick carrying
-//! the node's receive credit, recomputed from the helper backlog — and
+//! the node's receive credit, the helpers' backlog read from one counter
+//! ([`HelperInbox::backlog`]) — and
 //! applies each [`Action`] it returns in one `match`: send, hand to the
 //! helpers, count, log, mark a peer backpressured while the link holds
 //! buffers for it (the watchdog excuses tasks waiting on such a peer),
@@ -23,24 +24,80 @@
 //! toward the peer with `GmtError::RemoteDead`. Sequencing, acks,
 //! retransmission, the flow window, the failure detector and death
 //! notices are the link's decisions (see [`crate::reliable`]). The thread
-//! additionally runs the stuck-task watchdog sweep, since it is the one
-//! thread guaranteed to keep spinning while every worker is parked.
+//! also runs the stuck-task watchdog sweep and is the only thread that
+//! ticks the node's coarse clock, once per sweep.
 //!
 //! Channel polling is a fair round-robin: at most one buffer per channel
 //! per sweep, so one chatty worker cannot starve the others' queues.
+//!
+//! # Sleeping, and who wakes whom
+//!
+//! A sweep that moved nothing ends in a sleep (see [`crate::idle`]) until
+//! the earliest deadline the thread already knows — the link's next timer
+//! ([`ReliableLink::next_due_ns`]: ack delay, retransmit, heartbeat,
+//! suspicion, death, notice), the next kill check or watchdog sweep — or
+//! until a producer wakes it. The clock therefore moves on each wake, and
+//! only then; a fixed short timer instead would age every open command
+//! block on every wake and cut buffers short. The wakes, each at a batch
+//! boundary:
+//!
+//! * every inbox arrival wakes this thread: the transport's arrival hook
+//!   ([`Transport::wake_on_arrival`]), which the sim and TCP honour;
+//! * a worker or helper wakes it on its idle edge when the flush filled
+//!   its channel, and whenever its channel holds two filled buffers;
+//! * this thread wakes the helpers once per sweep that delivered a buffer;
+//! * a helper wakes the workers once per processed buffer, after all of
+//!   it is applied; root and iteration-block pushes wake the workers, and
+//!   a worker that re-queues a block it peeled passes the wake on;
+//! * every other readying of a task wakes the workers where it happens:
+//!   a death's [`fail_outstanding`], the watchdog's deadline fire
+//!   ([`NodeShared::sweep_stuck_tasks`]), a worker finishing a local
+//!   iteration block whose parent another worker owns;
+//! * a buffer coming back to a pool wakes its thread while that thread
+//!   has blocks stranded by the dry pool;
+//! * shutdown wakes everyone.
+//!
+//! Over shm nothing watches the rings, so a peer's frame wakes nobody:
+//! there, and only there, this thread still polls — it yields for a few
+//! idle sweeps, then sleeps [`SHM_POLL`] at a time (still woken early by
+//! the node's own threads). Every backend polls once more during
+//! shutdown, until the emitters' final flushes are done ([`STOP_POLL`]).
+//!
+//! [`HelperInbox::backlog`]: crate::helper::HelperInbox::backlog
+//! [`NodeShared::sweep_stuck_tasks`]: crate::runtime::NodeShared::sweep_stuck_tasks
 
 use crate::config::{ACK_DELAY_NS, RTO_MAX_NS, RTO_MIN_NS};
-use crate::idle::IdleBackoff;
 use crate::metrics::ThreadTracer;
 use crate::reliable::{Action, Event, ReliableLink, SendKind};
 use crate::runtime::NodeShared;
-use gmt_net::{LinkState, Payload, Tag, Transport};
+use gmt_net::{LinkState, Packet, Payload, Tag, Transport};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// Fabric tag used for aggregation buffers (data and standalone acks —
 /// the reliability header's kind byte tells them apart).
 pub const TAG_AGG: Tag = 1;
+
+/// Idle sweeps over shm that only yield before the server sleeps.
+const SHM_YIELD_SWEEPS: u32 = 64;
+
+/// The longest sleep over shm, where a peer's frame wakes nobody.
+const SHM_POLL: Duration = Duration::from_micros(50);
+
+/// The longest sleep during shutdown: an emitter's final `flush_all`
+/// spins on pool buffers that only this thread's sends give back, and
+/// fills channels without waking anybody; its exit wakes nobody either.
+const STOP_POLL: Duration = Duration::from_micros(50);
+
+/// The receive credit a node advertises with `backlog` delivered buffers
+/// not yet taken by its helpers: a node drowning in unprocessed buffers
+/// tells its peers to narrow their windows toward it (piggybacked on
+/// every outgoing header). Floor of 1 — the zero-credit probe keeps the
+/// link from wedging.
+fn receive_credit(flow_window: usize, backlog: usize) -> u16 {
+    flow_window.saturating_sub(backlog).max(1) as u16
+}
 
 /// Transmits one payload, counting and logging failures.
 /// The destination and buffer size go into the warning so a flaky link is
@@ -76,12 +133,15 @@ fn fail_outstanding(node: &NodeShared, dst: crate::NodeId) -> u32 {
         node.metrics.ops_failed.add(node.metrics.comm_shard(), units.count() as u64);
         units.record_remote_failures(dst, units.count());
     });
+    // The failed tasks' workers may sleep.
+    node.sleepers.workers.wake_all();
     failed
 }
 
 /// Applies one action of the link: the only place its decisions reach the
 /// wire, the helpers, the op table, the flow state and the counters.
-fn apply(node: &NodeShared, transport: &dyn Transport, action: Action) {
+/// Returns whether it handed a buffer to the helpers.
+fn apply(node: &NodeShared, transport: &dyn Transport, action: Action) -> bool {
     let m = &node.metrics;
     let shard = m.comm_shard();
     match action {
@@ -111,7 +171,8 @@ fn apply(node: &NodeShared, transport: &dyn Transport, action: Action) {
         Action::Deliver { src, payload } => {
             m.comm_buffers_recv.add(shard, 1);
             m.comm_bytes_recv.add(shard, payload.len() as u64);
-            node.helper_in.push((src, payload));
+            node.helper_in.push(src, payload);
+            return true;
         }
         Action::Refused { dst, payload } => {
             // The op table still counts these operations: fail them now.
@@ -181,6 +242,7 @@ fn apply(node: &NodeShared, transport: &dyn Transport, action: Action) {
             );
         }
     }
+    false
 }
 
 /// Entry point of the communication-server thread. `emitters` are the
@@ -194,6 +256,9 @@ pub fn comm_main(
     tracer: ThreadTracer,
     emitters: Vec<JoinHandle<()>>,
 ) {
+    let me = &node.sleepers.comm;
+    me.register();
+    let polled_rings = !transport.wake_on_arrival(me.waker());
     let mut link = ReliableLink::new(
         node.node_id,
         node.nodes,
@@ -208,15 +273,16 @@ pub fn comm_main(
     // path.
     let kill_check_period_ns = link.heartbeat_ns();
     let mut actions: Vec<Action> = Vec::new();
-    // Feeds one event to the link and applies what it asks for; `true`
-    // if it asked for anything.
-    let mut feed = |now: u64, event: Event| {
+    // Feeds one event to the link and applies what it asks for: whether
+    // it asked for anything, and whether that handed the helpers a buffer.
+    let mut feed = |link: &mut ReliableLink, now: u64, event: Event| {
         link.step(now, event, &mut actions);
         let any = !actions.is_empty();
+        let mut delivered = false;
         for a in actions.drain(..) {
-            apply(&node, &*transport, a);
+            delivered |= apply(&node, &*transport, a);
         }
-        any
+        (any, delivered)
     };
     // Watchdog sweeps walk every claimed op-table slot; run them at a
     // quarter of the reporting deadline (floor 1 ms) for ±25% precision.
@@ -229,15 +295,17 @@ pub fn comm_main(
     }
     let mut next_watchdog_ns = watchdog_period_ns;
     let mut next_kill_check_ns = 0u64;
-    let mut backoff = IdleBackoff::default();
+    let mut idle_sweeps = 0u32;
+    // A packet the sleep's recheck took off the transport.
+    let mut stashed: Option<Packet> = None;
     // Coarse-clock stamp of the last sweep that moved traffic, for the
     // sweep-gap histogram.
     let mut last_progress_ns = node.agg.tick();
     loop {
-        // Keep the node's coarse clock fresh even when every worker is
-        // stalled inside a long task and nobody pumps.
+        // The node's coarse clock moves here, once per sweep.
         let now = node.agg.tick();
         let mut progressed = false;
+        let mut delivered = false;
         let mut sent_this_sweep = 0u64;
         // Outgoing: one buffer per channel per sweep (fairness).
         for c in 0..node.agg.channels() {
@@ -247,15 +315,19 @@ pub fn comm_main(
                 // queue's once acked) returns the buffer to this
                 // channel's pool, as in the paper ("returns the
                 // aggregation buffer into the pool").
-                feed(now, Event::Send { dst, payload });
+                feed(&mut link, now, Event::Send { dst, payload });
                 sent_this_sweep += 1;
                 progressed = true;
             }
         }
         // Incoming: acks, dedup, and new data to the helpers.
-        while let Some(pkt) = transport.try_recv() {
-            feed(now, Event::Packet { src: pkt.src, payload: pkt.payload });
+        while let Some(pkt) = stashed.take().or_else(|| transport.try_recv()) {
+            delivered |=
+                feed(&mut link, now, Event::Packet { src: pkt.src, payload: pkt.payload }).1;
             progressed = true;
+        }
+        if delivered {
+            node.sleepers.helpers.wake_all();
         }
         if now >= next_kill_check_ns {
             next_kill_check_ns = now + kill_check_period_ns;
@@ -268,19 +340,14 @@ pub fn comm_main(
                 // says which evidence fired, and the death's log line
                 // is the only place it is printed.
                 if let LinkState::Down(cause) = transport.link_state(peer) {
-                    progressed |= feed(now, Event::Down { peer, cause });
+                    progressed |= feed(&mut link, now, Event::Down { peer, cause }).0;
                 }
             }
         }
-        // Receive credit from the inbound backlog: a node drowning in
-        // unprocessed buffers tells its peers to narrow their windows
-        // toward it (piggybacked on every outgoing header). Floor of 1 —
-        // the zero-credit probe keeps the link from wedging.
-        let backlog = node.helper_in.len();
-        let credit = node.config.flow_window.saturating_sub(backlog).max(1) as u16;
+        let credit = receive_credit(node.config.flow_window, node.helper_in.backlog());
         // Timers: standalone acks, retransmits, heartbeats, suspicion,
         // death, notice dissemination.
-        progressed |= feed(now, Event::Tick { credit });
+        progressed |= feed(&mut link, now, Event::Tick { credit }).0;
         if now >= next_watchdog_ns {
             next_watchdog_ns = now + watchdog_period_ns;
             node.sweep_stuck_tasks(now);
@@ -292,13 +359,34 @@ pub fn comm_main(
                 node.metrics.sweep_buffers.record(sent_this_sweep);
                 tracer.instant("sweep_send", sent_this_sweep);
             }
-            backoff.reset();
-        } else {
-            if node.stopping() && emitters.iter().all(JoinHandle::is_finished) {
-                break;
-            }
-            // The communication server holds nothing of its own to flush.
-            backoff.wait(|| {});
+            idle_sweeps = 0;
+            continue;
+        }
+        let stopping = node.stopping();
+        if stopping && emitters.iter().all(JoinHandle::is_finished) {
+            break;
+        }
+        idle_sweeps = idle_sweeps.saturating_add(1);
+        if polled_rings && idle_sweeps < SHM_YIELD_SWEEPS {
+            std::thread::yield_now();
+            continue;
+        }
+        // Nothing to do before the earliest deadline this thread knows,
+        // unless a producer wakes it.
+        let due = link.next_due_ns().min(next_watchdog_ns).min(next_kill_check_ns);
+        let mut timeout = Duration::from_nanos(due.saturating_sub(now));
+        if polled_rings {
+            timeout = timeout.min(SHM_POLL);
+        }
+        if stopping {
+            timeout = timeout.min(STOP_POLL);
+        }
+        let parked = me.sleep(Some(timeout), || {
+            stashed = transport.try_recv();
+            stashed.is_some() || (0..node.agg.channels()).any(|c| node.agg.channel(c).backlog() > 0)
+        });
+        if parked {
+            node.metrics.comm_sleeps.add(node.metrics.comm_shard(), 1);
         }
     }
     // The final drain, after the emitters' last flushes, so peers unblock
@@ -308,7 +396,7 @@ pub fn comm_main(
         let mut progressed = false;
         for c in 0..node.agg.channels() {
             if let Some((dst, payload)) = node.agg.channel(c).pop_filled() {
-                feed(now, Event::Send { dst, payload });
+                feed(&mut link, now, Event::Send { dst, payload });
                 progressed = true;
             }
         }
@@ -322,5 +410,33 @@ pub fn comm_main(
     drop(link);
     for t in emitters {
         let _ = t.join();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::receive_credit;
+    use crate::helper::HelperInbox;
+    use gmt_net::Payload;
+
+    #[test]
+    fn the_credit_follows_the_helper_backlog() {
+        let inbox = HelperInbox::default();
+        let credit = |inbox: &HelperInbox| receive_credit(8, inbox.backlog());
+        assert_eq!(credit(&inbox), 8);
+        for n in 1..=3 {
+            inbox.push(1, Payload::from(vec![n]));
+            assert_eq!(inbox.backlog(), n as usize);
+        }
+        assert_eq!(credit(&inbox), 5);
+        assert_eq!(inbox.pop().map(|(src, p)| (src, p.to_vec())), Some((1, vec![1])));
+        assert_eq!(credit(&inbox), 6);
+        for n in 4..=12 {
+            inbox.push(0, Payload::from(vec![n]));
+        }
+        assert_eq!(inbox.backlog(), 11);
+        assert_eq!(credit(&inbox), 1, "a drowning node still advertises the probe's one");
+        while inbox.pop().is_some() {}
+        assert_eq!((inbox.backlog(), credit(&inbox)), (0, 8));
     }
 }

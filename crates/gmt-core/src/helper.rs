@@ -30,13 +30,53 @@
 use crate::aggregation::CommandSink;
 use crate::command::{BatchStage, Command, CommandIter};
 use crate::handle::{Distribution, Layout};
-use crate::idle::IdleBackoff;
+use crate::idle::{sleep_idle, wake_comm_on_backlog, IdleEdge};
 use crate::metrics::ThreadTracer;
 use crate::runtime::NodeShared;
 use crate::task::{Itb, ParForBody, ParentRef, Units};
 use crate::tls;
 use crate::NodeId;
+use crossbeam::queue::SegQueue;
+use gmt_net::Payload;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+
+/// Received aggregation buffers awaiting the helpers, as (source node,
+/// bytes), and how many there are. Payloads are pooled: dropping one
+/// (after processing) returns the buffer to the *sending* node's channel
+/// pool. The count is the communication server's receive credit and the
+/// helpers' sleep recheck, read with one load instead of the queue's lock.
+pub struct HelperInbox {
+    queue: SegQueue<(NodeId, Payload)>,
+    backlog: AtomicUsize,
+}
+
+impl Default for HelperInbox {
+    fn default() -> Self {
+        HelperInbox { queue: SegQueue::new(), backlog: AtomicUsize::new(0) }
+    }
+}
+
+impl HelperInbox {
+    /// Communication server: queues one delivered buffer. Counted before
+    /// it is poppable, so the count never underflows.
+    pub fn push(&self, src: NodeId, payload: Payload) {
+        self.backlog.fetch_add(1, Ordering::Relaxed);
+        self.queue.push((src, payload));
+    }
+
+    /// Helper: takes the oldest buffer.
+    pub fn pop(&self) -> Option<(NodeId, Payload)> {
+        let item = self.queue.pop()?;
+        self.backlog.fetch_sub(1, Ordering::Relaxed);
+        Some(item)
+    }
+
+    /// Buffers delivered and not yet taken by a helper.
+    pub fn backlog(&self) -> usize {
+        self.backlog.load(Ordering::Relaxed)
+    }
+}
 
 /// Per-helper-thread working memory, reused across buffers. Every vector
 /// is grow-only while one buffer is processed and shrunk back to a cap
@@ -200,7 +240,8 @@ fn complete_ack_run(node: &NodeShared, src: NodeId, token: u64, n: u32) {
 }
 
 /// Executes every command in one received aggregation buffer (decode →
-/// bucket → apply; see the module docs) and returns how many there were.
+/// bucket → apply; see the module docs) and returns how many there were,
+/// and whether any was a reply (which may have readied a local task).
 /// `src` is the node the buffer came from (replies go back there), `chan`
 /// the executing helper's counter shard.
 fn process_buffer(
@@ -209,9 +250,10 @@ fn process_buffer(
     buf: &[u8],
     hs: &mut HelperScratch,
     chan: usize,
-) -> u64 {
+) -> (u64, bool) {
     debug_assert!(hs.acks.is_empty() && hs.stage.is_empty());
     let mut executed = 0u64;
+    let mut replies = false;
     let mut segments_resolved = 0u64;
     // Run-detection for same-token `Ack` bursts: consecutive plain acks
     // carrying one token settle with a single batched completion, like
@@ -224,6 +266,9 @@ fn process_buffer(
         if hs.stage.stage(&cmd, buf) {
             continue;
         }
+        let control =
+            matches!(cmd, Command::Alloc { .. } | Command::Free { .. } | Command::Spawn { .. });
+        replies |= !control;
         if let Command::Ack { token } = cmd {
             match &mut ack_run {
                 Some((t, n)) if *t == token => *n += 1,
@@ -235,7 +280,7 @@ fn process_buffer(
             }
             continue;
         }
-        if matches!(cmd, Command::Alloc { .. } | Command::Free { .. } | Command::Spawn { .. }) {
+        if control {
             // Control barrier: staged data commands must apply before an
             // alloc/free/spawn that follows them in the buffer.
             segments_resolved += apply_staged(node, src, buf, hs, chan);
@@ -254,7 +299,7 @@ fn process_buffer(
         node.metrics.batch_segments_per_buffer.record(segments_resolved);
     }
     flush_acks(node, src, &mut hs.acks);
-    executed
+    (executed, replies)
 }
 
 /// Builds the bucketing permutation for one class: `order` becomes the
@@ -520,8 +565,11 @@ fn reply_write(node: &NodeShared, units: &Units<'_>, write: impl FnOnce()) {
 /// channel queue to the communication server.
 pub fn helper_main(node: Arc<NodeShared>, chan: usize, tracer: ThreadTracer) {
     tls::install(CommandSink::new(Arc::clone(&node.agg), chan));
+    let me = node.sleepers.helpers.get(chan - node.config.num_workers);
+    me.register();
+    node.agg.channel(chan).wake_on_return(me.waker());
     let mut hs = HelperScratch::new();
-    let mut backoff = IdleBackoff::default();
+    let mut edge = IdleEdge::default();
     let buffer_size = node.config.buffer_size;
     // Commands start after the transport header the sender reserved (the
     // communication server validated its presence before delivering).
@@ -530,22 +578,31 @@ pub fn helper_main(node: Arc<NodeShared>, chan: usize, tracer: ThreadTracer) {
         let mut progressed = false;
         while let Some((src, buf)) = node.helper_in.pop() {
             let t0 = tracer.now_ns();
-            let executed = process_buffer(&node, src, &buf[hdr..], &mut hs, chan);
+            let (executed, replies) = process_buffer(&node, src, &buf[hdr..], &mut hs, chan);
             tracer.span("process_buffer", t0, executed);
+            if replies {
+                // The whole buffer is applied: wake the workers whose
+                // tasks its replies readied.
+                node.sleepers.workers.wake_all();
+            }
             // Buffer boundary: release pathological high-water marks.
             hs.shrink(buffer_size);
             progressed = true;
         }
         tls::with_sink(|s| s.pump());
+        wake_comm_on_backlog(&node, chan);
         if progressed {
-            backoff.reset();
-        } else {
-            if node.stopping() {
-                break;
-            }
-            // `helper_in` is empty: no further request will add to the
-            // replies generated so far, so ship them now.
-            backoff.wait(|| tls::with_sink(|s| s.flush_idle()));
+            edge.busy();
+            continue;
+        }
+        if node.stopping() {
+            break;
+        }
+        // `helper_in` is empty: no further request will add to the
+        // replies generated so far, so ship them now, then sleep until a
+        // buffer is delivered.
+        if sleep_idle(&node, chan, me, &mut edge, || node.helper_in.backlog() > 0) {
+            node.metrics.helper_sleeps.add(chan, 1);
         }
     }
     if let Some(mut sink) = tls::uninstall() {

@@ -8,7 +8,8 @@
 //! | prefix      | instruments                                                         |
 //! |-------------|---------------------------------------------------------------------|
 //! | `worker.*`  | task-state transitions: context switches, spawns/finishes/panics,   |
-//! |             | parks, wakeups, iteration-block claims; live/parked task gauges     |
+//! |             | parks, wakeups, iteration-block claims; live/parked task gauges;    |
+//! |             | `sleeps`, the thread's own parks (`helper.*`, `comm.*` have one too)|
 //! | `agg.*`     | aggregation pipeline: commands, blocks, buffers, timeout and idle   |
 //! |             | flushes, pool waits/drops, buffer fill-level histogram (registered  |
 //! |             | by [`AggShared::new_in_registry`])                                  |
@@ -77,6 +78,9 @@ pub struct NodeMetrics {
     /// Tasks parked on remote completions. Every ready-queue entry is one
     /// park, so the gauge returns to 0 once the node is quiescent.
     pub parked_tasks: Gauge,
+    /// Times a worker thread found no work and parked (a recheck that
+    /// found work after all is not counted).
+    pub worker_sleeps: Counter,
 
     // -- helpers ------------------------------------------------------
     /// Commands executed, indexed by `opcode - 1`
@@ -94,6 +98,8 @@ pub struct NodeMetrics {
     /// Atomic adds absorbed by the same-offset pre-merge (each is one
     /// RMW that never happened).
     pub batch_rmw_merged: Counter,
+    /// Times a helper thread found no buffer and parked.
+    pub helper_sleeps: Counter,
 
     // -- communication server ----------------------------------------
     pub comm_buffers_sent: Counter,
@@ -106,6 +112,9 @@ pub struct NodeMetrics {
     pub sweep_gap_ns: Histogram,
     /// Aggregation buffers shipped per progressing sweep.
     pub sweep_buffers: Histogram,
+    /// Times the communication server found nothing to do and parked
+    /// (timed to its link's next deadline, or woken by work).
+    pub comm_sleeps: Counter,
 
     // -- reliability layer -------------------------------------------
     pub retransmits: Counter,
@@ -183,6 +192,7 @@ impl NodeMetrics {
             itb_claims: r.counter("worker.itb_claims"),
             live_tasks: r.gauge("worker.live_tasks"),
             parked_tasks: r.gauge("worker.parked_tasks"),
+            worker_sleeps: r.counter("worker.sleeps"),
             cmd_counters: (1..=N_OPCODES as u8)
                 .map(|op| r.counter(&format!("helper.cmd.{}", command::op_name(op))))
                 .collect(),
@@ -191,6 +201,7 @@ impl NodeMetrics {
             batch_segments_per_buffer: r
                 .histogram("helper.batch.segments_per_buffer", &[1, 2, 4, 8, 16, 32]),
             batch_rmw_merged: r.counter("helper.batch.rmw_merged"),
+            helper_sleeps: r.counter("helper.sleeps"),
             comm_buffers_sent: r.counter("comm.buffers_sent"),
             comm_bytes_sent: r.counter("comm.bytes_sent"),
             comm_buffers_recv: r.counter("comm.buffers_recv"),
@@ -204,6 +215,7 @@ impl NodeMetrics {
                 &[10_000, 50_000, 100_000, 500_000, 1_000_000, 10_000_000],
             ),
             sweep_buffers: r.histogram("comm.sweep_buffers", &[1, 2, 4, 8, 16, 32]),
+            comm_sleeps: r.counter("comm.sleeps"),
             retransmits: r.counter("reliable.retransmits"),
             acks_piggybacked: r.counter("reliable.acks_piggybacked"),
             acks_standalone: r.counter("reliable.acks_standalone"),

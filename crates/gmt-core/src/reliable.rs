@@ -393,6 +393,8 @@ pub struct ReliableLink {
     local_credit: u16,
     /// Dead peers whose notices still have dissemination rounds left.
     notices: Vec<NoticeRounds>,
+    /// The earliest coarse time any timer is due, as of the last tick.
+    next_due_ns: u64,
 }
 
 impl ReliableLink {
@@ -416,6 +418,7 @@ impl ReliableLink {
             flow_window,
             local_credit: CREDIT_UNLIMITED,
             notices: Vec::new(),
+            next_due_ns: 0,
         }
     }
 
@@ -425,6 +428,15 @@ impl ReliableLink {
     /// the same cadence.
     pub fn heartbeat_ns(&self) -> u64 {
         self.death_timeout_ns / HEARTBEAT_FRACTION
+    }
+
+    /// The earliest coarse time one of the link's timers falls due, as of
+    /// the last [`Event::Tick`]: a standalone ack, a retransmit, a
+    /// heartbeat, a suspicion, a death or a notice round (`u64::MAX` with
+    /// none). Until then a tick changes nothing, so the communication
+    /// server may sleep until this time unless traffic wakes it.
+    pub fn next_due_ns(&self) -> u64 {
+        self.next_due_ns
     }
 
     /// Takes one event that happened at coarse time `now_ns` and appends
@@ -702,6 +714,29 @@ impl ReliableLink {
             }
             self.notices.retain(|n| n.remaining > 0);
         }
+        self.next_due_ns = self.earliest_due(heartbeat_ns, suspect_ns);
+    }
+
+    /// See [`Self::next_due_ns`].
+    fn earliest_due(&self, heartbeat_ns: u64, suspect_ns: u64) -> u64 {
+        let mut due = self.notices.iter().map(|n| n.next_ns).min().unwrap_or(u64::MAX);
+        for (dst, p) in self.peers.iter().enumerate() {
+            if dst == self.me || p.dead {
+                continue;
+            }
+            due = due.min(p.last_heard_ns.saturating_add(self.death_timeout_ns));
+            due = due.min(p.last_sent_ns.saturating_add(heartbeat_ns));
+            if !p.suspected {
+                due = due.min(p.last_heard_ns.saturating_add(suspect_ns));
+            }
+            if let Some(f) = p.rtx.front() {
+                due = due.min(f.sent_ns.saturating_add(p.rto_ns));
+            }
+            if p.ack_due_ns != 0 {
+                due = due.min(p.ack_due_ns);
+            }
+        }
+        due
     }
 }
 
@@ -1047,6 +1082,31 @@ mod tests {
         // goes out per idle period.
         assert_eq!(tags(&tick(&mut l, t + 10 + 100)), ["heartbeat"]);
         assert!(tick(&mut l, t + 10 + 150).is_empty(), "heartbeat interval not yet elapsed again");
+    }
+
+    /// `next_due_ns` is when the next tick can do anything: a tick
+    /// before it sends nothing, a tick at it does what fell due.
+    #[test]
+    fn the_next_due_time_is_the_earliest_timer() {
+        let mut l = link_det(2);
+        // Heartbeat 100, suspicion 800, death 4000 after the baseline.
+        tick(&mut l, 10);
+        assert_eq!(l.next_due_ns(), 110, "the heartbeat is first");
+        assert!(tick(&mut l, 109).is_empty());
+        assert_eq!(tags(&tick(&mut l, 110)), ["heartbeat"]);
+        // Data in: a standalone ack falls due 50 later, before the next
+        // heartbeat (210).
+        packet(&mut l, 1, &hdr(KIND_DATA, 1, 0), 120);
+        tick(&mut l, 120);
+        assert_eq!(l.next_due_ns(), 170);
+        assert!(tick(&mut l, 169).is_empty());
+        assert_eq!(tags(&tick(&mut l, 170)), ["ack"]);
+        // Data out: its retransmit (RTO 100) is due with the heartbeat.
+        send(&mut l, 1, b"x", 180);
+        tick(&mut l, 180);
+        assert_eq!(l.next_due_ns(), 280);
+        assert!(tick(&mut l, 279).is_empty());
+        assert!(tags(&tick(&mut l, 280)).contains(&"retransmit"));
     }
 
     #[test]

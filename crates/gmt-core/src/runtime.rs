@@ -15,7 +15,8 @@
 use crate::aggregation::{AggShared, AggStats};
 use crate::commserver;
 use crate::config::Config;
-use crate::helper;
+use crate::helper::{self, HelperInbox};
+use crate::idle::{Sleeper, SleeperSet};
 use crate::metrics::{NodeMetrics, ThreadTracer};
 use crate::task::{Itb, OpTable, RootTask};
 use crate::worker;
@@ -24,7 +25,7 @@ use crossbeam::queue::SegQueue;
 use gmt_metrics::trace::TraceSink;
 use gmt_metrics::MetricsSnapshot;
 use gmt_net::{
-    loopback_mesh, shm_mesh, DeliveryMode, Fabric, FaultPlan, Payload, TrafficStats, Transport,
+    loopback_mesh, shm_mesh, DeliveryMode, Fabric, FaultPlan, TrafficStats, Transport,
     TransportSelect,
 };
 use std::path::{Path, PathBuf};
@@ -167,15 +168,15 @@ pub struct NodeShared {
     pub memory: NodeMemory,
     pub agg: Arc<AggShared>,
     /// Iteration blocks awaiting workers (§IV-D).
-    pub itb_queue: SegQueue<Arc<Itb>>,
+    pub itb_queue: WorkQueue<Arc<Itb>>,
     /// Root tasks submitted from outside the runtime.
-    pub root_queue: SegQueue<RootTask>,
-    /// Received aggregation buffers awaiting helpers: (source node, bytes).
-    /// Payloads are pooled: dropping one (after processing) returns the
-    /// buffer to the *sending* node's channel pool.
-    pub helper_in: SegQueue<(NodeId, Payload)>,
+    pub root_queue: WorkQueue<RootTask>,
+    /// Received aggregation buffers awaiting helpers, with their count.
+    pub helper_in: HelperInbox,
     /// Set once at shutdown.
     pub stop: AtomicBool,
+    /// How the node's threads sleep and who wakes them.
+    pub sleepers: NodeSleepers,
     pub cluster: Arc<ClusterShared>,
     /// This node's instrument registry and resolved handles (`worker.*`,
     /// `helper.*`, `comm.*`, `reliable.*`, plus the aggregation layer's
@@ -209,9 +210,67 @@ pub struct NodeShared {
     pub ops: OpTable,
 }
 
+/// Work any of the node's workers may take: every push wakes them.
+pub struct WorkQueue<T> {
+    queue: SegQueue<T>,
+    workers: Arc<SleeperSet>,
+}
+
+impl<T> WorkQueue<T> {
+    fn new(workers: &Arc<SleeperSet>) -> Self {
+        WorkQueue { queue: SegQueue::new(), workers: Arc::clone(workers) }
+    }
+
+    pub fn push(&self, item: T) {
+        self.queue.push(item);
+        self.workers.wake_all();
+    }
+
+    pub fn pop(&self) -> Option<T> {
+        self.queue.pop()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.queue.is_empty()
+    }
+}
+
+/// The sleepers of one node's threads. Who wakes whom, and when, is
+/// written down in the `commserver` module docs.
+pub struct NodeSleepers {
+    pub workers: Arc<SleeperSet>,
+    pub helpers: SleeperSet,
+    /// An `Arc` because the transport's arrival hook and the channel pools
+    /// hold it as a [`std::task::Waker`].
+    pub comm: Arc<Sleeper>,
+}
+
+impl NodeSleepers {
+    fn new(config: &Config) -> Self {
+        NodeSleepers {
+            workers: Arc::new(SleeperSet::new(config.num_workers)),
+            helpers: SleeperSet::new(config.num_helpers),
+            comm: Arc::default(),
+        }
+    }
+
+    /// Wakes every thread of the node: shutdown.
+    fn wake_everyone(&self) {
+        self.workers.wake_all();
+        self.helpers.wake_all();
+        self.comm.wake();
+    }
+}
+
 impl NodeShared {
     pub fn stopping(&self) -> bool {
         self.stop.load(Ordering::Relaxed)
+    }
+
+    /// Raises the stop flag and wakes every thread to see it.
+    fn begin_shutdown(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        self.sleepers.wake_everyone();
     }
 
     /// Whether `node` was confirmed dead by the failure detector.
@@ -261,6 +320,7 @@ impl NodeShared {
         let op_deadline = self.config.op_deadline_ns;
         let flow = &self.flow;
         let mut stuck = 0usize;
+        let mut expired = false;
         // Nothing serialises this walk against another caller's or against
         // the slots being bound again under it: what it writes is one-shot
         // (`claim_warning`, the parked flag `expire_deadline` clears) or
@@ -284,6 +344,7 @@ impl NodeShared {
                     per_task => per_task,
                 };
                 if enforce > 0 && age >= enforce && ctl.expire_deadline(token) {
+                    expired = true;
                     self.metrics.deadline_expired.add(self.metrics.comm_shard(), 1);
                     eprintln!(
                         "[gmt] warn: node {}: operation deadline ({} ms) expired; \
@@ -311,6 +372,10 @@ impl NodeShared {
                     }
                 }
             }
+        }
+        if expired {
+            // The force-woken tasks' workers may sleep.
+            self.sleepers.workers.wake_all();
         }
         stuck
     }
@@ -607,16 +672,18 @@ fn boot_node(
         config.combine_window,
         metrics.registry(),
     );
+    let sleepers = NodeSleepers::new(config);
     let shared = Arc::new(NodeShared {
         node_id,
         nodes,
         config: config.clone(),
         memory: NodeMemory::new(),
         agg,
-        itb_queue: SegQueue::new(),
-        root_queue: SegQueue::new(),
-        helper_in: SegQueue::new(),
+        itb_queue: WorkQueue::new(&sleepers.workers),
+        root_queue: WorkQueue::new(&sleepers.workers),
+        helper_in: HelperInbox::default(),
         stop: AtomicBool::new(false),
+        sleepers,
         cluster: Arc::clone(cluster_shared),
         metrics,
         net: Arc::clone(transport.stats()),
@@ -804,7 +871,7 @@ impl Cluster {
         }
         self.stopped = true;
         for n in &self.nodes {
-            n.shared.stop.store(true, Ordering::SeqCst);
+            n.shared.begin_shutdown();
         }
         for t in self.threads.drain(..) {
             let _ = t.join();
@@ -919,7 +986,7 @@ impl NodeRuntime {
             return;
         }
         self.stopped = true;
-        self.node.shared().stop.store(true, Ordering::SeqCst);
+        self.node.shared().begin_shutdown();
         if let Some(t) = self.comm.take() {
             let _ = t.join();
         }

@@ -1854,4 +1854,188 @@ mod tests {
             assert_eq!(wake_met_its_binding, HashSet::from([false, true]));
         }
     }
+
+    /// [`ReadyList`] push and take, and the worker's sleep on an empty
+    /// list, in every interleaving.
+    ///
+    /// Two wakers each push two blocks — `push` cut at its accesses: load
+    /// the head, link the block to it, compare-and-swap — and then, their
+    /// batch done, wake the worker (`Sleeper::wake`: load its flag, and
+    /// on a raised one clear it and leave an unpark token). The owning
+    /// worker takes the whole list with one swap and walks it a link at a
+    /// time; a take that found nothing goes to sleep the way
+    /// `idle::Sleeper::sleep` does: raise the flag, recheck the head,
+    /// park until a token. Every block must be taken once, each waker's
+    /// blocks in push order, and the worker must never sleep for good
+    /// with a block in the list. The accesses are sequentially
+    /// consistent here; the fences that make them so on the hardware are
+    /// what `idle::tests::no_wakeup_is_lost` checks.
+    mod ready_model {
+        use std::collections::HashSet;
+
+        const END: u8 = u8::MAX;
+
+        /// The blocks each waker pushes, in order.
+        const PUSHES: [[u8; 2]; 2] = [[0, 1], [2, 3]];
+
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+        enum Waker {
+            /// About to push its `i`-th block.
+            Load(usize),
+            /// Linking its `i`-th block to the head it saw.
+            Link(usize, u8),
+            /// Swinging the head from the one it saw to its block.
+            Cas(usize, u8),
+            /// Both pushed: look at the worker's flag.
+            Wake,
+            Done,
+        }
+
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+        enum Owner {
+            /// Swap the head out.
+            Take,
+            /// Walk the taken chain from this block.
+            Walk(u8),
+            /// Found nothing: raise the flag.
+            Raise,
+            /// Flag up: look at the head once more.
+            Recheck,
+            /// Parked until a token.
+            Parked,
+        }
+
+        #[derive(Clone, Debug, PartialEq, Eq, Hash)]
+        struct World {
+            head: u8,
+            next: [u8; 4],
+            wakers: [Waker; 2],
+            owner: Owner,
+            asleep: bool,
+            token: bool,
+            /// The blocks of the current take, newest first, and
+            /// everything taken so far in run order.
+            batch: Vec<u8>,
+            taken: Vec<u8>,
+        }
+
+        impl World {
+            fn step(&self, actor: usize) -> Option<World> {
+                let mut w = self.clone();
+                if actor < 2 {
+                    let push = PUSHES[actor];
+                    w.wakers[actor] = match self.wakers[actor] {
+                        Waker::Load(i) => Waker::Link(i, self.head),
+                        Waker::Link(i, seen) => {
+                            w.next[push[i] as usize] = seen;
+                            Waker::Cas(i, seen)
+                        }
+                        Waker::Cas(i, seen) if self.head == seen => {
+                            w.head = push[i];
+                            if i + 1 < push.len() {
+                                Waker::Load(i + 1)
+                            } else {
+                                Waker::Wake
+                            }
+                        }
+                        // A failed compare-and-swap returns what it saw.
+                        Waker::Cas(i, _) => Waker::Link(i, self.head),
+                        Waker::Wake => {
+                            if self.asleep {
+                                w.asleep = false;
+                                w.token = true;
+                            }
+                            Waker::Done
+                        }
+                        Waker::Done => return None,
+                    };
+                    return Some(w);
+                }
+                if self.taken.len() == 4 {
+                    return None;
+                }
+                w.owner = match self.owner {
+                    Owner::Take => {
+                        w.head = END;
+                        match self.head {
+                            END => Owner::Raise,
+                            first => Owner::Walk(first),
+                        }
+                    }
+                    Owner::Walk(at) => {
+                        w.batch.push(at);
+                        match self.next[at as usize] {
+                            END => {
+                                // `take_into` runs the batch in wake order.
+                                w.taken.extend(w.batch.drain(..).rev());
+                                Owner::Take
+                            }
+                            next => Owner::Walk(next),
+                        }
+                    }
+                    Owner::Raise => {
+                        w.asleep = true;
+                        Owner::Recheck
+                    }
+                    Owner::Recheck if self.head != END => {
+                        w.asleep = false;
+                        Owner::Take
+                    }
+                    Owner::Recheck => Owner::Parked,
+                    Owner::Parked if !self.token => return None,
+                    Owner::Parked => {
+                        (w.token, w.asleep) = (false, false);
+                        Owner::Take
+                    }
+                };
+                Some(w)
+            }
+        }
+
+        #[test]
+        fn every_interleaving_takes_each_block_once_and_sleeps_only_on_empty() {
+            let start = World {
+                head: END,
+                next: [END; 4],
+                wakers: [Waker::Load(0); 2],
+                owner: Owner::Take,
+                asleep: false,
+                token: false,
+                batch: Vec::new(),
+                taken: Vec::new(),
+            };
+            let mut seen = HashSet::new();
+            let mut finals = HashSet::new();
+            let mut slept = false;
+            let mut stack = vec![start];
+            while let Some(w) = stack.pop() {
+                if !seen.insert(w.clone()) {
+                    continue;
+                }
+                slept |= w.owner == Owner::Parked;
+                let distinct: HashSet<_> = w.taken.iter().collect();
+                assert_eq!(distinct.len(), w.taken.len(), "a block was taken twice: {w:?}");
+                for push in PUSHES {
+                    let at = |b: u8| w.taken.iter().position(|&t| t == b);
+                    if let (Some(a), Some(b)) = (at(push[0]), at(push[1])) {
+                        assert!(a < b, "a waker's blocks ran out of push order: {w:?}");
+                    }
+                }
+                let next: Vec<World> = (0..3).filter_map(|actor| w.step(actor)).collect();
+                if next.is_empty() {
+                    // Nobody can move: the worker took everything, or it
+                    // sleeps on a list that stays empty — a lost wakeup
+                    // if anything is left in it.
+                    assert!(w.wakers.iter().all(|&k| k == Waker::Done), "stuck: {w:?}");
+                    assert_eq!(w.taken.len(), 4, "the worker sleeps with blocks queued: {w:?}");
+                    finals.insert(w.taken.clone());
+                }
+                stack.extend(next);
+            }
+            assert!(slept, "the worker never slept, so no sleep was checked");
+            // Both wakers' batches interleave every way a take can split.
+            assert!(finals.contains(&vec![0, 1, 2, 3]) && finals.contains(&vec![2, 3, 0, 1]));
+            assert!(finals.contains(&vec![0, 2, 1, 3]));
+        }
+    }
 }

@@ -13,7 +13,7 @@ use crate::aggregation::CommandSink;
 use crate::api::TaskCtx;
 use crate::command::Command;
 use crate::config::TASK_STACK_SIZE;
-use crate::idle::IdleBackoff;
+use crate::idle::{sleep_idle, wake_comm_on_backlog, IdleEdge};
 use crate::metrics::ThreadTracer;
 use crate::runtime::NodeShared;
 use crate::task::{Itb, ParentRef, ReadyList, RootTask, TaskControl, CHUNK_SLOTS};
@@ -249,7 +249,8 @@ impl<'n> Worker<'n> {
             if let Some(range) = itb.claim() {
                 self.node.metrics.itb_claims.add(self.chan, 1);
                 if itb.has_unclaimed() {
-                    // Let other workers keep peeling this block.
+                    // Let other workers keep peeling this block (the push
+                    // wakes them: the wake cascades from claimer to claimer).
                     self.node.itb_queue.push(Arc::clone(&itb));
                 }
                 self.spawn_chunk(itb, range);
@@ -264,9 +265,12 @@ impl<'n> Worker<'n> {
 /// Reports a finished iteration block to its parent task.
 pub(crate) fn notify_parent(node: &Arc<NodeShared>, parent: ParentRef) {
     if parent.node == node.node_id {
-        // A local block is counted toward this node itself.
+        // A local block is counted toward this node itself. Its parent
+        // may run on another worker, asleep.
         let unit = node.ops.acquit(parent.token, parent.node, 1);
         debug_assert!(unit.is_some(), "a local block's parent waits for it");
+        drop(unit);
+        node.sleepers.workers.wake_all();
     } else {
         tls::with_sink(|s| s.emit(parent.node, &Command::Ack { token: parent.token }));
     }
@@ -276,8 +280,11 @@ pub(crate) fn notify_parent(node: &Arc<NodeShared>, parent: ParentRef) {
 /// worker's channel queue to the communication server.
 pub fn worker_main(node: Arc<NodeShared>, chan: usize, tracer: ThreadTracer) {
     tls::install(CommandSink::new(Arc::clone(&node.agg), chan));
+    let me = node.sleepers.workers.get(chan);
+    me.register();
+    node.agg.channel(chan).wake_on_return(me.waker());
     let mut w = Worker::new(&node, chan, tracer);
-    let mut backoff = IdleBackoff::default();
+    let mut edge = IdleEdge::default();
     loop {
         let mut progressed = false;
         // 1. Wakeups, all that landed since the last pass in one take.
@@ -297,15 +304,22 @@ pub fn worker_main(node: Arc<NodeShared>, chan: usize, tracer: ThreadTracer) {
         }
         // 3. Flush aged command blocks / aggregation queues.
         tls::with_sink(|s| s.pump());
+        wake_comm_on_backlog(&node, chan);
         if progressed {
-            backoff.reset();
-        } else {
-            if w.node.stopping() {
-                break;
-            }
-            // 4. No runnable task, nothing to acquire: every live task is
-            // parked on a reply, so ship what they are waiting for now.
-            backoff.wait(|| tls::with_sink(|s| s.flush_idle()));
+            edge.busy();
+            continue;
+        }
+        if w.node.stopping() {
+            break;
+        }
+        // 4. No runnable task, nothing to acquire: every live task is
+        // parked on a reply, so ship what they are waiting for now, then
+        // sleep until a wake-up, a root task or an iteration block.
+        let ready = &w.ready;
+        let has_work =
+            || !ready.is_empty() || !node.root_queue.is_empty() || !node.itb_queue.is_empty();
+        if sleep_idle(&node, chan, me, &mut edge, has_work) {
+            node.metrics.worker_sleeps.add(chan, 1);
         }
     }
     // Flush whatever is left so in-flight protocols can drain elsewhere.

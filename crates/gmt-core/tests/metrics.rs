@@ -169,3 +169,38 @@ fn command_counters_attribute_opcodes() {
     assert_eq!(atomics, 0, "no atomics in a put-only run");
     cluster.shutdown();
 }
+
+/// A loaded node's threads do not sleep per operation: 1024 tasks on one
+/// worker keep it busy between replies, so it parks about once per round
+/// of replies, not once per reply. A wake path that put the worker to
+/// sleep per op would read ~1000 here.
+#[test]
+fn a_loaded_worker_sleeps_at_most_twice_per_thousand_ops() {
+    const TASKS: u64 = 1024;
+    const ROUNDS: u64 = 8;
+    let config = Config {
+        num_workers: 1,
+        num_helpers: 1,
+        max_tasks_per_worker: 1024,
+        buffer_size: 65_536,
+        cmd_block_entries: 64,
+        ..Config::small()
+    };
+    let cluster = Cluster::start_sim(2, config).unwrap();
+    cluster.node(0).run(|ctx| {
+        let arr = ctx.alloc(TASKS * 8, Distribution::Remote);
+        ctx.parfor(SpawnPolicy::Local, TASKS, 1, move |ctx, t| {
+            for r in 0..ROUNDS {
+                ctx.put_value::<u64>(&arr, t, t + r).unwrap();
+                assert_eq!(ctx.get_value::<u64>(&arr, t).unwrap(), t + r);
+            }
+        });
+        ctx.free(arr);
+    });
+    let shared = Arc::clone(cluster.node(0).shared());
+    cluster.shutdown();
+    let ops = TASKS * ROUNDS * 2;
+    let sleeps = shared.metrics.registry().snapshot().counter("worker.sleeps").unwrap();
+    eprintln!("worker.sleeps {sleeps} over {ops} ops");
+    assert!(sleeps * 1000 <= 2 * ops, "{sleeps} worker sleeps over {ops} blocking ops");
+}

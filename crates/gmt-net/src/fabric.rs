@@ -35,7 +35,8 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use std::task::Waker;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -100,6 +101,9 @@ struct Sim {
     mode: DeliveryMode,
     /// Inboxes, one per node.
     inboxes: Vec<Sender<Packet>>,
+    /// What to wake after a delivery into each inbox; see
+    /// [`Link::wake_on_arrival`].
+    arrivals: Arrivals,
     /// Whether each node's endpoint still takes frames: its shutdown
     /// closes it, and a push toward it is then a lost link. A flag that
     /// publishes no other data, hence `Relaxed`.
@@ -132,14 +136,15 @@ impl Fabric {
         assert!(nodes > 0, "a fabric needs at least one node");
         let (inboxes, inbox_rx): (Vec<_>, Vec<_>) =
             (0..nodes).map(|_| channel::unbounded::<Packet>()).unzip();
+        let arrivals: Arrivals = (0..nodes).map(|_| OnceLock::new()).collect();
         let (wire_tx, wire_thread) = match mode {
             DeliveryMode::Instant => (None, None),
             DeliveryMode::Throttled(_) => {
                 let (tx, rx) = channel::unbounded::<(Instant, Packet)>();
-                let inboxes = inboxes.clone();
+                let (inboxes, arrivals) = (inboxes.clone(), Arc::clone(&arrivals));
                 let handle = std::thread::Builder::new()
                     .name("gmt-net-wire".into())
-                    .spawn(move || wire_loop(rx, inboxes))
+                    .spawn(move || wire_loop(rx, inboxes, arrivals))
                     .expect("spawn wire thread");
                 (Some(tx), Some(handle))
             }
@@ -148,6 +153,7 @@ impl Fabric {
         let sim = Arc::new(Sim {
             mode,
             inboxes,
+            arrivals,
             open: (0..nodes).map(|_| AtomicBool::new(true)).collect(),
             wire_tx: RwLock::new(wire_tx),
             ports: (0..nodes).map(|_| Mutex::new(now)).collect(),
@@ -197,13 +203,31 @@ impl Drop for Fabric {
     }
 }
 
+/// Per-node wakers of the receivers that asked, shared with the wire
+/// thread.
+type Arrivals = Arc<[OnceLock<Waker>]>;
+
+/// Puts `pkt` into its destination's inbox and wakes the receiver.
+fn deliver_to(
+    inboxes: &[Sender<Packet>],
+    arrivals: &Arrivals,
+    pkt: Packet,
+) -> Result<(), NetError> {
+    let dst = pkt.dst;
+    inboxes[dst].send(pkt).map_err(|_| NetError::Closed)?;
+    if let Some(w) = arrivals[dst].get() {
+        w.wake_by_ref();
+    }
+    Ok(())
+}
+
 /// Wire thread: delivers packets at their deadline, in deadline order.
-fn wire_loop(rx: Receiver<(Instant, Packet)>, inboxes: Vec<Sender<Packet>>) {
+fn wire_loop(rx: Receiver<(Instant, Packet)>, inboxes: Vec<Sender<Packet>>, arrivals: Arrivals) {
     // Keyed (deadline, seq): simultaneous deliveries keep submission order.
     let mut queue: BTreeMap<(Instant, u64), Packet> = BTreeMap::new();
     let mut seq = 0u64;
     // The receiver may be gone during shutdown; ignore.
-    let deliver = |pkt: Packet| drop(inboxes[pkt.dst].send(pkt));
+    let deliver = |pkt: Packet| drop(deliver_to(&inboxes, &arrivals, pkt));
     loop {
         let now = Instant::now();
         while queue.first_key_value().is_some_and(|(&(due, _), _)| due <= now) {
@@ -276,7 +300,7 @@ impl Link for SimLink {
         let pkt = Packet { src, dst, tag, payload };
         let DeliveryMode::Throttled(model) = sim.mode else {
             sim.stats.record_recv(dst, bytes);
-            return sim.inboxes[dst].send(pkt).map_err(|_| NetError::Closed);
+            return deliver_to(&sim.inboxes, &sim.arrivals, pkt);
         };
         let fault = fault.unwrap_or(FaultDecision::CLEAN);
         if fault.stalled {
@@ -289,6 +313,12 @@ impl Link for SimLink {
         let tx = wire.as_ref().ok_or(NetError::Closed)?;
         sim.stats.record_recv(dst, bytes);
         tx.send((deadline, pkt)).map_err(|_| NetError::Closed)
+    }
+
+    /// One receiver per node for the fabric's life: a later endpoint of
+    /// the same node is declined and polls.
+    fn wake_on_arrival(&self, waker: &Waker) -> bool {
+        self.sim.arrivals[self.core.node].set(waker.clone()).is_ok()
     }
 
     /// In throttled mode a dropped frame still occupies the port: the NIC

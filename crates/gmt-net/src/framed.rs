@@ -55,6 +55,7 @@ use crossbeam::queue::ArrayQueue;
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::task::Waker;
 use std::time::Instant;
 
 /// Frame header: payload length + tag, both `u32` little-endian.
@@ -178,6 +179,15 @@ pub trait Link: Send + Sync + 'static {
         None
     }
 
+    /// Arranges for `waker` to be woken whenever a peer's frame reaches
+    /// this node's inbox; `false` for a leaf whose arrivals only
+    /// [`Link::poll`] finds, whose receiver must therefore keep polling.
+    /// A leaf whose threads deliver through the core's inbox only says
+    /// yes: the core wakes.
+    fn wake_on_arrival(&self, _waker: &Waker) -> bool {
+        false
+    }
+
     /// Irreversibly cuts both directions of the link to `peer` (an
     /// injected kill): frames in flight are lost and the peer observes
     /// the loss first-hand. A leaf with no link to cut leaves the kill to
@@ -206,6 +216,8 @@ pub(crate) struct Core {
     pool: Arc<RecvPool>,
     /// Self-sends and everything the leaf receives.
     inbox_tx: Sender<Packet>,
+    /// Woken after every [`Core::enqueue`], once the receiver asked.
+    arrival: OnceLock<Waker>,
 }
 
 impl Core {
@@ -226,6 +238,7 @@ impl Core {
             shim: RwLock::new(None),
             pool: Arc::new(RecvPool { bufs: ArrayQueue::new(RECV_POOL_CAP) }),
             inbox_tx,
+            arrival: OnceLock::new(),
         })
     }
 
@@ -262,11 +275,14 @@ impl Core {
         Packet { src, dst: self.node, tag, payload }
     }
 
-    /// Queues a packet in the inbox. A full inbox cannot happen
-    /// (unbounded); a closed one means the transport is gone and the
-    /// packet is moot.
+    /// Queues a packet in the inbox and wakes the receiver. A full inbox
+    /// cannot happen (unbounded); a closed one means the transport is
+    /// gone and the packet is moot.
     pub(crate) fn enqueue(&self, pkt: Packet) {
         let _ = self.inbox_tx.send(pkt);
+        if let Some(w) = self.arrival.get() {
+            w.wake_by_ref();
+        }
     }
 }
 
@@ -346,6 +362,10 @@ impl<L: Link> Transport for FramedTransport<L> {
             }
         }
         self.deliver(dst, tag, payload, fault)
+    }
+
+    fn wake_on_arrival(&self, waker: Waker) -> bool {
+        self.link.wake_on_arrival(&waker) && self.core.arrival.set(waker).is_ok()
     }
 
     fn try_recv(&self) -> Option<Packet> {

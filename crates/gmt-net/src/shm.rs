@@ -33,10 +33,12 @@
 //!
 //! # Nothing parks, nothing wakes
 //!
-//! The runtime's one receive site is the communication server's polling
+//! The runtime's one receive site is the communication server's
 //! `try_recv`, so the consumer side is a poll of the inbound rings and
 //! no receiver ever waits in the kernel for a frame: the segment carries
-//! no wake-up word.
+//! no wake-up word. This leaf therefore declines
+//! [`Link::wake_on_arrival`], and over shm alone the communication
+//! server keeps polling instead of sleeping until an arrival.
 //!
 //! A full ring blocks the sender (counted once per blocked send in
 //! `net.shm.full_waits`) — but while waiting it drains its *own*

@@ -80,6 +80,7 @@ use std::io::{self, ErrorKind, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::Arc;
+use std::task::Waker;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -186,6 +187,11 @@ fn assemble(
 impl Link for TcpLink {
     fn max_frame(&self) -> usize {
         MAX_FRAME
+    }
+
+    /// The readers deliver through the core, which wakes.
+    fn wake_on_arrival(&self, _waker: &Waker) -> bool {
+        true
     }
 
     /// Fragments whenever a fault plan is installed.

@@ -32,10 +32,12 @@
 //! * **Payload ownership**: `send` consumes the [`Payload`]; its drop —
 //!   wherever it happens (receiver, failed send, shutdown drain) —
 //!   returns any pooled buffer to its pool exactly once.
-//! * **Polled receive**: the only receive is the non-blocking
-//!   [`Transport::try_recv`], which is how the communication server
-//!   consumes it. Nothing below the runtime parks a receiver, so nothing
-//!   below it has to wake one.
+//! * **Polled receive, woken receiver**: the only receive is the
+//!   non-blocking [`Transport::try_recv`], which is how the communication
+//!   server consumes it. A receiver that sleeps between arrivals asks to
+//!   be woken on each one ([`Transport::wake_on_arrival`]); the sim and
+//!   TCP do that, the shm rings cannot (nothing watches them), and their
+//!   receiver keeps polling.
 //!
 //! # Shutdown/drain semantics
 //!
@@ -64,6 +66,7 @@ use std::io::{self, ErrorKind};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::task::Waker;
 use std::time::{Duration, Instant};
 
 /// What a transport knows about the link to one peer.
@@ -117,6 +120,13 @@ pub trait Transport: Send + Sync {
 
     /// Non-blocking receive from this node's inbox.
     fn try_recv(&self) -> Option<Packet>;
+
+    /// Asks for `waker` to be woken whenever a packet becomes receivable,
+    /// after it is, so the receiver may sleep between arrivals. `false`
+    /// if this transport cannot: its arrivals only a poll finds (the shm
+    /// rings), or it already wakes another receiver. Either way
+    /// [`Transport::try_recv`] is unchanged.
+    fn wake_on_arrival(&self, waker: Waker) -> bool;
 
     /// Polls [`Transport::try_recv`] until a packet arrives or `timeout`
     /// passes. For tests; the runtime never blocks in a receive.
