@@ -34,11 +34,11 @@
 //!
 //! On a degraded cluster (peers confirmed dead by the failure detector)
 //! blocking primitives return `Err(GmtError::RemoteDead)` instead of
-//! hanging; [`TaskCtx::parfor_report`] surfaces lost iterations without
-//! panicking; and the `*_deadline` variants ([`TaskCtx::get_deadline`],
-//! [`TaskCtx::get_value_deadline`]) bound a single wait, as
-//! [`TaskCtx::set_op_deadline`] bounds every wait of a task, even when the
-//! detector is off.
+//! hanging, and the parallel loops skip the dead at spawn.
+//! [`TaskCtx::set_op_deadline`] bounds every wait of a task where no death
+//! will be confirmed in time: behind a silent partition shorter than
+//! `Config::peer_death_timeout_ns`, or toward a peer that is heard but
+//! never answers.
 
 use crate::command::Command;
 use crate::error::GmtError;
@@ -72,40 +72,6 @@ pub enum SpawnPolicy {
     Remote,
 }
 
-/// Outcome of a [`TaskCtx::parfor_report`] parallel loop on a (possibly
-/// degraded) cluster. Instead of silently shrinking the iteration space,
-/// dead nodes are skipped at spawn time (their share redistributes over
-/// the survivors) and mid-loop deaths are reported per iteration.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ParForReport {
-    /// Iterations requested.
-    pub iterations: u64,
-    /// Iterations confirmed complete.
-    pub completed: u64,
-    /// Iterations lost to nodes that died mid-loop. Counted per spawn
-    /// block, so iterations a dying node did manage to finish before its
-    /// death was confirmed may be over-counted as failed — never under.
-    pub failed: u64,
-    /// Nodes whose death failed iterations, ascending.
-    pub failed_nodes: Vec<NodeId>,
-    /// Nodes already dead at spawn time and therefore skipped, ascending.
-    pub skipped_nodes: Vec<NodeId>,
-}
-
-impl ParForReport {
-    /// The no-error-surface contract of the plain `parfor` forms: a peer
-    /// dying mid-loop loses iterations with no meaningful partial result.
-    fn assert_complete(&self) {
-        assert!(
-            self.failed == 0,
-            "gmt_parFor: node(s) {:?} died while executing iterations ({} of {} lost)",
-            self.failed_nodes,
-            self.failed,
-            self.iterations,
-        );
-    }
-}
-
 /// Execution context of a GMT task.
 ///
 /// Obtained from [`NodeHandle::run`](crate::runtime::NodeHandle::run) or
@@ -135,11 +101,6 @@ impl<'a> TaskCtx<'a> {
     /// Number of nodes in the cluster.
     pub fn nodes(&self) -> usize {
         self.node.nodes
-    }
-
-    /// The node's runtime configuration.
-    pub fn config(&self) -> &crate::config::Config {
-        &self.node.config
     }
 
     fn layout(&self, arr: &GmtArray) -> Layout {
@@ -719,8 +680,9 @@ impl<'a> TaskCtx<'a> {
     /// blocking wait whose operations are still pending past the deadline
     /// is force-woken by the watchdog and returns
     /// [`GmtError::DeadlineExceeded`] instead of hanging — the last line
-    /// of defense when the failure detector is disabled or a peer is
-    /// alive but unresponsive.
+    /// of defense where no death is confirmed in time: a silent partition
+    /// shorter than `Config::peer_death_timeout_ns`, or a peer that is
+    /// heard but never answers.
     pub fn set_op_deadline(&self, ns: u64) {
         self.ctl.set_op_deadline(ns);
         if ns > 0 && !self.node.deadlines_armed.load(Ordering::Relaxed) {
@@ -731,62 +693,16 @@ impl<'a> TaskCtx<'a> {
         }
     }
 
-    /// [`TaskCtx::get`] that cannot hang: returns
-    /// `Err(GmtError::DeadlineExceeded)` if the replies take longer than
-    /// `deadline_ns`. On that error the contents of `dest` are
-    /// unspecified (replies that landed before the expiry were applied),
-    /// but no reply will touch `dest` after this returns.
-    pub fn get_deadline(
-        &self,
-        arr: &GmtArray,
-        offset: u64,
-        dest: &mut [u8],
-        deadline_ns: u64,
-    ) -> Result<(), GmtError> {
-        let prev = self.ctl.op_deadline();
-        self.set_op_deadline(deadline_ns);
-        let r = self
-            .reclaim_reply_delivery(|| self.spans_remote(arr, offset, dest.len() as u64))
-            .and_then(|()| {
-                // Safety: as in `get` — and on expiry, `wait_commands`
-                // disarms reply delivery before returning, so `dest` is
-                // never written after this frame is gone.
-                unsafe { self.get_nb(arr, offset, dest) };
-                self.wait_commands()
-            });
-        self.ctl.set_op_deadline(prev);
-        r
-    }
-
-    /// [`TaskCtx::get_value`] that cannot hang; see
-    /// [`TaskCtx::get_deadline`].
-    pub fn get_value_deadline<T: Scalar>(
-        &self,
-        arr: &GmtArray,
-        index: u64,
-        deadline_ns: u64,
-    ) -> Result<T, GmtError> {
-        let mut buf = [0u8; 16];
-        let buf = &mut buf[..T::SIZE];
-        self.get_deadline(arr, index * T::SIZE as u64, buf, deadline_ns)?;
-        Ok(T::read_le(buf))
-    }
-
     /// Nodes confirmed dead by the failure detector, ascending.
     pub fn dead_nodes(&self) -> Vec<NodeId> {
         self.node.membership.dead_nodes()
     }
 
     /// The membership epoch: bumped exactly once per confirmed death, so
-    /// converged survivors agree on it. Collectives pin the epoch at
-    /// creation and fail fast when it moves.
+    /// converged survivors agree on it. A `GlobalBarrier` pins the epoch at
+    /// creation and fails fast when it moves.
     pub fn membership_epoch(&self) -> u64 {
         self.node.membership.epoch()
-    }
-
-    /// A consistent point-in-time membership snapshot.
-    pub fn membership(&self) -> crate::runtime::MembershipView {
-        self.node.membership.view()
     }
 
     // ------------------------------------------------------------------
@@ -811,44 +727,12 @@ impl<'a> TaskCtx<'a> {
     /// Nodes already confirmed dead are skipped at spawn time (their
     /// share redistributes over the survivors). A peer dying *mid*-loop
     /// loses iterations with no meaningful partial result, so this
-    /// panics, mirroring `alloc`; use [`TaskCtx::parfor_report`] to handle
-    /// mid-loop deaths gracefully instead.
+    /// panics, mirroring `alloc`.
     pub fn parfor_args<F>(&self, policy: SpawnPolicy, iters: u64, chunk: u32, args: &[u8], f: F)
     where
         F: Fn(&TaskCtx<'_>, u64, &[u8]) + Send + Sync + 'static,
     {
-        self.parfor_args_report(policy, iters, chunk, args, f).assert_complete();
-    }
-
-    /// [`TaskCtx::parfor`] on a possibly degrading cluster: never panics
-    /// on peer death, instead reporting skipped nodes and lost iterations
-    /// in a [`ParForReport`] the caller can react to (retry elsewhere,
-    /// accept the partial result, abort).
-    pub fn parfor_report<F>(
-        &self,
-        policy: SpawnPolicy,
-        iters: u64,
-        chunk: u32,
-        f: F,
-    ) -> ParForReport
-    where
-        F: Fn(&TaskCtx<'_>, u64) + Send + Sync + 'static,
-    {
-        self.parfor_args_report(policy, iters, chunk, &[], move |ctx, i, _| f(ctx, i))
-    }
-
-    /// The per-iteration loops: `f` runs once for each index of a chunk.
-    fn parfor_args_report<F>(
-        &self,
-        policy: SpawnPolicy,
-        iters: u64,
-        chunk: u32,
-        args: &[u8],
-        f: F,
-    ) -> ParForReport
-    where
-        F: Fn(&TaskCtx<'_>, u64, &[u8]) + Send + Sync + 'static,
-    {
+        // The per-iteration loops: `f` runs once for each index of a chunk.
         self.spawn_blocks(
             policy,
             iters,
@@ -874,11 +758,13 @@ impl<'a> TaskCtx<'a> {
         F: Fn(&TaskCtx<'_>, std::ops::Range<u64>) + Send + Sync + 'static,
     {
         let body: Box<BodyFn> = Box::new(move |ctx, range, _| f(ctx, range));
-        self.spawn_blocks(policy, iters, chunk, &[], body).assert_complete();
+        self.spawn_blocks(policy, iters, chunk, &[], body);
     }
 
     /// Spawns the iteration blocks of one parallel loop and waits for
     /// them: the single implementation behind every `parfor*` entry point.
+    /// Panics if a destination died mid-loop (the no-error-surface
+    /// contract of the C `gmt_parFor`).
     fn spawn_blocks(
         &self,
         policy: SpawnPolicy,
@@ -886,17 +772,12 @@ impl<'a> TaskCtx<'a> {
         chunk: u32,
         args: &[u8],
         f: Box<BodyFn>,
-    ) -> ParForReport {
-        let mut report =
-            ParForReport { iterations: iters, completed: iters, ..ParForReport::default() };
+    ) {
         if iters == 0 {
-            return report;
+            return;
         }
         let chunk = chunk.max(1);
         let me = self.node.node_id;
-        if policy != SpawnPolicy::Local {
-            report.skipped_nodes = self.dead_nodes();
-        }
         let body = Arc::new(ParForBody { f });
         let args_arc: Arc<[u8]> = Arc::from(args);
         let is_dead = |n: NodeId| self.node.peer_is_dead(n);
@@ -943,28 +824,24 @@ impl<'a> TaskCtx<'a> {
         }
         if self.wait_commands().is_err() {
             // Attribute the loss per spawn block: every block whose
-            // destination is dead *now* counts as failed. A dying node
-            // may have finished some iterations before its death was
-            // confirmed, so this over-counts failures — never under.
+            // destination is dead *now* counts as lost. A dying node may
+            // have finished some iterations before its death was
+            // confirmed, so this over-counts the loss — never under. With
+            // no confirmed death behind the failure (e.g. a deadline
+            // expiry), every remote block counts.
+            let any_dead = splits.iter().any(|&(dst, _, _)| dst != me && is_dead(dst));
+            let (mut nodes, mut lost) = (Vec::new(), 0);
             for &(dst, _, count) in &splits {
-                if dst != me && self.node.peer_is_dead(dst) {
-                    report.failed += count;
-                    report.failed_nodes.push(dst);
+                if dst != me && (!any_dead || is_dead(dst)) {
+                    nodes.push(dst);
+                    lost += count;
                 }
             }
-            if report.failed == 0 {
-                // No confirmed death behind the failure (e.g. a deadline
-                // expiry): conservatively count every remote block lost.
-                for &(dst, _, count) in &splits {
-                    if dst != me {
-                        report.failed += count;
-                        report.failed_nodes.push(dst);
-                    }
-                }
-            }
-            report.completed = report.iterations - report.failed;
+            assert!(
+                lost == 0,
+                "gmt_parFor: node(s) {nodes:?} died while executing iterations ({lost} of {iters} lost)"
+            );
         }
-        report
     }
 
     #[inline]

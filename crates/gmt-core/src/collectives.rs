@@ -1,16 +1,14 @@
-//! Synchronization, reduction and data-exchange collectives built on the
-//! GMT primitives.
+//! Global synchronization built on the GMT primitives.
 //!
 //! The paper's API is deliberately lean: "GMT provides atomic operations
 //! such as gmt_atomicCAS() or gmt_atomicAdd(), enabling implementation of
 //! global synchronization constructs" (§III-E). This module is that
-//! sentence made concrete — counters, barriers, reducers, broadcast and
-//! all-to-all composed from the Table I primitives, with no new runtime
-//! machinery.
+//! sentence made concrete — a counter and a barrier composed from the
+//! Table I atomics, with no new runtime machinery.
 //!
 //! # Failure semantics on a degraded cluster
 //!
-//! Every collective returns `Result` instead of panicking or hanging:
+//! Both return `Result` instead of panicking or hanging:
 //!
 //! - [`GlobalCounter`] operations surface the owner's death as
 //!   `Err(GmtError::RemoteDead)`.
@@ -21,17 +19,10 @@
 //!   fast everywhere is the only non-hanging semantics. Survivors
 //!   re-form by creating a fresh barrier over the remaining parties (the
 //!   new barrier pins the *new* epoch, so prior deaths don't poison it).
-//! - [`broadcast`] and [`alltoall`] skip nodes already confirmed dead
-//!   (degraded `Ok`: skipped/missing slots are reported) and return
-//!   `Err` only when a peer dies mid-exchange.
-//! - [`reduce_sum`] / [`reduce_max`] run on [`TaskCtx::parfor_report`]
-//!   and convert lost iterations or failed element reads into `Err`.
 
-use crate::api::{SpawnPolicy, TaskCtx};
+use crate::api::TaskCtx;
 use crate::error::GmtError;
 use crate::handle::{Distribution, GmtArray};
-use crate::value::Scalar;
-use crate::NodeId;
 
 /// The error a collective reports when the membership epoch moved under
 /// it: blames the first confirmed-dead node (0 failed operations — the
@@ -141,190 +132,6 @@ impl GlobalBarrier {
     }
 }
 
-/// Broadcasts `value` into a one-element-per-node array: slot `i` of
-/// `arr` (which must hold at least `ctx.nodes()` elements of `T`) is the
-/// copy node `i` reads locally afterwards.
-///
-/// Nodes already confirmed dead are skipped and returned (degraded `Ok`
-/// — their slots stay untouched); a peer dying *mid*-broadcast surfaces
-/// as `Err(GmtError::RemoteDead)`.
-pub fn broadcast<T: Scalar>(
-    ctx: &TaskCtx<'_>,
-    arr: &GmtArray,
-    value: T,
-) -> Result<Vec<NodeId>, GmtError> {
-    let skipped: Vec<NodeId> = ctx.dead_nodes();
-    for i in 0..ctx.nodes() {
-        if !skipped.contains(&i) {
-            ctx.put_value_nb::<T>(arr, i as u64, value);
-        }
-    }
-    ctx.wait_commands()?;
-    Ok(skipped)
-}
-
-/// One participant's half of an all-to-all exchange over an `n × n`
-/// element matrix (`arr`, row-major, `n = ctx.nodes()`): writes
-/// `outgoing[j]` into slot `(j, me)` for every alive node `j`, crosses
-/// `barrier`, then reads back row `me` — slot `(me, i)` being node `i`'s
-/// contribution to this node.
-///
-/// Nodes confirmed dead at the start are skipped on the send side and
-/// reported as `None` on the receive side (degraded `Ok`); a death
-/// mid-exchange fails the barrier (its epoch moved) and surfaces as
-/// `Err(GmtError::RemoteDead)` on every survivor.
-///
-/// All participants must call this with the same `arr` and `barrier`
-/// (whose party count matches the participant count).
-pub fn alltoall<T: Scalar>(
-    ctx: &TaskCtx<'_>,
-    arr: &GmtArray,
-    outgoing: &[T],
-    barrier: &GlobalBarrier,
-) -> Result<Vec<Option<T>>, GmtError> {
-    let n = ctx.nodes();
-    assert_eq!(outgoing.len(), n, "one outgoing element per node");
-    let me = ctx.node_id() as u64;
-    let dead = ctx.dead_nodes();
-    for (j, &v) in outgoing.iter().enumerate() {
-        if !dead.contains(&j) {
-            ctx.put_value_nb::<T>(arr, j as u64 * n as u64 + me, v);
-        }
-    }
-    ctx.wait_commands()?;
-    // Everyone's writes are globally visible before anyone reads.
-    barrier.wait(ctx)?;
-    let mut incoming = Vec::with_capacity(n);
-    for i in 0..n {
-        if dead.contains(&i) {
-            incoming.push(None);
-        } else {
-            incoming.push(Some(ctx.get_value::<T>(arr, me * n as u64 + i as u64)?));
-        }
-    }
-    Ok(incoming)
-}
-
-/// Converts a degraded [`crate::api::ParForReport`] (or a raised error
-/// flag) into the `Err` a reduction reports.
-fn reduction_error(ctx: &TaskCtx<'_>, report: &crate::api::ParForReport) -> GmtError {
-    let node = report
-        .failed_nodes
-        .first()
-        .copied()
-        .or_else(|| ctx.dead_nodes().first().copied())
-        .unwrap_or(0);
-    GmtError::RemoteDead { node, failed_ops: report.failed.min(u32::MAX as u64) as u32 }
-}
-
-/// Cluster-wide sum reduction over a slice of a global i64 array,
-/// computed with a partitioned parallel loop (each task accumulates a
-/// chunk locally and contributes one atomic add). A node death during
-/// the reduction returns `Err(GmtError::RemoteDead)` — the partial sum
-/// is meaningless, so none is surfaced.
-pub fn reduce_sum(ctx: &TaskCtx<'_>, arr: &GmtArray, elements: u64) -> Result<i64, GmtError> {
-    if elements == 0 {
-        return Ok(0);
-    }
-    let acc = GlobalCounter::new(ctx, Distribution::Local);
-    // One extra word: tasks raise it when an element read or the
-    // accumulator add fails (the parFor body cannot return a Result).
-    let flag = GlobalCounter::new(ctx, Distribution::Local);
-    let arr = *arr;
-    // Chunked accumulation: one atomic add per task, not per element.
-    let chunk = 64u32;
-    let report = ctx.parfor_report(
-        SpawnPolicy::Partition,
-        elements.div_ceil(chunk as u64),
-        4,
-        move |ctx, task_idx| {
-            let lo = task_idx * chunk as u64;
-            let hi = (lo + chunk as u64).min(elements);
-            let mut local = 0i64;
-            for i in lo..hi {
-                match ctx.get_value::<i64>(&arr, i) {
-                    Ok(v) => local = local.wrapping_add(v),
-                    Err(_) => {
-                        // Best-effort: the flag's owner is the reducing
-                        // node, which is alive from its own perspective.
-                        let _ = flag.add(ctx, 1);
-                        return;
-                    }
-                }
-            }
-            if local != 0 && acc.add(ctx, local).is_err() {
-                let _ = flag.add(ctx, 1);
-            }
-        },
-    );
-    let failed = report.failed > 0 || flag.get(ctx)? > 0;
-    let total = acc.get(ctx);
-    acc.free(ctx);
-    flag.free(ctx);
-    if failed {
-        return Err(reduction_error(ctx, &report));
-    }
-    total
-}
-
-/// Cluster-wide max reduction (CAS loop), same structure and failure
-/// semantics as [`reduce_sum`].
-pub fn reduce_max(ctx: &TaskCtx<'_>, arr: &GmtArray, elements: u64) -> Result<i64, GmtError> {
-    assert!(elements > 0, "max of an empty range");
-    let best = ctx.alloc(8, Distribution::Local);
-    ctx.put_value::<i64>(&best, 0, i64::MIN)?;
-    let flag = GlobalCounter::new(ctx, Distribution::Local);
-    let arr = *arr;
-    let chunk = 64u32;
-    let report = ctx.parfor_report(
-        SpawnPolicy::Partition,
-        elements.div_ceil(chunk as u64),
-        4,
-        move |ctx, task_idx| {
-            let lo = task_idx * chunk as u64;
-            let hi = (lo + chunk as u64).min(elements);
-            let mut local = i64::MIN;
-            for i in lo..hi {
-                match ctx.get_value::<i64>(&arr, i) {
-                    Ok(v) => local = local.max(v),
-                    Err(_) => {
-                        let _ = flag.add(ctx, 1);
-                        return;
-                    }
-                }
-            }
-            loop {
-                let cur = match ctx.atomic_add(&best, 0, 0) {
-                    Ok(c) => c,
-                    Err(_) => {
-                        let _ = flag.add(ctx, 1);
-                        return;
-                    }
-                };
-                if local <= cur {
-                    break;
-                }
-                match ctx.atomic_cas(&best, 0, cur, local) {
-                    Ok(old) if old == cur => break,
-                    Ok(_) => continue,
-                    Err(_) => {
-                        let _ = flag.add(ctx, 1);
-                        return;
-                    }
-                }
-            }
-        },
-    );
-    let failed = report.failed > 0 || flag.get(ctx)? > 0;
-    let m = ctx.get_value::<i64>(&best, 0);
-    ctx.free(best);
-    flag.free(ctx);
-    if failed {
-        return Err(reduction_error(ctx, &report));
-    }
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -393,87 +200,5 @@ mod tests {
         });
         cluster.shutdown();
         assert_eq!(v, 12);
-    }
-
-    #[test]
-    fn reductions_match_sequential() {
-        let cluster = Cluster::start(3, Config::small()).unwrap();
-        let (sum, max) = cluster.node(0).run(|ctx| {
-            let n = 500u64;
-            let arr = ctx.alloc(n * 8, Distribution::Partition);
-            ctx.parfor(SpawnPolicy::Partition, n, 16, move |ctx, i| {
-                let v = (i as i64 - 250) * 3;
-                ctx.put_value_nb::<i64>(&arr, i, v);
-                ctx.wait_commands().unwrap();
-            });
-            let s = reduce_sum(ctx, &arr, n).unwrap();
-            let m = reduce_max(ctx, &arr, n).unwrap();
-            ctx.free(arr);
-            (s, m)
-        });
-        cluster.shutdown();
-        let expected_sum: i64 = (0..500).map(|i| (i - 250) * 3).sum();
-        assert_eq!(sum, expected_sum);
-        assert_eq!(max, (499 - 250) * 3);
-    }
-
-    #[test]
-    fn reduce_sum_of_empty_range_is_zero() {
-        let cluster = Cluster::start(1, Config::small()).unwrap();
-        let s = cluster.node(0).run(|ctx| {
-            let arr = ctx.alloc(8, Distribution::Local);
-            let s = reduce_sum(ctx, &arr, 0).unwrap();
-            ctx.free(arr);
-            s
-        });
-        cluster.shutdown();
-        assert_eq!(s, 0);
-    }
-
-    #[test]
-    fn broadcast_reaches_every_node_slot() {
-        let cluster = Cluster::start(3, Config::small()).unwrap();
-        let values = cluster.node(1).run(|ctx| {
-            let arr = ctx.alloc(ctx.nodes() as u64 * 8, Distribution::Partition);
-            let skipped = broadcast::<i64>(ctx, &arr, 42).unwrap();
-            assert!(skipped.is_empty());
-            let mut out = Vec::new();
-            for i in 0..ctx.nodes() as u64 {
-                out.push(ctx.get_value::<i64>(&arr, i).unwrap());
-            }
-            ctx.free(arr);
-            out
-        });
-        cluster.shutdown();
-        assert_eq!(values, vec![42, 42, 42]);
-    }
-
-    #[test]
-    fn alltoall_exchanges_every_pair() {
-        // One participant task per node; node i sends 10*i + j to node j.
-        let cluster = Cluster::start(3, Config::small()).unwrap();
-        let bad = cluster.node(0).run(|ctx| {
-            let n = ctx.nodes() as u64;
-            let matrix = ctx.alloc(n * n * 8, Distribution::Partition);
-            let bar = GlobalBarrier::new(ctx, n);
-            let bad = GlobalCounter::new(ctx, Distribution::Local);
-            ctx.parfor(SpawnPolicy::Partition, n, 1, move |ctx, _| {
-                let me = ctx.node_id() as i64;
-                let outgoing: Vec<i64> = (0..n as i64).map(|j| 10 * me + j).collect();
-                let incoming = alltoall::<i64>(ctx, &matrix, &outgoing, &bar).unwrap();
-                for (i, v) in incoming.iter().enumerate() {
-                    if *v != Some(10 * i as i64 + me) {
-                        bad.add(ctx, 1).unwrap();
-                    }
-                }
-            });
-            let v = bad.get(ctx).unwrap();
-            bar.free(ctx);
-            bad.free(ctx);
-            ctx.free(matrix);
-            v
-        });
-        cluster.shutdown();
-        assert_eq!(bad, 0);
     }
 }

@@ -85,25 +85,6 @@ impl GmtArray {
         GmtArray { id, nbytes, dist, origin, dead_mask, block }
     }
 
-    /// Allocation id (unique within a cluster's lifetime).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// Total size in bytes.
-    pub fn len(&self) -> u64 {
-        self.nbytes
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.nbytes == 0
-    }
-
-    /// Distribution policy this array was allocated with.
-    pub fn distribution(&self) -> Distribution {
-        self.dist
-    }
-
     /// The layout of this array on the cluster of `nodes` nodes it was
     /// allocated on: the placement [`Layout::degraded`] validated and sized
     /// then, reassembled without redoing either.

@@ -64,14 +64,14 @@ pub(crate) mod tls;
 pub mod value;
 pub(crate) mod worker;
 
-pub use api::{ParForReport, SpawnPolicy, TaskCtx};
-pub use collectives::{alltoall, broadcast, reduce_max, reduce_sum, GlobalBarrier, GlobalCounter};
+pub use api::{SpawnPolicy, TaskCtx};
+pub use collectives::{GlobalBarrier, GlobalCounter};
 pub use config::Config;
 pub use error::GmtError;
 pub use gmt_metrics::{HistogramSnapshot, MetricsSnapshot};
 pub use handle::{Distribution, GmtArray};
 pub use metrics::NodeMetrics;
-pub use runtime::{Cluster, MembershipView, NodeHandle, NodeRuntime};
+pub use runtime::{Cluster, NodeHandle, NodeRuntime};
 pub use value::Scalar;
 
 /// The pluggable transport abstraction (re-exported from `gmt-net`):

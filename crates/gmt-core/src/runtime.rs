@@ -45,15 +45,6 @@ pub struct Membership {
     epoch: AtomicU64,
 }
 
-/// A consistent point-in-time membership view.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MembershipView {
-    /// Deaths confirmed so far (monotonic).
-    pub epoch: u64,
-    /// The confirmed-dead node ids, ascending.
-    pub dead: Vec<NodeId>,
-}
-
 impl Membership {
     fn new(nodes: usize) -> Self {
         Membership {
@@ -88,23 +79,11 @@ impl Membership {
     pub fn dead_nodes(&self) -> Vec<NodeId> {
         (0..self.dead.len()).filter(|&n| self.is_dead(n)).collect()
     }
-
-    /// A consistent snapshot: the epoch is re-read after collecting the
-    /// dead set and the collection retried if a death landed in between.
-    pub fn view(&self) -> MembershipView {
-        loop {
-            let epoch = self.epoch();
-            let dead = self.dead_nodes();
-            if self.epoch() == epoch {
-                return MembershipView { epoch, dead };
-            }
-        }
-    }
 }
 
 /// Per-peer flow-control state, published by the communication server
-/// (the only writer) and read by the stuck-task watchdog and
-/// [`NodeHandle::backpressured_peers`]. A peer is *backpressured* while
+/// (the only writer) and read by the stuck-task watchdog. A peer is
+/// *backpressured* while
 /// the reliability layer holds buffers for it because its in-flight
 /// window is full — the peer is slow or its link is throttled, but it is
 /// **not** dead. Emitters never read it: a full window's one answer is
@@ -128,11 +107,6 @@ impl FlowState {
     /// Is the window toward `dst` currently full?
     pub fn is_backpressured(&self, dst: NodeId) -> bool {
         self.backpressured[dst].load(Ordering::Acquire)
-    }
-
-    /// Every currently backpressured peer, ascending.
-    pub fn backpressured_peers(&self) -> Vec<NodeId> {
-        (0..self.backpressured.len()).filter(|&d| self.is_backpressured(d)).collect()
     }
 }
 
@@ -497,25 +471,13 @@ impl NodeHandle {
         self.shared.membership.epoch()
     }
 
-    /// A consistent snapshot of this node's membership view.
-    pub fn membership(&self) -> MembershipView {
-        self.shared.membership.view()
-    }
-
     /// Runs a watchdog sweep now and returns the number of tasks parked on
     /// remote completions past the configured deadline. Tasks waiting on
-    /// a [backpressured](Self::backpressured_peers) peer are reported
-    /// separately, never as stuck.
+    /// a backpressured peer (its window full, but alive) are counted in
+    /// `watchdog.backpressure_deferrals`, never as stuck.
     pub fn stuck_tasks(&self) -> usize {
         let now = self.shared.agg.tick();
         self.shared.sweep_stuck_tasks(now)
-    }
-
-    /// Peers this node currently holds traffic for because their
-    /// in-flight window is full (slow or throttled, but **alive** —
-    /// disjoint from [`dead_peers`](Self::dead_peers)).
-    pub fn backpressured_peers(&self) -> Vec<NodeId> {
-        self.shared.flow.backpressured_peers()
     }
 
     /// Live global allocations on this node.
@@ -963,11 +925,6 @@ impl NodeRuntime {
         &self.node
     }
 
-    /// This node's id.
-    pub fn id(&self) -> NodeId {
-        self.node.id()
-    }
-
     /// Cluster size.
     pub fn nodes(&self) -> usize {
         self.node.shared().nodes
@@ -1019,16 +976,18 @@ mod tests {
     #[test]
     fn flow_state_tracks_backpressured_peers() {
         let flow = FlowState::new(4);
-        assert!(flow.backpressured_peers().is_empty());
+        let marked =
+            |flow: &FlowState| (0..4).filter(|&d| flow.is_backpressured(d)).collect::<Vec<_>>();
+        assert!(marked(&flow).is_empty());
         flow.set_backpressured(2, true);
         flow.set_backpressured(2, true); // idempotent
         assert!(flow.is_backpressured(2));
-        assert_eq!(flow.backpressured_peers(), vec![2]);
+        assert_eq!(marked(&flow), vec![2]);
         flow.set_backpressured(1, true);
-        assert_eq!(flow.backpressured_peers(), vec![1, 2]);
+        assert_eq!(marked(&flow), vec![1, 2]);
         flow.set_backpressured(2, false);
         flow.set_backpressured(2, false); // idempotent clear
         flow.set_backpressured(1, false);
-        assert!(flow.backpressured_peers().is_empty());
+        assert!(marked(&flow).is_empty());
     }
 }

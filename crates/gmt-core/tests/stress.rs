@@ -130,10 +130,12 @@ fn deeply_nested_parfor() {
 
 /// The op table grows on demand and empties at shutdown. Three nested
 /// loops keep 600 tasks alive on one worker at once — each parks on polls
-/// of a remote counter that releases nobody before all 600 arrived, and
-/// the soft task cap admits the next one whenever every live task is
-/// parked — which is more than two table chunks hold. Every task retires
-/// with nothing pending, so every slot must be free again afterwards.
+/// of a remote word that the 600th arrival sets only after it sampled the
+/// table, and the soft task cap admits the next one whenever every live
+/// task is parked — which is more than two table chunks hold. Polling the
+/// arrival count instead would let a task that read 600 retire before the
+/// last adder's own reply woke it to sample. Every task retires with
+/// nothing pending, so every slot must be free again afterwards.
 #[test]
 fn op_table_grows_past_a_chunk_and_empties() {
     use gmt_core::task::CHUNK_SLOTS;
@@ -146,14 +148,16 @@ fn op_table_grows_past_a_chunk_and_empties() {
     let peak = Arc::new(AtomicUsize::new(0));
     let (node0, peak2) = (Arc::clone(&shared[0]), Arc::clone(&peak));
     cluster.node(0).run(move |ctx| {
-        let arrived = ctx.alloc(8, Distribution::Remote);
+        // Word 0 counts arrivals; word 1 is set once the peak is sampled.
+        let arrived = ctx.alloc(16, Distribution::Remote);
         ctx.parfor(SpawnPolicy::Local, 3, 1, move |ctx, _| {
             let (node0, peak) = (Arc::clone(&node0), Arc::clone(&peak2));
             ctx.parfor(SpawnPolicy::Local, TASKS as u64 / 3, 1, move |ctx, _| {
                 if ctx.atomic_add(&arrived, 0, 1).unwrap() + 1 == TASKS {
                     peak.store(node0.ops.bound_slots(), Ordering::Relaxed);
+                    ctx.put_value::<i64>(&arrived, 1, 1).unwrap();
                 }
-                while ctx.get_value::<i64>(&arrived, 0).unwrap() < TASKS {}
+                while ctx.get_value::<i64>(&arrived, 1).unwrap() == 0 {}
             });
         });
         ctx.free(arrived);

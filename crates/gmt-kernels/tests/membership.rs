@@ -89,11 +89,12 @@ fn kill_config() -> Config {
     Config { peer_death_timeout_ns: 10_000_000_000, ..Config::small() }
 }
 
-/// Tentpole acceptance: kill 2 of 8 nodes under an in-flight collective.
-/// Every survivor converges on the identical `{3, 6}` dead set and epoch,
-/// the spinning barrier wait returns `Err(RemoteDead)` on a survivor
-/// (never hangs), degraded alloc/parfor/free work over the survivors,
-/// and the pools are whole after shutdown.
+/// Kill 2 of 8 nodes under a spinning barrier wait. Every survivor
+/// converges on the identical `{3, 6}` dead set and epoch, the wait
+/// returns `Err(RemoteDead)` on a survivor (never hangs), degraded
+/// alloc/free work over the survivors, a partitioned `parfor` runs every
+/// iteration exactly once on the survivors (nodes 3 and 6 run none), and
+/// the pools are whole after shutdown.
 #[test]
 fn eight_node_kill_converges_membership_and_fails_collectives() {
     let seed = seed_from_env(0x8DEA);
@@ -132,22 +133,33 @@ fn eight_node_kill_converges_membership_and_fails_collectives() {
 
     // Degraded-mode liveness: allocation skips the dead, a partitioned
     // parFor redistributes their share, and free swallows (and counts)
-    // what can no longer be released.
-    let (skipped, failed) = cluster.node(0).run(move |ctx| {
+    // what can no longer be released. The loop tallies, on node 0, how
+    // often each iteration ran and how many iterations each node ran.
+    let (runs, per_node) = cluster.node(0).run(move |ctx| {
         let arr = ctx.alloc(64 * 8, Distribution::Partition);
-        let report = ctx.parfor_report(SpawnPolicy::Partition, 64, 4, move |ctx, i| {
-            // Touch only extents owned by survivors: elements map to
-            // nodes in 8-element blocks (64*8 bytes over 8 nodes).
-            let owner = (i / 8) as usize;
-            if owner != 3 && owner != 6 {
-                ctx.put_value::<u64>(&arr, i, i).unwrap();
-            }
+        let runs = ctx.alloc(64 * 8, Distribution::Local);
+        let per_node = ctx.alloc(8 * 8, Distribution::Local);
+        ctx.parfor(SpawnPolicy::Partition, 64, 4, move |ctx, i| {
+            ctx.atomic_add(&runs, i * 8, 1).unwrap();
+            ctx.atomic_add(&per_node, ctx.node_id() as u64 * 8, 1).unwrap();
+            // The survivor-only layout maps every element to a survivor.
+            ctx.put_value::<u64>(&arr, i, i).unwrap();
         });
+        let tally = (
+            ctx.gather::<i64>(&runs, &(0..64).collect::<Vec<_>>()).unwrap(),
+            ctx.gather::<i64>(&per_node, &(0..8).collect::<Vec<_>>()).unwrap(),
+        );
         ctx.free(arr);
-        (report.skipped_nodes.clone(), report.failed)
+        ctx.free(runs);
+        ctx.free(per_node);
+        tally
     });
-    assert_eq!(skipped, dead, "parfor_report did not skip the dead (seed {seed})");
-    assert_eq!(failed, 0, "parfor over survivors lost iterations (seed {seed})");
+    assert!(
+        runs.iter().all(|&r| r == 1),
+        "iterations did not run once each: {runs:?} (seed {seed})"
+    );
+    assert_eq!(per_node.iter().sum::<i64>(), 64, "iterations per node {per_node:?} (seed {seed})");
+    assert_eq!((per_node[3], per_node[6]), (0, 0), "the dead ran iterations (seed {seed})");
     let snap = cluster.node(0).metrics_snapshot();
     assert!(
         snap.counter("free.remote_dead_swallowed").unwrap_or(0) >= 2,
@@ -220,9 +232,10 @@ fn silent_peer_is_confirmed_dead_by_heartbeat_timeout() {
 /// Watchdog escalation: a silent partition is undetectable while the test
 /// runs — no backend reports a dropped frame as a link going down, and a
 /// 60 s death timeout outlasts the test, so silence confirms no death
-/// either. Only the operation deadline bounds the wait:
-/// `get_value_deadline` must return `Err(DeadlineExceeded)` instead of
-/// hanging, and local work must still run afterwards.
+/// either. Only the operation deadline bounds the wait: with a 300 ms
+/// deadline set on the task, `get_value` must return
+/// `Err(DeadlineExceeded)` instead of hanging, and local work must still
+/// run afterwards.
 #[test]
 fn deadline_bounds_the_wait_when_detection_is_impossible() {
     let seed = seed_from_env(0xDD11);
@@ -243,8 +256,9 @@ fn deadline_bounds_the_wait_when_detection_is_impossible() {
     let (tx, rx) = mpsc::channel();
     cluster.node(0).shared().root_queue.push(RootTask {
         f: Box::new(move |ctx| {
-            // Tighter per-call deadline overrides the config-wide one.
-            let first = ctx.get_value_deadline::<u64>(&arr, 20, 300_000_000);
+            // A tighter per-task deadline overrides the config-wide one.
+            ctx.set_op_deadline(300_000_000);
+            let first = ctx.get_value::<u64>(&arr, 20);
             // The abandoned straggler can never complete behind the
             // partition, so this task is now *poisoned*: every later
             // blocking wait on it errs within a bounded time instead of
