@@ -1,6 +1,6 @@
 //! Safe stackful coroutines on top of [`crate::arch`].
 //!
-//! A [`Coroutine`] owns a [`Stack`](crate::stack::Stack) and a suspended
+//! A [`Coroutine`] owns a [`Stack`] and a suspended
 //! execution context. The owner drives it with [`Coroutine::resume`]; the
 //! coroutine body receives a [`Yielder`] and suspends itself with
 //! [`Yielder::yield_now`]. This is exactly the shape the GMT worker

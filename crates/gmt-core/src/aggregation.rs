@@ -32,7 +32,7 @@
 //! `Vec`s of `buffer_size` capacity, so a `Vec` can serve as either and
 //! the trade above conserves the count of each pool.
 //!
-//! A buffer therefore ships for one of three reasons ([`FlushCause`]):
+//! A buffer therefore ships for one of three reasons (`FlushCause`):
 //! it is **full**, a **timeout** fired on a thread that is busy with
 //! other work ([`CommandSink::pump`]), or its thread went **idle**
 //! ([`CommandSink::flush_idle`]) — a sender with nothing more to send
@@ -429,9 +429,17 @@ impl AggShared {
     /// can only *lower* the clock by one tick interval, which is within
     /// the documented timeout slack).
     pub fn tick(&self) -> u64 {
-        let now = self.start.elapsed().as_nanos() as u64;
-        self.clock_ns.store(now.max(1), Ordering::Relaxed);
-        now.max(1)
+        let now = self.elapsed_ns();
+        self.clock_ns.store(now, Ordering::Relaxed);
+        now
+    }
+
+    /// The time [`tick`](Self::tick) would publish, read without
+    /// publishing it: for a thread that times its own work against the
+    /// node's clock but must leave the coarse clock to the communication
+    /// server (a TCP reader stepping the link).
+    pub fn elapsed_ns(&self) -> u64 {
+        (self.start.elapsed().as_nanos() as u64).max(1)
     }
 
     /// The coarse clock's latest tick: one relaxed load, no syscall.

@@ -27,9 +27,9 @@
 //!
 //! [`CommandSink::flush_idle`]: crate::aggregation::CommandSink::flush_idle
 
-use crate::runtime::NodeShared;
+use crate::runtime::{NodeShared, NodeSleepers};
 use crate::tls;
-use std::sync::atomic::{fence, AtomicBool, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::task::{Wake, Waker};
 use std::thread::Thread;
@@ -146,6 +146,90 @@ impl SleeperSet {
     }
 }
 
+/// The deadlines a TCP reader's step leaves owed while the communication
+/// server sleeps past them — almost always an ack owed in `ACK_DELAY_NS` —
+/// and the thread that wakes the server for them.
+///
+/// A reader [`lower`](Self::lower)s the earliest such deadline; the
+/// server, at the start of every sweep, [`clear`](Self::clear)s it, since
+/// its sweeps serve every timer and its next sleep counts what readers
+/// stepped. In between, the ticker thread ([`run`](Self::run)) wakes the
+/// server once the deadline has passed, parked until it at most a period
+/// at a time (a deadline lowered meanwhile wakes nobody); with nothing
+/// owed it parks untimed until [`wake`](Self::wake)d — the
+/// flag-and-recheck handshake of [`Sleeper`].
+///
+/// Who wakes it. A read that handed frames to the helpers does not: the
+/// helpers it woke, and the workers they wake, usually send next — a
+/// reply, the next request — and the server's sweep for that serves the
+/// deadline. So the last of the node's workers and helpers to go to sleep
+/// without having woken the server wakes the ticker ([`sleep_idle`]). A
+/// read that handed the helpers nothing wakes it itself, and so does any
+/// read that finds a deadline still owed past its time.
+pub struct Ticker {
+    /// The earliest owed deadline on the node's clock, `u64::MAX` with
+    /// none.
+    due: AtomicU64,
+    sleeper: Sleeper,
+}
+
+impl Default for Ticker {
+    fn default() -> Self {
+        Ticker { due: AtomicU64::new(u64::MAX), sleeper: Sleeper::default() }
+    }
+}
+
+impl Ticker {
+    /// A reader left `due` owed: whether it is the first owed deadline,
+    /// which may find the ticker parked untimed and needs a
+    /// [`wake`](Self::wake). A later one finds it parked at most a period.
+    pub fn lower(&self, due: u64) -> bool {
+        self.due.fetch_min(due, Ordering::Relaxed) == u64::MAX
+    }
+
+    /// The earliest owed deadline, `u64::MAX` with none.
+    pub fn owed(&self) -> u64 {
+        self.due.load(Ordering::Relaxed)
+    }
+
+    /// The server sweeps: nothing is owed past it any more.
+    pub fn clear(&self) {
+        if self.owed() != u64::MAX {
+            self.due.store(u64::MAX, Ordering::Relaxed);
+        }
+    }
+
+    /// Wakes the ticker thread if it parks untimed. Call after the
+    /// deadline is owed (or the stop is set).
+    pub fn wake(&self) {
+        self.sleeper.wake();
+    }
+
+    /// The ticker thread: wakes `server` once `now_ns()` has passed the
+    /// owed deadline, parked until it at most `period` at a time, and
+    /// parks untimed while none is owed. Returns once `stopping()` holds.
+    pub fn run(
+        &self,
+        period: Duration,
+        now_ns: impl Fn() -> u64,
+        server: &Sleeper,
+        stopping: impl Fn() -> bool,
+    ) {
+        self.sleeper.register();
+        while !stopping() {
+            let (due, now) = (self.owed(), now_ns());
+            if due == u64::MAX {
+                self.sleeper.sleep(None, || self.owed() != u64::MAX || stopping());
+            } else if now >= due {
+                self.due.store(u64::MAX, Ordering::Relaxed);
+                server.wake();
+            } else {
+                std::thread::park_timeout(Duration::from_nanos(due - now).min(period));
+            }
+        }
+    }
+}
+
 /// The idle-edge bit of a main loop: a pass that made progress arms it,
 /// the first idle pass after that disarms it and runs the edge hook. It
 /// also remembers whether the last idle pass left blocks stranded.
@@ -182,7 +266,9 @@ pub(crate) fn wake_comm_on_backlog(node: &NodeShared, chan: usize) {
 /// blocks are stranded by a dry pool — it flushes what the thread holds
 /// and wakes the communication server for what that filled. Then it
 /// sleeps until `has_work`, a stop, or (while stranded) a buffer coming
-/// back to its pool. Returns whether it parked.
+/// back to its pool; if it woke no server and is the node's last worker
+/// or helper to sleep, it wakes the ticker for what a TCP reader left
+/// owed. Returns whether it parked.
 ///
 /// The aggregation queues are the node's, and any thread's pool may ship
 /// them: a thread that becomes stranded wakes the node's other workers
@@ -208,10 +294,33 @@ pub(crate) fn sleep_idle(
         node.sleepers.helpers.wake_all();
     }
     let channel = node.agg.channel(chan);
-    if channel.backlog() > 0 {
+    // The server's sweep for what this pass filled also serves whatever
+    // the TCP readers left owed.
+    let woke_comm = channel.backlog() > 0;
+    if woke_comm {
         node.sleepers.comm.wake();
     }
-    me.sleep(None, || has_work() || node.stopping() || (stranded && channel.free_buffers() > 0))
+    me.sleep(None, || {
+        let work = has_work() || node.stopping() || (stranded && channel.free_buffers() > 0);
+        if !work && !woke_comm {
+            cover_owed(&node.sleepers, me);
+        }
+        work
+    })
+}
+
+/// Wakes the ticker for a deadline a TCP reader left owed ([`Ticker`]) if
+/// every other worker and helper of the node sleeps too: none of them is
+/// left to send, so nothing else would wake the server. Called from a
+/// sleep's recheck, with `me`'s flag up and fenced: of two threads that
+/// go to sleep together, one sees the other's flag.
+fn cover_owed(sleepers: &NodeSleepers, me: &Sleeper) {
+    let asleep =
+        |set: &SleeperSet| set.sleepers.iter().all(|s| std::ptr::eq(&**s, me) || s.is_asleep());
+    if sleepers.ticker.owed() != u64::MAX && asleep(&sleepers.workers) && asleep(&sleepers.helpers)
+    {
+        sleepers.ticker.wake();
+    }
 }
 
 #[cfg(test)]
@@ -306,6 +415,313 @@ mod tests {
         match consumer.join().expect("consumer") {
             Ok(parks) => assert!(parks > 0, "the sleeper never parked, so nothing was tested"),
             Err(round) => panic!("lost wakeup in round {round}: parked past {LOST_AFTER:?}"),
+        }
+    }
+
+    /// A ticker thread over `ticker`, waking `server`, timing against a
+    /// clock that starts with the test; it stops once `stop` is set.
+    fn spawn_ticker(
+        ticker: &Arc<Ticker>,
+        server: &Arc<Sleeper>,
+        period: Duration,
+        stop: &Arc<AtomicBool>,
+    ) -> std::thread::JoinHandle<()> {
+        let (ticker, server, stop) = (Arc::clone(ticker), Arc::clone(server), Arc::clone(stop));
+        let start = Instant::now();
+        std::thread::spawn(move || {
+            let now_ns = || start.elapsed().as_nanos() as u64;
+            ticker.run(period, now_ns, &server, || stop.load(Ordering::Relaxed));
+        })
+    }
+
+    /// What a reader whose read delivered nothing does with a deadline it
+    /// leaves owed.
+    fn owe(ticker: &Ticker, due: u64) {
+        if ticker.lower(due) {
+            ticker.wake();
+        }
+    }
+
+    fn stop_ticker(ticker: &Ticker, stop: &AtomicBool, thread: std::thread::JoinHandle<()>) {
+        stop.store(true, Ordering::Relaxed);
+        ticker.wake();
+        thread.join().expect("ticker");
+    }
+
+    /// A deadline a reader lowers while the server sleeps untimed wakes
+    /// the server once it has passed — not at the first look, which comes
+    /// before it — and within a period of it.
+    #[test]
+    fn an_owed_deadline_wakes_the_sleeping_server_within_a_period() {
+        const PERIOD: Duration = Duration::from_millis(10);
+        const OWED_IN: Duration = Duration::from_millis(25);
+        let (ticker, server) = (Arc::new(Ticker::default()), Arc::new(Sleeper::default()));
+        server.register();
+        let stop = Arc::new(AtomicBool::new(false));
+        let thread = spawn_ticker(&ticker, &server, PERIOD, &stop);
+        let t0 = Instant::now();
+        owe(&ticker, OWED_IN.as_nanos() as u64);
+        let fired = || ticker.due.load(Ordering::Relaxed) == u64::MAX;
+        while !fired() && t0.elapsed() < Duration::from_secs(5) {
+            server.sleep(Some(Duration::from_secs(5)), fired);
+        }
+        let woke = t0.elapsed();
+        stop_ticker(&ticker, &stop, thread);
+        assert!(fired(), "the server was never woken for the owed deadline");
+        assert!(woke >= OWED_IN, "woken {woke:?} in, before the deadline");
+        // One period past the deadline, and two more for a loaded host.
+        assert!(woke < OWED_IN + 3 * PERIOD, "woken {woke:?} in, past a period");
+    }
+
+    /// A reader's owed deadline against the ticker's untimed park, round after
+    /// round, as `no_wakeup_is_lost` hammers the plain sleeper. Each round
+    /// owes a deadline already past; the ticker fires it and heads for its
+    /// untimed park, and the reader lowers the next one the moment it sees
+    /// the fire, its start staggered across rounds so the lower meets the
+    /// ticker at every distance from its flag. A lost wake leaves the
+    /// ticker parked with the deadline owed until `LOST_AFTER`; one such
+    /// round fails the test. Without the ticker's recheck a debug build
+    /// loses one within the first rounds, an optimized one in some runs.
+    /// (With no fire seen the reader lowers nothing, so the server's side
+    /// is `an_owed_deadline_wakes_the_sleeping_server_within_a_period`.)
+    #[test]
+    fn no_owed_deadline_is_lost_against_the_tickers_park() {
+        const ROUNDS: u64 = 20_000;
+        const LOST_AFTER: Duration = Duration::from_secs(1);
+        let (ticker, server) = (Arc::new(Ticker::default()), Arc::new(Sleeper::default()));
+        let stop = Arc::new(AtomicBool::new(false));
+        let thread = spawn_ticker(&ticker, &server, Duration::from_micros(1), &stop);
+        let fired = || ticker.due.load(Ordering::Relaxed) == u64::MAX;
+        let (mut met_parked, mut lost) = (0u64, None);
+        for r in 1..=ROUNDS {
+            let t0 = Instant::now();
+            while !fired() {
+                if t0.elapsed() >= LOST_AFTER {
+                    lost = Some(r);
+                    break;
+                }
+                std::hint::spin_loop();
+            }
+            if lost.is_some() {
+                break;
+            }
+            for i in 0..r % 128 {
+                std::hint::black_box(i);
+            }
+            met_parked += ticker.sleeper.is_asleep() as u64;
+            owe(&ticker, 0);
+        }
+        stop_ticker(&ticker, &stop, thread);
+        if let Some(round) = lost {
+            panic!("lost wakeup in round {round}: the deadline stayed owed for {LOST_AFTER:?}");
+        }
+        assert!(met_parked > 0, "no lower met the ticker parked, so nothing was tested");
+    }
+
+    /// While a deadline is owed the ticker looks once a period; once the
+    /// server's sweep has cleared it, the ticker parks untimed — an idle
+    /// node's ticker costs nothing.
+    #[test]
+    fn the_ticker_parks_untimed_after_an_awake_period() {
+        let (ticker, server) = (Arc::new(Ticker::default()), Arc::new(Sleeper::default()));
+        let stop = Arc::new(AtomicBool::new(false));
+        let thread = spawn_ticker(&ticker, &server, Duration::from_millis(1), &stop);
+        let untimed = |for_ns: u64| {
+            let t0 = Instant::now();
+            while t0.elapsed() < Duration::from_nanos(for_ns) {
+                if ticker.sleeper.is_asleep() {
+                    return true;
+                }
+                std::thread::sleep(Duration::from_micros(200));
+            }
+            false
+        };
+        assert!(untimed(5_000_000_000), "with nothing owed the ticker parks untimed");
+        owe(&ticker, u64::MAX - 1);
+        std::thread::sleep(Duration::from_millis(2));
+        assert!(!untimed(20_000_000), "an owed deadline keeps the ticker looking");
+        ticker.clear();
+        assert!(untimed(5_000_000_000), "after the server's sweep the ticker parks untimed");
+        stop_ticker(&ticker, &stop, thread);
+    }
+
+    /// Who wakes the ticker for a deadline a TCP read left owed, in every
+    /// interleaving.
+    ///
+    /// The reader hands a buffer to the helper, lowers the deadline, then
+    /// wakes the helper (`SharedLink::arrived`). The helper applies
+    /// the buffer and — the case a ticker is for — sends nothing; the
+    /// worker has nothing to do. Each goes to sleep the way `sleep_idle`
+    /// does: raise its flag, recheck its work, and, finding none, wake the
+    /// ticker if a deadline is owed and the other thread sleeps too; then
+    /// park until a token. A run may end only with the ticker woken. The
+    /// accesses are sequentially consistent here; the fences are what
+    /// `no_wakeup_is_lost` checks.
+    mod cover_model {
+        use std::collections::HashSet;
+
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+        enum Reader {
+            Deliver,
+            Lower,
+            WakeAll,
+            Done,
+        }
+
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+        enum Thread {
+            Run,
+            Raise,
+            /// Flag up: recheck the work, then the deadline, then the
+            /// other thread's flag.
+            Recheck,
+            Owed,
+            Other,
+            Parked,
+        }
+
+        /// The protocol and the mutations the test checks it against.
+        #[derive(Clone, Copy)]
+        struct Rules {
+            /// A thread looks at the other's flag after raising its own.
+            raise_first: bool,
+            /// The reader wakes the helper after lowering the deadline.
+            lower_first: bool,
+        }
+
+        #[derive(Clone, Debug, PartialEq, Eq, Hash)]
+        struct World {
+            reader: Reader,
+            /// The helper's, then the worker's.
+            threads: [Thread; 2],
+            asleep: [bool; 2],
+            token: [bool; 2],
+            work: bool,
+            owed: bool,
+            ticker_woken: bool,
+        }
+
+        impl World {
+            fn step(&self, actor: usize, rules: Rules) -> Option<World> {
+                let mut w = self.clone();
+                if actor == 2 {
+                    w.reader = match self.reader {
+                        Reader::Deliver => {
+                            w.work = true;
+                            if rules.lower_first {
+                                Reader::Lower
+                            } else {
+                                Reader::WakeAll
+                            }
+                        }
+                        Reader::Lower => {
+                            w.owed = true;
+                            if rules.lower_first {
+                                Reader::WakeAll
+                            } else {
+                                Reader::Done
+                            }
+                        }
+                        Reader::WakeAll => {
+                            if w.asleep[0] {
+                                (w.asleep[0], w.token[0]) = (false, true);
+                            }
+                            if rules.lower_first {
+                                Reader::Done
+                            } else {
+                                Reader::Lower
+                            }
+                        }
+                        Reader::Done => return None,
+                    };
+                    return Some(w);
+                }
+                let (me, other) = (actor, 1 - actor);
+                w.threads[me] = match self.threads[me] {
+                    // Only the helper is handed work.
+                    Thread::Run if me == 0 && self.work => {
+                        w.work = false;
+                        Thread::Run
+                    }
+                    Thread::Run if rules.raise_first => Thread::Raise,
+                    Thread::Run => Thread::Owed,
+                    Thread::Raise => {
+                        w.asleep[me] = true;
+                        if rules.raise_first {
+                            Thread::Recheck
+                        } else {
+                            Thread::Parked
+                        }
+                    }
+                    Thread::Recheck if me == 0 && self.work => {
+                        w.asleep[me] = false;
+                        Thread::Run
+                    }
+                    Thread::Recheck => Thread::Owed,
+                    Thread::Owed if self.owed => Thread::Other,
+                    Thread::Owed | Thread::Other => {
+                        if self.threads[me] == Thread::Other && self.asleep[other] {
+                            w.ticker_woken = true;
+                        }
+                        if rules.raise_first {
+                            Thread::Parked
+                        } else {
+                            Thread::Raise
+                        }
+                    }
+                    Thread::Parked if !self.token[me] => return None,
+                    Thread::Parked => {
+                        w.token[me] = false;
+                        Thread::Run
+                    }
+                };
+                Some(w)
+            }
+        }
+
+        /// Every interleaving under `rules`: the first end state with the
+        /// deadline owed and the ticker never woken, if any.
+        fn explore(rules: Rules) -> Result<(), String> {
+            let start = World {
+                reader: Reader::Deliver,
+                threads: [Thread::Run; 2],
+                asleep: [false; 2],
+                token: [false; 2],
+                work: false,
+                owed: false,
+                ticker_woken: false,
+            };
+            let mut seen = HashSet::new();
+            let mut stack = vec![start];
+            while let Some(w) = stack.pop() {
+                if !seen.insert(w.clone()) {
+                    continue;
+                }
+                let next: Vec<World> = (0..3).filter_map(|a| w.step(a, rules)).collect();
+                if next.is_empty() && !w.ticker_woken {
+                    return Err(format!("every thread sleeps and the deadline is owed: {w:?}"));
+                }
+                stack.extend(next);
+            }
+            Ok(())
+        }
+
+        #[test]
+        fn the_last_thread_to_sleep_wakes_the_ticker() {
+            explore(Rules { raise_first: true, lower_first: true })
+                .unwrap_or_else(|e| panic!("{e}"));
+        }
+
+        #[test]
+        fn looking_before_raising_the_flag_loses_the_deadline() {
+            let err = explore(Rules { raise_first: false, lower_first: true });
+            assert!(err.is_err(), "two threads that look first can both miss each other");
+        }
+
+        #[test]
+        fn waking_the_helper_before_lowering_loses_the_deadline() {
+            let err = explore(Rules { raise_first: true, lower_first: false });
+            assert!(err.is_err(), "a helper asleep before the lower is never told of it");
         }
     }
 

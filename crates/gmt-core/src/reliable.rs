@@ -6,8 +6,9 @@
 //! This reproduction's fabric can be adversarial ([`gmt_net::FaultPlan`]):
 //! packets drop, duplicate and arrive late, links flap, nodes die. This
 //! module restores exactly-once *processing* of aggregation buffers on top
-//! of that, driven entirely by the (single-threaded) communication server —
-//! no locks, no extra threads.
+//! of that. One thread at a time drives it: the communication server, or
+//! a TCP reader that found the node's lock on it free (the `commserver`
+//! module's docs); the link itself is plain single-threaded state.
 //!
 //! **One door.** [`ReliableLink::step`] is the only way in. The
 //! communication server feeds it an [`Event`] — a filled buffer to send,
@@ -95,10 +96,13 @@
 //!
 //! Every timer compares against the time that arrives with the event:
 //! the runtime's coarse clock ([`AggShared::now_ns`]), which the
-//! communication server ticks every sweep.
+//! communication server ticks every sweep, or the same clock read fresh
+//! and unpublished by a TCP reader ([`AggShared::elapsed_ns`]). Both read
+//! it while they hold the link, so the times it sees never go back.
 //!
 //! [`GmtError::RemoteDead`]: crate::error::GmtError::RemoteDead
 //! [`AggShared::now_ns`]: crate::aggregation::AggShared::now_ns
+//! [`AggShared::elapsed_ns`]: crate::aggregation::AggShared::elapsed_ns
 
 use crate::config::{HEARTBEAT_FRACTION, SUSPECT_FRACTION};
 use crate::NodeId;
@@ -373,7 +377,7 @@ struct NoticeRounds {
 }
 
 /// The reliability state machine for one node, covering all its peers.
-/// Owned and driven exclusively by the communication-server thread.
+/// Stepped by one thread at a time, under the communication server's lock.
 pub struct ReliableLink {
     me: NodeId,
     peers: Vec<Peer>,
@@ -393,8 +397,6 @@ pub struct ReliableLink {
     local_credit: u16,
     /// Dead peers whose notices still have dissemination rounds left.
     notices: Vec<NoticeRounds>,
-    /// The earliest coarse time any timer is due, as of the last tick.
-    next_due_ns: u64,
 }
 
 impl ReliableLink {
@@ -418,7 +420,6 @@ impl ReliableLink {
             flow_window,
             local_credit: CREDIT_UNLIMITED,
             notices: Vec::new(),
-            next_due_ns: 0,
         }
     }
 
@@ -430,13 +431,34 @@ impl ReliableLink {
         self.death_timeout_ns / HEARTBEAT_FRACTION
     }
 
-    /// The earliest coarse time one of the link's timers falls due, as of
-    /// the last [`Event::Tick`]: a standalone ack, a retransmit, a
-    /// heartbeat, a suspicion, a death or a notice round (`u64::MAX` with
-    /// none). Until then a tick changes nothing, so the communication
-    /// server may sleep until this time unless traffic wakes it.
+    /// The earliest coarse time one of the link's timers falls due: a
+    /// standalone ack, a retransmit, a heartbeat, a suspicion, a death or
+    /// a notice round (`u64::MAX` with none). Until then a tick changes
+    /// nothing, so the communication server may sleep until this time
+    /// unless traffic wakes it. Right after a tick it lies ahead of that
+    /// tick; a packet stepped since may have brought it closer (an ack
+    /// owed, a retransmit timer restarted).
     pub fn next_due_ns(&self) -> u64 {
-        self.next_due_ns
+        let heartbeat_ns = self.heartbeat_ns();
+        let suspect_ns = self.death_timeout_ns / SUSPECT_FRACTION;
+        let mut due = self.notices.iter().map(|n| n.next_ns).min().unwrap_or(u64::MAX);
+        for (dst, p) in self.peers.iter().enumerate() {
+            if dst == self.me || p.dead {
+                continue;
+            }
+            due = due.min(p.last_heard_ns.saturating_add(self.death_timeout_ns));
+            due = due.min(p.last_sent_ns.saturating_add(heartbeat_ns));
+            if !p.suspected {
+                due = due.min(p.last_heard_ns.saturating_add(suspect_ns));
+            }
+            if let Some(f) = p.rtx.front() {
+                due = due.min(f.sent_ns.saturating_add(p.rto_ns));
+            }
+            if p.ack_due_ns != 0 {
+                due = due.min(p.ack_due_ns);
+            }
+        }
+        due
     }
 
     /// Takes one event that happened at coarse time `now_ns` and appends
@@ -714,29 +736,6 @@ impl ReliableLink {
             }
             self.notices.retain(|n| n.remaining > 0);
         }
-        self.next_due_ns = self.earliest_due(heartbeat_ns, suspect_ns);
-    }
-
-    /// See [`Self::next_due_ns`].
-    fn earliest_due(&self, heartbeat_ns: u64, suspect_ns: u64) -> u64 {
-        let mut due = self.notices.iter().map(|n| n.next_ns).min().unwrap_or(u64::MAX);
-        for (dst, p) in self.peers.iter().enumerate() {
-            if dst == self.me || p.dead {
-                continue;
-            }
-            due = due.min(p.last_heard_ns.saturating_add(self.death_timeout_ns));
-            due = due.min(p.last_sent_ns.saturating_add(heartbeat_ns));
-            if !p.suspected {
-                due = due.min(p.last_heard_ns.saturating_add(suspect_ns));
-            }
-            if let Some(f) = p.rtx.front() {
-                due = due.min(f.sent_ns.saturating_add(p.rto_ns));
-            }
-            if p.ack_due_ns != 0 {
-                due = due.min(p.ack_due_ns);
-            }
-        }
-        due
     }
 }
 

@@ -16,7 +16,7 @@ use crate::aggregation::{AggShared, AggStats};
 use crate::commserver;
 use crate::config::Config;
 use crate::helper::{self, HelperInbox};
-use crate::idle::{Sleeper, SleeperSet};
+use crate::idle::{Sleeper, SleeperSet, Ticker};
 use crate::metrics::{NodeMetrics, ThreadTracer};
 use crate::task::{Itb, OpTable, RootTask};
 use crate::worker;
@@ -128,7 +128,8 @@ pub struct ClusterShared {
     pub alloc_stride: u64,
     /// True when peers live in **other OS processes** (`NodeRuntime` /
     /// gmt-launch). Spawn commands then ship parFor bodies by value —
-    /// vtable offset plus captured bytes ([`ParForBody::to_wire_bytes`])
+    /// vtable offset plus captured bytes
+    /// ([`ParForBody::to_wire_bytes`](crate::task::ParForBody::to_wire_bytes))
     /// — instead of the in-process `Arc` pointer, which would be a
     /// foreign address on arrival.
     pub cross_process: bool,
@@ -217,6 +218,8 @@ pub struct NodeSleepers {
     /// An `Arc` because the transport's arrival hook and the channel pools
     /// hold it as a [`std::task::Waker`].
     pub comm: Arc<Sleeper>,
+    /// What the TCP readers leave owed, and the thread that serves it.
+    pub ticker: Ticker,
 }
 
 impl NodeSleepers {
@@ -225,6 +228,7 @@ impl NodeSleepers {
             workers: Arc::new(SleeperSet::new(config.num_workers)),
             helpers: SleeperSet::new(config.num_helpers),
             comm: Arc::default(),
+            ticker: Ticker::default(),
         }
     }
 
@@ -649,7 +653,7 @@ fn boot_node(
         cluster: Arc::clone(cluster_shared),
         metrics,
         net: Arc::clone(transport.stats()),
-        transport: Arc::clone(&transport),
+        transport,
         membership: Membership::new(nodes),
         flow: FlowState::new(nodes),
         deadlines_armed: AtomicBool::new(config.op_deadline_ns > 0),
@@ -682,7 +686,7 @@ fn boot_node(
     let tracer = make_tracer(threads_per_node);
     let comm = std::thread::Builder::new()
         .name(format!("gmt-n{node_id}-comm"))
-        .spawn(move || commserver::comm_main(s, transport, tracer, emitters))
+        .spawn(move || commserver::comm_main(s, tracer, emitters))
         .map_err(|e| format!("spawning comm server: {e}"))?;
     Ok(NodeBoot { shared, comm })
 }

@@ -95,9 +95,9 @@ const _: () = assert!(std::mem::size_of::<TaskControl>() == 128, "a block outgre
 const READY_END: u32 = u32::MAX;
 
 /// A worker's ready list: the tasks whose wake-up landed since the worker
-/// last looked, linked through their [`TaskControl::next`] by op-table
+/// last looked, linked through their `TaskControl::next` by op-table
 /// slot. Any thread of the node pushes (the one that cleared a task's
-/// [`PARKED`] flag, once per park); only the owning worker takes, and it
+/// `PARKED` flag, once per park); only the owning worker takes, and it
 /// takes the whole list at once.
 ///
 /// A push is a Treiber compare-and-swap on `head`. With no pop of a single
@@ -247,7 +247,7 @@ impl TaskControl {
     /// armed, the word 0 — free of a read-modify-write, and loses no hit
     /// the swap alone would have seen. A force-wake is ordered after its
     /// hit: the watchdog stores the hit (Release) before it clears
-    /// [`PARKED`] and pushes the block, and the worker that took the block
+    /// `PARKED` and pushes the block, and the worker that took the block
     /// off its [`ReadyList`] (Acquire) runs this task, so the load sees that
     /// hit or a later write; only this task writes 0 here. A hit stored
     /// after a completer's wake may be missed by the load, but a swap could

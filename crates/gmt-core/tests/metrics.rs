@@ -204,3 +204,48 @@ fn a_loaded_worker_sleeps_at_most_twice_per_thousand_ops() {
     eprintln!("worker.sleeps {sleeps} over {ops} ops");
     assert!(sleeps * 1000 <= 2 * ops, "{sleeps} worker sleeps over {ops} blocking ops");
 }
+
+/// A chain of dependent remote gets over TCP hands each hop from thread
+/// to thread: nothing aggregates, so every hop is one buffer each way.
+/// The readers step what they read through the link themselves, so each
+/// comm server sleeps once per hop — after it sent — and a reader's
+/// arrival wakes no comm server (with that wake, 1.8 to 2.0 sleeps per
+/// hop). Counts only, no timing.
+#[test]
+fn a_tcp_chase_costs_each_comm_server_one_sleep_per_hop() {
+    const HOPS: u64 = 2_000;
+    const CELLS: u64 = 64;
+    let config = Config { num_workers: 1, num_helpers: 1, ..Config::small() };
+    let cluster = Cluster::start_tcp_loopback(2, config).unwrap();
+    let shared: Vec<_> = (0..2).map(|n| Arc::clone(cluster.node(n).shared())).collect();
+    let count = move |name: &str| {
+        shared.iter().map(|s| s.metrics.registry().snapshot().counter(name).unwrap()).collect()
+    };
+    let counts = move || -> [Vec<u64>; 2] { [count("comm.sleeps"), count("reliable.retransmits")] };
+    let [before, after] = cluster.node(0).run(move |ctx| {
+        let arr = ctx.alloc(CELLS * 8, Distribution::Remote);
+        // One warm-up hop, so the count starts on a settled link.
+        let mut at = ctx.get_value::<u64>(&arr, 0).unwrap() % CELLS;
+        let before = counts();
+        for hop in 0..HOPS {
+            at = (ctx.get_value::<u64>(&arr, at).unwrap() + hop + 1) % CELLS;
+        }
+        let after = counts();
+        ctx.free(arr);
+        [before, after]
+    });
+    cluster.shutdown();
+    for n in 0..2 {
+        let per_hop = (after[0][n] - before[0][n]) as f64 / HOPS as f64;
+        let retransmits = after[1][n] - before[1][n];
+        eprintln!("node {n}: comm.sleeps {per_hop:.3} per hop, {retransmits} retransmits");
+        assert!(per_hop <= 1.1, "node {n}'s comm server slept {per_hop:.3} times per hop");
+        // A hop delayed past the 1 ms retransmit floor is retransmitted:
+        // on a shared 2-CPU host beside this binary's other tests, 0 to 10
+        // of 2 000 hops before the readers stepped the link, 0 to 24 since
+        // (an ack owed waits for the reply when the node's threads are
+        // runnable but not running). An ack the link lost outright would
+        // cost every hop one.
+        assert!(retransmits * 20 <= HOPS, "node {n}: {retransmits} retransmits in {HOPS} hops");
+    }
+}

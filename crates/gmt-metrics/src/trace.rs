@@ -1,6 +1,6 @@
 //! Ring-buffer event tracing with Chrome `trace_event` export.
 //!
-//! One [`Lane`] per runtime thread (worker / helper / communication
+//! One `Lane` per runtime thread (worker / helper / communication
 //! server), each a fixed-capacity single-producer ring: the owning thread
 //! writes events with no synchronization beyond one release store of the
 //! ring head, so tracing never introduces cross-thread contention. When

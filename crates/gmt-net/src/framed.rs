@@ -1,9 +1,10 @@
 //! The transport core under every backend.
 //!
 //! A [`FramedTransport<L>`] is everything about a frame transport that
-//! does not depend on what carries the frames: the inbox, the self-send
-//! loopback, the fault shim, sticky per-peer loss evidence, the pooled
-//! receive buffers, traffic accounting and the shutdown gate. What does
+//! does not depend on what carries the frames: the inbox and the
+//! receiver's [`ArrivalHook`] in front of it, the self-send loopback, the
+//! fault shim, sticky per-peer loss evidence, the pooled receive buffers,
+//! traffic accounting and the shutdown gate. What does
 //! depend on it is a [`Link`] — the in-process sim fabric
 //! ([`crate::fabric`]), a TCP stream set ([`crate::tcp`]) or a
 //! shared-memory ring set ([`crate::shm`]) — which only moves frames:
@@ -14,8 +15,8 @@
 //! # Frame format
 //!
 //! On the real wires, `[len: u32 LE][tag: u32 LE]` followed by `len`
-//! payload bytes, on a socket and in a ring alike ([`encode_header`] /
-//! [`decode_header`]). The sim hands the payload itself to the receiver.
+//! payload bytes, on a socket and in a ring alike (`encode_header` /
+//! `decode_header`). The sim hands the payload itself to the receiver.
 //!
 //! # Fault shim
 //!
@@ -29,7 +30,7 @@
 //! model. A kill also severs both directions of the link to the killed
 //! peer, so in-flight frames are lost and the peer sees the link die,
 //! exactly like a process death — which `clear_faults` cannot undo on a
-//! real wire. Decisions are [`InstalledShim::decide`], per node, and pure
+//! real wire. Decisions are `InstalledShim::decide`, per node, and pure
 //! in `(seed, link, n)`, so a seed replays one loss pattern on every
 //! backend.
 //!
@@ -37,7 +38,7 @@
 //!
 //! Leaves report EOF, resets, write failures, severed rings, vanished
 //! peer processes and peers that shut down through
-//! [`Core::note_conn_lost`]. The first report per
+//! `Core::note_conn_lost`. The first report per
 //! peer sticks: it is counted once in `conn_lost` and from then on
 //! [`Transport::link_state`] answers `Down(Lost(cause))`, which the
 //! failure detector treats as first-hand evidence of the death. Reports
@@ -48,7 +49,7 @@ use crate::fabric::{NetError, Packet, Tag};
 use crate::fault::{FaultDecision, FaultPlan};
 use crate::payload::{BufRelease, Payload};
 use crate::stats::TrafficStats;
-use crate::transport::{DownCause, LinkState, Transport};
+use crate::transport::{ArrivalHook, DownCause, LinkState, Transport};
 use crate::NodeId;
 use crossbeam::channel::{Receiver, Sender};
 use crossbeam::queue::ArrayQueue;
@@ -150,8 +151,8 @@ impl InstalledShim {
 }
 
 /// What carries the frames of a [`FramedTransport`]: one directed link
-/// per peer. A leaf is built over the transport's [`Core`] and reports
-/// what it receives and loses through it.
+/// per peer. A leaf is built over the transport's core and reports what
+/// it receives and loses through it.
 pub trait Link: Send + Sync + 'static {
     /// The largest payload one frame can carry on this link.
     fn max_frame(&self) -> usize;
@@ -159,7 +160,7 @@ pub trait Link: Send + Sync + 'static {
     /// Moves one frame toward `dst` (never this node). `fault` is the
     /// installed plan's decision for it (never a drop), `None` without a
     /// plan. A link that turns out to be broken is reported through
-    /// [`Core::note_conn_lost`] and returned as [`NetError::LinkDown`];
+    /// `Core::note_conn_lost` and returned as [`NetError::LinkDown`];
     /// after shutdown the answer is [`NetError::Closed`].
     fn push(
         &self,
@@ -185,6 +186,12 @@ pub trait Link: Send + Sync + 'static {
     /// A leaf whose threads deliver through the core's inbox only says
     /// yes: the core wakes.
     fn wake_on_arrival(&self, _waker: &Waker) -> bool {
+        false
+    }
+
+    /// Whether threads of the leaf's own read every arrival and hand it to
+    /// the core (`Core::deliver`), and so can run an [`ArrivalHook`].
+    fn has_readers(&self) -> bool {
         false
     }
 
@@ -216,8 +223,12 @@ pub(crate) struct Core {
     pool: Arc<RecvPool>,
     /// Self-sends and everything the leaf receives.
     inbox_tx: Sender<Packet>,
-    /// Woken after every [`Core::enqueue`], once the receiver asked.
+    /// Woken after every packet or batch that reaches the inbox, once the
+    /// receiver asked.
     arrival: OnceLock<Waker>,
+    /// Offered every batch of [`Core::deliver`] first, once the receiver
+    /// installed it.
+    hook: OnceLock<Arc<dyn ArrivalHook>>,
 }
 
 impl Core {
@@ -239,6 +250,7 @@ impl Core {
             pool: Arc::new(RecvPool { bufs: ArrayQueue::new(RECV_POOL_CAP) }),
             inbox_tx,
             arrival: OnceLock::new(),
+            hook: OnceLock::new(),
         })
     }
 
@@ -280,6 +292,29 @@ impl Core {
     /// gone and the packet is moot.
     pub(crate) fn enqueue(&self, pkt: Packet) {
         let _ = self.inbox_tx.send(pkt);
+        self.wake();
+    }
+
+    /// Hands over the packets of one read, in arrival order: to the
+    /// [`ArrivalHook`] if it takes them, otherwise to the inbox with one
+    /// wake for the batch. Leaves `pkts` empty.
+    pub(crate) fn deliver(&self, pkts: &mut Vec<Packet>) {
+        if pkts.is_empty() {
+            return;
+        }
+        if let Some(hook) = self.hook.get() {
+            hook.arrived(pkts);
+            if pkts.is_empty() {
+                return;
+            }
+        }
+        for pkt in pkts.drain(..) {
+            let _ = self.inbox_tx.send(pkt);
+        }
+        self.wake();
+    }
+
+    fn wake(&self) {
         if let Some(w) = self.arrival.get() {
             w.wake_by_ref();
         }
@@ -366,6 +401,10 @@ impl<L: Link> Transport for FramedTransport<L> {
 
     fn wake_on_arrival(&self, waker: Waker) -> bool {
         self.link.wake_on_arrival(&waker) && self.core.arrival.set(waker).is_ok()
+    }
+
+    fn set_arrival_hook(&self, hook: Arc<dyn ArrivalHook>) -> bool {
+        self.link.has_readers() && self.core.hook.set(hook).is_ok()
     }
 
     fn try_recv(&self) -> Option<Packet> {

@@ -55,7 +55,7 @@ pub use shm::{shm_mesh, shm_mesh_with, ShmTransport};
 pub use stats::TrafficStats;
 pub use tcp::{loopback_mesh, TcpTransport};
 pub use transport::{
-    connect, Bootstrap, DoneBarrier, DownCause, LinkState, Transport, TransportSelect,
+    connect, ArrivalHook, Bootstrap, DoneBarrier, DownCause, LinkState, Transport, TransportSelect,
 };
 
 /// Identifies a node (an MPI rank in the paper's terms).

@@ -17,8 +17,8 @@
 //!
 //! # Send and receive path
 //!
-//! No timer sits between a frame's write and its delivery to the inbox,
-//! and a frame costs one syscall and one copy on each side:
+//! No timer sits between a frame's write and its processing, and a frame
+//! costs one syscall and one copy on each side:
 //!
 //! * **Send** — header and body leave in one vectored write
 //!   (`write_frame`); a small frame is one TCP segment, not two.
@@ -32,6 +32,13 @@
 //!   construction; an idle reader costs nothing. Shutdown and injected
 //!   kills unblock a reader by severing the `inbound_ctl` clone of its
 //!   stream, so joins stay bounded.
+//! * **Applied by the reader, handed over once per read** — the frames
+//!   one `read` brought go to the core together (`Core::deliver`): to
+//!   the receiver's [`ArrivalHook`](crate::ArrivalHook) when it installed
+//!   one and the hook takes them — the runtime's steps them through its
+//!   reliable link on this thread, so a frame costs no hand-off to
+//!   another thread — and otherwise to the inbox, with one wake of the
+//!   receiver for the whole read.
 //! * **Fragmented under a fault plan** — a push that carries the shim's
 //!   decision splits header and body across separate flushed writes, so
 //!   reassembly over partial reads is exercised deterministically.
@@ -194,6 +201,10 @@ impl Link for TcpLink {
         true
     }
 
+    fn has_readers(&self) -> bool {
+        true
+    }
+
     /// Fragments whenever a fault plan is installed.
     fn push(
         &self,
@@ -294,17 +305,19 @@ fn write_frame(stream: &mut TcpStream, tag: Tag, bytes: &[u8], fragment: bool) -
 }
 
 /// The reader thread of one inbound link: blocks in `read` until bytes
-/// arrive, reassembles frames across partial reads and delivers them to
-/// the inbox as pooled payloads (see "Send and receive path" in the
-/// module docs). Runs until the stream ends — peer EOF, an I/O error, a
-/// corrupt length prefix, or this transport's own shutdown / injected
-/// kill severing the stream — and reports that as loss of the peer. A
-/// partial frame at that point is a torn tail: it is discarded, and
-/// retransmission is the reliability layer's problem.
+/// arrive, reassembles frames across partial reads and hands each read's
+/// frames over together as pooled payloads (see "Send and receive path"
+/// in the module docs). Runs until the stream ends — peer EOF, an I/O
+/// error, a corrupt length prefix, or this transport's own shutdown /
+/// injected kill severing the stream — and reports that as loss of the
+/// peer. A partial frame at that point is a torn tail: it is discarded,
+/// and retransmission is the reliability layer's problem.
 fn reader_loop(core: Arc<Core>, src: NodeId, mut stream: TcpStream) {
     let mut staging = vec![0u8; STAGING_BYTES];
     // Unparsed bytes are `staging[start..end]`.
     let (mut start, mut end) = (0, 0);
+    // The whole frames parsed since the last hand-over.
+    let mut batch = Vec::new();
     let cause = 'link: loop {
         while end - start >= FRAME_HEADER {
             let (len, tag) = decode_header(&staging[start..start + FRAME_HEADER]);
@@ -317,23 +330,26 @@ fn reader_loop(core: Arc<Core>, src: NodeId, mut stream: TcpStream) {
             if end - body >= len {
                 let mut buf = core.pool().get();
                 buf.extend_from_slice(&staging[body..body + len]);
-                core.enqueue(core.received(src, tag, buf));
+                batch.push(core.received(src, tag, buf));
                 start = body + len;
             } else if len >= IN_PLACE_MIN {
-                // Staging holds nothing beyond this frame's head, so the
-                // stream's next bytes are the rest of its body.
+                // What came before goes now: the rest of this body may
+                // take many reads. Staging holds nothing beyond this
+                // frame's head, so the stream's next bytes are that rest.
+                core.deliver(&mut batch);
                 let mut buf = core.pool().get_sized(len);
                 let have = end - body;
                 buf[..have].copy_from_slice(&staging[body..end]);
                 (start, end) = (0, 0);
                 match stream.read_exact(&mut buf[have..]) {
-                    Ok(()) => core.enqueue(core.received(src, tag, buf)),
+                    Ok(()) => batch.push(core.received(src, tag, buf)),
                     Err(e) => break 'link format!("read failed mid-frame: {e}"),
                 }
             } else {
                 break; // the rest of a small body comes with the next read
             }
         }
+        core.deliver(&mut batch);
         if start > 0 {
             // Make room: a small frame's tail must fit behind its head.
             staging.copy_within(start..end, 0);
@@ -346,6 +362,8 @@ fn reader_loop(core: Arc<Core>, src: NodeId, mut stream: TcpStream) {
             Err(e) => break format!("read failed: {e}"),
         }
     };
+    // Whole frames parsed ahead of a corrupt length prefix.
+    core.deliver(&mut batch);
     core.note_conn_lost(src, &cause);
 }
 

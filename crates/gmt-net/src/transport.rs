@@ -29,15 +29,21 @@
 //!   are legal (an installed fault plan injects them deliberately; TCP
 //!   loses whole tails on connection death). `Err` is advisory — a failed
 //!   send may still be retried by the caller's retransmit machinery.
-//! * **Payload ownership**: `send` consumes the [`Payload`]; its drop —
-//!   wherever it happens (receiver, failed send, shutdown drain) —
-//!   returns any pooled buffer to its pool exactly once.
+//! * **Payload ownership**: `send` consumes the
+//!   [`Payload`](crate::Payload); its drop — wherever it happens
+//!   (receiver, failed send, shutdown drain) — returns any pooled buffer
+//!   to its pool exactly once.
 //! * **Polled receive, woken receiver**: the only receive is the
 //!   non-blocking [`Transport::try_recv`], which is how the communication
 //!   server consumes it. A receiver that sleeps between arrivals asks to
 //!   be woken on each one ([`Transport::wake_on_arrival`]); the sim and
 //!   TCP do that, the shm rings cannot (nothing watches them), and their
 //!   receiver keeps polling.
+//! * **Arrivals applied where they are read**: a transport with receive
+//!   threads of its own (TCP) first offers each read's frames to the
+//!   receiver's [`ArrivalHook`] ([`Transport::set_arrival_hook`]); what
+//!   the hook leaves goes to the inbox as above, so a packet is either
+//!   taken by the hook or receivable through `try_recv`, never both.
 //!
 //! # Shutdown/drain semantics
 //!
@@ -99,6 +105,16 @@ impl fmt::Display for DownCause {
     }
 }
 
+/// What a transport's receive threads offer the frames they read to,
+/// before the inbox: the receiver's own processing, run on the thread that
+/// read them ([`Transport::set_arrival_hook`]).
+pub trait ArrivalHook: Send + Sync {
+    /// Takes the packets one read brought, in arrival order, by draining
+    /// `pkts`, or leaves every one of them: those go to the inbox and wake
+    /// the receiver, as they would without a hook. Must not block.
+    fn arrived(&self, pkts: &mut Vec<Packet>);
+}
+
 /// One node's attachment to an interconnect backend. Object-safe so the
 /// runtime can hold `Arc<dyn Transport>` and run unchanged over the
 /// simulated fabric or a real wire.
@@ -127,6 +143,12 @@ pub trait Transport: Send + Sync {
     /// rings), or it already wakes another receiver. Either way
     /// [`Transport::try_recv`] is unchanged.
     fn wake_on_arrival(&self, waker: Waker) -> bool;
+
+    /// Asks the transport's receive threads to offer every read's frames
+    /// to `hook` before the inbox. `false` if it has no receive threads of
+    /// its own: the sim's frames arrive on the sender's or the wire
+    /// thread, the shm rings on a poll, and only the inbox takes them.
+    fn set_arrival_hook(&self, hook: Arc<dyn ArrivalHook>) -> bool;
 
     /// Polls [`Transport::try_recv`] until a packet arrives or `timeout`
     /// passes. For tests; the runtime never blocks in a receive.
