@@ -14,9 +14,11 @@
 # Then the workspace's `unsafe` count (ROADMAP item 5's number): the lines
 # of `crates`, `src`, `tests` and `examples` that name the keyword outside
 # a `//` comment. It only goes down: the script fails above the count of
-# the last change that lowered it (109, since `TaskCtx::get_deadline` and
-# its `unsafe` block went; 110 since `Yielder::is_cancelling` went; 111
-# before; 113 while an op-table slot owned a
+# the last change that lowered it (108, since shm frames stopped wrapping
+# and a received frame is read in its ring: the ring's split copies went,
+# paying for the `set_len` that spares a get reply its zero-fill; 109
+# since `TaskCtx::get_deadline` and its `unsafe` block went; 110 since
+# `Yielder::is_cancelling` went; 111 before; 113 while an op-table slot owned a
 # raw `Arc` of its task, 134 before the op table replaced the pointer
 # tokens). The three graph kernels must not contribute to it — they are
 # written against the safe wave helpers — and the script fails if one
@@ -30,7 +32,9 @@
 # (ROADMAP item 2's lock on the scheduler's path): the script counts the
 # `SegQueue::new()` constructions in the code of `crates/*/src` (before
 # `#[cfg(test)]`, outside `//` comments) and, like the `unsafe` count,
-# fails above the count of the last change that removed one (4, since
+# fails above the count of the last change that removed one (3, since
+# `root_queue` and `itb_queue` share one `WorkQueue` constructor — the
+# count read 3 from that change on, the limit followed later; 4 since
 # the worker ready queue became a list through the op table and the
 # transports' receive pool a bounded ring; 6 since the flow-wake list
 # went with emitter parking; 7 before).
@@ -130,8 +134,8 @@ unsafe_lines() {
 
 unsafe_total=$(unsafe_lines crates src tests examples)
 printf '%-40s %6d\n' "unsafe lines (workspace)" "$unsafe_total"
-if [ "$unsafe_total" -gt 109 ]; then
-    echo "workspace: $unsafe_total lines name unsafe (limit 109); lower the limit with the count, never raise it" >&2
+if [ "$unsafe_total" -gt 108 ]; then
+    echo "workspace: $unsafe_total lines name unsafe (limit 108); lower the limit with the count, never raise it" >&2
     exit 1
 fi
 if grep -rnE --include='*.rs' '(Arc|Weak)<TaskControl>' crates/*/src >&2; then
@@ -147,8 +151,8 @@ fi
 seg_queues=$(awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{s=$0; sub(/^[ \t]+/,"",s); if (s !~ /^\/\//) c+=gsub(/SegQueue::new\(\)/,"",s)} END{print c+0}' \
     $(find crates/*/src -name '*.rs' | sort))
 printf '%-40s %6d\n' "SegQueue::new() (crates code)" "$seg_queues"
-if [ "$seg_queues" -gt 4 ]; then
-    echo "crates: $seg_queues SegQueue constructions (limit 4); lower the limit with the count, never raise it" >&2
+if [ "$seg_queues" -gt 3 ]; then
+    echo "crates: $seg_queues SegQueue constructions (limit 3); lower the limit with the count, never raise it" >&2
     exit 1
 fi
 polls=$(awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{s=$0; sub(/^[ \t]+/,"",s); if (s !~ /^\/\//) c+=gsub(/thread::yield_now\(\)|thread::sleep\(/,"",s)} END{print c+0}' \

@@ -69,6 +69,7 @@
 //!   [`NodeHandle::metrics_snapshot`](crate::runtime::NodeHandle::metrics_snapshot).
 
 use crate::command::Command;
+use crate::memory::Segment;
 use crate::NodeId;
 use crossbeam::queue::{ArrayQueue, SegQueue};
 use gmt_metrics::{Counter, Histogram, Registry};
@@ -710,24 +711,24 @@ impl CommandSink {
         self.encode_with(dst, cmd.encoded_len(), |block| cmd.encode(block));
     }
 
-    /// Emits the [`Command::GetReply`] that answers a get of `len` bytes,
-    /// its payload produced where it will travel: `fill` is handed the
-    /// `len` (zeroed) payload bytes inside the command block and reads the
-    /// segment straight into them, so the reply is never staged anywhere
-    /// else — and, when the block goes on to become the buffer, not copied
-    /// again before the wire.
+    /// Emits the [`Command::GetReply`] that answers a get of the `len`
+    /// bytes at `offset` of `seg`, its payload produced where it will
+    /// travel: the segment is read straight into the command block, so the
+    /// reply is never staged anywhere else — and, when the block goes on
+    /// to become the buffer, not copied again before the wire.
     #[inline]
     pub fn emit_get_reply(
         &mut self,
         dst: NodeId,
         token: u64,
         dest: u64,
+        seg: &Segment,
+        offset: usize,
         len: usize,
-        fill: impl FnOnce(&mut [u8]),
     ) {
         let size = Command::GetReply { token, dest, data: &[] }.encoded_len() + len;
         self.encode_with(dst, size, |block| {
-            Command::encode_get_reply(block, token, dest, len, fill)
+            Command::encode_get_reply(block, token, dest, seg, offset, len)
         });
     }
 

@@ -494,13 +494,13 @@ fn apply_staged(
             tls::with_sink(|sink| {
                 for &k in run {
                     let k = k as usize;
-                    let offset = stage.get_offsets[k] as usize;
                     sink.emit_get_reply(
                         src,
                         stage.get_tokens[k],
                         stage.get_dests[k],
+                        seg,
+                        stage.get_offsets[k] as usize,
                         stage.get_lens[k] as usize,
-                        |payload| seg.read(offset, payload),
                     );
                 }
             });

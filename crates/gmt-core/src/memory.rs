@@ -12,7 +12,26 @@
 use crate::handle::Layout;
 use crate::NodeId;
 use parking_lot::Mutex;
+use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+
+/// A byte a segment read can land in: an initialised one, or one of a
+/// buffer's spare capacity that the read initialises.
+trait ByteSlot: Copy {
+    fn new(b: u8) -> Self;
+}
+
+impl ByteSlot for u8 {
+    fn new(b: u8) -> u8 {
+        b
+    }
+}
+
+impl ByteSlot for MaybeUninit<u8> {
+    fn new(b: u8) -> Self {
+        MaybeUninit::new(b)
+    }
+}
 
 /// One node's storage for one global array.
 pub struct Segment {
@@ -49,6 +68,17 @@ impl Segment {
     ///
     /// Panics if the range exceeds the segment.
     pub fn read(&self, offset: usize, dst: &mut [u8]) {
+        self.read_into(offset, dst);
+    }
+
+    /// [`Segment::read`] into bytes not initialised yet, every one of
+    /// which it initialises (or it panics first).
+    pub(crate) fn read_uninit(&self, offset: usize, dst: &mut [MaybeUninit<u8>]) {
+        self.read_into(offset, dst);
+    }
+
+    #[inline]
+    fn read_into<B: ByteSlot>(&self, offset: usize, dst: &mut [B]) {
         assert!(
             offset.checked_add(dst.len()).is_some_and(|e| e <= self.len),
             "segment read [{offset}, {offset}+{}) out of bounds ({} bytes)",
@@ -68,17 +98,19 @@ impl Segment {
         let head = ((8 - (offset & 7)) & 7).min(dst.len());
         let (head_bytes, rest) = dst.split_at_mut(head);
         for (i, d) in head_bytes.iter_mut().enumerate() {
-            *d = unsafe { &*base.add(offset + i) }.load(Ordering::Relaxed);
+            // SAFETY: the assert above keeps every byte index in bounds.
+            *d = B::new(unsafe { &*base.add(offset + i) }.load(Ordering::Relaxed));
         }
         let first = (offset + head) / 8;
         let n = rest.len() / 8;
         let (middle, tail) = rest.split_at_mut(n * 8);
         for (w, d) in self.words[first..first + n].iter().zip(middle.chunks_exact_mut(8)) {
-            d.copy_from_slice(&w.load(Ordering::Relaxed).to_le_bytes());
+            d.copy_from_slice(&w.load(Ordering::Relaxed).to_le_bytes().map(B::new));
         }
         let tail_at = (first + n) * 8;
         for (i, d) in tail.iter_mut().enumerate() {
-            *d = unsafe { &*base.add(tail_at + i) }.load(Ordering::Relaxed);
+            // SAFETY: as for the head.
+            *d = B::new(unsafe { &*base.add(tail_at + i) }.load(Ordering::Relaxed));
         }
     }
 

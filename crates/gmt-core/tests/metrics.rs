@@ -205,6 +205,48 @@ fn a_loaded_worker_sleeps_at_most_twice_per_thousand_ops() {
     assert!(sleeps * 1000 <= 2 * ops, "{sleeps} worker sleeps over {ops} blocking ops");
 }
 
+/// Over shm a received buffer is read where it landed in the ring: the
+/// frames of a 16 KiB put storm reach the helpers lent, not copied (only
+/// a sender blocked on a full ring copies what it drains meanwhile).
+#[test]
+fn a_16k_put_storm_over_shm_lends_its_frames() {
+    const TASKS: u64 = 32;
+    const PUTS: u64 = 64;
+    const BYTES: usize = 16 * 1024;
+    let config = Config {
+        num_workers: 1,
+        num_helpers: 1,
+        buffer_size: 65_536,
+        cmd_block_entries: 64,
+        ..Config::small()
+    };
+    let cluster = Cluster::start_shm(2, config).unwrap();
+    cluster.node(0).run(|ctx| {
+        let arr = ctx.alloc(TASKS * BYTES as u64, Distribution::Remote);
+        ctx.parfor(SpawnPolicy::Local, TASKS, 1, move |ctx, t| {
+            let data = vec![t as u8; BYTES];
+            for _ in 0..PUTS {
+                ctx.put(&arr, t * BYTES as u64, &data).unwrap();
+            }
+            let mut back = vec![0u8; BYTES];
+            ctx.get(&arr, t * BYTES as u64, &mut back).unwrap();
+            assert_eq!(back, data);
+        });
+        ctx.free(arr);
+    });
+    let snaps: Vec<_> = (0..2).map(|n| cluster.node(n).metrics_snapshot()).collect();
+    cluster.shutdown();
+    for (n, snap) in snaps.iter().enumerate() {
+        let lent = snap.counter("net.shm.lent_frames").unwrap();
+        let copied = snap.counter("net.shm.copied_frames").unwrap();
+        eprintln!("node {n}: {lent} frames lent, {copied} copied");
+        assert!(
+            lent > 0 && lent * 100 >= 95 * (lent + copied),
+            "node {n}: {lent} lent, {copied} copied"
+        );
+    }
+}
+
 /// A chain of dependent remote gets over TCP hands each hop from thread
 /// to thread: nothing aggregates, so every hop is one buffer each way.
 /// The readers step what they read through the link themselves, so each

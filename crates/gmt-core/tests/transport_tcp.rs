@@ -236,9 +236,10 @@ fn crash_detection_latency_report() {
 }
 
 /// An aggregation buffer the wire cannot carry in one frame is a boot
-/// error naming both sizes — the smallest shm ring (64 KiB) cannot hold
-/// a 64 KiB buffer plus its frame header — and a transport handed such a
-/// payload anyway refuses it instead of panicking the thread that sends.
+/// error naming both sizes — the largest frame of the smallest shm ring
+/// (128 KiB) is half of it, a 64 KiB buffer less its frame header — and
+/// a transport handed such a payload anyway refuses it instead of
+/// panicking the thread that sends.
 #[test]
 fn buffers_larger_than_the_wire_frame_fail_the_boot() {
     let mesh = erase(shm_mesh_with(1, 64 * 1024).expect("shm mesh"));

@@ -85,9 +85,10 @@ pub(crate) fn decode_header(hdr: &[u8]) -> (usize, Tag) {
     (u32::from_le_bytes(word(0)) as usize, Tag::from_le_bytes(word(4)))
 }
 
-/// Pool of receive buffers. A leaf copies (or reads) each frame body
-/// into a pooled `Vec`, delivered as a pooled [`Payload`], so the
+/// Pool of receive buffers. The TCP leaf copies (or reads) each frame
+/// body into a pooled `Vec`, delivered as a pooled [`Payload`], so the
 /// receive side recycles buffers exactly like the sim's channel pools.
+/// (The shm leaf needs none: it lends each body where it landed.)
 /// The ring's capacity is the cache's cap: a release into a full ring
 /// frees the buffer, however many threads release at once.
 pub(crate) struct RecvPool {
@@ -279,11 +280,14 @@ impl Core {
         &self.pool
     }
 
-    /// Accounts one received frame and wraps its body (a buffer from
-    /// [`Core::pool`]) as a pooled payload.
-    pub(crate) fn received(&self, src: NodeId, tag: Tag, body: Vec<u8>) -> Packet {
-        self.stats.record_recv(self.node, body.len());
-        let payload = Payload::pooled(body, Arc::clone(&self.pool) as Arc<dyn BufRelease>);
+    /// `body`, a buffer from [`Core::pool`], as a pooled payload.
+    pub(crate) fn pooled(&self, body: Vec<u8>) -> Payload {
+        Payload::pooled(body, Arc::clone(&self.pool) as Arc<dyn BufRelease>)
+    }
+
+    /// Accounts one received frame carrying `payload`.
+    pub(crate) fn received(&self, src: NodeId, tag: Tag, payload: Payload) -> Packet {
+        self.stats.record_recv(self.node, payload.len());
         Packet { src, dst: self.node, tag, payload }
     }
 

@@ -1,6 +1,6 @@
 //! Pooled, zero-copy message payloads.
 //!
-//! A [`Payload`] owns the bytes of one message. Three representations:
+//! A [`Payload`] owns the bytes of one message. Four representations:
 //!
 //! * *plain* — a `Vec<u8>` the fabric frees normally;
 //! * *pooled* — the buffer came from a fixed sender-side pool and carries
@@ -14,7 +14,11 @@
 //!   handle. This is what a reliability layer needs: one handle travels to
 //!   the receiver, the other sits in the retransmit queue keeping the
 //!   buffer alive (and out of its pool) until the transfer is acked.
-//!   The pool sees the buffer exactly once, when the *last* handle drops.
+//!   The pool sees the buffer exactly once, when the *last* handle drops;
+//! * *lent* — the bytes are not ours: a transport lends them where they
+//!   landed (the shm leaf's ring) behind a `Lent` handle, and takes the
+//!   space back once the last handle drops. Like a shared payload it is
+//!   read-only and clones as a handle.
 
 use std::fmt;
 use std::ops::Deref;
@@ -41,10 +45,17 @@ impl Drop for SharedBuf {
     }
 }
 
+/// Bytes a transport lends a received [`Payload`] in place. The lender
+/// reuses them once no handle is left, so it counts the handles.
+pub(crate) trait Lent: Send + Sync {
+    fn bytes(&self) -> &[u8];
+}
+
 enum Repr {
     Plain(Vec<u8>),
     Pooled(Vec<u8>, Arc<dyn BufRelease>),
     Shared(Arc<SharedBuf>),
+    Lent(Arc<dyn Lent>),
 }
 
 /// The bytes of one message, with an optional return-to-pool obligation.
@@ -58,28 +69,35 @@ impl Payload {
         Payload { repr: Repr::Pooled(buf, hook) }
     }
 
+    /// A handle to bytes a transport lends in place.
+    pub(crate) fn lent(bytes: Arc<dyn Lent>) -> Self {
+        Payload { repr: Repr::Lent(bytes) }
+    }
+
     /// The payload bytes.
     pub fn as_slice(&self) -> &[u8] {
         match &self.repr {
             Repr::Plain(b) => b,
             Repr::Pooled(b, _) => b,
             Repr::Shared(s) => &s.buf,
+            Repr::Lent(l) => l.bytes(),
         }
     }
 
-    /// `true` if this payload returns its buffer to a pool on drop (either
-    /// directly or through the last shared handle).
+    /// `true` if this payload gives its bytes back on drop: a buffer to
+    /// its pool (either directly or through the last shared handle) or
+    /// lent bytes to their transport.
     pub fn is_pooled(&self) -> bool {
         match &self.repr {
             Repr::Plain(_) => false,
-            Repr::Pooled(..) => true,
+            Repr::Pooled(..) | Repr::Lent(_) => true,
             Repr::Shared(s) => s.release.is_some(),
         }
     }
 
     /// `true` if this payload shares its bytes with other handles.
     pub fn is_shared(&self) -> bool {
-        matches!(self.repr, Repr::Shared(_))
+        matches!(self.repr, Repr::Shared(_) | Repr::Lent(_))
     }
 
     /// Copies the bytes out into an owned, unpooled `Vec`.
@@ -95,12 +113,12 @@ impl Payload {
     ///
     /// # Panics
     ///
-    /// Panics on a shared payload or an out-of-range patch.
+    /// Panics on a shared or lent payload or an out-of-range patch.
     pub fn patch(&mut self, offset: usize, bytes: &[u8]) {
         let buf = match &mut self.repr {
             Repr::Plain(b) => b,
             Repr::Pooled(b, _) => b,
-            Repr::Shared(_) => panic!("cannot patch a shared payload"),
+            Repr::Shared(_) | Repr::Lent(_) => panic!("cannot patch a shared payload"),
         };
         buf[offset..offset + bytes.len()].copy_from_slice(bytes);
     }
@@ -108,13 +126,17 @@ impl Payload {
     /// Converts this payload to the shared representation (a no-op if it
     /// already is) and returns a second handle to the same bytes. No copy
     /// is made; a pooled buffer returns to its pool when the *last* handle
-    /// drops.
+    /// drops. A lent payload is shared already: the second handle is a
+    /// clone.
     pub fn share(&mut self) -> Payload {
         let repr = std::mem::replace(&mut self.repr, Repr::Plain(Vec::new()));
         let shared = match repr {
             Repr::Plain(buf) => Arc::new(SharedBuf { buf, release: None }),
             Repr::Pooled(buf, hook) => Arc::new(SharedBuf { buf, release: Some(hook) }),
-            Repr::Shared(s) => s,
+            handle @ (Repr::Shared(_) | Repr::Lent(_)) => {
+                self.repr = handle;
+                return self.clone();
+            }
         };
         self.repr = Repr::Shared(Arc::clone(&shared));
         Payload { repr: Repr::Shared(shared) }
@@ -128,7 +150,8 @@ impl Drop for Payload {
             hook.release(buf);
         }
         // Plain: freed normally. Shared: SharedBuf's drop releases once,
-        // when the last handle goes.
+        // when the last handle goes. Lent: the lender sees the last handle
+        // go.
     }
 }
 
@@ -151,22 +174,18 @@ impl AsRef<[u8]> for Payload {
     }
 }
 
-/// Cloning a *shared* payload is a cheap handle copy (same bytes, pool
-/// released once, by the last handle). Cloning a plain or pooled payload
-/// clones the bytes into a plain payload — releasing one pooled buffer
-/// twice would corrupt the pool accounting.
+/// Cloning a *shared* or *lent* payload is a cheap handle copy (same
+/// bytes, given back once, by the last handle). Cloning a plain or pooled
+/// payload clones the bytes into a plain payload — releasing one pooled
+/// buffer twice would corrupt the pool accounting.
 impl Clone for Payload {
     fn clone(&self) -> Self {
-        match &self.repr {
-            Repr::Shared(s) => Payload { repr: Repr::Shared(Arc::clone(s)) },
-            other => Payload {
-                repr: Repr::Plain(match other {
-                    Repr::Plain(b) => b.clone(),
-                    Repr::Pooled(b, _) => b.clone(),
-                    Repr::Shared(_) => unreachable!(),
-                }),
-            },
-        }
+        let repr = match &self.repr {
+            Repr::Shared(s) => Repr::Shared(Arc::clone(s)),
+            Repr::Lent(l) => Repr::Lent(Arc::clone(l)),
+            Repr::Plain(b) | Repr::Pooled(b, _) => Repr::Plain(b.clone()),
+        };
+        Payload { repr }
     }
 }
 

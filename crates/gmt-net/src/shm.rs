@@ -4,10 +4,10 @@
 //! reader-thread wakeup per frame — a 7.5× tax on latency-bound storms
 //! (EXPERIMENTS.md). On one host none of that is necessary: this module
 //! moves frames through lock-free SPSC byte rings in a single shared
-//! segment, so a frame costs two `memcpy`s and a release store, and the
-//! kernel is not involved at all. The [`framed`](crate::framed) core
-//! owns everything around the rings (inbox, fault shim, loss evidence,
-//! shutdown gate).
+//! segment, so a frame costs one `memcpy` (the sender's, into the ring)
+//! and a release store, and the kernel is not involved at all. The
+//! [`framed`](crate::framed) core owns everything around the rings
+//! (inbox, fault shim, loss evidence, shutdown gate).
 //!
 //! # Segment layout
 //!
@@ -25,11 +25,32 @@
 //! increasing byte cursors on separate cache lines (position = cursor
 //! mod `ring_cap`, a power of two), so the single producer and single
 //! consumer never contend on a line. Frames are the core's (`[len][tag]`
-//! then the payload), written with wraparound split copies and published
-//! by a release store of `tail`; the consumer copies the payload into a
-//! pooled buffer and retires it with a release store of `head`.
-//! Self-rings exist but stay empty — self-sends loop through the inbox
-//! like every other backend.
+//! then the payload), each starting 8-byte aligned, published by a
+//! release store of `tail`. Self-rings exist but stay empty — self-sends
+//! loop through the inbox like every other backend.
+//!
+//! **A frame never wraps.** One that does not fit between its position
+//! and the ring's end starts at offset 0 instead, and the producer writes
+//! a *pad marker* (a header whose length is `u32::MAX`) over the rest of
+//! the ring; the consumer skips from a pad to offset 0. So every payload
+//! is one contiguous run of ring bytes, and the largest frame is half the
+//! ring (a frame and the pad in front of it must fit together).
+//!
+//! # A received payload is read where it landed
+//!
+//! The consumer does not copy a frame out: it hands the runtime a lent
+//! [`Payload`] that views the payload bytes in the ring, and `head` moves
+//! past a frame only once every handle to it has dropped. **A received
+//! shm payload pins its ring bytes until it is dropped**: a receiver that
+//! holds payloads holds back its peer's sender, which blocks once the
+//! ring is full (the runtime's helpers drop each buffer once they have
+//! processed it, and its receive credit bounds how many wait for them).
+//! Payloads are released in any order — helpers run in parallel, and the
+//! reliable layer drops duplicates at once — so the consumer keeps, per
+//! inbound ring, the lent frames in ring order with their end cursors: a
+//! FIFO of release flags, where a frame is released when the FIFO holds
+//! its last reference. `head` advances across the released prefix only,
+//! on the consumer's next poll.
 //!
 //! # Nothing parks, nothing wakes
 //!
@@ -44,7 +65,12 @@
 //! `net.shm.full_waits`) — but while waiting it drains its *own*
 //! inbound rings into the inbox, so two nodes mid-storm sending into
 //! each other's full rings make progress instead of deadlocking (TCP
-//! gets the same property from its reader thread).
+//! gets the same property from its reader thread). The drained frames
+//! are **copied**, not lent: the inbox is only emptied once the blocked
+//! send returns, so a lent frame waiting there would pin the ring the
+//! peer is blocked on while the peer pins ours — two blocked senders
+//! would wait for each other forever. `net.shm.lent_frames` and
+//! `net.shm.copied_frames` count the two ways a frame leaves the ring.
 //!
 //! # Crash evidence and cleanup
 //!
@@ -70,12 +96,13 @@ use crate::fault::FaultDecision;
 use crate::framed::{
     decode_header, encode_header, Core, FramedTransport, Link, FRAME_HEADER, MAX_FRAME,
 };
-use crate::payload::Payload;
+use crate::payload::{Lent, Payload};
 use crate::stats::TrafficStats;
 use crate::transport::{DoneBarrier, Transport, HANDSHAKE_TIMEOUT};
 use crate::NodeId;
 use crossbeam::channel;
 use parking_lot::Mutex;
+use std::collections::VecDeque;
 use std::io::{self, ErrorKind};
 use std::path::Path;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -83,10 +110,10 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Segment magic ("GMS2": the second slot and ring-header layout),
-/// stored *last* by the creator so a reader that sees it knows every
-/// other header field is initialized.
-const SEG_MAGIC: u32 = 0x474D_5332;
+/// Segment magic ("GMS3": the third ring format, whose frames never
+/// wrap), stored *last* by the creator so a reader that sees it knows
+/// every other header field is initialized.
+const SEG_MAGIC: u32 = 0x474D_5333;
 
 /// Liveness states in a node's slot.
 const STATE_EMPTY: u32 = 0;
@@ -100,11 +127,23 @@ const SLOT_BYTES: usize = 128;
 const RING_HDR_BYTES: usize = 384;
 
 /// Per-directed-link ring capacity: what [`shm_mesh`] and a launched
-/// cluster use, then the floor (must hold at least one max-size
-/// aggregation buffer plus header) and ceiling of an explicit size.
+/// cluster use, then the floor (its largest frame, half of it, must hold
+/// a 64 KiB aggregation buffer but for its header) and ceiling of an
+/// explicit size.
 const DEFAULT_RING_BYTES: usize = 1 << 20;
-const MIN_RING_BYTES: usize = 1 << 16;
+const MIN_RING_BYTES: usize = 1 << 17;
 const MAX_RING_BYTES: usize = 1 << 28;
+
+/// The length a pad marker's header carries: the rest of the ring is
+/// padding, and the next frame starts at offset 0.
+const PAD: usize = u32::MAX as usize;
+
+/// Ring bytes one frame of a `len`-byte payload takes: header and
+/// payload, rounded up so the next frame starts 8-byte aligned (and a pad
+/// marker always fits in front of the ring's end).
+fn frame_bytes(len: usize) -> usize {
+    (FRAME_HEADER + len + 7) & !7
+}
 
 /// How long a sender sleeps between full-ring retries. Deliberately
 /// small: CI hosts may have a single core, where the blocked side must
@@ -301,12 +340,25 @@ impl Segment {
         debug_assert!(src < self.nodes && dst < self.nodes);
         let idx = src * self.nodes + dst;
         let off = HDR_BYTES + self.nodes * SLOT_BYTES + idx * (RING_HDR_BYTES + self.ring_cap);
-        let base = unsafe { self.base().add(off) };
         RingRef {
-            hdr: unsafe { &*(base as *const RingHdr) },
-            data: unsafe { base.add(RING_HDR_BYTES) },
+            seg: self,
+            hdr: unsafe { &*(self.base().add(off) as *const RingHdr) },
+            data: off + RING_HDR_BYTES,
             cap: self.ring_cap,
         }
+    }
+
+    /// The `len` segment bytes at offset `off`.
+    ///
+    /// # Safety
+    ///
+    /// The range must lie inside the segment, and nothing may write it
+    /// while the slice lives. Ring bytes between `head` and `tail` qualify
+    /// for the consumer: the producer writes only past `tail`.
+    unsafe fn bytes(&self, off: usize, len: usize) -> &[u8] {
+        debug_assert!(off + len <= Self::size_for(self.nodes, self.ring_cap));
+        // SAFETY: in bounds and unwritten, by the caller's guarantee.
+        unsafe { std::slice::from_raw_parts(self.base().add(off), len) }
     }
 }
 
@@ -319,11 +371,13 @@ impl Drop for Segment {
     }
 }
 
-/// One directed ring: header reference plus the data area.
+/// One directed ring: header reference plus the data area's offset in
+/// the segment.
 #[derive(Clone, Copy)]
 struct RingRef<'a> {
+    seg: &'a Segment,
     hdr: &'a RingHdr,
-    data: *mut u8,
+    data: usize,
     cap: usize,
 }
 
@@ -333,37 +387,87 @@ impl RingRef<'_> {
         (cursor & (self.cap as u64 - 1)) as usize
     }
 
-    /// Copies `bytes` into the ring at byte cursor `at`, splitting
-    /// across the wrap point. SPSC discipline (the producer owns
-    /// `[tail, head+cap)`) makes the region exclusively ours.
+    /// Copies `bytes` into the ring at position `pos`; frames never wrap,
+    /// so neither does the copy.
+    ///
+    /// # Safety
+    ///
+    /// `pos + bytes.len()` must not pass the ring's end, and the region
+    /// must be exclusively ours: SPSC discipline gives the producer
+    /// `[tail, head + cap)`.
     #[inline]
-    unsafe fn write_at(&self, at: u64, bytes: &[u8]) {
-        let pos = self.pos(at);
-        let first = bytes.len().min(self.cap - pos);
+    unsafe fn write_at(&self, pos: usize, bytes: &[u8]) {
+        debug_assert!(pos + bytes.len() <= self.cap);
+        let at = self.data + pos;
+        // SAFETY: inside the ring's data area and unshared, by the
+        // caller's guarantee; `bytes` cannot overlap shared memory we own.
         unsafe {
-            std::ptr::copy_nonoverlapping(bytes.as_ptr(), self.data.add(pos), first);
-            if first < bytes.len() {
-                std::ptr::copy_nonoverlapping(
-                    bytes.as_ptr().add(first),
-                    self.data,
-                    bytes.len() - first,
-                );
-            }
-        }
+            std::ptr::copy_nonoverlapping(bytes.as_ptr(), self.seg.base().add(at), bytes.len())
+        };
+    }
+}
+
+/// A frame's payload lent to the runtime where it lies in its ring. Its
+/// bytes are the consumer's until `head` passes them, which waits for the
+/// frame's last handle.
+struct LentFrame {
+    seg: Arc<Segment>,
+    off: usize,
+    len: usize,
+}
+
+impl Lent for LentFrame {
+    fn bytes(&self) -> &[u8] {
+        // SAFETY: `pop_frame` checked the frame lies inside its ring, and
+        // the producer writes none of it until `head` passes it, which
+        // waits for this handle (`Inbound::retire`).
+        unsafe { self.seg.bytes(self.off, self.len) }
+    }
+}
+
+/// The consumer's side of one inbound ring.
+#[derive(Default)]
+struct Inbound {
+    /// Cursor past the last frame handed out: `[head, read)` is lent.
+    read: u64,
+    /// The release flags: the lent frames in ring order, each with the
+    /// cursor past it (and past the pad in front of it, if any). A frame
+    /// is released once this queue holds its last reference.
+    lent: VecDeque<(u64, Arc<LentFrame>)>,
+}
+
+impl Inbound {
+    /// Lends the `len` payload bytes at segment offset `off` of the frame
+    /// that ends at cursor `end`.
+    fn lend(&mut self, seg: &Arc<Segment>, off: usize, len: usize, end: u64) -> Arc<LentFrame> {
+        let frame = Arc::new(LentFrame { seg: Arc::clone(seg), off, len });
+        self.read = end;
+        self.lent.push_back((end, Arc::clone(&frame)));
+        frame
     }
 
-    /// Copies `len` ring bytes starting at cursor `at` into `out`.
-    #[inline]
-    unsafe fn read_at(&self, at: u64, out: *mut u8, len: usize) {
-        let pos = self.pos(at);
-        let first = len.min(self.cap - pos);
-        unsafe {
-            std::ptr::copy_nonoverlapping(self.data.add(pos) as *const u8, out, first);
-            if first < len {
-                std::ptr::copy_nonoverlapping(self.data as *const u8, out.add(first), len - first);
+    /// Retires the released prefix of the lent frames: the new `head`,
+    /// if it moved. (`get_mut` acquires the last handle's release, so the
+    /// producer cannot overwrite bytes a handle still reads.)
+    fn retire(&mut self) -> Option<u64> {
+        let mut head = None;
+        while let Some((end, frame)) = self.lent.front_mut() {
+            if Arc::get_mut(frame).is_none() {
+                break;
             }
+            head = Some(*end);
+            self.lent.pop_front();
         }
+        head
     }
+}
+
+/// The consumer side of a node's inbound rings, one thread at a time.
+struct Rx {
+    /// Round-robin scan start.
+    next: usize,
+    /// Per source node.
+    inbound: Vec<Inbound>,
 }
 
 /// Backend-specific counters surfaced as `net.shm.*` through
@@ -377,6 +481,10 @@ struct ShmCounters {
     occ_watermark: AtomicU64,
     /// Post-send occupancy histogram in eighths of the ring capacity.
     occ_hist: [AtomicU64; 8],
+    /// Frames handed to the receiver in place.
+    lent_frames: AtomicU64,
+    /// Frames copied out by a sender blocked on a full ring.
+    copied_frames: AtomicU64,
 }
 
 /// The rings of one node's slice of a shared-memory mesh.
@@ -387,9 +495,9 @@ pub struct ShmLink {
     /// Per-destination producer locks: the SPSC tail allows one writer,
     /// but any runtime thread may call `send`.
     tx: Vec<Mutex<()>>,
-    /// Round-robin scan start for the consumer side, and the lock that
-    /// makes ring consumption single-threaded.
-    rx: Mutex<usize>,
+    /// The consumer side, behind the lock that makes ring consumption
+    /// single-threaded.
+    rx: Mutex<Rx>,
     /// The crash-evidence monitor; taken (and joined) by `close`.
     monitor: Mutex<Option<JoinHandle<()>>>,
 }
@@ -415,22 +523,24 @@ fn from_segment(node: NodeId, seg: Arc<Segment>, stats: Arc<TrafficStats>) -> Sh
         seg,
         counters: ShmCounters::default(),
         tx: (0..nodes).map(|_| Mutex::new(())).collect(),
-        rx: Mutex::new(0),
+        rx: Mutex::new(Rx { next: 0, inbound: (0..nodes).map(|_| Inbound::default()).collect() }),
         monitor: Mutex::new(Some(monitor)),
     };
     FramedTransport::new(core, inbox_rx, link)
 }
 
 impl ShmLink {
-    /// Scans inbound rings round-robin and pops at most one frame.
+    /// Scans inbound rings round-robin, retiring released frames, and
+    /// lends at most one frame.
     fn poll_rings(&self) -> Option<Packet> {
         let (node, nodes) = (self.core.node, self.core.nodes);
         if nodes == 1 {
             return None;
         }
-        let mut next = self.rx.lock();
+        let mut rx = self.rx.lock();
+        let rx = &mut *rx;
         for i in 0..nodes {
-            let peer = (*next + i) % nodes;
+            let peer = (rx.next + i) % nodes;
             if peer == node {
                 continue;
             }
@@ -438,14 +548,17 @@ impl ShmLink {
             if ring.hdr.sever.load(Ordering::Acquire) != 0 {
                 continue;
             }
-            let head = ring.hdr.head.load(Ordering::Relaxed);
+            let inbound = &mut rx.inbound[peer];
+            if let Some(head) = inbound.retire() {
+                ring.hdr.head.store(head, Ordering::Release);
+            }
             let tail = ring.hdr.tail.load(Ordering::Acquire);
-            if tail == head {
+            if tail == inbound.read {
                 continue;
             }
-            match self.pop_frame(ring, peer, head, tail) {
+            match self.pop_frame(ring, inbound, peer, tail) {
                 Some(pkt) => {
-                    *next = (peer + 1) % nodes;
+                    rx.next = (peer + 1) % nodes;
                     return Some(pkt);
                 }
                 None => {
@@ -459,36 +572,54 @@ impl ShmLink {
         None
     }
 
-    /// Decodes the frame at `head` into a pooled payload and retires it;
+    /// Lends the frame at `inbound.read` (skipping a pad marker there);
     /// `None` if the ring holds no well-formed frame there. The caller
-    /// holds `rx` and has observed `tail != head`.
-    fn pop_frame(&self, ring: RingRef<'_>, src: NodeId, head: u64, tail: u64) -> Option<Packet> {
-        let avail = (tail - head) as usize;
-        if avail < FRAME_HEADER {
-            return None; // torn header: producer protocol violated
+    /// holds `rx` and has observed `tail != inbound.read`.
+    fn pop_frame(
+        &self,
+        ring: RingRef<'_>,
+        inbound: &mut Inbound,
+        src: NodeId,
+        tail: u64,
+    ) -> Option<Packet> {
+        // SAFETY: a header between `read` and `tail` is published and not
+        // retired, so nothing writes it, and it lies inside the ring: the
+        // cursors advance by whole, 8-aligned frames and pads. A torn one
+        // violates the producer protocol.
+        let header = |at: u64| {
+            let bytes = (at + FRAME_HEADER as u64 <= tail)
+                .then(|| unsafe { self.seg.bytes(ring.data + ring.pos(at), FRAME_HEADER) })?;
+            Some(decode_header(bytes))
+        };
+        let mut at = inbound.read;
+        let (mut len, mut tag) = header(at)?;
+        if len == PAD && ring.pos(at) != 0 {
+            at += (ring.cap - ring.pos(at)) as u64;
+            (len, tag) = header(at)?;
         }
-        let mut hdr = [0u8; FRAME_HEADER];
-        unsafe { ring.read_at(head, hdr.as_mut_ptr(), FRAME_HEADER) };
-        let (len, tag) = decode_header(&hdr);
-        if len > MAX_FRAME || FRAME_HEADER + len > ring.cap || FRAME_HEADER + len > avail {
+        // Frames never wrap: one that would is as corrupt as one too long
+        // or running past `tail`.
+        if len > self.max_frame() || ring.pos(at) + frame_bytes(len) > ring.cap {
             return None;
         }
-        let mut buf = self.core.pool().get();
-        buf.reserve(len);
-        unsafe {
-            ring.read_at(head + FRAME_HEADER as u64, buf.as_mut_ptr(), len);
-            buf.set_len(len);
+        let end = at + frame_bytes(len) as u64;
+        if end > tail {
+            return None;
         }
-        ring.hdr.head.store(head + (FRAME_HEADER + len) as u64, Ordering::Release);
-        Some(self.core.received(src, tag, buf))
+        let off = ring.data + ring.pos(at) + FRAME_HEADER;
+        let frame = inbound.lend(&self.seg, off, len, end);
+        Some(self.core.received(src, tag, Payload::lent(frame)))
     }
 
     /// Moves every currently-available inbound frame into the inbox
-    /// (used by senders blocked on a full ring). Returns whether
-    /// anything moved.
+    /// (used by senders blocked on a full ring), copied out so that the
+    /// ring space comes free at once (see "Nothing parks, nothing wakes"
+    /// in the module docs). Returns whether anything moved.
     fn drain_rings_to_inbox(&self) -> bool {
         let mut moved = false;
-        while let Some(pkt) = self.poll_rings() {
+        while let Some(mut pkt) = self.poll_rings() {
+            pkt.payload = Payload::from(pkt.payload.to_vec());
+            self.counters.copied_frames.fetch_add(1, Ordering::Relaxed);
             self.core.enqueue(pkt);
             moved = true;
         }
@@ -498,11 +629,12 @@ impl ShmLink {
 
 impl Link for ShmLink {
     fn max_frame(&self) -> usize {
-        MAX_FRAME.min(self.seg.ring_cap - FRAME_HEADER)
+        MAX_FRAME.min(self.seg.ring_cap / 2 - FRAME_HEADER)
     }
 
-    /// Writes one frame into the ring toward `dst`, blocking while the
-    /// ring is full.
+    /// Writes one frame into the ring toward `dst` (behind a pad marker if
+    /// it does not fit before the ring's end), blocking while the ring is
+    /// full.
     fn push(
         &self,
         dst: NodeId,
@@ -517,8 +649,10 @@ impl Link for ShmLink {
             NetError::LinkDown { src: core.node, dst }
         };
         let _producer = self.tx[dst].lock();
-        let need = (FRAME_HEADER + bytes.len()) as u64;
         let tail = ring.hdr.tail.load(Ordering::Relaxed);
+        let (at, frame) = (ring.pos(tail), frame_bytes(bytes.len()));
+        let pad = if ring.cap - at < frame { ring.cap - at } else { 0 };
+        let need = (pad + frame) as u64;
         let mut waited = false;
         loop {
             if ring.hdr.sever.load(Ordering::Acquire) != 0 {
@@ -546,9 +680,17 @@ impl Link for ShmLink {
                 std::thread::sleep(FULL_RETRY);
             }
         }
+        let start = if pad > 0 { 0 } else { at };
+        // SAFETY: the wait above left `pad + frame` bytes free from
+        // `tail`, the pad marker (8-aligned, at least 8 bytes) ends the
+        // ring and the frame fits before its end; the producer lock makes
+        // them ours alone.
         unsafe {
-            ring.write_at(tail, &encode_header(bytes.len(), tag));
-            ring.write_at(tail + FRAME_HEADER as u64, bytes);
+            if pad > 0 {
+                ring.write_at(at, &encode_header(PAD, 0));
+            }
+            ring.write_at(start, &encode_header(bytes.len(), tag));
+            ring.write_at(start + FRAME_HEADER, bytes);
         }
         ring.hdr.tail.store(tail + need, Ordering::Release);
 
@@ -563,10 +705,12 @@ impl Link for ShmLink {
         if self.core.stopping() {
             // After shutdown only the inbox remains receivable; frames
             // still in the rings are dropped (nothing below the inbox is
-            // pooled until decode, so nothing leaks).
+            // lent until decode, so nothing leaks).
             return None;
         }
-        self.poll_rings()
+        let pkt = self.poll_rings()?;
+        self.counters.lent_frames.fetch_add(1, Ordering::Relaxed);
+        Some(pkt)
     }
 
     fn sever(&self, peer: NodeId) {
@@ -593,6 +737,8 @@ impl Link for ShmLink {
         let c = &self.counters;
         let mut out = vec![
             ("net.shm.full_waits".to_string(), c.full_waits.load(Ordering::Relaxed)),
+            ("net.shm.lent_frames".to_string(), c.lent_frames.load(Ordering::Relaxed)),
+            ("net.shm.copied_frames".to_string(), c.copied_frames.load(Ordering::Relaxed)),
             (
                 "net.shm.ring_occ_watermark_bytes".to_string(),
                 c.occ_watermark.load(Ordering::Relaxed),
@@ -852,51 +998,144 @@ mod tests {
     use crate::transport::{connect, Bootstrap};
     use crate::Payload;
 
+    fn counter(t: &ShmTransport, name: &str) -> u64 {
+        let counters = t.backend_counters();
+        counters.into_iter().find(|(n, _)| n == name).expect("the counter is reported").1
+    }
+
     #[test]
     fn full_ring_blocks_then_delivers_everything() {
-        // Minimum ring (64 KiB); 16 KiB frames fill it after a handful
-        // of sends, forcing the full-ring wait path.
+        // Minimum rings and max-size frames (half a ring), both ways at
+        // once: each node's one thread sends and receives, as the
+        // communication server does, so both block on full rings toward
+        // each other, and a helper thread holds each lent frame it
+        // receives for a while. What a blocked sender drains must come
+        // free at once, or the two wait for each other forever.
         let mesh = Arc::new(shm_mesh_with(2, MIN_RING_BYTES).unwrap());
-        let frames = 64usize;
-        let rx = std::thread::spawn({
-            let mesh = Arc::clone(&mesh);
-            move || {
-                // Delay so the sender definitely fills the ring first.
-                std::thread::sleep(Duration::from_millis(100));
-                let mut got = 0;
-                while got < 64 {
-                    if mesh[1].recv_timeout(Duration::from_secs(10)).is_some() {
+        let (max, frames) = (mesh[0].max_frame(), 64usize);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        for node in 0..2 {
+            let (mesh, done_tx) = (Arc::clone(&mesh), done_tx.clone());
+            std::thread::spawn(move || {
+                let (hold_tx, hold_rx) = std::sync::mpsc::channel::<Payload>();
+                let helper = std::thread::spawn(move || {
+                    for held in hold_rx {
+                        std::thread::sleep(Duration::from_micros(200));
+                        drop(held);
+                    }
+                });
+                let (peer, t) = (1 - node, &mesh[node]);
+                let (mut sent, mut got) = (0, 0);
+                while sent < frames || got < frames {
+                    // Bursts with no receive between their sends: the
+                    // nodes block toward each other inside each.
+                    for _ in 0..8.min(frames - sent) {
+                        t.send(peer, sent as Tag, Payload::from(vec![node as u8; max])).unwrap();
+                        sent += 1;
+                    }
+                    if sent == frames {
+                        std::thread::sleep(FULL_RETRY);
+                    }
+                    while let Some(pkt) = t.try_recv() {
+                        assert_eq!(
+                            (pkt.src, pkt.tag as usize, pkt.payload.len()),
+                            (peer, got, max)
+                        );
+                        assert_eq!(
+                            (pkt.payload[0], pkt.payload[max - 1]),
+                            (peer as u8, peer as u8)
+                        );
                         got += 1;
+                        hold_tx.send(pkt.payload).unwrap();
                     }
                 }
-                got
-            }
-        });
-        for i in 0..frames {
-            mesh[0].send(1, i as Tag, Payload::from(vec![0xAB; 16 * 1024])).unwrap();
+                drop(hold_tx);
+                helper.join().unwrap();
+                done_tx.send(node).unwrap();
+            });
         }
-        assert_eq!(rx.join().unwrap(), 64);
-        let full_waits = mesh[0]
-            .backend_counters()
-            .into_iter()
-            .find(|(name, _)| name == "net.shm.full_waits")
-            .expect("the counter is reported")
-            .1;
-        assert!(full_waits > 0, "small ring must have filled");
+        for _ in 0..2 {
+            done_rx
+                .recv_timeout(Duration::from_secs(60))
+                .expect("two senders blocked toward each other must both finish");
+        }
+        for t in mesh.iter() {
+            assert!(counter(t, "net.shm.full_waits") > 0, "small ring must have filled");
+            let (lent, copied) =
+                (counter(t, "net.shm.lent_frames"), counter(t, "net.shm.copied_frames"));
+            assert_eq!(lent + copied, frames as u64, "a frame leaves its ring lent or copied");
+        }
+    }
+
+    #[test]
+    fn frames_released_out_of_order_move_head_over_the_released_prefix_only() {
+        let mesh = shm_mesh_with(2, MIN_RING_BYTES).unwrap();
+        let head = || mesh[1].link.seg.ring(0, 1).hdr.head.load(Ordering::Acquire);
+        let frame = frame_bytes(100) as u64;
+        for i in 0..3 {
+            mesh[0].send(1, i, Payload::from(vec![i as u8; 100])).unwrap();
+        }
+        let mut held: Vec<Packet> = (0..3).map(|_| mesh[1].try_recv().expect("a frame")).collect();
+        assert!(held.iter().all(|pkt| pkt.payload.is_pooled() && pkt.payload.is_shared()));
+        assert!(mesh[1].try_recv().is_none());
+        assert_eq!(head(), 0, "every frame is lent");
+        drop(held.remove(1));
+        assert!(mesh[1].try_recv().is_none());
+        assert_eq!(head(), 0, "the oldest frame still holds the ring");
+        assert_eq!(held[0].payload.as_slice(), &[0u8; 100][..]);
+        drop(held.remove(0));
+        assert!(mesh[1].try_recv().is_none());
+        assert_eq!(head(), 2 * frame, "the released prefix is both frames");
+        assert_eq!(held[0].payload.as_slice(), &[2u8; 100][..]);
+        drop(held);
+        assert!(mesh[1].try_recv().is_none());
+        assert_eq!(head(), 3 * frame);
+        assert_eq!(counter(&mesh[1], "net.shm.lent_frames"), 3);
+    }
+
+    #[test]
+    fn a_frame_that_would_wrap_starts_at_zero_behind_a_pad() {
+        let mesh = shm_mesh_with(2, MIN_RING_BYTES).unwrap();
+        let (len, cap) = (50_000, MIN_RING_BYTES);
+        let frame = frame_bytes(len);
+        for i in 0..2 {
+            mesh[0].send(1, i, Payload::from(vec![i as u8; len])).unwrap();
+            drop(mesh[1].try_recv().expect("a frame"));
+        }
+        // Both retire: the ring is empty, with 2 frames' bytes behind us.
+        assert!(mesh[1].try_recv().is_none());
+        let pad = cap - 2 * frame;
+        assert!(pad < frame, "the third frame does not fit in the ring's last bytes");
+        mesh[0].send(1, 2, Payload::from(vec![2u8; len])).unwrap();
+        let seg = &mesh[1].link.seg;
+        let ring = seg.ring(0, 1);
+        assert_eq!(ring.hdr.tail.load(Ordering::Acquire), (2 * frame + pad + frame) as u64);
+        let pkt = mesh[1].try_recv().expect("the frame behind the pad");
+        assert_eq!((pkt.tag, pkt.payload.as_slice()), (2, &vec![2u8; len][..]));
+        let at_zero = seg.base() as usize + ring.data + FRAME_HEADER;
+        assert_eq!(pkt.payload.as_ptr() as usize, at_zero, "read where it landed, at 0");
+        drop(pkt);
+        assert!(mesh[1].try_recv().is_none());
+        assert_eq!(ring.hdr.head.load(Ordering::Acquire), ring.hdr.tail.load(Ordering::Acquire));
     }
 
     #[test]
     fn a_frame_the_ring_cannot_hold_is_refused_not_asserted() {
+        // The largest frame is half the ring: it and a pad must fit.
         let mesh = shm_mesh_with(2, MIN_RING_BYTES).unwrap();
-        let max = MIN_RING_BYTES - FRAME_HEADER;
+        let max = MIN_RING_BYTES / 2 - FRAME_HEADER;
         assert_eq!(mesh[0].max_frame(), max);
         assert_eq!(
-            mesh[0].send(1, 0, Payload::from(vec![0u8; MIN_RING_BYTES])),
-            Err(NetError::FrameTooLarge { len: MIN_RING_BYTES, max })
+            mesh[0].send(1, 0, Payload::from(vec![0u8; max + 1])),
+            Err(NetError::FrameTooLarge { len: max + 1, max })
         );
-        mesh[0].send(1, 1, Payload::from(vec![7u8; max])).expect("the largest frame fits");
-        let pkt = mesh[1].recv_timeout(Duration::from_secs(5)).expect("frame arrives");
-        assert_eq!((pkt.tag, pkt.payload.len()), (1, max));
+        for tag in 1..=2 {
+            mesh[0].send(1, tag, Payload::from(vec![7u8; max])).expect("the largest frame fits");
+        }
+        for tag in 1..=2 {
+            let pkt = mesh[1].recv_timeout(Duration::from_secs(5)).expect("frame arrives");
+            assert_eq!((pkt.tag, pkt.payload.len()), (tag, max));
+        }
     }
 
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]

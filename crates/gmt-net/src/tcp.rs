@@ -330,7 +330,7 @@ fn reader_loop(core: Arc<Core>, src: NodeId, mut stream: TcpStream) {
             if end - body >= len {
                 let mut buf = core.pool().get();
                 buf.extend_from_slice(&staging[body..body + len]);
-                batch.push(core.received(src, tag, buf));
+                batch.push(core.received(src, tag, core.pooled(buf)));
                 start = body + len;
             } else if len >= IN_PLACE_MIN {
                 // What came before goes now: the rest of this body may
@@ -342,7 +342,7 @@ fn reader_loop(core: Arc<Core>, src: NodeId, mut stream: TcpStream) {
                 buf[..have].copy_from_slice(&staging[body..end]);
                 (start, end) = (0, 0);
                 match stream.read_exact(&mut buf[have..]) {
-                    Ok(()) => batch.push(core.received(src, tag, buf)),
+                    Ok(()) => batch.push(core.received(src, tag, core.pooled(buf))),
                     Err(e) => break 'link format!("read failed mid-frame: {e}"),
                 }
             } else {

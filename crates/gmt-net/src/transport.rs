@@ -32,7 +32,9 @@
 //! * **Payload ownership**: `send` consumes the
 //!   [`Payload`](crate::Payload); its drop — wherever it happens
 //!   (receiver, failed send, shutdown drain) — returns any pooled buffer
-//!   to its pool exactly once.
+//!   to its pool exactly once. A received payload may be lent: the shm
+//!   leaf's views its ring bytes in place and holds the sender's ring
+//!   space until it drops, so a receiver drops payloads once processed.
 //! * **Polled receive, woken receiver**: the only receive is the
 //!   non-blocking [`Transport::try_recv`], which is how the communication
 //!   server consumes it. A receiver that sleeps between arrivals asks to

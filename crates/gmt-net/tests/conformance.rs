@@ -52,8 +52,9 @@ impl Backend {
         }
     }
 
-    /// Real wires copy every frame into a pooled receive buffer; the sim
-    /// hands the sender's payload through.
+    /// Real wires hand up every frame in bytes they take back on drop
+    /// (TCP a pooled receive buffer, shm the ring bytes themselves); the
+    /// sim hands the sender's payload through.
     fn pools_receives(self) -> bool {
         !matches!(self, Backend::Sim)
     }
