@@ -14,7 +14,9 @@
 # Then the workspace's `unsafe` count (ROADMAP item 5's number): the lines
 # of `crates`, `src`, `tests` and `examples` that name the keyword outside
 # a `//` comment. It only goes down: the script fails above the count of
-# the last change that lowered it (108, since shm frames stopped wrapping
+# the last change that lowered it (107, since a CAS wave sends each owner
+# one run and no longer issues `atomic_cas_nb` per element; 108 since shm
+# frames stopped wrapping
 # and a received frame is read in its ring: the ring's split copies went,
 # paying for the `set_len` that spares a get reply its zero-fill; 109
 # since `TaskCtx::get_deadline` and its `unsafe` block went; 110 since
@@ -134,8 +136,8 @@ unsafe_lines() {
 
 unsafe_total=$(unsafe_lines crates src tests examples)
 printf '%-40s %6d\n' "unsafe lines (workspace)" "$unsafe_total"
-if [ "$unsafe_total" -gt 108 ]; then
-    echo "workspace: $unsafe_total lines name unsafe (limit 108); lower the limit with the count, never raise it" >&2
+if [ "$unsafe_total" -gt 107 ]; then
+    echo "workspace: $unsafe_total lines name unsafe (limit 107); lower the limit with the count, never raise it" >&2
     exit 1
 fi
 if grep -rnE --include='*.rs' '(Arc|Weak)<TaskControl>' crates/*/src >&2; then

@@ -99,7 +99,8 @@ struct StartPack<F, T> {
 
 /// A lightweight stackful coroutine producing a `T`.
 pub struct Coroutine<T = ()> {
-    stack: Stack,
+    /// `None` only once [`Coroutine::into_stack`] has handed it back.
+    stack: Option<Stack>,
     shared: Box<Shared>,
     /// Keeps the `StartPack` allocation alive until the body consumes it.
     _start: Option<Box<dyn Any>>,
@@ -152,7 +153,13 @@ impl<T: 'static> Coroutine<T> {
             )
         };
         shared.coro_sp.set(init_sp);
-        Coroutine { stack, shared, _start: Some(start), result, state: CoroutineState::Suspended }
+        Coroutine {
+            stack: Some(stack),
+            shared,
+            _start: Some(start),
+            result,
+            state: CoroutineState::Suspended,
+        }
     }
 
     /// Runs the coroutine until it yields or finishes.
@@ -217,8 +224,8 @@ impl<T: 'static> Coroutine<T> {
     /// Panics if the coroutine has not finished.
     pub fn into_stack(mut self) -> Stack {
         assert!(self.is_finished(), "cannot recycle the stack of an unfinished coroutine");
-        self.state = CoroutineState::Finished; // keep drop from cancelling
-        std::mem::replace(&mut self.stack, Stack::new(crate::MIN_STACK_SIZE).unwrap())
+        // A finished coroutine's drop does not touch its stack.
+        self.stack.take().expect("a coroutine holds its stack until it is recycled")
     }
 }
 

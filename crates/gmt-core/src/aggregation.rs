@@ -463,9 +463,10 @@ impl AggShared {
         self.header_reserve
     }
 
-    /// Bytes of one buffer available to commands (after the reserve).
+    /// Bytes of one buffer available to commands (after the reserve): the
+    /// largest command a sink accepts.
     #[inline]
-    fn cmd_capacity(&self) -> usize {
+    pub(crate) fn cmd_capacity(&self) -> usize {
         self.buffer_size - self.header_reserve
     }
 
@@ -729,6 +730,28 @@ impl CommandSink {
         let size = Command::GetReply { token, dest, data: &[] }.encoded_len() + len;
         self.encode_with(dst, size, |block| {
             Command::encode_get_reply(block, token, dest, seg, offset, len)
+        });
+    }
+
+    /// Applies a `CasRun`'s compare-and-swaps to `seg` and emits the
+    /// [`Command::AtomicReply`] that answers it, each old value written
+    /// straight into the command block, as [`CommandSink::emit_get_reply`]
+    /// writes a get's payload.
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    pub fn emit_cas_reply(
+        &mut self,
+        dst: NodeId,
+        token: u64,
+        dest: u64,
+        seg: &Segment,
+        offsets: &[u8],
+        expected: i64,
+        new: i64,
+    ) {
+        let size = Command::AtomicReply { token, dest, olds: offsets }.encoded_len();
+        self.encode_with(dst, size, |block| {
+            Command::encode_cas_reply(block, token, dest, seg, offsets, expected, new)
         });
     }
 

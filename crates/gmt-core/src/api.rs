@@ -32,6 +32,12 @@
 //! [`TaskCtx::scatter`] and [`TaskCtx::atomic_cas_wave`] are their safe
 //! face: many operations in flight, one wait.
 //!
+//! A compare-and-swap travels as a run: `atomic_cas_nb` sends a run of
+//! one, and `atomic_cas_wave` sends each owner one [`Command::CasRun`]
+//! of all its elements, answered by one `AtomicReply` of their old
+//! values. Such a command counts as its *n* operations, so waits,
+//! failures and the death sweep count elements, not commands.
+//!
 //! On a degraded cluster (peers confirmed dead by the failure detector)
 //! blocking primitives return `Err(GmtError::RemoteDead)` instead of
 //! hanging, and the parallel loops skip the dead at spawn.
@@ -40,15 +46,17 @@
 //! `Config::peer_death_timeout_ns`, or toward a peer that is heard but
 //! never answers.
 
-use crate::command::Command;
+use crate::command::{Command, CAS_RUN_FIXED_BYTES};
 use crate::error::GmtError;
 use crate::handle::{Distribution, GmtArray, Layout};
+use crate::memory::Segment;
 use crate::runtime::NodeShared;
 use crate::task::{BodyFn, Itb, ParForBody, ParentRef, TaskControl};
 use crate::tls;
 use crate::value::Scalar;
 use crate::NodeId;
 use gmt_context::Yielder;
+use std::cell::RefCell;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -58,6 +66,49 @@ use std::sync::Arc;
 /// straggler that still can complete, small enough that degraded-mode
 /// callers observe bounded latency.
 const POISONED_WAIT_FLOOR_NS: u64 = 100_000_000;
+
+/// Working memory of one [`TaskCtx::atomic_cas_wave`], taken from a pool
+/// of the worker thread and given back after the wait, so that a wave
+/// allocates nothing once the pool has grown to the worker's concurrent
+/// waves.
+#[derive(Default)]
+struct CasWave {
+    /// Per node: remote elements, then where its run starts in `order`.
+    counts: Vec<usize>,
+    /// `(owner, request index, segment offset)` of each remote element.
+    remote: Vec<(u32, u32, u64)>,
+    /// Request index of each remote element, grouped by owner.
+    order: Vec<u32>,
+    /// Wire offsets (8 LE bytes each) in the order of `order`.
+    offsets: Vec<u8>,
+    /// Where the replies write the old values, in the order of `order`.
+    olds: Vec<i64>,
+}
+
+thread_local! {
+    static CAS_WAVES: RefCell<Vec<CasWave>> = const { RefCell::new(Vec::new()) };
+}
+
+impl CasWave {
+    /// Elements past which a wave's memory is freed rather than pooled.
+    const POOLED_ELEMENTS: usize = 1 << 12;
+
+    fn take() -> Self {
+        CAS_WAVES.with(|pool| pool.borrow_mut().pop()).unwrap_or_default()
+    }
+
+    fn give_back(mut self) {
+        if self.olds.capacity() > Self::POOLED_ELEMENTS {
+            return;
+        }
+        self.counts.clear();
+        self.remote.clear();
+        self.order.clear();
+        self.offsets.clear();
+        self.olds.clear();
+        CAS_WAVES.with(|pool| pool.borrow_mut().push(self));
+    }
+}
 
 /// Task-creation locality policy (§III-C): where the tasks of a parallel
 /// loop are spawned, mirroring the data-distribution policies.
@@ -539,6 +590,12 @@ impl<'a> TaskCtx<'a> {
     /// to `new`, all in flight at once, and returns each element's
     /// previous value in order. An index listed twice is swapped by
     /// exactly one of its two operations.
+    ///
+    /// The elements this node owns are swapped in place, through one
+    /// segment lookup. The others travel as one [`Command::CasRun`] per
+    /// owner (more only where a run outgrows a buffer), each counted as
+    /// its number of elements: a dead owner fails the wave with
+    /// `RemoteDead { failed_ops }` equal to the elements it held.
     pub fn atomic_cas_wave(
         &self,
         arr: &GmtArray,
@@ -547,14 +604,74 @@ impl<'a> TaskCtx<'a> {
         new: i64,
     ) -> Result<Vec<i64>, GmtError> {
         self.reclaim_reply_delivery(|| indices.iter().any(|&i| self.spans_remote(arr, i * 8, 8)))?;
+        let layout = self.layout(arr);
+        let me = self.node.node_id;
         let mut old = vec![0i64; indices.len()];
-        for (slot, &i) in old.iter_mut().zip(indices) {
-            // Safety: `old` outlives the wait below and is not read until
-            // every reply has landed.
-            unsafe { self.atomic_cas_nb(arr, i * 8, expected, new, slot) };
+        let mut wave = CasWave::take();
+        wave.counts.resize(self.node.nodes, 0);
+        // Local elements are swapped now; remote ones are counted per
+        // owner, the first pass of a counting sort.
+        let mut split = |seg: Option<&Segment>| {
+            for (k, (slot, &i)) in old.iter_mut().zip(indices).enumerate() {
+                let (owner, offset) = layout.locate(i * 8);
+                if owner == me {
+                    let seg = seg.expect("an element this node owns lies in its segment");
+                    *slot = seg.atomic_cas(offset as usize, expected, new);
+                } else {
+                    wave.counts[owner] += 1;
+                    wave.remote.push((owner as u32, k as u32, offset));
+                }
+            }
+        };
+        if layout.segment_size(me) > 0 {
+            self.node.memory.with(arr.id, |seg| split(Some(seg)));
+        } else {
+            split(None);
         }
-        self.wait_commands()?;
-        Ok(old)
+        // Second pass: each owner's elements back to back, in request
+        // order, as the wire offsets of its runs and the slots their old
+        // values land in.
+        let CasWave { counts, remote, order, offsets, olds } = &mut wave;
+        let mut at = 0;
+        for count in counts.iter_mut() {
+            (*count, at) = (at, at + *count);
+        }
+        order.resize(remote.len(), 0);
+        offsets.resize(remote.len() * 8, 0);
+        olds.resize(remote.len(), 0);
+        for &(owner, k, offset) in remote.iter() {
+            let pos = &mut counts[owner as usize];
+            order[*pos] = k;
+            offsets[*pos * 8..*pos * 8 + 8].copy_from_slice(&offset.to_le_bytes());
+            *pos += 1;
+        }
+        let max_run = (self.node.agg.cmd_capacity() - CAS_RUN_FIXED_BYTES) / 8;
+        let mut start = 0;
+        for (owner, &end) in counts.iter().enumerate() {
+            for run in (start..end).step_by(max_run) {
+                let run = run..end.min(run + max_run);
+                let cmd = Command::CasRun {
+                    token: self.ctl.token(),
+                    array: arr.id,
+                    expected,
+                    new,
+                    dest: olds[run.start..].as_mut_ptr() as u64,
+                    offsets: &offsets[run.start * 8..run.end * 8],
+                };
+                self.emit_n(owner, &cmd, run.len() as u32);
+            }
+            start = end;
+        }
+        // `olds` stays put until every reply has landed (or the wait
+        // disarmed the stragglers' writes).
+        let waited = self.wait_commands();
+        if waited.is_ok() {
+            for (&k, &prev) in order.iter().zip(olds.iter()) {
+                old[k as usize] = prev;
+            }
+        }
+        wave.give_back();
+        waited.map(|()| old)
     }
 
     /// Suspends the task until every previously issued operation of this
@@ -846,6 +963,12 @@ impl<'a> TaskCtx<'a> {
 
     #[inline]
     fn emit(&self, dst: NodeId, cmd: &Command<'_>) {
+        self.emit_n(dst, cmd, 1);
+    }
+
+    /// [`TaskCtx::emit`] of a command that carries `ops` operations.
+    #[inline]
+    fn emit_n(&self, dst: NodeId, cmd: &Command<'_>, ops: u32) {
         debug_assert_ne!(dst, self.node.node_id, "local ops never become commands");
         debug_assert!(!cmd.is_reply(), "tasks emit requests; helpers emit replies");
         // Remember the last remote command for watchdog diagnostics.
@@ -856,7 +979,7 @@ impl<'a> TaskCtx<'a> {
         // confirmed) dead, and the comm server re-drains the op table
         // whenever it drops a buffer bound for a dead peer, so an emit
         // racing the death confirmation is still covered.
-        self.node.ops.register(self.ctl, dst);
+        self.node.ops.register_n(self.ctl, dst, ops);
         tls::with_sink(|s| s.emit(dst, cmd));
     }
 }

@@ -10,9 +10,10 @@
 //! segment once via [`NodeMemory::with`]), *apply* (runs go through
 //! the vectorized [`Segment`] kernels: same-offset atomic adds pre-merged
 //! into one RMW, batch copies at a word atomic per 8 bytes, each
-//! `GetReply`'s payload read from the segment straight into the outgoing
-//! command block through one sink access per run, token acknowledgements
-//! assembled straight from the staged token columns). Reply-side opcodes
+//! `GetReply`'s payload read from the segment — and each `CasRun`'s old
+//! values swapped out of it — straight into the outgoing command block
+//! through one sink access per run, token acknowledgements assembled
+//! straight from the staged token columns). Reply-side opcodes
 //! are executed one by one but gain run-detection for same-token `Ack`
 //! bursts. Control commands (`Alloc`/`Free`/`Spawn`) act as barriers: the
 //! staged batch applies before them, preserving their order relative to
@@ -215,12 +216,18 @@ fn execute_control_or_reply(
                 });
             }
         }
-        Command::AtomicReply { token, dest, old } => {
-            if let Some(units) = node.ops.acquit(token, src, 1) {
+        Command::AtomicReply { token, dest, olds } => {
+            // One acquittal and one copy for the whole run.
+            if let Some(units) = node.ops.acquit(token, src, (olds.len() / 8) as u32) {
                 if dest != 0 {
-                    // Safety: as above; `dest` is an aligned i64 slot on
-                    // the parked task's stack (0 = fire-and-forget).
-                    reply_write(node, &units, || unsafe { (dest as *mut i64).write(old) });
+                    #[cfg(not(target_endian = "little"))]
+                    compile_error!("atomic replies copy little-endian old values into i64 slots");
+                    // Safety: as above; `dest` is the first of as many
+                    // i64 slots as the run has elements, back to back in a
+                    // buffer the waiting task holds (0 = fire-and-forget).
+                    reply_write(node, &units, || unsafe {
+                        std::ptr::copy_nonoverlapping(olds.as_ptr(), dest as *mut u8, olds.len());
+                    });
                 }
             }
         }
@@ -228,7 +235,8 @@ fn execute_control_or_reply(
         | Command::Get { .. }
         | Command::Add { .. }
         | Command::AddN { .. }
-        | Command::Cas { .. } => unreachable!("request opcodes are staged, not executed here"),
+        | Command::Cas { .. }
+        | Command::CasRun { .. } => unreachable!("request opcodes are staged, not executed here"),
     }
 }
 
@@ -435,7 +443,7 @@ fn apply_staged(
                             &Command::AtomicReply {
                                 token: stage.add_tokens[k],
                                 dest: stage.add_dests[k],
-                                old,
+                                olds: &old.to_le_bytes(),
                             },
                         );
                     }
@@ -461,25 +469,23 @@ fn apply_staged(
         });
     }
 
-    // ---- cas: order-sensitive and value-returning, one by one ---------
+    // ---- cas runs: order-sensitive, old values into the reply ---------
     if !stage.cas_arrays.is_empty() {
         bucket_by_array(order, &stage.cas_arrays);
         resolved += for_each_run(node, order, &stage.cas_arrays, |seg, run| {
+            // One sink access streams the whole run of replies.
             tls::with_sink(|sink| {
                 for &k in run {
                     let k = k as usize;
-                    let old = seg.atomic_cas(
-                        stage.cas_offsets[k] as usize,
+                    let (start, len) = stage.cas_offsets[k];
+                    sink.emit_cas_reply(
+                        src,
+                        stage.cas_tokens[k],
+                        stage.cas_dests[k],
+                        seg,
+                        &buf[start as usize..(start + len) as usize],
                         stage.cas_expected[k],
                         stage.cas_new[k],
-                    );
-                    sink.emit(
-                        src,
-                        &Command::AtomicReply {
-                            token: stage.cas_tokens[k],
-                            dest: stage.cas_dests[k],
-                            old,
-                        },
                     );
                 }
             });

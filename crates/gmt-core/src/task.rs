@@ -714,18 +714,26 @@ impl OpTable {
     /// Panics if `ctl` is not a bound block of this table.
     #[inline]
     pub fn register(&self, ctl: &TaskControl, dst: NodeId) {
+        self.register_n(ctl, dst, 1);
+    }
+
+    /// [`OpTable::register`] for the `n` operations of one command that
+    /// carries a run (a `CasRun`'s elements): one add to each count, and
+    /// each element completes, or fails in a death sweep, as one operation.
+    #[inline]
+    pub fn register_n(&self, ctl: &TaskControl, dst: NodeId, n: u32) {
         let token = ctl.token();
         let generation = generation_of(token);
         let (count, bound) = self.count_word(token, dst).expect("registering a bound task");
         assert!(std::ptr::eq(bound, ctl) && generation & 1 == 1, "task is not bound here");
-        ctl.add_pending(1);
+        ctl.add_pending(n);
         if generation_of(count.load(Ordering::Relaxed)) == generation {
-            count.fetch_add(1, Ordering::Release);
+            count.fetch_add(n as u64, Ordering::Release);
         } else {
             // First operation of this binding toward `dst`: the word still
             // carries an earlier generation, so its count is zero and
             // nobody else writes it.
-            count.store(tagged(generation, 1), Ordering::Release);
+            count.store(tagged(generation, n), Ordering::Release);
         }
     }
 

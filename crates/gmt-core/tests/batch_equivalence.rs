@@ -12,11 +12,13 @@
 //! Each property case runs one seeded mixed-opcode workload — puts to
 //! disjoint slots (some duplicated same-bytes), fire-and-forget adds to
 //! a small set of shared cells (heavy duplicate offsets → the merge
-//! path), blocking adds, per-task cas chains (order-sensitive), and
-//! interleaved gets — across three arrays with different distributions,
-//! and compares the cluster's memory against the model. Only outcomes
-//! that GMT defines are compared: slots are single-writer, adds commute,
-//! cas chains are per-task sequenced by their blocking replies.
+//! path), blocking adds, per-task cas chains (order-sensitive), cas waves
+//! over each task's own cells with duplicate indices (runs applied in
+//! order), and interleaved gets — across four arrays with different
+//! distributions, and compares the cluster's memory against the model.
+//! Only outcomes that GMT defines are compared: slots are single-writer,
+//! adds commute, cas chains and waves are per-task sequenced by their
+//! blocking replies.
 
 use gmt_core::{Cluster, Config, Distribution, SpawnPolicy};
 use proptest::prelude::*;
@@ -28,6 +30,8 @@ const CELLS: u64 = 8;
 /// Maximum bytes per put slot (odd lengths exercise the unaligned
 /// head/tail of the word-wise batch copy).
 const SLOT: u64 = 24;
+/// Cells of each task's own stretch of the wave array.
+const WAVE_CELLS: u64 = 8;
 
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e3779b97f4a7c15);
@@ -53,6 +57,26 @@ enum Op {
     Cas { new: i64 },
     /// Blocking read of a shared cell (value racy, not asserted).
     Get { cell: u64 },
+    /// CAS wave over the task's own wave cells, listed in `picks` with
+    /// repeats, from the task's previous wave value to `new`; every old
+    /// value is asserted in-task against the task's mirror.
+    CasWave { picks: Vec<u64>, new: i64 },
+}
+
+/// Applies one wave to a task's mirror of its wave cells, returning the
+/// old value of each pick in order: an element swaps iff its cell holds
+/// `expected` when its turn comes, so a repeat sees its first swap.
+fn apply_wave(mirror: &mut [i64], picks: &[u64], expected: i64, new: i64) -> Vec<i64> {
+    picks
+        .iter()
+        .map(|&c| {
+            let old = mirror[c as usize];
+            if old == expected {
+                mirror[c as usize] = new;
+            }
+            old
+        })
+        .collect()
 }
 
 /// The deterministic op sequence of one task — shared by the executing
@@ -63,7 +87,7 @@ fn gen_ops(seed: u64, task: u64, n_ops: usize) -> Vec<Op> {
         .map(|j| {
             let r = splitmix(&mut rng);
             let slot = (task * n_ops as u64 + j as u64) * SLOT;
-            match r % 8 {
+            match r % 9 {
                 0 | 1 => Op::Put {
                     slot,
                     len: 1 + (r >> 8) as usize % SLOT as usize,
@@ -73,19 +97,31 @@ fn gen_ops(seed: u64, task: u64, n_ops: usize) -> Vec<Op> {
                 2..=4 => Op::AddNb { cell: (r >> 8) % CELLS, delta: (r >> 16) as i64 % 1000 },
                 5 => Op::Add { cell: (r >> 8) % CELLS, delta: -((r >> 16) as i64 % 1000) },
                 6 => Op::Cas { new: (r >> 8) as i64 | 1 },
-                _ => Op::Get { cell: (r >> 8) % CELLS },
+                7 => Op::Get { cell: (r >> 8) % CELLS },
+                _ => {
+                    let mut pick = r;
+                    let n = 1 + (r >> 8) % 12;
+                    let picks = (0..n).map(|_| splitmix(&mut pick) % WAVE_CELLS).collect();
+                    Op::CasWave { picks, new: (r >> 16) as i64 | 1 }
+                }
             }
         })
         .collect()
 }
 
-/// What memory must hold once every task finished: the put array's
-/// bytes, the shared add cells, and each task's final cas value.
-fn model(seed: u64, n_ops: usize) -> (Vec<u8>, Vec<i64>, Vec<i64>) {
+/// Final memory of the workload's four arrays: the put array's bytes,
+/// the shared add cells, each task's cas cell and its wave cells.
+type Memory = (Vec<u8>, Vec<i64>, Vec<i64>, Vec<i64>);
+
+/// What memory must hold once every task finished.
+fn model(seed: u64, n_ops: usize) -> Memory {
     let mut puts = vec![0u8; (TASKS * n_ops as u64 * SLOT) as usize];
     let mut adds = vec![0i64; CELLS as usize];
     let mut cas = vec![0i64; TASKS as usize];
+    let mut waves = vec![0i64; (TASKS * WAVE_CELLS) as usize];
     for task in 0..TASKS {
+        let mirror = &mut waves[(task * WAVE_CELLS) as usize..][..WAVE_CELLS as usize];
+        let mut wave_prev = 0;
         for op in gen_ops(seed, task, n_ops) {
             match op {
                 Op::Put { slot, len, byte, .. } => {
@@ -96,23 +132,30 @@ fn model(seed: u64, n_ops: usize) -> (Vec<u8>, Vec<i64>, Vec<i64>) {
                 }
                 Op::Cas { new } => cas[task as usize] = new,
                 Op::Get { .. } => {}
+                Op::CasWave { picks, new } => {
+                    apply_wave(mirror, &picks, wave_prev, new);
+                    wave_prev = new;
+                }
             }
         }
     }
-    (puts, adds, cas)
+    (puts, adds, cas, waves)
 }
 
 /// Runs the seeded workload on a fresh cluster and returns the final
 /// memory of all three arrays.
-fn run_workload(seed: u64, n_ops: usize, nodes: usize) -> (Vec<u8>, Vec<i64>, Vec<i64>) {
+fn run_workload(seed: u64, n_ops: usize, nodes: usize) -> Memory {
     let cluster = Cluster::start(nodes, Config::small()).unwrap();
     let result = cluster.node(0).run(move |ctx| {
         let put_bytes = TASKS * n_ops as u64 * SLOT;
         let puts = ctx.alloc(put_bytes, Distribution::Partition);
         let adds = ctx.alloc(CELLS * 8, Distribution::Remote);
         let cas = ctx.alloc(TASKS * 8, Distribution::Partition);
+        let waves = ctx.alloc(TASKS * WAVE_CELLS * 8, Distribution::Partition);
         ctx.parfor(SpawnPolicy::Partition, TASKS, 1, move |ctx, task| {
             let mut cas_prev = 0i64;
+            let mut mirror = [0i64; WAVE_CELLS as usize];
+            let mut wave_prev = 0i64;
             for op in gen_ops(seed, task, n_ops) {
                 match op {
                     Op::Put { slot, len, byte, dup } => {
@@ -133,6 +176,14 @@ fn run_workload(seed: u64, n_ops: usize, nodes: usize) -> (Vec<u8>, Vec<i64>, Ve
                     }
                     Op::Get { cell } => {
                         ctx.get_value::<i64>(&adds, cell).unwrap();
+                    }
+                    Op::CasWave { picks, new } => {
+                        let indices: Vec<u64> =
+                            picks.iter().map(|&c| task * WAVE_CELLS + c).collect();
+                        let old = ctx.atomic_cas_wave(&waves, &indices, wave_prev, new).unwrap();
+                        let expected = apply_wave(&mut mirror, &picks, wave_prev, new);
+                        assert_eq!(old, expected, "cas wave {picks:?} of task {task}");
+                        wave_prev = new;
                     }
                 }
             }
@@ -156,10 +207,13 @@ fn run_workload(seed: u64, n_ops: usize, nodes: usize) -> (Vec<u8>, Vec<i64>, Ve
             (0..CELLS).map(|c| ctx.get_value::<i64>(&adds, c).unwrap()).collect();
         let cas_mem: Vec<i64> =
             (0..TASKS).map(|t| ctx.get_value::<i64>(&cas, t).unwrap()).collect();
+        let wave_cells: Vec<u64> = (0..TASKS * WAVE_CELLS).collect();
+        let wave_mem = ctx.gather::<i64>(&waves, &wave_cells).unwrap();
         ctx.free(puts);
         ctx.free(adds);
         ctx.free(cas);
-        (put_mem, add_mem, cas_mem)
+        ctx.free(waves);
+        (put_mem, add_mem, cas_mem, wave_mem)
     });
     cluster.shutdown();
     result

@@ -39,17 +39,17 @@ fn arb_command() -> impl Strategy<Value = OwnedCommand> {
                 dest
             }
         ),
-        (any::<u64>(), any::<u64>(), any::<u64>(), any::<i64>(), any::<i64>(), any::<u64>())
-            .prop_map(|(token, array, offset, expected, new, dest)| OwnedCommand::Cas {
+        (any::<u64>(), any::<u64>(), any::<i64>(), any::<i64>(), any::<u64>(), arb_cas_run())
+            .prop_map(|(token, array, expected, new, dest, offsets)| OwnedCommand::Cas {
                 token,
                 array,
-                offset,
                 expected,
                 new,
-                dest
+                dest,
+                offsets
             }),
-        (any::<u64>(), any::<u64>(), any::<i64>())
-            .prop_map(|(token, dest, old)| OwnedCommand::AtomicReply { token, dest, old }),
+        (any::<u64>(), any::<u64>(), arb_cas_run())
+            .prop_map(|(token, dest, olds)| OwnedCommand::AtomicReply { token, dest, olds }),
         (any::<u64>(), any::<u64>(), any::<u64>(), 0u8..3, any::<u32>(), any::<u64>()).prop_map(
             |(token, id, nbytes, dist, origin, dead_mask)| OwnedCommand::Alloc {
                 token,
@@ -90,6 +90,13 @@ fn arb_token_run() -> impl Strategy<Value = Vec<u8>> {
         .prop_map(|ts| ts.iter().flat_map(|t| t.to_le_bytes()).collect())
 }
 
+/// A compare-and-swap run (its offsets, or the old values answering
+/// it): 1 to 64 whole little-endian words.
+fn arb_cas_run() -> impl Strategy<Value = Vec<u8>> {
+    proptest::collection::vec(any::<u64>(), 1..65)
+        .prop_map(|ws| ws.iter().flat_map(|w| w.to_le_bytes()).collect())
+}
+
 /// Owned mirror of `Command` so proptest can generate it.
 #[derive(Debug, Clone, PartialEq)]
 enum OwnedCommand {
@@ -98,8 +105,8 @@ enum OwnedCommand {
     Ack { token: u64 },
     GetReply { token: u64, dest: u64, data: Vec<u8> },
     Add { token: u64, array: u64, offset: u64, delta: i64, dest: u64 },
-    Cas { token: u64, array: u64, offset: u64, expected: i64, new: i64, dest: u64 },
-    AtomicReply { token: u64, dest: u64, old: i64 },
+    Cas { token: u64, array: u64, expected: i64, new: i64, dest: u64, offsets: Vec<u8> },
+    AtomicReply { token: u64, dest: u64, olds: Vec<u8> },
     Alloc { token: u64, id: u64, nbytes: u64, dist: u8, origin: u32, dead_mask: u64 },
     Free { token: u64, id: u64 },
     Spawn { token: u64, body: u64, start: u64, count: u64, chunk: u32, args: Vec<u8> },
@@ -131,16 +138,16 @@ impl OwnedCommand {
                 delta: *delta,
                 dest: *dest,
             },
-            OwnedCommand::Cas { token, array, offset, expected, new, dest } => Command::Cas {
+            OwnedCommand::Cas { token, array, expected, new, dest, offsets } => Command::CasRun {
                 token: *token,
                 array: *array,
-                offset: *offset,
                 expected: *expected,
                 new: *new,
                 dest: *dest,
+                offsets,
             },
-            OwnedCommand::AtomicReply { token, dest, old } => {
-                Command::AtomicReply { token: *token, dest: *dest, old: *old }
+            OwnedCommand::AtomicReply { token, dest, olds } => {
+                Command::AtomicReply { token: *token, dest: *dest, olds }
             }
             OwnedCommand::Alloc { token, id, nbytes, dist, origin, dead_mask } => Command::Alloc {
                 token: *token,

@@ -2,7 +2,9 @@
 //! `atomic_fetch_add_nb`), the safe wave helpers built on them, and the
 //! range-bodied parFor.
 
-use gmt_core::{Cluster, Config, Distribution, GmtError, SpawnPolicy};
+use gmt_core::command::CAS_RUN_FIXED_BYTES;
+use gmt_core::reliable::HEADER_LEN;
+use gmt_core::{Cluster, Config, Distribution, GmtError, NodeHandle, SpawnPolicy};
 use gmt_net::FaultPlan;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -97,6 +99,92 @@ fn two_cas_on_one_word_in_one_wave_have_exactly_one_winner() {
             assert_eq!(ctx.gather::<i64>(&arr, &[3, 5, 4]).unwrap(), vec![9, 9, 0]);
             ctx.free(arr);
         }
+    });
+    cluster.shutdown();
+}
+
+/// A node's count of one opcode its helpers executed.
+fn executed(node: &NodeHandle, opcode: &str) -> u64 {
+    node.metrics_snapshot().counter(&format!("helper.cmd.{opcode}")).unwrap_or(0)
+}
+
+/// The old values a wave must return, computed on a host copy of the
+/// cells: an element swaps iff its cell holds `expected` when its turn
+/// comes.
+fn model_wave(cells: &mut [i64], indices: &[u64], expected: i64, new: i64) -> Vec<i64> {
+    indices
+        .iter()
+        .map(|&i| {
+            let old = cells[i as usize];
+            if old == expected {
+                cells[i as usize] = new;
+            }
+            old
+        })
+        .collect()
+}
+
+#[test]
+fn a_wave_sends_each_other_owner_one_cas_and_gets_one_reply() {
+    let cluster = Cluster::start(2, Config::small()).unwrap();
+    // 64 words block-partitioned over 2 nodes: 0..32 here, 32..64 on 1.
+    let arr = cluster.node(0).run(|ctx| ctx.alloc(64 * 8, Distribution::Partition));
+    let (cas_before, replies_before) =
+        (executed(cluster.node(1), "cas"), executed(cluster.node(0), "atomic-reply"));
+    let old = cluster.node(0).run(move |ctx| {
+        let indices: Vec<u64> = (0..64).chain([40, 3, 63]).collect();
+        ctx.atomic_cas_wave(&arr, &indices, 0, 1).unwrap()
+    });
+    let mut expected = vec![0; 64];
+    expected.extend([1, 1, 1]);
+    assert_eq!(old, expected);
+    assert_eq!(executed(cluster.node(1), "cas") - cas_before, 1, "one run to the other owner");
+    assert_eq!(executed(cluster.node(0), "atomic-reply") - replies_before, 1, "one reply back");
+    assert_eq!(executed(cluster.node(0), "cas"), 0, "local elements never travel");
+    cluster.shutdown();
+}
+
+#[test]
+fn a_wave_bigger_than_a_buffer_splits_into_runs_and_keeps_request_order() {
+    const WORDS: u64 = 2000;
+    const ELEMENTS: u64 = 2500;
+    let config = Config::small();
+    let cap = ((config.buffer_size - HEADER_LEN - CAS_RUN_FIXED_BYTES) / 8) as u64;
+    let cluster = Cluster::start(2, config).unwrap();
+    let arr = cluster.node(0).run(|ctx| {
+        let arr = ctx.alloc(WORDS * 8, Distribution::Remote);
+        let init: Vec<(u64, i64)> = (0..WORDS).map(|i| (i, i as i64 % 7)).collect();
+        ctx.scatter(&arr, &init).unwrap();
+        arr
+    });
+    // Scrambled, with repeats: every word at least once, some twice.
+    let indices: Vec<u64> = (0..ELEMENTS).map(|k| k * 7919 % WORDS).collect();
+    let cas_before = executed(cluster.node(1), "cas");
+    let wave = indices.clone();
+    let (old, now) = cluster.node(0).run(move |ctx| {
+        let old = ctx.atomic_cas_wave(&arr, &wave, 3, -3).unwrap();
+        let all: Vec<u64> = (0..WORDS).collect();
+        (old, ctx.gather::<i64>(&arr, &all).unwrap())
+    });
+    let mut cells: Vec<i64> = (0..WORDS as i64).map(|i| i % 7).collect();
+    assert_eq!(old, model_wave(&mut cells, &indices, 3, -3));
+    assert_eq!(now, cells);
+    assert_eq!(executed(cluster.node(1), "cas") - cas_before, ELEMENTS.div_ceil(cap));
+    cluster.shutdown();
+}
+
+#[test]
+fn a_wave_over_a_remote_array_has_no_local_share_to_look_up() {
+    let cluster = Cluster::start(3, Config::small()).unwrap();
+    cluster.node(0).run(|ctx| {
+        // Block-distributed over nodes 1 and 2; node 0 holds nothing.
+        let arr = ctx.alloc(16 * 8, Distribution::Remote);
+        let indices = [15, 0, 7, 8, 15, 0, 3];
+        let old = ctx.atomic_cas_wave(&arr, &indices, 0, 5).unwrap();
+        assert_eq!(old, model_wave(&mut [0; 16], &indices, 0, 5));
+        let now = ctx.gather::<i64>(&arr, &[0, 3, 7, 8, 15, 1]).unwrap();
+        assert_eq!(now, vec![5, 5, 5, 5, 5, 0]);
+        ctx.free(arr);
     });
     cluster.shutdown();
 }
@@ -224,6 +312,23 @@ fn a_wave_toward_a_killed_peer_fails_and_leaves_its_slots_alone() {
         let mut out = Vec::new();
         let ranges = ctx.gather_ranges::<i64>(&arr, &[(6, 4)], &mut out);
         assert!(matches!(ranges, Err(GmtError::RemoteDead { node: 1, .. })), "{ranges:?}");
+    });
+    cluster.shutdown();
+}
+
+/// A wave counts as its elements: toward a killed owner it fails with
+/// one failed operation per remote element its runs carried, duplicates
+/// included, while the local elements were swapped.
+#[test]
+fn a_wave_toward_a_killed_owner_fails_as_many_operations_as_it_sent_there() {
+    let cluster = Cluster::start_sim(2, Config::small()).unwrap();
+    // 16 words block-partitioned over 2 nodes: 0..8 here, 8..16 on node 1.
+    let arr = cluster.node(0).run(|ctx| ctx.alloc(16 * 8, Distribution::Partition));
+    cluster.install_faults(FaultPlan::new(1).kill(1));
+    cluster.node(0).run(move |ctx| {
+        let waved = ctx.atomic_cas_wave(&arr, &[1, 9, 9, 12, 3, 15, 8, 1], 0, 4);
+        assert!(matches!(waved, Err(GmtError::RemoteDead { node: 1, failed_ops: 5 })), "{waved:?}");
+        assert_eq!(ctx.gather::<i64>(&arr, &[1, 3, 0]).unwrap(), vec![4, 4, 0]);
     });
     cluster.shutdown();
 }
