@@ -14,7 +14,10 @@
 # Then the workspace's `unsafe` count (ROADMAP item 5's number): the lines
 # of `crates`, `src`, `tests` and `examples` that name the keyword outside
 # a `//` comment. It only goes down: the script fails above the count of
-# the last change that lowered it (107, since a CAS wave sends each owner
+# the last change that lowered it (105, since a gather sends each owner
+# one run and no longer issues `get_nb` per span, and a graph's neighbor
+# list is read through `gather_ranges` instead of a byte view of its
+# vector; 107 since a CAS wave sends each owner
 # one run and no longer issues `atomic_cas_nb` per element; 108 since shm
 # frames stopped wrapping
 # and a received frame is read in its ring: the ring's split copies went,
@@ -58,11 +61,11 @@
 # define a function of that name, in the code of `crates/*/src`, `src`,
 # `examples` and `bench/e2e/src` (before `#[cfg(test)]`, outside `//`
 # comments). It prints the names that have none and, like the `unsafe`
-# count, fails above the count of the last change that removed one (4,
-# since the uncalled collectives, the `*_deadline` reads, `parfor_report`,
-# the membership view and the unused getters went; 12 before): what is
-# left is `scatter`, the put entry of Table I's wave helpers, and the test
-# hooks `agg_stats`, `net_errors` and `stuck_tasks`. The search goes by
+# count, fails above the count of the last change that removed one (3,
+# since `scatter` went; 4 since the uncalled collectives, the `*_deadline`
+# reads, `parfor_report`, the membership view and the unused getters went;
+# 12 before): what is left is the test hooks `agg_stats`, `net_errors` and
+# `stuck_tasks`. The search goes by
 # name, so a function that shares its name with one that is called
 # (`new`, `free`, `install_faults`) passes, and so does one whose only
 # caller is itself uncalled.
@@ -136,8 +139,8 @@ unsafe_lines() {
 
 unsafe_total=$(unsafe_lines crates src tests examples)
 printf '%-40s %6d\n' "unsafe lines (workspace)" "$unsafe_total"
-if [ "$unsafe_total" -gt 107 ]; then
-    echo "workspace: $unsafe_total lines name unsafe (limit 107); lower the limit with the count, never raise it" >&2
+if [ "$unsafe_total" -gt 105 ]; then
+    echo "workspace: $unsafe_total lines name unsafe (limit 105); lower the limit with the count, never raise it" >&2
     exit 1
 fi
 if grep -rnE --include='*.rs' '(Arc|Weak)<TaskControl>' crates/*/src >&2; then
@@ -181,8 +184,8 @@ called=$(awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{s=$0; sub(/^[ \t]+/,"",s);
 uncalled=$(comm -23 <(echo "$api_fns") <(echo "$called"))
 uncalled_count=$(grep -c . <<<"$uncalled" || true)
 printf '%-40s %6d  %s\n' "uncalled pub fns (gmt-core API)" "$uncalled_count" "$(echo $uncalled)"
-if [ "$uncalled_count" -gt 4 ]; then
-    echo "crates/gmt-core: $uncalled_count public functions without a caller (limit 4); delete the function or lower the limit, never raise it" >&2
+if [ "$uncalled_count" -gt 3 ]; then
+    echo "crates/gmt-core: $uncalled_count public functions without a caller (limit 3); delete the function or lower the limit, never raise it" >&2
     exit 1
 fi
 

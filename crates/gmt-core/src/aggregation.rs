@@ -68,7 +68,7 @@
 //!   node-wide registry so they appear in
 //!   [`NodeHandle::metrics_snapshot`](crate::runtime::NodeHandle::metrics_snapshot).
 
-use crate::command::Command;
+use crate::command::{self, Command, GET_REPLY_FIXED_BYTES};
 use crate::memory::Segment;
 use crate::NodeId;
 use crossbeam::queue::{ArrayQueue, SegQueue};
@@ -712,11 +712,12 @@ impl CommandSink {
         self.encode_with(dst, cmd.encoded_len(), |block| cmd.encode(block));
     }
 
-    /// Emits the [`Command::GetReply`] that answers a get of the `len`
-    /// bytes at `offset` of `seg`, its payload produced where it will
-    /// travel: the segment is read straight into the command block, so the
-    /// reply is never staged anywhere else — and, when the block goes on
-    /// to become the buffer, not copied again before the wire.
+    /// Emits the [`Command::GetReply`] that answers the run of spans
+    /// `spans` (a `GetRun`'s) of `seg`, its payload produced where it will
+    /// travel: the spans are read back to back straight into the command
+    /// block, so the reply is never staged anywhere else — and, when the
+    /// block goes on to become the buffer, not copied again before the
+    /// wire.
     #[inline]
     pub fn emit_get_reply(
         &mut self,
@@ -724,12 +725,11 @@ impl CommandSink {
         token: u64,
         dest: u64,
         seg: &Segment,
-        offset: usize,
-        len: usize,
+        spans: &[u8],
     ) {
-        let size = Command::GetReply { token, dest, data: &[] }.encoded_len() + len;
-        self.encode_with(dst, size, |block| {
-            Command::encode_get_reply(block, token, dest, seg, offset, len)
+        let len = command::spans(spans).map(|(_, len)| len as usize).sum();
+        self.encode_with(dst, GET_REPLY_FIXED_BYTES + len, |block| {
+            Command::encode_get_reply(block, token, dest, seg, spans, len)
         });
     }
 

@@ -28,15 +28,17 @@
 //! Every blocking primitive is its non-blocking form followed by
 //! `wait_commands`. The forms whose reply writes through a caller
 //! pointer (`get_nb`, `atomic_fetch_add_nb`, `atomic_cas_nb`) are
-//! `unsafe`; [`TaskCtx::gather`], [`TaskCtx::gather_ranges`],
-//! [`TaskCtx::scatter`] and [`TaskCtx::atomic_cas_wave`] are their safe
-//! face: many operations in flight, one wait.
+//! `unsafe`; [`TaskCtx::gather`], [`TaskCtx::gather_ranges`] and
+//! [`TaskCtx::atomic_cas_wave`] are their safe face: many operations in
+//! flight, one wait.
 //!
-//! A compare-and-swap travels as a run: `atomic_cas_nb` sends a run of
-//! one, and `atomic_cas_wave` sends each owner one [`Command::CasRun`]
-//! of all its elements, answered by one `AtomicReply` of their old
-//! values. Such a command counts as its *n* operations, so waits,
-//! failures and the death sweep count elements, not commands.
+//! Gets and compare-and-swaps travel as runs: `get_nb` sends a run of one
+//! span per piece, `atomic_cas_nb` a run of one element, and a wave sends
+//! each owner one [`Command::GetRun`] of all its spans, answered by one
+//! `GetReply` of their bytes, or one [`Command::CasRun`] of all its
+//! elements, answered by one `AtomicReply` of their old values. Such a
+//! command counts as its *n* operations, so waits, failures and the death
+//! sweep count spans and elements, not commands.
 //!
 //! On a degraded cluster (peers confirmed dead by the failure detector)
 //! blocking primitives return `Err(GmtError::RemoteDead)` instead of
@@ -46,10 +48,9 @@
 //! `Config::peer_death_timeout_ns`, or toward a peer that is heard but
 //! never answers.
 
-use crate::command::{Command, CAS_RUN_FIXED_BYTES};
+use crate::command::{Command, CAS_RUN_FIXED_BYTES, GET_RUN_FIXED_BYTES, SPAN_BYTES};
 use crate::error::GmtError;
 use crate::handle::{Distribution, GmtArray, Layout};
-use crate::memory::Segment;
 use crate::runtime::NodeShared;
 use crate::task::{BodyFn, Itb, ParForBody, ParentRef, TaskControl};
 use crate::tls;
@@ -67,46 +68,106 @@ use std::sync::Arc;
 /// callers observe bounded latency.
 const POISONED_WAIT_FLOOR_NS: u64 = 100_000_000;
 
-/// Working memory of one [`TaskCtx::atomic_cas_wave`], taken from a pool
-/// of the worker thread and given back after the wait, so that a wave
-/// allocates nothing once the pool has grown to the worker's concurrent
-/// waves.
+/// One piece of a wave: the `len` bytes at `offset` of `owner`'s segment
+/// (a gathered span, or the word a compare-and-swap reads), and where
+/// those bytes sit in the wave's `data`.
+#[derive(Clone, Copy)]
+struct Piece {
+    offset: u64,
+    at: usize,
+    owner: u32,
+    len: u32,
+}
+
+/// Working memory of one wave ([`TaskCtx::gather_ranges`],
+/// [`TaskCtx::atomic_cas_wave`]), taken from a pool of the worker thread
+/// and given back after the wait, so that a wave allocates nothing once
+/// the pool has grown to the worker's concurrent waves.
+///
+/// A wave is a counting sort of its pieces by owner: [`Wave::push`]
+/// counts them, [`Wave::group`] lays each owner's pieces out back to back
+/// in `data`, request order kept, so that each owner's run of pieces has
+/// one destination for its one reply.
 #[derive(Default)]
-struct CasWave {
-    /// Per node: remote elements, then where its run starts in `order`.
+struct Wave {
+    /// Per node: its pieces, then (after `group`) where its group ends in
+    /// `order`.
     counts: Vec<usize>,
-    /// `(owner, request index, segment offset)` of each remote element.
-    remote: Vec<(u32, u32, u64)>,
-    /// Request index of each remote element, grouped by owner.
+    /// The wave's pieces, in request order.
+    pieces: Vec<Piece>,
+    /// Indices into `pieces`, grouped by owner.
     order: Vec<u32>,
-    /// Wire offsets (8 LE bytes each) in the order of `order`.
-    offsets: Vec<u8>,
-    /// Where the replies write the old values, in the order of `order`.
-    olds: Vec<i64>,
+    /// The wire run of the command being built.
+    wire: Vec<u8>,
+    /// The pieces' bytes, owner after owner: this node's read (or swapped)
+    /// in place, the others' written there by their replies.
+    data: Vec<u8>,
 }
 
 thread_local! {
-    static CAS_WAVES: RefCell<Vec<CasWave>> = const { RefCell::new(Vec::new()) };
+    static WAVES: RefCell<Vec<Wave>> = const { RefCell::new(Vec::new()) };
 }
 
-impl CasWave {
-    /// Elements past which a wave's memory is freed rather than pooled.
-    const POOLED_ELEMENTS: usize = 1 << 12;
+impl Wave {
+    /// Pieces past which a wave's memory is freed rather than pooled.
+    const POOLED_PIECES: usize = 1 << 12;
+    /// Bytes of `data` past which a wave's memory is freed rather than
+    /// pooled.
+    const POOLED_BYTES: usize = 1 << 16;
 
-    fn take() -> Self {
-        CAS_WAVES.with(|pool| pool.borrow_mut().pop()).unwrap_or_default()
+    fn take(nodes: usize) -> Self {
+        let mut wave = WAVES.with(|pool| pool.borrow_mut().pop()).unwrap_or_default();
+        wave.counts.resize(nodes, 0);
+        wave
     }
 
     fn give_back(mut self) {
-        if self.olds.capacity() > Self::POOLED_ELEMENTS {
+        if self.pieces.capacity() > Self::POOLED_PIECES || self.data.capacity() > Self::POOLED_BYTES
+        {
             return;
         }
         self.counts.clear();
-        self.remote.clear();
+        self.pieces.clear();
         self.order.clear();
-        self.offsets.clear();
-        self.olds.clear();
-        CAS_WAVES.with(|pool| pool.borrow_mut().push(self));
+        self.wire.clear();
+        self.data.clear();
+        WAVES.with(|pool| pool.borrow_mut().push(self));
+    }
+
+    /// Appends a piece: the first pass of the counting sort.
+    #[inline]
+    fn push(&mut self, owner: NodeId, offset: u64, len: u32) {
+        self.counts[owner] += 1;
+        self.pieces.push(Piece { offset, at: 0, owner: owner as u32, len });
+    }
+
+    /// The second pass: each owner's pieces back to back in `order`, and
+    /// their bytes back to back in `data`, both in request order. After it
+    /// node `n`'s group is `order[counts[n - 1]..counts[n]]`.
+    fn group(&mut self) {
+        let mut end = 0;
+        for count in self.counts.iter_mut() {
+            (*count, end) = (end, end + *count);
+        }
+        self.order.resize(self.pieces.len(), 0);
+        for (i, piece) in self.pieces.iter().enumerate() {
+            let pos = &mut self.counts[piece.owner as usize];
+            self.order[*pos] = i as u32;
+            *pos += 1;
+        }
+        let mut at = 0;
+        for &i in &self.order {
+            let piece = &mut self.pieces[i as usize];
+            piece.at = at;
+            at += piece.len as usize;
+        }
+        self.data.resize(at, 0);
+    }
+
+    /// Where node `n`'s group lies in `order`, from the `counts` of a
+    /// grouped wave.
+    fn group_of(counts: &[usize], n: NodeId) -> std::ops::Range<usize> {
+        (if n == 0 { 0 } else { counts[n - 1] })..counts[n]
     }
 }
 
@@ -528,62 +589,130 @@ impl<'a> TaskCtx<'a> {
     // batch of fine-grained operations at unpredictable offsets becomes a
     // few network buffers.
 
-    /// Issues one non-blocking get per `(byte offset, byte length)` span
-    /// into one contiguous buffer and waits for all of them.
-    fn gather_spans(
+    /// Reads the byte spans `(offset, len)` of `arr` into `out` (cleared
+    /// first) as elements of `T`, in request order, all in flight at once:
+    /// the one implementation behind [`TaskCtx::gather`] and
+    /// [`TaskCtx::gather_ranges`]. On `Err`, `out` is left empty.
+    ///
+    /// The bytes this node owns are read in place, through one segment
+    /// lookup (none when the array has no local share). The others travel
+    /// as one [`Command::GetRun`] per owner — more only where a run
+    /// outgrows a command, or its reply a buffer — each counted as its
+    /// number of spans: a dead owner fails the wave with
+    /// `RemoteDead { failed_ops }` equal to the spans it held.
+    fn gather_spans<T: Scalar>(
         &self,
         arr: &GmtArray,
         spans: impl Iterator<Item = (u64, u64)> + Clone,
-    ) -> Result<Vec<u8>, GmtError> {
+        out: &mut Vec<T>,
+    ) -> Result<(), GmtError> {
+        // Blocks are whole words, so no element straddles two owners.
+        const { assert!(8 % T::SIZE == 0, "a gathered element divides a word") };
+        out.clear();
         self.reclaim_reply_delivery(|| {
             spans.clone().any(|(offset, len)| self.spans_remote(arr, offset, len))
         })?;
-        let total: u64 = spans.clone().map(|(_, len)| len).sum();
-        let mut raw = vec![0u8; total as usize];
-        let mut rest = &mut raw[..];
+        let layout = self.layout(arr);
+        let me = self.node.node_id;
+        // The most bytes one reply carries, in whole words.
+        let max_reply = (self.node.config.max_inline_payload() / 8 * 8) as u64;
+        let mut wave = Wave::take(self.node.nodes);
         for (offset, len) in spans {
-            let (slot, tail) = rest.split_at_mut(len as usize);
-            rest = tail;
-            // Safety: `raw` outlives the wait below and is not read until
-            // every reply has landed.
-            unsafe { self.get_nb(arr, offset, slot) };
+            for ext in layout.extents(offset, len) {
+                let mut done = 0;
+                while done < ext.len {
+                    let take = (ext.len - done).min(max_reply);
+                    wave.push(ext.node, ext.segment_offset + done, take as u32);
+                    done += take;
+                }
+            }
         }
-        self.wait_commands()?;
-        Ok(raw)
+        wave.group();
+        let Wave { counts, pieces, order, wire, data } = &mut wave;
+        // The local pieces first: once a run is out, nothing but its reply
+        // may write `data`.
+        let local = &order[Wave::group_of(counts, me)];
+        if !local.is_empty() {
+            self.node.memory.with(arr.id, |seg| {
+                for &i in local {
+                    let p = pieces[i as usize];
+                    seg.read(p.offset as usize, &mut data[p.at..p.at + p.len as usize]);
+                }
+            });
+        }
+        let base = data.as_mut_ptr() as u64;
+        let max_spans = (self.node.agg.cmd_capacity() - GET_RUN_FIXED_BYTES) / SPAN_BYTES;
+        for owner in (0..self.node.nodes).filter(|&n| n != me) {
+            let mut rest = &order[Wave::group_of(counts, owner)];
+            while let Some(&first) = rest.first() {
+                // A run ends where the command or its reply would outgrow
+                // a buffer; a piece alone never does.
+                let (mut n, mut bytes) = (0, 0);
+                while n < rest.len().min(max_spans) {
+                    bytes += pieces[rest[n] as usize].len as u64;
+                    if bytes > max_reply {
+                        break;
+                    }
+                    n += 1;
+                }
+                wire.clear();
+                for &i in &rest[..n] {
+                    let p = pieces[i as usize];
+                    wire.extend_from_slice(&p.offset.to_le_bytes());
+                    wire.extend_from_slice(&p.len.to_le_bytes());
+                }
+                let cmd = Command::GetRun {
+                    token: self.ctl.token(),
+                    array: arr.id,
+                    dest: base + pieces[first as usize].at as u64,
+                    spans: wire,
+                };
+                self.emit_n(owner, &cmd, n as u32);
+                rest = &rest[n..];
+            }
+        }
+        // `data` stays put until every reply has landed (or the wait
+        // disarmed the stragglers' writes).
+        let waited = self.wait_commands();
+        if waited.is_ok() {
+            out.reserve(data.len() / T::SIZE);
+            for p in pieces.iter() {
+                let bytes = &data[p.at..p.at + p.len as usize];
+                out.extend(bytes.chunks_exact(T::SIZE).map(T::read_le));
+            }
+        }
+        wave.give_back();
+        waited
     }
 
-    /// Gathers the elements at `indices`, all reads in flight at once.
+    /// Gathers the elements at `indices`, all reads in flight at once,
+    /// as [`TaskCtx::gather_ranges`] does.
     pub fn gather<T: Scalar>(&self, arr: &GmtArray, indices: &[u64]) -> Result<Vec<T>, GmtError> {
         let size = T::SIZE as u64;
-        let raw = self.gather_spans(arr, indices.iter().map(|&i| (i * size, size)))?;
-        Ok(raw.chunks_exact(T::SIZE).map(T::read_le).collect())
+        let mut out = Vec::new();
+        self.gather_spans(arr, indices.iter().map(|&i| (i * size, size)), &mut out)?;
+        Ok(out)
     }
 
     /// Gathers the element ranges `(first, count)` back to back into
     /// `out` (cleared first), all reads in flight at once: the ragged
     /// form of [`TaskCtx::gather`], e.g. the adjacency lists of a set of
     /// vertices. On `Err`, `out` is left empty.
+    ///
+    /// The elements this node owns are read in place, through one segment
+    /// lookup. The others travel as one [`Command::GetRun`] per owner
+    /// (more only where a run outgrows a buffer), each counted as its
+    /// number of spans: a dead owner fails the wave with
+    /// `RemoteDead { failed_ops }` equal to the spans it held.
     pub fn gather_ranges<T: Scalar>(
         &self,
         arr: &GmtArray,
         ranges: &[(u64, u64)],
         out: &mut Vec<T>,
     ) -> Result<(), GmtError> {
-        out.clear();
         let size = T::SIZE as u64;
         let spans = ranges.iter().map(|&(first, count)| (first * size, count * size));
-        let raw = self.gather_spans(arr, spans)?;
-        out.extend(raw.chunks_exact(T::SIZE).map(T::read_le));
-        Ok(())
-    }
-
-    /// Scatters `(index, value)` pairs with non-blocking puts, then waits
-    /// for global visibility.
-    pub fn scatter<T: Scalar>(&self, arr: &GmtArray, pairs: &[(u64, T)]) -> Result<(), GmtError> {
-        for &(i, v) in pairs {
-            self.put_value_nb(arr, i, v);
-        }
-        self.wait_commands()
+        self.gather_spans(arr, spans, out)
     }
 
     /// Compare-and-swaps the 64-bit elements at `indices` from `expected`
@@ -606,72 +735,50 @@ impl<'a> TaskCtx<'a> {
         self.reclaim_reply_delivery(|| indices.iter().any(|&i| self.spans_remote(arr, i * 8, 8)))?;
         let layout = self.layout(arr);
         let me = self.node.node_id;
-        let mut old = vec![0i64; indices.len()];
-        let mut wave = CasWave::take();
-        wave.counts.resize(self.node.nodes, 0);
-        // Local elements are swapped now; remote ones are counted per
-        // owner, the first pass of a counting sort.
-        let mut split = |seg: Option<&Segment>| {
-            for (k, (slot, &i)) in old.iter_mut().zip(indices).enumerate() {
-                let (owner, offset) = layout.locate(i * 8);
-                if owner == me {
-                    let seg = seg.expect("an element this node owns lies in its segment");
-                    *slot = seg.atomic_cas(offset as usize, expected, new);
-                } else {
-                    wave.counts[owner] += 1;
-                    wave.remote.push((owner as u32, k as u32, offset));
+        let mut wave = Wave::take(self.node.nodes);
+        for &i in indices {
+            let (owner, offset) = layout.locate(i * 8);
+            wave.push(owner, offset, 8);
+        }
+        wave.group();
+        let Wave { counts, pieces, order, wire, data } = &mut wave;
+        let local = &order[Wave::group_of(counts, me)];
+        if !local.is_empty() {
+            self.node.memory.with(arr.id, |seg| {
+                for &i in local {
+                    let p = pieces[i as usize];
+                    let old = seg.atomic_cas(p.offset as usize, expected, new);
+                    data[p.at..p.at + 8].copy_from_slice(&old.to_le_bytes());
                 }
-            }
-        };
-        if layout.segment_size(me) > 0 {
-            self.node.memory.with(arr.id, |seg| split(Some(seg)));
-        } else {
-            split(None);
+            });
         }
-        // Second pass: each owner's elements back to back, in request
-        // order, as the wire offsets of its runs and the slots their old
-        // values land in.
-        let CasWave { counts, remote, order, offsets, olds } = &mut wave;
-        let mut at = 0;
-        for count in counts.iter_mut() {
-            (*count, at) = (at, at + *count);
-        }
-        order.resize(remote.len(), 0);
-        offsets.resize(remote.len() * 8, 0);
-        olds.resize(remote.len(), 0);
-        for &(owner, k, offset) in remote.iter() {
-            let pos = &mut counts[owner as usize];
-            order[*pos] = k;
-            offsets[*pos * 8..*pos * 8 + 8].copy_from_slice(&offset.to_le_bytes());
-            *pos += 1;
-        }
+        let base = data.as_mut_ptr() as u64;
         let max_run = (self.node.agg.cmd_capacity() - CAS_RUN_FIXED_BYTES) / 8;
-        let mut start = 0;
-        for (owner, &end) in counts.iter().enumerate() {
-            for run in (start..end).step_by(max_run) {
-                let run = run..end.min(run + max_run);
+        for owner in (0..self.node.nodes).filter(|&n| n != me) {
+            for run in order[Wave::group_of(counts, owner)].chunks(max_run) {
+                wire.clear();
+                for &i in run {
+                    wire.extend_from_slice(&pieces[i as usize].offset.to_le_bytes());
+                }
                 let cmd = Command::CasRun {
                     token: self.ctl.token(),
                     array: arr.id,
                     expected,
                     new,
-                    dest: olds[run.start..].as_mut_ptr() as u64,
-                    offsets: &offsets[run.start * 8..run.end * 8],
+                    dest: base + pieces[run[0] as usize].at as u64,
+                    offsets: wire,
                 };
                 self.emit_n(owner, &cmd, run.len() as u32);
             }
-            start = end;
         }
-        // `olds` stays put until every reply has landed (or the wait
+        // `data` stays put until every reply has landed (or the wait
         // disarmed the stragglers' writes).
-        let waited = self.wait_commands();
-        if waited.is_ok() {
-            for (&k, &prev) in order.iter().zip(olds.iter()) {
-                old[k as usize] = prev;
-            }
-        }
+        let old = self.wait_commands().map(|()| {
+            let old = |p: &Piece| i64::from_le_bytes(data[p.at..p.at + 8].try_into().unwrap());
+            pieces.iter().map(old).collect()
+        });
         wave.give_back();
-        waited.map(|()| old)
+        old
     }
 
     /// Suspends the task until every previously issued operation of this

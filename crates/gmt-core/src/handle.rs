@@ -189,6 +189,8 @@ impl Layout {
             Distribution::Local => return self.origin,
             Distribution::Remote if self.live_count() == 1 => return self.origin,
             Distribution::Remote => Some(self.origin),
+            // Every node live: the slot-th node is node `slot`.
+            Distribution::Partition if self.dead_mask == 0 => return slot as NodeId,
             Distribution::Partition => None,
         };
         let mut k = 0;

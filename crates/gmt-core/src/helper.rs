@@ -10,12 +10,12 @@
 //! segment once via [`NodeMemory::with`]), *apply* (runs go through
 //! the vectorized [`Segment`] kernels: same-offset atomic adds pre-merged
 //! into one RMW, batch copies at a word atomic per 8 bytes, each
-//! `GetReply`'s payload read from the segment — and each `CasRun`'s old
-//! values swapped out of it — straight into the outgoing command block
-//! through one sink access per run, token acknowledgements assembled
-//! straight from the staged token columns). Reply-side opcodes
-//! are executed one by one but gain run-detection for same-token `Ack`
-//! bursts. Control commands (`Alloc`/`Free`/`Spawn`) act as barriers: the
+//! `GetRun`'s spans read back to back from the segment — and each
+//! `CasRun`'s old values swapped out of it — straight into the outgoing
+//! command block as one reply through one sink access per run, token
+//! acknowledgements assembled straight from the staged token columns).
+//! Reply-side opcodes are executed one by one but gain run-detection for
+//! same-token `Ack` bursts. Control commands (`Alloc`/`Free`/`Spawn`) act as barriers: the
 //! staged batch applies before them, preserving their order relative to
 //! data commands.
 //!
@@ -204,10 +204,11 @@ fn execute_control_or_reply(
                 complete_ack_run(node, src, token, n);
             }
         }
-        Command::GetReply { token, dest, data } => {
-            if let Some(units) = node.ops.acquit(token, src, 1) {
+        Command::GetReply { token, dest, spans, data } => {
+            // One acquittal and one copy for the whole run.
+            if let Some(units) = node.ops.acquit(token, src, spans) {
                 // Safety: `dest` points into the buffer registered by the
-                // issuing task, which stays parked (and its stack alive)
+                // issuing task, which stays parked (and its buffer alive)
                 // until this completion — unless it abandoned the
                 // operation after a deadline expiry, in which case the
                 // write guard refuses the write.
@@ -233,6 +234,7 @@ fn execute_control_or_reply(
         }
         Command::Put { .. }
         | Command::Get { .. }
+        | Command::GetRun { .. }
         | Command::Add { .. }
         | Command::AddN { .. }
         | Command::Cas { .. }
@@ -492,7 +494,7 @@ fn apply_staged(
         });
     }
 
-    // ---- gets: each reply's payload read into the outgoing block -----
+    // ---- get runs: each reply's payload read into the outgoing block --
     if !stage.get_arrays.is_empty() {
         bucket_by_array(order, &stage.get_arrays);
         resolved += for_each_run(node, order, &stage.get_arrays, |seg, run| {
@@ -500,13 +502,13 @@ fn apply_staged(
             tls::with_sink(|sink| {
                 for &k in run {
                     let k = k as usize;
+                    let (start, len) = stage.get_spans[k];
                     sink.emit_get_reply(
                         src,
                         stage.get_tokens[k],
                         stage.get_dests[k],
                         seg,
-                        stage.get_offsets[k] as usize,
-                        stage.get_lens[k] as usize,
+                        &buf[start as usize..(start + len) as usize],
                     );
                 }
             });

@@ -361,19 +361,29 @@ mod tests {
     /// they are lost in an optimized one (`cargo test --release -p
     /// gmt-core --lib idle`), whose race window is the runtime's — debug
     /// code rarely lines the two threads up that closely.
+    ///
+    /// On a fast host the consumer's recheck may find every staggered
+    /// round already published and never park, which would test nothing.
+    /// So every `PARKED_EVERY`-th round the producer publishes only once
+    /// the sleeper's recheck, which it makes with its flag up, has come
+    /// back empty: that round parks for certain, and its wake must still
+    /// arrive.
     #[test]
     fn no_wakeup_is_lost() {
         const ROUNDS: u64 = 100_000;
+        const PARKED_EVERY: u64 = 1000;
         const LOST_AFTER: Duration = Duration::from_secs(1);
         let sleeper = Arc::new(Sleeper::default());
         let start = Arc::new(AtomicU64::new(0));
         let published = Arc::new(AtomicU64::new(0));
+        let rechecked = Arc::new(AtomicU64::new(0));
         let done = Arc::new(AtomicU64::new(0));
         let consumer = {
-            let (sleeper, start, published, done) = (
+            let (sleeper, start, published, rechecked, done) = (
                 Arc::clone(&sleeper),
                 Arc::clone(&start),
                 Arc::clone(&published),
+                Arc::clone(&rechecked),
                 Arc::clone(&done),
             );
             std::thread::spawn(move || {
@@ -387,7 +397,14 @@ mod tests {
                         std::hint::spin_loop();
                     }
                     let t0 = Instant::now();
-                    if sleeper.sleep(Some(LOST_AFTER), || published.load(Ordering::Relaxed) >= r) {
+                    let has_work = || {
+                        let work = published.load(Ordering::Relaxed) >= r;
+                        if !work {
+                            rechecked.store(r, Ordering::Release);
+                        }
+                        work
+                    };
+                    if sleeper.sleep(Some(LOST_AFTER), has_work) {
                         parks += 1;
                         if t0.elapsed() >= LOST_AFTER {
                             return Err(r);
@@ -400,8 +417,19 @@ mod tests {
         };
         for r in 1..=ROUNDS {
             start.store(r, Ordering::Release);
-            for i in 0..r % 64 {
-                std::hint::black_box(i);
+            if r % PARKED_EVERY == 0 {
+                // The recheck runs with the flag up, and came back empty:
+                // the sleeper parks whatever happens next.
+                while rechecked.load(Ordering::Acquire) < r {
+                    if consumer.is_finished() {
+                        break;
+                    }
+                    std::hint::spin_loop();
+                }
+            } else {
+                for i in 0..r % 64 {
+                    std::hint::black_box(i);
+                }
             }
             published.store(r, Ordering::Relaxed);
             sleeper.wake();

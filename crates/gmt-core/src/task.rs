@@ -718,8 +718,9 @@ impl OpTable {
     }
 
     /// [`OpTable::register`] for the `n` operations of one command that
-    /// carries a run (a `CasRun`'s elements): one add to each count, and
-    /// each element completes, or fails in a death sweep, as one operation.
+    /// carries a run (a `GetRun`'s spans, a `CasRun`'s elements): one add
+    /// to each count, and each completes, or fails in a death sweep, as
+    /// one operation.
     #[inline]
     pub fn register_n(&self, ctl: &TaskControl, dst: NodeId, n: u32) {
         let token = ctl.token();

@@ -51,7 +51,9 @@ struct Worker<'n> {
     op_chunks: Vec<u32>,
     /// Locally runnable slots.
     runnable: VecDeque<usize>,
-    /// Recycled coroutine stacks.
+    /// Recycled coroutine stacks. A stack is made only when this is
+    /// empty, so it never holds more than the most tasks the worker had
+    /// live at once: keeping them all does not raise its footprint.
     stacks: Vec<Stack>,
     live: usize,
 }
@@ -221,8 +223,7 @@ impl<'n> Worker<'n> {
         }
         self.node.ops.release(task.ctl);
         self.free_slots.push(slot);
-        if !panicked && self.stacks.len() < 64 {
-            // Recycle the stack (bounded pool).
+        if !panicked {
             self.stacks.push(task.coro.into_stack());
         }
     }

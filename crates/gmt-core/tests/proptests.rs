@@ -18,18 +18,17 @@ fn arb_command() -> impl Strategy<Value = OwnedCommand> {
                 offset,
                 data
             }),
-        (any::<u64>(), any::<u64>(), any::<u64>(), any::<u32>(), any::<u64>()).prop_map(
-            |(token, array, offset, len, dest)| OwnedCommand::Get {
-                token,
-                array,
-                offset,
-                len,
-                dest
-            }
+        (any::<u64>(), any::<u64>(), any::<u64>(), arb_get_run()).prop_map(
+            |(token, array, dest, spans)| OwnedCommand::Get { token, array, dest, spans }
         ),
         any::<u64>().prop_map(|token| OwnedCommand::Ack { token }),
-        (any::<u64>(), any::<u64>(), proptest::collection::vec(any::<u8>(), 0..200))
-            .prop_map(|(token, dest, data)| OwnedCommand::GetReply { token, dest, data }),
+        (any::<u64>(), any::<u64>(), any::<u32>(), proptest::collection::vec(any::<u8>(), 0..200))
+            .prop_map(|(token, dest, spans, data)| OwnedCommand::GetReply {
+                token,
+                dest,
+                spans,
+                data
+            }),
         (any::<u64>(), any::<u64>(), any::<u64>(), any::<i64>(), any::<u64>()).prop_map(
             |(token, array, offset, delta, dest)| OwnedCommand::Add {
                 token,
@@ -97,13 +96,21 @@ fn arb_cas_run() -> impl Strategy<Value = Vec<u8>> {
         .prop_map(|ws| ws.iter().flat_map(|w| w.to_le_bytes()).collect())
 }
 
+/// A get run: 1 to 64 `(offset, len)` spans, 12 little-endian bytes
+/// each.
+fn arb_get_run() -> impl Strategy<Value = Vec<u8>> {
+    proptest::collection::vec((any::<u64>(), any::<u32>()), 1..65).prop_map(|ss| {
+        ss.iter().flat_map(|&(o, l)| o.to_le_bytes().into_iter().chain(l.to_le_bytes())).collect()
+    })
+}
+
 /// Owned mirror of `Command` so proptest can generate it.
 #[derive(Debug, Clone, PartialEq)]
 enum OwnedCommand {
     Put { token: u64, array: u64, offset: u64, data: Vec<u8> },
-    Get { token: u64, array: u64, offset: u64, len: u32, dest: u64 },
+    Get { token: u64, array: u64, dest: u64, spans: Vec<u8> },
     Ack { token: u64 },
-    GetReply { token: u64, dest: u64, data: Vec<u8> },
+    GetReply { token: u64, dest: u64, spans: u32, data: Vec<u8> },
     Add { token: u64, array: u64, offset: u64, delta: i64, dest: u64 },
     Cas { token: u64, array: u64, expected: i64, new: i64, dest: u64, offsets: Vec<u8> },
     AtomicReply { token: u64, dest: u64, olds: Vec<u8> },
@@ -120,16 +127,12 @@ impl OwnedCommand {
             OwnedCommand::Put { token, array, offset, data } => {
                 Command::Put { token: *token, array: *array, offset: *offset, data }
             }
-            OwnedCommand::Get { token, array, offset, len, dest } => Command::Get {
-                token: *token,
-                array: *array,
-                offset: *offset,
-                len: *len,
-                dest: *dest,
-            },
+            OwnedCommand::Get { token, array, dest, spans } => {
+                Command::GetRun { token: *token, array: *array, dest: *dest, spans }
+            }
             OwnedCommand::Ack { token } => Command::Ack { token: *token },
-            OwnedCommand::GetReply { token, dest, data } => {
-                Command::GetReply { token: *token, dest: *dest, data }
+            OwnedCommand::GetReply { token, dest, spans, data } => {
+                Command::GetReply { token: *token, dest: *dest, spans: *spans, data }
             }
             OwnedCommand::Add { token, array, offset, delta, dest } => Command::Add {
                 token: *token,

@@ -418,13 +418,18 @@ fn link_failure_is_surfaced_as_net_error() {
 }
 
 #[test]
-fn gather_scatter_roundtrip() {
+fn gather_reads_irregular_indices_back() {
     let cluster = Cluster::start(3, Config::small()).unwrap();
     cluster.node(0).run(|ctx| {
         let arr = ctx.alloc(256 * 8, Distribution::Partition);
-        // Scatter an irregular set of (index, value) pairs...
+        // Store an irregular set of (index, value) pairs with one put...
         let pairs: Vec<(u64, u64)> = (0..64).map(|k| ((k * 37) % 256, k * k)).collect();
-        ctx.scatter(&arr, &pairs).unwrap();
+        let mut words = vec![0u64; 256];
+        for &(i, v) in &pairs {
+            words[i as usize] = v;
+        }
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        ctx.put(&arr, 0, &bytes).unwrap();
         // ...and gather them back in a different order.
         let indices: Vec<u64> = pairs.iter().rev().map(|&(i, _)| i).collect();
         let values = ctx.gather::<u64>(&arr, &indices).unwrap();
@@ -447,7 +452,6 @@ fn gather_empty_index_list() {
     cluster.node(0).run(|ctx| {
         let arr = ctx.alloc(64, Distribution::Local);
         assert!(ctx.gather::<u64>(&arr, &[]).unwrap().is_empty());
-        ctx.scatter::<u64>(&arr, &[]).unwrap();
         ctx.free(arr);
     });
     cluster.shutdown();

@@ -2,7 +2,7 @@
 //! `atomic_fetch_add_nb`), the safe wave helpers built on them, and the
 //! range-bodied parFor.
 
-use gmt_core::command::CAS_RUN_FIXED_BYTES;
+use gmt_core::command::{CAS_RUN_FIXED_BYTES, GET_RUN_FIXED_BYTES, SPAN_BYTES};
 use gmt_core::reliable::HEADER_LEN;
 use gmt_core::{Cluster, Config, Distribution, GmtError, NodeHandle, SpawnPolicy};
 use gmt_net::FaultPlan;
@@ -11,6 +11,11 @@ use std::sync::Arc;
 
 /// A value no operation of these tests ever produces.
 const UNTOUCHED: i64 = i64::MIN + 17;
+
+/// Words as the bytes of one put that stores them back to back.
+fn words(ws: impl Iterator<Item = i64>) -> Vec<u8> {
+    ws.flat_map(i64::to_le_bytes).collect()
+}
 
 #[test]
 fn a_local_owner_fills_the_slot_before_return() {
@@ -60,8 +65,7 @@ fn a_thousand_in_flight_from_one_task_land_in_their_own_slots() {
     let cluster = Cluster::start(3, Config::small()).unwrap();
     cluster.node(0).run(|ctx| {
         let arr = ctx.alloc(N as u64 * 8, Distribution::Partition);
-        let init: Vec<(u64, i64)> = (0..N as u64).map(|i| (i, i as i64 * 3)).collect();
-        ctx.scatter(&arr, &init).unwrap();
+        ctx.put(&arr, 0, &words((0..N as i64).map(|i| i * 3))).unwrap();
         let mut old = vec![UNTOUCHED; N];
         for (i, slot) in old.iter_mut().enumerate() {
             // Safety: `old` outlives the wait and is not read before it.
@@ -153,8 +157,7 @@ fn a_wave_bigger_than_a_buffer_splits_into_runs_and_keeps_request_order() {
     let cluster = Cluster::start(2, config).unwrap();
     let arr = cluster.node(0).run(|ctx| {
         let arr = ctx.alloc(WORDS * 8, Distribution::Remote);
-        let init: Vec<(u64, i64)> = (0..WORDS).map(|i| (i, i as i64 % 7)).collect();
-        ctx.scatter(&arr, &init).unwrap();
+        ctx.put(&arr, 0, &words((0..WORDS as i64).map(|i| i % 7))).unwrap();
         arr
     });
     // Scrambled, with repeats: every word at least once, some twice.
@@ -194,8 +197,7 @@ fn gather_ranges_concatenates_ragged_ranges_across_owners() {
     let cluster = Cluster::start(3, Config::small()).unwrap();
     cluster.node(0).run(|ctx| {
         let arr = ctx.alloc(300 * 8, Distribution::Partition);
-        let init: Vec<(u64, u64)> = (0..300).map(|i| (i, i * i)).collect();
-        ctx.scatter(&arr, &init).unwrap();
+        ctx.put(&arr, 0, &words((0..300).map(|i| i * i))).unwrap();
         let mut out = vec![1u64, 2, 3];
         ctx.gather_ranges(&arr, &[(290, 10), (5, 0), (95, 110), (0, 1)], &mut out).unwrap();
         let expected: Vec<u64> =
@@ -329,6 +331,83 @@ fn a_wave_toward_a_killed_owner_fails_as_many_operations_as_it_sent_there() {
         let waved = ctx.atomic_cas_wave(&arr, &[1, 9, 9, 12, 3, 15, 8, 1], 0, 4);
         assert!(matches!(waved, Err(GmtError::RemoteDead { node: 1, failed_ops: 5 })), "{waved:?}");
         assert_eq!(ctx.gather::<i64>(&arr, &[1, 3, 0]).unwrap(), vec![4, 4, 0]);
+    });
+    cluster.shutdown();
+}
+
+#[test]
+fn a_gather_sends_each_other_owner_runs_of_spans_and_keeps_request_order() {
+    const WORDS: u64 = 6000;
+    const READS: u64 = 4096;
+    let config = Config::small();
+    // A run ends where its spans fill a command or its reply a buffer.
+    let by_command = (config.buffer_size - HEADER_LEN - GET_RUN_FIXED_BYTES) / SPAN_BYTES;
+    let by_reply = config.max_inline_payload() / 8;
+    let cap = by_command.min(by_reply) as u64;
+    let cluster = Cluster::start(2, config).unwrap();
+    // Block-partitioned over 2 nodes: words 0..3000 here, 3000.. on 1.
+    let arr = cluster.node(0).run(|ctx| {
+        let arr = ctx.alloc(WORDS * 8, Distribution::Partition);
+        ctx.put(&arr, 0, &words((0..WORDS as i64).map(|i| i * 11 - 5))).unwrap();
+        arr
+    });
+    // Scrambled, with repeats, over both owners.
+    let indices: Vec<u64> = (0..READS).map(|k| k * 7919 % WORDS).collect();
+    let remote = indices.iter().filter(|&&i| i >= WORDS / 2).count() as u64;
+    assert!(remote > cap, "the wave should need more than one run");
+    let (gets_before, replies_before) =
+        (executed(cluster.node(1), "get"), executed(cluster.node(0), "get-reply"));
+    let wave = indices.clone();
+    let got = cluster.node(0).run(move |ctx| ctx.gather::<i64>(&arr, &wave).unwrap());
+    let expected: Vec<i64> = indices.iter().map(|&i| i as i64 * 11 - 5).collect();
+    assert_eq!(got, expected);
+    assert_eq!(executed(cluster.node(1), "get") - gets_before, remote.div_ceil(cap));
+    assert_eq!(executed(cluster.node(0), "get-reply") - replies_before, remote.div_ceil(cap));
+    assert_eq!(executed(cluster.node(0), "get"), 0, "local words never travel");
+    cluster.shutdown();
+}
+
+/// A gather counts as its spans: toward a killed owner it fails with one
+/// failed operation per span its runs carried there, a range that
+/// crosses into the owner's block included, and hands back nothing.
+#[test]
+fn a_gather_toward_a_killed_owner_fails_as_many_operations_as_spans_it_held() {
+    let cluster = Cluster::start_sim(2, Config::small()).unwrap();
+    // 16 words block-partitioned over 2 nodes: 0..8 here, 8..16 on node 1.
+    let arr = cluster.node(0).run(|ctx| ctx.alloc(16 * 8, Distribution::Partition));
+    cluster.install_faults(FaultPlan::new(1).kill(1));
+    cluster.node(0).run(move |ctx| {
+        let mut out = vec![1i64];
+        let ranges = [(1, 1), (9, 2), (6, 4), (12, 1), (3, 1), (9, 0)];
+        let gathered = ctx.gather_ranges(&arr, &ranges, &mut out);
+        assert!(
+            matches!(gathered, Err(GmtError::RemoteDead { node: 1, failed_ops: 3 })),
+            "{gathered:?}"
+        );
+        assert!(out.is_empty(), "a failed gather hands back no elements");
+        let gathered = ctx.gather::<i64>(&arr, &[1, 9, 9, 12, 3, 15]);
+        assert!(
+            matches!(gathered, Err(GmtError::RemoteDead { node: 1, failed_ops: 4 })),
+            "{gathered:?}"
+        );
+        assert_eq!(ctx.gather::<i64>(&arr, &[7, 0]).unwrap(), vec![0, 0]);
+    });
+    cluster.shutdown();
+}
+
+#[test]
+fn a_gather_over_a_remote_array_has_no_local_share_to_look_up() {
+    let cluster = Cluster::start(3, Config::small()).unwrap();
+    cluster.node(0).run(|ctx| {
+        // Block-distributed over nodes 1 and 2; node 0 holds nothing.
+        let arr = ctx.alloc(16 * 8, Distribution::Remote);
+        ctx.put(&arr, 0, &words((0..16).map(|i| 100 + i))).unwrap();
+        let now = ctx.gather::<i64>(&arr, &[15, 0, 7, 8, 15, 1]).unwrap();
+        assert_eq!(now, vec![115, 100, 107, 108, 115, 101]);
+        let mut out = Vec::new();
+        ctx.gather_ranges::<u32>(&arr, &[(13, 6), (0, 0), (30, 2)], &mut out).unwrap();
+        assert_eq!(out, vec![0, 107, 0, 108, 0, 109, 115, 0]);
+        ctx.free(arr);
     });
     cluster.shutdown();
 }

@@ -78,17 +78,7 @@ impl DistGraph {
     /// Reads the out-neighbors of `v` into `buf`.
     pub fn neighbors_into(&self, ctx: &TaskCtx<'_>, v: u64, buf: &mut Vec<u64>) {
         let (lo, hi) = self.edge_range(ctx, v);
-        let count = (hi - lo) as usize;
-        buf.clear();
-        buf.resize(count, 0);
-        if count == 0 {
-            return;
-        }
-        // Safety: freshly sized u64 buffer viewed as bytes; the blocking
-        // get completes before return.
-        let bytes =
-            unsafe { std::slice::from_raw_parts_mut(buf.as_mut_ptr().cast::<u8>(), count * 8) };
-        ctx.get(&self.targets, lo * 8, bytes).unwrap();
+        ctx.gather_ranges(&self.targets, &[(lo, hi - lo)], buf).unwrap();
     }
 
     /// Reads the adjacency of every vertex in `vertices` in two waves —
@@ -104,11 +94,14 @@ impl DistGraph {
         neighbors: &mut Vec<u64>,
     ) {
         debug_assert!(vertices.iter().all(|&v| v < self.vertices));
-        let pairs: Vec<(u64, u64)> = vertices.iter().map(|&v| (v, 2)).collect();
-        let mut bounds = Vec::new();
-        ctx.gather_ranges::<u64>(&self.offsets, &pairs, &mut bounds).unwrap();
+        // `ranges` first names each vertex's two offsets, which land in
+        // `neighbors`; then each becomes the edge range they bound.
         ranges.clear();
-        ranges.extend(bounds.chunks_exact(2).map(|b| (b[0], b[1] - b[0])));
+        ranges.extend(vertices.iter().map(|&v| (v, 2)));
+        ctx.gather_ranges(&self.offsets, ranges, neighbors).unwrap();
+        for (range, b) in ranges.iter_mut().zip(neighbors.chunks_exact(2)) {
+            *range = (b[0], b[1] - b[0]);
+        }
         ctx.gather_ranges(&self.targets, ranges, neighbors).unwrap();
     }
 

@@ -13,10 +13,13 @@
 //! edge ranges, neighbor lists, CAS over every neighbor, one fetch-add of
 //! the number won, one put of the winners. That is six dependent round
 //! trips per chunk, however many edges the chunk has, and the waves are
-//! what the aggregation layer packs into full buffers.
+//! what the aggregation layer packs into full buffers. A chunk's working
+//! vectors come from a pool of its worker thread, so a chunk does not
+//! call the allocator for them.
 
 use gmt_core::{Distribution, SpawnPolicy, TaskCtx};
 use gmt_graph::DistGraph;
+use std::cell::RefCell;
 
 /// Result of a distributed BFS.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,6 +35,38 @@ pub struct BfsResult {
 
 /// Chunk size for the frontier parFor (queue entries per task).
 const CHUNK: u32 = 16;
+
+/// The working vectors of one frontier chunk, taken from a pool of the
+/// worker thread and given back at the chunk's end: a chunk waits in the
+/// middle while the worker runs others, so the pool grows to the chunks
+/// one worker has in flight, and then nothing allocates.
+#[derive(Default)]
+struct Scratch {
+    frontier: Vec<u64>,
+    ranges: Vec<(u64, u64)>,
+    nbrs: Vec<u64>,
+    won: Vec<u8>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Vec<Scratch>> = const { RefCell::new(Vec::new()) };
+}
+
+impl Scratch {
+    /// Neighbors past which a chunk's vectors are freed rather than
+    /// pooled (a hub's adjacency is not kept around).
+    const POOLED_NEIGHBORS: usize = 1 << 12;
+
+    fn take() -> Self {
+        SCRATCH.with(|pool| pool.borrow_mut().pop()).unwrap_or_default()
+    }
+
+    fn give_back(self) {
+        if self.nbrs.capacity() <= Self::POOLED_NEIGHBORS {
+            SCRATCH.with(|pool| pool.borrow_mut().push(self));
+        }
+    }
+}
 
 /// Runs BFS from `source` over the global graph, returning per-vertex
 /// levels. Must be called from a GMT task context.
@@ -62,31 +97,34 @@ pub fn gmt_bfs(ctx: &TaskCtx<'_>, g: &DistGraph, source: u64) -> BfsResult {
         ctx.put_value::<u64>(&counters, 0, 0).unwrap();
         let g = *g;
         ctx.parfor_range(SpawnPolicy::Partition, cur_size, CHUNK, move |ctx, chunk| {
-            let mut frontier = Vec::new();
-            ctx.gather_ranges(&cur, &[(chunk.start, chunk.end - chunk.start)], &mut frontier)
-                .unwrap();
-            let (mut ranges, mut nbrs) = (Vec::new(), Vec::new());
-            g.adjacency_into(ctx, &frontier, &mut ranges, &mut nbrs);
-            if nbrs.is_empty() {
-                return;
-            }
-            // Rides along with the CAS wave and its wait.
-            ctx.atomic_add_nb(&counters, 8, nbrs.len() as i64);
-            // Claim unvisited neighbors; exactly one CAS wins each, also
-            // when a target shows up twice in this very wave.
-            let old = ctx.atomic_cas_wave(&levels, &nbrs, -1, level + 1).unwrap();
-            let mut won = Vec::new();
-            for (t, old) in nbrs.iter().zip(old) {
-                if old == -1 {
-                    won.extend_from_slice(&t.to_le_bytes());
+            let mut s = Scratch::take();
+            let Scratch { frontier, ranges, nbrs, won } = &mut s;
+            'chunk: {
+                ctx.gather_ranges(&cur, &[(chunk.start, chunk.end - chunk.start)], frontier)
+                    .unwrap();
+                g.adjacency_into(ctx, frontier, ranges, nbrs);
+                if nbrs.is_empty() {
+                    break 'chunk;
                 }
+                // Rides along with the CAS wave and its wait.
+                ctx.atomic_add_nb(&counters, 8, nbrs.len() as i64);
+                // Claim unvisited neighbors; exactly one CAS wins each, also
+                // when a target shows up twice in this very wave.
+                let old = ctx.atomic_cas_wave(&levels, nbrs, -1, level + 1).unwrap();
+                won.clear();
+                for (t, old) in nbrs.iter().zip(old) {
+                    if old == -1 {
+                        won.extend_from_slice(&t.to_le_bytes());
+                    }
+                }
+                if won.is_empty() {
+                    break 'chunk;
+                }
+                // One reservation for all winners, then one contiguous put.
+                let at = ctx.atomic_add(&counters, 0, (won.len() / 8) as i64).unwrap() as u64;
+                ctx.put(&next, at * 8, won).unwrap();
             }
-            if won.is_empty() {
-                return;
-            }
-            // One reservation for all winners, then one contiguous put.
-            let at = ctx.atomic_add(&counters, 0, (won.len() / 8) as i64).unwrap() as u64;
-            ctx.put(&next, at * 8, &won).unwrap();
+            s.give_back();
         });
         cur_size = ctx.get_value::<u64>(&counters, 0).unwrap();
         std::mem::swap(&mut cur, &mut next);
